@@ -82,6 +82,58 @@ fn bench_model(c: &mut Criterion) {
     g.finish();
 }
 
+/// The encoder forward at the serving shape (256 ids, d=256, 4 heads,
+/// d_ff 1024, 2 layers) — the largest single layer of an interactive
+/// request on the perf ledger. `tape_oracle` is `transformer::encode` on a
+/// throwaway tape (the training path: weights cloned onto the tape, un-blocked
+/// threaded `matmul`), `tape_free` is `decode::encode_source`, which every
+/// serving and decode entry point runs. The setup asserts the two agree bit
+/// for bit, so the bench doubles as a smoke of the equivalence contract.
+fn bench_encoder_forward(c: &mut Criterion) {
+    let cfg = ModelConfig {
+        vocab_size: 4096,
+        d_model: 256,
+        n_heads: 4,
+        d_ff: 1024,
+        n_enc_layers: 2,
+        n_dec_layers: 2,
+        max_enc_len: 256,
+        max_dec_len: 96,
+        dropout: 0.0,
+    };
+    let mut store = ParamStore::new();
+    let params = build_params(&cfg, &mut store, 1);
+    let src: Vec<usize> = (0..256).map(|i| 6 + (i * 7) % 4000).collect();
+    let tape_oracle = |src: &[usize]| {
+        let mut tape = Tape::new();
+        let out = encode(
+            &mut tape,
+            &store,
+            &params,
+            &cfg,
+            src,
+            ForwardMode::inference(),
+        );
+        tape.value(out).clone()
+    };
+    let bits = |t: &Tensor| t.data.iter().map(|v| v.to_bits()).collect::<Vec<u32>>();
+    assert_eq!(
+        bits(&encode_source(&store, &params, &cfg, &src)),
+        bits(&tape_oracle(&src)),
+        "tape-free encoder must be bitwise the tape encoder"
+    );
+
+    let mut g = c.benchmark_group("encoder_forward");
+    g.sample_size(10);
+    g.bench_function("tape_oracle_256tok", |b| {
+        b.iter(|| tape_oracle(black_box(&src)))
+    });
+    g.bench_function("tape_free_256tok", |b| {
+        b.iter(|| encode_source(black_box(&store), &params, &cfg, black_box(&src)))
+    });
+    g.finish();
+}
+
 fn bench_decode(c: &mut Criterion) {
     // Quick-scale architecture with headroom for 232-token outputs.
     let cfg = ModelConfig {
@@ -876,6 +928,7 @@ criterion_group!(
     benches,
     bench_matmul,
     bench_model,
+    bench_encoder_forward,
     bench_decode,
     bench_batch_decode,
     bench_batch_beam,

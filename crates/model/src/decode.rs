@@ -42,8 +42,9 @@
 //! ```
 
 use crate::config::ModelConfig;
+pub use crate::infer::encode_source;
 use crate::infer::{decode_step, decode_step_quant, DecoderCache, Precision, QuantDecoderWeights};
-use crate::transformer::{decode as dec_forward, encode, ForwardMode, TransformerParams};
+use crate::transformer::{decode as dec_forward, ForwardMode, TransformerParams};
 use crate::vocab::{EOS, SOS};
 use mpirical_tensor::{ParamStore, Tape, Tensor};
 use serde::{Deserialize, Serialize};
@@ -87,26 +88,6 @@ impl DecodeOptions {
         }
         Ok(())
     }
-}
-
-/// Run the encoder once (inference mode, throwaway tape) and return its
-/// output activations.
-pub fn encode_source(
-    store: &ParamStore,
-    params: &TransformerParams,
-    cfg: &ModelConfig,
-    src_ids: &[usize],
-) -> Tensor {
-    let mut tape = Tape::new();
-    let enc_out = encode(
-        &mut tape,
-        store,
-        params,
-        cfg,
-        src_ids,
-        ForwardMode::inference(),
-    );
-    tape.value(enc_out).clone()
 }
 
 /// Greedy decoding: returns generated ids *without* the leading `<sos>` or

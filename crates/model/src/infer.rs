@@ -12,6 +12,10 @@
 //! [`batch_linear_packed`] calls while keeping one [`DecoderCache`] per
 //! request (the engine under [`BatchDecoder`](crate::batch::BatchDecoder)).
 //!
+//! [`encode_source`] is the encoder's side of the same bargain: one
+//! tape-free pass over all source rows per request, bitwise equal to the
+//! tape's [`encode`](crate::transformer::encode).
+//!
 //! # Cache layout
 //!
 //! One `LayerCache` per decoder layer, holding:
@@ -84,7 +88,7 @@
 
 use crate::config::ModelConfig;
 use crate::paged::{PagePool, PagedRows, PoolInner};
-use crate::transformer::TransformerParams;
+use crate::transformer::{positional_encoding, LnParams, TransformerParams};
 use mpirical_tensor::{
     batch_linear, batch_linear_packed, batch_linear_q, dot_rows, quantize_row, vecmat, vecmat_acc,
     vecmat_bt, vecmat_q_pre, PackedMat, ParamStore, QuantMat, Tensor,
@@ -516,10 +520,25 @@ fn lane_sum(x: &[f32], mut f: impl FnMut(f32) -> f32) -> f32 {
 /// lane-strided reductions shift the mean/variance in the last ulps relative
 /// to the replay path, well inside the ≤1e-4 contract).
 fn ln_row(x: &[f32], gamma: &Tensor, beta: &Tensor, out: &mut [f32]) {
-    const EPS: f32 = 1e-5;
     let d = x.len();
     let mean: f32 = lane_sum(x, |v| v) / d as f32;
     let var: f32 = lane_sum(x, |v| (v - mean) * (v - mean)) / d as f32;
+    ln_apply(x, mean, var, gamma, beta, out);
+}
+
+/// [`ln_row`] with the tape op's **sequential** mean/variance sums. The
+/// encoder forward promises bitwise equality with `transformer::encode`, and
+/// a reduction's order is the one thing the two LayerNorms could differ in.
+fn ln_row_seq(x: &[f32], gamma: &Tensor, beta: &Tensor, out: &mut [f32]) {
+    let d = x.len();
+    let mean: f32 = x.iter().sum::<f32>() / d as f32;
+    let var: f32 = x.iter().map(|v| (v - mean) * (v - mean)).sum::<f32>() / d as f32;
+    ln_apply(x, mean, var, gamma, beta, out);
+}
+
+/// Normalize, scale and shift one row given its mean and variance.
+fn ln_apply(x: &[f32], mean: f32, var: f32, gamma: &Tensor, beta: &Tensor, out: &mut [f32]) {
+    const EPS: f32 = 1e-5;
     let istd = 1.0 / (var + EPS).sqrt();
     for (j, o) in out.iter_mut().enumerate() {
         *o = (x[j] - mean) * istd * gamma.data[j] + beta.data[j];
@@ -1612,6 +1631,250 @@ pub fn decode_step_batch(
     for cache in caches.iter_mut() {
         cache.len += 1;
     }
+}
+
+/// LayerNorm every `d`-wide row of `x` into `out` with [`ln_row_seq`].
+fn ln_rows_seq(x: &[f32], d: usize, p: LnParams, store: &ParamStore, out: &mut [f32]) {
+    let (gamma, beta) = (store.value(p.gamma), store.value(p.beta));
+    for (row, o) in x.chunks_exact(d).zip(out.chunks_exact_mut(d)) {
+        ln_row_seq(row, gamma, beta, o);
+    }
+}
+
+/// `x += y`, elementwise (a residual connection).
+fn add_rows(x: &mut [f32], y: &[f32]) {
+    for (xv, &yv) in x.iter_mut().zip(y) {
+        *xv += yv;
+    }
+}
+
+/// Every row-wise intermediate of one contiguous block of encoder rows
+/// (`[rows, d]`, `ff` `[rows, d_ff]`, `scores` one attention row), allocated
+/// once per forward and reused by every layer. [`encode_source`] gives each
+/// thread one block, so threads share nothing they write.
+struct EncoderRows {
+    normed: Vec<f32>,
+    q: Vec<f32>,
+    k: Vec<f32>,
+    v: Vec<f32>,
+    ctx: Vec<f32>,
+    proj: Vec<f32>,
+    ff: Vec<f32>,
+    scores: Vec<f32>,
+}
+
+impl EncoderRows {
+    fn new(rows: usize, t: usize, cfg: &ModelConfig) -> EncoderRows {
+        let slab = || vec![0.0f32; rows * cfg.d_model];
+        EncoderRows {
+            normed: slab(),
+            q: slab(),
+            k: slab(),
+            v: slab(),
+            ctx: slab(),
+            proj: slab(),
+            ff: vec![0.0; rows * cfg.d_ff],
+            scores: vec![0.0; t],
+        }
+    }
+}
+
+/// Run `f` over every `(rows of x, block)` pair — on scoped threads when
+/// there is more than one block, the row-partition scheme of `matmul` and of
+/// the per-lane sections of [`decode_step_batch`].
+fn for_each_block(
+    x: &mut [f32],
+    blocks: &mut [EncoderRows],
+    block_len: usize,
+    f: impl Fn(&mut [f32], &mut EncoderRows) + Sync,
+) {
+    if let [block] = blocks {
+        return f(x, block);
+    }
+    crossbeam::scope(|scope| {
+        for (x_rows, block) in x.chunks_mut(block_len).zip(blocks) {
+            let f = &f;
+            scope.spawn(move |_| f(x_rows, block));
+        }
+    })
+    .expect("encoder threads do not panic");
+}
+
+/// Copy rows `row0..` of a `[_, h·dh]` projection into the head-major
+/// `out[h][t][dh]`, where each head's `t` rows form the contiguous block
+/// [`dot_rows`] and [`vecmat_acc`] walk.
+fn scatter_heads(x: &[f32], row0: usize, t: usize, dh: usize, out: &mut [f32]) {
+    let d = out.len() / t;
+    for (i, row) in x.chunks_exact(d).enumerate() {
+        for (head, cols) in row.chunks_exact(dh).enumerate() {
+            let at = (head * t + row0 + i) * dh;
+            out[at..at + dh].copy_from_slice(cols);
+        }
+    }
+}
+
+/// Run the encoder once over `src_ids` and return its output activations
+/// (`[T, d_model]`) — the tape-free inference forward behind every decode
+/// entry point.
+///
+/// The `[T, d]` activation matrix moves through each projection in
+/// register-blocked [`batch_linear`] calls that read the weights in place
+/// from `store` (no per-request weight copy, no cached state), attention runs
+/// per head and query row over head-major K/V, and every intermediate lives
+/// in scratch allocated once per call and reused across layers. Above a work
+/// threshold the rows are split into one contiguous block per core: every
+/// stage but attention's read of all keys and values is row-wise, so the
+/// blocks meet only where K/V are gathered, twice per layer.
+///
+/// # Equivalence
+///
+/// The result is **bitwise identical** to [`transformer::encode`] in
+/// inference mode, which stays the training path and the independent oracle
+/// (`tests/encoder_props.rs`): every kernel accumulates in ascending `k` with
+/// the bias added last, attention scores are the same `dot` products, softmax
+/// and GELU are the same expressions, and LayerNorm sums sequentially
+/// (`ln_row_seq`) like the tape op. No row's arithmetic depends on which
+/// block it falls in, so the thread count moves latency only.
+///
+/// [`transformer::encode`]: crate::transformer::encode
+///
+/// # Panics
+///
+/// If `src_ids` is empty, longer than `cfg.max_enc_len`, or holds an id
+/// outside the embedding table — the guards of the tape path.
+pub fn encode_source(
+    store: &ParamStore,
+    params: &TransformerParams,
+    cfg: &ModelConfig,
+    src_ids: &[usize],
+) -> Tensor {
+    assert!(!src_ids.is_empty(), "encoder input must be non-empty");
+    assert!(
+        src_ids.len() <= cfg.max_enc_len,
+        "encoder input {} exceeds max {}",
+        src_ids.len(),
+        cfg.max_enc_len
+    );
+    let (t, d, dff) = (src_ids.len(), cfg.d_model, cfg.d_ff);
+    let dh = cfg.d_head();
+    let scale = 1.0 / (dh as f32).sqrt();
+
+    // Embedding rows read in place, scaled, plus the sinusoidal position row.
+    let emb = store.value(params.tok_emb);
+    let vocab = emb.shape[0];
+    let emb_scale = (d as f32).sqrt();
+    let positions = positional_encoding(t, d);
+    let mut x = vec![0.0f32; t * d];
+    for ((&id, row), pos_row) in src_ids
+        .iter()
+        .zip(x.chunks_exact_mut(d))
+        .zip(positions.data.chunks_exact(d))
+    {
+        assert!(id < vocab, "embedding id {id} out of vocab {vocab}");
+        for ((o, &e), &p) in row
+            .iter_mut()
+            .zip(&emb.data[id * d..(id + 1) * d])
+            .zip(pos_row)
+        {
+            *o = e * emb_scale + p;
+        }
+    }
+
+    // One block of rows per thread; a row costs about this many multiply-adds
+    // per layer (four d×d projections, two d×d_ff, scores and context).
+    let threads = lane_threads(t, 4 * d * d + 2 * d * dff + 2 * t * d);
+    let block_rows = t.div_ceil(threads);
+    let mut blocks: Vec<EncoderRows> = x
+        .chunks(block_rows * d)
+        .map(|rows| EncoderRows::new(rows.len() / d, t, cfg))
+        .collect();
+    let mut keys = vec![0.0f32; t * d];
+    let mut values = vec![0.0f32; t * d];
+    for layer in &params.enc_layers {
+        // Self-attention block (pre-LN residual): project this block's rows…
+        let a = &layer.attn;
+        for_each_block(&mut x, &mut blocks, block_rows * d, |x, s| {
+            let rows = x.len() / d;
+            ln_rows_seq(x, d, layer.ln1, store, &mut s.normed);
+            batch_linear(
+                &s.normed,
+                rows,
+                store.value(a.wq),
+                store.value(a.bq),
+                &mut s.q,
+            );
+            batch_linear(
+                &s.normed,
+                rows,
+                store.value(a.wk),
+                store.value(a.bk),
+                &mut s.k,
+            );
+            batch_linear(
+                &s.normed,
+                rows,
+                store.value(a.wv),
+                store.value(a.bv),
+                &mut s.v,
+            );
+        });
+        for (i, s) in blocks.iter().enumerate() {
+            scatter_heads(&s.k, i * block_rows, t, dh, &mut keys);
+            scatter_heads(&s.v, i * block_rows, t, dh, &mut values);
+        }
+        // …then attend bidirectionally, every query row over all `t` keys,
+        // and finish the layer row-wise.
+        let f = &layer.ff;
+        for_each_block(&mut x, &mut blocks, block_rows * d, |x, s| {
+            let rows = x.len() / d;
+            for (q_row, ctx_row) in s.q.chunks_exact(d).zip(s.ctx.chunks_exact_mut(d)) {
+                for (head, (qh, ctx_h)) in q_row
+                    .chunks_exact(dh)
+                    .zip(ctx_row.chunks_exact_mut(dh))
+                    .enumerate()
+                {
+                    let head_rows = head * t * dh..(head + 1) * t * dh;
+                    dot_rows(qh, &keys[head_rows.clone()], &mut s.scores);
+                    for sc in s.scores.iter_mut() {
+                        *sc *= scale;
+                    }
+                    softmax_row(&mut s.scores);
+                    ctx_h.fill(0.0);
+                    vecmat_acc(&s.scores, &values[head_rows], dh, ctx_h);
+                }
+            }
+            batch_linear(
+                &s.ctx,
+                rows,
+                store.value(a.wo),
+                store.value(a.bo),
+                &mut s.proj,
+            );
+            add_rows(x, &s.proj);
+
+            // Feed-forward block.
+            ln_rows_seq(x, d, layer.ln2, store, &mut s.normed);
+            batch_linear(
+                &s.normed,
+                rows,
+                store.value(f.w1),
+                store.value(f.b1),
+                &mut s.ff,
+            );
+            gelu_row(&mut s.ff);
+            batch_linear(
+                &s.ff,
+                rows,
+                store.value(f.w2),
+                store.value(f.b2),
+                &mut s.proj,
+            );
+            add_rows(x, &s.proj);
+        });
+    }
+    let mut out = vec![0.0f32; t * d];
+    ln_rows_seq(&x, d, params.enc_ln, store, &mut out);
+    Tensor::from_vec(&[t, d], out)
 }
 
 #[cfg(test)]

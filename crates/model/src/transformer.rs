@@ -155,14 +155,17 @@ pub fn build_params(cfg: &ModelConfig, store: &mut ParamStore, seed: u64) -> Tra
 
 /// Sinusoidal positional encoding `[len, d]` (Vaswani et al.).
 pub fn positional_encoding(len: usize, d: usize) -> Tensor {
+    // A column's wavelength does not depend on the position: one `powf` per
+    // column pair, not one per element.
+    let wavelengths: Vec<f32> = (0..d / 2)
+        .map(|i| 10_000f32.powf(2.0 * i as f32 / d as f32))
+        .collect();
     let mut pe = Tensor::zeros(&[len, d]);
     for pos in 0..len {
-        for i in 0..d / 2 {
-            let angle = pos as f32 / 10_000f32.powf(2.0 * i as f32 / d as f32);
+        for (i, &wavelength) in wavelengths.iter().enumerate() {
+            let angle = pos as f32 / wavelength;
             pe.data[pos * d + 2 * i] = angle.sin();
-            if 2 * i + 1 < d {
-                pe.data[pos * d + 2 * i + 1] = angle.cos();
-            }
+            pe.data[pos * d + 2 * i + 1] = angle.cos();
         }
     }
     pe

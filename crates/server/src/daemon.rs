@@ -253,6 +253,10 @@ fn accept_loop(
                     return; // the wake-up connection from `stop`
                 }
                 counters.connections.fetch_add(1, Ordering::Relaxed);
+                // Replies are single small frames: send each at once instead
+                // of letting Nagle hold it for the client's delayed ACK. A
+                // socket that refuses the option still works, only slower.
+                let _ = stream.set_nodelay(true);
                 let cmd = cmd.clone();
                 let counters = Arc::clone(&counters);
                 std::thread::spawn(move || handle_connection(stream, cmd, counters));
@@ -506,7 +510,15 @@ fn service_loop(
         workers,
     };
     loop {
-        match rx.recv_timeout(Duration::from_millis(1)) {
+        // The 1 ms tick only ever drives in-flight work (the timeout arm
+        // below): with nothing pending, sleep until a command arrives.
+        let busy = state.service.as_ref().is_some_and(|s| s.pending() > 0);
+        let received = if busy {
+            rx.recv_timeout(Duration::from_millis(1))
+        } else {
+            rx.recv().map_err(|_| RecvTimeoutError::Disconnected)
+        };
+        match received {
             Ok(command) => {
                 let (response, reply) = match command {
                     Command::Submit {

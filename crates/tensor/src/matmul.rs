@@ -131,22 +131,38 @@ fn kernel_bt(a: &[f32], b: &[f32], out: &mut [f32], row0: usize, rows: usize, k:
 /// so their attention scores remain bitwise identical to each other.)
 #[inline]
 fn dot(x: &[f32], y: &[f32]) -> f32 {
+    dot_many(x, [y])[0]
+}
+
+/// `N` dot products of `x` against the rows `ys` at once, each **bitwise**
+/// the [`dot`] of that row (it is `dot`'s definition): the rows' lane
+/// accumulators are independent chains, so the core overlaps them where a
+/// single product waits out the latency of every add.
+#[inline]
+fn dot_many<const N: usize>(x: &[f32], ys: [&[f32]; N]) -> [f32; N] {
     const LANES: usize = 8;
-    let mut acc = [0.0f32; LANES];
-    let xc = x.chunks_exact(LANES);
-    let yc = y.chunks_exact(LANES);
-    let mut tail = 0.0f32;
-    for (a, b) in xc.remainder().iter().zip(yc.remainder()) {
-        tail += a * b;
-    }
-    for (xs, ys) in xc.zip(yc) {
-        for l in 0..LANES {
-            acc[l] += xs[l] * ys[l];
+    let full = x.len() / LANES * LANES;
+    let mut tail = [0.0f32; N];
+    for (t, y) in tail.iter_mut().zip(&ys) {
+        for (a, b) in x[full..].iter().zip(&y[full..]) {
+            *t += a * b;
         }
     }
-    let s4: [f32; 4] = std::array::from_fn(|l| acc[l] + acc[l + 4]);
-    let s2 = [s4[0] + s4[2], s4[1] + s4[3]];
-    s2[0] + s2[1] + tail
+    let mut acc = [[0.0f32; LANES]; N];
+    for c in (0..full).step_by(LANES) {
+        let xs = &x[c..c + LANES];
+        for (acc_r, y) in acc.iter_mut().zip(&ys) {
+            let ys_c = &y[c..c + LANES];
+            for l in 0..LANES {
+                acc_r[l] += xs[l] * ys_c[l];
+            }
+        }
+    }
+    std::array::from_fn(|r| {
+        let s4: [f32; 4] = std::array::from_fn(|l| acc[r][l] + acc[r][l + 4]);
+        let s2 = [s4[0] + s4[2], s4[1] + s4[3]];
+        s2[0] + s2[1] + tail[r]
+    })
 }
 
 /// `C = A^T @ B` where `A[k,m]`, `B[k,n]` → `C[m,n]`.
@@ -281,7 +297,15 @@ pub fn dot_rows(v: &[f32], m: &[f32], out: &mut [f32]) {
         out.len(),
         v.len()
     );
-    for (o, m_row) in out.iter_mut().zip(m.chunks_exact(v.len())) {
+    // Eight rows per `dot_many` call: enough independent accumulator chains
+    // to hide the add latency, few enough to stay in registers.
+    let mut rows = m.chunks_exact(v.len());
+    let mut groups = out.chunks_exact_mut(8);
+    for o in &mut groups {
+        let ys: [&[f32]; 8] = std::array::from_fn(|_| rows.next().expect("one row per output"));
+        o.copy_from_slice(&dot_many(v, ys));
+    }
+    for (o, m_row) in groups.into_remainder().iter_mut().zip(rows) {
         *o = dot(v, m_row);
     }
 }

@@ -16,10 +16,12 @@
 //! It plays the IDE's part: a background bulk re-index job, a
 //! keystroke-triggered interactive request streamed token by token, a
 //! cancellation, and a final `Stats` snapshot (plus `--drain` to shut the
-//! daemon down gracefully).
+//! daemon down gracefully). Every request prints its wall-clock
+//! submit → `Done` time, and the session ends with the round trip of a
+//! `Stats` call — what the editor's user feels, without the perf ledger.
 
 use mpirical_server::{Client, SubmitOptions, Submitted, SuggestPoll};
-use std::time::Duration;
+use std::time::{Duration, Instant};
 
 fn main() -> std::io::Result<()> {
     let mut addr = "127.0.0.1:7117".to_string();
@@ -35,6 +37,7 @@ fn main() -> std::io::Result<()> {
     println!("connected to {addr}");
 
     // A background job the editor runs while the user types.
+    let reindex_sent = Instant::now();
     let reindex = submit(
         &mut client,
         "int main() { double local = 0.0; return 0; }",
@@ -42,6 +45,7 @@ fn main() -> std::io::Result<()> {
     )?;
 
     // The keystroke request: interactive class, streamed while decoding.
+    let keystroke_sent = Instant::now();
     let keystroke = submit(
         &mut client,
         "int main() { int rank; return 0; }",
@@ -68,7 +72,8 @@ fn main() -> std::io::Result<()> {
                     println!("  insert {} at line {}", s.function, s.line);
                 }
                 println!(
-                    "keystroke: done in {} decode steps ({} queue-wait), parse {}",
+                    "keystroke: done {:.1} ms after submit, {} decode steps ({} queue-wait), parse {}",
+                    keystroke_sent.elapsed().as_secs_f64() * 1e3,
                     telemetry.decode_steps,
                     telemetry.queue_wait_steps,
                     if health.is_clean() {
@@ -94,14 +99,20 @@ fn main() -> std::io::Result<()> {
         SuggestPoll::Cancelled => println!("re-index: cancelled"),
         SuggestPoll::Done { suggestions, .. } => {
             println!(
-                "re-index: finished first ({} suggestions)",
-                suggestions.len()
+                "re-index: finished first ({} suggestions), done {:.1} ms after submit",
+                suggestions.len(),
+                reindex_sent.elapsed().as_secs_f64() * 1e3
             );
         }
         other => println!("re-index: {other:?}"),
     }
 
+    let stats_sent = Instant::now();
     let stats = client.stats()?;
+    println!(
+        "stats round trip: {:.3} ms",
+        stats_sent.elapsed().as_secs_f64() * 1e3
+    );
     println!(
         "stats: {} workers, {} pending, pool live/peak {}/{} pages, prefix hit rate {:.2}, \
          {} conns / {} frames / {} sheds / {} malformed",

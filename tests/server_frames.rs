@@ -7,6 +7,11 @@
 //! point is survival under a stream of faults), so the malformed/shed
 //! counters are only ever asserted to *grow*, never to hit exact values.
 //! The property test honors `PROPTEST_CASES` (CI raises it to 512).
+//!
+//! Two regression tests pin the stall-free reply path: a frame reaches the
+//! writer in exactly one `write` (counted, deterministic), and a `Stats`
+//! round trip takes well under the ~40 ms a Nagle ×
+//! delayed-ACK stall costs.
 
 use mpirical::corpus::{generate_dataset, CorpusConfig};
 use mpirical::model::ModelConfig;
@@ -250,4 +255,61 @@ fn fault_during_in_flight_request_does_not_disturb_it() {
         other => panic!("in-flight request disturbed by fault: {other:?}"),
     }
     assert_daemon_healthy(addr);
+}
+
+/// A writer that accepts everything and counts the calls it got.
+#[derive(Default)]
+struct CountingWriter {
+    writes: usize,
+    bytes: Vec<u8>,
+}
+
+impl Write for CountingWriter {
+    fn write(&mut self, buf: &[u8]) -> std::io::Result<usize> {
+        self.writes += 1;
+        self.bytes.extend_from_slice(buf);
+        Ok(buf.len())
+    }
+
+    fn flush(&mut self) -> std::io::Result<()> {
+        Ok(())
+    }
+}
+
+/// A frame must reach the socket as one write: a length prefix written on
+/// its own is a small segment, and the payload behind it then waits (Nagle)
+/// for the peer's delayed ACK — ~40 ms per frame on Linux loopback.
+#[test]
+fn write_frame_issues_exactly_one_write_per_frame() {
+    for payload in [&b""[..], b"x", br#"{"Stats":null}"#, &[b'y'; 70_000]] {
+        let mut w = CountingWriter::default();
+        write_frame(&mut w, payload).expect("write frame");
+        assert_eq!(w.writes, 1, "{}-byte payload", payload.len());
+        assert_eq!(&w.bytes[..4], &(payload.len() as u32).to_be_bytes());
+        assert_eq!(&w.bytes[4..], payload);
+    }
+}
+
+/// The daemon answers `Stats` at loopback speed (the other tests of this
+/// binary only ever give its service thread sub-millisecond work). The stall
+/// this guards against is a kernel constant of ≥ 40 ms per reply and a
+/// healthy round trip is ~0.05 ms, so a 20 ms bound on the median of 21 has
+/// hundreds of times of headroom on either side — no wall-clock luck
+/// involved.
+#[test]
+fn idle_stats_round_trip_is_not_stalled() {
+    let mut client = Client::connect(daemon_addr()).expect("connect");
+    let mut rtts: Vec<Duration> = (0..21)
+        .map(|_| {
+            let sent = Instant::now();
+            client.stats().expect("stats");
+            sent.elapsed()
+        })
+        .collect();
+    rtts.sort();
+    assert!(
+        rtts[10] < Duration::from_millis(20),
+        "median Stats round trip {:?} — replies are stalling (Nagle × delayed ACK?)",
+        rtts[10]
+    );
 }
