@@ -1,10 +1,12 @@
 //! Criterion benches of the simulated MPI runtime and the C interpreter —
 //! the §VI-C validation substrate. Collective latency scaling across world
-//! sizes, p2p ping-pong, and interpreted-program throughput.
+//! sizes, p2p ping-pong, deadlock detection, and interpreted-program
+//! throughput.
 
 use criterion::{black_box, criterion_group, criterion_main, Criterion};
 use mpirical_interp::{run_program, RunConfig};
-use mpirical_sim::{ReduceOp, Source, Tag, World};
+use mpirical_sim::{ReduceOp, SimError, Source, Tag, World};
+use std::time::{Duration, Instant};
 
 fn bench_p2p(c: &mut Criterion) {
     let mut g = c.benchmark_group("mpisim_p2p");
@@ -61,6 +63,50 @@ fn bench_collectives(c: &mut Criterion) {
     g.finish();
 }
 
+/// Ranks in the `blocked` snapshot of a world that must deadlock.
+fn blocked_ranks(outcome: Result<Vec<()>, SimError>) -> Vec<usize> {
+    match outcome {
+        Err(SimError::Deadlock { blocked, .. }) => blocked.iter().map(|b| b.rank).collect(),
+        other => panic!("expected a deadlock, got {other:?}"),
+    }
+}
+
+/// Time to *declare* a deadlock: the whole world, launch to verdict. Setup
+/// asserts the blocked list and that one detection stays far below any
+/// timer (a regression to wall-clock detection fails the job, not a chart).
+fn bench_deadlock(c: &mut Criterion) {
+    let recv_recv_cycle = || {
+        World::run(2, |comm| {
+            let mut buf = [0i32];
+            comm.recv(&mut buf, Source::Rank(1 - comm.rank()), Tag::Value(0))?;
+            Ok(())
+        })
+    };
+    let missing_barrier = || {
+        World::run(4, |comm| match comm.rank() {
+            3 => Ok(()),
+            _ => comm.barrier(),
+        })
+    };
+    let mut g = c.benchmark_group("mpisim_deadlock");
+    g.sample_size(10);
+    let t = Instant::now();
+    assert_eq!(blocked_ranks(recv_recv_cycle()), [0, 1]);
+    assert_eq!(blocked_ranks(missing_barrier()), [0, 1, 2]);
+    let per_cycle = t.elapsed() / 2;
+    assert!(
+        per_cycle < Duration::from_millis(50),
+        "deadlock detection took {per_cycle:?} per cycle"
+    );
+    g.bench_function("recv_recv_cycle_2ranks", |b| {
+        b.iter(|| black_box(recv_recv_cycle()).is_err())
+    });
+    g.bench_function("missing_barrier_4ranks", |b| {
+        b.iter(|| black_box(missing_barrier()).is_err())
+    });
+    g.finish();
+}
+
 fn bench_interpreter(c: &mut Criterion) {
     let pi_src = r#"#include <mpi.h>
 int main(int argc, char **argv) {
@@ -92,5 +138,11 @@ int main(int argc, char **argv) {
     g.finish();
 }
 
-criterion_group!(benches, bench_p2p, bench_collectives, bench_interpreter);
+criterion_group!(
+    benches,
+    bench_p2p,
+    bench_collectives,
+    bench_deadlock,
+    bench_interpreter
+);
 criterion_main!(benches);

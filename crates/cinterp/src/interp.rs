@@ -14,7 +14,9 @@ use std::collections::HashMap;
 /// Per-rank execution limits.
 #[derive(Debug, Clone, Copy)]
 pub struct Limits {
-    /// Statement/iteration budget before aborting as a runaway loop.
+    /// Statement/iteration budget before aborting as a runaway loop — the
+    /// only bound on a rank that never stops computing (the simulator has
+    /// no timer).
     pub step_limit: u64,
     /// Memory-cell budget (16 bytes/cell) before aborting as a runaway
     /// allocation. The default (~64 MiB per rank) is far above anything a
@@ -135,11 +137,9 @@ impl<'a> Interp<'a> {
         Ok((code, self.output))
     }
 
-    /// Allocate `n` cells, enforcing the memory budget. Like `tick`, wakes
-    /// peers blocked on us before bailing so the world shuts down promptly.
+    /// Allocate `n` cells, enforcing the memory budget.
     fn alloc_checked(&mut self, n: usize) -> Result<usize, InterpError> {
         if self.mem.size().saturating_add(n.max(1)) > self.limits.cell_limit {
-            let _ = self.comm.abort(87);
             return Err(InterpError::MemoryLimit {
                 limit: self.limits.cell_limit,
             });
@@ -150,8 +150,6 @@ impl<'a> Interp<'a> {
     fn tick(&mut self) -> Result<(), InterpError> {
         self.steps += 1;
         if self.steps > self.limits.step_limit {
-            // Wake peers blocked on us before bailing.
-            let _ = self.comm.abort(86);
             return Err(InterpError::StepLimit {
                 limit: self.limits.step_limit,
             });

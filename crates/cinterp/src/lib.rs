@@ -42,14 +42,16 @@ pub use interp::Limits;
 pub use machine::{CType, Cell, Memory, Value, VarInfo};
 
 use mpirical_cparse::{parse_strict, Program};
-use mpirical_sim::{SimError, World, WorldConfig};
+use mpirical_sim::World;
 use std::time::Duration;
 
 /// Execution configuration.
 #[derive(Debug, Clone)]
 pub struct RunConfig {
     pub nranks: usize,
-    /// Deadlock timeout for blocking receives.
+    /// No longer read by the simulator, which declares deadlock at
+    /// quiescence; kept until the perf ledger (`benchmark/`, which builds
+    /// this struct literally) is re-based.
     pub timeout: Duration,
     pub limits: Limits,
 }
@@ -83,13 +85,12 @@ impl RunOutput {
 
 /// Run a parsed program on `cfg.nranks` simulated ranks.
 pub fn run_program(prog: &Program, cfg: &RunConfig) -> Result<RunOutput, InterpError> {
-    let world_cfg = WorldConfig::new(cfg.nranks).with_timeout(cfg.timeout);
     let limits = cfg.limits;
-    let results: Vec<Result<(i64, String), InterpError>> = World::run_with(world_cfg, |comm| {
-        let interp = interp::Interp::new(prog, comm, limits);
-        let r = interp.run();
+    let results: Vec<Result<(i64, String), InterpError>> = World::run(cfg.nranks, |comm| {
+        let r = interp::Interp::new(prog, comm, limits).run();
         if r.is_err() {
-            // Wake ranks blocked on us so the world shuts down promptly.
+            // Fail the world while this rank still counts as live: peers
+            // asleep on us then report our failure, never a deadlock.
             let _ = comm.abort(1);
         }
         Ok(r)
@@ -98,32 +99,22 @@ pub fn run_program(prog: &Program, cfg: &RunConfig) -> Result<RunOutput, InterpE
 
     let mut outputs = Vec::with_capacity(results.len());
     let mut codes = Vec::with_capacity(results.len());
-    let mut first_err: Option<InterpError> = None;
-    for r in results {
+    let mut errors = Vec::new();
+    for (rank, r) in results.into_iter().enumerate() {
         match r {
             Ok((code, out)) => {
                 codes.push(code);
                 outputs.push(out);
             }
-            Err(e) => {
-                // Prefer a root-cause error over the Aborted echoes that
-                // other ranks report after the abort wake-up.
-                let is_echo = matches!(e, InterpError::Mpi(SimError::Aborted { .. }));
-                match &first_err {
-                    None => first_err = Some(e),
-                    Some(prev)
-                        if matches!(prev, InterpError::Mpi(SimError::Aborted { .. }))
-                            && !is_echo =>
-                    {
-                        first_err = Some(e)
-                    }
-                    _ => {}
-                }
-            }
+            Err(e) => errors.push((rank, e)),
         }
     }
-    match first_err {
-        Some(e) => Err(e),
+    // Root cause: the lowest-rank error that is not the echo of a peer's
+    // failure (`min_by_key` keeps the first of equals).
+    let is_echo =
+        |(rank, e): &(usize, InterpError)| matches!(e, InterpError::Mpi(s) if s.is_echo(*rank));
+    match errors.into_iter().min_by_key(is_echo) {
+        Some((_, e)) => Err(e),
         None => Ok(RunOutput {
             rank_outputs: outputs,
             exit_codes: codes,
@@ -143,6 +134,7 @@ pub fn run_source(source: &str, nranks: usize) -> Result<RunOutput, InterpError>
 #[cfg(test)]
 mod tests {
     use super::*;
+    use mpirical_sim::SimError;
 
     fn run1(src: &str) -> RunOutput {
         run_source(src, 1).unwrap_or_else(|e| panic!("run failed: {e}\n{src}"))
@@ -349,9 +341,8 @@ mod tests {
 
     #[test]
     fn memory_limit_aborts_peer_ranks_promptly() {
-        // Rank 1 blows the budget while rank 0 is blocked in a receive; the
-        // abort wake-up must end the world with the root cause, not a
-        // deadlock timeout.
+        // Rank 1 blows the budget while rank 0 is blocked in a receive: the
+        // world must end with the root cause, not a deadlock report.
         let src = r#"#include <mpi.h>
         int main(int argc, char **argv) {
             int rank;
@@ -370,9 +361,66 @@ mod tests {
         let prog = mpirical_cparse::parse_strict(src).unwrap();
         let mut cfg = RunConfig::new(2);
         cfg.limits.cell_limit = 100_000;
-        cfg.timeout = Duration::from_secs(30);
         let err = run_program(&prog, &cfg).unwrap_err();
         assert!(matches!(err, InterpError::MemoryLimit { .. }), "{err}");
+    }
+
+    #[test]
+    fn failing_rank_is_the_root_cause_not_its_blocked_peer() {
+        // Rank 0 sits in MPI_Recv while rank 1 fails three different ways.
+        // The abort wake-up used to be lost now and then
+        // (benchmark/README.md finding 8) and the lower rank's deadlock
+        // report then won; now no run may report one.
+        let program = |failure: &str| {
+            let src = format!(
+                r#"#include <mpi.h>
+                int main(int argc, char **argv) {{
+                    int rank;
+                    int buf = 0;
+                    double wide = 1.5;
+                    MPI_Status st;
+                    MPI_Init(&argc, &argv);
+                    MPI_Comm_rank(MPI_COMM_WORLD, &rank);
+                    if (rank == 0) {{
+                        MPI_Send(&wide, 1, MPI_DOUBLE, 1, 4, MPI_COMM_WORLD);
+                        MPI_Recv(&buf, 1, MPI_INT, 1, 5, MPI_COMM_WORLD, &st);
+                    }} else {{
+                        {failure}
+                    }}
+                    MPI_Finalize();
+                    return 0;
+                }}"#
+            );
+            mpirical_cparse::parse_strict(&src).unwrap()
+        };
+        let mismatch = program("MPI_Recv(&buf, 1, MPI_INT, 0, 4, MPI_COMM_WORLD, &st);");
+        let memory = program("while (1) { malloc(1000000 * sizeof(int)); }");
+        let abort = program("MPI_Abort(MPI_COMM_WORLD, 3);");
+        let mut cfg = RunConfig::new(2);
+        cfg.limits.cell_limit = 100_000;
+        for i in 0..7_000 {
+            let err = run_program(&mismatch, &cfg).unwrap_err();
+            assert!(
+                matches!(
+                    err,
+                    InterpError::Mpi(SimError::TypeMismatch { rank: 1, .. })
+                ),
+                "run {i}: {err}"
+            );
+            let err = run_program(&memory, &cfg).unwrap_err();
+            assert!(
+                matches!(err, InterpError::MemoryLimit { .. }),
+                "run {i}: {err}"
+            );
+            let err = run_program(&abort, &cfg).unwrap_err();
+            assert!(
+                matches!(
+                    err,
+                    InterpError::Mpi(SimError::Aborted { rank: 1, code: 3 })
+                ),
+                "run {i}: {err}"
+            );
+        }
     }
 
     #[test]
@@ -547,9 +595,7 @@ mod tests {
             return 0;
         }"#;
         let prog = mpirical_cparse::parse_strict(src).unwrap();
-        let mut cfg = RunConfig::new(2);
-        cfg.timeout = Duration::from_millis(200);
-        let err = run_program(&prog, &cfg).unwrap_err();
+        let err = run_program(&prog, &RunConfig::new(2)).unwrap_err();
         assert!(
             matches!(err, InterpError::Mpi(SimError::Deadlock { .. })),
             "{err}"
@@ -633,9 +679,7 @@ mod tests {
             for nranks in [1usize, 2, 4] {
                 let prog = mpirical_cparse::parse_strict(&src)
                     .unwrap_or_else(|e| panic!("{name}: parse failed {e}"));
-                let mut cfg = RunConfig::new(nranks);
-                cfg.timeout = Duration::from_secs(10);
-                run_program(&prog, &cfg)
+                run_program(&prog, &RunConfig::new(nranks))
                     .unwrap_or_else(|e| panic!("{name} on {nranks} ranks failed: {e}\n{src}"));
             }
         }

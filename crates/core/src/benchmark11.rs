@@ -12,7 +12,6 @@
 use mpirical_cparse::{count_code_tokens, parse_strict};
 use mpirical_interp::{run_program, RunConfig};
 use serde::{Deserialize, Serialize};
-use std::time::Duration;
 
 /// One benchmark program.
 #[derive(Debug, Clone, Serialize, Deserialize)]
@@ -55,9 +54,7 @@ pub fn validate_program(p: &BenchProgram) -> Validation {
     if parses {
         let prog = parse_strict(p.source).unwrap();
         for nranks in [1usize, 2, 4] {
-            let mut cfg = RunConfig::new(nranks);
-            cfg.timeout = Duration::from_secs(20);
-            match run_program(&prog, &cfg) {
+            match run_program(&prog, &RunConfig::new(nranks)) {
                 Ok(out) => {
                     runs.push((nranks, true));
                     outputs.push(out.rank_outputs[0].clone());

@@ -1057,7 +1057,6 @@ mod tests {
         assistant.decode.min_len = 24; // interactive decodes ≥ 24 steps
         assistant.verify = Some(crate::verify::VerifyOptions {
             rank_counts: vec![2],
-            timeout_ms: 300,
             step_limit: 100_000,
             ..Default::default()
         });
@@ -1104,7 +1103,6 @@ mod tests {
         let mut assistant = tiny_assistant();
         assistant.verify = Some(crate::verify::VerifyOptions {
             rank_counts: vec![2],
-            timeout_ms: 300,
             step_limit: 100_000,
             ..Default::default()
         });

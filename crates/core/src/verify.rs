@@ -7,9 +7,12 @@
 //! predicted program; its MPI calls are spliced into the user's serial
 //! source via [`splice_stmt`], the patched program is printed, strictly
 //! reparsed, and executed under [`mpirical_interp`] on a multi-rank
-//! [`mpirical_sim`] world — with [`WorldConfig::with_timeout`] bounding
-//! deadlocks and [`Limits`] bounding runaway loops and allocations — and
-//! the observed behaviour becomes a typed [`Verdict`].
+//! [`mpirical_sim`] world — which reports a deadlock the instant every
+//! live rank is blocked, while [`Limits`] bound runaway loops and
+//! allocations — and the observed behaviour becomes a typed [`Verdict`].
+//! No clock is involved: a verdict is a function of the patched program,
+//! the rank counts and the limits (racing `MPI_ANY_SOURCE` matches and
+//! `MPI_Wtime`-dependent programs excepted).
 //!
 //! The verdict feeds back into ranking (see
 //! [`MpiRical::suggest_report`](crate::MpiRical::suggest_report)):
@@ -19,7 +22,6 @@
 //! one even when the model scored it higher, while two `Verified`
 //! candidates keep their pure model-score order.
 //!
-//! [`WorldConfig::with_timeout`]: mpirical_sim::WorldConfig::with_timeout
 //! [`Limits`]: mpirical_interp::Limits
 //! [`splice_stmt`]: mpirical_cparse::splice_stmt
 
@@ -31,7 +33,6 @@ use mpirical_interp::{run_program, InterpError, Limits, RunConfig};
 use mpirical_sim::SimError;
 use serde::{Deserialize, Serialize};
 use std::fmt;
-use std::time::Duration;
 
 /// What the simulator observed when a candidate suggestion was executed.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
@@ -40,8 +41,8 @@ pub enum Verdict {
     /// output matched the serial (1-rank) baseline of the same patched
     /// program within numeric tolerance.
     Verified,
-    /// Ranks timed out blocked inside MPI operations (the blocked-rank
-    /// snapshot from [`SimError::Deadlock`] was non-empty).
+    /// Every rank still running was blocked inside an MPI operation that
+    /// nothing already sent could complete ([`SimError::Deadlock`]).
     Deadlock,
     /// A rank crashed: runtime error, out-of-bounds root, memory-budget
     /// blowout, or an abort.
@@ -52,8 +53,8 @@ pub enum Verdict {
     /// The program ran cleanly on every rank count but the root rank's
     /// output diverged from the serial baseline beyond tolerance.
     DivergedFromSerial,
-    /// The step budget was exhausted (runaway loop), or a deadlock
-    /// timeout fired with no rank observably blocked in an MPI op.
+    /// The step budget was exhausted (runaway loop). A count of
+    /// interpreter steps, not of seconds.
     Timeout,
     /// The patched program did not survive print → strict reparse, or hit
     /// an unsupported construct at runtime — nothing could be executed.
@@ -111,8 +112,9 @@ pub struct VerifyOptions {
     /// Multi-rank world sizes to execute (each is one simulator run); a
     /// serial 1-rank baseline run is always added for the divergence check.
     pub rank_counts: Vec<usize>,
-    /// Deadlock timeout per blocking receive, in milliseconds (bounds how
-    /// long a deadlocking candidate can hold the verifier).
+    /// No longer read by the simulator, which declares deadlock at
+    /// quiescence; kept (and still accepted in config files) until the perf
+    /// ledger under `benchmark/`, which reads it, is re-based.
     pub timeout_ms: u64,
     /// Per-rank interpreter step budget (bounds runaway loops).
     pub step_limit: u64,
@@ -188,12 +190,11 @@ impl Deserialize for VerifyOptions {
 impl VerifyOptions {
     fn run_config(&self, nranks: usize) -> RunConfig {
         RunConfig {
-            nranks,
-            timeout: Duration::from_millis(self.timeout_ms),
             limits: Limits {
                 step_limit: self.step_limit,
                 cell_limit: self.cell_limit,
             },
+            ..RunConfig::new(nranks)
         }
     }
 }
@@ -251,15 +252,7 @@ impl VerifyStats {
 /// Map an execution error to its verdict class.
 pub fn classify_error(e: &InterpError) -> Verdict {
     match e {
-        InterpError::Mpi(SimError::Deadlock { blocked, .. }) => {
-            // Ranks observably stuck inside MPI ops is a communication
-            // deadlock; a bare timeout with nobody blocked is not.
-            if blocked.is_empty() {
-                Verdict::Timeout
-            } else {
-                Verdict::Deadlock
-            }
-        }
+        InterpError::Mpi(SimError::Deadlock { .. }) => Verdict::Deadlock,
         InterpError::Mpi(SimError::TypeMismatch { .. } | SimError::Truncation { .. }) => {
             Verdict::TypeMismatch
         }
@@ -427,7 +420,6 @@ mod tests {
     fn fast() -> VerifyOptions {
         VerifyOptions {
             rank_counts: vec![2],
-            timeout_ms: 400,
             step_limit: 200_000,
             ..VerifyOptions::default()
         }
@@ -542,5 +534,16 @@ mod tests {
     fn options_deserialize_from_empty_object() {
         let opts: VerifyOptions = serde_json::from_str("{}").unwrap();
         assert_eq!(opts, VerifyOptions::default());
+    }
+
+    #[test]
+    fn config_files_carrying_the_inert_timeout_still_deserialize() {
+        let opts: VerifyOptions =
+            serde_json::from_str(r#"{"timeout_ms": 123, "max_hypotheses": 2}"#).unwrap();
+        assert_eq!(opts.timeout_ms, 123);
+        assert_eq!(opts.max_hypotheses, 2);
+        let back: VerifyOptions =
+            serde_json::from_str(&serde_json::to_string(&opts).unwrap()).unwrap();
+        assert_eq!(back, opts);
     }
 }

@@ -1,10 +1,18 @@
 //! The communicator: point-to-point messaging and collectives.
 //!
-//! Each rank owns a mailbox (`parking_lot::Mutex<VecDeque<Envelope>>` + a
-//! condvar). `send` is buffered (never blocks), `recv` scans the mailbox for
-//! the *first* envelope matching `(source, tag)` — wildcards included — which
-//! preserves MPI's non-overtaking guarantee: messages from the same sender
-//! with the same tag are received in send order.
+//! One world-level `parking_lot::Mutex` owns every rank's mailbox, every
+//! rank's waiting mark and the `live`/`blocked` counts; each rank sleeps on
+//! its own condvar. `send` is buffered (never blocks) and delivers under
+//! that lock, `recv` takes the *first* envelope matching `(source, tag)` —
+//! wildcards included — which preserves MPI's non-overtaking guarantee:
+//! messages from the same sender with the same tag are received in send
+//! order.
+//!
+//! Delivery is synchronous, so nothing is ever in flight outside the lock
+//! and "every live rank is blocked" is exactly a deadlock: only a running
+//! rank can release a blocked one. The rule is checked at the two events
+//! that can make it true — a rank registering as blocked and a rank leaving
+//! the world — and needs no clock (docs/ARCHITECTURE.md has the argument).
 //!
 //! Collectives are built on p2p with reserved negative tags. MPI requires
 //! every rank to execute collectives in the same order, so a per-rank
@@ -16,9 +24,8 @@ use crate::error::{BlockedOp, SimError};
 use bytes::Bytes;
 use parking_lot::{Condvar, Mutex};
 use std::collections::VecDeque;
-use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
-use std::time::{Duration, Instant};
+use std::time::Instant;
 
 /// Receive source selector.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -53,60 +60,123 @@ struct Envelope {
     payload: Bytes,
 }
 
-#[derive(Default)]
-struct Mailbox {
-    queue: VecDeque<Envelope>,
+/// What a blocking receive waits for.
+#[derive(Clone, Copy)]
+struct Pattern {
+    source: Source,
+    tag: Tag,
+}
+
+impl Pattern {
+    fn matches(&self, e: &Envelope) -> bool {
+        let src_ok = match self.source {
+            Source::Any => true,
+            Source::Rank(r) => e.src == r,
+        };
+        let tag_ok = match self.tag {
+            Tag::Any => e.tag >= 0, // wildcards never match collective traffic
+            Tag::Value(t) => e.tag == t,
+        };
+        src_ok && tag_ok
+    }
+
+    /// The reserved negative tags tell a collective's receive from `recv`.
+    fn describe(&self) -> String {
+        match (self.source, self.tag) {
+            (Source::Rank(r), Tag::Value(t)) if t < 0 => {
+                format!("collective recv(source={r}, tag={t})")
+            }
+            (source, tag) => format!("recv(source={source:?}, tag={tag:?})"),
+        }
+    }
+}
+
+/// Everything the ranks share, behind [`Shared::state`].
+struct State {
+    mailboxes: Vec<VecDeque<Envelope>>,
+    /// Per rank: the pattern it sleeps on. Set only while nothing in its
+    /// mailbox matches; `send` clears it when it delivers a match.
+    waiting: Vec<Option<Pattern>>,
+    /// Ranks that have not left the world yet.
+    live: usize,
+    /// Ranks with a waiting mark.
+    blocked: usize,
+    /// Why the world stopped — the first `Aborted` or the one `Deadlock`
+    /// report. Every receive that would otherwise sleep returns it; marks
+    /// and counts are not maintained past this point.
+    halt: Option<SimError>,
 }
 
 pub(crate) struct Shared {
-    mailboxes: Vec<Mutex<Mailbox>>,
+    state: Mutex<State>,
     arrivals: Vec<Condvar>,
-    aborted: AtomicBool,
-    abort_info: Mutex<Option<(usize, i32)>>,
     start: Instant,
-    timeout: Duration,
-    /// Per-rank pending blocking operation, registered while a rank waits in
-    /// `recv`/`coll_recv`. A timeout snapshots this registry so the resulting
-    /// `SimError::Deadlock` can name every blocked rank — the signal a
-    /// verifier needs to tell a genuine wait cycle from a lone slow rank.
-    /// These are leaf locks: never acquired while waiting on a mailbox.
-    pending: Vec<Mutex<Option<String>>>,
 }
 
 impl Shared {
-    pub(crate) fn new(nranks: usize, timeout: Duration) -> Arc<Shared> {
+    pub(crate) fn new(nranks: usize) -> Arc<Shared> {
         Arc::new(Shared {
-            mailboxes: (0..nranks)
-                .map(|_| Mutex::new(Mailbox::default()))
-                .collect(),
+            state: Mutex::new(State {
+                mailboxes: (0..nranks).map(|_| VecDeque::new()).collect(),
+                waiting: vec![None; nranks],
+                live: nranks,
+                blocked: 0,
+                halt: None,
+            }),
             arrivals: (0..nranks).map(|_| Condvar::new()).collect(),
-            aborted: AtomicBool::new(false),
-            abort_info: Mutex::new(None),
             start: Instant::now(),
-            timeout,
-            pending: (0..nranks).map(|_| Mutex::new(None)).collect(),
         })
     }
 
-    /// All ranks currently blocked in a pending operation, rank order.
-    fn blocked_snapshot(&self) -> Vec<BlockedOp> {
-        self.pending
+    /// Stop the world with `reason` unless it already stopped, and wake
+    /// every sleeper. The lock is held, so no rank can be between its halt
+    /// check and its wait.
+    fn halt(&self, st: &mut State, reason: SimError) {
+        if st.halt.is_none() {
+            st.halt = Some(reason);
+            for cv in &self.arrivals {
+                cv.notify_all();
+            }
+        }
+    }
+
+    /// The quiescence rule: every live rank is blocked, so none can ever be
+    /// released. One snapshot, taken here, is what every blocked rank
+    /// reports.
+    fn check_quiescence(&self, st: &mut State) {
+        if st.halt.is_some() || st.live == 0 || st.blocked != st.live {
+            return;
+        }
+        let blocked: Vec<BlockedOp> = st
+            .waiting
             .iter()
             .enumerate()
-            .filter_map(|(rank, slot)| slot.lock().clone().map(|op| BlockedOp { rank, op }))
-            .collect()
+            .filter_map(|(rank, w)| {
+                w.map(|p| BlockedOp {
+                    rank,
+                    op: p.describe(),
+                })
+            })
+            .collect();
+        let (live, size) = (st.live, st.waiting.len());
+        let reason = SimError::Deadlock {
+            rank: blocked[0].rank,
+            detail: format!("every live rank is blocked ({live} of {size} still in the world)"),
+            blocked,
+        };
+        self.halt(st, reason);
     }
-}
 
-/// Clears a rank's pending-operation slot on every exit path of a blocking
-/// receive (match, error, abort wake-up, timeout).
-struct PendingGuard<'a> {
-    slot: &'a Mutex<Option<String>>,
-}
-
-impl Drop for PendingGuard<'_> {
-    fn drop(&mut self) {
-        *self.slot.lock() = None;
+    /// A rank's closure finished. A failed rank aborts the world *before* it
+    /// stops counting as live, so its peers report its failure and never a
+    /// cycle.
+    pub(crate) fn leave(&self, rank: usize, failed: bool) {
+        let mut st = self.state.lock();
+        if failed {
+            self.halt(&mut st, SimError::Aborted { rank, code: 1 });
+        }
+        st.live -= 1;
+        self.check_quiescence(&mut st);
     }
 }
 
@@ -148,18 +218,16 @@ impl Comm {
         self.shared.start.elapsed().as_secs_f64()
     }
 
-    /// `MPI_Abort`: mark the world aborted and return the error.
+    /// `MPI_Abort`: stop the world and return the error. The first abort
+    /// wins; every receive that would otherwise sleep returns it.
     pub fn abort(&self, code: i32) -> SimError {
-        self.shared.aborted.store(true, Ordering::SeqCst);
-        *self.shared.abort_info.lock() = Some((self.rank, code));
-        // Wake everyone so blocked receives notice.
-        for cv in &self.shared.arrivals {
-            cv.notify_all();
-        }
-        SimError::Aborted {
+        let reason = SimError::Aborted {
             rank: self.rank,
             code,
-        }
+        };
+        self.shared
+            .halt(&mut self.shared.state.lock(), reason.clone());
+        reason
     }
 
     fn check_rank(&self, r: usize) -> Result<(), SimError> {
@@ -173,23 +241,80 @@ impl Comm {
         }
     }
 
-    fn post(&self, dest: usize, tag: i32, dtype: &'static str, payload: Bytes) {
-        let mut mb = self.shared.mailboxes[dest].lock();
-        mb.queue.push_back(Envelope {
-            src: self.rank,
-            tag,
-            dtype,
-            payload,
-        });
-        drop(mb);
-        self.shared.arrivals[dest].notify_all();
-    }
-
-    /// Buffered standard send (`MPI_Send`): never blocks.
+    /// Buffered standard send (`MPI_Send`): never blocks. The envelope is
+    /// delivered before this returns; if it is what `dest` sleeps on, the
+    /// waiting mark is cleared under the same lock — a rank with a matching
+    /// message is never counted as blocked — and `dest` is woken.
     pub fn send<T: Datatype>(&self, buf: &[T], dest: usize, tag: i32) -> Result<(), SimError> {
         self.check_rank(dest)?;
-        self.post(dest, tag, T::NAME, T::serialize(buf));
+        let env = Envelope {
+            src: self.rank,
+            tag,
+            dtype: T::NAME,
+            payload: T::serialize(buf),
+        };
+        let mut st = self.shared.state.lock();
+        let wake = st.waiting[dest].is_some_and(|p| p.matches(&env));
+        if wake {
+            st.waiting[dest] = None;
+            st.blocked -= 1;
+        }
+        st.mailboxes[dest].push_back(env);
+        drop(st);
+        if wake {
+            self.shared.arrivals[dest].notify_all();
+        }
         Ok(())
+    }
+
+    /// The one receive loop: take the first envelope matching the pattern,
+    /// else return why the world stopped, else sleep as a blocked rank.
+    fn wait_match<T: Datatype>(
+        &self,
+        buf: &mut [T],
+        source: Source,
+        tag: Tag,
+    ) -> Result<Status, SimError> {
+        let me = self.rank;
+        let pat = Pattern { source, tag };
+        let mut st = self.shared.state.lock();
+        let env = loop {
+            if let Some(idx) = st.mailboxes[me].iter().position(|e| pat.matches(e)) {
+                break st.mailboxes[me].remove(idx).expect("index valid");
+            }
+            if let Some(reason) = &st.halt {
+                return Err(reason.clone());
+            }
+            if st.waiting[me].is_none() {
+                st.waiting[me] = Some(pat);
+                st.blocked += 1;
+                self.shared.check_quiescence(&mut st);
+            } else {
+                self.shared.arrivals[me].wait(&mut st);
+            }
+        };
+        drop(st);
+        if env.dtype != T::NAME {
+            return Err(SimError::TypeMismatch {
+                rank: me,
+                expected: T::NAME,
+                actual: env.dtype,
+            });
+        }
+        let values = T::deserialize(&env.payload);
+        if values.len() > buf.len() {
+            return Err(SimError::Truncation {
+                rank: me,
+                buffer: buf.len(),
+                incoming: values.len(),
+            });
+        }
+        buf[..values.len()].copy_from_slice(&values);
+        Ok(Status {
+            source: env.src,
+            tag: env.tag,
+            count: values.len(),
+        })
     }
 
     /// Blocking receive (`MPI_Recv`). Fills `buf` with up to `buf.len()`
@@ -204,65 +329,7 @@ impl Comm {
         if let Source::Rank(r) = source {
             self.check_rank(r)?;
         }
-        let deadline = Instant::now() + self.shared.timeout;
-        *self.shared.pending[self.rank].lock() =
-            Some(format!("recv(source={source:?}, tag={tag:?})"));
-        let _pending = PendingGuard {
-            slot: &self.shared.pending[self.rank],
-        };
-        let mut mb = self.shared.mailboxes[self.rank].lock();
-        loop {
-            if self.shared.aborted.load(Ordering::SeqCst) {
-                let (rank, code) = self.shared.abort_info.lock().unwrap_or((self.rank, -1));
-                return Err(SimError::Aborted { rank, code });
-            }
-            let found = mb.queue.iter().position(|e| {
-                let src_ok = match source {
-                    Source::Any => true,
-                    Source::Rank(r) => e.src == r,
-                };
-                let tag_ok = match tag {
-                    Tag::Any => e.tag >= 0, // wildcards never match collective traffic
-                    Tag::Value(t) => e.tag == t,
-                };
-                src_ok && tag_ok
-            });
-            if let Some(idx) = found {
-                let env = mb.queue.remove(idx).expect("index valid");
-                drop(mb);
-                if env.dtype != T::NAME {
-                    return Err(SimError::TypeMismatch {
-                        rank: self.rank,
-                        expected: T::NAME,
-                        actual: env.dtype,
-                    });
-                }
-                let values = T::deserialize(&env.payload);
-                if values.len() > buf.len() {
-                    return Err(SimError::Truncation {
-                        rank: self.rank,
-                        buffer: buf.len(),
-                        incoming: values.len(),
-                    });
-                }
-                buf[..values.len()].copy_from_slice(&values);
-                return Ok(Status {
-                    source: env.src,
-                    tag: env.tag,
-                    count: values.len(),
-                });
-            }
-            let timed_out = self.shared.arrivals[self.rank]
-                .wait_until(&mut mb, deadline)
-                .timed_out();
-            if timed_out {
-                return Err(SimError::Deadlock {
-                    rank: self.rank,
-                    detail: format!("recv(source={source:?}, tag={tag:?}) timed out"),
-                    blocked: self.shared.blocked_snapshot(),
-                });
-            }
-        }
+        self.wait_match(buf, source, tag)
     }
 
     /// `MPI_Sendrecv`: post the send, then receive. Safe against pairwise
@@ -289,71 +356,14 @@ impl Comm {
         COLL_TAG_BASE - (seq % 1_000_000) as i32
     }
 
-    /// Internal p2p with a collective (negative) tag.
-    fn coll_send<T: Datatype>(&self, buf: &[T], dest: usize, tag: i32) -> Result<(), SimError> {
-        self.check_rank(dest)?;
-        self.post(dest, tag, T::NAME, T::serialize(buf));
-        Ok(())
-    }
-
+    /// Internal receive on a collective (negative) tag.
     fn coll_recv<T: Datatype>(
         &self,
         buf: &mut [T],
         source: usize,
         tag: i32,
     ) -> Result<Status, SimError> {
-        let deadline = Instant::now() + self.shared.timeout;
-        *self.shared.pending[self.rank].lock() =
-            Some(format!("collective recv(source={source}, tag={tag})"));
-        let _pending = PendingGuard {
-            slot: &self.shared.pending[self.rank],
-        };
-        let mut mb = self.shared.mailboxes[self.rank].lock();
-        loop {
-            if self.shared.aborted.load(Ordering::SeqCst) {
-                let (rank, code) = self.shared.abort_info.lock().unwrap_or((self.rank, -1));
-                return Err(SimError::Aborted { rank, code });
-            }
-            let found = mb
-                .queue
-                .iter()
-                .position(|e| e.src == source && e.tag == tag);
-            if let Some(idx) = found {
-                let env = mb.queue.remove(idx).expect("index valid");
-                drop(mb);
-                if env.dtype != T::NAME {
-                    return Err(SimError::TypeMismatch {
-                        rank: self.rank,
-                        expected: T::NAME,
-                        actual: env.dtype,
-                    });
-                }
-                let values = T::deserialize(&env.payload);
-                if values.len() > buf.len() {
-                    return Err(SimError::Truncation {
-                        rank: self.rank,
-                        buffer: buf.len(),
-                        incoming: values.len(),
-                    });
-                }
-                buf[..values.len()].copy_from_slice(&values);
-                return Ok(Status {
-                    source: env.src,
-                    tag: env.tag,
-                    count: values.len(),
-                });
-            }
-            let timed_out = self.shared.arrivals[self.rank]
-                .wait_until(&mut mb, deadline)
-                .timed_out();
-            if timed_out {
-                return Err(SimError::Deadlock {
-                    rank: self.rank,
-                    detail: format!("collective recv from {source} (tag {tag}) timed out"),
-                    blocked: self.shared.blocked_snapshot(),
-                });
-            }
-        }
+        self.wait_match(buf, Source::Rank(source), Tag::Value(tag))
     }
 
     /// `MPI_Barrier`: dissemination via gather-to-0 + broadcast.
@@ -366,10 +376,10 @@ impl Comm {
                 self.coll_recv(&mut buf, r, tag)?;
             }
             for r in 1..self.size {
-                self.coll_send(&token, r, tag)?;
+                self.send(&token, r, tag)?;
             }
         } else {
-            self.coll_send(&token, 0, tag)?;
+            self.send(&token, 0, tag)?;
             let mut buf = [0u8];
             self.coll_recv(&mut buf, 0, tag)?;
         }
@@ -383,7 +393,7 @@ impl Comm {
         if self.rank == root {
             for r in 0..self.size {
                 if r != root {
-                    self.coll_send(buf, r, tag)?;
+                    self.send(buf, r, tag)?;
                 }
             }
         } else {
@@ -429,7 +439,7 @@ impl Comm {
             }
             recv[..n].copy_from_slice(&acc);
         } else {
-            self.coll_send(send, root, tag)?;
+            self.send(send, root, tag)?;
         }
         Ok(())
     }
@@ -479,7 +489,7 @@ impl Comm {
                 }
             }
         } else {
-            self.coll_send(send, root, tag)?;
+            self.send(send, root, tag)?;
         }
         Ok(())
     }
@@ -510,7 +520,7 @@ impl Comm {
                 if r == self.rank {
                     recv.copy_from_slice(&send[r * n..(r + 1) * n]);
                 } else {
-                    self.coll_send(&send[r * n..(r + 1) * n], r, tag)?;
+                    self.send(&send[r * n..(r + 1) * n], r, tag)?;
                 }
             }
         } else {

@@ -2,9 +2,9 @@
 
 use std::fmt;
 
-/// A rank observed blocked inside a pending operation when a deadlock
-/// timeout fired. Lets callers distinguish a genuine cyclic wait (several
-/// ranks each stuck in a receive) from a lone straggler.
+/// A rank that slept in a receive with no matching message at the instant
+/// the world went quiescent — one entry of the snapshot a
+/// [`SimError::Deadlock`] carries.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct BlockedOp {
     pub rank: usize,
@@ -16,13 +16,15 @@ pub struct BlockedOp {
 /// Everything that can go wrong inside a simulated MPI program.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum SimError {
-    /// A receive (or collective) waited longer than the configured timeout —
-    /// the simulation's stand-in for a hung MPI job.
+    /// Every rank still in the world was blocked in a receive (or a
+    /// collective built on one) that no delivered message matched — the
+    /// stand-in for a hung MPI job. Declared the instant it becomes true;
+    /// every blocked rank returns this same value.
     Deadlock {
+        /// The lowest blocked rank.
         rank: usize,
         detail: String,
-        /// Every rank that was blocked in a pending operation at the moment
-        /// the timeout fired (including `rank` itself), in rank order.
+        /// Every live rank and what it waited for, rank order; never empty.
         blocked: Vec<BlockedOp>,
     },
     /// Receive datatype differs from the sent datatype.
@@ -41,7 +43,8 @@ pub enum SimError {
     RankOutOfBounds { rank: usize, requested: isize },
     /// A rank's closure panicked.
     RankPanicked { rank: usize, message: String },
-    /// MPI_Abort was called.
+    /// `rank` stopped the world: it called MPI_Abort, or its closure failed
+    /// (code 1). Peers that would otherwise sleep return this same value.
     Aborted { rank: usize, code: i32 },
 }
 
@@ -56,6 +59,13 @@ impl SimError {
             | SimError::RankPanicked { rank, .. }
             | SimError::Aborted { rank, .. } => *rank,
         }
+    }
+
+    /// True when `reporter` merely relays a peer's failure: a rank that
+    /// fails stops the world, and its sleeping peers return `Aborted`
+    /// naming it. The root cause of a run is its first non-echo error.
+    pub fn is_echo(&self, reporter: usize) -> bool {
+        matches!(self, SimError::Aborted { rank, .. } if *rank != reporter)
     }
 }
 
@@ -99,7 +109,7 @@ impl fmt::Display for SimError {
                 write!(f, "rank {rank} panicked: {message}")
             }
             SimError::Aborted { rank, code } => {
-                write!(f, "rank {rank} called MPI_Abort with code {code}")
+                write!(f, "rank {rank} aborted the world with code {code}")
             }
         }
     }

@@ -1,30 +1,24 @@
 //! World launcher: one OS thread per simulated rank.
+//!
+//! A rank is live from launch until its closure returns, fails or panics.
+//! A world ends when every rank has left, or when every live rank is
+//! blocked in a receive and returns the same [`SimError::Deadlock`]. There
+//! is no timer: a closure that computes forever is the caller's to bound.
 
 use crate::comm::Comm;
 use crate::error::SimError;
 use std::sync::Arc;
-use std::time::Duration;
 
 /// Configuration for a simulated world.
 #[derive(Debug, Clone)]
 pub struct WorldConfig {
     /// Number of ranks.
     pub nranks: usize,
-    /// Blocking-receive timeout — the deadlock detector.
-    pub timeout: Duration,
 }
 
 impl WorldConfig {
     pub fn new(nranks: usize) -> WorldConfig {
-        WorldConfig {
-            nranks,
-            timeout: Duration::from_secs(5),
-        }
-    }
-
-    pub fn with_timeout(mut self, timeout: Duration) -> WorldConfig {
-        self.timeout = timeout;
-        self
+        WorldConfig { nranks }
     }
 }
 
@@ -32,8 +26,9 @@ impl WorldConfig {
 pub struct World;
 
 impl World {
-    /// Run `f` on `nranks` ranks with the default 5-second deadlock timeout.
-    /// Returns each rank's result in rank order, or the lowest-rank error.
+    /// Run `f` on `nranks` ranks. Returns each rank's result in rank order,
+    /// or the root-cause error: the lowest-rank error that is not an echo of
+    /// a peer's failure ([`SimError::is_echo`]).
     pub fn run<T, F>(nranks: usize, f: F) -> Result<Vec<T>, SimError>
     where
         T: Send,
@@ -49,7 +44,7 @@ impl World {
         F: Fn(&Comm) -> Result<T, SimError> + Send + Sync,
     {
         assert!(cfg.nranks > 0, "world needs at least one rank");
-        let shared = crate::comm::Shared::new(cfg.nranks, cfg.timeout);
+        let shared = crate::comm::Shared::new(cfg.nranks);
         let mut results: Vec<Option<Result<T, SimError>>> = (0..cfg.nranks).map(|_| None).collect();
 
         crossbeam::scope(|scope| {
@@ -60,10 +55,10 @@ impl World {
                     .builder()
                     .name(format!("mpisim-rank-{rank}"))
                     .spawn(move |_| {
-                        let comm = Comm::new(rank, cfg.nranks, shared);
+                        let comm = Comm::new(rank, cfg.nranks, Arc::clone(&shared));
                         let outcome =
                             std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| f(&comm)));
-                        *slot = Some(match outcome {
+                        let result = match outcome {
                             Ok(r) => r,
                             Err(payload) => {
                                 let message = payload
@@ -73,7 +68,9 @@ impl World {
                                     .unwrap_or_else(|| "unknown panic".to_string());
                                 Err(SimError::RankPanicked { rank, message })
                             }
-                        });
+                        };
+                        shared.leave(rank, result.is_err());
+                        *slot = Some(result);
                     })
                     .expect("spawn rank thread");
             }
@@ -81,19 +78,16 @@ impl World {
         .expect("rank scope");
 
         let mut out = Vec::with_capacity(cfg.nranks);
-        let mut first_err: Option<SimError> = None;
-        for r in results.into_iter().flatten() {
+        let mut errors = Vec::new();
+        for (rank, r) in results.into_iter().flatten().enumerate() {
             match r {
                 Ok(v) => out.push(v),
-                Err(e) => {
-                    if first_err.is_none() {
-                        first_err = Some(e);
-                    }
-                }
+                Err(e) => errors.push((rank, e)),
             }
         }
-        match first_err {
-            Some(e) => Err(e),
+        // `min_by_key` keeps the first of equals: lowest rank, echoes last.
+        match errors.into_iter().min_by_key(|(rank, e)| e.is_echo(*rank)) {
+            Some((_, e)) => Err(e),
             None => Ok(out),
         }
     }

@@ -237,7 +237,6 @@ fn main() {
     let mut verifying = assistant.clone();
     verifying.verify = Some(VerifyOptions {
         rank_counts: vec![2],
-        timeout_ms: 500,
         step_limit: 200_000,
         ..VerifyOptions::default()
     });

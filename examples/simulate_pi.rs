@@ -8,7 +8,6 @@
 //! ```
 
 use mpirical_interp::{run_program, run_source, RunConfig};
-use std::time::Duration;
 
 const PI_SRC: &str = r#"#include <mpi.h>
 #include <stdio.h>
@@ -83,9 +82,7 @@ fn main() {
 
     println!("\nmisplaced MPI_Reduce (inside the loop):");
     let prog = mpirical_cparse::parse_strict(BROKEN_SRC).unwrap();
-    let mut cfg = RunConfig::new(4);
-    cfg.timeout = Duration::from_millis(500);
-    match run_program(&prog, &cfg) {
+    match run_program(&prog, &RunConfig::new(4)) {
         Ok(out) => println!("  ran, but output is wrong: {}", out.rank_outputs[0].trim()),
         Err(e) => println!("  caught by the simulator: {e}"),
     }

@@ -17,6 +17,8 @@
 //!    artifact).
 
 use mpirical::cparse::{parse_strict, parse_tolerant, standardize};
+use mpirical::interp::{run_program, InterpError, RunConfig};
+use mpirical::sim::SimError;
 use mpirical::verify::{rerank, verify_prediction, verify_program};
 use mpirical::{
     benchmark_programs, MpiRical, MpiRicalConfig, SubmitOptions, SuggestPoll, SuggestService,
@@ -25,154 +27,220 @@ use mpirical::{
 use mpirical_corpus::{generate_dataset, remove_mpi_calls, CorpusConfig};
 use mpirical_model::ModelConfig;
 use proptest::prelude::*;
+use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::OnceLock;
+use std::time::Duration;
 
 // ---------------------------------------------------------------------------
 // 1. Fault corpus: every seeded fault caught, every correct splice verified.
 // ---------------------------------------------------------------------------
 
-/// Options for the hand-written fault programs: one 2-rank world, tight
-/// timeout (the deadlock cases must not stall the suite).
+/// Options for the hand-written fault programs: one 2-rank world and a
+/// step budget just large enough that only the runaway loop exhausts it.
 fn fault_opts() -> VerifyOptions {
     VerifyOptions {
         rank_counts: vec![2],
-        timeout_ms: 400,
-        step_limit: 200_000,
+        step_limit: 20_000,
         ..VerifyOptions::default()
     }
 }
 
-/// Classify one complete fault program (the shape a patched suggestion has
-/// after splicing).
-fn classify(src: &str) -> Verdict {
-    let prog = parse_strict(src).expect("fault corpus programs are well-formed C");
-    verify_program(&prog, &fault_opts()).0
+/// Both ranks block in MPI_Recv waiting on the other: the classic cycle.
+const RECV_RECV_CYCLE: &str = "int main(int argc, char **argv) {\n\
+     int rank;\n\
+     int x = 0;\n\
+     MPI_Init(&argc, &argv);\n\
+     MPI_Comm_rank(MPI_COMM_WORLD, &rank);\n\
+     if (rank == 0) {\n\
+     MPI_Recv(&x, 1, MPI_INT, 1, 0, MPI_COMM_WORLD, MPI_STATUS_IGNORE);\n\
+     }\n\
+     if (rank == 1) {\n\
+     MPI_Recv(&x, 1, MPI_INT, 0, 0, MPI_COMM_WORLD, MPI_STATUS_IGNORE);\n\
+     }\n\
+     MPI_Finalize();\n\
+     return 0;\n\
+     }";
+
+/// Sender posts MPI_INT, receiver asks for MPI_DOUBLE.
+const DATATYPE_DISAGREEMENT: &str = "int main(int argc, char **argv) {\n\
+     int rank;\n\
+     int ival = 7;\n\
+     double dval = 0.0;\n\
+     MPI_Init(&argc, &argv);\n\
+     MPI_Comm_rank(MPI_COMM_WORLD, &rank);\n\
+     if (rank == 0) {\n\
+     MPI_Send(&ival, 1, MPI_INT, 1, 0, MPI_COMM_WORLD);\n\
+     }\n\
+     if (rank == 1) {\n\
+     MPI_Recv(&dval, 1, MPI_DOUBLE, 0, 0, MPI_COMM_WORLD, MPI_STATUS_IGNORE);\n\
+     }\n\
+     MPI_Finalize();\n\
+     return 0;\n\
+     }";
+
+/// Bcast root 9 does not exist in a 2-rank world.
+const WRONG_ROOT_COLLECTIVE: &str = "int main(int argc, char **argv) {\n\
+     int rank;\n\
+     double v = 1.0;\n\
+     MPI_Init(&argc, &argv);\n\
+     MPI_Comm_rank(MPI_COMM_WORLD, &rank);\n\
+     MPI_Bcast(&v, 1, MPI_DOUBLE, 9, MPI_COMM_WORLD);\n\
+     MPI_Finalize();\n\
+     return 0;\n\
+     }";
+
+/// Each rank sums its stride of the domain but nobody reduces: root prints
+/// its partial. Serially that partial IS the full sum, so the 2-rank output
+/// is off by ~2x — exactly what the serial-baseline comparison exists to
+/// catch.
+const MISSING_REDUCTION: &str = "int main(int argc, char **argv) {\n\
+     int rank, size, i;\n\
+     double local = 0.0;\n\
+     MPI_Init(&argc, &argv);\n\
+     MPI_Comm_rank(MPI_COMM_WORLD, &rank);\n\
+     MPI_Comm_size(MPI_COMM_WORLD, &size);\n\
+     for (i = rank; i < 64; i += size) {\n\
+     local += i + 1.0;\n\
+     }\n\
+     if (rank == 0) {\n\
+     printf(\"sum = %.2f\\n\", local);\n\
+     }\n\
+     MPI_Finalize();\n\
+     return 0;\n\
+     }";
+
+const RUNAWAY_LOOP: &str = "int main(int argc, char **argv) {\n\
+     int rank;\n\
+     int x = 0;\n\
+     MPI_Init(&argc, &argv);\n\
+     MPI_Comm_rank(MPI_COMM_WORLD, &rank);\n\
+     while (1) {\n\
+     x = x + 1;\n\
+     }\n\
+     MPI_Finalize();\n\
+     return 0;\n\
+     }";
+
+/// Does not survive print → strict reparse: nothing may execute.
+const BROKEN_PATCH: &str = "int main() { int x = ; return 0; }";
+
+/// The confusion matrix: every fault program (the shape a patched suggestion
+/// has after splicing) with its exact verdict class and simulator-run count
+/// (the first failing world ends the verification; only the divergence check
+/// needs the serial baseline too).
+const FAULT_CORPUS: [(&str, &str, (Verdict, usize)); 6] = [
+    ("recv-recv-cycle", RECV_RECV_CYCLE, (Verdict::Deadlock, 1)),
+    (
+        "datatype-disagreement",
+        DATATYPE_DISAGREEMENT,
+        (Verdict::TypeMismatch, 1),
+    ),
+    (
+        "wrong-root-collective",
+        WRONG_ROOT_COLLECTIVE,
+        (Verdict::RankCrash, 1),
+    ),
+    (
+        "missing-reduction",
+        MISSING_REDUCTION,
+        (Verdict::DivergedFromSerial, 2),
+    ),
+    ("runaway-loop", RUNAWAY_LOOP, (Verdict::Timeout, 1)),
+    ("broken-patch", BROKEN_PATCH, (Verdict::NotExecutable, 0)),
+];
+
+/// `(verdict, sim_runs)` of every fault program, corpus order.
+fn classify_corpus(opts: &VerifyOptions) -> Vec<(Verdict, usize)> {
+    FAULT_CORPUS
+        .iter()
+        .map(|(_, src, _)| verify_program(&parse_tolerant(src).program, opts))
+        .collect()
+}
+
+/// Run `f` while one busy-looping thread per core competes with the rank
+/// threads for the CPU — the contention under which a wall-clock deadlock
+/// rule used to flip verdicts.
+fn under_contention<T>(f: impl FnOnce() -> T) -> T {
+    let stop = AtomicBool::new(false);
+    let cores = std::thread::available_parallelism().map_or(2, |n| n.get());
+    std::thread::scope(|scope| {
+        for _ in 0..cores {
+            scope.spawn(|| {
+                while !stop.load(Ordering::Relaxed) {
+                    std::hint::spin_loop();
+                }
+            });
+        }
+        let out = f();
+        stop.store(true, Ordering::Relaxed);
+        out
+    })
 }
 
 #[test]
-fn recv_recv_cycle_is_deadlock() {
-    // Both ranks block in MPI_Recv waiting on the other: the classic cycle.
-    let verdict = classify(
-        "int main(int argc, char **argv) {\n\
-         int rank;\n\
-         int x = 0;\n\
-         MPI_Init(&argc, &argv);\n\
-         MPI_Comm_rank(MPI_COMM_WORLD, &rank);\n\
-         if (rank == 0) {\n\
-         MPI_Recv(&x, 1, MPI_INT, 1, 0, MPI_COMM_WORLD, MPI_STATUS_IGNORE);\n\
-         }\n\
-         if (rank == 1) {\n\
-         MPI_Recv(&x, 1, MPI_INT, 0, 0, MPI_COMM_WORLD, MPI_STATUS_IGNORE);\n\
-         }\n\
-         MPI_Finalize();\n\
-         return 0;\n\
-         }",
+fn fault_corpus_lands_in_its_exact_confusion_matrix_cells() {
+    let got = classify_corpus(&fault_opts());
+    for ((name, _, want), got) in FAULT_CORPUS.iter().zip(&got) {
+        assert_eq!(got, want, "{name}");
+    }
+}
+
+#[test]
+fn confusion_matrix_is_identical_across_200_contended_repeats() {
+    let want: Vec<_> = FAULT_CORPUS.iter().map(|&(_, _, cell)| cell).collect();
+    under_contention(|| {
+        for repeat in 0..200 {
+            assert_eq!(classify_corpus(&fault_opts()), want, "repeat {repeat}");
+        }
+    });
+}
+
+#[test]
+fn timeout_fields_are_inert() {
+    // `VerifyOptions::timeout_ms` and `RunConfig::timeout` survive only for
+    // source compatibility with the perf ledger: no verdict, run count or
+    // blocked-rank snapshot may depend on them.
+    let timeout_of = |timeout_ms| VerifyOptions {
+        timeout_ms,
+        ..fault_opts()
+    };
+    assert_eq!(
+        classify_corpus(&timeout_of(1)),
+        classify_corpus(&timeout_of(3_600_000))
     );
-    assert_eq!(verdict, Verdict::Deadlock);
-}
-
-#[test]
-fn datatype_disagreement_is_type_mismatch() {
-    // Sender posts MPI_INT, receiver asks for MPI_DOUBLE.
-    let verdict = classify(
-        "int main(int argc, char **argv) {\n\
-         int rank;\n\
-         int ival = 7;\n\
-         double dval = 0.0;\n\
-         MPI_Init(&argc, &argv);\n\
-         MPI_Comm_rank(MPI_COMM_WORLD, &rank);\n\
-         if (rank == 0) {\n\
-         MPI_Send(&ival, 1, MPI_INT, 1, 0, MPI_COMM_WORLD);\n\
-         }\n\
-         if (rank == 1) {\n\
-         MPI_Recv(&dval, 1, MPI_DOUBLE, 0, 0, MPI_COMM_WORLD, MPI_STATUS_IGNORE);\n\
-         }\n\
-         MPI_Finalize();\n\
-         return 0;\n\
-         }",
-    );
-    assert_eq!(verdict, Verdict::TypeMismatch);
-}
-
-#[test]
-fn wrong_root_collective_is_rank_crash() {
-    // Bcast root 9 does not exist in a 2-rank world.
-    let verdict = classify(
-        "int main(int argc, char **argv) {\n\
-         int rank;\n\
-         double v = 1.0;\n\
-         MPI_Init(&argc, &argv);\n\
-         MPI_Comm_rank(MPI_COMM_WORLD, &rank);\n\
-         MPI_Bcast(&v, 1, MPI_DOUBLE, 9, MPI_COMM_WORLD);\n\
-         MPI_Finalize();\n\
-         return 0;\n\
-         }",
-    );
-    assert_eq!(verdict, Verdict::RankCrash);
-}
-
-#[test]
-fn missing_reduction_diverges_from_serial() {
-    // Each rank sums its stride of the domain but nobody reduces: root
-    // prints its partial. Serially that partial IS the full sum, so the
-    // 2-rank output is off by ~2x — exactly what the serial-baseline
-    // comparison exists to catch.
-    let verdict = classify(
-        "int main(int argc, char **argv) {\n\
-         int rank, size, i;\n\
-         double local = 0.0;\n\
-         MPI_Init(&argc, &argv);\n\
-         MPI_Comm_rank(MPI_COMM_WORLD, &rank);\n\
-         MPI_Comm_size(MPI_COMM_WORLD, &size);\n\
-         for (i = rank; i < 64; i += size) {\n\
-         local += i + 1.0;\n\
-         }\n\
-         if (rank == 0) {\n\
-         printf(\"sum = %.2f\\n\", local);\n\
-         }\n\
-         MPI_Finalize();\n\
-         return 0;\n\
-         }",
-    );
-    assert_eq!(verdict, Verdict::DivergedFromSerial);
-}
-
-#[test]
-fn runaway_loop_is_timeout() {
-    let verdict = classify(
-        "int main(int argc, char **argv) {\n\
-         int rank;\n\
-         int x = 0;\n\
-         MPI_Init(&argc, &argv);\n\
-         MPI_Comm_rank(MPI_COMM_WORLD, &rank);\n\
-         while (1) {\n\
-         x = x + 1;\n\
-         }\n\
-         MPI_Finalize();\n\
-         return 0;\n\
-         }",
-    );
-    assert_eq!(verdict, Verdict::Timeout);
-}
-
-#[test]
-fn syntactically_broken_patch_is_not_executable() {
-    let broken = parse_tolerant("int main() { int x = ; return 0; }").program;
-    let (verdict, runs) = verify_program(&broken, &fault_opts());
-    assert_eq!(verdict, Verdict::NotExecutable);
-    assert_eq!(runs, 0, "nothing may execute");
+    for (name, src, _) in &FAULT_CORPUS[..5] {
+        let prog = parse_strict(src).expect("fault corpus programs are well-formed C");
+        let run = |timeout| {
+            let mut cfg = RunConfig::new(2);
+            cfg.limits.step_limit = fault_opts().step_limit;
+            cfg.timeout = timeout;
+            run_program(&prog, &cfg)
+        };
+        assert_eq!(
+            run(Duration::from_millis(1)),
+            run(Duration::from_secs(3_600)),
+            "{name}"
+        );
+    }
+    let cycle = parse_strict(RECV_RECV_CYCLE).unwrap();
+    let Err(InterpError::Mpi(SimError::Deadlock { blocked, .. })) =
+        run_program(&cycle, &RunConfig::new(2))
+    else {
+        panic!("the cycle deadlocks");
+    };
+    let ranks: Vec<usize> = blocked.iter().map(|b| b.rank).collect();
+    assert_eq!(ranks, [0, 1], "both ranks of the cycle are in the snapshot");
 }
 
 /// Options for the benchmark11 reference splices: the paper's 2/4-rank
-/// worlds plus the serial baseline, generous budgets (these programs do
-/// real numerical work), and a per-program numeric tolerance — programs
+/// worlds plus the serial baseline, a generous step budget (these programs
+/// do real numerical work), and a per-program numeric tolerance — programs
 /// flagged `deterministic_across_ranks: false` legitimately print
 /// rank-count-dependent values (per-rank RNG streams, gathered partials),
 /// so their numeric slack is wide while token structure stays exact.
 fn bench_opts(deterministic: bool) -> VerifyOptions {
     VerifyOptions {
         rank_counts: vec![2, 4],
-        timeout_ms: 20_000,
         step_limit: 50_000_000,
         rel_tol: if deterministic { 0.15 } else { 10.0 },
         ..VerifyOptions::default()
@@ -334,7 +402,6 @@ fn verifying_assistant(opts: VerifyOptions) -> MpiRical {
 fn model_opts() -> VerifyOptions {
     VerifyOptions {
         rank_counts: vec![2],
-        timeout_ms: 300,
         step_limit: 100_000,
         ..VerifyOptions::default()
     }
