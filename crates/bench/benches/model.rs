@@ -10,12 +10,28 @@
 
 use criterion::{black_box, criterion_group, criterion_main, BatchSize, Criterion};
 use mpirical_model::{
-    build_params, decode::encode_source, decode_encoded, decode_with, replay_decode_with,
-    transformer::encode, transformer::ForwardMode, BatchDecoder, BatchRequest, DecodeOptions,
-    Engine, EngineConfig, EngineModel, Example, ModelConfig, PollResult, Precision, SubmitOptions,
-    TrainConfig, Vocab,
+    build_params, decode::encode_source, decode_reference, replay_decode_with, transformer::encode,
+    transformer::ForwardMode, vocab::SOS, BatchDecoder, BatchRequest, DecodeOptions, DecoderCache,
+    Engine, EngineConfig, EngineModel, Example, ModelConfig, PollResult, Precision,
+    QuantDecoderWeights, SubmitOptions, TrainConfig, TransformerParams, Vocab,
 };
 use mpirical_tensor::{matmul, Adam, ParamStore, Tape, Tensor};
+
+/// Winner of the single-request reference driver ([`decode_reference`]) from
+/// `<sos>` over a fresh paged cache — the baseline the scheduler groups
+/// below compare against (`qw`: prebuilt weights for int8 options).
+fn reference_ids(
+    store: &ParamStore,
+    params: &TransformerParams,
+    cfg: &ModelConfig,
+    qw: Option<&QuantDecoderWeights>,
+    enc_out: &Tensor,
+    max_len: usize,
+    opts: DecodeOptions,
+) -> Vec<usize> {
+    let cache = DecoderCache::new(store, params, cfg, enc_out);
+    decode_reference(store, params, cfg, qw, cache, &[SOS], max_len, opts).swap_remove(0)
+}
 
 fn bench_matmul(c: &mut Criterion) {
     let mut g = c.benchmark_group("tensor");
@@ -29,7 +45,7 @@ fn bench_matmul(c: &mut Criterion) {
     g.finish();
 }
 
-fn small_model() -> (ModelConfig, ParamStore, mpirical_model::TransformerParams) {
+fn small_model() -> (ModelConfig, ParamStore, TransformerParams) {
     let cfg = ModelConfig {
         vocab_size: 512,
         max_enc_len: 256,
@@ -157,14 +173,8 @@ fn bench_decode(c: &mut Criterion) {
         };
         g.bench_function(format!("cached_greedy_{out_len}tok"), |b| {
             b.iter(|| {
-                decode_with(
-                    black_box(&store),
-                    &params,
-                    &cfg,
-                    black_box(&src),
-                    out_len + 1,
-                    opts,
-                )
+                let enc = encode_source(black_box(&store), &params, &cfg, black_box(&src));
+                reference_ids(&store, &params, &cfg, None, &enc, out_len + 1, opts)
             })
         });
         let beam_opts = DecodeOptions {
@@ -174,14 +184,8 @@ fn bench_decode(c: &mut Criterion) {
         };
         g.bench_function(format!("cached_beam4_{out_len}tok"), |b| {
             b.iter(|| {
-                decode_with(
-                    black_box(&store),
-                    &params,
-                    &cfg,
-                    black_box(&src),
-                    out_len + 1,
-                    beam_opts,
-                )
+                let enc = encode_source(black_box(&store), &params, &cfg, black_box(&src));
+                reference_ids(&store, &params, &cfg, None, &enc, out_len + 1, beam_opts)
             })
         });
     }
@@ -269,10 +273,11 @@ fn bench_batch_decode(c: &mut Criterion) {
     g.bench_function("sequential_8x_greedy_64tok", |b| {
         b.iter(|| {
             for e in &enc_outs {
-                black_box(decode_encoded(
+                black_box(reference_ids(
                     &store,
                     &params,
                     &cfg,
+                    None,
                     black_box(e),
                     65,
                     opts,
@@ -370,7 +375,7 @@ fn bench_batch_beam(c: &mut Criterion) {
     // single-request beam path exactly.
     let singles: Vec<Vec<usize>> = enc_outs
         .iter()
-        .map(|e| decode_encoded(&store, &params, &cfg, e, 33, opts))
+        .map(|e| reference_ids(&store, &params, &cfg, None, e, 33, opts))
         .collect();
     let mut dec = BatchDecoder::new(&store, &params, &cfg, 16);
     assert_eq!(
@@ -384,10 +389,11 @@ fn bench_batch_beam(c: &mut Criterion) {
     g.bench_function("sequential_4x_beam4_32tok", |b| {
         b.iter(|| {
             for e in &enc_outs {
-                black_box(decode_encoded(
+                black_box(reference_ids(
                     &store,
                     &params,
                     &cfg,
+                    None,
                     black_box(e),
                     33,
                     opts,
@@ -432,52 +438,49 @@ fn bench_decode_quant(c: &mut Criterion) {
     let params = build_params(&cfg, &mut store, 1);
     let src: Vec<usize> = (0..48).map(|i| 6 + ((i * 3) % 200)).collect();
     let enc = encode_source(&store, &params, &cfg, &src);
-    let qw = mpirical_model::QuantDecoderWeights::new(&store, &params);
+    let qw = QuantDecoderWeights::new(&store, &params);
     let opts = DecodeOptions {
         beam: 1,
         min_len: 64,
         ..Default::default()
     };
+    let qopts = DecodeOptions {
+        precision: Precision::Int8,
+        ..opts
+    };
 
     // No-silent-fallback smoke: the quant step must actually run the int8
     // kernels (logits differ from f32) and still decode a full output.
     {
-        use mpirical_model::{decode_step, decode_step_quant, DecoderCache};
+        use mpirical_model::{decode_step, decode_step_quant};
         let mut fc = DecoderCache::new(&store, &params, &cfg, &enc);
         let mut qc = DecoderCache::new(&store, &params, &cfg, &enc);
         let lf = decode_step(&store, &params, &cfg, &mut fc, 1);
         let lq = decode_step_quant(&store, &params, &cfg, &qw, &mut qc, 1);
         assert_ne!(lf, lq, "int8 path must not silently run the f32 kernels");
-        let out = mpirical_model::decode_encoded_prompted_quant(
-            &store,
-            &params,
-            &cfg,
-            &qw,
-            &enc,
-            &[mpirical_model::vocab::SOS],
-            65,
-            opts,
-        );
+        let out = reference_ids(&store, &params, &cfg, Some(&qw), &enc, 65, qopts);
         assert_eq!(out.len(), 64, "min_len forces the full 64-token output");
     }
 
     let mut g = c.benchmark_group("decode_quant");
     g.sample_size(10);
     g.bench_function("f32_greedy_64tok", |b| {
-        b.iter(|| decode_encoded(black_box(&store), &params, &cfg, black_box(&enc), 65, opts))
-    });
-    g.bench_function("quant_greedy_64tok", |b| {
         b.iter(|| {
-            mpirical_model::decode_encoded_prompted_quant(
+            reference_ids(
                 black_box(&store),
                 &params,
                 &cfg,
-                &qw,
+                None,
                 black_box(&enc),
-                &[mpirical_model::vocab::SOS],
                 65,
                 opts,
             )
+        })
+    });
+    g.bench_function("quant_greedy_64tok", |b| {
+        b.iter(|| {
+            let (store, enc) = (black_box(&store), black_box(&enc));
+            reference_ids(store, &params, &cfg, Some(&qw), enc, 65, qopts)
         })
     });
     // The quantized lockstep scheduler, recorded for honesty rather than
@@ -494,13 +497,7 @@ fn bench_decode_quant(c: &mut Criterion) {
             encode_source(&store, &params, &cfg, &src)
         })
         .collect();
-    let mut dec =
-        BatchDecoder::with_precision(&store, &params, &cfg, 8, mpirical_model::Precision::Int8);
-    let qopts = DecodeOptions {
-        beam: 1,
-        min_len: 64,
-        precision: mpirical_model::Precision::Int8,
-    };
+    let mut dec = BatchDecoder::with_precision(&store, &params, &cfg, 8, Precision::Int8);
     g.bench_function("quant_batch8_greedy_64tok", |b| {
         b.iter(|| {
             let reqs = enc_outs
@@ -593,8 +590,8 @@ fn bench_decode_priority(c: &mut Criterion) {
     // Acceptance smoke: preemption within 1 step, bitwise outputs, honest
     // FIFO baseline.
     {
-        let fast_ref = decode_encoded(&store, &params, &cfg, &enc_outs[8], 9, fast_opts);
-        let bulk_ref = decode_encoded(&store, &params, &cfg, &enc_outs[0], 65, bulk_opts);
+        let fast_ref = reference_ids(&store, &params, &cfg, None, &enc_outs[8], 9, fast_opts);
+        let bulk_ref = reference_ids(&store, &params, &cfg, None, &enc_outs[0], 65, bulk_opts);
         let mut dec = BatchDecoder::new(&store, &params, &cfg, 8);
         let bulk_ids: Vec<_> = enc_outs[..8]
             .iter()
@@ -708,6 +705,81 @@ fn bench_cache_fork(c: &mut Criterion) {
     g.bench_function("fork_contiguous_64tok", |b| {
         b.iter(|| black_box(contiguous.clone()))
     });
+    g.finish();
+}
+
+/// One-shot prediction through the scheduler vs the single-request
+/// reference driver — the "same speed" evidence for making every
+/// `MpiRical` prediction an engine request, at the **d=256 serving shape**
+/// (4×d feed-forward, 4096 vocab, 64 forced tokens), for an f32 and an
+/// int8 artifact.
+///
+/// Both sides do the whole call: front-end (parse, X-SBT, ids), encoder
+/// forward, decode. `reference_*` is what `predict_ids` used to be —
+/// `decode_reference` over a fresh paged cache, int8 through the
+/// artifact-lifetime quantized weights. `predict_ids_*` is what it is now:
+/// a one-request batch on a 1-worker `Engine` over the cached
+/// `engine_model()` bundle, thread spawn and shutdown inside the timed call
+/// (the bundle — store copy plus packed/quantized weights — is built once
+/// by the setup assertion, as an artifact builds it on its first call).
+///
+/// Setup **asserts** the two produce identical ids before timing.
+fn bench_decode_oneshot(c: &mut Criterion) {
+    let filler: Vec<Vec<String>> = vec![(0..4096).map(|i| format!("tok{i:04}")).collect()];
+    let vocab = Vocab::build(filler.iter(), 1, 4096 - 6);
+    let cfg = ModelConfig {
+        vocab_size: 0,
+        d_model: 256,
+        n_heads: 4,
+        d_ff: 1024,
+        n_enc_layers: 2,
+        n_dec_layers: 2,
+        max_enc_len: 256,
+        max_dec_len: 65,
+        dropout: 0.0,
+    };
+    let model = mpirical_model::Seq2SeqModel::new(cfg, vocab, 1);
+    assert_eq!(model.cfg.vocab_size, 4096, "vocabulary at the serving cap");
+    let src = "int main(int argc, char **argv) {\n    int rank, size;\n    double local = 0.0;\n    for (int i = 0; i < 100; i++) { local += i; }\n    printf(\"%f\\n\", local);\n    return 0;\n}\n";
+
+    let mut g = c.benchmark_group("decode_oneshot");
+    g.sample_size(10);
+    for precision in [Precision::F32, Precision::Int8] {
+        let opts = DecodeOptions {
+            beam: 1,
+            min_len: 64,
+            precision,
+        };
+        let assistant = mpirical::MpiRical::from_parts(
+            model.clone(),
+            mpirical::InputFormat::CodeXsbt,
+            opts,
+            None,
+        );
+        let m = &assistant.model;
+        let qw =
+            (precision == Precision::Int8).then(|| QuantDecoderWeights::new(&m.store, &m.params));
+        let reference = |src: &str| {
+            let ids = assistant.encode_source(src).ids;
+            let enc = encode_source(&m.store, &m.params, &m.cfg, &ids);
+            reference_ids(&m.store, &m.params, &m.cfg, qw.as_ref(), &enc, 65, opts)
+        };
+        let want = reference(src);
+        assert_eq!(want.len(), 64, "min_len forces the full 64-token output");
+        assert_eq!(
+            assistant.predict_ids(src),
+            want,
+            "{precision:?}: the one-shot scheduler path must equal the reference driver"
+        );
+
+        let tag = format!("{precision:?}").to_lowercase();
+        g.bench_function(format!("reference_{tag}_64tok"), |b| {
+            b.iter(|| reference(black_box(src)))
+        });
+        g.bench_function(format!("predict_ids_{tag}_64tok"), |b| {
+            b.iter(|| assistant.predict_ids(black_box(src)))
+        });
+    }
     g.finish();
 }
 
@@ -935,6 +1007,7 @@ criterion_group!(
     bench_decode_quant,
     bench_decode_priority,
     bench_cache_fork,
+    bench_decode_oneshot,
     bench_suggestion_latency,
     bench_engine_scaling
 );

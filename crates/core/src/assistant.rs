@@ -4,9 +4,11 @@
 //! calls yet), [`MpiRical::suggest`] returns the MPI functions to insert and
 //! the lines to insert them at, and [`MpiRical::translate`] returns the full
 //! predicted parallel program — the two faces of the paper's IDE-assistant
-//! deployment. [`MpiRical::suggest_batch`] serves many buffers at once
-//! through the batched lockstep decoder; for a long-running daemon, the
-//! submit/poll façade is [`SuggestService`](crate::service::SuggestService).
+//! deployment. [`MpiRical::suggest_batch`] serves many buffers at once.
+//! Every one of them is a request to the same batch scheduler — `suggest`
+//! is a batch of one — so there is one decode loop to swap a model into;
+//! for a long-running daemon, the submit/poll façade over that loop is
+//! [`SuggestService`](crate::service::SuggestService).
 //!
 //! ```no_run
 //! use mpirical::MpiRical;
@@ -33,13 +35,11 @@ use mpirical_metrics::CallSite;
 use mpirical_model::decode::encode_source as model_encode;
 use mpirical_model::vocab::{EOS, SEP, SOS};
 use mpirical_model::{
-    decode_encoded_prompted_all, decode_encoded_prompted_all_quant, decode_encoded_prompted_quant,
-    BatchDecoder, BatchRequest, DecodeOptions, DecoderWeights, Engine, EngineConfig, EngineModel,
-    EpochStats, ModelConfig, Precision, PrefixStats, QuantDecoderWeights, Seq2SeqModel,
-    SubmitOptions, TrainConfig, TrainReport, DEFAULT_MAX_BATCH,
+    BatchRequest, DecodeOptions, DecoderWeights, Engine, EngineConfig, EngineModel, EpochStats,
+    ModelConfig, Precision, PrefixStats, QuantDecoderWeights, Seq2SeqModel, SubmitOptions,
+    TrainConfig, TrainReport, DEFAULT_MAX_BATCH,
 };
 use serde::{Deserialize, Serialize};
-use std::borrow::Cow;
 use std::path::Path;
 use std::sync::{Arc, Mutex, OnceLock};
 
@@ -100,18 +100,17 @@ pub struct SuggestReport {
     /// Prefix-sharing telemetry from the batch scheduler's radix index —
     /// exact hits, page-aligned partial hits, misses, and shared vs.
     /// freshly-prefilled row counts ([`PrefixStats::hit_rate`] is the
-    /// headline number). `Some` on the batch path
-    /// ([`MpiRical::suggest_batch_reports`], one fleet-wide snapshot
-    /// repeated per report); `None` on the single-shot path, which decodes
-    /// without a scheduler. Defaults so pre-existing serialized reports
-    /// still deserialize.
+    /// headline number): one snapshot of the scheduler that decoded the
+    /// call, repeated on every report of a
+    /// [`MpiRical::suggest_batch_reports`] batch. Optional so pre-existing
+    /// serialized reports still deserialize.
     #[serde(default)]
     pub prefix: Option<PrefixStats>,
 }
 
 /// Flag suggestions that land inside the parse's dirty line ranges and
 /// demote them behind clean-region suggestions (stable within each class).
-pub(crate) fn apply_health(suggestions: &mut [Suggestion], health: &ParseHealth) {
+fn apply_health(suggestions: &mut [Suggestion], health: &ParseHealth) {
     if health.is_clean() {
         return;
     }
@@ -125,7 +124,7 @@ pub(crate) fn apply_health(suggestions: &mut [Suggestion], health: &ParseHealth)
 /// tolerant-parse → print → reparse pipeline as
 /// [`MpiRical::encode_source`], so suggestion lines, dirty ranges, and the
 /// verifier's splice targets all live in one line space.
-pub(crate) fn canonical_program(c_source: &str) -> Program {
+fn canonical_program(c_source: &str) -> Program {
     let parsed = parse_tolerant(c_source);
     let std_text = print_program(&parsed.program);
     parse_tolerant(&std_text).program
@@ -242,7 +241,7 @@ impl MpiRical {
             verify: cfg.verify.clone(),
         };
         if assistant.decode.precision == Precision::Int8 {
-            assistant.quant_weights();
+            assistant.int8_weights();
         }
         (assistant, report)
     }
@@ -268,18 +267,10 @@ impl MpiRical {
         }
     }
 
-    /// The artifact's int8 decoder weights, quantized on first use and
-    /// cached for the artifact's lifetime (an `Int8`-configured artifact
-    /// primes this at load/train, so serving never pays it per request).
-    pub fn quant_weights(&self) -> &QuantDecoderWeights {
-        match self.int8_weights() {
-            DecoderWeights::Int8(q) => q,
-            DecoderWeights::F32(_) => unreachable!("the cache only ever holds Int8 weights"),
-        }
-    }
-
-    /// The same cached int8 weight set as the scheduler-facing enum, for
-    /// handing to [`BatchDecoder::with_weights`] by reference.
+    /// The artifact's int8 decoder weights as the scheduler-facing enum,
+    /// quantized on first use and cached for the artifact's lifetime (an
+    /// `Int8`-configured artifact primes this at load/train, so serving
+    /// never pays it per request).
     pub(crate) fn int8_weights(&self) -> &DecoderWeights {
         self.quant.get_or_init(|| {
             DecoderWeights::Int8(QuantDecoderWeights::new(
@@ -323,72 +314,95 @@ impl MpiRical {
         EncodedSource { ids: src, health }
     }
 
-    /// Generate from already-encoded source ids with the artifact's
-    /// [`DecodeOptions`] — the one generation call every prediction path
-    /// funnels through. An `Int8` artifact decodes through its cached
-    /// quantized weights ([`quant_weights`](Self::quant_weights)) rather
-    /// than re-quantizing per request.
-    fn generate_ids(&self, src: &[usize]) -> Vec<usize> {
-        let m = &self.model;
-        match self.decode.precision {
-            Precision::F32 => m.generate_with(src, m.cfg.max_dec_len, self.decode),
-            Precision::Int8 => {
-                let enc_out = model_encode(&m.store, &m.params, &m.cfg, src);
-                decode_encoded_prompted_quant(
-                    &m.store,
-                    &m.params,
-                    &m.cfg,
-                    self.quant_weights(),
-                    &enc_out,
-                    &[SOS],
-                    m.cfg.max_dec_len,
-                    self.decode,
-                )
-            }
+    /// The one generation call every prediction path funnels through:
+    /// decode `reqs` on a one-shot [`Engine`] over the cached
+    /// [`engine_model`](Self::engine_model) bundle (weights packed or
+    /// quantized once per artifact, not per call) and return each
+    /// request's ranked hypotheses — best model score first, never empty —
+    /// in input order, plus the scheduler's final [`PrefixStats`] snapshot
+    /// (taken after the batch drains, before shutdown clears the index).
+    /// How many workers the engine runs is a pure throughput decision:
+    /// outputs are bitwise identical at any count (pinned by
+    /// `tests/parallel_engine_props.rs`).
+    fn decode_hypotheses(&self, reqs: Vec<BatchRequest>) -> (Vec<Vec<Vec<usize>>>, PrefixStats) {
+        if reqs.is_empty() {
+            return (Vec::new(), PrefixStats::default());
         }
+        let engine = Engine::new(
+            self.engine_model(),
+            EngineConfig {
+                workers: Self::engine_workers(reqs.len()),
+                max_batch: DEFAULT_MAX_BATCH.max(self.decode.beam),
+                ..EngineConfig::default()
+            },
+        );
+        let out = engine.decode_all_hypotheses(reqs);
+        let prefix = engine.prefix_stats();
+        engine.shutdown();
+        (out, prefix)
     }
 
-    /// Every beam hypothesis for already-encoded source ids, best model
-    /// score first. Element 0 is bitwise-identical to
-    /// [`generate_ids`](Self::generate_ids) — the closed verification loop
-    /// relies on this to be read-only with respect to the model's output.
-    fn generate_ids_all(&self, src: &[usize]) -> Vec<Vec<usize>> {
-        let m = &self.model;
-        let enc_out = model_encode(&m.store, &m.params, &m.cfg, src);
-        match self.decode.precision {
-            Precision::F32 => decode_encoded_prompted_all(
-                &m.store,
-                &m.params,
-                &m.cfg,
-                &enc_out,
-                &[SOS],
-                m.cfg.max_dec_len,
-                self.decode,
+    /// The model's own prediction for one prepared request: element 0 of
+    /// its ranked hypotheses.
+    fn decode_winner(&self, req: BatchRequest) -> Vec<usize> {
+        let (mut ranked, _) = self.decode_hypotheses(vec![req]);
+        ranked.swap_remove(0).swap_remove(0)
+    }
+
+    /// Turn one request's ranked hypotheses into what the caller sees —
+    /// the single assembly point of `suggest*` and
+    /// [`SuggestService`](crate::service::SuggestService). With a splice
+    /// `base` (see [`verify_base`](Self::verify_base)) the hypotheses are
+    /// executed and re-ranked by [`verify_and_rank`](Self::verify_and_rank);
+    /// without one the model's winner (element 0) stands. The winner's
+    /// call sites become suggestions carrying its verdict, flagged and
+    /// demoted per the buffer's [`ParseHealth`].
+    pub(crate) fn assemble(
+        &self,
+        base: Option<&Program>,
+        hypotheses: Vec<Vec<usize>>,
+        health: &ParseHealth,
+    ) -> (Vec<Suggestion>, Option<VerifyStats>) {
+        let (winner, verdict, stats) = match (base, &self.verify) {
+            (Some(base), Some(vopts)) => {
+                let (winner, verdict, stats) = self.verify_and_rank(base, hypotheses, vopts);
+                (winner, verdict, Some(stats))
+            }
+            _ => (
+                hypotheses.into_iter().next().unwrap_or_default(),
+                None,
+                None,
             ),
-            Precision::Int8 => decode_encoded_prompted_all_quant(
-                &m.store,
-                &m.params,
-                &m.cfg,
-                self.quant_weights(),
-                &enc_out,
-                &[SOS],
-                m.cfg.max_dec_len,
-                self.decode,
-            ),
-        }
+        };
+        let mut suggestions: Vec<Suggestion> = calls_from_ids(&winner, &self.model.vocab)
+            .into_iter()
+            .map(|c| Suggestion {
+                verdict,
+                ..Suggestion::from(c)
+            })
+            .collect();
+        apply_health(&mut suggestions, health);
+        (suggestions, stats)
+    }
+
+    /// The serial program a verifying artifact splices hypotheses into —
+    /// `None` when verification is off, which is what tells
+    /// [`assemble`](Self::assemble) to skip the closed loop.
+    pub(crate) fn verify_base(&self, c_source: &str) -> Option<Program> {
+        self.verify.as_ref().map(|_| canonical_program(c_source))
     }
 
     /// Execute up to `opts.max_hypotheses` hypotheses against the serial
-    /// `base` program, attach verdicts, and stably re-rank by verdict class
-    /// (`Verified` first, unverified next, observed failures last — pure
-    /// model-score order within each class). Returns the winning
-    /// hypothesis' suggestions plus the verification telemetry.
-    pub(crate) fn verify_and_rank(
+    /// `base` program and stably re-rank by verdict class (`Verified`
+    /// first, unverified next, observed failures last — pure model-score
+    /// order within each class). Returns the winning hypothesis with its
+    /// verdict, plus the verification telemetry.
+    fn verify_and_rank(
         &self,
         base: &Program,
         hypotheses: Vec<Vec<usize>>,
         opts: &VerifyOptions,
-    ) -> (Vec<Suggestion>, VerifyStats) {
+    ) -> (Vec<usize>, Option<Verdict>, VerifyStats) {
         let mut stats = VerifyStats::default();
         let ranked: Vec<(Vec<usize>, Option<Verdict>)> = hypotheses
             .into_iter()
@@ -410,30 +424,22 @@ impl MpiRical {
             .into_iter()
             .next()
             .unwrap_or_default();
-        let suggestions = calls_from_ids(&ids, &self.model.vocab)
-            .into_iter()
-            .map(|c| Suggestion {
-                verdict,
-                ..Suggestion::from(c)
-            })
-            .collect();
-        (suggestions, stats)
+        (ids, verdict, stats)
     }
 
     /// Decoded ids rendered back to displayable predicted source text (the
     /// same detokenization as [`translate`](Self::translate)).
-    pub(crate) fn ids_to_source(&self, ids: &[usize]) -> String {
+    fn ids_to_source(&self, ids: &[usize]) -> String {
         detokenize(&self.model.vocab.decode(ids))
     }
 
     /// Predict the full MPI-parallel program for the given source. Returns
-    /// the decoded token ids. Runs the KV-cached incremental decoder with
-    /// the artifact's [`DecodeOptions`] (greedy unless `decode.beam > 1`;
-    /// int8 projection kernels when `decode.precision` is
-    /// [`Precision::Int8`]).
+    /// the decoded token ids — the winner of a one-request batch under the
+    /// artifact's [`DecodeOptions`] (greedy unless `decode.beam > 1`; int8
+    /// projection kernels when `decode.precision` is [`Precision::Int8`]).
     pub fn predict_ids(&self, c_source: &str) -> Vec<usize> {
-        let src = self.encode_source(c_source);
-        self.generate_ids(&src.ids)
+        let enc = self.encode_source(c_source);
+        self.decode_winner(self.request_from_encoded(&enc, SubmitOptions::default()))
     }
 
     /// Suggest MPI functions and their insertion lines (paper RQ1 + RQ2).
@@ -447,56 +453,16 @@ impl MpiRical {
 
     /// [`suggest`](Self::suggest) plus the front-end [`ParseHealth`], so a
     /// caller can tell a clean-parse suggestion set from one produced around
-    /// unparseable mid-edit regions.
+    /// unparseable mid-edit regions. A batch of one:
+    /// [`suggest_batch_reports`](Self::suggest_batch_reports) on `[c_source]`.
     pub fn suggest_report(&self, c_source: &str) -> SuggestReport {
-        let src = self.encode_source(c_source);
-        if let Some(vopts) = &self.verify {
-            let hypotheses = self.generate_ids_all(&src.ids);
-            let base = canonical_program(c_source);
-            let (mut suggestions, stats) = self.verify_and_rank(&base, hypotheses, vopts);
-            apply_health(&mut suggestions, &src.health);
-            return SuggestReport {
-                suggestions,
-                health: src.health,
-                verify: Some(stats),
-                prefix: None,
-            };
-        }
-        let ids = self.generate_ids(&src.ids);
-        let mut suggestions: Vec<Suggestion> = calls_from_ids(&ids, &self.model.vocab)
-            .into_iter()
-            .map(Suggestion::from)
-            .collect();
-        apply_health(&mut suggestions, &src.health);
-        SuggestReport {
-            suggestions,
-            health: src.health,
-            verify: None,
-            prefix: None,
-        }
+        self.suggest_batch_reports(&[c_source]).swap_remove(0)
     }
 
-    /// Predict token ids for many sources at once through the batched
-    /// lockstep decoder ([`BatchDecoder`]): the sources' per-step weight
-    /// projections are fused into shared matrix kernels and finished
-    /// sequences retire out of the batch continuously, so aggregate
-    /// throughput scales far better than calling [`predict_ids`] in a loop
-    /// while returning **exactly the same ids per source**.
-    ///
-    /// The artifact's full [`DecodeOptions`] are honored in-batch: a
-    /// beam-configured artifact decodes with batched beam search (each
-    /// request reserves `beam` lanes; hypotheses fork copy-on-write in the
-    /// scheduler's paged KV cache), no sequential fallback.
-    ///
-    /// [`BatchDecoder`]: mpirical_model::BatchDecoder
-    /// [`predict_ids`]: Self::predict_ids
-    pub fn predict_ids_batch(&self, sources: &[&str]) -> Vec<Vec<usize>> {
-        let reqs = sources.iter().map(|s| self.batch_request(s)).collect();
-        self.decode_requests(reqs)
-    }
-
-    /// The cached [`EngineModel`] bundle for the sharded serving engine,
-    /// built on first use from the artifact's current precision (an `Int8`
+    /// The cached [`EngineModel`] bundle every [`Engine`] over this
+    /// artifact runs on — the one-shot prediction paths here and the
+    /// sharded [`SuggestService`](crate::service::SuggestService) alike.
+    /// Built on first use from the artifact's current precision (an `Int8`
     /// artifact hands its already-quantized weight cache to the bundle —
     /// no re-quantization) and rebuilt only if `decode.precision` changes.
     pub fn engine_model(&self) -> Arc<EngineModel> {
@@ -524,12 +490,12 @@ impl MpiRical {
         bundle
     }
 
-    /// Worker count the batch decode paths shard across for `reqs`
+    /// Worker count the prediction paths shard across for `reqs`
     /// requests: one worker per request up to the machine's available
     /// parallelism, capped at 8 (per-worker scratch buffers are not
     /// free). `MPIRICAL_ENGINE_WORKERS` overrides the cores/cap part —
-    /// `1` forces the inline single-scheduler reference path, higher
-    /// values force sharding even on small machines.
+    /// `1` forces a 1-worker engine, higher values force sharding even on
+    /// small machines.
     fn engine_workers(reqs: usize) -> usize {
         let var = std::env::var("MPIRICAL_ENGINE_WORKERS").ok();
         Self::engine_workers_from(var.as_deref(), reqs)
@@ -551,7 +517,7 @@ impl MpiRical {
                 .unwrap_or_else(|| {
                     panic!(
                         "MPIRICAL_ENGINE_WORKERS must be a positive worker count, got {raw:?} \
-                     (set 1 to force the inline single-scheduler path, or unset the variable \
+                     (set 1 to force a 1-worker engine, or unset the variable \
                      to auto-detect from available parallelism)"
                     )
                 }),
@@ -563,125 +529,22 @@ impl MpiRical {
         cores.min(reqs)
     }
 
-    /// A sharded [`Engine`] over this artifact with `workers` workers, each
-    /// decoding up to the artifact's lane count.
-    fn engine(&self, workers: usize) -> Engine {
-        Engine::new(
-            self.engine_model(),
-            EngineConfig {
-                workers,
-                max_batch: DEFAULT_MAX_BATCH.max(self.decode.beam),
-                ..EngineConfig::default()
-            },
-        )
-    }
-
-    /// Decode a set of prepared requests — the shared tail of
-    /// [`predict_ids_batch`](Self::predict_ids_batch) and
-    /// [`suggest_batch`](Self::suggest_batch). With more than one request
-    /// and more than one available core this shards across a multi-worker
-    /// [`Engine`]; otherwise it runs one inline [`BatchDecoder`]. The two
-    /// paths produce **bitwise identical** ids (pinned by
-    /// `tests/parallel_engine_props.rs`), so the routing is a pure
-    /// throughput decision.
-    fn decode_requests(&self, reqs: Vec<BatchRequest>) -> Vec<Vec<usize>> {
-        self.decode_requests_stats(reqs).0
-    }
-
-    /// [`decode_requests`](Self::decode_requests) plus the scheduler's
-    /// final [`PrefixStats`] snapshot — taken from the shared radix index
-    /// after the batch drains (and, on the sharded path, before shutdown
-    /// clears it).
-    fn decode_requests_stats(&self, reqs: Vec<BatchRequest>) -> (Vec<Vec<usize>>, PrefixStats) {
-        let workers = Self::engine_workers(reqs.len());
-        if workers > 1 {
-            let engine = self.engine(workers);
-            let out = engine.decode_all(reqs);
-            let prefix = engine.prefix_stats();
-            engine.shutdown();
-            return (out, prefix);
-        }
-        let m = &self.model;
-        let lanes = DEFAULT_MAX_BATCH.max(self.decode.beam);
-        let mut dec = match self.decode.precision {
-            Precision::F32 => BatchDecoder::new(&m.store, &m.params, &m.cfg, lanes),
-            // Borrow the artifact's load-time quantized weights — no
-            // re-quantization per call.
-            Precision::Int8 => BatchDecoder::with_weights(
-                &m.store,
-                &m.params,
-                &m.cfg,
-                lanes,
-                Cow::Borrowed(self.int8_weights()),
-            ),
-        };
-        let out = dec.decode_all(reqs);
-        (out, dec.prefix_stats())
-    }
-
-    /// [`decode_requests_stats`](Self::decode_requests_stats) keeping the
-    /// full ranked hypothesis list per request — the batch-path twin of
-    /// [`generate_ids_all`](Self::generate_ids_all) for the closed
-    /// verification loop. Shards across an [`Engine`] exactly like
-    /// [`decode_requests`](Self::decode_requests).
-    fn decode_requests_all_stats(
-        &self,
-        reqs: Vec<BatchRequest>,
-    ) -> (Vec<Vec<Vec<usize>>>, PrefixStats) {
-        let workers = Self::engine_workers(reqs.len());
-        if workers > 1 {
-            let engine = self.engine(workers);
-            let out = engine.decode_all_hypotheses(reqs);
-            let prefix = engine.prefix_stats();
-            engine.shutdown();
-            return (out, prefix);
-        }
-        let m = &self.model;
-        let lanes = DEFAULT_MAX_BATCH.max(self.decode.beam);
-        let mut dec = match self.decode.precision {
-            Precision::F32 => BatchDecoder::new(&m.store, &m.params, &m.cfg, lanes),
-            Precision::Int8 => BatchDecoder::with_weights(
-                &m.store,
-                &m.params,
-                &m.cfg,
-                lanes,
-                Cow::Borrowed(self.int8_weights()),
-            ),
-        };
-        let out = dec.decode_all_hypotheses(reqs);
-        (out, dec.prefix_stats())
-    }
-
-    /// Build the [`BatchRequest`] for one source: tolerant-parse + encode,
-    /// run the encoder, attach the artifact's [`DecodeOptions`] (beam
-    /// included — the lockstep scheduler decodes beam requests natively).
-    /// Submitted at the default scheduling options
-    /// ([`Priority::Interactive`](mpirical_model::Priority::Interactive),
-    /// no token cap); see [`batch_request_with`](Self::batch_request_with).
-    pub fn batch_request(&self, c_source: &str) -> BatchRequest {
-        self.batch_request_with(c_source, SubmitOptions::default())
-    }
-
-    /// [`batch_request`](Self::batch_request) with explicit
-    /// [`SubmitOptions`] — the priority class and optional generated-token
-    /// cap ride the request into the scheduler's admission queue. The
-    /// single construction point shared by
-    /// [`predict_ids_batch`](Self::predict_ids_batch) and
-    /// [`SuggestService`](crate::service::SuggestService), so the one-shot
-    /// and daemon serving paths can never drift apart.
-    pub fn batch_request_with(&self, c_source: &str, submit: SubmitOptions) -> BatchRequest {
-        self.request_from_encoded(&self.encode_source(c_source), submit)
-    }
-
-    /// Build a [`BatchRequest`] from an already-encoded source — the caller
-    /// keeps the [`EncodedSource::health`] to interpret the eventual output
-    /// (this is what [`SuggestService`](crate::service::SuggestService) does
-    /// per ticket).
+    /// Build a [`BatchRequest`] from an already-encoded source: run the
+    /// encoder, attach the artifact's [`DecodeOptions`] (beam included —
+    /// the lockstep scheduler decodes beam requests natively) and the
+    /// caller's [`SubmitOptions`]. The caller keeps the
+    /// [`EncodedSource::health`] to interpret the eventual output. The
+    /// single construction point shared by every prediction method here
+    /// and [`SuggestService`](crate::service::SuggestService), so the
+    /// one-shot and daemon serving paths can never drift apart.
     pub fn request_from_encoded(&self, enc: &EncodedSource, submit: SubmitOptions) -> BatchRequest {
+        self.request_from_ids(&enc.ids, submit)
+    }
+
+    fn request_from_ids(&self, src_ids: &[usize], submit: SubmitOptions) -> BatchRequest {
         let m = &self.model;
-        let enc_out = model_encode(&m.store, &m.params, &m.cfg, &enc.ids);
         BatchRequest {
-            enc_out,
+            enc_out: model_encode(&m.store, &m.params, &m.cfg, src_ids),
             prompt: vec![SOS],
             max_len: m.cfg.max_dec_len,
             opts: self.decode,
@@ -709,42 +572,21 @@ impl MpiRical {
     /// [`hit_rate`](PrefixStats::hit_rate).
     pub fn suggest_batch_reports(&self, sources: &[&str]) -> Vec<SuggestReport> {
         let encoded: Vec<EncodedSource> = sources.iter().map(|s| self.encode_source(s)).collect();
-        let reqs: Vec<BatchRequest> = encoded
+        let reqs = encoded
             .iter()
             .map(|e| self.request_from_encoded(e, SubmitOptions::default()))
             .collect();
-        if let Some(vopts) = &self.verify {
-            let (all, prefix) = self.decode_requests_all_stats(reqs);
-            return all
-                .into_iter()
-                .zip(encoded.into_iter().zip(sources))
-                .map(|(hypotheses, (enc, source))| {
-                    let base = canonical_program(source);
-                    let (mut suggestions, stats) = self.verify_and_rank(&base, hypotheses, vopts);
-                    apply_health(&mut suggestions, &enc.health);
-                    SuggestReport {
-                        suggestions,
-                        health: enc.health,
-                        verify: Some(stats),
-                        prefix: Some(prefix),
-                    }
-                })
-                .collect();
-        }
-        let (ids_all, prefix) = self.decode_requests_stats(reqs);
-        ids_all
+        let (ranked, prefix) = self.decode_hypotheses(reqs);
+        ranked
             .into_iter()
-            .zip(encoded)
-            .map(|(ids, enc)| {
-                let mut suggestions: Vec<Suggestion> = calls_from_ids(&ids, &self.model.vocab)
-                    .into_iter()
-                    .map(Suggestion::from)
-                    .collect();
-                apply_health(&mut suggestions, &enc.health);
+            .zip(encoded.into_iter().zip(sources))
+            .map(|(hypotheses, (enc, source))| {
+                let base = self.verify_base(source);
+                let (suggestions, verify) = self.assemble(base.as_ref(), hypotheses, &enc.health);
                 SuggestReport {
                     suggestions,
                     health: enc.health,
-                    verify: None,
+                    verify,
                     prefix: Some(prefix),
                 }
             })
@@ -753,9 +595,7 @@ impl MpiRical {
 
     /// Full translation: predicted parallel program as source text.
     pub fn translate(&self, c_source: &str) -> String {
-        let ids = self.predict_ids(c_source);
-        let tokens = self.model.vocab.decode(&ids);
-        detokenize(&tokens)
+        self.ids_to_source(&self.predict_ids(c_source))
     }
 
     /// Predict for an already-encoded dataset record (evaluation fast path).
@@ -766,7 +606,7 @@ impl MpiRical {
             &self.model.cfg,
             self.input_format,
         )?;
-        Some(self.generate_ids(&ex.src))
+        Some(self.decode_winner(self.request_from_ids(&ex.src, SubmitOptions::default())))
     }
 
     /// Save the artifact (model + vocab + input format) as JSON.
@@ -791,7 +631,7 @@ impl MpiRical {
         m.model.store.rebuild_index();
         m.model.vocab.rebuild_index();
         if m.decode.precision == Precision::Int8 {
-            m.quant_weights();
+            m.int8_weights();
         }
         Ok(m)
     }
@@ -900,30 +740,76 @@ mod tests {
         for (got, buf) in batched.iter().zip(&buffers) {
             assert_eq!(got, &assistant.suggest(buf), "greedy batch for {buf:?}");
         }
-        // Beam-configured artifacts decode in-batch (no sequential
-        // fallback) and must still match the single-request beam path.
-        assistant.decode = DecodeOptions {
-            beam: 2,
-            min_len: 0,
-            ..Default::default()
+        // An empty batch is an empty result, not a zero-worker engine.
+        assert!(assistant.suggest_batch(&[]).is_empty());
+        // Beam, int8 and verifying artifacts decode in-batch too: a batch
+        // of N must match N batches of one.
+        let verify = VerifyOptions {
+            rank_counts: vec![2],
+            step_limit: 100_000,
+            ..VerifyOptions::default()
         };
-        let beamed = assistant.suggest_batch(&buffers[..2]);
-        for (got, buf) in beamed.iter().zip(&buffers[..2]) {
-            assert_eq!(got, &assistant.suggest(buf), "batched beam for {buf:?}");
+        for (beam, precision, verify) in [
+            (2, Precision::F32, None),
+            (1, Precision::Int8, None),
+            (2, Precision::Int8, Some(verify.clone())),
+            (2, Precision::F32, Some(verify)),
+        ] {
+            assistant.decode = DecodeOptions {
+                beam,
+                min_len: 0,
+                precision,
+            };
+            assistant.verify = verify;
+            let batched = assistant.suggest_batch(&buffers[..2]);
+            for (got, buf) in batched.iter().zip(&buffers[..2]) {
+                assert_eq!(
+                    got,
+                    &assistant.suggest(buf),
+                    "beam={beam} {precision:?} verify={} for {buf:?}",
+                    assistant.verify.is_some()
+                );
+            }
         }
     }
 
     /// An `Int8` artifact serves through the quantized kernels end to end
     /// — single and batched paths agree with each other, the quantized
     /// weights are primed once at load, and predictions survive a
-    /// save/load round trip.
+    /// save/load round trip. In either precision the decoder weights are
+    /// prepared once per artifact, not once per call.
     #[test]
     fn int8_artifact_serves_and_roundtrips() {
-        let mut assistant = tiny_assistant();
+        let shared = tiny_assistant();
+        for precision in [Precision::F32, Precision::Int8] {
+            // Fresh caches: `tiny_assistant()` clones share theirs with
+            // whatever precision a concurrently running test set.
+            let assistant = MpiRical::from_parts(
+                shared.model.clone(),
+                shared.input_format,
+                DecodeOptions {
+                    precision,
+                    ..shared.decode
+                },
+                None,
+            );
+            let first = assistant.suggest("int main() { int rank; return 0; }");
+            let bundle = assistant.engine_model();
+            assert_eq!(bundle.precision(), precision);
+            assert_eq!(
+                assistant.suggest("int main() { int rank; return 0; }"),
+                first
+            );
+            assert!(
+                Arc::ptr_eq(&bundle, &assistant.engine_model()),
+                "{precision:?}: a second call must not re-pack or re-quantize the weights"
+            );
+        }
+        let mut assistant = shared;
         assistant.decode = DecodeOptions {
             beam: 1,
             min_len: 0,
-            precision: crate::Precision::Int8,
+            precision: Precision::Int8,
         };
         let buffers = [
             "int main() { int rank; printf(\"a\\n\"); return 0; }",
@@ -943,7 +829,7 @@ mod tests {
         let path = dir.join("assistant.json");
         assistant.save(&path).unwrap();
         let loaded = MpiRical::load(&path).unwrap();
-        assert_eq!(loaded.decode.precision, crate::Precision::Int8);
+        assert_eq!(loaded.decode.precision, Precision::Int8);
         assert!(
             loaded.quant.get().is_some(),
             "Int8 artifact quantizes at load time"

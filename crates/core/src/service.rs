@@ -78,8 +78,7 @@
 //! println!("peak KV bytes: {}", service.pool_stats().peak_bytes());
 //! ```
 
-use crate::assistant::{apply_health, canonical_program, MpiRical, Suggestion};
-use crate::tokenize::calls_from_ids;
+use crate::assistant::{MpiRical, Suggestion};
 use crate::verify::VerifyStats;
 use mpirical_cparse::{ParseHealth, Program};
 use mpirical_model::{
@@ -244,6 +243,18 @@ struct PendingVerify {
 }
 
 impl<'m> SuggestService<'m> {
+    /// An idle service over a constructed backend.
+    fn over(assistant: AssistantHandle<'m>, backend: Backend<'m>) -> SuggestService<'m> {
+        SuggestService {
+            assistant,
+            backend,
+            health: HashMap::new(),
+            tickets: HashMap::new(),
+            verify_queue: Vec::new(),
+            verify_done: HashMap::new(),
+        }
+    }
+
     /// Service with the default lane count ([`DEFAULT_MAX_BATCH`]
     /// concurrent requests).
     pub fn new(assistant: &'m MpiRical) -> SuggestService<'m> {
@@ -284,14 +295,10 @@ impl<'m> SuggestService<'m> {
                 std::borrow::Cow::Borrowed(assistant.int8_weights()),
             ),
         };
-        SuggestService {
-            assistant: AssistantHandle::Borrowed(assistant),
-            backend: Backend::Inline(Box::new(decoder)),
-            health: HashMap::new(),
-            tickets: HashMap::new(),
-            verify_queue: Vec::new(),
-            verify_done: HashMap::new(),
-        }
+        SuggestService::over(
+            AssistantHandle::Borrowed(assistant),
+            Backend::Inline(Box::new(decoder)),
+        )
     }
 
     /// Service backed by a sharded multi-worker [`Engine`]: `workers`
@@ -331,14 +338,10 @@ impl<'m> SuggestService<'m> {
         }
         cfg.max_batch = cfg.max_batch.max(assistant.decode.beam);
         let engine = Engine::new(assistant.engine_model(), cfg);
-        SuggestService {
-            assistant: AssistantHandle::Borrowed(assistant),
-            backend: Backend::Sharded(engine),
-            health: HashMap::new(),
-            tickets: HashMap::new(),
-            verify_queue: Vec::new(),
-            verify_done: HashMap::new(),
-        }
+        SuggestService::over(
+            AssistantHandle::Borrowed(assistant),
+            Backend::Sharded(engine),
+        )
     }
 
     /// [`sharded`](Self::sharded), but **owning** the artifact: the service
@@ -372,14 +375,7 @@ impl<'m> SuggestService<'m> {
         }
         cfg.max_batch = cfg.max_batch.max(assistant.decode.beam);
         let engine = Engine::new(assistant.engine_model(), cfg);
-        SuggestService {
-            assistant: AssistantHandle::Owned(assistant),
-            backend: Backend::Sharded(engine),
-            health: HashMap::new(),
-            tickets: HashMap::new(),
-            verify_queue: Vec::new(),
-            verify_done: HashMap::new(),
-        }
+        SuggestService::over(AssistantHandle::Owned(assistant), Backend::Sharded(engine))
     }
 
     /// Queue a raw (possibly mid-edit) C buffer for suggestion at the
@@ -405,14 +401,8 @@ impl<'m> SuggestService<'m> {
             .backend
             .submit(self.assistant.request_from_encoded(&enc, submit));
         self.health.insert(id, enc.health);
-        if self.assistant.verify.is_some() {
-            self.tickets.insert(
-                id,
-                Ticket {
-                    base: canonical_program(c_source),
-                    interactive,
-                },
-            );
+        if let Some(base) = self.assistant.verify_base(c_source) {
+            self.tickets.insert(id, Ticket { base, interactive });
         }
         id
     }
@@ -537,23 +527,17 @@ impl<'m> SuggestService<'m> {
     /// Run the closed loop for one decoded ticket and park the finished
     /// poll result for redemption.
     fn finish_verified(&mut self, pending: PendingVerify) {
-        let vopts = self
-            .assistant
-            .verify
-            .as_ref()
-            .expect("finish_verified only runs on verifying artifacts");
-        let (mut suggestions, stats) =
-            self.assistant
-                .verify_and_rank(&pending.base, pending.hypotheses, vopts);
         let health = self.health.remove(&pending.id).unwrap_or_default();
-        apply_health(&mut suggestions, &health);
+        let (suggestions, verify) =
+            self.assistant
+                .assemble(Some(&pending.base), pending.hypotheses, &health);
         self.verify_done.insert(
             pending.id,
             SuggestPoll::Done {
                 suggestions,
                 telemetry: pending.telemetry,
                 health,
-                verify: Some(stats),
+                verify,
             },
         );
     }
@@ -669,39 +653,28 @@ impl<'m> SuggestService<'m> {
         match self.backend.poll(id) {
             PollResult::Queued { position } => SuggestPoll::Queued { position },
             PollResult::Decoding { tokens_so_far } => {
-                let mut partial = self.suggestions_from(&tokens_so_far);
-                if let Some(h) = self.health.get(&id) {
-                    apply_health(&mut partial, h);
-                }
+                // The partial winner, unverified: no splice base.
+                let clean = ParseHealth::default();
+                let health = self.health.get(&id).unwrap_or(&clean);
+                let (partial, _) = self.assistant.assemble(None, vec![tokens_so_far], health);
                 SuggestPoll::Decoding { partial }
             }
             PollResult::Done {
-                ids,
                 hypotheses,
                 telemetry,
+                ..
             } => {
                 // A verifying ticket landing here finished between the last
                 // sweep and this poll: verify it now.
-                if let Some(ticket) = self.tickets.remove(&id) {
-                    self.finish_verified(PendingVerify {
-                        id,
-                        base: ticket.base,
-                        hypotheses,
-                        telemetry,
-                    });
-                    return self
-                        .verify_done
-                        .remove(&id)
-                        .expect("finish_verified parked the result");
-                }
-                let mut suggestions = self.suggestions_from(&ids);
+                let base = self.tickets.remove(&id).map(|t| t.base);
                 let health = self.health.remove(&id).unwrap_or_default();
-                apply_health(&mut suggestions, &health);
+                let (suggestions, verify) =
+                    self.assistant.assemble(base.as_ref(), hypotheses, &health);
                 SuggestPoll::Done {
                     suggestions,
                     telemetry,
                     health,
-                    verify: None,
+                    verify,
                 }
             }
             PollResult::Cancelled => {
@@ -711,13 +684,6 @@ impl<'m> SuggestService<'m> {
             }
             PollResult::Unknown => SuggestPoll::Unknown,
         }
-    }
-
-    fn suggestions_from(&self, ids: &[usize]) -> Vec<Suggestion> {
-        calls_from_ids(ids, &self.assistant.model.vocab)
-            .into_iter()
-            .map(Suggestion::from)
-            .collect()
     }
 }
 

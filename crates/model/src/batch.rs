@@ -63,7 +63,7 @@
 //! A request may decode with any `beam ≤ max_batch`. The scheduler reserves
 //! `beam` lanes for it and runs the *exact* single-request beam semantics —
 //! `expand_beams` and `ranked_hypothesis_ids` are literally shared with
-//! [`decode_encoded_prompted`](crate::decode::decode_encoded_prompted) — over
+//! [`decode_reference`](crate::decode::decode_reference) — over
 //! hypotheses that are stepped in lockstep with every other request's.
 //! Hypothesis forks are copy-on-write page shares (all lanes draw from one
 //! [`PagePool`]), so a beam expansion bumps refcounts instead of copying
@@ -94,8 +94,8 @@
 //! token selection shares greedy's argmax and beam's expansion code, and
 //! paged storage is bitwise-equal to the contiguous reference. A request
 //! decoded in a full batch — even one preempted and resumed mid-flight —
-//! returns **the same tokens** as
-//! [`decode_encoded_prompted`](crate::decode::decode_encoded_prompted)
+//! returns **the same ranked hypotheses** as
+//! [`decode_reference`](crate::decode::decode_reference)
 //! would alone, for any beam width; the tests here and the property
 //! harnesses in `tests/paged_cache_props.rs` and `tests/serving_props.rs`
 //! assert it.
@@ -103,9 +103,12 @@
 //! # Example
 //!
 //! ```
-//! use mpirical_model::{BatchDecoder, BatchRequest, DecodeOptions, ModelConfig, PollResult};
-//! use mpirical_model::decode::{decode_encoded, encode_source};
+//! use mpirical_model::{
+//!     BatchDecoder, BatchRequest, DecodeOptions, DecoderCache, ModelConfig, PollResult,
+//! };
+//! use mpirical_model::decode::{decode_reference, encode_source};
 //! use mpirical_model::transformer::build_params;
+//! use mpirical_model::vocab::SOS;
 //! use mpirical_tensor::ParamStore;
 //!
 //! let mut cfg = ModelConfig::tiny();
@@ -123,15 +126,20 @@
 //! let b = dec.submit(BatchRequest::beam(enc.clone(), 12, 3));
 //! dec.run();
 //!
-//! // Batched outputs are exactly the single-request outputs.
-//! let greedy = decode_encoded(&store, &params, &cfg, &enc, 12, DecodeOptions::default());
-//! let beamed = decode_encoded(&store, &params, &cfg, &enc, 12,
-//!     DecodeOptions { beam: 3, min_len: 0, ..Default::default() });
+//! // Batched outputs are exactly the single-request reference's, down
+//! // to the order of the final beam.
+//! let reference = |opts| {
+//!     let cache = DecoderCache::new(&store, &params, &cfg, &enc);
+//!     decode_reference(&store, &params, &cfg, None, cache, &[SOS], 12, opts)
+//! };
+//! let greedy = reference(DecodeOptions::default());
+//! let beamed = reference(DecodeOptions { beam: 3, ..Default::default() });
 //! let PollResult::Done { ids, telemetry, .. } = dec.poll(a) else { panic!("retired") };
-//! assert_eq!(ids, greedy);
+//! assert_eq!(ids, greedy[0]);
 //! assert!(telemetry.decode_steps > 0);
-//! assert_eq!(dec.poll(b).into_output().unwrap(), beamed);
-//! assert_eq!(dec.poll(bulk).into_output().unwrap(), greedy);
+//! let PollResult::Done { hypotheses, .. } = dec.poll(b) else { panic!("retired") };
+//! assert_eq!(hypotheses, beamed);
+//! assert_eq!(dec.poll(bulk).into_output().unwrap(), greedy[0]);
 //! assert!(matches!(dec.poll(a), PollResult::Unknown), "ticket already redeemed");
 //! ```
 
@@ -195,7 +203,7 @@ pub enum Priority {
 }
 
 /// Per-request submission knobs, carried by [`BatchRequest`] and flowing
-/// through `MpiRical::batch_request` → [`BatchDecoder::submit`] and the
+/// through `MpiRical::request_from_encoded` → [`BatchDecoder::submit`] and the
 /// service layer's `submit_with`. Serializable so a network daemon can
 /// carry it verbatim inside its wire `Submit` request.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default, Serialize, Deserialize)]
@@ -348,7 +356,7 @@ pub struct BatchRequest {
     /// caller resume a partially-decoded sequence. Must be non-empty.
     pub prompt: Vec<usize>,
     /// Length cap counting the prompt, clamped to `cfg.max_dec_len`
-    /// (mirrors the `max_len` of [`decode_encoded`](crate::decode::decode_encoded)).
+    /// (mirrors the `max_len` of [`decode_reference`](crate::decode::decode_reference)).
     pub max_len: usize,
     /// Per-request decoding knobs: any `1 ≤ beam ≤ max_batch` (the request
     /// reserves `beam` lanes); `min_len` suppresses `<eos>` until that many
@@ -1382,23 +1390,19 @@ impl<'m> BatchDecoder<'m> {
         while self.step() > 0 {}
     }
 
-    /// Convenience: submit every request, run to completion, and return the
-    /// results in submission order.
+    /// Convenience: submit every request, run to completion, and return
+    /// each request's winning ids in submission order — element 0 of
+    /// [`decode_all_hypotheses`](Self::decode_all_hypotheses).
     pub fn decode_all(&mut self, reqs: Vec<BatchRequest>) -> Vec<Vec<usize>> {
-        let ids: Vec<RequestId> = reqs.into_iter().map(|r| self.submit(r)).collect();
-        self.run();
-        ids.into_iter()
-            .map(|id| match self.poll(id) {
-                PollResult::Done { ids, .. } => ids,
-                other => panic!("run() retires every request (got {other:?})"),
-            })
-            .collect()
+        let ranked = self.decode_all_hypotheses(reqs).into_iter();
+        ranked.map(|mut hyps| hyps.swap_remove(0)).collect()
     }
 
-    /// [`decode_all`](Self::decode_all) keeping every request's full ranked
-    /// hypothesis list (score-descending; element 0 is the winner
-    /// `decode_all` would return) — consumers that re-rank the beam by
-    /// external evidence use this instead of polling by hand.
+    /// Submit every request, run to completion, and return every request's
+    /// full ranked hypothesis list in submission order (score-descending,
+    /// never empty; a greedy request has exactly one) — consumers that
+    /// re-rank the beam by external evidence use this instead of polling
+    /// by hand.
     pub fn decode_all_hypotheses(&mut self, reqs: Vec<BatchRequest>) -> Vec<Vec<Vec<usize>>> {
         let ids: Vec<RequestId> = reqs.into_iter().map(|r| self.submit(r)).collect();
         self.run();
@@ -1414,7 +1418,7 @@ impl<'m> BatchDecoder<'m> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::decode::{decode_encoded, decode_encoded_prompted, encode_source};
+    use crate::decode::{decode_reference, encode_source};
     use crate::radix::PREFIX_CACHE_CAP;
     use crate::transformer::build_params;
     use crate::vocab::SOS;
@@ -1440,6 +1444,21 @@ mod tests {
         encode_source(store, params, cfg, &src)
     }
 
+    /// Winner of the single-request reference on the paged layout the
+    /// scheduler itself runs.
+    fn reference_ids(
+        store: &ParamStore,
+        params: &TransformerParams,
+        cfg: &ModelConfig,
+        enc_out: &Tensor,
+        prompt: &[usize],
+        max_len: usize,
+        opts: DecodeOptions,
+    ) -> Vec<usize> {
+        let cache = DecoderCache::new(store, params, cfg, enc_out);
+        decode_reference(store, params, cfg, None, cache, prompt, max_len, opts).swap_remove(0)
+    }
+
     /// Redeem a ticket that must be finished.
     fn take(dec: &mut BatchDecoder, id: RequestId) -> Vec<usize> {
         match dec.poll(id) {
@@ -1452,7 +1471,15 @@ mod tests {
     fn batch_of_one_equals_single_request_path() {
         let (cfg, store, params) = setup();
         let e = enc(&store, &params, &cfg, 1);
-        let single = decode_encoded(&store, &params, &cfg, &e, 20, DecodeOptions::default());
+        let single = reference_ids(
+            &store,
+            &params,
+            &cfg,
+            &e,
+            &[SOS],
+            20,
+            DecodeOptions::default(),
+        );
         let mut dec = BatchDecoder::new(&store, &params, &cfg, 1);
         let out = dec.decode_all(vec![BatchRequest::greedy(e, 20)]);
         assert_eq!(out[0], single);
@@ -1464,7 +1491,17 @@ mod tests {
         let encs: Vec<Tensor> = (0..8).map(|i| enc(&store, &params, &cfg, i)).collect();
         let singles: Vec<Vec<usize>> = encs
             .iter()
-            .map(|e| decode_encoded(&store, &params, &cfg, e, 24, DecodeOptions::default()))
+            .map(|e| {
+                reference_ids(
+                    &store,
+                    &params,
+                    &cfg,
+                    e,
+                    &[SOS],
+                    24,
+                    DecodeOptions::default(),
+                )
+            })
             .collect();
         let mut dec = BatchDecoder::new(&store, &params, &cfg, 8);
         let reqs = encs
@@ -1483,9 +1520,7 @@ mod tests {
         let refs: Vec<Vec<usize>> = prompts
             .iter()
             .zip(&encs)
-            .map(|(p, e)| {
-                decode_encoded_prompted(&store, &params, &cfg, e, p, 18, DecodeOptions::default())
-            })
+            .map(|(p, e)| reference_ids(&store, &params, &cfg, e, p, 18, DecodeOptions::default()))
             .collect();
         let mut dec = BatchDecoder::new(&store, &params, &cfg, 3);
         let reqs = prompts
@@ -1518,7 +1553,7 @@ mod tests {
                     min_len,
                     ..Default::default()
                 };
-                decode_encoded_prompted(&store, &params, &cfg, e, &[SOS], max_len, opts)
+                reference_ids(&store, &params, &cfg, e, &[SOS], max_len, opts)
             })
             .collect();
         let mut dec = BatchDecoder::new(&store, &params, &cfg, 3);
@@ -1548,7 +1583,17 @@ mod tests {
         let encs: Vec<Tensor> = (0..3).map(|i| enc(&store, &params, &cfg, i)).collect();
         let refs: Vec<Vec<usize>> = encs
             .iter()
-            .map(|e| decode_encoded(&store, &params, &cfg, e, 16, DecodeOptions::default()))
+            .map(|e| {
+                reference_ids(
+                    &store,
+                    &params,
+                    &cfg,
+                    e,
+                    &[SOS],
+                    16,
+                    DecodeOptions::default(),
+                )
+            })
             .collect();
         let mut dec = BatchDecoder::new(&store, &params, &cfg, 4);
         let a = dec.submit(BatchRequest::greedy(encs[0].clone(), 16));
@@ -1574,7 +1619,17 @@ mod tests {
         let encs: Vec<Tensor> = (0..5).map(|i| enc(&store, &params, &cfg, i)).collect();
         let refs: Vec<Vec<usize>> = encs
             .iter()
-            .map(|e| decode_encoded(&store, &params, &cfg, e, 10, DecodeOptions::default()))
+            .map(|e| {
+                reference_ids(
+                    &store,
+                    &params,
+                    &cfg,
+                    e,
+                    &[SOS],
+                    10,
+                    DecodeOptions::default(),
+                )
+            })
             .collect();
         let mut dec = BatchDecoder::new(&store, &params, &cfg, 2);
         let ids: Vec<RequestId> = encs
@@ -1662,13 +1717,14 @@ mod tests {
         let refs: Vec<Vec<usize>> = encs
             .iter()
             .take(lanes)
-            .map(|e| decode_encoded(&store, &params, &cfg, e, 24, long))
+            .map(|e| reference_ids(&store, &params, &cfg, e, &[SOS], 24, long))
             .collect();
-        let interactive_ref = decode_encoded(
+        let interactive_ref = reference_ids(
             &store,
             &params,
             &cfg,
             &encs[lanes],
+            &[SOS],
             24,
             DecodeOptions::default(),
         );
@@ -1757,11 +1813,12 @@ mod tests {
     fn aged_bulk_is_admitted_and_protected_under_interactive_flood() {
         let (cfg, store, params) = setup();
         let e = enc(&store, &params, &cfg, 3);
-        let bulk_ref = decode_encoded(
+        let bulk_ref = reference_ids(
             &store,
             &params,
             &cfg,
             &e,
+            &[SOS],
             12,
             DecodeOptions {
                 beam: 1,
@@ -1854,11 +1911,12 @@ mod tests {
             let got = take(&mut dec, id);
             assert_eq!(
                 got,
-                decode_encoded(
+                reference_ids(
                     &store,
                     &params,
                     &cfg,
                     &encs[if id == running { 0 } else { 3 }],
+                    &[SOS],
                     20,
                     long
                 ),
@@ -1885,7 +1943,7 @@ mod tests {
             min_len: 10,
             ..Default::default()
         };
-        let full = decode_encoded(&store, &params, &cfg, &e, 20, opts);
+        let full = reference_ids(&store, &params, &cfg, &e, &[SOS], 20, opts);
         assert!(full.len() >= 10);
         let mut dec = BatchDecoder::new(&store, &params, &cfg, 2);
         let capped = dec.submit(BatchRequest {
@@ -1925,7 +1983,7 @@ mod tests {
             };
             let refs: Vec<Vec<usize>> = encs
                 .iter()
-                .map(|e| decode_encoded(&store, &params, &cfg, e, 16, opts))
+                .map(|e| reference_ids(&store, &params, &cfg, e, &[SOS], 16, opts))
                 .collect();
             let mut dec = BatchDecoder::new(&store, &params, &cfg, 3 * beam);
             let reqs = encs
@@ -1973,7 +2031,7 @@ mod tests {
         let refs: Vec<Vec<usize>> = specs
             .iter()
             .zip(&encs)
-            .map(|(&opts, e)| decode_encoded(&store, &params, &cfg, e, 14, opts))
+            .map(|(&opts, e)| reference_ids(&store, &params, &cfg, e, &[SOS], 14, opts))
             .collect();
         let mut dec = BatchDecoder::new(&store, &params, &cfg, 8);
         let reqs = specs
@@ -2001,7 +2059,7 @@ mod tests {
             min_len: 2,
             ..Default::default()
         };
-        let reference = decode_encoded_prompted(&store, &params, &cfg, &e, &prompt, 15, opts);
+        let reference = reference_ids(&store, &params, &cfg, &e, &prompt, 15, opts);
         let mut dec = BatchDecoder::new(&store, &params, &cfg, 4);
         let out = dec.decode_all(vec![BatchRequest {
             enc_out: e,
@@ -2028,7 +2086,7 @@ mod tests {
         };
         let refs: Vec<Vec<usize>> = encs
             .iter()
-            .map(|e| decode_encoded(&store, &params, &cfg, e, 12, opts))
+            .map(|e| reference_ids(&store, &params, &cfg, e, &[SOS], 12, opts))
             .collect();
         // 3 beam-2 requests through 4 lanes: at most two decode at a time.
         let mut dec = BatchDecoder::new(&store, &params, &cfg, 4);
@@ -2079,7 +2137,7 @@ mod tests {
             min_len: 0,
             ..Default::default()
         };
-        let wide_ref = decode_encoded(&store, &params, &cfg, &encs[2], 12, wide_opts);
+        let wide_ref = reference_ids(&store, &params, &cfg, &encs[2], &[SOS], 12, wide_opts);
         let wide = dec.submit(BatchRequest {
             enc_out: encs[2].clone(),
             prompt: vec![SOS],
@@ -2094,11 +2152,11 @@ mod tests {
         assert_eq!(take(&mut dec, wide), wide_ref);
         assert_eq!(
             take(&mut dec, b0),
-            decode_encoded(&store, &params, &cfg, &encs[0], 12, long)
+            reference_ids(&store, &params, &cfg, &encs[0], &[SOS], 12, long)
         );
         assert_eq!(
             take(&mut dec, b1),
-            decode_encoded(&store, &params, &cfg, &encs[1], 12, long)
+            reference_ids(&store, &params, &cfg, &encs[1], &[SOS], 12, long)
         );
     }
 
@@ -2161,7 +2219,7 @@ mod tests {
                     min_len,
                     precision: Precision::Int8,
                 };
-                decode_encoded(&store, &params, &cfg, e, 14, opts)
+                reference_ids(&store, &params, &cfg, e, &[SOS], 14, opts)
             })
             .collect();
         let mut dec = BatchDecoder::with_precision(&store, &params, &cfg, 8, Precision::Int8);
@@ -2215,7 +2273,15 @@ mod tests {
     fn identical_prompts_share_prefill_pages() {
         let (cfg, store, params) = setup();
         let e = enc(&store, &params, &cfg, 3);
-        let reference = decode_encoded(&store, &params, &cfg, &e, 18, DecodeOptions::default());
+        let reference = reference_ids(
+            &store,
+            &params,
+            &cfg,
+            &e,
+            &[SOS],
+            18,
+            DecodeOptions::default(),
+        );
         let mut dec = BatchDecoder::new(&store, &params, &cfg, 4);
         let a = dec.submit(BatchRequest::greedy(e.clone(), 18));
         dec.run();
@@ -2245,9 +2311,7 @@ mod tests {
         edited[16] += 1; // diverge *after* the first page's 16 fed tokens
         let refs: Vec<Vec<usize>> = [&base, &edited]
             .iter()
-            .map(|p| {
-                decode_encoded_prompted(&store, &params, &cfg, &e, p, 24, DecodeOptions::default())
-            })
+            .map(|p| reference_ids(&store, &params, &cfg, &e, p, 24, DecodeOptions::default()))
             .collect();
 
         let mut dec = BatchDecoder::new(&store, &params, &cfg, 4);
@@ -2385,12 +2449,20 @@ mod tests {
         assert_eq!(dec.preemptions(), 1);
         dec.run();
         // Everyone still finishes with reference-identical output.
-        let short_ref = decode_encoded(&store, &params, &cfg, &e, 12, DecodeOptions::default());
+        let short_ref = reference_ids(
+            &store,
+            &params,
+            &cfg,
+            &e,
+            &[SOS],
+            12,
+            DecodeOptions::default(),
+        );
         assert_eq!(take(&mut dec, aged), short_ref);
         assert_eq!(take(&mut dec, interactive), short_ref);
         assert_eq!(
             take(&mut dec, running),
-            decode_encoded(&store, &params, &cfg, &e, 24, long)
+            reference_ids(&store, &params, &cfg, &e, &[SOS], 24, long)
         );
     }
 
@@ -2484,7 +2556,7 @@ mod tests {
             min_len: 12,
             ..Default::default()
         };
-        let reference = decode_encoded(&store, &params, &cfg, &eb, 20, opts);
+        let reference = reference_ids(&store, &params, &cfg, &eb, &[SOS], 20, opts);
         let mut dec = BatchDecoder::new(&store, &params, &cfg, 2);
         dec.set_aging_steps(6);
         let bulk = dec.submit(

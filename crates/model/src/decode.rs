@@ -1,31 +1,34 @@
-//! Inference-time decoding: greedy and beam search over the KV-cached
-//! incremental engine.
+//! Decoding semantics: [`DecodeOptions`], the token-selection and
+//! beam-expansion primitives the lockstep scheduler runs, and the two
+//! single-request **reference** drivers the test suites and benches compare
+//! that scheduler against.
 //!
-//! The encoder runs once per input. Generation then feeds **one token per
-//! step** through [`decode_step`], which attends
-//! over a
-//! [`DecoderCache`] of per-layer self-attention K/V plus cross-attention
-//! K/V projected once from the encoder output — O(T·L) attention work per
-//! token. Beam search forks hypotheses by cloning the cache — with the
-//! paged storage a clone shares every K/V page copy-on-write, so a fork
-//! costs refcount bumps, not row copies — and selects top-k next tokens
-//! with `select_nth_unstable_by`, O(V) instead of a full-vocabulary sort.
+//! Production decoding — one buffer or many — is a
+//! [`BatchDecoder`](crate::batch::BatchDecoder) request (behind an
+//! [`Engine`](crate::engine::Engine) for anything long-lived): a batch of
+//! one *is* the single-request path. What stays here is what that loop is
+//! pinned to:
 //!
-//! [`greedy_decode_replay`] / [`beam_decode_replay`] keep the original
-//! cache-free path — replaying the whole decoder prefix on a fresh tape
-//! every step, O(T²·L) — as the reference implementation: the equivalence
-//! tests below pin the cached engine's logits to it step by step, and the
-//! `decode` criterion bench group measures the speedup against it.
-//!
-//! For serving N concurrent generations, see
-//! [`BatchDecoder`](crate::batch::BatchDecoder), which runs this module's
-//! greedy semantics over many requests in lockstep.
+//! * [`decode_reference`] — one generation over a caller-built
+//!   [`DecoderCache`], one [`decode_step`] per token, greedy or beam. Beam
+//!   search forks hypotheses by cloning the cache (a copy-on-write page
+//!   share on the paged layout) and selects top-k next tokens with
+//!   `select_nth_unstable_by`, O(V) instead of a full-vocabulary sort. The
+//!   scheduler shares `argmax_token`, `expand_beams` and
+//!   `ranked_hypothesis_ids` with it, so the two can only differ inside the
+//!   step kernels — which the property suites pin bitwise.
+//! * [`replay_decode_with`] — the cache-free path: the whole decoder prefix
+//!   replayed on a fresh autograd tape every step, O(T²·L). The tests below
+//!   pin the cached step's logits to it step by step, and the `decode`
+//!   criterion group measures the cache's speedup against it.
 //!
 //! # Example
 //!
 //! ```
+//! use mpirical_model::decode::{decode_reference, encode_source, replay_decode_with};
 //! use mpirical_model::transformer::build_params;
-//! use mpirical_model::{decode_with, greedy_decode, DecodeOptions, ModelConfig};
+//! use mpirical_model::vocab::SOS;
+//! use mpirical_model::{DecodeOptions, DecoderCache, ModelConfig};
 //! use mpirical_tensor::ParamStore;
 //!
 //! let mut cfg = ModelConfig::tiny();
@@ -33,12 +36,15 @@
 //! let mut store = ParamStore::new();
 //! let params = build_params(&cfg, &mut store, 3);
 //! let src = [1, 6, 7, 2]; // <sos> … <eos>
+//! let enc = encode_source(&store, &params, &cfg, &src);
 //!
-//! // `beam: 1` decodes exactly the greedy tokens; `min_len` can force
-//! // longer outputs by suppressing `<eos>`.
-//! let greedy = greedy_decode(&store, &params, &cfg, &src, 12);
-//! let opts = DecodeOptions { beam: 1, min_len: 0, ..Default::default() };
-//! assert_eq!(decode_with(&store, &params, &cfg, &src, 12, opts), greedy);
+//! // The caller picks the cache layout; the ranked hypotheses come back
+//! // best-first (greedy yields exactly one).
+//! let opts = DecodeOptions::default();
+//! let cache = DecoderCache::new(&store, &params, &cfg, &enc);
+//! let ranked = decode_reference(&store, &params, &cfg, None, cache, &[SOS], 12, opts);
+//! assert_eq!(ranked.len(), 1);
+//! assert_eq!(ranked[0], replay_decode_with(&store, &params, &cfg, &src, 12, opts));
 //! ```
 
 use crate::config::ModelConfig;
@@ -90,255 +96,40 @@ impl DecodeOptions {
     }
 }
 
-/// Greedy decoding: returns generated ids *without* the leading `<sos>` or
-/// trailing `<eos>`.
-pub fn greedy_decode(
-    store: &ParamStore,
-    params: &TransformerParams,
-    cfg: &ModelConfig,
-    src_ids: &[usize],
-    max_len: usize,
-) -> Vec<usize> {
-    decode_with(
-        store,
-        params,
-        cfg,
-        src_ids,
-        max_len,
-        DecodeOptions::default(),
-    )
-}
-
-/// Beam-search decoding with length-normalized scoring. `beam = 1` is
-/// equivalent to greedy. Returns the best hypothesis without `<sos>`/`<eos>`.
-pub fn beam_decode(
-    store: &ParamStore,
-    params: &TransformerParams,
-    cfg: &ModelConfig,
-    src_ids: &[usize],
-    max_len: usize,
-    beam: usize,
-) -> Vec<usize> {
-    decode_with(
-        store,
-        params,
-        cfg,
-        src_ids,
-        max_len,
-        DecodeOptions {
-            beam,
-            min_len: 0,
-            ..Default::default()
-        },
-    )
-}
-
-/// KV-cached generation with explicit options: runs the encoder once, then
-/// decodes via [`decode_encoded`].
-pub fn decode_with(
-    store: &ParamStore,
-    params: &TransformerParams,
-    cfg: &ModelConfig,
-    src_ids: &[usize],
-    max_len: usize,
-    opts: DecodeOptions,
-) -> Vec<usize> {
-    let enc_out = encode_source(store, params, cfg, src_ids);
-    decode_encoded(store, params, cfg, &enc_out, max_len, opts)
-}
-
-/// KV-cached generation over an already-computed encoder output
-/// (`[T_enc, d_model]`). This is the decode-only half of [`decode_with`]:
-/// callers that manage encoder outputs themselves — the batched scheduler,
-/// decode-only benchmarks, anything re-decoding the same source with
-/// different options — use it to skip the encoder pass.
-pub fn decode_encoded(
-    store: &ParamStore,
-    params: &TransformerParams,
-    cfg: &ModelConfig,
-    enc_out: &Tensor,
-    max_len: usize,
-    opts: DecodeOptions,
-) -> Vec<usize> {
-    decode_encoded_prompted(store, params, cfg, enc_out, &[SOS], max_len, opts)
-}
-
-/// [`decode_encoded`] generalized to an arbitrary forced decoder prefix:
-/// `prompt` is fed token-by-token (prefill), then greedy or beam generation
-/// continues from it; the returned ids exclude the prompt. With
-/// `prompt == [<sos>]` this is exactly [`decode_encoded`]. `max_len` counts
-/// the prompt (a prompt at or past the cap generates nothing), `min_len`
-/// counts generated tokens only.
+/// The single-request cached reference: feed `prompt` token by token into
+/// `cache` (prefill), continue with greedy or beam generation, and return
+/// **every** final hypothesis' generated ids (prompt excluded) best-first by
+/// length-normalized score. Greedy (`beam == 1`) yields exactly one
+/// hypothesis; beam search yields the final ranked beam.
 ///
-/// This is the single-request reference semantics for every
-/// [`BatchDecoder`](crate::batch::BatchDecoder) request — the scheduler's
-/// equivalence tests and the property harness pin batched outputs to it.
-pub fn decode_encoded_prompted(
-    store: &ParamStore,
-    params: &TransformerParams,
-    cfg: &ModelConfig,
-    enc_out: &Tensor,
-    prompt: &[usize],
-    max_len: usize,
-    opts: DecodeOptions,
-) -> Vec<usize> {
-    decode_prompted_impl(store, params, cfg, prompt, max_len, opts, None, || {
-        DecoderCache::new(store, params, cfg, enc_out)
-    })
-}
-
-/// [`decode_encoded_prompted`] running the **int8 quantized** projection
-/// kernels against pre-quantized weights. Long-lived callers (the
-/// assistant artifact, the service layer, benchmarks) quantize once via
-/// [`QuantDecoderWeights::new`] and decode any number of requests through
-/// this entry point; one-shot callers can instead set
-/// [`DecodeOptions::precision`] to [`Precision::Int8`] on any decode entry
-/// point and the weights are quantized per call.
+/// This is the semantics of one [`BatchDecoder`](crate::batch::BatchDecoder)
+/// request — the scheduler's unit tests, the property harnesses and the
+/// benches pin its output to this function bitwise, hypothesis for
+/// hypothesis. The caller chooses what is being compared:
+///
+/// * `cache` — a fresh cache over the request's encoder output;
+///   [`DecoderCache::new`] for the paged layout the scheduler runs,
+///   [`DecoderCache::new_contiguous`] for the contiguous reference layout.
+/// * `qw` — prebuilt int8 weights for [`Precision::Int8`] options. `None`
+///   with int8 options quantizes here, once per call; f32 options ignore it.
+/// * `max_len` counts the prompt (a prompt at or past the cap generates
+///   nothing), `opts.min_len` counts generated tokens only.
 #[allow(clippy::too_many_arguments)]
-pub fn decode_encoded_prompted_quant(
-    store: &ParamStore,
-    params: &TransformerParams,
-    cfg: &ModelConfig,
-    qw: &QuantDecoderWeights,
-    enc_out: &Tensor,
-    prompt: &[usize],
-    max_len: usize,
-    opts: DecodeOptions,
-) -> Vec<usize> {
-    let opts = DecodeOptions {
-        precision: Precision::Int8,
-        ..opts
-    };
-    decode_prompted_impl(store, params, cfg, prompt, max_len, opts, Some(qw), || {
-        DecoderCache::new(store, params, cfg, enc_out)
-    })
-}
-
-/// [`decode_encoded_prompted`], but returning **every** final hypothesis'
-/// generated ids, best-first by length-normalized score. Greedy decoding
-/// (`beam == 1`) yields exactly one hypothesis; beam search yields the full
-/// final beam (up to `opts.beam` entries). The first entry is always
-/// bitwise-identical to what [`decode_encoded_prompted`] returns — the
-/// closed-loop verifier relies on this to re-rank candidates without
-/// perturbing the unverified output.
-#[allow(clippy::too_many_arguments)]
-pub fn decode_encoded_prompted_all(
-    store: &ParamStore,
-    params: &TransformerParams,
-    cfg: &ModelConfig,
-    enc_out: &Tensor,
-    prompt: &[usize],
-    max_len: usize,
-    opts: DecodeOptions,
-) -> Vec<Vec<usize>> {
-    decode_prompted_all_impl(store, params, cfg, prompt, max_len, opts, None, || {
-        DecoderCache::new(store, params, cfg, enc_out)
-    })
-}
-
-/// [`decode_encoded_prompted_all`] running the int8 quantized projection
-/// kernels against pre-quantized weights (see
-/// [`decode_encoded_prompted_quant`]).
-#[allow(clippy::too_many_arguments)]
-pub fn decode_encoded_prompted_all_quant(
-    store: &ParamStore,
-    params: &TransformerParams,
-    cfg: &ModelConfig,
-    qw: &QuantDecoderWeights,
-    enc_out: &Tensor,
-    prompt: &[usize],
-    max_len: usize,
-    opts: DecodeOptions,
-) -> Vec<Vec<usize>> {
-    let opts = DecodeOptions {
-        precision: Precision::Int8,
-        ..opts
-    };
-    decode_prompted_all_impl(store, params, cfg, prompt, max_len, opts, Some(qw), || {
-        DecoderCache::new(store, params, cfg, enc_out)
-    })
-}
-
-/// [`decode_encoded_prompted`] on the **contiguous** reference cache layout
-/// ([`DecoderCache::new_contiguous`]). Exists for the property-test harness
-/// and benchmarks, which pin the paged engine's outputs (and, step by step,
-/// its logits) to this path bitwise.
-pub fn decode_encoded_prompted_contiguous(
-    store: &ParamStore,
-    params: &TransformerParams,
-    cfg: &ModelConfig,
-    enc_out: &Tensor,
-    prompt: &[usize],
-    max_len: usize,
-    opts: DecodeOptions,
-) -> Vec<usize> {
-    decode_prompted_impl(store, params, cfg, prompt, max_len, opts, None, || {
-        DecoderCache::new_contiguous(store, params, cfg, enc_out)
-    })
-}
-
-/// One decode step at the options' precision: f32 [`decode_step`] or
-/// quantized [`decode_step_quant`]. The single dispatch point for the
-/// whole single-request engine (prefill, greedy, beam), so the two
-/// precisions can only differ inside the projection kernels.
-fn step_at(
+pub fn decode_reference(
     store: &ParamStore,
     params: &TransformerParams,
     cfg: &ModelConfig,
     qw: Option<&QuantDecoderWeights>,
-    cache: &mut DecoderCache,
-    token: usize,
-) -> Vec<f32> {
-    match qw {
-        None => decode_step(store, params, cfg, cache, token),
-        Some(q) => decode_step_quant(store, params, cfg, q, cache, token),
-    }
-}
-
-/// Shared prompted-generation driver, parameterized over the cache layout
-/// and projection precision (one code path ⇒ paged and contiguous, f32 and
-/// int8, can only differ inside `decode_step`'s kernels, which the
-/// storage-equivalence and quant-accuracy tests cover).
-#[allow(clippy::too_many_arguments)]
-fn decode_prompted_impl(
-    store: &ParamStore,
-    params: &TransformerParams,
-    cfg: &ModelConfig,
+    mut cache: DecoderCache,
     prompt: &[usize],
     max_len: usize,
     opts: DecodeOptions,
-    qw: Option<&QuantDecoderWeights>,
-    new_cache: impl Fn() -> DecoderCache,
-) -> Vec<usize> {
-    decode_prompted_all_impl(store, params, cfg, prompt, max_len, opts, qw, new_cache)
-        .into_iter()
-        .next()
-        .unwrap_or_default()
-}
-
-/// [`decode_prompted_impl`], but returning *every* hypothesis' generated
-/// ids best-first instead of only the winner. Greedy decoding yields a
-/// single hypothesis; beam search yields the final ranked beam. `ranked[0]`
-/// is always bitwise-identical to what [`decode_prompted_impl`] returns.
-#[allow(clippy::too_many_arguments)]
-fn decode_prompted_all_impl(
-    store: &ParamStore,
-    params: &TransformerParams,
-    cfg: &ModelConfig,
-    prompt: &[usize],
-    max_len: usize,
-    opts: DecodeOptions,
-    qw: Option<&QuantDecoderWeights>,
-    new_cache: impl Fn() -> DecoderCache,
 ) -> Vec<Vec<usize>> {
     assert!(
         opts.beam >= 1,
         "beam width must be at least 1 (got 0); use beam = 1 for greedy"
     );
     assert!(!prompt.is_empty(), "prompt must hold at least <sos>");
-    // Quantize on the fly when the options ask for int8 and the caller did
-    // not hand over prebuilt weights (one pass over the decoder weights —
-    // long-lived callers use `decode_encoded_prompted_quant` to avoid it).
     let built;
     let qw = match (opts.precision, qw) {
         (Precision::F32, _) => None,
@@ -352,7 +143,6 @@ fn decode_prompted_all_impl(
     if prompt.len() >= limit {
         return vec![Vec::new()];
     }
-    let mut cache = new_cache();
     for &tok in &prompt[..prompt.len() - 1] {
         step_at(store, params, cfg, qw, &mut cache, tok);
     }
@@ -369,6 +159,24 @@ fn decode_prompted_all_impl(
         )]
     } else {
         beam_cached(store, params, cfg, qw, cache, prompt, limit, opts)
+    }
+}
+
+/// One decode step at the reference's precision: f32 [`decode_step`] or
+/// quantized [`decode_step_quant`]. The single dispatch point for prefill,
+/// greedy and beam, so the two precisions can only differ inside the
+/// projection kernels.
+fn step_at(
+    store: &ParamStore,
+    params: &TransformerParams,
+    cfg: &ModelConfig,
+    qw: Option<&QuantDecoderWeights>,
+    cache: &mut DecoderCache,
+    token: usize,
+) -> Vec<f32> {
+    match qw {
+        None => decode_step(store, params, cfg, cache, token),
+        Some(q) => decode_step_quant(store, params, cfg, q, cache, token),
     }
 }
 
@@ -649,51 +457,11 @@ fn beam_cached(
 // Reference implementation: full prefix replay, no cache
 // ---------------------------------------------------------------------------
 
-/// Greedy decoding by full prefix replay (no KV cache — O(T²·L)). Reference
-/// implementation and benchmark baseline for [`greedy_decode`].
-pub fn greedy_decode_replay(
-    store: &ParamStore,
-    params: &TransformerParams,
-    cfg: &ModelConfig,
-    src_ids: &[usize],
-    max_len: usize,
-) -> Vec<usize> {
-    replay_decode_with(
-        store,
-        params,
-        cfg,
-        src_ids,
-        max_len,
-        DecodeOptions::default(),
-    )
-}
-
-/// Beam-search decoding by full prefix replay. Reference implementation and
-/// benchmark baseline for [`beam_decode`].
-pub fn beam_decode_replay(
-    store: &ParamStore,
-    params: &TransformerParams,
-    cfg: &ModelConfig,
-    src_ids: &[usize],
-    max_len: usize,
-    beam: usize,
-) -> Vec<usize> {
-    replay_decode_with(
-        store,
-        params,
-        cfg,
-        src_ids,
-        max_len,
-        DecodeOptions {
-            beam,
-            min_len: 0,
-            ..Default::default()
-        },
-    )
-}
-
-/// Replay-path generation with explicit options (benchmarks force fixed
-/// lengths through `min_len` on both engines for a fair comparison).
+/// Generation by full prefix replay (no KV cache — O(T²·L)): encodes
+/// `src_ids`, then re-runs the whole decoder prefix on a fresh tape every
+/// step. Returns the winning ids without `<sos>`/`<eos>`. Reference
+/// implementation and benchmark baseline for the cached step (benchmarks
+/// force fixed lengths through `min_len` on both for a fair comparison).
 pub fn replay_decode_with(
     store: &ParamStore,
     params: &TransformerParams,
@@ -788,7 +556,7 @@ pub fn replay_decode_with(
 }
 
 /// Last-row logits of a full decoder replay over `dec_ids` (fresh tape).
-pub fn replay_logits(
+fn replay_logits(
     store: &ParamStore,
     params: &TransformerParams,
     cfg: &ModelConfig,
@@ -817,8 +585,10 @@ mod tests {
     use crate::train::{train, Example, TrainConfig};
     use crate::transformer::build_params;
 
+    type Model = (ModelConfig, ParamStore, TransformerParams);
+
     /// Train a tiny copy model, then decode.
-    fn trained_copy_model() -> (ModelConfig, ParamStore, TransformerParams) {
+    fn trained_copy_model() -> Model {
         let mut cfg = ModelConfig::tiny();
         cfg.vocab_size = 16;
         let mut store = ParamStore::new();
@@ -845,14 +615,49 @@ mod tests {
         (cfg, store, params)
     }
 
+    /// Winner of the cached reference over a fresh cache of the given
+    /// layout.
+    fn cached_on(
+        m: &Model,
+        cache: DecoderCache,
+        qw: Option<&QuantDecoderWeights>,
+        prompt: &[usize],
+        max_len: usize,
+        opts: DecodeOptions,
+    ) -> Vec<usize> {
+        let (cfg, store, params) = m;
+        decode_reference(store, params, cfg, qw, cache, prompt, max_len, opts).swap_remove(0)
+    }
+
+    fn paged(m: &Model, enc_out: &Tensor) -> DecoderCache {
+        DecoderCache::new(&m.1, &m.2, &m.0, enc_out)
+    }
+
+    fn contiguous(m: &Model, enc_out: &Tensor) -> DecoderCache {
+        DecoderCache::new_contiguous(&m.1, &m.2, &m.0, enc_out)
+    }
+
+    /// Encode `src`, then decode from `<sos>` on the paged layout.
+    fn cached(m: &Model, src: &[usize], max_len: usize, opts: DecodeOptions) -> Vec<usize> {
+        let enc_out = encode_source(&m.1, &m.2, &m.0, src);
+        cached_on(m, paged(m, &enc_out), None, &[SOS], max_len, opts)
+    }
+
+    fn beam(beam: usize) -> DecodeOptions {
+        DecodeOptions {
+            beam,
+            ..Default::default()
+        }
+    }
+
     #[test]
     fn greedy_decodes_learned_mapping() {
-        let (cfg, store, params) = trained_copy_model();
+        let m = trained_copy_model();
         let mut correct = 0;
         let mut total = 0;
         for a in 6..12usize {
             for b in 6..12usize {
-                let out = greedy_decode(&store, &params, &cfg, &[SOS, a, b, EOS], 8);
+                let out = cached(&m, &[SOS, a, b, EOS], 8, beam(1));
                 total += 1;
                 if out == vec![a, b] {
                     correct += 1;
@@ -867,19 +672,33 @@ mod tests {
 
     #[test]
     fn greedy_respects_max_len() {
-        let (cfg, store, params) = trained_copy_model();
-        let out = greedy_decode(&store, &params, &cfg, &[SOS, 7, 8, EOS], 2);
+        let m = trained_copy_model();
+        let out = cached(&m, &[SOS, 7, 8, EOS], 2, beam(1));
         assert!(out.len() <= 2);
     }
 
+    /// The greedy driver (argmax) and the beam driver at width 1
+    /// (log-softmax scoring) are separate code; they must agree. Width 1
+    /// dispatches to greedy, so the beam driver is called directly.
     #[test]
     fn beam_one_matches_greedy() {
-        let (cfg, store, params) = trained_copy_model();
+        let m = trained_copy_model();
+        let (cfg, store, params) = &m;
         for a in 6..9usize {
             let src = [SOS, a, a + 1, EOS];
-            let g = greedy_decode(&store, &params, &cfg, &src, 8);
-            let b = beam_decode(&store, &params, &cfg, &src, 8, 1);
-            assert_eq!(g, b, "beam=1 must equal greedy for src {src:?}");
+            let g = cached(&m, &src, 8, beam(1));
+            let enc_out = encode_source(store, params, cfg, &src);
+            let b = beam_cached(
+                store,
+                params,
+                cfg,
+                None,
+                paged(&m, &enc_out),
+                &[SOS],
+                8,
+                beam(1),
+            );
+            assert_eq!(vec![g], b, "beam=1 must equal greedy for src {src:?}");
         }
     }
 
@@ -888,11 +707,9 @@ mod tests {
         // Beam search with width 3 finds a hypothesis with at least the
         // greedy hypothesis' probability; on a well-trained copy task both
         // should emit the same (correct) output.
-        let (cfg, store, params) = trained_copy_model();
+        let m = trained_copy_model();
         let src = [SOS, 9, 10, EOS];
-        let g = greedy_decode(&store, &params, &cfg, &src, 8);
-        let b = beam_decode(&store, &params, &cfg, &src, 8, 3);
-        assert_eq!(g, b);
+        assert_eq!(cached(&m, &src, 8, beam(1)), cached(&m, &src, 8, beam(3)));
     }
 
     // -- cache equivalence -------------------------------------------------
@@ -923,19 +740,15 @@ mod tests {
     /// The cached decoders must emit exactly the replay decoders' outputs.
     #[test]
     fn cached_decoding_matches_replay_decoding() {
-        let (cfg, store, params) = trained_copy_model();
+        let m = trained_copy_model();
+        let (cfg, store, params) = &m;
         for a in 6..10usize {
             let src = [SOS, a, a + 2, EOS];
-            assert_eq!(
-                greedy_decode(&store, &params, &cfg, &src, 10),
-                greedy_decode_replay(&store, &params, &cfg, &src, 10),
-                "greedy divergence for {src:?}"
-            );
-            for beam in [2usize, 3] {
+            for width in [1usize, 2, 3] {
                 assert_eq!(
-                    beam_decode(&store, &params, &cfg, &src, 10, beam),
-                    beam_decode_replay(&store, &params, &cfg, &src, 10, beam),
-                    "beam={beam} divergence for {src:?}"
+                    cached(&m, &src, 10, beam(width)),
+                    replay_decode_with(store, params, cfg, &src, 10, beam(width)),
+                    "beam={width} divergence for {src:?}"
                 );
             }
         }
@@ -945,30 +758,29 @@ mod tests {
     /// bound without panicking, on both engines.
     #[test]
     fn cache_handles_max_length_sequences() {
-        let (cfg, store, params) = trained_copy_model();
+        let m = trained_copy_model();
+        let (cfg, store, params) = &m;
         let src = [SOS, 6, 7, EOS];
         let opts = DecodeOptions {
             beam: 1,
             min_len: cfg.max_dec_len,
             ..Default::default()
         };
-        let cached = decode_with(&store, &params, &cfg, &src, usize::MAX, opts);
+        let cached = cached(&m, &src, usize::MAX, opts);
         assert_eq!(cached.len(), cfg.max_dec_len - 1, "filled to the cap");
-        let replayed = replay_decode_with(&store, &params, &cfg, &src, usize::MAX, opts);
+        let replayed = replay_decode_with(store, params, cfg, &src, usize::MAX, opts);
         assert_eq!(cached, replayed);
     }
 
     #[test]
     fn min_len_suppresses_early_eos() {
-        let (cfg, store, params) = trained_copy_model();
+        let m = trained_copy_model();
         let src = [SOS, 6, 7, EOS];
         // Unconstrained greedy stops after ~2 tokens on the copy task.
-        let free = greedy_decode(&store, &params, &cfg, &src, 12);
+        let free = cached(&m, &src, 12, beam(1));
         assert!(free.len() < 6);
-        let forced = decode_with(
-            &store,
-            &params,
-            &cfg,
+        let forced = cached(
+            &m,
             &src,
             12,
             DecodeOptions {
@@ -981,33 +793,19 @@ mod tests {
         assert!(!forced.contains(&EOS));
     }
 
-    /// Prompted decoding with `[<sos>]` is exactly the unprompted path, for
-    /// both engines and storages.
+    /// From a bare `<sos>` prompt the paged layout decodes exactly what the
+    /// contiguous reference layout does, greedy and beam.
     #[test]
-    fn prompted_with_sos_matches_unprompted() {
-        let (cfg, store, params) = trained_copy_model();
+    fn sos_prompt_paged_matches_contiguous() {
+        let m = trained_copy_model();
         let src = [SOS, 8, 11, EOS];
-        let enc_out = encode_source(&store, &params, &cfg, &src);
-        for beam in [1usize, 3] {
-            let opts = DecodeOptions {
-                beam,
-                min_len: 0,
-                ..Default::default()
-            };
-            let plain = decode_encoded(&store, &params, &cfg, &enc_out, 10, opts);
-            let prompted =
-                decode_encoded_prompted(&store, &params, &cfg, &enc_out, &[SOS], 10, opts);
-            let contiguous = decode_encoded_prompted_contiguous(
-                &store,
-                &params,
-                &cfg,
-                &enc_out,
-                &[SOS],
-                10,
-                opts,
+        let enc_out = encode_source(&m.1, &m.2, &m.0, &src);
+        for width in [1usize, 3] {
+            assert_eq!(
+                cached_on(&m, paged(&m, &enc_out), None, &[SOS], 10, beam(width)),
+                cached_on(&m, contiguous(&m, &enc_out), None, &[SOS], 10, beam(width)),
+                "beam={width} contiguous reference"
             );
-            assert_eq!(plain, prompted, "beam={beam}");
-            assert_eq!(plain, contiguous, "beam={beam} contiguous reference");
         }
     }
 
@@ -1015,37 +813,27 @@ mod tests {
     /// within the cap, and the paged path equals the contiguous reference.
     #[test]
     fn prompted_continuation_respects_prompt_and_cap() {
-        let (cfg, store, params) = trained_copy_model();
+        let m = trained_copy_model();
         let src = [SOS, 7, 9, EOS];
-        let enc_out = encode_source(&store, &params, &cfg, &src);
+        let enc_out = encode_source(&m.1, &m.2, &m.0, &src);
         let prompt = [SOS, 7, 9, 6];
-        for beam in [1usize, 2] {
+        for width in [1usize, 2] {
             let opts = DecodeOptions {
-                beam,
+                beam: width,
                 min_len: 2,
                 ..Default::default()
             };
-            let out = decode_encoded_prompted(&store, &params, &cfg, &enc_out, &prompt, 12, opts);
+            let out = cached_on(&m, paged(&m, &enc_out), None, &prompt, 12, opts);
             assert!(out.len() + prompt.len() <= 12);
             assert!(out.len() >= 2, "min_len counts generated tokens");
             assert_eq!(
                 out,
-                decode_encoded_prompted_contiguous(
-                    &store, &params, &cfg, &enc_out, &prompt, 12, opts,
-                ),
-                "beam={beam}"
+                cached_on(&m, contiguous(&m, &enc_out), None, &prompt, 12, opts),
+                "beam={width}"
             );
         }
         // Prompt at the cap: nothing generated.
-        let at_cap = decode_encoded_prompted(
-            &store,
-            &params,
-            &cfg,
-            &enc_out,
-            &prompt,
-            4,
-            DecodeOptions::default(),
-        );
+        let at_cap = cached_on(&m, paged(&m, &enc_out), None, &prompt, 4, beam(1));
         assert!(at_cap.is_empty());
     }
 
@@ -1054,12 +842,7 @@ mod tests {
     /// `DecodeOptions::validate` reports it as an `Err`.
     #[test]
     fn zero_beam_is_invalid_and_validate_says_why() {
-        let opts = DecodeOptions {
-            beam: 0,
-            min_len: 0,
-            ..Default::default()
-        };
-        let err = opts.validate().unwrap_err();
+        let err = beam(0).validate().unwrap_err();
         assert!(err.contains("beam width must be at least 1"), "{err}");
         assert!(DecodeOptions::default().validate().is_ok());
     }
@@ -1067,79 +850,39 @@ mod tests {
     #[test]
     #[should_panic(expected = "beam width must be at least 1")]
     fn zero_beam_cached_decode_panics_descriptively() {
-        let (cfg, store, params) = trained_copy_model();
-        decode_with(
-            &store,
-            &params,
-            &cfg,
-            &[SOS, 6, 7, EOS],
-            8,
-            DecodeOptions {
-                beam: 0,
-                min_len: 0,
-                ..Default::default()
-            },
-        );
+        let m = trained_copy_model();
+        cached(&m, &[SOS, 6, 7, EOS], 8, beam(0));
     }
 
     #[test]
     #[should_panic(expected = "beam width must be at least 1")]
     fn zero_beam_replay_decode_panics_descriptively() {
         let (cfg, store, params) = trained_copy_model();
-        replay_decode_with(
-            &store,
-            &params,
-            &cfg,
-            &[SOS, 6, 7, EOS],
-            8,
-            DecodeOptions {
-                beam: 0,
-                min_len: 0,
-                ..Default::default()
-            },
-        );
+        replay_decode_with(&store, &params, &cfg, &[SOS, 6, 7, EOS], 8, beam(0));
     }
 
-    /// The quantized single-request engine is self-consistent across its
-    /// entry points and cache layouts: on-the-fly quantization
-    /// (`precision: Int8`), prebuilt weights
-    /// (`decode_encoded_prompted_quant`), and the contiguous reference
-    /// layout all emit identical tokens, for greedy and beam.
+    /// The quantized reference is self-consistent across how it gets its
+    /// weights and across cache layouts: on-the-fly quantization
+    /// (`precision: Int8`, no weights passed), prebuilt weights, and the
+    /// contiguous reference layout all emit identical tokens, for greedy
+    /// and beam.
     #[test]
     fn quant_entry_points_and_layouts_agree() {
-        let (cfg, store, params) = trained_copy_model();
+        let m = trained_copy_model();
         let src = [SOS, 8, 11, EOS];
-        let enc_out = encode_source(&store, &params, &cfg, &src);
-        let qw = crate::infer::QuantDecoderWeights::new(&store, &params);
-        for beam in [1usize, 3] {
+        let enc_out = encode_source(&m.1, &m.2, &m.0, &src);
+        let qw = QuantDecoderWeights::new(&m.1, &m.2);
+        for width in [1usize, 3] {
             let opts = DecodeOptions {
-                beam,
+                beam: width,
                 min_len: 2,
                 precision: Precision::Int8,
             };
-            let on_the_fly =
-                decode_encoded_prompted(&store, &params, &cfg, &enc_out, &[SOS], 10, opts);
-            let prebuilt = decode_encoded_prompted_quant(
-                &store,
-                &params,
-                &cfg,
-                &qw,
-                &enc_out,
-                &[SOS],
-                10,
-                opts,
-            );
-            let contiguous = decode_encoded_prompted_contiguous(
-                &store,
-                &params,
-                &cfg,
-                &enc_out,
-                &[SOS],
-                10,
-                opts,
-            );
-            assert_eq!(on_the_fly, prebuilt, "beam={beam}");
-            assert_eq!(on_the_fly, contiguous, "beam={beam} contiguous");
+            let on_the_fly = cached_on(&m, paged(&m, &enc_out), None, &[SOS], 10, opts);
+            let prebuilt = cached_on(&m, paged(&m, &enc_out), Some(&qw), &[SOS], 10, opts);
+            let contiguous = cached_on(&m, contiguous(&m, &enc_out), None, &[SOS], 10, opts);
+            assert_eq!(on_the_fly, prebuilt, "beam={width}");
+            assert_eq!(on_the_fly, contiguous, "beam={width} contiguous");
             assert!(!on_the_fly.is_empty(), "min_len forces generation");
         }
     }

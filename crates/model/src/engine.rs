@@ -563,23 +563,17 @@ impl Engine {
         self.shared.cfg.aging_steps
     }
 
-    /// Convenience: submit every request, drain, and return the winning ids
-    /// in submission order (the engine-level
-    /// [`BatchDecoder::decode_all`]).
+    /// Convenience: submit every request, drain, and return each request's
+    /// winning ids in submission order — element 0 of
+    /// [`decode_all_hypotheses`](Engine::decode_all_hypotheses).
     pub fn decode_all(&self, reqs: Vec<BatchRequest>) -> Vec<Vec<usize>> {
-        let tickets: Vec<EngineTicket> = reqs.into_iter().map(|r| self.submit(r)).collect();
-        self.drain();
-        tickets
-            .into_iter()
-            .map(|t| match self.poll(t) {
-                PollResult::Done { ids, .. } => ids,
-                other => panic!("drain() resolves every request (got {other:?})"),
-            })
-            .collect()
+        let ranked = self.decode_all_hypotheses(reqs).into_iter();
+        ranked.map(|mut hyps| hyps.swap_remove(0)).collect()
     }
 
-    /// [`decode_all`](Engine::decode_all) keeping every request's full
-    /// ranked hypothesis list.
+    /// Submit every request, drain, and return every request's full ranked
+    /// hypothesis list in submission order (the engine-level
+    /// [`BatchDecoder::decode_all_hypotheses`]).
     pub fn decode_all_hypotheses(&self, reqs: Vec<BatchRequest>) -> Vec<Vec<Vec<usize>>> {
         let tickets: Vec<EngineTicket> = reqs.into_iter().map(|r| self.submit(r)).collect();
         self.drain();
@@ -791,9 +785,10 @@ fn apply_cancels(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::decode::{decode_encoded, encode_source, DecodeOptions};
+    use crate::decode::{decode_reference, encode_source, DecodeOptions};
     use crate::transformer::build_params;
     use crate::vocab::{EOS, SOS};
+    use crate::DecoderCache;
     use crate::SubmitOptions;
     use mpirical_tensor::Tensor;
 
@@ -816,6 +811,20 @@ mod tests {
     ) -> Tensor {
         let src = vec![SOS, 6 + (seed % 5), 7 + (seed % 7), 9, EOS];
         encode_source(store, params, cfg, &src)
+    }
+
+    /// Winner of the single-request reference on the paged layout.
+    fn reference_ids(
+        store: &ParamStore,
+        params: &TransformerParams,
+        cfg: &ModelConfig,
+        enc_out: &Tensor,
+        prompt: &[usize],
+        max_len: usize,
+        opts: DecodeOptions,
+    ) -> Vec<usize> {
+        let cache = DecoderCache::new(store, params, cfg, enc_out);
+        decode_reference(store, params, cfg, None, cache, prompt, max_len, opts).swap_remove(0)
     }
 
     fn engine_over(
@@ -870,7 +879,17 @@ mod tests {
         let encs: Vec<Tensor> = (0..6).map(|i| enc(&store, &params, &cfg, i)).collect();
         let singles: Vec<Vec<usize>> = encs
             .iter()
-            .map(|e| decode_encoded(&store, &params, &cfg, e, 20, DecodeOptions::default()))
+            .map(|e| {
+                reference_ids(
+                    &store,
+                    &params,
+                    &cfg,
+                    e,
+                    &[SOS],
+                    20,
+                    DecodeOptions::default(),
+                )
+            })
             .collect();
         let engine = engine_over(
             &store,
@@ -908,7 +927,7 @@ mod tests {
         let mut edited = base.clone();
         edited[16] += 1;
         let reference = |prompt: &[usize]| {
-            crate::decode::decode_encoded_prompted(
+            reference_ids(
                 &store,
                 &params,
                 &cfg,
@@ -967,7 +986,17 @@ mod tests {
         let encs: Vec<Tensor> = (0..4).map(|i| enc(&store, &params, &cfg, i)).collect();
         let singles: Vec<Vec<usize>> = encs
             .iter()
-            .map(|e| decode_encoded(&store, &params, &cfg, e, 16, DecodeOptions::default()))
+            .map(|e| {
+                reference_ids(
+                    &store,
+                    &params,
+                    &cfg,
+                    e,
+                    &[SOS],
+                    16,
+                    DecodeOptions::default(),
+                )
+            })
             .collect();
         let engine = engine_over(
             &store,

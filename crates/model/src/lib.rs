@@ -15,12 +15,14 @@
 //! * [`infer`] — the KV-cached incremental inference engine: per-layer
 //!   self-attention K/V caches plus cross-attention K/V projected once from
 //!   the encoder output, driven one token at a time with no autograd tape;
-//! * [`decode`] — greedy and beam search over the cached engine (with the
-//!   prefix-replay reference path kept for equivalence tests and benches);
-//! * [`batch`] — the [`BatchDecoder`] lockstep scheduler: N concurrent
-//!   requests decoded with continuous batching, their per-step projections
-//!   fused into shared packed-matrix kernels (logits stay identical to the
-//!   single-request path), with priority-aware admission ([`Priority`],
+//! * [`decode`] — [`DecodeOptions`], the greedy/beam token-selection rules,
+//!   and the two single-request references (cached and prefix-replay) kept
+//!   for equivalence tests and benches;
+//! * [`batch`] — the [`BatchDecoder`] lockstep scheduler, the one decode
+//!   loop every prediction runs through: N concurrent requests (or one)
+//!   decoded with continuous batching, their per-step projections fused
+//!   into shared packed-matrix kernels (logits stay identical to the
+//!   single-request reference), with priority-aware admission ([`Priority`],
 //!   aging, bulk-lane preemption), a typed [`PollResult`] lifecycle with
 //!   streaming partial tokens, and cancellation;
 //! * [`Seq2SeqModel`] — the bundled artifact (config + vocab + weights) with
@@ -47,12 +49,7 @@ pub use batch::{
 };
 pub use bpe::Bpe;
 pub use config::ModelConfig;
-pub use decode::{
-    beam_decode, beam_decode_replay, decode_encoded, decode_encoded_prompted,
-    decode_encoded_prompted_all, decode_encoded_prompted_all_quant,
-    decode_encoded_prompted_contiguous, decode_encoded_prompted_quant, decode_with, greedy_decode,
-    greedy_decode_replay, replay_decode_with, DecodeOptions,
-};
+pub use decode::{decode_reference, replay_decode_with, DecodeOptions};
 pub use engine::{Engine, EngineConfig, EngineModel, EngineTicket};
 pub use infer::{
     decode_step, decode_step_batch, decode_step_quant, BatchScratch, DecoderCache, DecoderWeights,
@@ -110,24 +107,23 @@ impl Seq2SeqModel {
         )
     }
 
-    /// Greedy generation from source ids (KV-cached).
-    pub fn generate(&self, src_ids: &[usize], max_len: usize) -> Vec<usize> {
-        greedy_decode(&self.store, &self.params, &self.cfg, src_ids, max_len)
-    }
-
-    /// Beam-search generation (KV-cached, one cache per hypothesis).
-    pub fn generate_beam(&self, src_ids: &[usize], max_len: usize, beam: usize) -> Vec<usize> {
-        beam_decode(&self.store, &self.params, &self.cfg, src_ids, max_len, beam)
-    }
-
-    /// Generation with explicit [`DecodeOptions`].
-    pub fn generate_with(
-        &self,
-        src_ids: &[usize],
-        max_len: usize,
-        opts: DecodeOptions,
-    ) -> Vec<usize> {
-        decode_with(&self.store, &self.params, &self.cfg, src_ids, max_len, opts)
+    /// Generate from source ids: encode, then decode one [`BatchRequest`]
+    /// through a [`BatchDecoder`] built for `opts` (greedy or beam, f32 or
+    /// int8). Prepares the decoder weights per call — anything that
+    /// generates repeatedly should hold an [`Engine`] or a `BatchDecoder`
+    /// instead.
+    pub fn generate(&self, src_ids: &[usize], max_len: usize, opts: DecodeOptions) -> Vec<usize> {
+        let (store, params, cfg) = (&self.store, &self.params, &self.cfg);
+        let req = BatchRequest {
+            enc_out: decode::encode_source(store, params, cfg, src_ids),
+            prompt: vec![SOS],
+            max_len,
+            opts,
+            submit: SubmitOptions::default(),
+        };
+        BatchDecoder::with_precision(store, params, cfg, opts.beam, opts.precision)
+            .decode_all(vec![req])
+            .swap_remove(0)
     }
 
     /// Teacher-forced metrics on a dataset: `(loss, seq_acc, tok_acc)`.
@@ -184,10 +180,10 @@ mod tests {
     fn checkpoint_roundtrip_preserves_behaviour() {
         let m = tiny_model();
         let src = vec![SOS, m.vocab.id("int"), m.vocab.id("main"), EOS];
-        let out1 = m.generate(&src, 10);
+        let out1 = m.generate(&src, 10, DecodeOptions::default());
         let json = m.to_json();
         let m2 = Seq2SeqModel::from_json(&json).unwrap();
-        let out2 = m2.generate(&src, 10);
+        let out2 = m2.generate(&src, 10, DecodeOptions::default());
         assert_eq!(out1, out2, "loaded model generates identically");
         assert_eq!(m2.vocab.id("MPI_Init"), m.vocab.id("MPI_Init"));
     }

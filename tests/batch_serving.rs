@@ -3,9 +3,14 @@
 //! sequential path — including the v2 lifecycle (priorities, preemption,
 //! streaming polls, cancellation).
 
-use mpirical::{MpiRical, MpiRicalConfig, SubmitOptions, SuggestPoll, SuggestService, Suggestion};
+use mpirical::{
+    calls_from_ids, MpiRical, MpiRicalConfig, SubmitOptions, SuggestPoll, SuggestService,
+    Suggestion, VerifyOptions,
+};
 use mpirical_corpus::{generate_dataset, CorpusConfig};
-use mpirical_model::ModelConfig;
+use mpirical_model::decode::{decode_reference, encode_source};
+use mpirical_model::vocab::SOS;
+use mpirical_model::{DecodeOptions, DecoderCache, ModelConfig, Precision};
 
 /// One tiny trained assistant shared by the whole file (training dominates
 /// test wall-clock, so do it once).
@@ -245,4 +250,86 @@ fn int8_artifact_serves_equivalently_through_batch_and_service() {
         0,
         "pages freed after retiring"
     );
+}
+
+/// Every one-shot prediction is a scheduler request; this pins that path
+/// to the single-request reference driver, which it no longer shares any
+/// loop with. For each precision × beam width × verification setting,
+/// `predict_ids` must be element 0 of `decode_reference`'s ranked list on
+/// a **contiguous** cache fed the same encoder ids — bitwise, so a
+/// reordered or perturbed hypothesis list fails — and `suggest_report`
+/// must carry exactly that hypothesis' call sites. Verification runs with
+/// an execution budget of zero: every hypothesis stays unverified, the
+/// stable re-rank is the identity, and the stats count the hypotheses the
+/// scheduler returned.
+#[test]
+fn one_shot_predictions_match_the_single_request_reference() {
+    let mut assistant = tiny_assistant();
+    let buffers = [
+        "int main() { int rank; printf(\"a\\n\"); return 0; }",
+        "int main(int argc, char **argv) { double local = 0.0; return 0; }",
+        "int main() { int x = 1; if (x", // mid-edit, unparseable tail
+    ];
+    let read_only = VerifyOptions {
+        max_hypotheses: 0,
+        ..VerifyOptions::default()
+    };
+    for precision in [Precision::F32, Precision::Int8] {
+        for beam in [1usize, 3] {
+            for verify in [None, Some(read_only.clone())] {
+                assistant.decode = DecodeOptions {
+                    beam,
+                    min_len: 0,
+                    precision,
+                };
+                assistant.verify = verify;
+                let case = format!(
+                    "{precision:?} beam={beam} verify={}",
+                    assistant.verify.is_some()
+                );
+                for src in buffers {
+                    let m = &assistant.model;
+                    let enc_out = encode_source(
+                        &m.store,
+                        &m.params,
+                        &m.cfg,
+                        &assistant.encode_source(src).ids,
+                    );
+                    let ranked = decode_reference(
+                        &m.store,
+                        &m.params,
+                        &m.cfg,
+                        None,
+                        DecoderCache::new_contiguous(&m.store, &m.params, &m.cfg, &enc_out),
+                        &[SOS],
+                        m.cfg.max_dec_len,
+                        assistant.decode,
+                    );
+                    assert_eq!(assistant.predict_ids(src), ranked[0], "{case}: {src:?}");
+
+                    let report = assistant.suggest_report(src);
+                    match &report.verify {
+                        None => assert!(assistant.verify.is_none(), "{case}"),
+                        Some(stats) => {
+                            assert_eq!(stats.hypotheses, 0, "{case}: budget zero");
+                            assert_eq!(stats.unverified, ranked.len(), "{case}: {src:?}");
+                        }
+                    }
+                    // Demotion of degraded suggestions reorders a mid-edit
+                    // buffer's list; compare order-free there.
+                    let key = |s: &Suggestion| (s.line, s.function.clone());
+                    let mut got: Vec<_> = report.suggestions.iter().map(key).collect();
+                    let mut want: Vec<_> = calls_from_ids(&ranked[0], &m.vocab)
+                        .into_iter()
+                        .map(|c| key(&Suggestion::from(c)))
+                        .collect();
+                    if !report.health.is_clean() {
+                        got.sort();
+                        want.sort();
+                    }
+                    assert_eq!(got, want, "{case}: {src:?}");
+                }
+            }
+        }
+    }
 }

@@ -13,7 +13,7 @@
 //!    length caps, `min_len`, beam widths, late joins, early retirements,
 //!    duplicate prompts hitting the prefix-share path) through
 //!    `BatchDecoder` return exactly the per-request
-//!    `decode_encoded_prompted_contiguous` reference outputs, again with
+//!    `decode_reference` (contiguous cache) reference outputs, again with
 //!    zero leaked pages.
 //!
 //! 4. **Radix prefix sharing** — families of near-identical prompts (one
@@ -34,7 +34,7 @@
 //! Case counts elevate via `PROPTEST_CASES` (CI runs the suite a second
 //! time with a larger count).
 
-use mpirical_model::decode::{decode_encoded_prompted_contiguous, encode_source};
+use mpirical_model::decode::{decode_reference, encode_source};
 use mpirical_model::transformer::{build_params, TransformerParams};
 use mpirical_model::vocab::{EOS, SOS};
 use mpirical_model::{
@@ -52,6 +52,21 @@ type Fixture = (
     Vec<Tensor>,
     QuantDecoderWeights,
 );
+
+/// Winner of the single-request reference ([`decode_reference`]) on the
+/// **contiguous** cache layout — the oracle every schedule is pinned to.
+fn contiguous_reference(
+    store: &ParamStore,
+    params: &TransformerParams,
+    cfg: &ModelConfig,
+    enc_out: &Tensor,
+    prompt: &[usize],
+    max_len: usize,
+    opts: DecodeOptions,
+) -> Vec<usize> {
+    let cache = DecoderCache::new_contiguous(store, params, cfg, enc_out);
+    decode_reference(store, params, cfg, None, cache, prompt, max_len, opts).swap_remove(0)
+}
 
 /// One random multi-layer model + a few encoder outputs + its int8
 /// decoder weights (quantized once, like an artifact would), built once
@@ -217,7 +232,7 @@ proptest! {
             let references: Vec<Vec<usize>> = specs
                 .iter()
                 .map(|s| {
-                    decode_encoded_prompted_contiguous(
+                    contiguous_reference(
                         store, params, cfg, &encs[s.src], &s.prompt, s.max_len, opts_at(s),
                     )
                 })
@@ -297,7 +312,7 @@ proptest! {
             let opts = DecodeOptions { precision, ..Default::default() };
             let references: Vec<Vec<usize>> = family
                 .iter()
-                .map(|p| decode_encoded_prompted_contiguous(
+                .map(|p| contiguous_reference(
                     store, params, cfg, &encs[src], p, max_len, opts,
                 ))
                 .collect();

@@ -8,7 +8,7 @@
 //!    lengths, beams 1–4, priority classes, token caps, late joins,
 //!    cancellations) run through engines with 1, 2, and 4 workers, in f32
 //!    AND int8. Every request that completes must be **bitwise identical**
-//!    to the single-request `decode_encoded_prompted_contiguous` reference
+//!    to the single-request `decode_reference` (contiguous cache) reference
 //!    — the same oracle `tests/serving_props.rs` uses — which transitively
 //!    pins every pair of worker counts to each other. The suite forces the
 //!    intra-step lane parallelism on (`MPIRICAL_LANE_PAR`), so the
@@ -40,12 +40,12 @@
 //! Case counts elevate via `PROPTEST_CASES` (CI runs the suite a second
 //! time with a larger count).
 
-use mpirical_model::decode::{decode_encoded_prompted_contiguous, encode_source};
+use mpirical_model::decode::{decode_reference, encode_source};
 use mpirical_model::transformer::{build_params, TransformerParams};
 use mpirical_model::vocab::{EOS, SOS};
 use mpirical_model::{
-    BatchDecoder, BatchRequest, DecodeOptions, Engine, EngineConfig, EngineModel, EngineTicket,
-    ModelConfig, PollResult, Precision, SubmitOptions,
+    BatchDecoder, BatchRequest, DecodeOptions, DecoderCache, Engine, EngineConfig, EngineModel,
+    EngineTicket, ModelConfig, PollResult, Precision, SubmitOptions,
 };
 use mpirical_tensor::{ParamStore, Tensor};
 use proptest::prelude::*;
@@ -59,6 +59,21 @@ type Fixture = (
     Arc<EngineModel>,
     Arc<EngineModel>,
 );
+
+/// Winner of the single-request reference ([`decode_reference`]) on the
+/// **contiguous** cache layout — the oracle every schedule is pinned to.
+fn contiguous_reference(
+    store: &ParamStore,
+    params: &TransformerParams,
+    cfg: &ModelConfig,
+    enc_out: &Tensor,
+    prompt: &[usize],
+    max_len: usize,
+    opts: DecodeOptions,
+) -> Vec<usize> {
+    let cache = DecoderCache::new_contiguous(store, params, cfg, enc_out);
+    decode_reference(store, params, cfg, None, cache, prompt, max_len, opts).swap_remove(0)
+}
 
 /// One random multi-layer model, a few encoder outputs, and prebuilt
 /// f32/int8 engine bundles, built once for the whole suite (the
@@ -145,7 +160,7 @@ impl Spec {
         enc: &Tensor,
         precision: Precision,
     ) -> Vec<usize> {
-        decode_encoded_prompted_contiguous(
+        contiguous_reference(
             store,
             params,
             cfg,
@@ -332,7 +347,7 @@ fn seeded_schedules_place_deterministically() {
             engine.drain();
             for (i, t) in tickets.into_iter().enumerate() {
                 let src = i % encs.len();
-                let want = decode_encoded_prompted_contiguous(
+                let want = contiguous_reference(
                     store,
                     params,
                     cfg,
@@ -380,17 +395,7 @@ fn hammer_concurrent_clients_are_race_free() {
         .unwrap_or(12);
     let references: Vec<Vec<usize>> = encs
         .iter()
-        .map(|e| {
-            decode_encoded_prompted_contiguous(
-                store,
-                params,
-                cfg,
-                e,
-                &[SOS],
-                12,
-                DecodeOptions::default(),
-            )
-        })
+        .map(|e| contiguous_reference(store, params, cfg, e, &[SOS], 12, DecodeOptions::default()))
         .collect();
     let engine = Engine::new(
         Arc::clone(f32_model),
@@ -515,15 +520,7 @@ fn eviction_prefers_bulk_and_replays_bitwise() {
                     telemetry.evictions, 0,
                     "interactive request {i} must never be evicted"
                 );
-                let want = decode_encoded_prompted_contiguous(
-                    store,
-                    params,
-                    cfg,
-                    &encs[i],
-                    &[SOS],
-                    20,
-                    long,
-                );
+                let want = contiguous_reference(store, params, cfg, &encs[i], &[SOS], 20, long);
                 assert_eq!(ids, want, "interactive request {i} diverged");
             }
             other => panic!("interactive request {i} unfinished: {other:?}"),
@@ -534,7 +531,7 @@ fn eviction_prefers_bulk_and_replays_bitwise() {
         match dec.poll(id) {
             PollResult::Done { ids, telemetry, .. } => {
                 evicted_any |= telemetry.evictions > 0;
-                let want = decode_encoded_prompted_contiguous(
+                let want = contiguous_reference(
                     store,
                     params,
                     cfg,
@@ -765,7 +762,7 @@ proptest! {
             let opts = DecodeOptions { precision, ..Default::default() };
             let references: Vec<Vec<usize>> = family
                 .iter()
-                .map(|p| decode_encoded_prompted_contiguous(
+                .map(|p| contiguous_reference(
                     store, params, cfg, &encs[src], p, max_len, opts,
                 ))
                 .collect();

@@ -30,9 +30,7 @@
 //! the single-request quantized tokens (greedy and beam), on paged and
 //! contiguous storage alike.
 
-use mpirical_model::decode::{
-    decode_encoded_prompted_contiguous, decode_encoded_prompted_quant, encode_source,
-};
+use mpirical_model::decode::{decode_reference, encode_source};
 use mpirical_model::transformer::build_params;
 use mpirical_model::vocab::{EOS, SOS};
 use mpirical_model::{
@@ -242,11 +240,13 @@ fn quant_scheduler_and_layouts_agree_on_random_artifacts() {
             min_len: 8,
             precision: Precision::Int8,
         };
-        let single =
-            decode_encoded_prompted_quant(&store, &params, &cfg, &qw, &enc_out, &[SOS], 24, opts);
+        let paged = DecoderCache::new(&store, &params, &cfg, &enc_out);
+        let single = decode_reference(&store, &params, &cfg, Some(&qw), paged, &[SOS], 24, opts)
+            .swap_remove(0);
         assert!(single.len() >= 8, "min_len forces a real walk");
+        let flat = DecoderCache::new_contiguous(&store, &params, &cfg, &enc_out);
         let contiguous =
-            decode_encoded_prompted_contiguous(&store, &params, &cfg, &enc_out, &[SOS], 24, opts);
+            decode_reference(&store, &params, &cfg, None, flat, &[SOS], 24, opts).swap_remove(0);
         assert_eq!(single, contiguous, "beam={beam} paged vs contiguous");
         let mut dec = BatchDecoder::with_precision(&store, &params, &cfg, 4, Precision::Int8);
         let batched = dec.decode_all(vec![BatchRequest {

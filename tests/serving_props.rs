@@ -10,7 +10,7 @@
 //!    queued / decoding / finished / never-submitted tickets) run through a
 //!    priority scheduler with a small aging bound. Every surviving
 //!    request's output must be **bitwise identical** both to the
-//!    per-request `decode_encoded_prompted_contiguous` reference and to
+//!    per-request `decode_reference` (contiguous cache) reference and to
 //!    the same schedule replayed through a FIFO scheduler (all requests
 //!    submitted interactive, no cancellations — the v1 admission policy):
 //!    priorities, preemption, aging, and cancellation are scheduling
@@ -28,18 +28,33 @@
 //! Case counts elevate via `PROPTEST_CASES` (CI runs the suite a second
 //! time with a larger count, alongside the paged/quant suites).
 
-use mpirical_model::decode::{decode_encoded_prompted_contiguous, encode_source};
+use mpirical_model::decode::{decode_reference, encode_source};
 use mpirical_model::transformer::{build_params, TransformerParams};
 use mpirical_model::vocab::{EOS, SOS};
 use mpirical_model::{
-    BatchDecoder, BatchRequest, DecodeOptions, ModelConfig, PollResult, Precision, RequestId,
-    SubmitOptions,
+    BatchDecoder, BatchRequest, DecodeOptions, DecoderCache, ModelConfig, PollResult, Precision,
+    RequestId, SubmitOptions,
 };
 use mpirical_tensor::{ParamStore, Tensor};
 use proptest::prelude::*;
 use std::sync::OnceLock;
 
 type Fixture = (ModelConfig, ParamStore, TransformerParams, Vec<Tensor>);
+
+/// Winner of the single-request reference ([`decode_reference`]) on the
+/// **contiguous** cache layout — the oracle every schedule is pinned to.
+fn contiguous_reference(
+    store: &ParamStore,
+    params: &TransformerParams,
+    cfg: &ModelConfig,
+    enc_out: &Tensor,
+    prompt: &[usize],
+    max_len: usize,
+    opts: DecodeOptions,
+) -> Vec<usize> {
+    let cache = DecoderCache::new_contiguous(store, params, cfg, enc_out);
+    decode_reference(store, params, cfg, None, cache, prompt, max_len, opts).swap_remove(0)
+}
 
 /// One random multi-layer model + a few encoder outputs, built once for
 /// the whole suite (scheduling-equivalence properties hold for any
@@ -215,7 +230,7 @@ proptest! {
             let references: Vec<Vec<usize>> = specs
                 .iter()
                 .map(|s| {
-                    decode_encoded_prompted_contiguous(
+                    contiguous_reference(
                         store, params, cfg, &encs[s.src], &s.prompt,
                         s.effective_max_len(),
                         DecodeOptions { precision, ..s.opts },
@@ -346,7 +361,7 @@ proptest! {
         for (id, src) in interactive_ids {
             match dec.poll(id) {
                 PollResult::Done { ids, telemetry, .. } => {
-                    let want = decode_encoded_prompted_contiguous(
+                    let want = contiguous_reference(
                         store, params, cfg, &encs[src], &[SOS], 16,
                         DecodeOptions::default(),
                     );
@@ -362,7 +377,7 @@ proptest! {
         }
         for (id, src, min_len) in bulk_ids {
             let opts = DecodeOptions { beam: 1, min_len, ..Default::default() };
-            let want = decode_encoded_prompted_contiguous(
+            let want = contiguous_reference(
                 store, params, cfg, &encs[src], &[SOS], 24, opts,
             );
             let got = dec.poll(id).into_output().expect("bulk finished");
