@@ -4,7 +4,7 @@
 //! throughput.
 
 use criterion::{black_box, criterion_group, criterion_main, Criterion};
-use mpirical_interp::{run_program, RunConfig};
+use mpirical_interp::{run_program, InterpError, RunConfig};
 use mpirical_sim::{ReduceOp, SimError, Source, Tag, World};
 use std::time::{Duration, Instant};
 
@@ -138,11 +138,85 @@ int main(int argc, char **argv) {
     g.finish();
 }
 
+/// Interpreter cost per step, where steps are all there is: three programs
+/// that do nothing but execute loop bodies — a bare `while (1)` run into
+/// its step budget (the verifier's `Timeout` verdict), a numeric loop with
+/// a user-function call per iteration, and an array sweep. Setup asserts
+/// what each run returns before anything is timed.
+fn bench_interpreter_steps(c: &mut Criterion) {
+    let runaway = mpirical_cparse::parse_strict(
+        "int main() { int x = 0; while (1) { x = x + 1; } return 0; }",
+    )
+    .unwrap();
+    let budget = |nranks| {
+        let mut cfg = RunConfig::new(nranks);
+        cfg.limits.step_limit = 2_000_000;
+        cfg
+    };
+    let pi_calls = mpirical_cparse::parse_strict(
+        r#"double f(double x) { return 4.0 / (1.0 + x * x); }
+int main() {
+    int i;
+    int n = 100000;
+    double sum = 0.0, x, step;
+    step = 1.0 / (double)n;
+    for (i = 0; i < n; i++) {
+        x = (i + 0.5) * step;
+        sum += f(x);
+    }
+    printf("%.6f\n", sum * step);
+    return 0;
+}"#,
+    )
+    .unwrap();
+    let array_sweep = mpirical_cparse::parse_strict(
+        r#"int main() {
+    double a[1000];
+    int r, i;
+    double total = 0.0;
+    for (i = 0; i < 1000; i++) { a[i] = 0.0; }
+    for (r = 0; r < 100; r++) {
+        for (i = 0; i < 1000; i++) { a[i] = a[i] + i * 0.5; }
+    }
+    for (i = 0; i < 1000; i++) { total += a[i]; }
+    printf("%.1f\n", total);
+    return 0;
+}"#,
+    )
+    .unwrap();
+
+    for nranks in [1, 2] {
+        assert_eq!(
+            run_program(&runaway, &budget(nranks)),
+            Err(InterpError::StepLimit { limit: 2_000_000 })
+        );
+    }
+    let stdout = |prog| run_program(prog, &RunConfig::new(1)).unwrap().combined();
+    assert_eq!(stdout(&pi_calls), "3.141593\n");
+    assert_eq!(stdout(&array_sweep), "24975000.0\n");
+
+    let mut g = c.benchmark_group("cinterp_steps");
+    g.sample_size(10);
+    for nranks in [1usize, 2] {
+        g.bench_function(format!("runaway_2m_steps_{nranks}ranks"), |b| {
+            b.iter(|| run_program(black_box(&runaway), &budget(nranks)).is_err())
+        });
+    }
+    g.bench_function("pi_riemann_100k_calls", |b| {
+        b.iter(|| run_program(black_box(&pi_calls), &RunConfig::new(1)).unwrap())
+    });
+    g.bench_function("array_sweep_100x1000", |b| {
+        b.iter(|| run_program(black_box(&array_sweep), &RunConfig::new(1)).unwrap())
+    });
+    g.finish();
+}
+
 criterion_group!(
     benches,
     bench_p2p,
     bench_collectives,
     bench_deadlock,
-    bench_interpreter
+    bench_interpreter,
+    bench_interpreter_steps
 );
 criterion_main!(benches);

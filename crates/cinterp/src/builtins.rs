@@ -1,7 +1,7 @@
 //! C standard-library builtins: `printf` formatting, math functions, and a
 //! deterministic `rand`/`srand`.
 
-use crate::error::InterpError;
+use crate::error::{Fault, InterpError};
 use crate::machine::Value;
 
 /// The C `RAND_MAX` our `rand()` advertises.
@@ -33,7 +33,7 @@ impl Rng {
 /// Format `printf`-style. Supports `%d %i %ld %lld %u %f %lf %e %g %c %s %%`
 /// with optional width/precision (e.g. `%.10f`, `%8.3f`, `%5d`).
 /// `%s` consumes a string argument carried separately (see `args`).
-pub fn format_printf(fmt: &str, args: &[PrintfArg], line: u32) -> Result<String, InterpError> {
+pub fn format_printf(fmt: &str, args: &[PrintfArg<'_>], line: u32) -> Result<String, Fault> {
     let mut out = String::with_capacity(fmt.len() + 16);
     let mut chars = fmt.chars().peekable();
     let mut next_arg = 0usize;
@@ -61,13 +61,17 @@ pub fn format_printf(fmt: &str, args: &[PrintfArg], line: u32) -> Result<String,
         while matches!(chars.peek(), Some('l') | Some('h') | Some('z')) {
             chars.next();
         }
-        let conv = chars.next().ok_or(InterpError::TypeError {
-            detail: "dangling % in format string".into(),
-            line,
+        let conv = chars.next().ok_or_else(|| {
+            Box::new(InterpError::TypeError {
+                detail: "dangling % in format string".into(),
+                line,
+            })
         })?;
-        let arg = args.get(next_arg).ok_or(InterpError::TypeError {
-            detail: format!("printf expects more arguments (format `{fmt}`)"),
-            line,
+        let arg = args.get(next_arg).ok_or_else(|| {
+            Box::new(InterpError::TypeError {
+                detail: format!("printf expects more arguments (format `{fmt}`)"),
+                line,
+            })
         })?;
         next_arg += 1;
         let (width, precision, left) = parse_spec(&spec);
@@ -98,12 +102,13 @@ pub fn format_printf(fmt: &str, args: &[PrintfArg], line: u32) -> Result<String,
                 char::from_u32((v & 0xFF) as u32).unwrap_or('?').to_string()
             }
             's' => match arg {
-                PrintfArg::Str(s) => s.clone(),
+                PrintfArg::Str(s) => s.to_string(),
                 _ => {
                     return Err(InterpError::TypeError {
                         detail: "%s needs a string argument".into(),
                         line,
-                    })
+                    }
+                    .into())
                 }
             },
             'p' | 'x' | 'X' => {
@@ -114,7 +119,8 @@ pub fn format_printf(fmt: &str, args: &[PrintfArg], line: u32) -> Result<String,
                 return Err(InterpError::Unsupported {
                     detail: format!("printf conversion %{other}"),
                     line,
-                })
+                }
+                .into())
             }
         };
         out.push_str(&pad(&rendered, width, left));
@@ -146,67 +152,118 @@ fn pad(s: &str, width: Option<usize>, left: bool) -> String {
 }
 
 /// A printf argument: a numeric value or a string literal.
-#[derive(Debug, Clone)]
-pub enum PrintfArg {
+#[derive(Debug, Clone, Copy)]
+pub enum PrintfArg<'a> {
     Value(Value),
-    Str(String),
+    Str(&'a str),
 }
 
-impl PrintfArg {
-    fn as_int(&self, line: u32) -> Result<i64, InterpError> {
+impl PrintfArg<'_> {
+    fn as_int(&self, line: u32) -> Result<i64, Fault> {
         match self {
             PrintfArg::Value(v) => v.as_i64(line),
             PrintfArg::Str(_) => Err(InterpError::TypeError {
                 detail: "string used as number".into(),
                 line,
-            }),
+            }
+            .into()),
         }
     }
 
-    fn as_float(&self, line: u32) -> Result<f64, InterpError> {
+    fn as_float(&self, line: u32) -> Result<f64, Fault> {
         match self {
             PrintfArg::Value(v) => v.as_f64(line),
             PrintfArg::Str(_) => Err(InterpError::TypeError {
                 detail: "string used as number".into(),
                 line,
-            }),
+            }
+            .into()),
         }
     }
 }
 
-/// Math builtins (all take/return f64; the dispatch table of the
-/// interpreter).
-pub fn math_builtin(name: &str, args: &[f64]) -> Option<f64> {
-    let a = |i: usize| args.get(i).copied().unwrap_or(0.0);
-    Some(match name {
-        "sqrt" => a(0).sqrt(),
-        "fabs" => a(0).abs(),
-        "pow" => a(0).powf(a(1)),
-        "exp" => a(0).exp(),
-        "log" => a(0).ln(),
-        "log2" => a(0).log2(),
-        "log10" => a(0).log10(),
-        "sin" => a(0).sin(),
-        "cos" => a(0).cos(),
-        "tan" => a(0).tan(),
-        "floor" => a(0).floor(),
-        "ceil" => a(0).ceil(),
-        "fmax" => a(0).max(a(1)),
-        "fmin" => a(0).min(a(1)),
-        "fmod" => a(0) % a(1),
-        _ => return None,
-    })
+/// The `<math.h>` functions the interpreter knows (all take and return
+/// `f64`). A call site is matched to one by name once, at compile time.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum MathFn {
+    Sqrt,
+    Fabs,
+    Pow,
+    Exp,
+    Log,
+    Log2,
+    Log10,
+    Sin,
+    Cos,
+    Tan,
+    Floor,
+    Ceil,
+    Fmax,
+    Fmin,
+    Fmod,
+}
+
+impl MathFn {
+    pub fn from_name(name: &str) -> Option<MathFn> {
+        Some(match name {
+            "sqrt" => MathFn::Sqrt,
+            "fabs" => MathFn::Fabs,
+            "pow" => MathFn::Pow,
+            "exp" => MathFn::Exp,
+            "log" => MathFn::Log,
+            "log2" => MathFn::Log2,
+            "log10" => MathFn::Log10,
+            "sin" => MathFn::Sin,
+            "cos" => MathFn::Cos,
+            "tan" => MathFn::Tan,
+            "floor" => MathFn::Floor,
+            "ceil" => MathFn::Ceil,
+            "fmax" => MathFn::Fmax,
+            "fmin" => MathFn::Fmin,
+            "fmod" => MathFn::Fmod,
+            _ => return None,
+        })
+    }
+
+    /// How many arguments the function reads.
+    pub fn arity(self) -> usize {
+        match self {
+            MathFn::Pow | MathFn::Fmax | MathFn::Fmin | MathFn::Fmod => 2,
+            _ => 1,
+        }
+    }
+
+    /// Apply to `a` (and `b`, which one-argument functions ignore).
+    pub fn apply(self, a: f64, b: f64) -> f64 {
+        match self {
+            MathFn::Sqrt => a.sqrt(),
+            MathFn::Fabs => a.abs(),
+            MathFn::Pow => a.powf(b),
+            MathFn::Exp => a.exp(),
+            MathFn::Log => a.ln(),
+            MathFn::Log2 => a.log2(),
+            MathFn::Log10 => a.log10(),
+            MathFn::Sin => a.sin(),
+            MathFn::Cos => a.cos(),
+            MathFn::Tan => a.tan(),
+            MathFn::Floor => a.floor(),
+            MathFn::Ceil => a.ceil(),
+            MathFn::Fmax => a.max(b),
+            MathFn::Fmin => a.min(b),
+            MathFn::Fmod => a % b,
+        }
+    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
 
-    fn v(x: i64) -> PrintfArg {
+    fn v(x: i64) -> PrintfArg<'static> {
         PrintfArg::Value(Value::Int(x))
     }
 
-    fn d(x: f64) -> PrintfArg {
+    fn d(x: f64) -> PrintfArg<'static> {
         PrintfArg::Value(Value::Double(x))
     }
 
@@ -246,7 +303,7 @@ mod tests {
     #[test]
     fn printf_char_and_string() {
         assert_eq!(
-            format_printf("%c %s", &[v(65), PrintfArg::Str("hi".into())], 1).unwrap(),
+            format_printf("%c %s", &[v(65), PrintfArg::Str("hi")], 1).unwrap(),
             "A hi"
         );
     }
@@ -287,10 +344,13 @@ mod tests {
 
     #[test]
     fn math_dispatch() {
-        assert_eq!(math_builtin("sqrt", &[9.0]), Some(3.0));
-        assert_eq!(math_builtin("fabs", &[-2.5]), Some(2.5));
-        assert_eq!(math_builtin("pow", &[2.0, 10.0]), Some(1024.0));
-        assert_eq!(math_builtin("fmax", &[1.0, 2.0]), Some(2.0));
-        assert_eq!(math_builtin("nope", &[1.0]), None);
+        let call = |name: &str, a, b| MathFn::from_name(name).map(|f| f.apply(a, b));
+        assert_eq!(call("sqrt", 9.0, 0.0), Some(3.0));
+        assert_eq!(call("fabs", -2.5, 0.0), Some(2.5));
+        assert_eq!(call("pow", 2.0, 10.0), Some(1024.0));
+        assert_eq!(call("fmax", 1.0, 2.0), Some(2.0));
+        assert_eq!(call("nope", 1.0, 0.0), None);
+        assert_eq!(MathFn::Sqrt.arity(), 1);
+        assert_eq!(MathFn::Fmod.arity(), 2);
     }
 }

@@ -1,15 +1,21 @@
-//! The tree-walking interpreter: statement/expression evaluation over the
-//! flat-cell memory, user-function calls, stdlib builtins, and the MPI
-//! bindings into `mpirical-sim`.
+//! The interpreter: runs a [`Compiled`] program on one rank.
+//!
+//! Statements and expressions are evaluated over the rank's [`Memory`] in
+//! the order and with the step accounting of the source tree — one step
+//! per statement executed and one per loop iteration — but without names:
+//! a variable is the [`Binding`] in its slot, a call is an index or a
+//! builtin tag, a type is a [`CType`]. Nothing on the path of an executed
+//! statement allocates; what a block declares is released when it exits.
 
-use crate::builtins::{format_printf, math_builtin, PrintfArg, Rng, RAND_MAX};
-use crate::error::InterpError;
-use crate::machine::{CType, Memory, Value, VarInfo};
-use mpirical_cparse::{
-    BinOp, Block, Declaration, Expr, ForInit, FunctionDef, Init, Item, Program, Stmt, UnOp,
+use crate::builtins::{format_printf, PrintfArg, Rng};
+use crate::compile::{
+    Block, Call, Callee, Compiled, Decl, Envelope, Expr, ForInit, Init, Lvalue, Mpi, MpiDtype,
+    Named, Param, Printf, PrintfOperand, Stmt, VarRef,
 };
-use mpirical_sim::{Comm, ReduceOp, Source, Status, Tag};
-use std::collections::HashMap;
+use crate::error::{Fault, InterpError};
+use crate::machine::{Binding, CType, Dims, Memory, Value};
+use mpirical_cparse::BinOp;
+use mpirical_sim::{Comm, Source, Status, Tag};
 
 /// Per-rank execution limits.
 #[derive(Debug, Clone, Copy)]
@@ -18,9 +24,10 @@ pub struct Limits {
     /// only bound on a rank that never stops computing (the simulator has
     /// no timer).
     pub step_limit: u64,
-    /// Memory-cell budget (16 bytes/cell) before aborting as a runaway
-    /// allocation. The default (~64 MiB per rank) is far above anything a
-    /// legitimate benchmark program needs.
+    /// Budget of live memory cells (16 bytes/cell) — globals, the locals of
+    /// the calls and blocks in progress, and everything ever `malloc`ed —
+    /// before aborting as a runaway allocation. The default (~64 MiB per
+    /// rank) is far above anything a legitimate benchmark program needs.
     pub cell_limit: usize,
 }
 
@@ -33,33 +40,47 @@ impl Default for Limits {
     }
 }
 
-/// Control-flow signal from statement execution.
+/// Control-flow signal from statement execution. A `Return`'s value waits
+/// in [`Interp::returned`], which keeps `Result<Flow, Fault>` in registers.
+#[derive(Clone, Copy, PartialEq, Eq)]
 enum Flow {
     Normal,
     Break,
     Continue,
-    Return(Value),
+    Return,
 }
 
 /// A resolved storage location.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, Copy)]
 struct Place {
     addr: usize,
     ctype: Option<CType>,
-    /// Remaining array dims at this place (non-empty ⇒ the place designates
+    /// Remaining array dims at this place (non-scalar ⇒ the place designates
     /// a sub-array, which decays to a pointer as an rvalue).
-    dims: Vec<usize>,
+    dims: Dims,
     is_pointer: bool,
 }
 
-/// MPI datatype selector from `MPI_INT`-style identifiers.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-enum MpiDtype {
-    Int,
-    Long,
-    Float,
-    Double,
-    Byte,
+impl Place {
+    /// The place a variable names.
+    fn var(b: Binding) -> Place {
+        Place {
+            addr: b.addr,
+            ctype: Some(b.ctype),
+            dims: b.dims,
+            is_pointer: b.is_pointer,
+        }
+    }
+
+    /// A scalar cell reached through a pointer or a member access.
+    fn cell(addr: usize, ctype: Option<CType>) -> Place {
+        Place {
+            addr,
+            ctype,
+            dims: Dims::SCALAR,
+            is_pointer: false,
+        }
+    }
 }
 
 /// A typed message buffer bridging cells ↔ the simulator's generics.
@@ -71,115 +92,204 @@ enum TypedVec {
     U8(Vec<u8>),
 }
 
+/// The constant a named MPI argument resolved to at compile time, or the
+/// error it raises now that the call has reached it.
+fn named<T: Copy>(arg: &Named<T>) -> Result<T, Fault> {
+    arg.as_ref().map(|&v| v).map_err(Clone::clone)
+}
+
 pub(crate) struct Interp<'a> {
-    prog: &'a Program,
+    code: &'a Compiled,
     comm: &'a Comm,
     mem: Memory,
+    /// Evaluated arguments of the user calls being set up, as a stack.
+    args: Vec<Value>,
+    /// The value of the `return` statement being unwound to its call.
+    returned: Value,
     rng: Rng,
     output: String,
     steps: u64,
     limits: Limits,
-    functions: HashMap<&'a str, &'a FunctionDef>,
+    /// The name-keyed environment the slots replaced, kept beside them in
+    /// unit tests to check every resolution against.
+    #[cfg(test)]
+    shadow: crate::shadow::NameChain,
 }
 
 impl<'a> Interp<'a> {
-    pub fn new(prog: &'a Program, comm: &'a Comm, limits: Limits) -> Interp<'a> {
-        let functions = prog.functions().map(|f| (f.name.as_str(), f)).collect();
+    pub fn new(code: &'a Compiled, comm: &'a Comm, limits: Limits) -> Interp<'a> {
         Interp {
-            prog,
+            code,
             comm,
-            mem: Memory::new(),
+            mem: Memory::new(code.global_slots),
+            args: Vec::new(),
+            returned: Value::Int(0),
             rng: Rng::new(comm.rank() as u64 + 1),
             output: String::new(),
             steps: 0,
             limits,
-            functions,
+            #[cfg(test)]
+            shadow: Default::default(),
         }
     }
 
     /// Execute `main`; returns `(exit code, captured stdout)`.
-    pub fn run(mut self) -> Result<(i64, String), InterpError> {
+    pub fn run(mut self) -> Result<(i64, String), Fault> {
+        let code = self.code;
         // Globals first.
-        for item in &self.prog.items {
-            if let Item::Declaration(d) = item {
-                self.exec_declaration(d)?;
-            }
+        for d in &code.globals {
+            self.exec_declaration(d)?;
         }
-        let main = self
-            .functions
-            .get("main")
-            .copied()
-            .ok_or(InterpError::Undefined {
-                name: "main".into(),
-                line: 1,
+        let main = code
+            .main
+            .map(|index| &code.functions[index as usize])
+            .ok_or_else(|| {
+                Box::new(InterpError::Undefined {
+                    name: "main".into(),
+                    line: 1,
+                })
             })?;
-        self.mem.push_frame();
+        let frame = self.mem.push_frame(main.slots);
+        #[cfg(test)]
+        self.shadow.push_frame();
         // argc/argv exist but hold placeholder values.
         for p in &main.params {
-            let addr = self.alloc_checked(1)?;
-            self.mem.define(
-                &p.name,
-                VarInfo {
-                    addr,
-                    ctype: CType::from_words(&p.type_spec.words),
-                    dims: vec![],
-                    is_pointer: p.pointer_depth > 0 || p.array,
-                },
-            );
+            let addr = self.bind_param(p)?;
             self.mem.store(addr, Value::Int(0), main.line)?;
         }
         let flow = self.exec_block(&main.body)?;
-        self.mem.pop_frame();
-        let code = match flow {
-            Flow::Return(v) => v.as_i64(0).unwrap_or(0),
+        #[cfg(test)]
+        self.shadow.pop_frame();
+        self.mem.pop_frame(frame);
+        let exit = match flow {
+            Flow::Return => self.returned.as_i64(0).unwrap_or(0),
             _ => 0,
         };
-        Ok((code, self.output))
+        Ok((exit, self.output))
     }
 
-    /// Allocate `n` cells, enforcing the memory budget.
-    fn alloc_checked(&mut self, n: usize) -> Result<usize, InterpError> {
-        if self.mem.size().saturating_add(n.max(1)) > self.limits.cell_limit {
+    /// Would `n` more cells exceed the budget of live cells?
+    fn check_cells(&self, n: usize) -> Result<(), Fault> {
+        if self.mem.live().saturating_add(n.max(1)) > self.limits.cell_limit {
             return Err(InterpError::MemoryLimit {
                 limit: self.limits.cell_limit,
-            });
-        }
-        Ok(self.mem.alloc(n))
-    }
-
-    fn tick(&mut self) -> Result<(), InterpError> {
-        self.steps += 1;
-        if self.steps > self.limits.step_limit {
-            return Err(InterpError::StepLimit {
-                limit: self.limits.step_limit,
-            });
+            }
+            .into());
         }
         Ok(())
     }
 
+    /// Allocate `n` stack cells, enforcing the memory budget.
+    fn alloc(&mut self, n: usize) -> Result<usize, Fault> {
+        self.check_cells(n)?;
+        Ok(self.mem.alloc(n))
+    }
+
+    #[inline]
+    fn tick(&mut self) -> Result<(), Fault> {
+        self.steps += 1;
+        if self.steps > self.limits.step_limit {
+            return Err(self.out_of_steps());
+        }
+        Ok(())
+    }
+
+    #[cold]
+    fn out_of_steps(&self) -> Fault {
+        Box::new(InterpError::StepLimit {
+            limit: self.limits.step_limit,
+        })
+    }
+
+    // -- variables -------------------------------------------------------------
+
+    /// Execute the declaration of `var`.
+    fn bind(&mut self, var: VarRef, binding: Binding) {
+        if let Some(slot) = var.slot {
+            self.mem.bind(slot, binding);
+        }
+        #[cfg(test)]
+        self.shadow.define(self.code.name(var), binding.addr);
+    }
+
+    /// Give a parameter of the function being entered its cell.
+    fn bind_param(&mut self, p: &Param) -> Result<usize, Fault> {
+        let addr = self.alloc(1)?;
+        self.bind(
+            p.var,
+            Binding {
+                addr,
+                ctype: p.ctype,
+                dims: Dims::SCALAR,
+                is_pointer: p.is_pointer,
+            },
+        );
+        Ok(addr)
+    }
+
+    /// Where `var` lives, or `Undefined`: the name resolved to nothing, or
+    /// to a global whose declaration has not executed yet.
+    #[inline]
+    fn binding(&self, var: VarRef, line: u32) -> Result<Binding, Fault> {
+        let bound = var
+            .slot
+            .map(|slot| self.mem.binding(slot))
+            .filter(|b| b.addr != 0);
+        #[cfg(test)]
+        self.shadow
+            .check(self.code.name(var), bound.map(|b| b.addr));
+        bound.ok_or_else(|| self.undefined(var, line))
+    }
+
+    #[cold]
+    fn undefined(&self, var: VarRef, line: u32) -> Fault {
+        Box::new(InterpError::Undefined {
+            name: self.code.name(var).to_string(),
+            line,
+        })
+    }
+
     // -- statements ----------------------------------------------------------
 
-    fn exec_block(&mut self, b: &Block) -> Result<Flow, InterpError> {
-        self.mem.push_scope();
+    fn exec_block(&mut self, b: &Block) -> Result<Flow, Fault> {
+        let mark = self.mem.mark();
+        #[cfg(test)]
+        self.shadow.push_scope();
         let mut flow = Flow::Normal;
         for s in &b.stmts {
             flow = self.exec_stmt(s)?;
-            if !matches!(flow, Flow::Normal) {
+            if flow != Flow::Normal {
                 break;
             }
         }
-        self.mem.pop_scope();
+        #[cfg(test)]
+        self.shadow.pop_scope();
+        self.mem.release(mark);
         Ok(flow)
     }
 
-    fn exec_stmt(&mut self, s: &Stmt) -> Result<Flow, InterpError> {
+    /// One step, then the statement. Expression statements — most of what
+    /// a loop body executes — run in the caller's frame.
+    #[inline(always)]
+    fn exec_stmt(&mut self, s: &Stmt) -> Result<Flow, Fault> {
         self.tick()?;
+        match s {
+            Stmt::Expr(Some(e)) => {
+                self.eval(e)?;
+                Ok(Flow::Normal)
+            }
+            _ => self.exec_compound(s),
+        }
+    }
+
+    #[inline(never)]
+    fn exec_compound(&mut self, s: &Stmt) -> Result<Flow, Fault> {
         match s {
             Stmt::Decl(d) => {
                 self.exec_declaration(d)?;
                 Ok(Flow::Normal)
             }
-            Stmt::Expr { expr, .. } => {
+            Stmt::Expr(expr) => {
                 if let Some(e) = expr {
                     self.eval(e)?;
                 }
@@ -189,7 +299,6 @@ impl<'a> Interp<'a> {
                 cond,
                 then_branch,
                 else_branch,
-                ..
             } => {
                 if self.eval(cond)?.truthy() {
                     self.exec_stmt(then_branch)
@@ -199,23 +308,23 @@ impl<'a> Interp<'a> {
                     Ok(Flow::Normal)
                 }
             }
-            Stmt::While { cond, body, .. } => {
+            Stmt::While { cond, body } => {
                 while self.eval(cond)?.truthy() {
                     self.tick()?;
                     match self.exec_stmt(body)? {
                         Flow::Break => break,
-                        Flow::Return(v) => return Ok(Flow::Return(v)),
+                        Flow::Return => return Ok(Flow::Return),
                         Flow::Normal | Flow::Continue => {}
                     }
                 }
                 Ok(Flow::Normal)
             }
-            Stmt::DoWhile { body, cond, .. } => {
+            Stmt::DoWhile { body, cond } => {
                 loop {
                     self.tick()?;
                     match self.exec_stmt(body)? {
                         Flow::Break => break,
-                        Flow::Return(v) => return Ok(Flow::Return(v)),
+                        Flow::Return => return Ok(Flow::Return),
                         Flow::Normal | Flow::Continue => {}
                     }
                     if !self.eval(cond)?.truthy() {
@@ -229,9 +338,10 @@ impl<'a> Interp<'a> {
                 cond,
                 step,
                 body,
-                ..
             } => {
-                self.mem.push_scope();
+                let mark = self.mem.mark();
+                #[cfg(test)]
+                self.shadow.push_scope();
                 match init {
                     ForInit::None => {}
                     ForInit::Decl(d) => self.exec_declaration(d)?,
@@ -250,40 +360,40 @@ impl<'a> Interp<'a> {
                     self.tick()?;
                     match self.exec_stmt(body)? {
                         Flow::Break => break Flow::Normal,
-                        Flow::Return(v) => break Flow::Return(v),
+                        Flow::Return => break Flow::Return,
                         Flow::Normal | Flow::Continue => {}
                     }
                     if let Some(st) = step {
                         self.eval(st)?;
                     }
                 };
-                self.mem.pop_scope();
+                #[cfg(test)]
+                self.shadow.pop_scope();
+                self.mem.release(mark);
                 Ok(result)
             }
-            Stmt::Return { expr, .. } => {
-                let v = match expr {
+            Stmt::Return(expr) => {
+                self.returned = match expr {
                     Some(e) => self.eval(e)?,
                     None => Value::Int(0),
                 };
-                Ok(Flow::Return(v))
+                Ok(Flow::Return)
             }
-            Stmt::Break { .. } => Ok(Flow::Break),
-            Stmt::Continue { .. } => Ok(Flow::Continue),
+            Stmt::Break => Ok(Flow::Break),
+            Stmt::Continue => Ok(Flow::Continue),
             Stmt::Block(b) => self.exec_block(b),
-            Stmt::Error { line, lines } => Err(InterpError::Unsupported {
-                detail: format!("unparsed region `{}`", lines.join(" ")),
-                line: *line,
-            }),
+            Stmt::Raise(e) => Err(e.clone()),
         }
     }
 
-    fn exec_declaration(&mut self, d: &Declaration) -> Result<(), InterpError> {
-        let ctype = CType::from_words(&d.type_spec.words);
+    #[inline(never)]
+    fn exec_declaration(&mut self, d: &Decl) -> Result<(), Fault> {
         for decl in &d.declarators {
-            // Resolve array dims (must be constant expressions at this point
-            // of execution).
-            let mut dims = Vec::with_capacity(decl.arrays.len());
-            for dim in &decl.arrays {
+            // Array dims are whatever their expressions evaluate to at this
+            // point of execution.
+            let at = self.mem.mark();
+            let mut elems = Some(1usize);
+            for dim in &decl.dims {
                 let n = match dim {
                     Some(e) => self.eval(e)?.as_i64(d.line)?,
                     None => 0,
@@ -292,22 +402,29 @@ impl<'a> Interp<'a> {
                     return Err(InterpError::OutOfBounds {
                         detail: format!("negative array dimension {n}"),
                         line: d.line,
-                    });
+                    }
+                    .into());
                 }
-                dims.push(n as usize);
+                self.mem.push_dim(n as usize);
+                elems = elems.and_then(|e| e.checked_mul(n as usize));
             }
-            let info = VarInfo {
-                addr: 0,
-                ctype,
-                dims: dims.clone(),
-                is_pointer: decl.pointer_depth > 0,
-            };
-            let total = info.total_cells();
-            let addr = self.alloc_checked(total)?;
-            let info = VarInfo { addr, ..info };
-            self.mem.define(&decl.name, info.clone());
+            let dims = self.mem.dims_since(at);
+            // A product past `usize` is past any budget.
+            let cells = elems
+                .and_then(|e| e.max(1).checked_mul(d.ctype.cells()))
+                .unwrap_or(usize::MAX);
+            let addr = self.alloc(cells)?;
+            self.bind(
+                decl.var,
+                Binding {
+                    addr,
+                    ctype: d.ctype,
+                    dims,
+                    is_pointer: decl.is_pointer,
+                },
+            );
             if let Some(init) = &decl.init {
-                self.init_into(addr, ctype, &dims, init, d.line)?;
+                self.init_into(addr, d.ctype, dims, init, d.line)?;
             }
         }
         Ok(())
@@ -317,23 +434,22 @@ impl<'a> Interp<'a> {
         &mut self,
         addr: usize,
         ctype: CType,
-        dims: &[usize],
+        dims: Dims,
         init: &Init,
         line: u32,
-    ) -> Result<(), InterpError> {
+    ) -> Result<(), Fault> {
         match init {
             Init::Expr(e) => {
                 let v = self.eval(e)?;
                 self.mem.store_typed(addr, v, ctype, line)
             }
             Init::List(items) => {
-                let stride: usize = dims.iter().skip(1).product::<usize>().max(1);
+                let inner = dims.tail();
+                let stride = self.stride(inner);
                 for (i, item) in items.iter().enumerate() {
                     let sub = addr + i * stride * ctype.cells();
                     match item {
-                        Init::List(_) => {
-                            self.init_into(sub, ctype, &dims[1.min(dims.len())..], item, line)?
-                        }
+                        Init::List(_) => self.init_into(sub, ctype, inner, item, line)?,
                         Init::Expr(e) => {
                             let v = self.eval(e)?;
                             self.mem.store_typed(sub, v, ctype, line)?;
@@ -345,102 +461,79 @@ impl<'a> Interp<'a> {
         }
     }
 
+    /// Elements in one step of an array whose *remaining* dims are `inner`.
+    fn stride(&self, inner: Dims) -> usize {
+        self.mem.dims(inner).iter().product::<usize>().max(1)
+    }
+
     // -- places (lvalues) ----------------------------------------------------
 
-    fn place(&mut self, e: &Expr, line: u32) -> Result<Place, InterpError> {
-        match e {
-            Expr::Ident(name) => {
-                let info =
-                    self.mem
-                        .lookup(name)
-                        .cloned()
-                        .ok_or_else(|| InterpError::Undefined {
-                            name: name.clone(),
-                            line,
-                        })?;
-                Ok(Place {
-                    addr: info.addr,
-                    ctype: Some(info.ctype),
-                    dims: info.dims,
-                    is_pointer: info.is_pointer,
-                })
-            }
-            Expr::Index { base, index } => {
+    /// A plain variable — the usual target — is resolved in the caller's
+    /// frame, like the leaves of [`Interp::eval`].
+    #[inline(always)]
+    fn place(&mut self, lv: &Lvalue, line: u32) -> Result<Place, Fault> {
+        match lv {
+            Lvalue::Var(var) => Ok(Place::var(self.binding(*var, line)?)),
+            _ => self.place_interior(lv, line),
+        }
+    }
+
+    #[inline(never)]
+    fn place_interior(&mut self, lv: &Lvalue, line: u32) -> Result<Place, Fault> {
+        match lv {
+            Lvalue::Var(_) => self.place(lv, line),
+            Lvalue::Index { base, index } => {
                 let b = self.place(base, line)?;
                 let idx = self.eval(index)?.as_i64(line)?;
                 if idx < 0 {
                     return Err(InterpError::OutOfBounds {
                         detail: format!("negative index {idx}"),
                         line,
-                    });
+                    }
+                    .into());
                 }
                 let idx = idx as usize;
                 let elem_cells = b.ctype.map(CType::cells).unwrap_or(1);
-                if !b.dims.is_empty() {
+                if !b.dims.is_scalar() {
                     // Sub-array step: product of trailing dims.
-                    let stride: usize = b.dims[1..].iter().product::<usize>().max(1);
+                    let inner = b.dims.tail();
                     Ok(Place {
-                        addr: b.addr + idx * stride * elem_cells,
+                        addr: b.addr + idx * self.stride(inner) * elem_cells,
                         ctype: b.ctype,
-                        dims: b.dims[1..].to_vec(),
+                        dims: inner,
                         is_pointer: false,
                     })
                 } else if b.is_pointer {
                     // Pointer subscript: load the pointer, then offset.
                     let ptr = self.mem.load(b.addr, line)?.as_ptr(line)?;
-                    Ok(Place {
-                        addr: ptr + idx * elem_cells,
-                        ctype: b.ctype,
-                        dims: vec![],
-                        is_pointer: false,
-                    })
+                    Ok(Place::cell(ptr + idx * elem_cells, b.ctype))
                 } else {
                     Err(InterpError::TypeError {
                         detail: "subscript of non-array".into(),
                         line,
-                    })
+                    }
+                    .into())
                 }
             }
-            Expr::Unary {
-                op: UnOp::Deref,
-                operand,
-            } => {
-                let ptr = self.eval(operand)?.as_ptr(line)?;
+            Lvalue::Deref { ptr, pointee } => {
+                let addr = self.eval(ptr)?.as_ptr(line)?;
                 // If the operand is a known pointer variable, propagate type.
-                let ctype = match operand.as_ref() {
-                    Expr::Ident(name) => self.mem.lookup(name).map(|v| v.ctype),
-                    _ => None,
+                let ctype = match pointee {
+                    Some(var) => self.binding(*var, line).ok().map(|b| b.ctype),
+                    None => None,
                 };
-                Ok(Place {
-                    addr: ptr,
-                    ctype,
-                    dims: vec![],
-                    is_pointer: false,
-                })
+                Ok(Place::cell(addr, ctype))
             }
-            Expr::Member { base, field, .. } => {
+            Lvalue::Member { base, offset } => {
                 let b = self.place(base, line)?;
-                let offset = match field.as_str() {
-                    "MPI_SOURCE" => 0,
-                    "MPI_TAG" => 1,
-                    _ => 2,
-                };
-                Ok(Place {
-                    addr: b.addr + offset,
-                    ctype: Some(CType::Int),
-                    dims: vec![],
-                    is_pointer: false,
-                })
+                Ok(Place::cell(b.addr + offset, Some(CType::Int)))
             }
-            other => Err(InterpError::TypeError {
-                detail: format!("not an lvalue: {other:?}"),
-                line,
-            }),
+            Lvalue::Raise(e) => Err(e.clone()),
         }
     }
 
-    fn load_place(&self, p: &Place, line: u32) -> Result<Value, InterpError> {
-        if !p.dims.is_empty() {
+    fn load_place(&self, p: &Place, line: u32) -> Result<Value, Fault> {
+        if !p.dims.is_scalar() {
             // Array decays to a pointer.
             return Ok(Value::Ptr(p.addr));
         }
@@ -452,7 +545,7 @@ impl<'a> Interp<'a> {
         Ok(v)
     }
 
-    fn store_place(&mut self, p: &Place, v: Value, line: u32) -> Result<(), InterpError> {
+    fn store_place(&mut self, p: &Place, v: Value, line: u32) -> Result<(), Fault> {
         match p.ctype {
             Some(ct) if !p.is_pointer => self.mem.store_typed(p.addr, v, ct, line),
             _ => self.mem.store(p.addr, v, line),
@@ -461,74 +554,87 @@ impl<'a> Interp<'a> {
 
     // -- expressions ----------------------------------------------------------
 
-    fn eval(&mut self, e: &Expr) -> Result<Value, InterpError> {
+    /// Leaves — about half of all nodes — are evaluated in the caller's
+    /// frame; only interior nodes pay for a call into the big match.
+    #[inline(always)]
+    fn eval(&mut self, e: &Expr) -> Result<Value, Fault> {
         match e {
-            Expr::IntLit(v) => Ok(Value::Int(*v)),
-            Expr::FloatLit(v) => Ok(Value::Double(*v)),
-            Expr::CharLit(c) => Ok(Value::Int(*c as i64)),
-            Expr::StrLit(_) => Err(InterpError::Unsupported {
-                detail: "string value outside printf".into(),
-                line: 0,
-            }),
-            Expr::Ident(name) => self.eval_ident(name),
-            Expr::Call { callee, args, line } => self.call(callee, args, *line),
-            Expr::Binary { op, lhs, rhs } => {
-                // Short-circuit logicals.
-                match op {
-                    BinOp::And => {
-                        if !self.eval(lhs)?.truthy() {
-                            return Ok(Value::Int(0));
-                        }
-                        return Ok(Value::Int(self.eval(rhs)?.truthy() as i64));
-                    }
-                    BinOp::Or => {
-                        if self.eval(lhs)?.truthy() {
-                            return Ok(Value::Int(1));
-                        }
-                        return Ok(Value::Int(self.eval(rhs)?.truthy() as i64));
-                    }
-                    _ => {}
+            Expr::Const(v) => Ok(*v),
+            Expr::Var(var) => {
+                let place = Place::var(self.binding(*var, 0)?);
+                self.load_place(&place, 0)
+            }
+            _ => self.eval_interior(e),
+        }
+    }
+
+    #[inline(never)]
+    fn eval_interior(&mut self, e: &Expr) -> Result<Value, Fault> {
+        let line = 0;
+        match e {
+            Expr::Const(_) | Expr::Var(_) => self.eval(e),
+            Expr::Load(lv) => {
+                let place = self.place(lv, line)?;
+                self.load_place(&place, line)
+            }
+            Expr::AddrOf(lv) => Ok(Value::Ptr(self.place(lv, line)?.addr)),
+            Expr::IncDec {
+                target,
+                delta,
+                post,
+            } => {
+                let place = self.place(target, line)?;
+                let old = self.load_place(&place, line)?;
+                let new = match old {
+                    Value::Int(v) => Value::Int(v.wrapping_add(*delta)),
+                    Value::Double(v) => Value::Double(v + *delta as f64),
+                    Value::Ptr(p) => Value::Ptr((p as i64).wrapping_add(*delta) as usize),
+                };
+                self.store_place(&place, new, line)?;
+                Ok(if *post { old } else { new })
+            }
+            Expr::Deref(operand) => {
+                let ptr = self.eval(operand)?.as_ptr(line)?;
+                self.mem.load(ptr, line)
+            }
+            Expr::Neg(operand) => match self.eval(operand)? {
+                Value::Int(v) => Ok(Value::Int(v.wrapping_neg())),
+                Value::Double(v) => Ok(Value::Double(-v)),
+                Value::Ptr(_) => Err(InterpError::TypeError {
+                    detail: "negating a pointer".into(),
+                    line,
                 }
+                .into()),
+            },
+            Expr::Not(operand) => Ok(Value::Int(!self.eval(operand)?.truthy() as i64)),
+            Expr::BitNot(operand) => Ok(Value::Int(!self.eval(operand)?.as_i64(line)?)),
+            Expr::And(lhs, rhs) => Ok(Value::Int(
+                (self.eval(lhs)?.truthy() && self.eval(rhs)?.truthy()) as i64,
+            )),
+            Expr::Or(lhs, rhs) => Ok(Value::Int(
+                (self.eval(lhs)?.truthy() || self.eval(rhs)?.truthy()) as i64,
+            )),
+            Expr::Binary { op, lhs, rhs } => {
                 let a = self.eval(lhs)?;
                 let b = self.eval(rhs)?;
-                self.binop(*op, a, b, 0)
+                binop(*op, a, b, line)
             }
-            Expr::Unary { op, operand } => self.eval_unary(*op, operand),
-            Expr::Assign { op, lhs, rhs } => {
-                let line = 0;
+            Expr::Assign { op, target, rhs } => {
                 let rv = self.eval(rhs)?;
-                let place = self.place(lhs, line)?;
+                let place = self.place(target, line)?;
                 let value = match op {
                     None => rv,
-                    Some(a) => {
+                    Some(op) => {
                         let current = self.load_place(&place, line)?;
-                        self.binop(a.to_binop(), current, rv, line)?
+                        binop(*op, current, rv, line)?
                     }
                 };
                 self.store_place(&place, value, line)?;
                 self.load_place(&place, line)
             }
-            Expr::Index { .. } | Expr::Member { .. } => {
-                let place = self.place(e, 0)?;
-                self.load_place(&place, 0)
-            }
-            Expr::Cast {
-                ty,
-                pointer_depth,
-                operand,
-            } => {
-                // `(T *)malloc(n)` sizes the allocation by T.
-                if *pointer_depth > 0 {
-                    if let Expr::Call { callee, args, line } = operand.as_ref() {
-                        if callee == "malloc" {
-                            return self.malloc(args, CType::from_words(&ty.words), *line);
-                        }
-                    }
-                    return self.eval(operand);
-                }
+            Expr::Cast { to_float, operand } => {
                 let v = self.eval(operand)?;
-                let target = CType::from_words(&ty.words);
-                Ok(match (target.is_float(), v) {
+                Ok(match (to_float, v) {
                     (true, Value::Int(i)) => Value::Double(i as f64),
                     (false, Value::Double(d)) => Value::Int(d as i64),
                     _ => v,
@@ -545,333 +651,109 @@ impl<'a> Interp<'a> {
                     self.eval(else_expr)
                 }
             }
-            Expr::SizeofType { ty, pointer_depth } => {
-                let bytes = if *pointer_depth > 0 {
-                    8
-                } else {
-                    CType::from_words(&ty.words).size_bytes()
-                };
-                Ok(Value::Int(bytes as i64))
-            }
-            Expr::Comma { lhs, rhs } => {
+            Expr::Comma(lhs, rhs) => {
                 self.eval(lhs)?;
                 self.eval(rhs)
             }
-        }
-    }
-
-    fn eval_ident(&mut self, name: &str) -> Result<Value, InterpError> {
-        // Well-known constants.
-        match name {
-            "NULL" => return Ok(Value::Ptr(0)),
-            "RAND_MAX" => return Ok(Value::Int(RAND_MAX)),
-            "MPI_COMM_WORLD" => return Ok(Value::Int(0)),
-            "MPI_SUCCESS" => return Ok(Value::Int(0)),
-            "MPI_ANY_SOURCE" => return Ok(Value::Int(-1)),
-            "MPI_ANY_TAG" => return Ok(Value::Int(-1)),
-            _ => {}
-        }
-        let place = self.place(&Expr::Ident(name.to_string()), 0)?;
-        self.load_place(&place, 0)
-    }
-
-    fn eval_unary(&mut self, op: UnOp, operand: &Expr) -> Result<Value, InterpError> {
-        let line = 0;
-        match op {
-            UnOp::AddrOf => {
-                let p = self.place(operand, line)?;
-                Ok(Value::Ptr(p.addr))
-            }
-            UnOp::Deref => {
-                let ptr = self.eval(operand)?.as_ptr(line)?;
-                self.mem.load(ptr, line)
-            }
-            UnOp::Neg => match self.eval(operand)? {
-                Value::Int(v) => Ok(Value::Int(-v)),
-                Value::Double(v) => Ok(Value::Double(-v)),
-                Value::Ptr(_) => Err(InterpError::TypeError {
-                    detail: "negating a pointer".into(),
-                    line,
-                }),
-            },
-            UnOp::Not => Ok(Value::Int(!self.eval(operand)?.truthy() as i64)),
-            UnOp::BitNot => Ok(Value::Int(!self.eval(operand)?.as_i64(line)?)),
-            UnOp::PreInc | UnOp::PreDec | UnOp::PostInc | UnOp::PostDec => {
-                let place = self.place(operand, line)?;
-                let old = self.load_place(&place, line)?;
-                let delta = if matches!(op, UnOp::PreInc | UnOp::PostInc) {
-                    1.0
-                } else {
-                    -1.0
-                };
-                let new = match old {
-                    Value::Int(v) => Value::Int(v + delta as i64),
-                    Value::Double(v) => Value::Double(v + delta),
-                    Value::Ptr(p) => Value::Ptr((p as i64 + delta as i64) as usize),
-                };
-                self.store_place(&place, new, line)?;
-                Ok(if matches!(op, UnOp::PostInc | UnOp::PostDec) {
-                    old
-                } else {
-                    new
-                })
-            }
-        }
-    }
-
-    fn binop(&mut self, op: BinOp, a: Value, b: Value, line: u32) -> Result<Value, InterpError> {
-        use BinOp::*;
-        // Pointer arithmetic: ptr ± int.
-        if let (Value::Ptr(p), Value::Int(i)) = (a, b) {
-            match op {
-                Add => return Ok(Value::Ptr((p as i64 + i) as usize)),
-                Sub => return Ok(Value::Ptr((p as i64 - i) as usize)),
-                Eq => return Ok(Value::Int((p as i64 == i) as i64)),
-                Ne => return Ok(Value::Int((p as i64 != i) as i64)),
-                _ => {}
-            }
-        }
-        let float = matches!(a, Value::Double(_)) || matches!(b, Value::Double(_));
-        if float {
-            let x = a.as_f64(line)?;
-            let y = b.as_f64(line)?;
-            Ok(match op {
-                Add => Value::Double(x + y),
-                Sub => Value::Double(x - y),
-                Mul => Value::Double(x * y),
-                Div => Value::Double(x / y),
-                Rem => Value::Double(x % y),
-                Lt => Value::Int((x < y) as i64),
-                Gt => Value::Int((x > y) as i64),
-                Le => Value::Int((x <= y) as i64),
-                Ge => Value::Int((x >= y) as i64),
-                Eq => Value::Int((x == y) as i64),
-                Ne => Value::Int((x != y) as i64),
-                And | Or => unreachable!("short-circuited"),
-                BitAnd | BitOr | BitXor | Shl | Shr => {
-                    return Err(InterpError::TypeError {
-                        detail: "bitwise op on float".into(),
-                        line,
-                    })
-                }
-            })
-        } else {
-            let x = a.as_i64(line)?;
-            let y = b.as_i64(line)?;
-            Ok(match op {
-                Add => Value::Int(x.wrapping_add(y)),
-                Sub => Value::Int(x.wrapping_sub(y)),
-                Mul => Value::Int(x.wrapping_mul(y)),
-                Div => {
-                    if y == 0 {
-                        return Err(InterpError::DivideByZero { line });
-                    }
-                    Value::Int(x.wrapping_div(y))
-                }
-                Rem => {
-                    if y == 0 {
-                        return Err(InterpError::DivideByZero { line });
-                    }
-                    Value::Int(x.wrapping_rem(y))
-                }
-                Lt => Value::Int((x < y) as i64),
-                Gt => Value::Int((x > y) as i64),
-                Le => Value::Int((x <= y) as i64),
-                Ge => Value::Int((x >= y) as i64),
-                Eq => Value::Int((x == y) as i64),
-                Ne => Value::Int((x != y) as i64),
-                And | Or => unreachable!("short-circuited"),
-                BitAnd => Value::Int(x & y),
-                BitOr => Value::Int(x | y),
-                BitXor => Value::Int(x ^ y),
-                Shl => Value::Int(x.wrapping_shl(y as u32)),
-                Shr => Value::Int(x.wrapping_shr(y as u32)),
-            })
+            Expr::Call(call) => self.call(call),
+            Expr::Printf(p) => self.printf(p),
+            Expr::Mpi(call) => self.mpi_call(&call.op, call.line),
+            Expr::Raise(e) => Err(e.clone()),
         }
     }
 
     // -- calls -----------------------------------------------------------------
 
-    fn call(&mut self, callee: &str, args: &[Expr], line: u32) -> Result<Value, InterpError> {
-        if callee.starts_with("MPI_") {
-            return self.mpi_call(callee, args, line);
-        }
-        match callee {
-            "printf" => return self.printf(args, line),
-            "fprintf" => {
-                // fprintf(stderr, fmt, …) — drop the stream argument.
-                return self.printf(&args[1..], line);
+    #[inline(never)]
+    fn call(&mut self, call: &Call) -> Result<Value, Fault> {
+        let line = call.line;
+        // Builtins read one or two leading arguments; compilation made sure
+        // they are there.
+        let arg = |this: &mut Self, i: usize| match call.args.get(i) {
+            Some(e) => this.eval(e),
+            None => Ok(Value::Int(0)),
+        };
+        match call.callee {
+            Callee::User(index) => self.call_user(index, &call.args, line),
+            Callee::Math(f) => {
+                let a = arg(self, 0)?.as_f64(line)?;
+                let b = arg(self, 1)?.as_f64(line)?;
+                Ok(Value::Double(f.apply(a, b)))
             }
-            "malloc" => return self.malloc(args, CType::Long, line),
-            "free" => return Ok(Value::Int(0)),
-            "srand" => {
-                let seed = self.eval(&args[0])?.as_i64(line)?;
+            Callee::Srand => {
+                let seed = arg(self, 0)?.as_i64(line)?;
                 self.rng.srand(seed as u64);
-                return Ok(Value::Int(0));
+                Ok(Value::Int(0))
             }
-            "rand" => return Ok(Value::Int(self.rng.rand())),
-            "abs" | "labs" => {
-                let v = self.eval(&args[0])?.as_i64(line)?;
-                return Ok(Value::Int(v.abs()));
+            Callee::Rand => Ok(Value::Int(self.rng.rand())),
+            Callee::Abs => Ok(Value::Int(arg(self, 0)?.as_i64(line)?.wrapping_abs())),
+            Callee::Exit => {
+                let code = arg(self, 0)?.as_i64(line)?;
+                Err(InterpError::Mpi(self.comm.abort(code as i32)).into())
             }
-            "exit" => {
-                let code = self.eval(&args[0])?.as_i64(line)?;
-                return Err(InterpError::Mpi(self.comm.abort(code as i32)));
-            }
-            _ => {}
-        }
-        // Math builtins.
-        if args.len() <= 2 {
-            let mut fargs = Vec::with_capacity(args.len());
-            let mut numeric = true;
-            for a in args {
-                // Probe without committing on failure.
-                match self.eval(a) {
-                    Ok(v) => match v.as_f64(line) {
-                        Ok(f) => fargs.push(f),
-                        Err(_) => {
-                            numeric = false;
-                            break;
-                        }
-                    },
-                    Err(e) => return Err(e),
+            Callee::Malloc(elem) => {
+                let bytes = arg(self, 0)?.as_i64(line)?;
+                if bytes < 0 {
+                    return Err(InterpError::OutOfBounds {
+                        detail: format!("malloc({bytes})"),
+                        line,
+                    }
+                    .into());
                 }
-            }
-            if numeric {
-                if let Some(result) = math_builtin(callee, &fargs) {
-                    return Ok(Value::Double(result));
-                }
+                let cells = (bytes as usize).div_ceil(elem.size_bytes()).max(1);
+                self.check_cells(cells)?;
+                Ok(Value::Ptr(self.mem.alloc_heap(cells)))
             }
         }
-        // User-defined function.
-        let f = self
-            .functions
-            .get(callee)
-            .copied()
-            .ok_or_else(|| InterpError::Undefined {
-                name: callee.to_string(),
-                line,
-            })?;
-        if f.params.len() != args.len() {
-            return Err(InterpError::TypeError {
-                detail: format!(
-                    "{callee} expects {} args, got {}",
-                    f.params.len(),
-                    args.len()
-                ),
-                line,
-            });
-        }
-        let mut values = Vec::with_capacity(args.len());
+    }
+
+    #[inline(never)]
+    fn call_user(&mut self, index: u32, args: &[Expr], line: u32) -> Result<Value, Fault> {
+        let code = self.code;
+        let f = &code.functions[index as usize];
+        let base = self.args.len();
         for a in args {
-            values.push(self.eval(a)?);
+            let v = self.eval(a)?;
+            self.args.push(v);
         }
-        self.mem.push_frame();
-        for (p, v) in f.params.iter().zip(values) {
-            let ctype = CType::from_words(&p.type_spec.words);
-            let addr = self.alloc_checked(1)?;
-            let is_pointer = p.pointer_depth > 0 || p.array;
-            self.mem.define(
-                &p.name,
-                VarInfo {
-                    addr,
-                    ctype,
-                    dims: vec![],
-                    is_pointer,
-                },
-            );
-            if is_pointer {
+        let frame = self.mem.push_frame(f.slots);
+        #[cfg(test)]
+        self.shadow.push_frame();
+        for (i, p) in f.params.iter().enumerate() {
+            let v = self.args[base + i];
+            let addr = self.bind_param(p)?;
+            if p.is_pointer {
                 self.mem.store(addr, v, line)?;
             } else {
-                self.mem.store_typed(addr, v, ctype, line)?;
+                self.mem.store_typed(addr, v, p.ctype, line)?;
             }
         }
+        self.args.truncate(base);
         let flow = self.exec_block(&f.body)?;
-        self.mem.pop_frame();
+        #[cfg(test)]
+        self.shadow.pop_frame();
+        self.mem.pop_frame(frame);
         Ok(match flow {
-            Flow::Return(v) => v,
+            Flow::Return => self.returned,
             _ => Value::Int(0),
         })
     }
 
-    fn printf(&mut self, args: &[Expr], line: u32) -> Result<Value, InterpError> {
-        let fmt = match args.first() {
-            Some(Expr::StrLit(s)) => s.clone(),
-            _ => {
-                return Err(InterpError::Unsupported {
-                    detail: "printf needs a literal format string".into(),
-                    line,
-                })
-            }
-        };
-        let mut pargs = Vec::with_capacity(args.len().saturating_sub(1));
-        for a in &args[1..] {
-            match a {
-                Expr::StrLit(s) => pargs.push(PrintfArg::Str(s.clone())),
-                other => pargs.push(PrintfArg::Value(self.eval(other)?)),
-            }
+    #[inline(never)]
+    fn printf(&mut self, p: &Printf) -> Result<Value, Fault> {
+        let mut pargs = Vec::with_capacity(p.args.len());
+        for a in &p.args {
+            pargs.push(match a {
+                PrintfOperand::Str(s) => PrintfArg::Str(s),
+                PrintfOperand::Value(e) => PrintfArg::Value(self.eval(e)?),
+            });
         }
-        let text = format_printf(&fmt, &pargs, line)?;
+        let text = format_printf(&p.fmt, &pargs, p.line)?;
         self.output.push_str(&text);
         Ok(Value::Int(text.len() as i64))
     }
 
-    fn malloc(&mut self, args: &[Expr], elem: CType, line: u32) -> Result<Value, InterpError> {
-        let bytes = self.eval(&args[0])?.as_i64(line)?;
-        if bytes < 0 {
-            return Err(InterpError::OutOfBounds {
-                detail: format!("malloc({bytes})"),
-                line,
-            });
-        }
-        let cells = (bytes as usize).div_ceil(elem.size_bytes()).max(1);
-        Ok(Value::Ptr(self.alloc_checked(cells)?))
-    }
-
     // -- MPI bindings -----------------------------------------------------------
-
-    fn dtype_of(&self, e: &Expr, line: u32) -> Result<MpiDtype, InterpError> {
-        match e {
-            Expr::Ident(name) => Ok(match name.as_str() {
-                "MPI_INT" => MpiDtype::Int,
-                "MPI_LONG" | "MPI_LONG_LONG" | "MPI_LONG_LONG_INT" => MpiDtype::Long,
-                "MPI_FLOAT" => MpiDtype::Float,
-                "MPI_DOUBLE" => MpiDtype::Double,
-                "MPI_CHAR" | "MPI_BYTE" | "MPI_UNSIGNED_CHAR" => MpiDtype::Byte,
-                other => {
-                    return Err(InterpError::Unsupported {
-                        detail: format!("MPI datatype {other}"),
-                        line,
-                    })
-                }
-            }),
-            _ => Err(InterpError::TypeError {
-                detail: "expected an MPI datatype constant".into(),
-                line,
-            }),
-        }
-    }
-
-    fn op_of(&self, e: &Expr, line: u32) -> Result<ReduceOp, InterpError> {
-        match e {
-            Expr::Ident(name) => Ok(match name.as_str() {
-                "MPI_SUM" => ReduceOp::Sum,
-                "MPI_PROD" => ReduceOp::Prod,
-                "MPI_MIN" => ReduceOp::Min,
-                "MPI_MAX" => ReduceOp::Max,
-                other => {
-                    return Err(InterpError::Unsupported {
-                        detail: format!("MPI op {other}"),
-                        line,
-                    })
-                }
-            }),
-            _ => Err(InterpError::TypeError {
-                detail: "expected an MPI_Op constant".into(),
-                line,
-            }),
-        }
-    }
 
     fn read_buf(
         &self,
@@ -879,7 +761,7 @@ impl<'a> Interp<'a> {
         count: usize,
         dtype: MpiDtype,
         line: u32,
-    ) -> Result<TypedVec, InterpError> {
+    ) -> Result<TypedVec, Fault> {
         macro_rules! gather {
             ($conv:expr) => {{
                 let mut v = Vec::with_capacity(count);
@@ -899,7 +781,7 @@ impl<'a> Interp<'a> {
         })
     }
 
-    fn write_buf(&mut self, ptr: usize, data: &TypedVec, line: u32) -> Result<(), InterpError> {
+    fn write_buf(&mut self, ptr: usize, data: &TypedVec, line: u32) -> Result<(), Fault> {
         match data {
             TypedVec::I32(v) => {
                 for (i, &x) in v.iter().enumerate() {
@@ -930,198 +812,140 @@ impl<'a> Interp<'a> {
         Ok(())
     }
 
-    fn write_status(
-        &mut self,
-        status_arg: &Expr,
-        st: Status,
-        line: u32,
-    ) -> Result<(), InterpError> {
-        if let Expr::Ident(name) = status_arg {
-            if name == "MPI_STATUS_IGNORE" || name == "MPI_STATUSES_IGNORE" {
-                return Ok(());
-            }
-        }
-        let ptr = self.eval(status_arg)?.as_ptr(line)?;
+    /// Fill in the `MPI_Status` an argument points at.
+    fn write_status(&mut self, arg: &Expr, st: Status, line: u32) -> Result<(), Fault> {
+        let ptr = self.eval(arg)?.as_ptr(line)?;
         self.mem.store(ptr, Value::Int(st.source as i64), line)?;
         self.mem.store(ptr + 1, Value::Int(st.tag as i64), line)?;
         self.mem.store(ptr + 2, Value::Int(st.count as i64), line)?;
         Ok(())
     }
 
-    fn source_of(&mut self, e: &Expr, line: u32) -> Result<Source, InterpError> {
-        if let Expr::Ident(name) = e {
-            if name == "MPI_ANY_SOURCE" {
-                return Ok(Source::Any);
-            }
+    /// Mark the request an `MPI_Isend`/`MPI_Irecv` argument points at as
+    /// complete (both complete eagerly).
+    fn complete_request(&mut self, arg: &Option<Expr>, line: u32) -> Result<(), Fault> {
+        if let Some(req) = arg {
+            let ptr = self.eval(req)?.as_ptr(line)?;
+            self.mem.store(ptr, Value::Int(0), line)?;
         }
-        let v = self.eval(e)?.as_i64(line)?;
-        if v < 0 {
-            Ok(Source::Any)
-        } else {
-            Ok(Source::Rank(v as usize))
-        }
+        Ok(())
     }
 
-    fn tag_of(&mut self, e: &Expr, line: u32) -> Result<Tag, InterpError> {
-        if let Expr::Ident(name) = e {
-            if name == "MPI_ANY_TAG" {
-                return Ok(Tag::Any);
-            }
-        }
-        let v = self.eval(e)?.as_i64(line)?;
-        if v < 0 {
-            Ok(Tag::Any)
-        } else {
-            Ok(Tag::Value(v as i32))
-        }
+    fn eval_index(&mut self, e: &Expr, line: u32) -> Result<usize, Fault> {
+        Ok(self.eval(e)?.as_i64(line)? as usize)
     }
 
-    fn mpi_call(&mut self, name: &str, args: &[Expr], line: u32) -> Result<Value, InterpError> {
-        let ok = Value::Int(0); // MPI_SUCCESS
-        macro_rules! arg {
-            ($i:expr) => {
-                args.get($i).ok_or(InterpError::TypeError {
-                    detail: format!("{name}: missing argument {}", $i),
-                    line,
-                })?
-            };
+    fn send(&mut self, s: &Envelope, line: u32) -> Result<(), Fault> {
+        let ptr = self.eval(&s.buf)?.as_ptr(line)?;
+        let count = self.eval_index(&s.count, line)?;
+        let dtype = named(&s.dtype)?;
+        let dest = self.eval_index(&s.peer, line)?;
+        let tag = self.eval(&s.tag)?.as_i64(line)? as i32;
+        match &self.read_buf(ptr, count, dtype, line)? {
+            TypedVec::I32(v) => self.comm.send(v, dest, tag)?,
+            TypedVec::I64(v) => self.comm.send(v, dest, tag)?,
+            TypedVec::F32(v) => self.comm.send(v, dest, tag)?,
+            TypedVec::F64(v) => self.comm.send(v, dest, tag)?,
+            TypedVec::U8(v) => self.comm.send(v, dest, tag)?,
         }
-        match name {
-            "MPI_Init" | "MPI_Finalize" => Ok(ok),
-            "MPI_Comm_rank" => {
-                let ptr = self.eval(arg!(1))?.as_ptr(line)?;
+        Ok(())
+    }
+
+    fn recv(&mut self, r: &Envelope, line: u32) -> Result<Status, Fault> {
+        let ptr = self.eval(&r.buf)?.as_ptr(line)?;
+        let count = self.eval_index(&r.count, line)?;
+        let dtype = named(&r.dtype)?;
+        // Negative ranks and tags are the wildcards (`MPI_ANY_SOURCE`).
+        let source = match self.eval(&r.peer)?.as_i64(line)? {
+            v if v < 0 => Source::Any,
+            v => Source::Rank(v as usize),
+        };
+        let tag = match self.eval(&r.tag)?.as_i64(line)? {
+            v if v < 0 => Tag::Any,
+            v => Tag::Value(v as i32),
+        };
+        macro_rules! recv_as {
+            ($t:ty, $variant:ident) => {{
+                let mut buf = vec![<$t>::default(); count];
+                let st = self.comm.recv(&mut buf, source, tag)?;
+                self.write_buf(ptr, &TypedVec::$variant(buf), line)?;
+                st
+            }};
+        }
+        Ok(match dtype {
+            MpiDtype::Int => recv_as!(i32, I32),
+            MpiDtype::Long => recv_as!(i64, I64),
+            MpiDtype::Float => recv_as!(f32, F32),
+            MpiDtype::Double => recv_as!(f64, F64),
+            MpiDtype::Byte => recv_as!(u8, U8),
+        })
+    }
+
+    #[inline(never)]
+    fn mpi_call(&mut self, call: &Mpi, line: u32) -> Result<Value, Fault> {
+        match call {
+            Mpi::Nop => {}
+            Mpi::CommRank(out) => {
+                let ptr = self.eval(out)?.as_ptr(line)?;
                 self.mem
                     .store(ptr, Value::Int(self.comm.rank() as i64), line)?;
-                Ok(ok)
             }
-            "MPI_Comm_size" => {
-                let ptr = self.eval(arg!(1))?.as_ptr(line)?;
+            Mpi::CommSize(out) => {
+                let ptr = self.eval(out)?.as_ptr(line)?;
                 self.mem
                     .store(ptr, Value::Int(self.comm.size() as i64), line)?;
-                Ok(ok)
             }
-            "MPI_Wtime" => Ok(Value::Double(self.comm.wtime())),
-            "MPI_Barrier" => {
-                self.comm.barrier()?;
-                Ok(ok)
+            Mpi::Wtime => return Ok(Value::Double(self.comm.wtime())),
+            Mpi::Barrier => self.comm.barrier()?,
+            Mpi::Abort(code) => {
+                let code = self.eval(code)?.as_i64(line)?;
+                return Err(InterpError::Mpi(self.comm.abort(code as i32)).into());
             }
-            "MPI_Abort" => {
-                let code = self.eval(arg!(1))?.as_i64(line)?;
-                Err(InterpError::Mpi(self.comm.abort(code as i32)))
+            Mpi::Send(send) => self.send(send, line)?,
+            Mpi::Isend { send, request } => {
+                // Buffered send completes immediately.
+                self.send(send, line)?;
+                self.complete_request(request, line)?;
             }
-            "MPI_Send" | "MPI_Ssend" | "MPI_Rsend" | "MPI_Bsend" => {
-                let ptr = self.eval(arg!(0))?.as_ptr(line)?;
-                let count = self.eval(arg!(1))?.as_i64(line)? as usize;
-                let dtype = self.dtype_of(arg!(2), line)?;
-                let dest = self.eval(arg!(3))?.as_i64(line)? as usize;
-                let tag = self.eval(arg!(4))?.as_i64(line)? as i32;
-                let data = self.read_buf(ptr, count, dtype, line)?;
-                match &data {
-                    TypedVec::I32(v) => self.comm.send(v, dest, tag)?,
-                    TypedVec::I64(v) => self.comm.send(v, dest, tag)?,
-                    TypedVec::F32(v) => self.comm.send(v, dest, tag)?,
-                    TypedVec::F64(v) => self.comm.send(v, dest, tag)?,
-                    TypedVec::U8(v) => self.comm.send(v, dest, tag)?,
+            Mpi::Recv { recv, status } => {
+                let st = self.recv(recv, line)?;
+                if let Some(status) = status {
+                    self.write_status(status, st, line)?;
                 }
-                Ok(ok)
             }
-            "MPI_Isend" => {
-                // Buffered send completes immediately; the request cell (arg
-                // 6) is marked complete.
-                self.mpi_call("MPI_Send", &args[..5.min(args.len())], line)?;
-                if let Some(req) = args.get(6) {
-                    let ptr = self.eval(req)?.as_ptr(line)?;
-                    self.mem.store(ptr, Value::Int(0), line)?;
-                }
-                Ok(ok)
+            Mpi::Irecv { recv, request } => {
+                self.recv(recv, line)?;
+                self.complete_request(request, line)?;
             }
-            "MPI_Recv" | "MPI_Irecv" => {
-                let ptr = self.eval(arg!(0))?.as_ptr(line)?;
-                let count = self.eval(arg!(1))?.as_i64(line)? as usize;
-                let dtype = self.dtype_of(arg!(2), line)?;
-                let source = self.source_of(arg!(3), line)?;
-                let tag = self.tag_of(arg!(4), line)?;
-                let st = match dtype {
-                    MpiDtype::Int => {
-                        let mut buf = vec![0i32; count];
-                        let st = self.comm.recv(&mut buf, source, tag)?;
-                        self.write_buf(ptr, &TypedVec::I32(buf), line)?;
-                        st
-                    }
-                    MpiDtype::Long => {
-                        let mut buf = vec![0i64; count];
-                        let st = self.comm.recv(&mut buf, source, tag)?;
-                        self.write_buf(ptr, &TypedVec::I64(buf), line)?;
-                        st
-                    }
-                    MpiDtype::Float => {
-                        let mut buf = vec![0f32; count];
-                        let st = self.comm.recv(&mut buf, source, tag)?;
-                        self.write_buf(ptr, &TypedVec::F32(buf), line)?;
-                        st
-                    }
-                    MpiDtype::Double => {
-                        let mut buf = vec![0f64; count];
-                        let st = self.comm.recv(&mut buf, source, tag)?;
-                        self.write_buf(ptr, &TypedVec::F64(buf), line)?;
-                        st
-                    }
-                    MpiDtype::Byte => {
-                        let mut buf = vec![0u8; count];
-                        let st = self.comm.recv(&mut buf, source, tag)?;
-                        self.write_buf(ptr, &TypedVec::U8(buf), line)?;
-                        st
-                    }
-                };
-                if name == "MPI_Recv" {
-                    if let Some(status) = args.get(6) {
-                        self.write_status(status, st, line)?;
-                    }
-                } else if let Some(req) = args.get(6) {
-                    let ptr = self.eval(req)?.as_ptr(line)?;
-                    self.mem.store(ptr, Value::Int(0), line)?;
-                }
-                Ok(ok)
-            }
-            "MPI_Wait" => {
+            Mpi::Wait { status } => {
                 // Requests complete eagerly; zero the status if provided.
-                if let Some(status) = args.get(1) {
-                    self.write_status(
-                        status,
-                        Status {
-                            source: 0,
-                            tag: 0,
-                            count: 0,
-                        },
-                        line,
-                    )?;
+                if let Some(status) = status {
+                    let done = Status {
+                        source: 0,
+                        tag: 0,
+                        count: 0,
+                    };
+                    self.write_status(status, done, line)?;
                 }
-                Ok(ok)
             }
-            "MPI_Sendrecv" => {
-                let sptr = self.eval(arg!(0))?.as_ptr(line)?;
-                let scount = self.eval(arg!(1))?.as_i64(line)? as usize;
-                let sdtype = self.dtype_of(arg!(2), line)?;
-                let dest = self.eval(arg!(3))?.as_i64(line)? as usize;
-                let stag = self.eval(arg!(4))?.as_i64(line)? as i32;
+            Mpi::Sendrecv { send, recv, status } => {
                 // Send side first (buffered, never blocks).
-                let data = self.read_buf(sptr, scount, sdtype, line)?;
-                match &data {
-                    TypedVec::I32(v) => self.comm.send(v, dest, stag)?,
-                    TypedVec::I64(v) => self.comm.send(v, dest, stag)?,
-                    TypedVec::F32(v) => self.comm.send(v, dest, stag)?,
-                    TypedVec::F64(v) => self.comm.send(v, dest, stag)?,
-                    TypedVec::U8(v) => self.comm.send(v, dest, stag)?,
+                self.send(send, line)?;
+                let st = self.recv(recv, line)?;
+                if let Some(status) = status {
+                    self.write_status(status, st, line)?;
                 }
-                // Receive side = MPI_Recv with args 5..
-                let recv_args: Vec<Expr> = args[5..].to_vec();
-                self.mpi_call("MPI_Recv", &recv_args, line)
             }
-            "MPI_Bcast" => {
-                let ptr = self.eval(arg!(0))?.as_ptr(line)?;
-                let count = self.eval(arg!(1))?.as_i64(line)? as usize;
-                let dtype = self.dtype_of(arg!(2), line)?;
-                let root = self.eval(arg!(3))?.as_i64(line)? as usize;
+            Mpi::Bcast {
+                buf,
+                count,
+                dtype,
+                root,
+            } => {
+                let ptr = self.eval(buf)?.as_ptr(line)?;
+                let count = self.eval_index(count, line)?;
+                let dtype = named(dtype)?;
+                let root = self.eval_index(root, line)?;
                 macro_rules! bcast_as {
                     ($t:ty, $variant:ident) => {{
                         let mut buf = vec![<$t>::default(); count];
@@ -1141,38 +965,43 @@ impl<'a> Interp<'a> {
                     MpiDtype::Double => bcast_as!(f64, F64),
                     MpiDtype::Byte => bcast_as!(u8, U8),
                 }
-                Ok(ok)
             }
-            "MPI_Reduce" | "MPI_Allreduce" => {
-                let all = name == "MPI_Allreduce";
-                let sptr = self.eval(arg!(0))?.as_ptr(line)?;
-                let rptr_expr = arg!(1).clone();
-                let count = self.eval(arg!(2))?.as_i64(line)? as usize;
-                let dtype = self.dtype_of(arg!(3), line)?;
-                let op = self.op_of(arg!(4), line)?;
-                let root = if all {
-                    0
-                } else {
-                    self.eval(arg!(5))?.as_i64(line)? as usize
+            Mpi::Reduce {
+                send,
+                recv,
+                count,
+                dtype,
+                op,
+                root,
+            } => {
+                let sptr = self.eval(send)?.as_ptr(line)?;
+                let count = self.eval_index(count, line)?;
+                let dtype = named(dtype)?;
+                let op = named(op)?;
+                let root = match root {
+                    Some(root) => Some(self.eval_index(root, line)?),
+                    None => None,
                 };
+                // Only a rank that receives the result evaluates where to.
                 macro_rules! reduce_as {
                     ($t:ty, $variant:ident) => {{
                         let send = match self.read_buf(sptr, count, dtype, line)? {
                             TypedVec::$variant(v) => v,
                             _ => unreachable!(),
                         };
-                        let mut recv = vec![<$t>::default(); count];
-                        if all {
-                            self.comm.allreduce(&send, &mut recv, op)?;
-                            let rptr = self.eval(&rptr_expr)?.as_ptr(line)?;
-                            self.write_buf(rptr, &TypedVec::$variant(recv), line)?;
-                        } else if self.comm.rank() == root {
-                            self.comm.reduce(&send, Some(&mut recv), op, root)?;
-                            let rptr = self.eval(&rptr_expr)?.as_ptr(line)?;
-                            self.write_buf(rptr, &TypedVec::$variant(recv), line)?;
-                        } else {
-                            self.comm.reduce(&send, None, op, root)?;
+                        let mut out = vec![<$t>::default(); count];
+                        match root {
+                            None => self.comm.allreduce(&send, &mut out, op)?,
+                            Some(root) if self.comm.rank() == root => {
+                                self.comm.reduce(&send, Some(&mut out), op, root)?
+                            }
+                            Some(root) => {
+                                self.comm.reduce(&send, None, op, root)?;
+                                return Ok(Value::Int(0));
+                            }
                         }
+                        let rptr = self.eval(recv)?.as_ptr(line)?;
+                        self.write_buf(rptr, &TypedVec::$variant(out), line)?;
                     }};
                 }
                 match dtype {
@@ -1184,90 +1013,171 @@ impl<'a> Interp<'a> {
                         return Err(InterpError::Unsupported {
                             detail: "reduce on MPI_BYTE".into(),
                             line,
-                        })
+                        }
+                        .into())
                     }
                 }
-                Ok(ok)
             }
-            "MPI_Gather" | "MPI_Allgather" => {
-                let all = name == "MPI_Allgather";
-                let sptr = self.eval(arg!(0))?.as_ptr(line)?;
-                let scount = self.eval(arg!(1))?.as_i64(line)? as usize;
-                let sdtype = self.dtype_of(arg!(2), line)?;
-                let rptr_expr = arg!(3).clone();
-                let root = if all {
-                    0
-                } else {
-                    self.eval(arg!(6))?.as_i64(line)? as usize
+            Mpi::Gather {
+                send,
+                count,
+                dtype,
+                recv,
+                root,
+            } => {
+                let sptr = self.eval(send)?.as_ptr(line)?;
+                let count = self.eval_index(count, line)?;
+                let dtype = named(dtype)?;
+                let root = match root {
+                    Some(root) => Some(self.eval_index(root, line)?),
+                    None => None,
                 };
-                let total = scount * self.comm.size();
+                let total = count * self.comm.size();
                 macro_rules! gather_as {
                     ($t:ty, $variant:ident) => {{
-                        let send = match self.read_buf(sptr, scount, sdtype, line)? {
+                        let send = match self.read_buf(sptr, count, dtype, line)? {
                             TypedVec::$variant(v) => v,
                             _ => unreachable!(),
                         };
-                        let mut recv = vec![<$t>::default(); total];
-                        if all {
-                            self.comm.allgather(&send, &mut recv)?;
-                            let rptr = self.eval(&rptr_expr)?.as_ptr(line)?;
-                            self.write_buf(rptr, &TypedVec::$variant(recv), line)?;
-                        } else if self.comm.rank() == root {
-                            self.comm.gather(&send, Some(&mut recv), root)?;
-                            let rptr = self.eval(&rptr_expr)?.as_ptr(line)?;
-                            self.write_buf(rptr, &TypedVec::$variant(recv), line)?;
-                        } else {
-                            self.comm.gather(&send, None, root)?;
+                        let mut out = vec![<$t>::default(); total];
+                        match root {
+                            None => self.comm.allgather(&send, &mut out)?,
+                            Some(root) if self.comm.rank() == root => {
+                                self.comm.gather(&send, Some(&mut out), root)?
+                            }
+                            Some(root) => {
+                                self.comm.gather(&send, None, root)?;
+                                return Ok(Value::Int(0));
+                            }
                         }
+                        let rptr = self.eval(recv)?.as_ptr(line)?;
+                        self.write_buf(rptr, &TypedVec::$variant(out), line)?;
                     }};
                 }
-                match sdtype {
+                match dtype {
                     MpiDtype::Int => gather_as!(i32, I32),
                     MpiDtype::Long => gather_as!(i64, I64),
                     MpiDtype::Float => gather_as!(f32, F32),
                     MpiDtype::Double => gather_as!(f64, F64),
                     MpiDtype::Byte => gather_as!(u8, U8),
                 }
-                Ok(ok)
             }
-            "MPI_Scatter" => {
-                let sptr_expr = arg!(0).clone();
-                let scount = self.eval(arg!(1))?.as_i64(line)? as usize;
-                let sdtype = self.dtype_of(arg!(2), line)?;
-                let rptr = self.eval(arg!(3))?.as_ptr(line)?;
-                let rcount = self.eval(arg!(4))?.as_i64(line)? as usize;
-                let root = self.eval(arg!(6))?.as_i64(line)? as usize;
-                let total = scount * self.comm.size();
+            Mpi::Scatter {
+                send,
+                count,
+                dtype,
+                recv,
+                recv_count,
+                root,
+            } => {
+                let count = self.eval_index(count, line)?;
+                let dtype = named(dtype)?;
+                let rptr = self.eval(recv)?.as_ptr(line)?;
+                let recv_count = self.eval_index(recv_count, line)?;
+                let root = self.eval_index(root, line)?;
+                let total = count * self.comm.size();
+                // Only the root evaluates where it scatters from.
                 macro_rules! scatter_as {
                     ($t:ty, $variant:ident) => {{
-                        let mut mine = vec![<$t>::default(); rcount];
+                        let mut mine = vec![<$t>::default(); recv_count];
                         if self.comm.rank() == root {
-                            let sptr = self.eval(&sptr_expr)?.as_ptr(line)?;
-                            let send = match self.read_buf(sptr, total, sdtype, line)? {
+                            let sptr = self.eval(send)?.as_ptr(line)?;
+                            let all = match self.read_buf(sptr, total, dtype, line)? {
                                 TypedVec::$variant(v) => v,
                                 _ => unreachable!(),
                             };
-                            self.comm.scatter(Some(&send), &mut mine, root)?;
+                            self.comm.scatter(Some(&all), &mut mine, root)?;
                         } else {
                             self.comm.scatter(None, &mut mine, root)?;
                         }
                         self.write_buf(rptr, &TypedVec::$variant(mine), line)?;
                     }};
                 }
-                match sdtype {
+                match dtype {
                     MpiDtype::Int => scatter_as!(i32, I32),
                     MpiDtype::Long => scatter_as!(i64, I64),
                     MpiDtype::Float => scatter_as!(f32, F32),
                     MpiDtype::Double => scatter_as!(f64, F64),
                     MpiDtype::Byte => scatter_as!(u8, U8),
                 }
-                Ok(ok)
             }
-            "MPI_Get_processor_name" | "MPI_Initialized" | "MPI_Finalized" => Ok(ok),
-            other => Err(InterpError::Unsupported {
-                detail: format!("MPI function {other}"),
-                line,
-            }),
         }
+        Ok(Value::Int(0)) // MPI_SUCCESS
     }
+}
+
+/// C's usual arithmetic conversions over dynamically typed values: pointer
+/// ± integer offsets the pointer, a double on either side makes the
+/// operation floating, anything else is integer arithmetic.
+#[inline]
+fn binop(op: BinOp, a: Value, b: Value, line: u32) -> Result<Value, Fault> {
+    use BinOp::*;
+    match (a, b) {
+        (Value::Int(x), Value::Int(y)) => int_op(op, x, y, line),
+        (Value::Double(x), Value::Double(y)) => float_op(op, x, y, line),
+        (Value::Double(x), Value::Int(y)) => float_op(op, x, y as f64, line),
+        (Value::Int(x), Value::Double(y)) => float_op(op, x as f64, y, line),
+        (Value::Ptr(p), Value::Int(i)) if matches!(op, Add | Sub | Eq | Ne) => Ok(match op {
+            Add => Value::Ptr((p as i64).wrapping_add(i) as usize),
+            Sub => Value::Ptr((p as i64).wrapping_sub(i) as usize),
+            Eq => Value::Int((p as i64 == i) as i64),
+            _ => Value::Int((p as i64 != i) as i64),
+        }),
+        // What is left has a pointer where a number must be: a type error.
+        (Value::Double(_), _) | (_, Value::Double(_)) => {
+            float_op(op, a.as_f64(line)?, b.as_f64(line)?, line)
+        }
+        _ => int_op(op, a.as_i64(line)?, b.as_i64(line)?, line),
+    }
+}
+
+#[inline]
+fn int_op(op: BinOp, x: i64, y: i64, line: u32) -> Result<Value, Fault> {
+    use BinOp::*;
+    Ok(Value::Int(match op {
+        Add => x.wrapping_add(y),
+        Sub => x.wrapping_sub(y),
+        Mul => x.wrapping_mul(y),
+        Div | Rem if y == 0 => return Err(InterpError::DivideByZero { line }.into()),
+        Div => x.wrapping_div(y),
+        Rem => x.wrapping_rem(y),
+        Lt => (x < y) as i64,
+        Gt => (x > y) as i64,
+        Le => (x <= y) as i64,
+        Ge => (x >= y) as i64,
+        Eq => (x == y) as i64,
+        Ne => (x != y) as i64,
+        And | Or => unreachable!("short-circuited"),
+        BitAnd => x & y,
+        BitOr => x | y,
+        BitXor => x ^ y,
+        Shl => x.wrapping_shl(y as u32),
+        Shr => x.wrapping_shr(y as u32),
+    }))
+}
+
+#[inline]
+fn float_op(op: BinOp, x: f64, y: f64, line: u32) -> Result<Value, Fault> {
+    use BinOp::*;
+    Ok(match op {
+        Add => Value::Double(x + y),
+        Sub => Value::Double(x - y),
+        Mul => Value::Double(x * y),
+        Div => Value::Double(x / y),
+        Rem => Value::Double(x % y),
+        Lt => Value::Int((x < y) as i64),
+        Gt => Value::Int((x > y) as i64),
+        Le => Value::Int((x <= y) as i64),
+        Ge => Value::Int((x >= y) as i64),
+        Eq => Value::Int((x == y) as i64),
+        Ne => Value::Int((x != y) as i64),
+        And | Or => unreachable!("short-circuited"),
+        BitAnd | BitOr | BitXor | Shl | Shr => {
+            return Err(InterpError::TypeError {
+                detail: "bitwise op on float".into(),
+                line,
+            }
+            .into())
+        }
+    })
 }

@@ -1,7 +1,7 @@
 //! # mpirical-interp
 //!
-//! A tree-walking interpreter for the `mpirical-cparse` C subset with MPI
-//! calls bound to the `mpirical-sim` runtime.
+//! An interpreter for the `mpirical-cparse` C subset with MPI calls bound
+//! to the `mpirical-sim` runtime.
 //!
 //! Together with the simulator this substitutes the paper's §VI-C validity
 //! check ("we evaluated the validity of generated programs by compiling and
@@ -9,6 +9,15 @@
 //! each rank an OS thread with private memory — captures every rank's
 //! `printf` output, and reports deterministic errors for deadlocks, type
 //! mismatches, out-of-bounds accesses and runaway loops.
+//!
+//! Execution is **compile, then run**. [`compile()`] lowers the AST once into
+//! an IR of the same shape in which every identifier is a slot index, every
+//! call site knows its callee, and every declaration knows its type
+//! ([`mod@compile`] says what is resolved when, and why undefined names and
+//! short argument lists stay run-time errors); [`run_compiled`] then runs
+//! that one [`Compiled`] program on any number of worlds, each rank
+//! interpreting it over its own [`Memory`] without allocating or hashing
+//! per step. [`run_program`] is the two in a row.
 //!
 //! ```
 //! use mpirical_interp::run_source;
@@ -33,13 +42,17 @@
 //! ```
 
 pub mod builtins;
+pub mod compile;
 pub mod error;
 pub mod interp;
 pub mod machine;
+#[cfg(test)]
+mod shadow;
 
+pub use compile::{compile, Compiled};
 pub use error::InterpError;
 pub use interp::Limits;
-pub use machine::{CType, Cell, Memory, Value, VarInfo};
+pub use machine::{Binding, CType, Cell, Memory, Value};
 
 use mpirical_cparse::{parse_strict, Program};
 use mpirical_sim::World;
@@ -83,11 +96,20 @@ impl RunOutput {
     }
 }
 
-/// Run a parsed program on `cfg.nranks` simulated ranks.
+/// Run a parsed program on `cfg.nranks` simulated ranks: [`compile()`], then
+/// [`run_compiled`].
 pub fn run_program(prog: &Program, cfg: &RunConfig) -> Result<RunOutput, InterpError> {
+    run_compiled(&compile(prog), cfg)
+}
+
+/// Run a compiled program on `cfg.nranks` simulated ranks. The program is
+/// only read, so one [`Compiled`] serves every world a caller runs it on.
+pub fn run_compiled(code: &Compiled, cfg: &RunConfig) -> Result<RunOutput, InterpError> {
     let limits = cfg.limits;
     let results: Vec<Result<(i64, String), InterpError>> = World::run(cfg.nranks, |comm| {
-        let r = interp::Interp::new(prog, comm, limits).run();
+        let r = interp::Interp::new(code, comm, limits)
+            .run()
+            .map_err(|e| *e);
         if r.is_err() {
             // Fail the world while this rank still counts as live: peers
             // asleep on us then report our failure, never a deadlock.
@@ -427,6 +449,194 @@ mod tests {
     fn undefined_variable_reported() {
         let err = run_source("int main() { return nope; }", 1).unwrap_err();
         assert!(matches!(err, InterpError::Undefined { .. }), "{err}");
+    }
+
+    #[test]
+    fn user_function_arguments_are_evaluated_once() {
+        // Every call with at most two arguments used to be probed as a math
+        // builtin first, which evaluated the arguments a first time.
+        let out = run1(
+            r#"int g = 0;
+            int bump() { g = g + 1; return g; }
+            int id(int v) { return v; }
+            int main() {
+                int r = id(bump());
+                printf("%d %d", r, g);
+                return 0;
+            }"#,
+        );
+        assert_eq!(out.rank_outputs[0], "1 1");
+    }
+
+    #[test]
+    fn user_definition_wins_over_a_builtin_of_the_same_name() {
+        let out = run1(
+            r#"double sqrt(double x) { return 42.0; }
+            int abs(int v) { return 7; }
+            int main() {
+                printf("%f %d", sqrt(4.0), abs(-3));
+                return 0;
+            }"#,
+        );
+        assert_eq!(out.rank_outputs[0], "42.000000 7");
+    }
+
+    #[test]
+    fn calls_with_missing_arguments_fail_with_a_typed_error() {
+        // Every builtin and every MPI binding, called with no arguments at
+        // all on two ranks: those that read an argument must say so with a
+        // `TypeError` — indexing `args[0]` used to panic the rank thread —
+        // and those that read none must simply run.
+        let reads_an_argument = [
+            "fprintf",
+            "malloc",
+            "srand",
+            "abs",
+            "labs",
+            "exit",
+            "sqrt",
+            "fabs",
+            "pow",
+            "exp",
+            "log",
+            "log2",
+            "log10",
+            "sin",
+            "cos",
+            "tan",
+            "floor",
+            "ceil",
+            "fmax",
+            "fmin",
+            "fmod",
+            "MPI_Comm_rank",
+            "MPI_Comm_size",
+            "MPI_Abort",
+            "MPI_Send",
+            "MPI_Ssend",
+            "MPI_Rsend",
+            "MPI_Bsend",
+            "MPI_Isend",
+            "MPI_Recv",
+            "MPI_Irecv",
+            "MPI_Sendrecv",
+            "MPI_Bcast",
+            "MPI_Reduce",
+            "MPI_Allreduce",
+            "MPI_Gather",
+            "MPI_Allgather",
+            "MPI_Scatter",
+        ];
+        let reads_none = [
+            "rand",
+            "free",
+            "MPI_Init",
+            "MPI_Finalize",
+            "MPI_Wtime",
+            "MPI_Barrier",
+            "MPI_Wait",
+            "MPI_Get_processor_name",
+            "MPI_Initialized",
+            "MPI_Finalized",
+        ];
+        let call = |name: &str| run_source(&format!("int main() {{ {name}(); return 0; }}"), 2);
+        for name in reads_an_argument {
+            let err = call(name).unwrap_err();
+            assert!(
+                matches!(err, InterpError::TypeError { line: 1, .. }),
+                "{name}(): {err}"
+            );
+        }
+        for name in reads_none {
+            assert_eq!(
+                call(name).map(|out| out.exit_codes),
+                Ok(vec![0, 0]),
+                "{name}()"
+            );
+        }
+        // `printf` reads a format, and says which kind it wants.
+        assert!(matches!(
+            call("printf").unwrap_err(),
+            InterpError::Unsupported { .. }
+        ));
+        // A short call is only an error where it runs.
+        let out = run1("int main() { if (0) { exit(); abs(); MPI_Send(); } return 3; }");
+        assert_eq!(out.exit_codes, [3]);
+    }
+
+    #[test]
+    fn blocks_and_calls_release_their_locals() {
+        // 2000 iterations of a 1024-cell local is 1024 live cells, not two
+        // million: the verifier's budget of a million must not notice.
+        let src = r#"int twice(int v) { return v + v; }
+        int main() {
+            int k;
+            long sum = 0;
+            for (k = 0; k < 2000; k++) {
+                int buf[1024];
+                buf[0] = k;
+                sum += buf[0];
+            }
+            for (k = 0; k < 100000; k++) { sum += twice(k); }
+            printf("%ld\n", sum);
+            return 0;
+        }"#;
+        let prog = mpirical_cparse::parse_strict(src).unwrap();
+        let mut cfg = RunConfig::new(1);
+        cfg.limits.cell_limit = 1_100;
+        let out = run_program(&prog, &cfg).unwrap();
+        assert_eq!(out.rank_outputs[0], "10001899000\n");
+        // The budget still bounds what is live at one time.
+        cfg.limits.cell_limit = 1_000;
+        let err = run_program(&prog, &cfg).unwrap_err();
+        assert!(
+            matches!(err, InterpError::MemoryLimit { limit: 1_000 }),
+            "{err}"
+        );
+    }
+
+    #[test]
+    fn malloc_blocks_outlive_the_block_that_allocated_them() {
+        let out = run1(
+            r#"int main() {
+                int *p;
+                {
+                    int scratch[8];
+                    p = (int *)malloc(4 * sizeof(int));
+                    p[2] = 7;
+                    scratch[0] = 1;
+                }
+                {
+                    int other[64];
+                    other[3] = 9;
+                }
+                printf("%d\n", p[2]);
+                return 0;
+            }"#,
+        );
+        assert_eq!(out.rank_outputs[0], "7\n");
+    }
+
+    #[test]
+    fn a_global_is_undefined_until_its_declaration_has_run() {
+        // `late` has a slot from the start, but no storage while `early`'s
+        // initialiser runs — the same error the name lookup used to give.
+        let err = run_source(
+            "int peek() { return late; } int early = peek(); int late = 3; int main() { return 0; }",
+            1,
+        )
+        .unwrap_err();
+        assert_eq!(
+            err,
+            InterpError::Undefined {
+                name: "late".into(),
+                line: 0
+            }
+        );
+        let out = run1(
+            "int peek() { return late; } int late = 3; int main() { printf(\"%d\", peek()); return 0; }",
+        );
+        assert_eq!(out.rank_outputs[0], "3");
     }
 
     #[test]

@@ -29,7 +29,7 @@ use mpirical_cparse::{
     is_mpi_name, parse_strict, parse_tolerant, print_program, splice_stmt, Block, Expr, Item,
     Program, Stmt,
 };
-use mpirical_interp::{run_program, InterpError, Limits, RunConfig};
+use mpirical_interp::{compile, run_compiled, InterpError, Limits, RunConfig};
 use mpirical_sim::SimError;
 use serde::{Deserialize, Serialize};
 use std::fmt;
@@ -347,7 +347,8 @@ pub fn splice_prediction(base: &Program, predicted_source: &str) -> Program {
 ///
 /// The program is printed and strictly reparsed first — the verifier only
 /// trusts the exact text an IDE would insert ([`Verdict::NotExecutable`]
-/// if that fails). Each configured multi-rank world runs next (first
+/// if that fails) — and compiled once; every world below runs that one
+/// compiled program. Each configured multi-rank world runs next (first
 /// failure wins), then the serial 1-rank baseline, and finally the root
 /// rank's multi-rank output is compared against the serial baseline with
 /// numeric tolerance.
@@ -356,6 +357,7 @@ pub fn verify_program(patched: &Program, opts: &VerifyOptions) -> (Verdict, usiz
     let Ok(prog) = parse_strict(&text) else {
         return (Verdict::NotExecutable, 0);
     };
+    let code = compile(&prog);
     let mut runs = 0usize;
     let mut multi = Vec::new();
     for &n in &opts.rank_counts {
@@ -363,13 +365,13 @@ pub fn verify_program(patched: &Program, opts: &VerifyOptions) -> (Verdict, usiz
             continue;
         }
         runs += 1;
-        match run_program(&prog, &opts.run_config(n)) {
+        match run_compiled(&code, &opts.run_config(n)) {
             Ok(out) => multi.push(out),
             Err(e) => return (classify_error(&e), runs),
         }
     }
     runs += 1;
-    let serial = match run_program(&prog, &opts.run_config(1)) {
+    let serial = match run_compiled(&code, &opts.run_config(1)) {
         Ok(out) => out,
         Err(e) => return (classify_error(&e), runs),
     };

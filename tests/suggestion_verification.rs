@@ -232,6 +232,36 @@ fn timeout_fields_are_inert() {
     assert_eq!(ranks, [0, 1], "both ranks of the cycle are in the snapshot");
 }
 
+#[test]
+fn a_loop_local_buffer_is_not_a_memory_blowup() {
+    // 2000 iterations of a 1024-cell local: a live footprint of 1024 cells
+    // under a budget of a million. While locals were never released the
+    // interpreter counted two million and the verdict was `RankCrash`.
+    let src = "int main(int argc, char **argv) {\n\
+         int rank, k;\n\
+         long sum = 0;\n\
+         MPI_Init(&argc, &argv);\n\
+         MPI_Comm_rank(MPI_COMM_WORLD, &rank);\n\
+         for (k = 0; k < 2000; k++) {\n\
+         int buf[1024];\n\
+         buf[0] = k;\n\
+         sum += buf[0];\n\
+         }\n\
+         if (rank == 0) {\n\
+         printf(\"sum = %ld\\n\", sum);\n\
+         }\n\
+         MPI_Finalize();\n\
+         return 0;\n\
+         }";
+    let prog = parse_strict(src).unwrap();
+    let out = run_program(&prog, &RunConfig::new(1)).unwrap();
+    assert_eq!(out.rank_outputs[0], "sum = 1999000\n");
+    assert_eq!(
+        verify_program(&prog, &VerifyOptions::default()),
+        (Verdict::Verified, 3)
+    );
+}
+
 /// Options for the benchmark11 reference splices: the paper's 2/4-rank
 /// worlds plus the serial baseline, a generous step budget (these programs
 /// do real numerical work), and a per-program numeric tolerance — programs
@@ -515,4 +545,105 @@ fn batch_and_service_agree_with_sequential_verification() {
             other => panic!("ticket not finished: {other:?}"),
         }
     }
+}
+
+// ---------------------------------------------------------------------------
+// 4. Interpreter behaviour pinned to a recorded fixture.
+// ---------------------------------------------------------------------------
+
+/// What the interpreter did before it resolved names at compile time
+/// (recorded by `record_interpreter_fixture` at commit 776865c, the parent
+/// of that change): one line per case, tab-separated —
+/// `name, ranks, smallest step budget with this outcome, outcome`.
+const INTERPRETER_FIXTURE: &str = include_str!("fixtures/cinterp_behaviour.tsv");
+
+/// The cases of the fixture: every benchmark11 program on 1, 2 and 4 ranks
+/// under the default budget, and every fault-corpus row on 2 ranks under
+/// the fault budget.
+fn fixture_cases() -> Vec<(&'static str, &'static str, usize, u64)> {
+    let mut cases = Vec::new();
+    for p in benchmark_programs() {
+        for nranks in [1, 2, 4] {
+            let budget = RunConfig::new(nranks).limits.step_limit;
+            cases.push((p.name, p.source, nranks, budget));
+        }
+    }
+    for (name, src, _) in FAULT_CORPUS {
+        cases.push((name, src, 2, fault_opts().step_limit));
+    }
+    cases
+}
+
+/// The observable outcome of a run: per-rank exit codes and stdout, or the
+/// root-cause error as displayed.
+fn observe(src: &str, nranks: usize, step_limit: u64) -> String {
+    let Ok(prog) = parse_strict(src) else {
+        return "does not parse".to_string();
+    };
+    let mut cfg = RunConfig::new(nranks);
+    cfg.limits.step_limit = step_limit;
+    match run_program(&prog, &cfg) {
+        Ok(out) => format!("exit {:?} stdout {:?}", out.exit_codes, out.rank_outputs),
+        Err(e) => format!("error: {e}"),
+    }
+}
+
+#[test]
+fn interpreter_behaviour_matches_the_recorded_fixture() {
+    let cases = fixture_cases();
+    let lines: Vec<&str> = INTERPRETER_FIXTURE.lines().collect();
+    assert_eq!(lines.len(), cases.len(), "one fixture line per case");
+    for ((name, src, nranks, budget), line) in cases.into_iter().zip(lines) {
+        let fields: Vec<&str> = line.split('\t').collect();
+        let [fname, franks, min_steps, outcome] = fields[..] else {
+            panic!("malformed fixture line: {line}");
+        };
+        assert_eq!((fname, franks), (name, nranks.to_string().as_str()));
+        assert_eq!(observe(src, nranks, budget), outcome, "{name} on {nranks}");
+        // Step accounting is pinned exactly: the recorded budget is the
+        // smallest that reaches this outcome, so one step fewer must not.
+        if let Ok(min) = min_steps.parse::<u64>() {
+            assert_eq!(observe(src, nranks, min), outcome, "{name} on {nranks}");
+            assert_eq!(
+                observe(src, nranks, min - 1),
+                format!("error: step limit of {} exceeded (runaway loop?)", min - 1),
+                "{name} on {nranks}: took fewer steps than recorded"
+            );
+        }
+    }
+}
+
+/// Regenerates the fixture from whatever interpreter this is built against.
+/// Only meaningful at a commit whose behaviour is the reference; the
+/// committed file came from 776865c.
+#[test]
+#[ignore = "recorder for tests/fixtures/cinterp_behaviour.tsv"]
+fn record_interpreter_fixture() {
+    let mut text = String::new();
+    for (name, src, nranks, budget) in fixture_cases() {
+        let outcome = observe(src, nranks, budget);
+        // Smallest budget with the same outcome (none if the outcome is the
+        // budget running out, or does not depend on steps at all).
+        let min_steps =
+            if observe(src, nranks, 0) == outcome || outcome.starts_with("error: step limit") {
+                "-".to_string()
+            } else {
+                let (mut fails, mut passes) = (0, budget);
+                while passes - fails > 1 {
+                    let mid = fails + (passes - fails) / 2;
+                    if observe(src, nranks, mid) == outcome {
+                        passes = mid;
+                    } else {
+                        fails = mid;
+                    }
+                }
+                passes.to_string()
+            };
+        text.push_str(&format!("{name}\t{nranks}\t{min_steps}\t{outcome}\n"));
+    }
+    let path = concat!(
+        env!("CARGO_MANIFEST_DIR"),
+        "/../../tests/fixtures/cinterp_behaviour.tsv"
+    );
+    std::fs::write(path, text).expect("write the fixture");
 }
