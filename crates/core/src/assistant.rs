@@ -521,10 +521,7 @@ impl MpiRical {
                      to auto-detect from available parallelism)"
                     )
                 }),
-            None => std::thread::available_parallelism()
-                .map(|n| n.get())
-                .unwrap_or(1)
-                .min(8),
+            None => mpirical_tensor::available_cores().min(8),
         };
         cores.min(reqs)
     }
@@ -598,15 +595,42 @@ impl MpiRical {
         self.ids_to_source(&self.predict_ids(c_source))
     }
 
-    /// Predict for an already-encoded dataset record (evaluation fast path).
+    /// Predict for an already-encoded dataset record: a batch of one
+    /// through [`predict_records_ids`](Self::predict_records_ids).
     pub fn predict_record_ids(&self, record: &mpirical_corpus::Record) -> Option<Vec<usize>> {
-        let ex = encode_record(
-            record,
-            &self.model.vocab,
-            &self.model.cfg,
-            self.input_format,
-        )?;
-        Some(self.decode_winner(self.request_from_ids(&ex.src, SubmitOptions::default())))
+        self.predict_records_ids(std::slice::from_ref(record))
+            .swap_remove(0)
+    }
+
+    /// Predict for dataset records (the evaluation path): every record is
+    /// encoded, and all of them decode through one engine. `None` marks a
+    /// record the encoder rejects (see `encode_record`), in input order.
+    pub fn predict_records_ids(
+        &self,
+        records: &[mpirical_corpus::Record],
+    ) -> Vec<Option<Vec<usize>>> {
+        let (vocab, cfg) = (&self.model.vocab, &self.model.cfg);
+        let encoded: Vec<_> = records
+            .iter()
+            .map(|r| encode_record(r, vocab, cfg, self.input_format))
+            .collect();
+        let reqs = encoded
+            .iter()
+            .flatten()
+            .map(|ex| self.request_from_ids(&ex.src, SubmitOptions::default()))
+            .collect();
+        let mut winners = self
+            .decode_hypotheses(reqs)
+            .0
+            .into_iter()
+            .map(|mut ranked| ranked.swap_remove(0));
+        encoded
+            .iter()
+            .map(|ex| {
+                ex.as_ref()
+                    .map(|_| winners.next().expect("one ranked list per request"))
+            })
+            .collect()
     }
 
     /// Save the artifact (model + vocab + input format) as JSON.

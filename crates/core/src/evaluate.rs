@@ -43,15 +43,28 @@ pub fn evaluate_dataset(assistant: &MpiRical, dataset: &Dataset) -> (EvalReport,
 }
 
 /// Evaluate with an explicit tolerance (the tolerance-sweep ablation).
+/// Every record decodes through one batched
+/// [`predict_records_ids`](MpiRical::predict_records_ids) call.
 pub fn evaluate_dataset_with_tolerance(
     assistant: &MpiRical,
     dataset: &Dataset,
     tolerance: u32,
 ) -> (EvalReport, Vec<Prediction>) {
+    let pred_ids = assistant.predict_records_ids(&dataset.records);
+    report_from_predictions(assistant, dataset, tolerance, pred_ids)
+}
+
+/// Score one prediction per record (`None`: the record was skipped).
+fn report_from_predictions(
+    assistant: &MpiRical,
+    dataset: &Dataset,
+    tolerance: u32,
+    pred_ids: Vec<Option<Vec<usize>>>,
+) -> (EvalReport, Vec<Prediction>) {
     let mut predictions = Vec::with_capacity(dataset.len());
     let mut skipped = 0usize;
-    for record in &dataset.records {
-        let Some(pred_ids) = assistant.predict_record_ids(record) else {
+    for (record, pred_ids) in dataset.records.iter().zip(pred_ids) {
+        let Some(pred_ids) = pred_ids else {
             skipped += 1;
             continue;
         };
@@ -99,35 +112,44 @@ mod tests {
     use crate::assistant::MpiRicalConfig;
     use crate::encode::InputFormat;
     use mpirical_corpus::{generate_dataset, CorpusConfig};
-    use mpirical_model::ModelConfig;
+    use mpirical_model::{ModelConfig, Precision};
+
+    /// A tiny trained assistant plus the test split it is evaluated on,
+    /// trained once for the whole module.
+    fn trained() -> &'static (MpiRical, Dataset) {
+        static SHARED: std::sync::OnceLock<(MpiRical, Dataset)> = std::sync::OnceLock::new();
+        SHARED.get_or_init(|| {
+            let ccfg = CorpusConfig {
+                programs: 30,
+                seed: 31,
+                max_tokens: 320,
+                threads: 1,
+            };
+            let (_, ds, _) = generate_dataset(&ccfg);
+            let splits = ds.split(7);
+            let mut cfg = MpiRicalConfig {
+                model: ModelConfig::tiny(),
+                vocab_min_freq: 1,
+                input_format: InputFormat::CodeXsbt,
+                ..Default::default()
+            };
+            cfg.model.max_enc_len = 256;
+            cfg.model.max_dec_len = 230;
+            cfg.train.epochs = 1;
+            cfg.train.batch_size = 8;
+            cfg.train.threads = 1;
+            cfg.train.validate = false;
+            let (assistant, _) = MpiRical::train(&splits.train, &splits.val, &cfg, |_| {});
+            (assistant, splits.test)
+        })
+    }
 
     #[test]
     fn evaluation_pipeline_shapes() {
-        let ccfg = CorpusConfig {
-            programs: 30,
-            seed: 31,
-            max_tokens: 320,
-            threads: 1,
-        };
-        let (_, ds, _) = generate_dataset(&ccfg);
-        let splits = ds.split(7);
-        let mut cfg = MpiRicalConfig {
-            model: ModelConfig::tiny(),
-            vocab_min_freq: 1,
-            input_format: InputFormat::CodeXsbt,
-            ..Default::default()
-        };
-        cfg.model.max_enc_len = 256;
-        cfg.model.max_dec_len = 230;
-        cfg.train.epochs = 1;
-        cfg.train.batch_size = 8;
-        cfg.train.threads = 1;
-        cfg.train.validate = false;
-        let (assistant, _) = MpiRical::train(&splits.train, &splits.val, &cfg, |_| {});
-
-        let (report, preds) = evaluate_dataset(&assistant, &splits.test);
+        let (assistant, test) = trained();
+        let (report, preds) = evaluate_dataset(assistant, test);
         assert_eq!(report.tolerance, 1);
-        assert_eq!(report.evaluated + report.skipped, splits.test.len());
+        assert_eq!(report.evaluated + report.skipped, test.len());
         assert_eq!(preds.len(), report.evaluated);
         // All metrics in range.
         let t = &report.table;
@@ -149,6 +171,43 @@ mod tests {
         for p in &preds {
             assert!(!p.truth_calls.is_empty());
             assert!(!p.truth_tokens.is_empty());
+        }
+    }
+
+    /// One batched decode over every record scores exactly like the
+    /// one-engine-per-record loop it replaced: same `EvalReport`, same
+    /// `Prediction` for every record, at f32 and int8.
+    #[test]
+    fn batched_evaluation_matches_the_per_record_loop() {
+        let (assistant, _) = trained();
+        let ccfg = CorpusConfig {
+            programs: 40,
+            seed: 43,
+            max_tokens: 300,
+            threads: 1,
+        };
+        let (_, corpus, _) = generate_dataset(&ccfg);
+        let test = &corpus;
+        for precision in [Precision::F32, Precision::Int8] {
+            let mut assistant = assistant.clone();
+            assistant.decode.precision = precision;
+            let per_record = test
+                .records
+                .iter()
+                .map(|r| assistant.predict_record_ids(r))
+                .collect();
+            let want = report_from_predictions(&assistant, test, 1, per_record);
+            let got = evaluate_dataset(&assistant, test);
+            let (report, _) = &got;
+            assert!(
+                report.evaluated > 4 && report.skipped > 0,
+                "{precision:?}: the corpus exercises both paths: {report:?}"
+            );
+            assert_eq!(
+                serde_json::to_string(&got).expect("serializes"),
+                serde_json::to_string(&want).expect("serializes"),
+                "{precision:?}: batched evaluation diverged from the per-record loop"
+            );
         }
     }
 

@@ -14,9 +14,12 @@
 //! [`submit_with`](SuggestService::submit_with) carries
 //! [`SubmitOptions`] — a [`Priority`] class plus an optional generated-token
 //! cap — into the scheduler: an [`Interactive`](mpirical_model::Priority::Interactive)
-//! keystroke request preempts [`Bulk`](mpirical_model::Priority::Bulk) re-index lanes and
-//! starts decoding within one step (the preempted bulk work pauses with its
-//! KV pages intact and resumes unchanged). [`poll`](SuggestService::poll)
+//! keystroke request starts decoding within one step, preempting
+//! [`Bulk`](mpirical_model::Priority::Bulk) re-index lanes if every lane is
+//! taken, and holds all bulk work while it is in flight — from the start of
+//! its front-end and encoder forward in `submit_with` until its ticket
+//! resolves (held bulk pauses with its KV pages intact and resumes
+//! unchanged). [`poll`](SuggestService::poll)
 //! returns a typed [`SuggestPoll`]: queue position, streaming partial
 //! suggestions while decoding, the finished suggestions plus scheduling
 //! telemetry ([`RequestTelemetry`]: queue-wait steps, decode steps,
@@ -395,8 +398,15 @@ impl<'m> SuggestService<'m> {
     /// interactive keystroke requests) and an optional cap on generated
     /// tokens.
     pub fn submit_with(&mut self, c_source: &str, submit: SubmitOptions) -> RequestId {
-        let enc = self.assistant.encode_source(c_source);
         let interactive = matches!(submit.priority, Priority::Interactive);
+        // A keystroke is in flight from here on: the engine's bulk work
+        // holds while its front-end and encoder forward run, not only once
+        // its ticket exists.
+        let _reservation = match &self.backend {
+            Backend::Sharded(engine) if interactive => Some(engine.reserve_interactive()),
+            _ => None,
+        };
+        let enc = self.assistant.encode_source(c_source);
         let id = self
             .backend
             .submit(self.assistant.request_from_encoded(&enc, submit));
@@ -1017,6 +1027,11 @@ mod tests {
     /// wait in the verify queue while Interactive traffic is still
     /// decoding, and only execute once the interactive lanes drain (or the
     /// client polls, which completes its own verification synchronously).
+    ///
+    /// A bulk decode cannot retire beside a keystroke unless it escapes the
+    /// Interactive hold, so the bulk job here waits past a 2-step aging
+    /// bound, is admitted protected, and retires while the interactive
+    /// request is still decoding.
     #[test]
     fn verification_defers_to_interactive_traffic() {
         let mut assistant = tiny_assistant();
@@ -1027,13 +1042,20 @@ mod tests {
             ..Default::default()
         });
         let mut service = SuggestService::with_max_batch(&assistant, 2);
+        service.set_aging_steps(2);
         let bulk = service.submit_with(
             "int main() { double local = 0.0; return 0; }",
             SubmitOptions::bulk().with_max_new_tokens(4),
         );
         let interactive = service.submit("int main() { int rank; return 0; }");
-        // Step until the bulk decode retires and is swept into the verify
-        // queue; `min_len` keeps the interactive request decoding past it.
+        service.step();
+        assert!(
+            matches!(service.poll(bulk), SuggestPoll::Queued { .. }),
+            "bulk is held while the keystroke decodes"
+        );
+        // Step until the aged bulk decode retires and is swept into the
+        // verify queue; `min_len` keeps the interactive request decoding
+        // past it.
         while service.verify_queue.is_empty() {
             assert!(service.step() > 0, "bulk request must retire");
         }

@@ -41,6 +41,17 @@
 //!   *paused*: their paged KV caches stay alive (pages are refcounted), so
 //!   resuming is a lane reassignment, not a re-prefill, and the final
 //!   tokens are unchanged.
+//! * **Interactive hold** — while any Interactive request is in flight
+//!   (queued or decoding here, or — under the sharded
+//!   [`Engine`](crate::engine::Engine) — anywhere in the fleet), no
+//!   unprotected bulk group is admitted or stepped: held groups keep their
+//!   lanes, caches and pages and sit steps out, so the keystroke decodes
+//!   in a batch of its own instead of beside up to `max_batch - 1` bulk
+//!   lanes. Held steps count toward aging like queued ones: a group held
+//!   for [`aging_steps`](BatchDecoder::aging_steps) steps in a row is
+//!   promoted (protected) and steps again, so the aging bound still bounds
+//!   starvation, while a group that steps between keystrokes starts its
+//!   count afresh.
 //! * **Typed results + control** — [`poll`](BatchDecoder::poll)
 //!   distinguishes `Queued { position }`, `Decoding { tokens_so_far }`
 //!   (streaming partial output), `Done { ids, telemetry }`, `Cancelled`,
@@ -118,9 +129,9 @@
 //! let enc = encode_source(&store, &params, &cfg, &[1, 6, 7, 2]);
 //!
 //! let mut dec = BatchDecoder::new(&store, &params, &cfg, 4);
-//! // A background job and a keystroke-triggered request share the batch;
-//! // the interactive one is admitted first (and would preempt bulk lanes
-//! // if the scheduler were saturated).
+//! // A background job and two keystroke-triggered requests: the
+//! // interactive ones are admitted first, and the bulk job waits until
+//! // they retire (it would hold its lanes if it were already decoding).
 //! let bulk = dec.submit(BatchRequest::greedy(enc.clone(), 12).bulk());
 //! let a = dec.submit(BatchRequest::greedy(enc.clone(), 12));
 //! let b = dec.submit(BatchRequest::beam(enc.clone(), 12, 3));
@@ -461,6 +472,10 @@ struct Group {
     /// EDF deadline stamp carried from [`SubmitOptions::deadline`] (kept on
     /// the group so pauses/evictions re-enter the queue with it intact).
     deadline: Option<u64>,
+    /// Steps in a row this group has sat out under the Interactive hold;
+    /// at the aging bound it is promoted (protected). Reset whenever the
+    /// group steps.
+    held_steps: u64,
     /// Telemetry accumulators (see [`RequestTelemetry`]).
     queue_wait_steps: u64,
     decode_steps: u64,
@@ -471,6 +486,13 @@ struct Group {
 impl Group {
     fn is_beam(&self) -> bool {
         self.reserved > 1
+    }
+
+    /// Sit out `steps` steps under the Interactive hold; held to the aging
+    /// bound, the group is promoted and escapes the hold.
+    fn hold(&mut self, steps: u64, aging_steps: u64) {
+        self.held_steps += steps;
+        self.protected = self.held_steps >= aging_steps;
     }
 
     /// Generated ids so far (prompt stripped): the single hypothesis for
@@ -607,6 +629,10 @@ pub struct BatchDecoder<'m> {
     page_limit: Option<usize>,
     /// Total page evictions performed under pool memory pressure.
     eviction_count: u64,
+    /// Interactive work is in flight elsewhere in the fleet (set by the
+    /// [`Engine`](crate::engine::Engine) worker that owns this scheduler):
+    /// unprotected bulk work is held exactly as if it were in flight here.
+    fleet_hold: bool,
 }
 
 impl<'m> BatchDecoder<'m> {
@@ -736,6 +762,7 @@ impl<'m> BatchDecoder<'m> {
             preemption_count: 0,
             page_limit: None,
             eviction_count: 0,
+            fleet_hold: false,
         }
     }
 
@@ -837,8 +864,9 @@ impl<'m> BatchDecoder<'m> {
         self.max_batch
     }
 
-    /// Completed [`step`](Self::step) calls — the scheduler clock that
-    /// aging and queue-wait telemetry count in.
+    /// Completed [`step`](Self::step) calls, plus the steps an engine
+    /// worker sat out under the fleet-wide Interactive hold — the scheduler
+    /// clock that aging and queue-wait telemetry count in.
     pub fn steps_run(&self) -> u64 {
         self.step_count
     }
@@ -970,11 +998,11 @@ impl<'m> BatchDecoder<'m> {
         )
     }
 
-    /// Best-ranked queue entry admissible right now: under pool pressure,
-    /// bulk-class entries stay queued (interactive and aged-promoted
-    /// entries always admit).
+    /// Best-ranked queue entry admissible right now: under pool pressure or
+    /// the Interactive hold, bulk-class entries stay queued (interactive
+    /// and aged-promoted entries always admit).
     fn best_admissible(&self) -> Option<usize> {
-        let gated = self.pressure_gated();
+        let gated = self.pressure_gated() || self.bulk_held();
         (0..self.queue.len())
             .filter(|&i| !gated || self.entry_rank(&self.queue[i]).0 == 0)
             .min_by_key(|&i| self.entry_rank(&self.queue[i]))
@@ -1036,6 +1064,67 @@ impl<'m> BatchDecoder<'m> {
     fn pressure_gated(&self) -> bool {
         self.page_limit
             .is_some_and(|limit| self.pool.stats().pages_live >= limit)
+    }
+
+    /// The Interactive hold (see module docs): while an Interactive request
+    /// is in flight — queued or decoding here, or anywhere in the fleet per
+    /// [`set_fleet_hold`](Self::set_fleet_hold) — unprotected bulk groups
+    /// sit out [`step`](Self::step) and bulk-class entries are not admitted.
+    fn bulk_held(&self) -> bool {
+        self.fleet_hold
+            || self
+                .groups
+                .iter()
+                .any(|g| g.priority == Priority::Interactive)
+            || self
+                .queue
+                .iter()
+                .any(|e| e.priority == Priority::Interactive)
+    }
+
+    /// Hold this scheduler's bulk work for Interactive work in flight on
+    /// other schedulers of the same fleet (the engine's fleet-wide count).
+    pub(crate) fn set_fleet_hold(&mut self, held: bool) {
+        self.fleet_hold = held;
+    }
+
+    /// Whether [`step`](Self::step) would advance anything despite the
+    /// hold: a protected group, or a queue entry the hold still admits.
+    pub(crate) fn has_unheld_work(&self) -> bool {
+        self.groups.iter().any(|g| g.protected) || self.best_admissible().is_some()
+    }
+
+    /// Scheduler steps until the first held group or queued bulk entry
+    /// ages past the bound and escapes the hold (`None`: nothing is held).
+    pub(crate) fn steps_until_unheld(&self) -> Option<u64> {
+        let held_groups = self
+            .groups
+            .iter()
+            .filter(|g| !g.protected)
+            .map(|g| g.held_steps);
+        let queued = self
+            .queue
+            .iter()
+            .filter(|e| self.entry_rank(e).0 != 0)
+            .map(|e| self.entry_wait(e));
+        held_groups
+            .chain(queued)
+            .map(|wait| self.aging_steps.saturating_sub(wait).max(1))
+            .min()
+    }
+
+    /// Advance the clock by `steps` the whole scheduler sat out under the
+    /// fleet hold while other workers decoded: queued entries and held
+    /// groups age by them exactly as if `steps` held steps had run here,
+    /// so the aging bound keeps bounding starvation.
+    pub(crate) fn sit_out(&mut self, steps: u64) {
+        if steps == 0 || self.pending() == 0 {
+            return;
+        }
+        self.step_count += steps;
+        for g in self.groups.iter_mut().filter(|g| !g.protected) {
+            g.hold(steps, self.aging_steps);
+        }
     }
 
     /// Enforce the soft page cap (see [`set_page_limit`](Self::set_page_limit)):
@@ -1210,6 +1299,7 @@ impl<'m> BatchDecoder<'m> {
                     snapshotted,
                     finished: false,
                     deadline: entry.deadline,
+                    held_steps: 0,
                     queue_wait_steps: wait_now,
                     decode_steps: 0,
                     preemptions: 0,
@@ -1248,16 +1338,22 @@ impl<'m> BatchDecoder<'m> {
 
     /// Run one lockstep step: admit queued requests (priority order,
     /// preempting bulk lanes for interactive arrivals), advance every live
-    /// hypothesis by one token, expand/retire finished requests. Returns
-    /// the number of hypotheses advanced (0 means the scheduler is idle and
-    /// [`run`](Self::run) would stop).
+    /// hypothesis by one token — except unprotected bulk groups held for
+    /// Interactive work in flight — and expand/retire finished requests.
+    /// Returns the number of hypotheses advanced (0 means the scheduler is
+    /// idle and [`run`](Self::run) would stop).
     pub fn step(&mut self) -> usize {
         self.evict_for_pressure();
         self.admit();
-        // Gather every live hypothesis across groups, in group/beam order.
+        // Gather every live hypothesis across the groups that step, in
+        // group/beam order; under the Interactive hold unprotected bulk
+        // groups sit this step out.
+        let held = self.bulk_held();
+        let sits_out = |g: &Group| held && !g.protected;
         let tokens: Vec<usize> = self
             .groups
             .iter()
+            .filter(|g| !sits_out(g))
             .flat_map(|g| g.beams.iter())
             .filter_map(|h| h.cache.as_ref().map(|c| h.ids[c.len()]))
             .collect();
@@ -1269,6 +1365,7 @@ impl<'m> BatchDecoder<'m> {
         let mut caches: Vec<&mut DecoderCache> = self
             .groups
             .iter_mut()
+            .filter(|g| !sits_out(g))
             .flat_map(|g| g.beams.iter_mut())
             .filter_map(|h| h.cache.as_mut())
             .collect();
@@ -1289,6 +1386,11 @@ impl<'m> BatchDecoder<'m> {
         let mut row = 0usize;
         let mut groups = std::mem::take(&mut self.groups);
         for group in &mut groups {
+            if sits_out(group) {
+                group.hold(1, self.aging_steps);
+                continue;
+            }
+            group.held_steps = 0;
             let live: Vec<bool> = group.beams.iter().map(|h| h.cache.is_some()).collect();
             if live.iter().any(|&l| l) {
                 group.decode_steps += 1;
@@ -2599,5 +2701,183 @@ mod tests {
             }
             other => panic!("interactive unfinished: {other:?}"),
         }
+    }
+
+    // -- the Interactive hold ------------------------------------------------
+
+    /// While an interactive request decodes, running bulk groups keep their
+    /// lanes but generate nothing and queued bulk is not admitted (its
+    /// queue wait runs on); once the keystroke retires every bulk request
+    /// resumes and finishes bitwise unchanged.
+    #[test]
+    fn bulk_sits_out_while_interactive_decodes() {
+        let (cfg, store, params) = setup();
+        let encs: Vec<Tensor> = (0..4).map(|i| enc(&store, &params, &cfg, i)).collect();
+        let long = DecodeOptions {
+            beam: 1,
+            min_len: 16,
+            ..Default::default()
+        };
+        let bulk_req = |e: &Tensor| BatchRequest {
+            enc_out: e.clone(),
+            prompt: vec![SOS],
+            max_len: 20,
+            opts: long,
+            submit: SubmitOptions::bulk(),
+        };
+        let mut dec = BatchDecoder::new(&store, &params, &cfg, 4);
+        let running: Vec<RequestId> = encs[..2].iter().map(|e| dec.submit(bulk_req(e))).collect();
+        dec.step();
+        let key_opts = DecodeOptions {
+            beam: 1,
+            min_len: 6,
+            ..Default::default()
+        };
+        let key = dec.submit(BatchRequest {
+            enc_out: encs[3].clone(),
+            prompt: vec![SOS],
+            max_len: 8,
+            opts: key_opts,
+            submit: SubmitOptions::interactive(),
+        });
+        let queued = dec.submit(bulk_req(&encs[2]));
+        let mut key_steps = 0u64;
+        while dec.poll(key).is_pending() {
+            assert_eq!(dec.step(), 1, "the keystroke decodes in a batch of one");
+            key_steps += 1;
+            for &id in &running {
+                let PollResult::Decoding { tokens_so_far } = dec.poll(id) else {
+                    panic!("held bulk keeps its lanes");
+                };
+                assert_eq!(tokens_so_far.len(), 1, "held bulk generates nothing");
+            }
+            assert!(matches!(dec.poll(queued), PollResult::Queued { .. }));
+        }
+        assert_eq!(dec.preemptions(), 0, "free lanes: nothing was preempted");
+        dec.run();
+        for (i, id) in running.into_iter().chain([queued]).enumerate() {
+            let PollResult::Done { ids, telemetry, .. } = dec.poll(id) else {
+                panic!("bulk {i} finished");
+            };
+            let e = &encs[if i < 2 { i } else { 2 }];
+            assert_eq!(
+                ids,
+                reference_ids(&store, &params, &cfg, e, &[SOS], 20, long)
+            );
+            let queued_for = if i < 2 { 0 } else { key_steps };
+            assert_eq!(
+                telemetry.queue_wait_steps, queued_for,
+                "bulk {i}: held in lanes is not queued"
+            );
+        }
+    }
+
+    /// The engine-facing half of the hold: a fleet hold parks unprotected
+    /// bulk work even with no interactive request here, and steps sat out
+    /// while other workers decode age the held group and the queued entry
+    /// alike, so both escape exactly at the aging bound.
+    #[test]
+    fn sitting_out_a_fleet_hold_counts_toward_aging() {
+        let (cfg, store, params) = setup();
+        let encs: Vec<Tensor> = (0..2).map(|i| enc(&store, &params, &cfg, i)).collect();
+        let long = DecodeOptions {
+            beam: 1,
+            min_len: 12,
+            ..Default::default()
+        };
+        let bulk_req = |e: &Tensor| BatchRequest {
+            enc_out: e.clone(),
+            prompt: vec![SOS],
+            max_len: 16,
+            opts: long,
+            submit: SubmitOptions::bulk(),
+        };
+        let mut dec = BatchDecoder::new(&store, &params, &cfg, 4);
+        dec.set_aging_steps(5);
+        let group = dec.submit(bulk_req(&encs[0]));
+        dec.step();
+        dec.set_fleet_hold(true);
+        let entry = dec.submit(bulk_req(&encs[1]));
+        assert!(!dec.has_unheld_work(), "everything here is held");
+        assert_eq!(dec.step(), 0, "a held scheduler advances nothing");
+        assert_eq!(dec.steps_until_unheld(), Some(5));
+        dec.sit_out(4);
+        assert!(!dec.has_unheld_work());
+        assert_eq!(dec.steps_until_unheld(), Some(1));
+        dec.sit_out(1);
+        assert!(dec.has_unheld_work(), "both aged past the bound");
+        assert_eq!(dec.steps_until_unheld(), None);
+        assert_eq!(
+            dec.step(),
+            2,
+            "the aged group and entry step under the hold"
+        );
+        dec.run();
+        for (id, e) in [group, entry].into_iter().zip(&encs) {
+            let PollResult::Done { ids, telemetry, .. } = dec.poll(id) else {
+                panic!("{id} finished");
+            };
+            assert_eq!(
+                ids,
+                reference_ids(&store, &params, &cfg, e, &[SOS], 16, long)
+            );
+            let queued_for = if id == entry { 5 } else { 0 };
+            assert_eq!(
+                telemetry.queue_wait_steps, queued_for,
+                "{id}: escaped exactly at the bound"
+            );
+        }
+    }
+
+    /// Held steps count toward aging: a running bulk group held for
+    /// `aging_steps` steps in a row is promoted and steps beside the
+    /// keystroke that held it, with its output unchanged.
+    #[test]
+    fn held_bulk_escapes_after_aging_steps_in_a_row() {
+        let (cfg, store, params) = setup();
+        let e = enc(&store, &params, &cfg, 1);
+        let long = DecodeOptions {
+            beam: 1,
+            min_len: 16,
+            ..Default::default()
+        };
+        let mut dec = BatchDecoder::new(&store, &params, &cfg, 2);
+        dec.set_aging_steps(3);
+        let bulk = dec.submit(BatchRequest {
+            enc_out: e.clone(),
+            prompt: vec![SOS],
+            max_len: 20,
+            opts: long,
+            submit: SubmitOptions::bulk(),
+        });
+        dec.step();
+        dec.submit(BatchRequest {
+            enc_out: e.clone(),
+            prompt: vec![SOS],
+            max_len: 10,
+            opts: DecodeOptions {
+                min_len: 8,
+                ..Default::default()
+            },
+            submit: SubmitOptions::interactive(),
+        });
+        let mut tokens = Vec::new();
+        for _ in 0..5 {
+            dec.step();
+            let PollResult::Decoding { tokens_so_far } = dec.poll(bulk) else {
+                panic!("bulk keeps decoding");
+            };
+            tokens.push(tokens_so_far.len());
+        }
+        assert_eq!(tokens, [1, 1, 1, 2, 3], "held 3 steps, then promoted");
+        dec.run();
+        let PollResult::Done { ids, telemetry, .. } = dec.poll(bulk) else {
+            panic!("bulk finished");
+        };
+        assert_eq!(
+            ids,
+            reference_ids(&store, &params, &cfg, &e, &[SOS], 20, long)
+        );
+        assert_eq!(telemetry.preemptions, 0);
     }
 }

@@ -25,6 +25,20 @@
 //!   free capacity steals from it under the state lock — whichever worker
 //!   drains its interactive load first absorbs the backlog, so bulk
 //!   throughput tracks actual idle capacity rather than a static split.
+//! * **Interactive owns the fleet while it is in flight.** The state keeps
+//!   a count of Interactive requests in flight: [`submit`](Engine::submit)
+//!   of an Interactive request raises it, and so does an
+//!   [`InteractiveReservation`] a front-end takes before it runs the
+//!   request's encoder forward; the one resolution point every ticket goes
+//!   through (harvest, cancel, shutdown) lowers it. While it is non-zero,
+//!   every worker holds its unprotected bulk work — admitted groups keep
+//!   their lanes and pages but sit steps out, queued bulk is not admitted —
+//!   and a worker with nothing else parks, so the keystroke's encoder and
+//!   its batch-of-one decode get the cores. Aged (protected) bulk is
+//!   exempt: held steps count toward aging (see [`BatchDecoder`]), and a
+//!   parked worker is woken by the fleet's step clock when its held work
+//!   would age, so the aging bound still bounds starvation. The price is
+//!   that bulk pauses for the life of each keystroke.
 //! * **Synchronous client API.** [`submit`](Engine::submit) /
 //!   [`poll`](Engine::poll) / [`cancel`](Engine::cancel) are ordinary
 //!   synchronous calls from any thread (the engine is `Sync`); workers run
@@ -68,7 +82,7 @@ use crate::Seq2SeqModel;
 use mpirical_tensor::ParamStore;
 use parking_lot::{Condvar, Mutex, MutexGuard};
 use std::borrow::Cow;
-use std::collections::{HashMap, HashSet, VecDeque};
+use std::collections::{HashMap, VecDeque};
 use std::fmt;
 use std::sync::Arc;
 use std::time::{Duration, Instant};
@@ -234,8 +248,18 @@ struct State {
     cancels: Vec<Vec<EngineTicket>>,
     /// Terminal states awaiting their one redeeming poll.
     results: HashMap<EngineTicket, Resolution>,
-    /// Tickets submitted and not yet resolved.
-    pending: HashSet<EngineTicket>,
+    /// Tickets submitted and not yet resolved, with their class.
+    pending: HashMap<EngineTicket, Priority>,
+    /// Interactive requests in flight: pending Interactive tickets plus
+    /// outstanding [`InteractiveReservation`]s. While it is non-zero every
+    /// worker holds its unprotected bulk work (see module docs).
+    interactive: usize,
+    /// Decode steps run fleet-wide — the clock a worker sitting out the
+    /// hold credits its held work with (see [`BatchDecoder`] aging).
+    fleet_steps: u64,
+    /// Per worker: the `fleet_steps` value at which held work parked on it
+    /// ages past the bound (`u64::MAX`: not parked on aging).
+    wake_at: Vec<u64>,
     /// Latest streamed partial ids per decoding ticket.
     progress_tokens: HashMap<EngineTicket, Vec<usize>>,
     /// Worker that pulled each in-flight ticket.
@@ -270,7 +294,10 @@ impl State {
             backlog: Vec::new(),
             cancels: vec![Vec::new(); workers],
             results: HashMap::new(),
-            pending: HashSet::new(),
+            pending: HashMap::new(),
+            interactive: 0,
+            fleet_steps: 0,
+            wake_at: vec![u64::MAX; workers],
             progress_tokens: HashMap::new(),
             owner: HashMap::new(),
             placed_lanes: vec![0; workers],
@@ -281,11 +308,23 @@ impl State {
         }
     }
 
-    fn finish(&mut self, ticket: EngineTicket, resolution: Resolution) {
-        self.pending.remove(&ticket);
+    /// Record a ticket's terminal state. Every resolution path — harvest,
+    /// cancels, shutdown — ends here, so this is where an Interactive
+    /// ticket leaves the in-flight count. Returns `true` when that lifted
+    /// the fleet hold (the caller wakes the held workers).
+    fn finish(&mut self, ticket: EngineTicket, resolution: Resolution) -> bool {
+        let interactive = self.pending.remove(&ticket) == Some(Priority::Interactive);
         self.progress_tokens.remove(&ticket);
         self.owner.remove(&ticket);
         self.results.insert(ticket, resolution);
+        interactive && self.release_interactive()
+    }
+
+    /// Drop one Interactive request from the in-flight count; `true` when
+    /// the count reached zero.
+    fn release_interactive(&mut self) -> bool {
+        self.interactive -= 1;
+        self.interactive == 0
     }
 
     /// Pop the best bulk job: earliest deadline stamp first, then FIFO.
@@ -389,9 +428,10 @@ impl Engine {
         assert!(!st.shutdown, "engine is shut down");
         let ticket = EngineTicket(st.next_ticket);
         st.next_ticket += 1;
-        st.pending.insert(ticket);
+        st.pending.insert(ticket, req.submit.priority);
         match req.submit.priority {
             Priority::Interactive => {
+                st.interactive += 1;
                 let workers = self.shared.cfg.workers;
                 let w = (0..workers)
                     .map(|i| (i + self.rotation) % workers)
@@ -431,7 +471,7 @@ impl Engine {
             Some(Resolution::Cancelled) => return PollResult::Cancelled,
             None => {}
         }
-        if !st.pending.contains(&ticket) {
+        if !st.pending.contains_key(&ticket) {
             return PollResult::Unknown;
         }
         if let Some(tokens) = st.progress_tokens.get(&ticket) {
@@ -456,23 +496,24 @@ impl Engine {
     /// `Done` (see module docs on cancellation races).
     pub fn cancel(&self, ticket: EngineTicket) -> bool {
         let mut st = self.shared.state.lock();
-        if !st.pending.contains(&ticket) {
+        if !st.pending.contains_key(&ticket) {
             return false;
         }
-        for q in &mut st.inbox {
-            if let Some(pos) = q.iter().position(|j| j.ticket == ticket) {
-                q.remove(pos);
-                st.finish(ticket, Resolution::Cancelled);
-                drop(st);
-                self.shared.progress.notify_all();
-                return true;
+        let in_inbox = st.inbox.iter_mut().find_map(|q| {
+            let pos = q.iter().position(|j| j.ticket == ticket)?;
+            q.remove(pos)
+        });
+        let in_backlog = st.backlog.iter().position(|j| j.ticket == ticket);
+        if in_inbox.is_some() || in_backlog.is_some() {
+            if let Some(pos) = in_backlog {
+                st.backlog.remove(pos);
             }
-        }
-        if let Some(pos) = st.backlog.iter().position(|j| j.ticket == ticket) {
-            st.backlog.remove(pos);
-            st.finish(ticket, Resolution::Cancelled);
+            let lifted = st.finish(ticket, Resolution::Cancelled);
             drop(st);
             self.shared.progress.notify_all();
+            if lifted {
+                self.shared.work.notify_all();
+            }
             return true;
         }
         if let Some(&w) = st.owner.get(&ticket) {
@@ -486,6 +527,26 @@ impl Engine {
     /// Requests submitted and not yet resolved.
     pub fn pending(&self) -> usize {
         self.shared.state.lock().pending.len()
+    }
+
+    /// Count an Interactive request as in flight before it is submitted,
+    /// so the fleet's bulk work is held while its front-end and encoder
+    /// forward run (a keystroke's encoder shares the cores with the
+    /// workers). The reservation ends when the returned guard drops;
+    /// submit the request before that, and its ticket carries the hold on.
+    pub fn reserve_interactive(&self) -> InteractiveReservation {
+        self.shared.state.lock().interactive += 1;
+        InteractiveReservation {
+            shared: Arc::clone(&self.shared),
+        }
+    }
+
+    /// Interactive requests in flight — pending Interactive tickets plus
+    /// outstanding reservations. While it is non-zero no unprotected bulk
+    /// group is admitted or stepped on any worker; it is 0 whenever every
+    /// Interactive ticket has resolved and no reservation is held.
+    pub fn interactive_in_flight(&self) -> usize {
+        self.shared.state.lock().interactive
     }
 
     /// Block until every submitted request has resolved (done or
@@ -625,6 +686,21 @@ impl Engine {
     }
 }
 
+/// An Interactive request counted in flight ahead of its submission (see
+/// [`Engine::reserve_interactive`]); dropping it releases the count.
+pub struct InteractiveReservation {
+    shared: Arc<Shared>,
+}
+
+impl Drop for InteractiveReservation {
+    fn drop(&mut self) {
+        let lifted = self.shared.state.lock().release_interactive();
+        if lifted {
+            self.shared.work.notify_all();
+        }
+    }
+}
+
 impl Drop for Engine {
     fn drop(&mut self) {
         if !self.handles.is_empty() {
@@ -654,11 +730,17 @@ fn worker_loop(shared: &Shared, w: usize) {
     dec.set_page_limit(shared.cfg.page_limit);
     // Tickets this worker owns, paired with their local request ids.
     let mut live: Vec<(EngineTicket, RequestId)> = Vec::new();
+    // `fleet_steps` when this worker last parked; the steps other workers
+    // ran meanwhile are credited to its held work on waking.
+    let mut parked_at: Option<u64> = None;
     loop {
         let mut should_exit = false;
         {
             let mut st = shared.state.lock();
             loop {
+                if let Some(since) = parked_at.take() {
+                    dec.sit_out(st.fleet_steps - since);
+                }
                 apply_cancels(shared, &mut st, &mut dec, &mut live, w);
                 while let Some(job) = st.inbox[w].pop_front() {
                     st.owner.insert(job.ticket, w);
@@ -679,10 +761,23 @@ fn worker_loop(shared: &Shared, w: usize) {
                     should_exit = true;
                     break;
                 }
-                if !live.is_empty() {
+                // The Interactive hold is fleet-wide: with a keystroke in
+                // flight anywhere, this worker steps only protected work
+                // and otherwise parks, leaving the cores to the keystroke.
+                let held = st.interactive > 0;
+                dec.set_fleet_hold(held);
+                if !live.is_empty() && (!held || dec.has_unheld_work()) {
                     break;
                 }
+                // Parked on held work: ask to be woken when it would age
+                // past the bound, so held time still bounds starvation.
+                st.wake_at[w] = match dec.steps_until_unheld() {
+                    Some(steps) if held => st.fleet_steps + steps,
+                    _ => u64::MAX,
+                };
+                parked_at = Some(st.fleet_steps);
                 shared.work.wait(&mut st);
+                st.wake_at[w] = u64::MAX;
             }
         }
         if should_exit {
@@ -724,15 +819,21 @@ fn worker_loop(shared: &Shared, w: usize) {
                 st.progress_tokens.insert(t, p);
             }
             let any_resolved = !resolved.is_empty();
+            let mut lifted = false;
             for (t, r) in resolved {
-                st.finish(t, r);
+                lifted |= st.finish(t, r);
             }
             st.sched_stats[w] = WorkerSched {
                 preemptions: dec.preemptions(),
             };
+            st.fleet_steps += 1;
+            let aged = st.wake_at.iter().any(|&at| at <= st.fleet_steps);
             drop(st);
             if any_resolved {
                 shared.progress.notify_all();
+            }
+            if lifted || aged {
+                shared.work.notify_all();
             }
         }
     }
@@ -770,7 +871,9 @@ fn apply_cancels(
                 // scheduler never accumulates unredeemed markers.
                 let _ = dec.poll(rid);
                 live.remove(pos);
-                st.finish(ticket, Resolution::Cancelled);
+                if st.finish(ticket, Resolution::Cancelled) {
+                    shared.work.notify_all();
+                }
                 any = true;
             }
             // cancel() == false ⇒ the request just finished; the next
@@ -1121,6 +1224,50 @@ mod tests {
             vec![2, 0, 3, 1],
             "earliest deadline first, FIFO within ties, None last"
         );
+    }
+
+    /// Every way an Interactive ticket can resolve releases its count —
+    /// harvest, a cancel from the inbox or mid-flight, and shutdown — and
+    /// a reservation counts exactly while it is held.
+    #[test]
+    fn interactive_count_is_released_on_every_resolution_path() {
+        let (cfg, store, params) = setup();
+        let engine = engine_over(
+            &store,
+            &params,
+            &cfg,
+            EngineConfig {
+                workers: 2,
+                max_batch: 2,
+                ..EngineConfig::default()
+            },
+        );
+        let reservation = engine.reserve_interactive();
+        assert_eq!(engine.interactive_in_flight(), 1);
+        let bulk = engine.submit(BatchRequest::greedy(enc(&store, &params, &cfg, 0), 16).bulk());
+        assert_eq!(engine.interactive_in_flight(), 1, "bulk is not counted");
+        let tickets: Vec<EngineTicket> = (0..4)
+            .map(|i| engine.submit(BatchRequest::greedy(enc(&store, &params, &cfg, i), 16)))
+            .collect();
+        engine.cancel(tickets[0]);
+        engine.cancel(tickets[3]);
+        drop(reservation);
+        engine.drain();
+        assert_eq!(engine.interactive_in_flight(), 0, "harvest and cancels");
+        for t in tickets.into_iter().chain([bulk]) {
+            assert!(!engine.poll(t).is_pending());
+        }
+        // Shutdown with Interactive work still queued or decoding.
+        for i in 0..6 {
+            engine.submit(BatchRequest::greedy(enc(&store, &params, &cfg, i), 16));
+        }
+        let mut engine = engine;
+        engine.begin_shutdown();
+        for h in engine.handles.drain(..) {
+            h.join().expect("worker exits cleanly");
+        }
+        assert_eq!(engine.interactive_in_flight(), 0, "shutdown");
+        assert_eq!(engine.pending(), 0);
     }
 
     #[test]

@@ -1260,10 +1260,7 @@ fn lane_threads(lanes: usize, work_per_lane: usize) -> usize {
     if lanes.saturating_mul(work_per_lane) < LANE_PAR_THRESHOLD {
         return 1;
     }
-    std::thread::available_parallelism()
-        .map(|n| n.get())
-        .unwrap_or(1)
-        .min(lanes)
+    mpirical_tensor::available_cores().min(lanes)
 }
 
 /// LayerNorm one row per lane (`x[i·d..]` → `normed[i·d..]`), partitioning

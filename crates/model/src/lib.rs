@@ -50,7 +50,7 @@ pub use batch::{
 pub use bpe::Bpe;
 pub use config::ModelConfig;
 pub use decode::{decode_reference, replay_decode_with, DecodeOptions};
-pub use engine::{Engine, EngineConfig, EngineModel, EngineTicket};
+pub use engine::{Engine, EngineConfig, EngineModel, EngineTicket, InteractiveReservation};
 pub use infer::{
     decode_step, decode_step_batch, decode_step_quant, BatchScratch, DecoderCache, DecoderWeights,
     PackedDecoderWeights, Precision, QuantDecoderWeights,

@@ -59,8 +59,8 @@ pub mod tensor;
 
 pub use autograd::{Grads, Tape, Var};
 pub use matmul::{
-    batch_linear, batch_linear_packed, batch_matmul, batch_matmul_packed, dot_rows, matmul,
-    matmul_at, matmul_bt, vecmat, vecmat_acc, vecmat_bt, PackedMat,
+    available_cores, batch_linear, batch_linear_packed, batch_matmul, batch_matmul_packed,
+    dot_rows, matmul, matmul_at, matmul_bt, vecmat, vecmat_acc, vecmat_bt, PackedMat,
 };
 pub use optim::{Adam, ParamId, ParamStore};
 pub use quant::{batch_linear_q, batch_matmul_q, quantize_row, vecmat_q, vecmat_q_pre, QuantMat};

@@ -19,11 +19,14 @@ use crate::tensor::Tensor;
 /// Work threshold (in multiply-adds) below which threading is not worth it.
 const PAR_THRESHOLD: usize = 1 << 18;
 
-/// Global thread cap for matmul (defaults to available parallelism).
-pub fn matmul_threads() -> usize {
-    std::thread::available_parallelism()
-        .map(|n| n.get())
-        .unwrap_or(1)
+/// Cores this process may run on: `available_parallelism()`, read once per
+/// process. The std call re-reads the cgroup CPU limits on every call
+/// (≈ 12 µs), which is too slow for a per-kernel thread decision, so the
+/// thread counts chosen per call (matmul here, the decoder's per-lane
+/// sections, the engine's default worker count) read this cache.
+pub fn available_cores() -> usize {
+    static CORES: std::sync::OnceLock<usize> = std::sync::OnceLock::new();
+    *CORES.get_or_init(|| std::thread::available_parallelism().map_or(1, |n| n.get()))
 }
 
 /// `C[m,n] = A[m,k] @ B[k,n]`.
@@ -34,7 +37,7 @@ pub fn matmul(a: &Tensor, b: &Tensor) -> Tensor {
     let (k2, n) = (b.shape[0], b.shape[1]);
     assert_eq!(k, k2, "matmul inner dims: {:?} @ {:?}", a.shape, b.shape);
     let mut out = vec![0.0f32; m * n];
-    let threads = matmul_threads();
+    let threads = available_cores();
     if m * n * k >= PAR_THRESHOLD && threads > 1 && m > 1 {
         let rows_per = m.div_ceil(threads);
         crossbeam::scope(|scope| {
@@ -87,7 +90,7 @@ pub fn matmul_bt(a: &Tensor, b: &Tensor) -> Tensor {
         a.shape, b.shape
     );
     let mut out = vec![0.0f32; m * n];
-    let threads = matmul_threads();
+    let threads = available_cores();
     if m * n * k >= PAR_THRESHOLD && threads > 1 && m > 1 {
         let rows_per = m.div_ceil(threads);
         crossbeam::scope(|scope| {
@@ -178,7 +181,7 @@ pub fn matmul_at(a: &Tensor, b: &Tensor) -> Tensor {
         a.shape, b.shape
     );
     let mut out = vec![0.0f32; m * n];
-    let threads = matmul_threads();
+    let threads = available_cores();
     if m * n * k >= PAR_THRESHOLD && threads > 1 && m > 1 {
         let rows_per = m.div_ceil(threads);
         crossbeam::scope(|scope| {
