@@ -150,6 +150,43 @@ fn bench_encoder_forward(c: &mut Criterion) {
     g.finish();
 }
 
+/// GELU over one 256×1024 feed-forward block — one encoder layer at the
+/// serving shape. `tanhf_port` is `mpirical_tensor::gelu`, which every
+/// forward runs; `libm` is the same expression on the host's `f32::tanh`.
+/// The setup asserts the two agree bit for bit on the block.
+fn bench_gelu(c: &mut Criterion) {
+    const C: f32 = 0.797_884_6; // sqrt(2/pi)
+    let libm_gelu = |v: f32| 0.5 * v * (1.0 + (C * (v + 0.044715 * v * v * v)).tanh());
+    // Pre-activations spread uniformly over [-4, 4) by a multiplicative hash.
+    let block: Vec<f32> = (0..256 * 1024u32)
+        .map(|i| (i.wrapping_mul(2_654_435_761) >> 8) as f32 / (1 << 24) as f32 * 8.0 - 4.0)
+        .collect();
+    fn apply(f: impl Fn(f32) -> f32, x: &[f32], out: &mut [f32]) {
+        for (o, &v) in out.iter_mut().zip(x) {
+            *o = f(v);
+        }
+    }
+    let mut out = vec![0.0f32; block.len()];
+    apply(mpirical_tensor::gelu, &block, &mut out);
+    for (&v, &got) in block.iter().zip(&out) {
+        assert_eq!(
+            got.to_bits(),
+            libm_gelu(v).to_bits(),
+            "gelu({v}) differs from the libm expression"
+        );
+    }
+
+    let mut g = c.benchmark_group("gelu");
+    g.sample_size(20);
+    g.bench_function("libm_256x1024", |b| {
+        b.iter(|| apply(libm_gelu, black_box(&block), &mut out))
+    });
+    g.bench_function("tanhf_port_256x1024", |b| {
+        b.iter(|| apply(mpirical_tensor::gelu, black_box(&block), &mut out))
+    });
+    g.finish();
+}
+
 fn bench_decode(c: &mut Criterion) {
     // Quick-scale architecture with headroom for 232-token outputs.
     let cfg = ModelConfig {
@@ -1001,6 +1038,7 @@ criterion_group!(
     bench_matmul,
     bench_model,
     bench_encoder_forward,
+    bench_gelu,
     bench_decode,
     bench_batch_decode,
     bench_batch_beam,

@@ -18,6 +18,14 @@ pub enum InterpError {
     StepLimit { limit: u64 },
     /// The per-rank memory budget was exhausted (unbounded allocation).
     MemoryLimit { limit: usize },
+    /// A call would nest deeper than [`MAX_CALL_DEPTH`] user-function calls
+    /// (unbounded recursion).
+    ///
+    /// [`MAX_CALL_DEPTH`]: crate::MAX_CALL_DEPTH
+    CallDepth { limit: usize, line: u32 },
+    /// An MPI element count that is negative or exceeds the cell budget, the
+    /// most elements a rank's memory can hold.
+    MessageCount { count: i64, limit: usize, line: u32 },
     /// Unsupported construct reached at runtime.
     Unsupported { detail: String, line: u32 },
     /// Error raised by the simulated MPI runtime.
@@ -31,6 +39,8 @@ impl InterpError {
             | InterpError::TypeError { line, .. }
             | InterpError::OutOfBounds { line, .. }
             | InterpError::DivideByZero { line }
+            | InterpError::CallDepth { line, .. }
+            | InterpError::MessageCount { line, .. }
             | InterpError::Unsupported { line, .. } => *line,
             InterpError::StepLimit { .. }
             | InterpError::MemoryLimit { .. }
@@ -62,6 +72,15 @@ impl fmt::Display for InterpError {
                     f,
                     "memory limit of {limit} cells exceeded (runaway allocation?)"
                 )
+            }
+            InterpError::CallDepth { limit, line } => {
+                write!(
+                    f,
+                    "line {line}: call depth limit of {limit} exceeded (unbounded recursion?)"
+                )
+            }
+            InterpError::MessageCount { count, limit, line } => {
+                write!(f, "line {line}: MPI count {count} outside 0..={limit}")
             }
             InterpError::Unsupported { detail, line } => {
                 write!(f, "line {line}: unsupported: {detail}")

@@ -31,6 +31,17 @@ pub struct Limits {
     pub cell_limit: usize,
 }
 
+/// Most user-function calls a rank may have in progress; one more is a
+/// [`InterpError::CallDepth`]. Interpreted calls are Rust calls on the rank
+/// thread, so this bound, with the [`RANK_STACK_BYTES`] every rank thread
+/// gets, is what keeps recursion in a submitted program from overflowing
+/// the stack and aborting the process. It is a constant rather than a
+/// [`Limits`] field so that the stack it needs is known when the thread is
+/// spawned.
+///
+/// [`RANK_STACK_BYTES`]: mpirical_sim::RANK_STACK_BYTES
+pub const MAX_CALL_DEPTH: usize = 1_000;
+
 impl Default for Limits {
     fn default() -> Self {
         Limits {
@@ -109,6 +120,8 @@ pub(crate) struct Interp<'a> {
     rng: Rng,
     output: String,
     steps: u64,
+    /// User-function calls in progress.
+    depth: usize,
     limits: Limits,
     /// The name-keyed environment the slots replaced, kept beside them in
     /// unit tests to check every resolution against.
@@ -127,6 +140,7 @@ impl<'a> Interp<'a> {
             rng: Rng::new(comm.rank() as u64 + 1),
             output: String::new(),
             steps: 0,
+            depth: 0,
             limits,
             #[cfg(test)]
             shadow: Default::default(),
@@ -709,6 +723,13 @@ impl<'a> Interp<'a> {
 
     #[inline(never)]
     fn call_user(&mut self, index: u32, args: &[Expr], line: u32) -> Result<Value, Fault> {
+        if self.depth == MAX_CALL_DEPTH {
+            return Err(InterpError::CallDepth {
+                limit: MAX_CALL_DEPTH,
+                line,
+            }
+            .into());
+        }
         let code = self.code;
         let f = &code.functions[index as usize];
         let base = self.args.len();
@@ -729,7 +750,9 @@ impl<'a> Interp<'a> {
             }
         }
         self.args.truncate(base);
+        self.depth += 1;
         let flow = self.exec_block(&f.body)?;
+        self.depth -= 1;
         #[cfg(test)]
         self.shadow.pop_frame();
         self.mem.pop_frame(frame);
@@ -835,9 +858,32 @@ impl<'a> Interp<'a> {
         Ok(self.eval(e)?.as_i64(line)? as usize)
     }
 
+    /// An MPI element count, checked before it sizes a buffer.
+    fn eval_count(&mut self, e: &Expr, line: u32) -> Result<usize, Fault> {
+        let count = self.eval(e)?.as_i64(line)?;
+        self.message_len(count, line)
+    }
+
+    /// `count` as a buffer length: no more elements than the cell budget,
+    /// since a rank's memory holds no more, so no input sizes a `Vec` past
+    /// what the rank may use.
+    fn message_len(&self, count: i64, line: u32) -> Result<usize, Fault> {
+        let limit = self.limits.cell_limit;
+        match usize::try_from(count) {
+            Ok(n) if n <= limit => Ok(n),
+            _ => Err(InterpError::MessageCount { count, limit, line }.into()),
+        }
+    }
+
+    /// The elements of a gather or scatter across every rank, `count` each.
+    fn world_len(&self, count: usize, line: u32) -> Result<usize, Fault> {
+        let total = (count as i64).saturating_mul(self.comm.size() as i64);
+        self.message_len(total, line)
+    }
+
     fn send(&mut self, s: &Envelope, line: u32) -> Result<(), Fault> {
         let ptr = self.eval(&s.buf)?.as_ptr(line)?;
-        let count = self.eval_index(&s.count, line)?;
+        let count = self.eval_count(&s.count, line)?;
         let dtype = named(&s.dtype)?;
         let dest = self.eval_index(&s.peer, line)?;
         let tag = self.eval(&s.tag)?.as_i64(line)? as i32;
@@ -853,7 +899,7 @@ impl<'a> Interp<'a> {
 
     fn recv(&mut self, r: &Envelope, line: u32) -> Result<Status, Fault> {
         let ptr = self.eval(&r.buf)?.as_ptr(line)?;
-        let count = self.eval_index(&r.count, line)?;
+        let count = self.eval_count(&r.count, line)?;
         let dtype = named(&r.dtype)?;
         // Negative ranks and tags are the wildcards (`MPI_ANY_SOURCE`).
         let source = match self.eval(&r.peer)?.as_i64(line)? {
@@ -943,7 +989,7 @@ impl<'a> Interp<'a> {
                 root,
             } => {
                 let ptr = self.eval(buf)?.as_ptr(line)?;
-                let count = self.eval_index(count, line)?;
+                let count = self.eval_count(count, line)?;
                 let dtype = named(dtype)?;
                 let root = self.eval_index(root, line)?;
                 macro_rules! bcast_as {
@@ -975,7 +1021,7 @@ impl<'a> Interp<'a> {
                 root,
             } => {
                 let sptr = self.eval(send)?.as_ptr(line)?;
-                let count = self.eval_index(count, line)?;
+                let count = self.eval_count(count, line)?;
                 let dtype = named(dtype)?;
                 let op = named(op)?;
                 let root = match root {
@@ -1026,13 +1072,13 @@ impl<'a> Interp<'a> {
                 root,
             } => {
                 let sptr = self.eval(send)?.as_ptr(line)?;
-                let count = self.eval_index(count, line)?;
+                let count = self.eval_count(count, line)?;
                 let dtype = named(dtype)?;
                 let root = match root {
                     Some(root) => Some(self.eval_index(root, line)?),
                     None => None,
                 };
-                let total = count * self.comm.size();
+                let total = self.world_len(count, line)?;
                 macro_rules! gather_as {
                     ($t:ty, $variant:ident) => {{
                         let send = match self.read_buf(sptr, count, dtype, line)? {
@@ -1070,12 +1116,12 @@ impl<'a> Interp<'a> {
                 recv_count,
                 root,
             } => {
-                let count = self.eval_index(count, line)?;
+                let count = self.eval_count(count, line)?;
                 let dtype = named(dtype)?;
                 let rptr = self.eval(recv)?.as_ptr(line)?;
-                let recv_count = self.eval_index(recv_count, line)?;
+                let recv_count = self.eval_count(recv_count, line)?;
                 let root = self.eval_index(root, line)?;
-                let total = count * self.comm.size();
+                let total = self.world_len(count, line)?;
                 // Only the root evaluates where it scatters from.
                 macro_rules! scatter_as {
                     ($t:ty, $variant:ident) => {{

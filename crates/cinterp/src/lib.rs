@@ -51,7 +51,7 @@ mod shadow;
 
 pub use compile::{compile, Compiled};
 pub use error::InterpError;
-pub use interp::Limits;
+pub use interp::{Limits, MAX_CALL_DEPTH};
 pub use machine::{Binding, CType, Cell, Memory, Value};
 
 use mpirical_cparse::{parse_strict, Program};
@@ -339,6 +339,67 @@ mod tests {
         cfg.limits.step_limit = 10_000;
         let err = run_program(&prog, &cfg).unwrap_err();
         assert!(matches!(err, InterpError::StepLimit { .. }), "{err}");
+    }
+
+    #[test]
+    fn call_depth_bound_is_exact_and_fits_the_rank_stack() {
+        // `depth(n)` puts n + 1 calls in progress, each with its recursive
+        // call eight operators deep: the most stack per call a plain
+        // expression spends. The deepest allowed chain must run, in a
+        // debug build too; one call more is a typed error.
+        let src = |n: usize| {
+            format!(
+                "int depth(int n) {{ if (n == 0) {{ return 0; }} \
+                 return 1 + (1 + (1 + (1 + (1 + (1 + (1 + (1 + depth(n - 1)))))))) - 7; }}\n\
+                 int main() {{ return depth({n}); }}"
+            )
+        };
+        let out = run_source(&src(MAX_CALL_DEPTH - 1), 2).unwrap();
+        assert_eq!(out.exit_codes, [MAX_CALL_DEPTH as i64 - 1; 2]);
+        let err = run_source(&src(MAX_CALL_DEPTH), 2).unwrap_err();
+        assert_eq!(
+            err,
+            InterpError::CallDepth {
+                limit: MAX_CALL_DEPTH,
+                line: 1
+            }
+        );
+    }
+
+    #[test]
+    fn mpi_counts_are_bounded_by_the_cell_budget() {
+        // A gather's count is checked, and so is its total over the world.
+        let program = |count: &str| {
+            format!(
+                r#"#include <mpi.h>
+                int main(int argc, char **argv) {{
+                    int rank;
+                    int buf[8];
+                    MPI_Init(&argc, &argv);
+                    MPI_Comm_rank(MPI_COMM_WORLD, &rank);
+                    MPI_Gather(buf, {count}, MPI_INT, buf, {count}, MPI_INT, 0, MPI_COMM_WORLD);
+                    MPI_Finalize();
+                    return 0;
+                }}"#
+            )
+        };
+        let mut cfg = RunConfig::new(2);
+        cfg.limits.cell_limit = 1_000;
+        let run = |count: &str| {
+            let prog = mpirical_cparse::parse_strict(&program(count)).unwrap();
+            run_program(&prog, &cfg)
+        };
+        assert!(run("4").is_ok());
+        for (count, reported) in [("-1", -1), ("1001", 1001), ("501", 1002)] {
+            let err = run(count).unwrap_err();
+            assert!(
+                matches!(
+                    err,
+                    InterpError::MessageCount { count, limit: 1_000, .. } if count == reported
+                ),
+                "count {count}: {err}"
+            );
+        }
     }
 
     #[test]

@@ -45,7 +45,8 @@ pub enum Verdict {
     /// nothing already sent could complete ([`SimError::Deadlock`]).
     Deadlock,
     /// A rank crashed: runtime error, out-of-bounds root, memory-budget
-    /// blowout, or an abort.
+    /// blowout, recursion past the call-depth bound, an MPI count no
+    /// buffer can hold, or an abort.
     RankCrash,
     /// Sender and receiver disagreed on the datatype (or the receive
     /// buffer was too small for the incoming message).
@@ -258,9 +259,11 @@ pub fn classify_error(e: &InterpError) -> Verdict {
         }
         InterpError::Mpi(_) => Verdict::RankCrash,
         InterpError::StepLimit { .. } => Verdict::Timeout,
-        InterpError::MemoryLimit { .. } => Verdict::RankCrash,
         InterpError::Unsupported { .. } => Verdict::NotExecutable,
-        InterpError::Undefined { .. }
+        InterpError::MemoryLimit { .. }
+        | InterpError::CallDepth { .. }
+        | InterpError::MessageCount { .. }
+        | InterpError::Undefined { .. }
         | InterpError::TypeError { .. }
         | InterpError::OutOfBounds { .. }
         | InterpError::DivideByZero { .. } => Verdict::RankCrash,

@@ -58,10 +58,11 @@
 //!
 //! # Numerical equivalence
 //!
-//! The step math mirrors the tape path op for op (pre-LN blocks, tanh-GELU,
-//! `1e-5` LayerNorm epsilon, `√d_model` embedding scale, sinusoidal
-//! positions), so cached logits match full-replay logits to within f32
-//! accumulation-order noise; `decode::tests` asserts ≤ 1e-4.
+//! The step math mirrors the tape path op for op (pre-LN blocks, tanh-GELU
+//! through the tape op's own [`gelu`], `1e-5` LayerNorm epsilon,
+//! `√d_model` embedding scale, sinusoidal positions), so cached logits
+//! match full-replay logits to within f32 accumulation-order noise;
+//! `decode::tests` asserts ≤ 1e-4.
 //!
 //! # Example
 //!
@@ -90,8 +91,8 @@ use crate::config::ModelConfig;
 use crate::paged::{PagePool, PagedRows, PoolInner};
 use crate::transformer::{positional_encoding, LnParams, TransformerParams};
 use mpirical_tensor::{
-    batch_linear, batch_linear_packed, batch_linear_q, dot_rows, quantize_row, vecmat, vecmat_acc,
-    vecmat_bt, vecmat_q_pre, PackedMat, ParamStore, QuantMat, Tensor,
+    batch_linear, batch_linear_packed, batch_linear_q, dot_rows, gelu, quantize_row, vecmat,
+    vecmat_acc, vecmat_bt, vecmat_q_pre, PackedMat, ParamStore, QuantMat, Tensor,
 };
 use serde::{Deserialize, Serialize};
 
@@ -582,11 +583,11 @@ fn project_row(
     }
 }
 
-/// In-place tanh-approximation GELU (identical to the tape op).
+/// In-place tanh-approximation GELU: [`gelu`], the function the tape op
+/// evaluates, in a loop that vectorises.
 fn gelu_row(x: &mut [f32]) {
-    const C: f32 = 0.797_884_6; // sqrt(2/pi)
     for v in x.iter_mut() {
-        *v = 0.5 * *v * (1.0 + (C * (*v + 0.044715 * *v * *v * *v)).tanh());
+        *v = gelu(*v);
     }
 }
 
@@ -1729,9 +1730,10 @@ fn scatter_heads(x: &[f32], row0: usize, t: usize, dh: usize, out: &mut [f32]) {
 /// inference mode, which stays the training path and the independent oracle
 /// (`tests/encoder_props.rs`): every kernel accumulates in ascending `k` with
 /// the bias added last, attention scores are the same `dot` products, softmax
-/// and GELU are the same expressions, and LayerNorm sums sequentially
-/// (`ln_row_seq`) like the tape op. No row's arithmetic depends on which
-/// block it falls in, so the thread count moves latency only.
+/// is the same expression, GELU is the same function ([`gelu`], vectorised
+/// here by `gelu_row`), and LayerNorm sums sequentially (`ln_row_seq`) like
+/// the tape op. No row's arithmetic depends on which block it falls in, so
+/// the thread count moves latency only.
 ///
 /// [`transformer::encode`]: crate::transformer::encode
 ///

@@ -42,7 +42,7 @@ pub mod world;
 pub use comm::{Comm, Source, Status, Tag};
 pub use datatype::{Datatype, ReduceOp, Reducible};
 pub use error::{BlockedOp, SimError};
-pub use world::{World, WorldConfig};
+pub use world::{World, WorldConfig, RANK_STACK_BYTES};
 
 #[cfg(test)]
 mod tests {

@@ -9,6 +9,26 @@ use crate::comm::Comm;
 use crate::error::SimError;
 use std::sync::Arc;
 
+/// Stack reserved for every rank thread (pages are touched only as used).
+///
+/// The C interpreter runs an interpreted call as nested Rust calls and
+/// stops a rank at `mpirical_interp::MAX_CALL_DEPTH` (1 000) calls in
+/// progress. An optimised build spends 0.75–2.5 KiB of stack per call, the
+/// high end with the recursive call eight operators deep, so 8 MiB holds
+/// that bound three times over — and stays small enough that a 4-rank
+/// world's stacks fit glibc's 40 MiB cache of freed thread stacks, which
+/// verification's many short worlds rely on (on a 2-core Xeon, 16 MiB
+/// stacks cost ≈ 30 µs more per 1 + 2 + 4-rank round, 128 MiB ≈ 65 µs,
+/// 8 MiB nothing measurable). A debug build spends
+/// ≈ 28× more per call (21–70 KiB), so it gets 128 MiB. The thread
+/// default of 2 MiB let recursion in a submitted program overflow the
+/// stack and abort the process.
+pub const RANK_STACK_BYTES: usize = if cfg!(debug_assertions) {
+    128 << 20
+} else {
+    8 << 20
+};
+
 /// Configuration for a simulated world.
 #[derive(Debug, Clone)]
 pub struct WorldConfig {
@@ -54,6 +74,7 @@ impl World {
                 scope
                     .builder()
                     .name(format!("mpisim-rank-{rank}"))
+                    .stack_size(RANK_STACK_BYTES)
                     .spawn(move |_| {
                         let comm = Comm::new(rank, cfg.nranks, Arc::clone(&shared));
                         let outcome =

@@ -12,6 +12,7 @@
 //! gradients afterwards (see [`Grads::merge`]). Parallelism *inside* a tape
 //! comes from the threaded matmul kernel.
 
+use crate::math;
 use crate::matmul::{matmul, matmul_at, matmul_bt};
 use crate::optim::{ParamId, ParamStore};
 use crate::tensor::Tensor;
@@ -293,19 +294,17 @@ impl Tape {
         )
     }
 
-    /// GELU (tanh approximation, as in BERT/SPT-Code).
+    /// GELU (tanh approximation, as in BERT/SPT-Code): [`math::gelu`].
     pub fn gelu(&mut self, x: Var) -> Var {
-        const C: f32 = 0.797_884_6; // sqrt(2/pi)
         let xv = self.value(x).clone();
-        let value = xv.map(|v| 0.5 * v * (1.0 + (C * (v + 0.044715 * v * v * v)).tanh()));
+        let value = xv.map(math::gelu);
         self.push(
             value,
             vec![x.0],
             Some(Box::new(move |g: &Tensor| {
                 vec![g.zip(&xv, |gv, v| {
-                    let inner = C * (v + 0.044715 * v * v * v);
-                    let t = inner.tanh();
-                    let dinner = C * (1.0 + 3.0 * 0.044715 * v * v);
+                    let t = math::tanhf(math::gelu_inner(v));
+                    let dinner = math::GELU_C * (1.0 + 3.0 * 0.044715 * v * v);
                     let d = 0.5 * (1.0 + t) + 0.5 * v * (1.0 - t * t) * dinner;
                     gv * d
                 })]

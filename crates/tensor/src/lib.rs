@@ -23,6 +23,10 @@
 //!   [`batch_matmul_q`] W8A8 kernels (exact `i32` accumulation, one
 //!   dequantize per output) that shrink weight traffic 4× on the
 //!   memory-bound decode step;
+//! * [`tanhf`] / [`gelu`] — a branch-free port of glibc 2.36's fdlibm
+//!   `tanhf`, bitwise equal to `f32::tanh` on all 2³² inputs but
+//!   independent of the host libm and vectorisable, and the one GELU every
+//!   forward and backward evaluates;
 //! * [`Tape`] / [`Var`] — reverse-mode autograd over a per-step tape, with
 //!   every op a transformer needs (matmul, softmax, layernorm, GELU,
 //!   embedding gather, fused cross-entropy, dropout, column slice/concat);
@@ -52,12 +56,14 @@
 
 pub mod autograd;
 pub mod init;
+pub mod math;
 pub mod matmul;
 pub mod optim;
 pub mod quant;
 pub mod tensor;
 
 pub use autograd::{Grads, Tape, Var};
+pub use math::{gelu, tanhf};
 pub use matmul::{
     available_cores, batch_linear, batch_linear_packed, batch_matmul, batch_matmul_packed,
     dot_rows, matmul, matmul_at, matmul_bt, vecmat, vecmat_acc, vecmat_bt, PackedMat,

@@ -17,7 +17,7 @@
 //!    artifact).
 
 use mpirical::cparse::{parse_strict, parse_tolerant, standardize};
-use mpirical::interp::{run_program, InterpError, RunConfig};
+use mpirical::interp::{run_program, InterpError, RunConfig, MAX_CALL_DEPTH};
 use mpirical::sim::SimError;
 use mpirical::verify::{rerank, verify_prediction, verify_program};
 use mpirical::{
@@ -260,6 +260,115 @@ fn a_loop_local_buffer_is_not_a_memory_blowup() {
         verify_program(&prog, &VerifyOptions::default()),
         (Verdict::Verified, 3)
     );
+}
+
+/// A program whose `main` runs MPI set-up, then `body`, then tears down;
+/// `defs` go before it.
+fn hostile(defs: &str, body: &str) -> String {
+    format!(
+        "{defs}\nint main(int argc, char **argv) {{\n\
+         int rank;\n\
+         int buf[4];\n\
+         MPI_Init(&argc, &argv);\n\
+         MPI_Comm_rank(MPI_COMM_WORLD, &rank);\n\
+         {body}\n\
+         MPI_Finalize();\n\
+         return 0;\n\
+         }}"
+    )
+}
+
+/// A point-to-point exchange of `buf` from rank 0 to rank 1 with the given
+/// element counts.
+fn exchange(send_count: &str, recv_count: &str) -> String {
+    hostile(
+        "",
+        &format!(
+            "if (rank == 0) {{\n\
+             MPI_Send(buf, {send_count}, MPI_INT, 1, 0, MPI_COMM_WORLD);\n\
+             }}\n\
+             if (rank == 1) {{\n\
+             MPI_Recv(buf, {recv_count}, MPI_INT, 0, 0, MPI_COMM_WORLD, MPI_STATUS_IGNORE);\n\
+             }}"
+        ),
+    )
+}
+
+#[test]
+fn hostile_buffers_get_a_typed_verdict_and_the_process_lives() {
+    // Each of these once ended the process, not the rank: recursion
+    // overflowed the rank thread's stack, and an MPI count sized a `Vec`
+    // unchecked (`-1` panicked, 2e12 aborted on allocation). Each now stops
+    // its rank with a typed error that verification reports as a crash.
+    let direct = hostile("void down(int n) {\ndown(n + 1);\n}", "down(rank);");
+    let mutual = hostile(
+        "int ping(int n);\nint pong(int n) {\nreturn ping(n + 1) + 1;\n}\n\
+         int ping(int n) {\nreturn pong(n + 1) + 1;\n}",
+        "buf[0] = ping(rank);",
+    );
+    let large_locals = hostile(
+        "double sink(int n) {\ndouble big[4096];\nbig[0] = n;\nreturn sink(n + 1) + big[0];\n}",
+        "sink(rank);",
+    );
+    let budget = VerifyOptions::default().cell_limit;
+    type Expected = fn(&InterpError) -> bool;
+    let cases: [(&str, String, Expected); 7] = [
+        (
+            "direct recursion",
+            direct,
+            |e| matches!(e, InterpError::CallDepth { limit, .. } if *limit == MAX_CALL_DEPTH),
+        ),
+        ("mutual recursion", mutual, |e| {
+            matches!(e, InterpError::CallDepth { .. })
+        }),
+        // 4096 cells a call exhaust the cell budget long before the depth
+        // bound: whichever bound is met first, the rank stops typed.
+        ("recursion with large locals", large_locals, |e| {
+            matches!(e, InterpError::MemoryLimit { .. })
+        }),
+        ("send count -1", exchange("-1", "1"), |e| {
+            matches!(e, InterpError::MessageCount { count: -1, .. })
+        }),
+        ("send count 2e12", exchange("2000000000000", "1"), |e| {
+            matches!(
+                e,
+                InterpError::MessageCount {
+                    count: 2_000_000_000_000,
+                    ..
+                }
+            )
+        }),
+        ("recv count -1", exchange("1", "-1"), |e| {
+            matches!(e, InterpError::MessageCount { count: -1, .. })
+        }),
+        ("recv count 2e12", exchange("1", "2000000000000"), |e| {
+            matches!(
+                e,
+                InterpError::MessageCount {
+                    count: 2_000_000_000_000,
+                    ..
+                }
+            )
+        }),
+    ];
+    for (name, src, is_expected) in &cases {
+        let prog = parse_strict(src).unwrap_or_else(|e| panic!("{name}: {e}\n{src}"));
+        let mut cfg = RunConfig::new(2);
+        cfg.limits.cell_limit = budget;
+        match run_program(&prog, &cfg) {
+            Err(e) => assert!(is_expected(&e), "{name}: {e}"),
+            Ok(out) => panic!("{name} ran to completion: {out:?}"),
+        }
+        // The same program as a suggestion spliced into its MPI-free base,
+        // through the whole verification path.
+        let (text, canon) = standardize(&prog);
+        let (_, base) = standardize(&remove_mpi_calls(&canon).stripped);
+        assert_eq!(
+            verify_prediction(&base, &text, &VerifyOptions::default()),
+            (Verdict::RankCrash, 1),
+            "{name}"
+        );
+    }
 }
 
 /// Options for the benchmark11 reference splices: the paper's 2/4-rank
