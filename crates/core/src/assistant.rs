@@ -97,10 +97,9 @@ pub struct SuggestReport {
     /// off). Defaults so pre-existing serialized reports still deserialize.
     #[serde(default)]
     pub verify: Option<VerifyStats>,
-    /// Prefix-sharing telemetry from the batch scheduler's radix index —
-    /// exact hits, page-aligned partial hits, misses, and shared vs.
-    /// freshly-prefilled row counts ([`PrefixStats::hit_rate`] is the
-    /// headline number): one snapshot of the scheduler that decoded the
+    /// Prefix-sharing telemetry from the engine's prefix table — hits and
+    /// misses on the encoder output ([`PrefixStats::hit_rate`] is the
+    /// headline number): one snapshot of the engine that decoded the
     /// call, repeated on every report of a
     /// [`MpiRical::suggest_batch_reports`] batch. Optional so pre-existing
     /// serialized reports still deserialize.
@@ -320,7 +319,7 @@ impl MpiRical {
     /// quantized once per artifact, not per call) and return each
     /// request's ranked hypotheses — best model score first, never empty —
     /// in input order, plus the scheduler's final [`PrefixStats`] snapshot
-    /// (taken after the batch drains, before shutdown clears the index).
+    /// (taken after the batch drains).
     /// How many workers the engine runs is a pure throughput decision:
     /// outputs are bitwise identical at any count (pinned by
     /// `tests/parallel_engine_props.rs`).
@@ -564,8 +563,8 @@ impl MpiRical {
     /// [`SuggestReport`]s: parse health, verification telemetry (on a
     /// verifying artifact), and the batch scheduler's prefix-sharing
     /// telemetry. Every report in the batch carries the same fleet-wide
-    /// [`PrefixStats`] snapshot — near-identical buffers (the IDE-retrigger
-    /// workload) show up as partial hits and a high
+    /// [`PrefixStats`] snapshot — identical buffers (the IDE-retrigger
+    /// workload) show up as hits and a high
     /// [`hit_rate`](PrefixStats::hit_rate).
     pub fn suggest_batch_reports(&self, sources: &[&str]) -> Vec<SuggestReport> {
         let encoded: Vec<EncodedSource> = sources.iter().map(|s| self.encode_source(s)).collect();

@@ -480,7 +480,7 @@ impl<'m> SuggestService<'m> {
 
     /// Tear the service down and return the final page stats, taken
     /// **after** every decoder has dropped its lanes and the shared
-    /// prefix index has been cleared (a sharded backend runs one pool
+    /// prefix table has been cleared (a sharded backend runs one pool
     /// across all workers, so the vector has a single entry either way).
     /// Live pages are zero here no matter what was still queued — the
     /// leak-check hook for tests and graceful daemon exit. Unredeemed
@@ -619,22 +619,10 @@ impl<'m> SuggestService<'m> {
         }
     }
 
-    /// Requests admitted by sharing a retained prefill that covered the
-    /// **whole** prompt (the IDE-retrigger fast path) instead of
-    /// prefilling from scratch. Sharded backends share one radix index
-    /// across workers, so a prefill retained on one worker is a hit on
-    /// any other. Partial (page-aligned) prefix reuse is reported by
-    /// [`prefix_stats`](Self::prefix_stats).
-    pub fn prefix_hits(&self) -> u64 {
-        match &self.backend {
-            Backend::Inline(dec) => dec.prefix_hits(),
-            Backend::Sharded(engine) => engine.prefix_hits(),
-        }
-    }
-
-    /// Full prefix-sharing telemetry from the radix index: exact hits,
-    /// partial (page-aligned) hits, misses, rows served from shared pages
-    /// vs. freshly prefilled, plus insertion/eviction churn. The
+    /// Prefix-table telemetry: `hits` counts requests that shared the
+    /// cross-attention K/V of an identical buffer's encoder output (the
+    /// IDE-retrigger fast path) instead of projecting them; sharded
+    /// backends share one table across workers. The
     /// [`PrefixStats::hit_rate`] is the headline cache-effectiveness
     /// number a daemon exports.
     pub fn prefix_stats(&self) -> PrefixStats {
@@ -1157,10 +1145,10 @@ mod tests {
         assert_eq!(stats.pages_live, 0, "all lanes retired, pages freed");
 
         // The IDE-retrigger path: resubmitting an identical buffer shares
-        // its prefill instead of re-running it.
+        // its cross-attention K/V instead of projecting them again.
         let again = service.submit(buffers[0]);
         service.run();
-        assert_eq!(service.prefix_hits(), 1);
+        assert_eq!(service.prefix_stats().hits, 1);
         assert_eq!(take(&mut service, again), assistant.suggest(buffers[0]));
     }
 

@@ -48,7 +48,7 @@ pub use ast::{
 };
 pub use error::{Diagnostic, ParseError, ParseHealth, Severity};
 pub use lexer::{lex, LexOutput};
-pub use parser::{parse_strict, parse_tolerant, ParseOutput};
+pub use parser::{parse_strict, parse_tolerant, ParseOutput, MAX_NESTING};
 pub use printer::{print_program, render_expr, standardize};
 pub use splice::splice_stmt;
 pub use token::{Keyword, Punct, Token, TokenKind};

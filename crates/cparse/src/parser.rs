@@ -16,6 +16,11 @@
 //!   every open block and resumes parsing at top level, so an unclosed brace
 //!   in one function never absorbs the functions after it.
 //!
+//! A third bounds its depth: at most [`MAX_NESTING`] statement, expression
+//! and initializer levels are open at once. A construct that would open
+//! one more fails like any other malformed one, so its enclosing statement
+//! becomes an `Error` node.
+//!
 //! [`parse_tolerant`] therefore always yields a [`Program`]; [`parse_strict`]
 //! additionally fails if any error diagnostic was produced — this is the
 //! corpus inclusion gate (paper §V-A1, pycparser's role). The degradation a
@@ -25,6 +30,15 @@ use crate::ast::*;
 use crate::error::{Diagnostic, ParseError, ParseHealth, Severity};
 use crate::lexer::{lex, LexOutput};
 use crate::token::{Keyword, Punct, Token, TokenKind};
+
+/// Most statement, expression and initializer levels a parse keeps open at
+/// once. The parser recurses once per level, and so does every pass over
+/// the tree it returns (printing, X-SBT, splicing, the interpreter's
+/// compile and run), so without a bound a few kilobytes of `(` or `{`
+/// overflow the parsing thread's stack and abort the process. A block
+/// nested `n` deep opens `n + 1` levels with the statement inside it; a
+/// parenthesized subexpression opens two.
+pub const MAX_NESTING: usize = 128;
 
 /// Result of a tolerant parse: the program plus all diagnostics.
 #[derive(Debug, Clone)]
@@ -158,6 +172,8 @@ struct Parser {
     anchored: bool,
     /// Count of recovery events (see [`ParseOutput::recoveries`]).
     recoveries: usize,
+    /// Levels currently open (see [`MAX_NESTING`]).
+    depth: usize,
 }
 
 /// Accumulates skipped tokens grouped by original source line, so `Error`
@@ -222,7 +238,22 @@ impl Parser {
             known_types: MPI_TYPES.iter().map(|s| s.to_string()).collect(),
             anchored: false,
             recoveries: 0,
+            depth: 0,
         }
+    }
+
+    /// Run `parse` one level deeper; past [`MAX_NESTING`] report an error
+    /// and fail instead, so the caller's recovery skips the region.
+    fn nested<T>(&mut self, parse: fn(&mut Self) -> Option<T>) -> Option<T> {
+        if self.depth == MAX_NESTING {
+            let line = self.peek().line;
+            self.error(line, format!("nesting deeper than {MAX_NESTING} levels"));
+            return None;
+        }
+        self.depth += 1;
+        let out = parse(self);
+        self.depth -= 1;
+        out
     }
 
     fn peek(&self) -> &Token {
@@ -709,6 +740,10 @@ impl Parser {
     }
 
     fn parse_stmt(&mut self) -> Option<Stmt> {
+        self.nested(Parser::stmt)
+    }
+
+    fn stmt(&mut self) -> Option<Stmt> {
         let line = self.peek().line;
         match &self.peek().kind {
             TokenKind::Punct(Punct::LBrace) => Some(Stmt::Block(self.parse_block()?)),
@@ -885,6 +920,10 @@ impl Parser {
     }
 
     fn parse_initializer(&mut self) -> Option<Init> {
+        self.nested(Parser::initializer)
+    }
+
+    fn initializer(&mut self) -> Option<Init> {
         if self.eat_punct(Punct::LBrace) {
             let mut items = Vec::new();
             if !self.peek().is_punct(Punct::RBrace) {
@@ -922,6 +961,10 @@ impl Parser {
     }
 
     fn parse_assign_expr(&mut self) -> Option<Expr> {
+        self.nested(Parser::assign_expr)
+    }
+
+    fn assign_expr(&mut self) -> Option<Expr> {
         let lhs = self.parse_ternary()?;
         let op = match &self.peek().kind {
             TokenKind::Punct(Punct::Assign) => Some(None),
@@ -1013,6 +1056,10 @@ impl Parser {
     }
 
     fn parse_unary(&mut self) -> Option<Expr> {
+        self.nested(Parser::unary)
+    }
+
+    fn unary(&mut self) -> Option<Expr> {
         let line = self.peek().line;
         let op = match &self.peek().kind {
             TokenKind::Punct(Punct::Minus) => Some(UnOp::Neg),
@@ -1250,6 +1297,7 @@ fn render_param(p: &Param) -> String {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::printer::print_program;
 
     const PI_SRC: &str = r#"#include <mpi.h>
 #include <stdio.h>
@@ -1719,5 +1767,91 @@ int main(int argc, char **argv) {
         let out = parse_tolerant(PI_SRC);
         assert!(out.is_clean());
         assert_eq!(out.recoveries, 0);
+    }
+
+    /// A function whose line 3 is `stmt`, between two clean lines.
+    fn around(stmt: &str) -> String {
+        format!("int main() {{\n    int x;\n    {stmt}\n    return x;\n}}\n")
+    }
+
+    /// A nesting shape: its name, the statement nested `n` levels deep,
+    /// and the deepest `n` that still fits [`MAX_NESTING`].
+    type Shape = (&'static str, fn(usize) -> String, usize);
+
+    /// The three ways a statement nests.
+    fn nesting_shapes() -> [Shape; 3] {
+        [
+            (
+                "blocks",
+                |n| "{".repeat(n) + ";" + &"}".repeat(n),
+                MAX_NESTING - 1,
+            ),
+            (
+                "parens",
+                |n| format!("x = {}1{};", "(".repeat(n), ")".repeat(n)),
+                (MAX_NESTING - 4) / 2,
+            ),
+            (
+                "unary",
+                |n| format!("x = {}1;", "!".repeat(n)),
+                MAX_NESTING - 4,
+            ),
+        ]
+    }
+
+    /// Runs `f` on a thread with Rust's default 2 MiB stack — what the
+    /// serving daemon parses submitted buffers on.
+    fn on_default_stack(f: impl FnOnce() + Send + 'static) {
+        std::thread::Builder::new()
+            .stack_size(2 << 20)
+            .spawn(f)
+            .unwrap()
+            .join()
+            .unwrap();
+    }
+
+    #[test]
+    fn nesting_is_bounded_exactly() {
+        on_default_stack(|| {
+            for (name, shape, deepest) in nesting_shapes() {
+                let at = around(&shape(deepest));
+                let program = parse_strict(&at).unwrap_or_else(|e| panic!("{name}: {e}"));
+                let printed = print_program(&program);
+                assert!(parse_strict(&printed).is_ok(), "{name}: reprint");
+                let err = parse_strict(&around(&shape(deepest + 1))).unwrap_err();
+                assert!(
+                    err.diagnostics
+                        .iter()
+                        .any(|d| d.message.contains("nesting deeper")),
+                    "{name}: {err}"
+                );
+            }
+        });
+    }
+
+    #[test]
+    fn over_deep_region_is_an_error_node_not_a_stack_overflow() {
+        // Each of these once aborted the process on a 2 MiB thread.
+        on_default_stack(|| {
+            for (name, shape, _) in nesting_shapes() {
+                let src = around(&shape(2_000));
+                let out = parse_tolerant(&src);
+                let health = out.health();
+                assert!(!health.is_clean(), "{name}");
+                assert!(health.recovery_events >= 1, "{name}");
+                assert!(health.is_dirty_line(3), "{name}: {:?}", health.dirty_lines);
+                assert!(
+                    !health.is_dirty_line(2) && !health.is_dirty_line(4),
+                    "{name}"
+                );
+                assert!(
+                    matches!(out.program.items[..], [Item::Function(_)]),
+                    "{name}: the function survives"
+                );
+                assert!(parse_strict(&src).is_err(), "{name}");
+                let reparsed = parse_tolerant(&print_program(&out.program));
+                assert!(!reparsed.health().is_clean(), "{name}: reprint stays dirty");
+            }
+        });
     }
 }

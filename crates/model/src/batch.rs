@@ -82,19 +82,15 @@
 //!
 //! # Prefix sharing
 //!
-//! Prefilled caches are retained in a radix tree over token prefixes at
-//! page granularity (see [`crate::radix`]). An **identical**
-//! `(encoder output, prompt)` resubmit — the IDE retrigger pattern — skips
-//! prefill entirely, as before; a **near-identical** prompt (same encoder
-//! output, shared leading tokens) now forks the longest page-aligned
-//! matching prefix COW and prefills only the unmatched suffix. Encoder
-//! equality is verified byte-for-byte (the hash is only a filter), shared
-//! pages are read-only, and appends copy-on-write, so this is a pure
-//! scheduling shortcut: outputs are unchanged. Under
-//! [`BatchDecoder::with_shared`] a fleet of schedulers shares one index
-//! and one pool, so the sharing crosses workers. [`BatchDecoder::prefix_stats`]
-//! counts full hits, partial hits, and misses — hit *rates* and shared vs
-//! prefilled rows are both observable.
+//! A fresh request is admitted through the [`PrefixTable`] (see
+//! [`crate::prefix`]): when a byte-identical encoder output was admitted
+//! recently — the IDE retrigger of an unchanged buffer — the request
+//! starts from a 0-row fork of that output's cross-attention K/V instead
+//! of projecting them again, then feeds its prompt as usual. The hash is
+//! only a filter (encoder equality is verified in full) and the shared
+//! projections are immutable, so outputs are unchanged. A fleet of
+//! schedulers built by the [`Engine`](crate::engine::Engine) shares one
+//! table; [`BatchDecoder::prefix_stats`] counts its hits and misses.
 //!
 //! # Equivalence
 //!
@@ -158,7 +154,7 @@ use crate::config::ModelConfig;
 use crate::decode::{argmax_token, expand_beams, ranked_hypothesis_ids, Hypothesis};
 use crate::infer::{decode_step_batch, BatchScratch, DecoderCache, DecoderWeights, Precision};
 use crate::paged::{PagePool, PoolStats};
-use crate::radix::{PrefixIndex, PrefixStats};
+use crate::prefix::{PrefixStats, PrefixTable};
 use crate::transformer::TransformerParams;
 use crate::vocab::{EOS, SOS};
 use crate::DecodeOptions;
@@ -461,13 +457,6 @@ struct Group {
     min_len: usize,
     /// Generation stops once ids reach this length (prompt included).
     limit: usize,
-    /// Prefix-sharing key of the encoder output alone.
-    share_key: u64,
-    /// The request's encoder output, retained until the prefill snapshot is
-    /// stored (then dropped — the cache carries the projected cross-K/V).
-    enc_out: Option<Tensor>,
-    /// Whether this group's prefilled cache is (or came from) a snapshot.
-    snapshotted: bool,
     finished: bool,
     /// EDF deadline stamp carried from [`SubmitOptions::deadline`] (kept on
     /// the group so pauses/evictions re-enter the queue with it intact).
@@ -557,25 +546,6 @@ impl QueueEntry {
     }
 }
 
-/// FNV-1a over the encoder output's shape and raw f32 bits — the prefix
-/// index groups retained prefills by encoder output (prompts radix-share
-/// *within* a group), so the key must not mix prompt ids in. A filter only
-/// — the index verifies full encoder-output equality before sharing.
-fn prefix_key(enc_out: &Tensor) -> u64 {
-    let mut h = 0xcbf29ce484222325u64;
-    let mut eat = |bytes: u64| {
-        h ^= bytes;
-        h = h.wrapping_mul(0x100000001b3);
-    };
-    for &s in &enc_out.shape {
-        eat(s as u64);
-    }
-    for &v in &enc_out.data {
-        eat(v.to_bits() as u64);
-    }
-    h
-}
-
 /// A retired request's output, parked until its ticket is polled: the
 /// winning ids, every beam hypothesis (best first), and the scheduling
 /// telemetry.
@@ -600,7 +570,7 @@ pub struct BatchDecoder<'m> {
     weights: Cow<'m, DecoderWeights>,
     max_batch: usize,
     /// One page pool for every lane: retired requests recycle pages into
-    /// newly admitted ones, beam forks and shared prefixes share pages COW.
+    /// newly admitted ones, and beam forks share pages COW.
     /// Private by default; [`with_shared`](Self::with_shared) lets a fleet
     /// of schedulers draw from one pool.
     pool: PagePool,
@@ -608,11 +578,9 @@ pub struct BatchDecoder<'m> {
     queue: Vec<QueueEntry>,
     done: HashMap<RequestId, RetiredOutput>,
     cancelled: BTreeSet<RequestId>,
-    /// Radix prefix index over retained prefill snapshots (see
-    /// [`crate::radix`]); private by default, fleet-shared via
-    /// [`with_shared`](Self::with_shared). Its snapshots live in `pool`.
-    prefix: PrefixIndex,
-    prefix_hits: u64,
+    /// Cross-K/V of recent encoder outputs (see [`crate::prefix`]);
+    /// private by default, fleet-shared via [`with_shared`](Self::with_shared).
+    prefix: PrefixTable,
     scratch: BatchScratch,
     logits: Vec<f32>,
     next_id: u64,
@@ -703,32 +671,30 @@ impl<'m> BatchDecoder<'m> {
             max_batch,
             weights,
             PagePool::new(cfg.d_head()),
-            PrefixIndex::new(),
+            PrefixTable::new(),
         )
     }
 
     /// [`with_weights`](Self::with_weights) drawing pages from a caller's
-    /// [`PagePool`] and prefix snapshots from a caller's [`PrefixIndex`] —
+    /// [`PagePool`] and shared cross-K/V from a caller's [`PrefixTable`] —
     /// the fleet constructor: the sharded [`Engine`](crate::engine::Engine)
-    /// hands every worker the same pool and index, so a prefill computed by
-    /// one scheduler is COW-shared by a matching request on any other.
-    /// Sharing is bitwise-transparent (shared pages are read-only; appends
-    /// into a shared partial page copy-on-write), so fleet outputs equal
-    /// the private-pool outputs exactly.
+    /// hands every worker the same pool and table. Sharing is
+    /// bitwise-transparent, so fleet outputs equal the private-pool outputs
+    /// exactly.
     ///
     /// # Panics
     ///
     /// If `max_batch` is 0, `cfg.vocab_size` is unset, or the pool's row
     /// width differs from `cfg.d_head()`.
     #[allow(clippy::too_many_arguments)]
-    pub fn with_shared(
+    pub(crate) fn with_shared(
         store: &'m ParamStore,
         params: &'m TransformerParams,
         cfg: &'m ModelConfig,
         max_batch: usize,
         weights: Cow<'m, DecoderWeights>,
         pool: PagePool,
-        prefix: PrefixIndex,
+        prefix: PrefixTable,
     ) -> BatchDecoder<'m> {
         assert!(
             max_batch >= 1,
@@ -752,7 +718,6 @@ impl<'m> BatchDecoder<'m> {
             done: HashMap::new(),
             cancelled: BTreeSet::new(),
             prefix,
-            prefix_hits: 0,
             scratch: BatchScratch::new(cfg, max_batch),
             logits: vec![0.0; max_batch * cfg.vocab_size],
             next_id: 0,
@@ -899,7 +864,7 @@ impl<'m> BatchDecoder<'m> {
     /// eviction under memory pressure. While live pages exceed the cap *and*
     /// a protected (interactive or aged-promoted) group is decoding, the
     /// scheduler frees memory at each step in priority order: retained
-    /// prefill snapshots first (pure optimization state), then the
+    /// prefix-table entries first (pure optimization state), then the
     /// **youngest-admitted unprotected bulk greedy** groups — each evicted
     /// group drops its self-attention KV pages, keeps its generated ids and
     /// shared cross-K/V, and re-enters the queue paused; on re-admission it
@@ -949,25 +914,11 @@ impl<'m> BatchDecoder<'m> {
         self.pool.stats()
     }
 
-    /// Requests admitted by forking a retained prefill that covered their
-    /// **whole** prompt — prefill skipped outright. Partial-prefix shares
-    /// show up in [`prefix_stats`](Self::prefix_stats) instead.
-    pub fn prefix_hits(&self) -> u64 {
-        self.prefix_hits
-    }
-
-    /// Telemetry of the radix prefix index behind this scheduler: full and
-    /// partial hits, misses, shared vs prefilled rows (see
-    /// [`PrefixStats`]). Index-global — under [`with_shared`](Self::with_shared)
-    /// the counts cover the whole fleet.
+    /// Telemetry of the prefix table behind this scheduler: hits, misses,
+    /// prefilled rows (see [`PrefixStats`]). Table-global — inside an
+    /// [`Engine`](crate::engine::Engine) the counts cover the whole fleet.
     pub fn prefix_stats(&self) -> PrefixStats {
         self.prefix.stats()
-    }
-
-    /// The radix prefix index behind this scheduler. Cloning the handle
-    /// shares it (see [`with_shared`](Self::with_shared)).
-    pub fn prefix_index(&self) -> &PrefixIndex {
-        &self.prefix
     }
 
     /// Lanes currently reserved by admitted requests.
@@ -1128,10 +1079,10 @@ impl<'m> BatchDecoder<'m> {
     }
 
     /// Enforce the soft page cap (see [`set_page_limit`](Self::set_page_limit)):
-    /// drop prefix-index snapshots one coldest-first unit at a time (pure
-    /// optimization state, and only as many as pressure demands — never a
-    /// wholesale clear), then evict unprotected bulk greedy groups
-    /// youngest-first while a protected group needs the headroom.
+    /// drop prefix-table entries coldest-first while over the cap (they pin
+    /// no pages, so pressure that persists empties the table), then evict
+    /// unprotected bulk greedy groups youngest-first while a protected
+    /// group needs the headroom.
     fn evict_for_pressure(&mut self) {
         let Some(limit) = self.page_limit else { return };
         if self.pool.stats().pages_live <= limit {
@@ -1256,32 +1207,19 @@ impl<'m> BatchDecoder<'m> {
                     );
                     return;
                 }
-                let key = prefix_key(&req.enc_out);
-                let needed = req.prompt.len() - 1;
-                // Longest retained page-aligned prefix: full coverage skips
-                // prefill outright; partial coverage prefills only the
-                // unmatched suffix (the root feeds `ids[cache.len()..]`, so
-                // no scheduling change is needed); an enc-group-only match
-                // still shares the cross-attention projections.
-                let (cache, snapshotted) = match self.prefix.lookup(key, &req.enc_out, &req.prompt)
-                {
-                    Some((cache, rows)) if rows >= needed => {
-                        self.prefix_hits += 1;
-                        (cache, true)
-                    }
-                    Some((cache, _)) => (cache, false),
-                    None => {
-                        let cache = DecoderCache::new_in_pool(
+                // The root feeds `ids[cache.len()..]`: the whole prompt.
+                let cache = self
+                    .prefix
+                    .share(req.enc_out, req.prompt.len() - 1, |enc_out| {
+                        DecoderCache::new_in_pool(
                             self.store,
                             self.params,
                             self.cfg,
-                            &req.enc_out,
+                            enc_out,
                             &self.pool,
-                        );
-                        (cache, false)
-                    }
-                };
-                let mut group = Group {
+                        )
+                    });
+                self.groups.push(Group {
                     id: entry.id,
                     reserved: req.opts.beam,
                     priority: entry.priority,
@@ -1292,11 +1230,6 @@ impl<'m> BatchDecoder<'m> {
                     prompt_len: req.prompt.len(),
                     min_len: req.opts.min_len,
                     limit,
-                    share_key: key,
-                    // A snapshot-admitted group never stores another
-                    // snapshot, so holding the tensor would pin dead memory.
-                    enc_out: (!snapshotted).then_some(req.enc_out),
-                    snapshotted,
                     finished: false,
                     deadline: entry.deadline,
                     held_steps: 0,
@@ -1304,36 +1237,9 @@ impl<'m> BatchDecoder<'m> {
                     decode_steps: 0,
                     preemptions: 0,
                     evictions: 0,
-                };
-                // A 1-token prompt is "prefilled" at birth: snapshot now so
-                // the next identical request shares the cross-K/V
-                // projections.
-                self.maybe_snapshot(&mut group);
-                self.groups.push(group);
+                });
             }
         }
-    }
-
-    /// Retain this group's prefill once its root cache reaches
-    /// `prompt_len - 1` rows: the radix index stores one snapshot per whole
-    /// page of fed tokens plus the full-prompt state, so a later request
-    /// sharing *any* page-aligned prefix (not just the identical prompt)
-    /// forks instead of prefilling.
-    fn maybe_snapshot(&mut self, group: &mut Group) {
-        if group.snapshotted {
-            return;
-        }
-        let root = &group.beams[0];
-        let Some(cache) = &root.cache else { return };
-        if cache.len() + 1 != group.prompt_len {
-            return;
-        }
-        group.snapshotted = true;
-        let Some(enc_out) = group.enc_out.take() else {
-            return;
-        };
-        let prompt = &root.ids[..group.prompt_len];
-        self.prefix.insert(group.share_key, enc_out, prompt, cache);
     }
 
     /// Run one lockstep step: admit queued requests (priority order,
@@ -1403,7 +1309,6 @@ impl<'m> BatchDecoder<'m> {
                 .any(|h| h.cache.as_ref().is_some_and(|c| c.len() < h.ids.len()));
             if prefilling {
                 row += live.iter().filter(|&&l| l).count();
-                self.maybe_snapshot(group);
                 continue;
             }
             let mut rows: Vec<Option<&[f32]>> = Vec::with_capacity(live.len());
@@ -1521,7 +1426,7 @@ impl<'m> BatchDecoder<'m> {
 mod tests {
     use super::*;
     use crate::decode::{decode_reference, encode_source};
-    use crate::radix::PREFIX_CACHE_CAP;
+    use crate::prefix::PREFIX_CACHE_CAP;
     use crate::transformer::build_params;
     use crate::vocab::SOS;
 
@@ -2369,8 +2274,8 @@ mod tests {
 
     // -- paged pool + prefix sharing ---------------------------------------
 
-    /// Identical (enc_out, prompt) requests skip prefill via a COW fork of
-    /// the retained snapshot — and still return identical output.
+    /// Identical encoder outputs share the retained cross-K/V projections
+    /// — and still return identical output.
     #[test]
     fn identical_prompts_share_prefill_pages() {
         let (cfg, store, params) = setup();
@@ -2387,22 +2292,22 @@ mod tests {
         let mut dec = BatchDecoder::new(&store, &params, &cfg, 4);
         let a = dec.submit(BatchRequest::greedy(e.clone(), 18));
         dec.run();
-        assert_eq!(dec.prefix_hits(), 0, "first submission prefills");
+        assert_eq!(dec.prefix_stats().hits, 0, "first submission projects");
         let b = dec.submit(BatchRequest::greedy(e.clone(), 18));
         let c = dec.submit(BatchRequest::greedy(e, 18));
         dec.run();
-        assert_eq!(dec.prefix_hits(), 2, "twins fork the snapshot");
+        assert_eq!(dec.prefix_stats().hits, 2, "twins share the projections");
         assert_eq!(take(&mut dec, a), reference);
         assert_eq!(take(&mut dec, b), reference);
         assert_eq!(take(&mut dec, c), reference);
     }
 
-    /// The radix index shares the longest page-aligned prefix between
-    /// *near*-identical prompts (the IDE one-edited-line pattern): the
-    /// second request forks the first's leading page and prefills only the
-    /// suffix, bitwise-identically to a from-scratch decode.
+    /// Prompted requests over one encoder output share its cross-K/V from
+    /// the table and prefill their whole prompt from there, so an edited
+    /// prompt and an identical resubmit both decode bitwise like a
+    /// from-scratch decode.
     #[test]
-    fn near_identical_prompts_share_pages_and_prefill_less() {
+    fn prompted_requests_share_cross_kv_and_prefill_their_prompt() {
         let (cfg, store, params) = setup();
         let e = enc(&store, &params, &cfg, 2);
         // 18-token prompts: 17 prefill rows = one full 16-row page + 1.
@@ -2422,33 +2327,23 @@ mod tests {
         let a = dec.submit(req);
         dec.run();
         let after_first = dec.prefix_stats();
-        assert_eq!(after_first.misses, 1, "an empty index misses");
+        assert_eq!(after_first.misses, 1, "an empty table misses");
         assert_eq!(after_first.prefilled_rows, 17);
 
         let mut req = BatchRequest::greedy(e.clone(), 24);
         req.prompt = edited.clone();
         let b = dec.submit(req);
-        dec.run();
-        let s = dec.prefix_stats();
-        assert_eq!(s.partial_hits, 1, "one edited line still shares a page");
-        assert_eq!(s.shared_rows, 16, "the full leading page is forked");
-        assert_eq!(
-            s.prefilled_rows - after_first.prefilled_rows,
-            1,
-            "only the unmatched suffix is prefilled"
-        );
-        assert_eq!(dec.prefix_hits(), 0, "a partial share is not a full hit");
-
-        // An identical resubmit of the base prompt skips prefill outright.
         let mut req = BatchRequest::greedy(e, 24);
         req.prompt = base;
         let c = dec.submit(req);
         dec.run();
-        assert_eq!(dec.prefix_hits(), 1);
-        assert_eq!(dec.prefix_stats().hits, 1);
+        let s = dec.prefix_stats();
+        assert_eq!((s.hits, s.misses), (2, 1), "both later requests share");
+        assert_eq!(s.shared_rows, 0, "no token rows are shared");
+        assert_eq!(s.prefilled_rows, 3 * 17, "every prompt is prefilled");
 
         assert_eq!(take(&mut dec, a), refs[0]);
-        assert_eq!(take(&mut dec, b), refs[1], "partial share stays bitwise");
+        assert_eq!(take(&mut dec, b), refs[1], "shared cross-K/V stay bitwise");
         assert_eq!(take(&mut dec, c), refs[0]);
     }
 
@@ -2462,7 +2357,7 @@ mod tests {
         let hot = enc(&store, &params, &cfg, 0);
         let mut dec = BatchDecoder::new(&store, &params, &cfg, 4);
         dec.decode_all(vec![BatchRequest::greedy(hot.clone(), 10)]);
-        assert_eq!(dec.prefix_hits(), 0, "first submission prefills");
+        assert_eq!(dec.prefix_stats().hits, 0, "first submission misses");
         for seed in 1..=PREFIX_CACHE_CAP {
             // Re-touch the hot prompt, then churn in a distinct one.
             dec.decode_all(vec![
@@ -2470,11 +2365,11 @@ mod tests {
                 BatchRequest::greedy(enc(&store, &params, &cfg, seed), 10),
             ]);
         }
-        let hits_before = dec.prefix_hits();
+        let hits_before = dec.prefix_stats().hits;
         assert_eq!(hits_before, PREFIX_CACHE_CAP as u64, "every re-touch hit");
         dec.decode_all(vec![BatchRequest::greedy(hot, 10)]);
         assert_eq!(
-            dec.prefix_hits(),
+            dec.prefix_stats().hits,
             hits_before + 1,
             "hot entry survived PREFIX_CACHE_CAP insertions (LRU, not FIFO)"
         );
@@ -2482,7 +2377,7 @@ mod tests {
     }
 
     /// Every page goes back to the pool once the scheduler drops —
-    /// including pages pinned by beam forks and prefix snapshots.
+    /// including pages shared by beam forks.
     #[test]
     fn pool_drains_once_scheduler_drops() {
         let (cfg, store, params) = setup();

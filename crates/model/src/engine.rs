@@ -6,9 +6,9 @@
 //! whatever the fused kernels parallelize internally). The [`Engine`] scales
 //! out instead: each worker thread owns a private `BatchDecoder` scheduler
 //! — its own lanes and scheduler clock — while all workers draw pages from
-//! **one shared [`PagePool`]** and prefill snapshots from **one shared
-//! radix [`PrefixIndex`]** (see [`crate::radix`]): a prefix prefilled by
-//! any worker is COW-shared by a matching request landing on any other.
+//! **one shared [`PagePool`]** and cross-attention K/V from **one shared
+//! [`PrefixTable`]** (see [`crate::prefix`]): an encoder output projected
+//! by any worker is shared by an identical resubmit landing on any other.
 //! The front-end routes requests to workers:
 //!
 //! * **Priority-aware placement.** Interactive requests are placed into a
@@ -50,12 +50,10 @@
 //! a request decodes entirely within one worker's `BatchDecoder`, whose
 //! per-lane numerics are pinned bitwise to the single-request reference
 //! (see [`decode_step_batch`](crate::decode_step_batch)), and lanes never
-//! read each other's *mutable* state — shared prefix pages are read-only
-//! (an append into a shared partial page copies-on-write first), and the
-//! K/V rows behind a shared prefix are a pure function of
-//! `(enc_out, fed tokens)`, identical no matter which worker computed them
-//! — so neither placement, stealing order, nor co-scheduled traffic can
-//! perturb a logit. What *does* vary with timing
+//! read each other's *mutable* state — shared cross-attention K/V are
+//! immutable and a pure function of `enc_out`, identical no matter which
+//! worker projected them — so neither placement, stealing order, nor
+//! co-scheduled traffic can perturb a logit. What *does* vary with timing
 //! is scheduling telemetry (queue waits, preemptions) and which worker ran
 //! a stolen bulk request. `tests/parallel_engine_props.rs` drives random
 //! schedules through worker counts {1, 2, 4} and asserts token equality
@@ -76,7 +74,7 @@ use crate::batch::{
 use crate::config::ModelConfig;
 use crate::infer::{DecoderWeights, Precision};
 use crate::paged::{PagePool, PoolStats};
-use crate::radix::{PrefixIndex, PrefixStats};
+use crate::prefix::{PrefixStats, PrefixTable};
 use crate::transformer::TransformerParams;
 use crate::Seq2SeqModel;
 use mpirical_tensor::ParamStore;
@@ -166,7 +164,7 @@ pub struct EngineConfig {
     pub aging_steps: u64,
     /// Soft page cap (see [`BatchDecoder::set_page_limit`]). Workers share
     /// one pool, so the cap counts pages **fleet-wide**: any worker over it
-    /// sheds prefix snapshots / bulk lanes by its own scheduler's policy.
+    /// sheds prefix-table entries / bulk lanes by its own scheduler's policy.
     pub page_limit: Option<usize>,
     /// Placement seed: rotates the tie-break order of interactive
     /// placement. Same seed + same worker count ⇒ identical placement for
@@ -274,7 +272,7 @@ struct State {
     /// Bulk jobs pulled from the shared backlog by workers.
     bulk_steals: u64,
     /// Latest published per-worker scheduler telemetry. (Pool and prefix
-    /// telemetry need no publishing: the shared pool and index are read
+    /// telemetry need no publishing: the shared pool and table are read
     /// directly.)
     sched_stats: Vec<WorkerSched>,
     next_ticket: u64,
@@ -344,8 +342,8 @@ struct Shared {
     cfg: EngineConfig,
     /// The fleet-wide page pool every worker's lanes draw from.
     pool: PagePool,
-    /// The fleet-wide radix prefix index (snapshots live in `pool`).
-    prefix: PrefixIndex,
+    /// The fleet-wide prefix table.
+    prefix: PrefixTable,
     state: Mutex<State>,
     /// Workers park here when idle; submit/cancel/shutdown notify it.
     work: Condvar,
@@ -383,7 +381,7 @@ impl Engine {
             model,
             cfg,
             pool,
-            prefix: PrefixIndex::new(),
+            prefix: PrefixTable::new(),
             state: Mutex::new(State::new(cfg.workers)),
             work: Condvar::new(),
             progress: Condvar::new(),
@@ -606,15 +604,9 @@ impl Engine {
         st.sched_stats.iter().map(|s| s.preemptions).sum()
     }
 
-    /// Full prefix hits — admissions whose whole prompt was covered by a
-    /// retained prefill. The index is shared by every worker, so hits occur
-    /// between requests regardless of which worker each landed on.
-    pub fn prefix_hits(&self) -> u64 {
-        self.shared.prefix.stats().hits
-    }
-
-    /// Telemetry of the fleet-wide radix prefix index: full/partial hits,
-    /// misses, shared vs prefilled rows (see [`PrefixStats`]).
+    /// Telemetry of the fleet-wide prefix table: hits, misses, prefilled
+    /// rows (see [`PrefixStats`]). The table is shared by every worker, so
+    /// a hit occurs no matter which worker each request landed on.
     pub fn prefix_stats(&self) -> PrefixStats {
         self.shared.prefix.stats()
     }
@@ -671,17 +663,14 @@ impl Engine {
 
     /// Shut down and join every worker, returning the shared pool's
     /// **final** telemetry (a single-entry list), captured after every
-    /// decoder dropped and the prefix index was cleared — so
-    /// `pages_live == 0` unless pages actually leaked (the property
-    /// harness's closing assertion).
+    /// decoder dropped — so `pages_live == 0` unless pages actually leaked
+    /// (the property harness's closing assertion; prefix-table entries pin
+    /// no pages).
     pub fn shutdown(mut self) -> Vec<PoolStats> {
         self.begin_shutdown();
         for h in self.handles.drain(..) {
             let _ = h.join();
         }
-        // Retained prefix snapshots pin pool pages by design; drop them so
-        // the final stats expose only genuine leaks.
-        self.shared.prefix.clear();
         vec![self.shared.pool.stats()]
     }
 }
@@ -708,13 +697,12 @@ impl Drop for Engine {
             for h in self.handles.drain(..) {
                 let _ = h.join();
             }
-            self.shared.prefix.clear();
         }
     }
 }
 
 /// One worker: a private `BatchDecoder` scheduler over the fleet-shared
-/// pool and prefix index, driven by a pull-step-harvest loop.
+/// pool and prefix table, driven by a pull-step-harvest loop.
 fn worker_loop(shared: &Shared, w: usize) {
     let model = &shared.model;
     let mut dec = BatchDecoder::with_shared(
@@ -838,8 +826,7 @@ fn worker_loop(shared: &Shared, w: usize) {
         }
     }
     // Shutdown: dropping the decoder releases every group's pages back to
-    // the shared pool (retained prefix snapshots belong to the shared
-    // index, cleared by Engine::shutdown after every worker joins).
+    // the shared pool.
     let final_sched = WorkerSched {
         preemptions: dec.preemptions(),
     };
@@ -889,6 +876,7 @@ fn apply_cancels(
 mod tests {
     use super::*;
     use crate::decode::{decode_reference, encode_source, DecodeOptions};
+    use crate::prefix::PREFIX_CACHE_CAP;
     use crate::transformer::build_params;
     use crate::vocab::{EOS, SOS};
     use crate::DecoderCache;
@@ -1015,13 +1003,12 @@ mod tests {
         }
     }
 
-    /// A prefill retained by whichever worker decodes first is visible to
-    /// every other worker through the shared radix index: a sequenced
-    /// resubmit of a near-identical prompt reports a partial hit (and an
-    /// identical prompt an exact hit) no matter which worker picks it up,
-    /// with outputs bitwise equal to the unshared reference path.
+    /// Cross-K/V projected by whichever worker admits first are visible to
+    /// every other worker through the shared prefix table: sequenced
+    /// resubmits over the same encoder output hit no matter which worker
+    /// picks them up, with outputs bitwise equal to the unshared reference.
     #[test]
-    fn radix_index_is_shared_across_workers() {
+    fn prefix_table_is_shared_across_workers() {
         let (cfg, store, params) = setup();
         let e = enc(&store, &params, &cfg, 3);
         let base: Vec<usize> = std::iter::once(SOS)
@@ -1064,23 +1051,72 @@ mod tests {
                 other => panic!("sequenced request not done: {other:?}"),
             }
         };
-        // Sequenced so the retained prefill exists before the next lookup;
-        // drains between submits let different workers serve each request.
+        // Sequenced so the entry exists before the next lookup; drains
+        // between submits let different workers serve each request.
         assert_eq!(submit_one(&base), reference(&base));
         assert_eq!(submit_one(&edited), reference(&edited));
         assert_eq!(submit_one(&base), reference(&base));
         let s = engine.prefix_stats();
-        assert_eq!(s.misses, 1, "only the first prompt prefills cold");
-        assert_eq!(s.partial_hits, 1, "the edited prompt shares a prefix");
-        assert_eq!(s.hits, 1, "the identical resubmit shares everything");
-        assert!(
-            s.shared_rows >= 16,
-            "at least one whole page served from the index (got {})",
-            s.shared_rows
+        assert_eq!(
+            (s.misses, s.hits),
+            (1, 2),
+            "only the first admission projects"
         );
+        assert_eq!((s.shared_rows, s.prefilled_rows), (0, 3 * 17));
         for (w, s) in engine.shutdown().into_iter().enumerate() {
             assert_eq!(s.pages_live, 0, "worker {w} leaked pages");
         }
+    }
+
+    /// The fleet's prefix table holds at most `PREFIX_CACHE_CAP` entries in
+    /// LRU order: a hot buffer resubmitted between `PREFIX_CACHE_CAP`
+    /// distinct cold ones survives, the one capacity eviction takes the
+    /// coldest, pressure eviction frees one entry per call until it reports
+    /// empty, and no page is live after shutdown.
+    #[test]
+    fn prefix_table_is_lru_bounded_and_pins_no_pages() {
+        let (cfg, store, params) = setup();
+        let engine = engine_over(
+            &store,
+            &params,
+            &cfg,
+            EngineConfig {
+                workers: 2,
+                max_batch: 2,
+                ..EngineConfig::default()
+            },
+        );
+        let submit_one = |seed: usize| {
+            let ticket = engine.submit(BatchRequest::greedy(enc(&store, &params, &cfg, seed), 8));
+            engine.drain();
+            assert!(matches!(engine.poll(ticket), PollResult::Done { .. }));
+            engine.prefix_stats()
+        };
+        submit_one(0);
+        for seed in 1..=PREFIX_CACHE_CAP {
+            submit_one(0);
+            submit_one(seed);
+        }
+        let s = engine.prefix_stats();
+        let cap = PREFIX_CACHE_CAP as u64;
+        assert_eq!((s.hits, s.misses, s.evictions), (cap, cap + 1, 1));
+        assert_eq!(submit_one(0).hits, s.hits + 1, "the hot entry survived");
+        assert_eq!(
+            submit_one(1).misses,
+            s.misses + 1,
+            "the coldest was evicted"
+        );
+        let mut freed = 0;
+        while engine.shared.prefix.evict_coldest() {
+            freed += 1;
+            assert!(freed <= PREFIX_CACHE_CAP, "table outgrew its cap");
+        }
+        assert_eq!(
+            freed, PREFIX_CACHE_CAP,
+            "a full table frees one entry per call"
+        );
+        submit_one(2);
+        assert_eq!(engine.shutdown()[0].pages_live, 0);
     }
 
     #[test]

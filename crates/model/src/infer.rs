@@ -33,7 +33,9 @@
 //! * **Cross-attention K/V** — per head, a `[T_enc, d_head]` tensor
 //!   projected **once** from the encoder output at cache construction.
 //!   Replayed decoding recomputes these projections every step; they never
-//!   change, which is most of the cross-attention savings.
+//!   change, which is most of the cross-attention savings. A 0-row clone
+//!   is exactly these projections, which is what the
+//!   [`PrefixTable`](crate::prefix::PrefixTable) retains per encoder output.
 //!
 //! # Invariants
 //!
@@ -281,45 +283,6 @@ impl DecoderCache {
         }
         self.len = 0;
     }
-
-    /// Copy-on-write fork of the first `rows` rows — the prefix-sharing
-    /// primitive behind [`crate::radix::PrefixIndex`]. Every retained page
-    /// is shared with the parent (refcount bumps only, no row data moves),
-    /// the cross-attention K/V `Arc`s are shared as always, and `rows` must
-    /// be page-aligned unless it equals the full length so an append into
-    /// the fork goes through the normal COW path. Paged caches only: the
-    /// contiguous reference layout never takes this path.
-    pub(crate) fn fork_prefix(&self, rows: usize) -> DecoderCache {
-        assert!(rows <= self.len, "prefix fork past end");
-        let pool = self.pool.as_ref().expect("prefix forks need paged storage");
-        let mut guard = pool.lock();
-        let layers = self
-            .layers
-            .iter()
-            .map(|lc| LayerCache {
-                kv: match &lc.kv {
-                    SelfKv::Paged { k, v } => SelfKv::Paged {
-                        k: k.iter().map(|b| b.fork_prefix(&mut guard, rows)).collect(),
-                        v: v.iter().map(|b| b.fork_prefix(&mut guard, rows)).collect(),
-                    },
-                    SelfKv::Contiguous { .. } => {
-                        unreachable!("prefix forks are paged-only")
-                    }
-                },
-                cross_k: lc.cross_k.clone(),
-                cross_v: lc.cross_v.clone(),
-            })
-            .collect();
-        drop(guard);
-        DecoderCache {
-            layers,
-            len: rows,
-            max_rows: self.max_rows,
-            scores_len: self.scores_len,
-            pool: self.pool.clone(),
-            scratch: None,
-        }
-    }
 }
 
 impl Drop for DecoderCache {
@@ -384,8 +347,8 @@ impl DecoderCache {
 
     /// Build a paged cache whose pages come from an existing shared `pool`
     /// (the batched scheduler allocates every lane out of one pool, so
-    /// retired lanes recycle pages into newly admitted ones and
-    /// identical-prompt prefills can share pages across requests).
+    /// retired lanes recycle pages into newly admitted ones and beam forks
+    /// share pages copy-on-write).
     ///
     /// # Panics
     ///

@@ -25,6 +25,9 @@
 //!   single-request reference), with priority-aware admission ([`Priority`],
 //!   aging, bulk-lane preemption), a typed [`PollResult`] lifecycle with
 //!   streaming partial tokens, and cancellation;
+//! * [`engine`] — the [`Engine`]: N such schedulers on worker threads over
+//!   one page pool and one [`prefix`] table, which shares the
+//!   cross-attention K/V of a recently seen encoder output;
 //! * [`Seq2SeqModel`] — the bundled artifact (config + vocab + weights) with
 //!   JSON checkpointing.
 //!
@@ -38,7 +41,7 @@ pub mod decode;
 pub mod engine;
 pub mod infer;
 pub mod paged;
-pub mod radix;
+pub mod prefix;
 pub mod train;
 pub mod transformer;
 pub mod vocab;
@@ -56,7 +59,7 @@ pub use infer::{
     PackedDecoderWeights, Precision, QuantDecoderWeights,
 };
 pub use paged::{PagePool, PoolStats, PAGE_ROWS};
-pub use radix::{PrefixIndex, PrefixStats, PREFIX_CACHE_CAP};
+pub use prefix::{PrefixStats, PREFIX_CACHE_CAP};
 pub use train::{evaluate, train, EpochStats, Example, TrainConfig, TrainReport};
 pub use transformer::{build_params, ForwardMode, TransformerParams};
 pub use vocab::{Vocab, EOS, NL, PAD, SEP, SOS, UNK};

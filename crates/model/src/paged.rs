@@ -318,25 +318,6 @@ impl PagedRows {
         }
     }
 
-    /// Copy-on-write fork of the first `rows` rows only: share exactly the
-    /// pages that hold them (refcount bump per retained page, no row data
-    /// copied). `rows` must be page-aligned unless it equals the full
-    /// length — the prefix index hands out whole pages so a later append
-    /// into the final shared page goes through the normal COW path.
-    pub(crate) fn fork_prefix(&self, pool: &mut PoolInner, rows: usize) -> PagedRows {
-        debug_assert!(rows <= self.len, "prefix fork past end");
-        debug_assert!(
-            rows == self.len || rows.is_multiple_of(pool.page_rows),
-            "prefix forks are page-aligned"
-        );
-        let n_pages = rows.div_ceil(pool.page_rows);
-        let pages: Vec<PageId> = self.pages[..n_pages].to_vec();
-        for &id in &pages {
-            pool.incref(id);
-        }
-        PagedRows { pages, len: rows }
-    }
-
     /// Drop all page references, returning freed pages to the pool.
     pub(crate) fn release(&mut self, pool: &mut PoolInner) {
         for &id in &self.pages {
@@ -425,42 +406,6 @@ mod tests {
         let s = pool.stats();
         assert_eq!(s.pages_live, 0, "all pages returned");
         assert_eq!(s.pages_peak, 3);
-    }
-
-    #[test]
-    fn fork_prefix_shares_only_the_retained_pages() {
-        let pool = PagePool::with_page_rows(2, 4);
-        let mut a = PagedRows::new();
-        for r in 0..10 {
-            a.push_row(&mut pool.lock(), &[r as f32, r as f32 + 0.5]);
-        }
-        // 10 rows over 4-row pages: 2 full pages + 1 half-full page.
-        assert_eq!(pool.stats().pages_live, 3);
-
-        // A one-page prefix fork references only the first page.
-        let mut p = a.fork_prefix(&mut pool.lock(), 4);
-        assert_eq!(p.len(), 4);
-        let s = pool.stats();
-        assert_eq!(s.pages_live, 3, "prefix fork copies no pages");
-        assert_eq!(s.pages_shared, 1, "only the retained page is shared");
-        assert_eq!(rows_of(&p, &pool), rows_of(&a, &pool)[..8]);
-
-        // Appending at the fork's page boundary claims a fresh page without
-        // touching the parent's second page.
-        let before = rows_of(&a, &pool);
-        p.push_row(&mut pool.lock(), &[100.0, 200.0]);
-        assert_eq!(pool.stats().cow_copies, 0);
-        assert_eq!(rows_of(&a, &pool), before);
-        assert_eq!(rows_of(&p, &pool)[8..], [100.0, 200.0]);
-
-        // A full-length fork may be unaligned (it is just `fork`).
-        let mut full = a.fork_prefix(&mut pool.lock(), 10);
-        assert_eq!(rows_of(&full, &pool), before);
-
-        p.release(&mut pool.lock());
-        full.release(&mut pool.lock());
-        a.release(&mut pool.lock());
-        assert_eq!(pool.stats().pages_live, 0);
     }
 
     #[test]

@@ -141,7 +141,7 @@ pub struct ServerStats {
     pub draining: bool,
     /// Fleet-wide KV page-pool telemetry (live/peak/shared/COW).
     pub pool: PoolStats,
-    /// Radix prefix-sharing telemetry (hit rate, shared rows, churn).
+    /// Prefix-table telemetry (hits, misses, hit rate, evictions).
     pub prefix: PrefixStats,
     /// Bulk-lane preemptions performed by the engine so far.
     pub preemptions: u64,

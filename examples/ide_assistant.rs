@@ -155,7 +155,7 @@ fn main() {
     }
 
     // Editor A retriggers on a keystroke pause: the identical buffer shares
-    // its prefilled K/V pages (copy-on-write) instead of re-projecting them.
+    // its encoder output's cross-attention K/V instead of re-projecting them.
     let retrigger = service.submit(&buffer);
     service.run();
     assert!(matches!(service.poll(retrigger), SuggestPoll::Done { .. }));
@@ -165,7 +165,7 @@ fn main() {
         stats.pages_peak,
         stats.peak_bytes() / 1024,
         stats.cow_copies,
-        service.prefix_hits(),
+        service.prefix_stats().hits,
     );
 
     // Serving API v2: a background re-index job churns at Bulk priority;

@@ -140,15 +140,24 @@ fn write_string(s: &str, out: &mut String) {
 // Parser
 // ---------------------------------------------------------------------------
 
+/// Most arrays and objects the parser keeps open at once (real serde_json's
+/// recursion limit). The parser recurses once per level, so without a bound
+/// a few kilobytes of `[` overflow the stack and abort the process; past it
+/// the input is an [`Error`].
+pub const MAX_DEPTH: usize = 128;
+
 struct Parser<'a> {
     bytes: &'a [u8],
     pos: usize,
+    /// Arrays and objects currently open.
+    depth: usize,
 }
 
 fn parse(s: &str) -> Result<Value, Error> {
     let mut p = Parser {
         bytes: s.as_bytes(),
         pos: 0,
+        depth: 0,
     };
     p.skip_ws();
     let v = p.value()?;
@@ -201,8 +210,8 @@ impl<'a> Parser<'a> {
             Some(b't') if self.eat_keyword("true") => Ok(Value::Bool(true)),
             Some(b'f') if self.eat_keyword("false") => Ok(Value::Bool(false)),
             Some(b'"') => self.string().map(Value::Str),
-            Some(b'[') => self.array(),
-            Some(b'{') => self.object(),
+            Some(b'[') => self.nested(Parser::array),
+            Some(b'{') => self.nested(Parser::object),
             Some(b) if b == b'-' || b.is_ascii_digit() => self.number(),
             other => Err(Error::new(format!(
                 "unexpected {:?} at byte {}",
@@ -210,6 +219,21 @@ impl<'a> Parser<'a> {
                 self.pos
             ))),
         }
+    }
+
+    /// Parse one array or object one level deeper, refusing past
+    /// [`MAX_DEPTH`].
+    fn nested(&mut self, f: fn(&mut Self) -> Result<Value, Error>) -> Result<Value, Error> {
+        if self.depth == MAX_DEPTH {
+            return Err(Error::new(format!(
+                "nesting deeper than {MAX_DEPTH} levels at byte {}",
+                self.pos
+            )));
+        }
+        self.depth += 1;
+        let v = f(self);
+        self.depth -= 1;
+        v
     }
 
     fn array(&mut self) -> Result<Value, Error> {
@@ -446,6 +470,27 @@ mod tests {
         assert_eq!(old.extra, 0);
         // But a missing non-default field is an error.
         assert!(from_str::<Widget>(r#"{"name":"y"}"#).is_err());
+    }
+
+    #[test]
+    fn nesting_is_bounded_not_a_stack_overflow() {
+        let nest = |n: usize| "[".repeat(n) + &"]".repeat(n);
+        assert!(parse(&nest(MAX_DEPTH)).is_ok());
+        let err = parse(&nest(MAX_DEPTH + 1)).unwrap_err();
+        assert!(err.to_string().contains("nesting deeper"), "{err}");
+        // Far past the bound, unbalanced, objects too: an error, never an
+        // abort — checked on a quarter of a default 2 MiB thread stack.
+        let deep = std::thread::Builder::new()
+            .stack_size(512 * 1024)
+            .spawn(|| {
+                let arrays = parse(&"[".repeat(10_000)).is_err();
+                let objects = parse(&r#"{"a":"#.repeat(10_000)).is_err();
+                arrays && objects
+            })
+            .unwrap()
+            .join()
+            .unwrap();
+        assert!(deep);
     }
 
     #[test]

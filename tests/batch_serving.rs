@@ -129,11 +129,11 @@ fn service_reports_paged_pool_and_prefix_sharing() {
     assert_eq!(after_first.pages_live, 0, "retired lanes free their pages");
 
     // The IDE-retrigger pattern: the identical buffer resubmitted twice
-    // shares its prefill pages instead of re-projecting them.
+    // shares its cross-attention K/V instead of re-projecting them.
     let again = service.submit(buffer);
     let thrice = service.submit(buffer);
     service.run();
-    assert_eq!(service.prefix_hits(), 2);
+    assert_eq!(service.prefix_stats().hits, 2);
     for t in [first, again, thrice] {
         assert_eq!(take(&mut service, t), expected);
     }

@@ -11,17 +11,17 @@
 //!    pages once all caches drop.
 //! 3. **Scheduler equivalence** — random request mixes (prompt lengths,
 //!    length caps, `min_len`, beam widths, late joins, early retirements,
-//!    duplicate prompts hitting the prefix-share path) through
+//!    duplicate prompts hitting the prefix table) through
 //!    `BatchDecoder` return exactly the per-request
 //!    `decode_reference` (contiguous cache) reference outputs, again with
 //!    zero leaked pages.
 //!
-//! 4. **Radix prefix sharing** — families of near-identical prompts (one
-//!    encoder output, random single-token edits of a shared base) decode
+//! 4. **Prefix sharing** — families of near-identical prompts (one encoder
+//!    output, random single-token edits of a shared base) decode
 //!    bitwise-equal to the no-sharing contiguous reference, concurrently
-//!    and sequenced; the sequenced order pins the radix index's hit
-//!    accounting (one cold miss, then hits/partial hits); the pool always
-//!    drains to zero.
+//!    and sequenced; the sequenced order pins the prefix table's hit
+//!    accounting (one cold miss, then one hit per later member); the pool
+//!    always drains to zero.
 //!
 //! Properties 1, 3 and 4 also run **quantized**: property 1 repeats each
 //! random walk through the int8 projection kernels (`decode_step_quant`)
@@ -283,15 +283,14 @@ proptest! {
     // cases keep tier-1 fast (CI elevates via PROPTEST_CASES).
     #![proptest_config(ProptestConfig::with_cases(12))]
 
-    /// Property 4: radix prefix sharing is bitwise-transparent. A family
-    /// of near-identical prompts — one encoder output, random single-token
+    /// Property 4: prefix sharing is bitwise-transparent. A family of
+    /// near-identical prompts — one encoder output, random single-token
     /// edits of a shared base — decodes exactly like the contiguous
-    /// single-request reference whether the members run concurrently (the
-    /// scheduler may share pages mid-flight) or sequenced. The sequenced
-    /// order makes the accounting deterministic: only the first member
-    /// prefills cold; every later member finds the encoder group and
-    /// shares at least the cross-attention projection (plus any
-    /// page-aligned token prefix). The pool drains to zero either way.
+    /// single-request reference whether the members run concurrently or
+    /// sequenced. The sequenced order makes the accounting deterministic:
+    /// only the first member misses; every later member finds the encoder
+    /// output and shares its cross-attention projection. The pool drains
+    /// to zero either way.
     #[test]
     fn near_identical_prompt_families_share_bitwise(
         base_extra in proptest::collection::vec(6usize..24, 4..20),
@@ -332,7 +331,7 @@ proptest! {
             let got = dec.decode_all(family.iter().map(request).collect());
             prop_assert_eq!(
                 &got, &references,
-                "{:?}: concurrent radix sharing changed tokens", precision
+                "{:?}: concurrent prefix sharing changed tokens", precision
             );
             drop(dec);
             prop_assert_eq!(
@@ -340,8 +339,8 @@ proptest! {
                 "{:?}: concurrent family leaked pages", precision
             );
 
-            // Sequenced: each member's retained prefill exists before the
-            // next lookup, so the hit accounting is deterministic.
+            // Sequenced: the table entry exists before the next lookup, so
+            // the hit accounting is deterministic.
             let mut dec = BatchDecoder::with_precision(store, params, cfg, 8, precision);
             let pool = dec.pool().clone();
             for (p, want) in family.iter().zip(&references) {
@@ -350,17 +349,17 @@ proptest! {
                 let got = dec.poll(id).into_output().expect("retired");
                 prop_assert_eq!(
                     &got, want,
-                    "{:?}: sequenced radix sharing changed tokens", precision
+                    "{:?}: sequenced prefix sharing changed tokens", precision
                 );
             }
             let s = dec.prefix_stats();
             prop_assert_eq!(
                 s.misses, 1,
-                "{:?}: only the first family member prefills cold", precision
+                "{:?}: only the first family member misses", precision
             );
             prop_assert_eq!(
-                s.hits + s.partial_hits, family.len() as u64 - 1,
-                "{:?}: every later member shares through the index", precision
+                s.hits, family.len() as u64 - 1,
+                "{:?}: every later member shares through the table", precision
             );
             drop(dec);
             prop_assert_eq!(

@@ -29,13 +29,13 @@
 //! 5. **EDF + aging** — earlier deadlines admit first within a priority
 //!    class, and a proptest over adversarial early-deadline interactive
 //!    streams shows aging still bounds bulk starvation.
-//! 6. **Cross-worker radix sharing** — families of near-identical prompts
+//! 6. **Cross-worker prefix sharing** — families of near-identical prompts
 //!    (one encoder output, random single-token edits of a shared base)
 //!    stay bitwise pinned to the reference at every worker count and
-//!    precision while the workers share one radix prefix index; a
-//!    sequenced 2-worker schedule pins the hit accounting (one cold miss,
-//!    then hits/partial hits regardless of which worker serves each
-//!    member); every run leaves zero live pages.
+//!    precision while the workers share one prefix table; a sequenced
+//!    2-worker schedule pins the hit accounting (one cold miss, then one
+//!    hit per later member regardless of which worker serves it); every
+//!    run leaves zero live pages.
 //!
 //! Case counts elevate via `PROPTEST_CASES` (CI runs the suite a second
 //! time with a larger count).
@@ -732,13 +732,13 @@ proptest! {
     // (CI elevates via PROPTEST_CASES).
     #![proptest_config(ProptestConfig::with_cases(6))]
 
-    /// Property 6: cross-worker radix sharing is bitwise-transparent. The
-    /// engines share one prefix index and one page pool across workers, so
-    /// a prefill retained by any worker may seed any other worker's
+    /// Property 6: cross-worker prefix sharing is bitwise-transparent. The
+    /// engines share one prefix table and one page pool across workers, so
+    /// cross-K/V projected by any worker may seed any other worker's
     /// admission — and the tokens must not depend on whether that
     /// happened. The sequenced 2-worker run then pins the accounting:
-    /// after the first member's cold prefill, every later member hits the
-    /// shared index no matter which worker picks it up.
+    /// after the first member's miss, every later member hits the shared
+    /// table no matter which worker picks it up.
     #[test]
     fn radix_sharing_is_worker_count_invariant(
         base_extra in proptest::collection::vec(6usize..24, 4..16),
@@ -781,11 +781,11 @@ proptest! {
                 let got = engine.decode_all(family.iter().map(request).collect());
                 prop_assert_eq!(
                     &got, &references,
-                    "{:?} {} workers: radix sharing changed tokens", precision, workers
+                    "{:?} {} workers: prefix sharing changed tokens", precision, workers
                 );
                 prop_assert_eq!(
                     engine.prefix_stats().lookups(), family.len() as u64,
-                    "{:?} {} workers: every admission consults the shared index",
+                    "{:?} {} workers: every admission consults the shared table",
                     precision, workers
                 );
                 for (w, stats) in engine.shutdown().into_iter().enumerate() {
@@ -796,9 +796,9 @@ proptest! {
                 }
             }
 
-            // Sequenced across 2 workers: each member's retained prefill
-            // exists before the next lookup, so the accounting is
-            // deterministic even though any worker may serve any member.
+            // Sequenced across 2 workers: the table entry exists before the
+            // next lookup, so the accounting is deterministic even though
+            // any worker may serve any member.
             let engine = Engine::new(
                 Arc::clone(model),
                 EngineConfig { workers: 2, max_batch: 4, ..EngineConfig::default() },
@@ -809,7 +809,7 @@ proptest! {
                 match engine.poll(ticket) {
                     PollResult::Done { ids, .. } => prop_assert_eq!(
                         &ids, want,
-                        "{:?} sequenced: radix sharing changed tokens", precision
+                        "{:?} sequenced: prefix sharing changed tokens", precision
                     ),
                     other => panic!("sequenced member unfinished: {other:?}"),
                 }
@@ -817,11 +817,11 @@ proptest! {
             let s = engine.prefix_stats();
             prop_assert_eq!(
                 s.misses, 1,
-                "{:?} sequenced: only the first family member prefills cold", precision
+                "{:?} sequenced: only the first family member misses", precision
             );
             prop_assert_eq!(
-                s.hits + s.partial_hits, family.len() as u64 - 1,
-                "{:?} sequenced: every later member shares through the index", precision
+                s.hits, family.len() as u64 - 1,
+                "{:?} sequenced: every later member shares through the table", precision
             );
             for (w, stats) in engine.shutdown().into_iter().enumerate() {
                 prop_assert_eq!(

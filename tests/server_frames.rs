@@ -218,15 +218,46 @@ fn empty_frame_is_malformed_not_fatal() {
     assert_daemon_healthy(addr);
 }
 
-/// Valid JSON that is not a protocol request is still a malformed frame.
+/// Valid JSON that is not a protocol request is still a malformed frame —
+/// including 20 kB of nested arrays, which once overflowed the handler
+/// thread's stack in the recursive JSON parser and aborted the daemon.
 #[test]
 fn wrong_shape_json_is_malformed_not_fatal() {
     let addr = daemon_addr();
-    let before = malformed_now(addr);
-    let mut stream = TcpStream::connect(addr).expect("connect");
-    write_frame(&mut stream, br#"{"Nope":{"id":1}}"#).expect("send frame");
-    drop(stream);
-    await_malformed_above(addr, before);
+    let nested = "[".repeat(10_000) + &"]".repeat(10_000);
+    for payload in [&br#"{"Nope":{"id":1}}"#[..], nested.as_bytes()] {
+        let before = malformed_now(addr);
+        let mut stream = TcpStream::connect(addr).expect("connect");
+        write_frame(&mut stream, payload).expect("send frame");
+        drop(stream);
+        await_malformed_above(addr, before);
+        assert_daemon_healthy(addr);
+    }
+}
+
+/// A submitted buffer nested far past the C parser's depth bound once
+/// overflowed the service thread's stack during encoding and aborted the
+/// daemon. Its over-deep region is now a parse error: the request decodes
+/// and reports a degraded parse.
+#[test]
+fn deeply_nested_buffer_is_served_with_a_dirty_parse() {
+    let addr = daemon_addr();
+    let mut client = Client::connect(addr).expect("connect");
+    let buffer = format!(
+        "int main() {{\n    int x;\n    x = {}1{};\n    return x;\n}}\n",
+        "(".repeat(2_000),
+        ")".repeat(2_000)
+    );
+    let Submitted::Ticket(id) = client.submit(&buffer).expect("submit nested buffer") else {
+        panic!("nested buffer was not admitted");
+    };
+    match client.wait(id).expect("wait") {
+        SuggestPoll::Done { health, .. } => {
+            assert!(!health.is_clean(), "over-deep region must be reported");
+            assert!(health.is_dirty_line(3), "dirty: {:?}", health.dirty_lines);
+        }
+        other => panic!("nested buffer did not finish: {other:?}"),
+    }
     assert_daemon_healthy(addr);
 }
 

@@ -16,7 +16,7 @@
 //!    verification on vs off (property-tested through a trained
 //!    artifact).
 
-use mpirical::cparse::{parse_strict, parse_tolerant, standardize};
+use mpirical::cparse::{parse_strict, parse_tolerant, standardize, MAX_NESTING};
 use mpirical::interp::{run_program, InterpError, RunConfig, MAX_CALL_DEPTH};
 use mpirical::sim::SimError;
 use mpirical::verify::{rerank, verify_prediction, verify_program};
@@ -369,6 +369,63 @@ fn hostile_buffers_get_a_typed_verdict_and_the_process_lives() {
             "{name}"
         );
     }
+    // Nesting past the parser's bound once overflowed the stack of the
+    // thread parsing it. The over-deep region is now an error node: strict
+    // parsing refuses the buffer and its verdict is typed.
+    for (name, body) in nesting_shapes(2_000) {
+        let src = hostile("", &body);
+        assert!(parse_strict(&src).is_err(), "{name}");
+        let tolerant = parse_tolerant(&src);
+        assert!(!tolerant.health().is_clean(), "{name}");
+        assert_eq!(
+            verify_program(&tolerant.program, &VerifyOptions::default()),
+            (Verdict::NotExecutable, 0),
+            "{name}"
+        );
+    }
+}
+
+/// A block, a parenthesized expression and a unary chain, each nested `n`
+/// levels deep, as statements for [`hostile`]'s `main`.
+fn nesting_shapes(n: usize) -> [(&'static str, String); 3] {
+    [
+        ("blocks", "{".repeat(n) + ";" + &"}".repeat(n)),
+        (
+            "parens",
+            format!("buf[0] = {}1{};", "(".repeat(n), ")".repeat(n)),
+        ),
+        ("unary", format!("buf[0] = {}1;", "!".repeat(n))),
+    ]
+}
+
+/// At the deepest nesting the parser accepts, the whole front end and the
+/// verifier's work on the calling thread — parse, print, reparse, X-SBT,
+/// compile — fit Rust's default 2 MiB thread stack, the stack the daemon's
+/// service thread parses submitted buffers on.
+#[test]
+fn nesting_at_the_parse_bound_fits_a_default_thread_stack() {
+    let assistant = tiny_assistant();
+    let deepest = [MAX_NESTING - 1, (MAX_NESTING - 4) / 2, MAX_NESTING - 4];
+    std::thread::Builder::new()
+        .stack_size(2 << 20)
+        .spawn(move || {
+            for (i, n) in deepest.into_iter().enumerate() {
+                let (name, body) = &nesting_shapes(n)[i];
+                let deeper = &nesting_shapes(n + 1)[i].1;
+                assert!(parse_strict(&hostile("", deeper)).is_err(), "{name}");
+                let src = hostile("", body);
+                assert!(assistant.encode_source(&src).health.is_clean(), "{name}");
+                let prog = parse_strict(&src).unwrap_or_else(|e| panic!("{name}: {e}"));
+                assert_eq!(
+                    verify_program(&prog, &VerifyOptions::default()).0,
+                    Verdict::Verified,
+                    "{name}"
+                );
+            }
+        })
+        .unwrap()
+        .join()
+        .unwrap();
 }
 
 /// Options for the benchmark11 reference splices: the paper's 2/4-rank
