@@ -10,27 +10,57 @@
 
 use criterion::{black_box, criterion_group, criterion_main, BatchSize, Criterion};
 use mpirical_model::{
-    build_params, decode::encode_source, decode_reference, replay_decode_with, transformer::encode,
-    transformer::ForwardMode, vocab::SOS, BatchDecoder, BatchRequest, DecodeOptions, DecoderCache,
-    Engine, EngineConfig, EngineModel, Example, ModelConfig, PollResult, Precision,
-    QuantDecoderWeights, SubmitOptions, TrainConfig, TransformerParams, Vocab,
+    build_params, decode::encode_source, decode_step_batch, replay_decode_with,
+    transformer::encode, transformer::ForwardMode, vocab::SOS, BatchDecoder, BatchRequest,
+    BatchScratch, DecodeOptions, DecoderCache, DecoderWeights, Engine, EngineConfig, EngineModel,
+    Example, ModelConfig, PollResult, Precision, SubmitOptions, TrainConfig, TransformerParams,
+    Vocab,
 };
 use mpirical_tensor::{matmul, Adam, ParamStore, Tape, Tensor};
+use std::borrow::Cow;
 
-/// Winner of the single-request reference driver ([`decode_reference`]) from
-/// `<sos>` over a fresh paged cache — the baseline the scheduler groups
-/// below compare against (`qw`: prebuilt weights for int8 options).
+/// Winner of one request from `<sos>` decoded alone by `dec` — a
+/// long-lived scheduler (weights prepared once, as in a service) with no
+/// other work: the single-request baseline the scheduler groups below
+/// compare against.
 fn reference_ids(
-    store: &ParamStore,
-    params: &TransformerParams,
-    cfg: &ModelConfig,
-    qw: Option<&QuantDecoderWeights>,
+    dec: &mut BatchDecoder,
     enc_out: &Tensor,
     max_len: usize,
     opts: DecodeOptions,
 ) -> Vec<usize> {
-    let cache = DecoderCache::new(store, params, cfg, enc_out);
-    decode_reference(store, params, cfg, qw, cache, &[SOS], max_len, opts).swap_remove(0)
+    let req = BatchRequest {
+        enc_out: enc_out.clone(),
+        prompt: vec![SOS],
+        max_len,
+        opts,
+        submit: SubmitOptions::default(),
+    };
+    dec.decode_all(vec![req]).swap_remove(0)
+}
+
+/// Feed `token` to `cache` alone: the one lane of a step.
+fn step_one(
+    m: (&ParamStore, &TransformerParams, &ModelConfig),
+    weights: &DecoderWeights,
+    cache: &mut DecoderCache,
+    token: usize,
+) -> Vec<f32> {
+    let (store, params, cfg) = m;
+    let mut logits = vec![0.0; cfg.vocab_size];
+    let mut scratch = BatchScratch::new(cfg, 1);
+    let (lanes, tokens) = (&mut [cache], &[token]);
+    decode_step_batch(
+        store,
+        params,
+        cfg,
+        weights,
+        lanes,
+        tokens,
+        &mut scratch,
+        &mut logits,
+    );
+    logits
 }
 
 fn bench_matmul(c: &mut Criterion) {
@@ -202,6 +232,8 @@ fn bench_decode(c: &mut Criterion) {
     let mut g = c.benchmark_group("decode");
     g.sample_size(10);
 
+    let mut greedy_dec = BatchDecoder::new(&store, &params, &cfg, 1);
+    let mut beam_dec = BatchDecoder::new(&store, &params, &cfg, 4);
     for out_len in [32usize, 128, 232] {
         let opts = DecodeOptions {
             beam: 1,
@@ -211,7 +243,7 @@ fn bench_decode(c: &mut Criterion) {
         g.bench_function(format!("cached_greedy_{out_len}tok"), |b| {
             b.iter(|| {
                 let enc = encode_source(black_box(&store), &params, &cfg, black_box(&src));
-                reference_ids(&store, &params, &cfg, None, &enc, out_len + 1, opts)
+                reference_ids(&mut greedy_dec, &enc, out_len + 1, opts)
             })
         });
         let beam_opts = DecodeOptions {
@@ -222,7 +254,7 @@ fn bench_decode(c: &mut Criterion) {
         g.bench_function(format!("cached_beam4_{out_len}tok"), |b| {
             b.iter(|| {
                 let enc = encode_source(black_box(&store), &params, &cfg, black_box(&src));
-                reference_ids(&store, &params, &cfg, None, &enc, out_len + 1, beam_opts)
+                reference_ids(&mut beam_dec, &enc, out_len + 1, beam_opts)
             })
         });
     }
@@ -307,18 +339,11 @@ fn bench_batch_decode(c: &mut Criterion) {
 
     let mut g = c.benchmark_group("decode_batch");
     g.sample_size(10);
+    let mut alone = BatchDecoder::new(&store, &params, &cfg, 1);
     g.bench_function("sequential_8x_greedy_64tok", |b| {
         b.iter(|| {
             for e in &enc_outs {
-                black_box(reference_ids(
-                    &store,
-                    &params,
-                    &cfg,
-                    None,
-                    black_box(e),
-                    65,
-                    opts,
-                ));
+                black_box(reference_ids(&mut alone, black_box(e), 65, opts));
             }
         })
     });
@@ -410,9 +435,10 @@ fn bench_batch_beam(c: &mut Criterion) {
 
     // No-fallback smoke: batched beam must run and match the
     // single-request beam path exactly.
+    let mut alone = BatchDecoder::new(&store, &params, &cfg, 4);
     let singles: Vec<Vec<usize>> = enc_outs
         .iter()
-        .map(|e| reference_ids(&store, &params, &cfg, None, e, 33, opts))
+        .map(|e| reference_ids(&mut alone, e, 33, opts))
         .collect();
     let mut dec = BatchDecoder::new(&store, &params, &cfg, 16);
     assert_eq!(
@@ -426,15 +452,7 @@ fn bench_batch_beam(c: &mut Criterion) {
     g.bench_function("sequential_4x_beam4_32tok", |b| {
         b.iter(|| {
             for e in &enc_outs {
-                black_box(reference_ids(
-                    &store,
-                    &params,
-                    &cfg,
-                    None,
-                    black_box(e),
-                    33,
-                    opts,
-                ));
+                black_box(reference_ids(&mut alone, black_box(e), 33, opts));
             }
         })
     });
@@ -475,7 +493,10 @@ fn bench_decode_quant(c: &mut Criterion) {
     let params = build_params(&cfg, &mut store, 1);
     let src: Vec<usize> = (0..48).map(|i| 6 + ((i * 3) % 200)).collect();
     let enc = encode_source(&store, &params, &cfg, &src);
-    let qw = QuantDecoderWeights::new(&store, &params);
+    let fw = DecoderWeights::for_precision(&store, &params, Precision::F32);
+    let qw = DecoderWeights::for_precision(&store, &params, Precision::Int8);
+    let mut f_dec = BatchDecoder::with_weights(&store, &params, &cfg, 1, Cow::Borrowed(&fw));
+    let mut q_dec = BatchDecoder::with_weights(&store, &params, &cfg, 1, Cow::Borrowed(&qw));
     let opts = DecodeOptions {
         beam: 1,
         min_len: 64,
@@ -489,36 +510,23 @@ fn bench_decode_quant(c: &mut Criterion) {
     // No-silent-fallback smoke: the quant step must actually run the int8
     // kernels (logits differ from f32) and still decode a full output.
     {
-        use mpirical_model::{decode_step, decode_step_quant};
+        let m = (&store, &params, &cfg);
         let mut fc = DecoderCache::new(&store, &params, &cfg, &enc);
         let mut qc = DecoderCache::new(&store, &params, &cfg, &enc);
-        let lf = decode_step(&store, &params, &cfg, &mut fc, 1);
-        let lq = decode_step_quant(&store, &params, &cfg, &qw, &mut qc, 1);
+        let lf = step_one(m, &fw, &mut fc, 1);
+        let lq = step_one(m, &qw, &mut qc, 1);
         assert_ne!(lf, lq, "int8 path must not silently run the f32 kernels");
-        let out = reference_ids(&store, &params, &cfg, Some(&qw), &enc, 65, qopts);
+        let out = reference_ids(&mut q_dec, &enc, 65, qopts);
         assert_eq!(out.len(), 64, "min_len forces the full 64-token output");
     }
 
     let mut g = c.benchmark_group("decode_quant");
     g.sample_size(10);
     g.bench_function("f32_greedy_64tok", |b| {
-        b.iter(|| {
-            reference_ids(
-                black_box(&store),
-                &params,
-                &cfg,
-                None,
-                black_box(&enc),
-                65,
-                opts,
-            )
-        })
+        b.iter(|| reference_ids(&mut f_dec, black_box(&enc), 65, opts))
     });
     g.bench_function("quant_greedy_64tok", |b| {
-        b.iter(|| {
-            let (store, enc) = (black_box(&store), black_box(&enc));
-            reference_ids(store, &params, &cfg, Some(&qw), enc, 65, qopts)
-        })
+        b.iter(|| reference_ids(&mut q_dec, black_box(&enc), 65, qopts))
     });
     // The quantized lockstep scheduler, recorded for honesty rather than
     // as a win: at batch 8 the packed f32 kernels already amortize the
@@ -534,7 +542,7 @@ fn bench_decode_quant(c: &mut Criterion) {
             encode_source(&store, &params, &cfg, &src)
         })
         .collect();
-    let mut dec = BatchDecoder::with_precision(&store, &params, &cfg, 8, Precision::Int8);
+    let mut dec = BatchDecoder::with_weights(&store, &params, &cfg, 8, Cow::Borrowed(&qw));
     g.bench_function("quant_batch8_greedy_64tok", |b| {
         b.iter(|| {
             let reqs = enc_outs
@@ -627,8 +635,9 @@ fn bench_decode_priority(c: &mut Criterion) {
     // Acceptance smoke: preemption within 1 step, bitwise outputs, honest
     // FIFO baseline.
     {
-        let fast_ref = reference_ids(&store, &params, &cfg, None, &enc_outs[8], 9, fast_opts);
-        let bulk_ref = reference_ids(&store, &params, &cfg, None, &enc_outs[0], 65, bulk_opts);
+        let mut alone = BatchDecoder::new(&store, &params, &cfg, 1);
+        let fast_ref = reference_ids(&mut alone, &enc_outs[8], 9, fast_opts);
+        let bulk_ref = reference_ids(&mut alone, &enc_outs[0], 65, bulk_opts);
         let mut dec = BatchDecoder::new(&store, &params, &cfg, 8);
         let bulk_ids: Vec<_> = enc_outs[..8]
             .iter()
@@ -715,10 +724,9 @@ fn bench_decode_priority(c: &mut Criterion) {
     g.finish();
 }
 
-/// Beam-fork cost: cloning a 64-token cache. The paged clone bumps page
-/// refcounts (COW); the contiguous reference deep-copies every K/V row —
-/// this is the per-expansion cost beam search pays `beam - 1` times per
-/// step.
+/// Beam-fork cost: cloning a 64-token cache bumps page refcounts (COW)
+/// and copies no K/V row — this is the per-expansion cost beam search pays
+/// `beam - 1` times per step.
 fn bench_cache_fork(c: &mut Criterion) {
     let cfg = ModelConfig {
         vocab_size: 512,
@@ -730,32 +738,32 @@ fn bench_cache_fork(c: &mut Criterion) {
     let params = build_params(&cfg, &mut store, 1);
     let src: Vec<usize> = (0..128).map(|i| 6 + (i % 200)).collect();
     let enc = encode_source(&store, &params, &cfg, &src);
-    let mut paged = mpirical_model::DecoderCache::new(&store, &params, &cfg, &enc);
-    let mut contiguous = mpirical_model::DecoderCache::new_contiguous(&store, &params, &cfg, &enc);
+    let weights = DecoderWeights::for_precision(&store, &params, Precision::F32);
+    let mut paged = DecoderCache::new(&store, &params, &cfg, &enc);
     for step in 0..64usize {
-        mpirical_model::decode_step(&store, &params, &cfg, &mut paged, 6 + step % 200);
-        mpirical_model::decode_step(&store, &params, &cfg, &mut contiguous, 6 + step % 200);
+        step_one(
+            (&store, &params, &cfg),
+            &weights,
+            &mut paged,
+            6 + step % 200,
+        );
     }
 
     let mut g = c.benchmark_group("paged");
     g.bench_function("fork_paged_64tok", |b| b.iter(|| black_box(paged.clone())));
-    g.bench_function("fork_contiguous_64tok", |b| {
-        b.iter(|| black_box(contiguous.clone()))
-    });
     g.finish();
 }
 
-/// One-shot prediction through the scheduler vs the single-request
-/// reference driver — the "same speed" evidence for making every
-/// `MpiRical` prediction an engine request, at the **d=256 serving shape**
-/// (4×d feed-forward, 4096 vocab, 64 forced tokens), for an f32 and an
-/// int8 artifact.
+/// One-shot prediction through the engine vs a bare one-request scheduler
+/// — the "same speed" evidence for making every `MpiRical` prediction an
+/// engine request, at the **d=256 serving shape** (4×d feed-forward, 4096
+/// vocab, 64 forced tokens), for an f32 and an int8 artifact.
 ///
 /// Both sides do the whole call: front-end (parse, X-SBT, ids), encoder
-/// forward, decode. `reference_*` is what `predict_ids` used to be —
-/// `decode_reference` over a fresh paged cache, int8 through the
-/// artifact-lifetime quantized weights. `predict_ids_*` is what it is now:
-/// a one-request batch on a 1-worker `Engine` over the cached
+/// forward, decode. `reference_*` decodes the request alone on a
+/// long-lived one-lane `BatchDecoder` in the calling thread, its weights
+/// prepared once outside the timed call. `predict_ids_*` is the product
+/// path: a one-request batch on a 1-worker `Engine` over the cached
 /// `engine_model()` bundle, thread spawn and shutdown inside the timed call
 /// (the bundle — store copy plus packed/quantized weights — is built once
 /// by the setup assertion, as an artifact builds it on its first call).
@@ -794,19 +802,18 @@ fn bench_decode_oneshot(c: &mut Criterion) {
             None,
         );
         let m = &assistant.model;
-        let qw =
-            (precision == Precision::Int8).then(|| QuantDecoderWeights::new(&m.store, &m.params));
-        let reference = |src: &str| {
+        let mut alone = BatchDecoder::with_precision(&m.store, &m.params, &m.cfg, 1, precision);
+        let mut reference = |src: &str| {
             let ids = assistant.encode_source(src).ids;
             let enc = encode_source(&m.store, &m.params, &m.cfg, &ids);
-            reference_ids(&m.store, &m.params, &m.cfg, qw.as_ref(), &enc, 65, opts)
+            reference_ids(&mut alone, &enc, 65, opts)
         };
         let want = reference(src);
         assert_eq!(want.len(), 64, "min_len forces the full 64-token output");
         assert_eq!(
             assistant.predict_ids(src),
             want,
-            "{precision:?}: the one-shot scheduler path must equal the reference driver"
+            "{precision:?}: the engine path must equal the request decoded alone"
         );
 
         let tag = format!("{precision:?}").to_lowercase();

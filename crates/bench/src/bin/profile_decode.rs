@@ -3,8 +3,7 @@
 use mpirical_model::decode::encode_source;
 use mpirical_model::transformer::build_params;
 use mpirical_model::{
-    decode_step, decode_step_batch, decode_step_quant, BatchScratch, DecoderCache, DecoderWeights,
-    ModelConfig, Precision, QuantDecoderWeights,
+    decode_step_batch, BatchScratch, DecoderCache, DecoderWeights, ModelConfig, Precision,
 };
 use mpirical_tensor::{
     batch_matmul, batch_matmul_packed, vecmat, vecmat_bt, vecmat_q, PackedMat, ParamStore,
@@ -92,90 +91,80 @@ fn main() {
         vecmat(&out128, &kmat, &mut out64[..64])
     });
 
-    // full steps
-    let mut cache = DecoderCache::new(&store, &params, &cfg, &enc);
-    time("decode_step (single)", 2000, || {
-        if cache.len() >= 70 {
-            cache = DecoderCache::new(&store, &params, &cfg, &enc);
-        }
-        std::hint::black_box(decode_step(&store, &params, &cfg, &mut cache, 7));
-    });
-
-    let qw = QuantDecoderWeights::new(&store, &params);
-    let mut qcache = DecoderCache::new(&store, &params, &cfg, &enc);
-    time("decode_step_quant (single)", 2000, || {
-        if qcache.len() >= 70 {
-            qcache = DecoderCache::new(&store, &params, &cfg, &enc);
-        }
-        std::hint::black_box(decode_step_quant(
-            &store,
-            &params,
-            &cfg,
-            &qw,
-            &mut qcache,
-            7,
-        ));
-    });
-
-    let mut caches: Vec<DecoderCache> = (0..8)
-        .map(|_| DecoderCache::new(&store, &params, &cfg, &enc))
-        .collect();
-    let weights = DecoderWeights::for_precision(&store, &params, Precision::F32);
-    let mut scratch = BatchScratch::new(&cfg, 8);
-    let mut logits = vec![0.0f32; 8 * 2048];
-    time("decode_step_batch (8 lanes)", 2000, || {
-        if caches[0].len() >= 70 {
-            caches = (0..8)
+    // Full steps: one lane in both precisions (the single-request path),
+    // and eight f32 lanes.
+    let mut logits = vec![0.0f32; 8 * cfg.vocab_size];
+    for (precision, lanes) in [
+        (Precision::F32, 1),
+        (Precision::Int8, 1),
+        (Precision::F32, 8),
+    ] {
+        let weights = DecoderWeights::for_precision(&store, &params, precision);
+        let fresh = || -> Vec<DecoderCache> {
+            (0..lanes)
                 .map(|_| DecoderCache::new(&store, &params, &cfg, &enc))
-                .collect();
-        }
-        let mut lanes: Vec<&mut DecoderCache> = caches.iter_mut().collect();
-        decode_step_batch(
-            &store,
-            &params,
-            &cfg,
-            &weights,
-            &mut lanes,
-            &[7; 8],
-            &mut scratch,
-            &mut logits,
-        );
-    });
+                .collect()
+        };
+        let mut caches = fresh();
+        let mut scratch = BatchScratch::new(&cfg, lanes);
+        let tokens = vec![7; lanes];
+        let label = format!("decode_step_batch ({lanes} lane, {precision:?})");
+        time(&label, 2000, || {
+            if caches[0].len() >= 70 {
+                caches = fresh();
+            }
+            let mut refs: Vec<&mut DecoderCache> = caches.iter_mut().collect();
+            decode_step_batch(
+                &store,
+                &params,
+                &cfg,
+                &weights,
+                &mut refs,
+                &tokens,
+                &mut scratch,
+                &mut logits[..lanes * cfg.vocab_size],
+            );
+        });
+    }
 
     time("DecoderCache::new", 2000, || {
         std::hint::black_box(DecoderCache::new(&store, &params, &cfg, &enc));
     });
 
-    // Paged vs contiguous: peak cache bytes per lane and beam-fork cost at
-    // a 64-token output (the numbers behind the paged-KV ROADMAP item).
-    // Measured at the assistant's serving window (`max_dec_len` 240, as in
-    // the decode benches) — the contiguous layout reserves that whole
-    // window per lane up front, the paged layout only what 64 tokens fill.
+    // Paged memory and beam-fork cost at a 64-token output. Measured at the
+    // assistant's serving window (`max_dec_len` 240, as in the decode
+    // benches) against reserving that whole window per lane up front.
     let mut mcfg = cfg.clone();
     mcfg.max_dec_len = 240;
+    let weights = DecoderWeights::for_precision(&store, &params, Precision::F32);
+    let mut scratch = BatchScratch::new(&mcfg, 1);
     let mut paged = DecoderCache::new(&store, &params, &mcfg, &enc);
-    let mut contiguous = DecoderCache::new_contiguous(&store, &params, &mcfg, &enc);
     for step in 0..64usize {
-        decode_step(&store, &params, &mcfg, &mut paged, 6 + step % 200);
-        decode_step(&store, &params, &mcfg, &mut contiguous, 6 + step % 200);
+        decode_step_batch(
+            &store,
+            &params,
+            &mcfg,
+            &weights,
+            &mut [&mut paged],
+            &[6 + step % 200],
+            &mut scratch,
+            &mut logits[..mcfg.vocab_size],
+        );
     }
-    let stats = paged.pool().expect("paged").stats();
-    let contiguous_bytes = 2 // K and V
+    let stats = paged.pool().stats();
+    let reserved_bytes = 2 // K and V
         * mcfg.n_dec_layers
         * mcfg.n_heads
         * mcfg.max_dec_len
         * mcfg.d_head()
         * std::mem::size_of::<f32>();
     println!(
-        "peak cache bytes/lane @64tok          paged {:>8} vs contiguous {:>8}  ({:.2}x lower)",
+        "peak cache bytes/lane @64tok          paged {:>8} vs max_dec_len reservation {:>8}  ({:.2}x lower)",
         stats.peak_bytes(),
-        contiguous_bytes,
-        contiguous_bytes as f64 / stats.peak_bytes() as f64,
+        reserved_bytes,
+        reserved_bytes as f64 / stats.peak_bytes() as f64,
     );
     time("fork (clone) paged @64tok", 20000, || {
         std::hint::black_box(paged.clone());
-    });
-    time("fork (clone) contiguous @64tok", 20000, || {
-        std::hint::black_box(contiguous.clone());
     });
 }

@@ -17,6 +17,9 @@
 //!   sorted into buffers, counts, datatypes, ranks and statuses.
 //! * **Types.** Declarations, parameters, casts and `sizeof` carry their
 //!   [`CType`] and pointer-ness instead of re-deriving them from type words.
+//! * **Stack depth.** Each function records the most interpreter frames one
+//!   activation holds open (`Function::levels`), which the interpreter sums
+//!   over the calls in progress against [`MAX_LEVELS`](crate::MAX_LEVELS).
 //!
 //! The pass is infallible. What is wrong with a program — a name that
 //! resolves to nothing, a call with too few arguments, an assignment to a
@@ -75,6 +78,14 @@ pub(crate) struct Function {
     pub body: Block,
     /// Local slots of one activation.
     pub slots: usize,
+    /// Most interpreter frames one activation holds open at once, its
+    /// callees not counted: one per statement, block, interior expression,
+    /// lvalue, declaration and initializer level, with the larger frames of
+    /// a call (3), a `printf` (2) and an MPI call (7) weighted as several.
+    /// Leaves and expression statements run in their parent's frame and
+    /// count nothing. The interpreter sums this over the calls in progress
+    /// against [`MAX_LEVELS`](crate::MAX_LEVELS).
+    pub levels: usize,
     pub line: u32,
 }
 
@@ -399,6 +410,10 @@ struct Lower<'a> {
     scopes: Vec<HashMap<&'a str, u32>>,
     /// Local slots handed out in that function so far.
     slots: u32,
+    /// Frames open at the node being lowered, and the most seen in the
+    /// function so far (see [`Function::levels`]).
+    open: usize,
+    deepest: usize,
 }
 
 fn raise(e: InterpError) -> Expr {
@@ -513,8 +528,19 @@ impl<'a> Lower<'a> {
         out
     }
 
+    /// Lower with `levels` more interpreter frames open (see
+    /// [`Function::levels`]).
+    fn nested<T>(&mut self, levels: usize, lower: impl FnOnce(&mut Self) -> T) -> T {
+        self.open += levels;
+        self.deepest = self.deepest.max(self.open);
+        let out = lower(self);
+        self.open -= levels;
+        out
+    }
+
     fn function(&mut self, f: &'a ast::FunctionDef) -> Function {
         self.slots = 0;
+        self.deepest = 0;
         // Parameters live in a scope of their own around the body block.
         let (params, body) = self.scoped(|this| {
             let params = f
@@ -526,12 +552,13 @@ impl<'a> Lower<'a> {
                     is_pointer: p.pointer_depth > 0 || p.array,
                 })
                 .collect();
-            (params, this.block(&f.body))
+            (params, this.nested(1, |this| this.block(&f.body)))
         });
         Function {
             params,
             body,
             slots: self.slots as usize,
+            levels: self.deepest,
             line: f.line,
         }
     }
@@ -549,6 +576,14 @@ impl<'a> Lower<'a> {
     }
 
     fn stmt(&mut self, s: &'a ast::Stmt) -> Stmt {
+        let own = match s {
+            ast::Stmt::Expr { expr: Some(_), .. } => 0,
+            _ => 1,
+        };
+        self.nested(own, |this| this.stmt_here(s))
+    }
+
+    fn stmt_here(&mut self, s: &'a ast::Stmt) -> Stmt {
         match s {
             ast::Stmt::Decl(d) => Stmt::Decl(self.declaration(d)),
             ast::Stmt::Expr { expr, .. } => Stmt::Expr(expr.as_ref().map(|e| self.expr(e))),
@@ -598,6 +633,10 @@ impl<'a> Lower<'a> {
     }
 
     fn declaration(&mut self, d: &'a ast::Declaration) -> Decl {
+        self.nested(1, |this| this.declaration_here(d))
+    }
+
+    fn declaration_here(&mut self, d: &'a ast::Declaration) -> Decl {
         Decl {
             ctype: CType::from_words(&d.type_spec.words),
             line: d.line,
@@ -624,10 +663,10 @@ impl<'a> Lower<'a> {
     }
 
     fn init(&mut self, init: &'a ast::Init) -> Init {
-        match init {
-            ast::Init::Expr(e) => Init::Expr(self.expr(e)),
-            ast::Init::List(items) => Init::List(items.iter().map(|i| self.init(i)).collect()),
-        }
+        self.nested(1, |this| match init {
+            ast::Init::Expr(e) => Init::Expr(this.expr(e)),
+            ast::Init::List(items) => Init::List(items.iter().map(|i| this.init(i)).collect()),
+        })
     }
 
     fn boxed(&mut self, e: &'a ast::Expr) -> Box<Expr> {
@@ -635,6 +674,18 @@ impl<'a> Lower<'a> {
     }
 
     fn expr(&mut self, e: &'a ast::Expr) -> Expr {
+        let own = match e {
+            ast::Expr::IntLit(_)
+            | ast::Expr::FloatLit(_)
+            | ast::Expr::CharLit(_)
+            | ast::Expr::Ident(_)
+            | ast::Expr::SizeofType { .. } => 0,
+            _ => 1,
+        };
+        self.nested(own, |this| this.expr_here(e))
+    }
+
+    fn expr_here(&mut self, e: &'a ast::Expr) -> Expr {
         match e {
             ast::Expr::IntLit(v) => Expr::Const(Value::Int(*v)),
             ast::Expr::FloatLit(v) => Expr::Const(Value::Double(*v)),
@@ -727,6 +778,11 @@ impl<'a> Lower<'a> {
     }
 
     fn lvalue(&mut self, e: &'a ast::Expr) -> Lvalue {
+        let own = usize::from(!matches!(e, ast::Expr::Ident(_)));
+        self.nested(own, |this| this.lvalue_here(e))
+    }
+
+    fn lvalue_here(&mut self, e: &'a ast::Expr) -> Lvalue {
         match e {
             ast::Expr::Ident(name) => Lvalue::Var(self.resolve(name)),
             ast::Expr::Index { base, index } => Lvalue::Index {
@@ -771,16 +827,16 @@ impl<'a> Lower<'a> {
             return self.call_reading(callee, Callee::User(index), params, args, line);
         }
         if callee.starts_with("MPI_") {
-            return match self.mpi(callee, args, line) {
+            return match self.nested(6, |this| this.mpi(callee, args, line)) {
                 Ok(op) => Expr::Mpi(Box::new(MpiCall { op, line })),
                 Err(e) => raise(e),
             };
         }
         match callee {
-            "printf" => self.printf(args, line),
+            "printf" => self.nested(1, |this| this.printf(args, line)),
             // fprintf(stderr, fmt, …) — drop the stream argument.
             "fprintf" => match args.split_first() {
-                Some((_stream, rest)) => self.printf(rest, line),
+                Some((_stream, rest)) => self.nested(1, |this| this.printf(rest, line)),
                 None => raise(too_few_arguments(callee, 1, 0, line)),
             },
             "malloc" => self.call_reading(callee, Callee::Malloc(CType::Long), 1, args, line),
@@ -817,11 +873,10 @@ impl<'a> Lower<'a> {
         if args.len() < reads {
             return raise(too_few_arguments(name, reads, args.len(), line));
         }
-        Expr::Call(Box::new(Call {
-            callee,
-            args: args[..reads].iter().map(|a| self.expr(a)).collect(),
-            line,
-        }))
+        let args = self.nested(2, |this| {
+            args[..reads].iter().map(|a| this.expr(a)).collect()
+        });
+        Expr::Call(Box::new(Call { callee, args, line }))
     }
 
     fn printf(&mut self, args: &'a [ast::Expr], line: u32) -> Expr {

@@ -18,10 +18,12 @@ pub enum InterpError {
     StepLimit { limit: u64 },
     /// The per-rank memory budget was exhausted (unbounded allocation).
     MemoryLimit { limit: usize },
-    /// A call would nest deeper than [`MAX_CALL_DEPTH`] user-function calls
-    /// (unbounded recursion).
+    /// A call would nest deeper than [`MAX_CALL_DEPTH`] user-function calls,
+    /// or its frames past [`MAX_LEVELS`] (unbounded recursion). `limit` is
+    /// the calls in progress when the next was refused.
     ///
     /// [`MAX_CALL_DEPTH`]: crate::MAX_CALL_DEPTH
+    /// [`MAX_LEVELS`]: crate::MAX_LEVELS
     CallDepth { limit: usize, line: u32 },
     /// An MPI element count that is negative or exceeds the cell budget, the
     /// most elements a rank's memory can hold.

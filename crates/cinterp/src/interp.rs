@@ -42,6 +42,27 @@ pub struct Limits {
 /// [`RANK_STACK_BYTES`]: mpirical_sim::RANK_STACK_BYTES
 pub const MAX_CALL_DEPTH: usize = 1_000;
 
+/// Most interpreter frames the calls in progress may hold open, summed
+/// over their functions' static frame depths, which
+/// [`compile()`](crate::compile()) records (one per statement, block,
+/// interior expression, lvalue, declaration and initializer level; a call
+/// counts 3, a `printf` 2, an MPI call 7); a call that would exceed it is
+/// a [`InterpError::CallDepth`] as well. [`MAX_CALL_DEPTH`] counts calls,
+/// but a call whose recursion sits a hundred blocks deep stacks a hundred
+/// frames: 998 such calls overflowed a release rank stack.
+///
+/// Sizing: the largest frame per level is ≈ 7 KB in a debug build (an
+/// interior expression; an MPI call, ≈ 40 KB, counts as 7 levels) and
+/// ≈ 0.3 KB optimised (a block), so 16 000 levels need ≈ 112 MB of the
+/// 128 MiB debug and ≈ 4.6 MB of the 8 MiB release [`RANK_STACK_BYTES`].
+/// Measured on x86-64, a rank thread recursing through the costliest
+/// shapes first overflows between 19 500 and 21 000 levels in debug and
+/// between 32 000 and 40 000 optimised. It admits the full
+/// [`MAX_CALL_DEPTH`] for calls up to 15 levels deep.
+///
+/// [`RANK_STACK_BYTES`]: mpirical_sim::RANK_STACK_BYTES
+pub const MAX_LEVELS: usize = 16_000;
+
 impl Default for Limits {
     fn default() -> Self {
         Limits {
@@ -122,6 +143,8 @@ pub(crate) struct Interp<'a> {
     steps: u64,
     /// User-function calls in progress.
     depth: usize,
+    /// Sum of `Function::levels` over `main` and the calls in progress.
+    levels: usize,
     limits: Limits,
     /// The name-keyed environment the slots replaced, kept beside them in
     /// unit tests to check every resolution against.
@@ -141,6 +164,7 @@ impl<'a> Interp<'a> {
             output: String::new(),
             steps: 0,
             depth: 0,
+            levels: 0,
             limits,
             #[cfg(test)]
             shadow: Default::default(),
@@ -166,6 +190,7 @@ impl<'a> Interp<'a> {
         let frame = self.mem.push_frame(main.slots);
         #[cfg(test)]
         self.shadow.push_frame();
+        self.levels = main.levels;
         // argc/argv exist but hold placeholder values.
         for p in &main.params {
             let addr = self.bind_param(p)?;
@@ -723,15 +748,15 @@ impl<'a> Interp<'a> {
 
     #[inline(never)]
     fn call_user(&mut self, index: u32, args: &[Expr], line: u32) -> Result<Value, Fault> {
-        if self.depth == MAX_CALL_DEPTH {
+        let code = self.code;
+        let f = &code.functions[index as usize];
+        if self.depth == MAX_CALL_DEPTH || self.levels + f.levels > MAX_LEVELS {
             return Err(InterpError::CallDepth {
-                limit: MAX_CALL_DEPTH,
+                limit: self.depth,
                 line,
             }
             .into());
         }
-        let code = self.code;
-        let f = &code.functions[index as usize];
         let base = self.args.len();
         for a in args {
             let v = self.eval(a)?;
@@ -751,8 +776,10 @@ impl<'a> Interp<'a> {
         }
         self.args.truncate(base);
         self.depth += 1;
+        self.levels += f.levels;
         let flow = self.exec_block(&f.body)?;
         self.depth -= 1;
+        self.levels -= f.levels;
         #[cfg(test)]
         self.shadow.pop_frame();
         self.mem.pop_frame(frame);

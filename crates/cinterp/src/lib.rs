@@ -51,7 +51,7 @@ mod shadow;
 
 pub use compile::{compile, Compiled};
 pub use error::InterpError;
-pub use interp::{Limits, MAX_CALL_DEPTH};
+pub use interp::{Limits, MAX_CALL_DEPTH, MAX_LEVELS};
 pub use machine::{Binding, CType, Cell, Memory, Value};
 
 use mpirical_cparse::{parse_strict, Program};

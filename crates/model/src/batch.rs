@@ -2,8 +2,7 @@
 //! priorities, preemption, and a typed request lifecycle — the serving
 //! layer the ROADMAP's "heavy traffic" north star asks for.
 //!
-//! The KV-cached engine in [`infer`](crate::infer) decodes one generation at
-//! a time; a shared assistance service sees N concurrent `suggest` calls.
+//! A shared assistance service sees N concurrent `suggest` calls;
 //! [`BatchDecoder`] runs those N generations in **lockstep**: every
 //! scheduler step advances each active request by one token through
 //! [`decode_step_batch`], which fuses the per-request weight projections
@@ -72,10 +71,10 @@
 //! # Batched beam search
 //!
 //! A request may decode with any `beam ≤ max_batch`. The scheduler reserves
-//! `beam` lanes for it and runs the *exact* single-request beam semantics —
-//! `expand_beams` and `ranked_hypothesis_ids` are literally shared with
-//! [`decode_reference`](crate::decode::decode_reference) — over
-//! hypotheses that are stepped in lockstep with every other request's.
+//! `beam` lanes for it and runs one beam expansion per step
+//! (`expand_beams`, then `ranked_hypothesis_ids` at the end, both in
+//! [`decode`](crate::decode)) over hypotheses that are stepped in lockstep
+//! with every other request's.
 //! Hypothesis forks are copy-on-write page shares (all lanes draw from one
 //! [`PagePool`]), so a beam expansion bumps refcounts instead of copying
 //! K/V rows.
@@ -96,24 +95,20 @@
 //!
 //! Batching — and now scheduling order, preemption, and cancellation of
 //! *other* requests — is a scheduling decision, not a numerical one: each
-//! hypothesis owns its [`DecoderCache`], per-element accumulation order in
-//! the fused kernels matches the single-request `vecmat` path exactly,
-//! token selection shares greedy's argmax and beam's expansion code, and
-//! paged storage is bitwise-equal to the contiguous reference. A request
-//! decoded in a full batch — even one preempted and resumed mid-flight —
-//! returns **the same ranked hypotheses** as
-//! [`decode_reference`](crate::decode::decode_reference)
-//! would alone, for any beam width; the tests here and the property
+//! hypothesis owns its [`DecoderCache`], a lane's logits row in
+//! [`decode_step_batch`] does not depend on the other lanes, token
+//! selection runs per request, and the page size never changes a logit. A
+//! request decoded in a full batch — even one preempted and resumed
+//! mid-flight — returns **the same ranked hypotheses** as it would alone in
+//! a fresh scheduler, for any beam width; the tests here and the property
 //! harnesses in `tests/paged_cache_props.rs` and `tests/serving_props.rs`
 //! assert it.
 //!
 //! # Example
 //!
 //! ```
-//! use mpirical_model::{
-//!     BatchDecoder, BatchRequest, DecodeOptions, DecoderCache, ModelConfig, PollResult,
-//! };
-//! use mpirical_model::decode::{decode_reference, encode_source};
+//! use mpirical_model::{BatchDecoder, BatchRequest, ModelConfig, PollResult};
+//! use mpirical_model::decode::encode_source;
 //! use mpirical_model::transformer::build_params;
 //! use mpirical_model::vocab::SOS;
 //! use mpirical_tensor::ParamStore;
@@ -133,14 +128,11 @@
 //! let b = dec.submit(BatchRequest::beam(enc.clone(), 12, 3));
 //! dec.run();
 //!
-//! // Batched outputs are exactly the single-request reference's, down
-//! // to the order of the final beam.
-//! let reference = |opts| {
-//!     let cache = DecoderCache::new(&store, &params, &cfg, &enc);
-//!     decode_reference(&store, &params, &cfg, None, cache, &[SOS], 12, opts)
-//! };
-//! let greedy = reference(DecodeOptions::default());
-//! let beamed = reference(DecodeOptions { beam: 3, ..Default::default() });
+//! // Batched outputs are exactly what each request decodes alone, down to
+//! // the order of the final beam.
+//! let alone = |req| BatchDecoder::new(&store, &params, &cfg, 3).decode_all_hypotheses(vec![req]);
+//! let greedy = alone(BatchRequest::greedy(enc.clone(), 12)).remove(0);
+//! let beamed = alone(BatchRequest::beam(enc.clone(), 12, 3)).remove(0);
 //! let PollResult::Done { ids, telemetry, .. } = dec.poll(a) else { panic!("retired") };
 //! assert_eq!(ids, greedy[0]);
 //! assert!(telemetry.decode_steps > 0);
@@ -362,8 +354,8 @@ pub struct BatchRequest {
     /// (the prefill phase). Almost always `[<sos>]`; longer prompts let a
     /// caller resume a partially-decoded sequence. Must be non-empty.
     pub prompt: Vec<usize>,
-    /// Length cap counting the prompt, clamped to `cfg.max_dec_len`
-    /// (mirrors the `max_len` of [`decode_reference`](crate::decode::decode_reference)).
+    /// Length cap counting the prompt, clamped to `cfg.max_dec_len` (a
+    /// prompt at or past the cap generates nothing).
     pub max_len: usize,
     /// Per-request decoding knobs: any `1 ≤ beam ≤ max_batch` (the request
     /// reserves `beam` lanes); `min_len` suppresses `<eos>` until that many
@@ -432,8 +424,7 @@ impl BatchRequest {
 }
 
 /// One admitted request: its hypotheses (one for greedy, up to `beam` once
-/// a beam request starts expanding) plus the bookkeeping to replay the
-/// single-request semantics exactly.
+/// a beam request starts expanding) plus its generation bookkeeping.
 struct Group {
     id: RequestId,
     /// Lanes reserved for this request (= its beam width) for its lifetime.
@@ -450,8 +441,7 @@ struct Group {
     /// Live and finished hypotheses, in [`expand_beams`] order. Greedy
     /// groups keep exactly one.
     beams: Vec<Hypothesis>,
-    /// Beam expansions performed so far (the single-request loop runs
-    /// `limit - prompt_len` of them at most).
+    /// Beam expansions performed so far (at most `limit - prompt_len`).
     expansions: usize,
     prompt_len: usize,
     min_len: usize,
@@ -1144,8 +1134,8 @@ impl<'m> BatchDecoder<'m> {
     /// not fit may evict unprotected bulk lanes
     /// ([`preempt_for`](Self::preempt_for)); a plain bulk candidate blocks
     /// at the head of its class. Requests whose prompt already meets their
-    /// length cap retire immediately with an empty generation, exactly
-    /// like the single-request loop, which never steps in that case.
+    /// length cap retire immediately with an empty generation, without a
+    /// step.
     fn admit(&mut self) {
         while let Some(best) = self.best_admissible() {
             let needed = self.queue[best].lanes_needed();
@@ -1339,7 +1329,7 @@ impl<'m> BatchDecoder<'m> {
                     group.finished = true;
                 }
             } else {
-                // Greedy: exactly the single-request argmax loop.
+                // Greedy: argmax, `<eos>` or the cap ends the request.
                 let h = &mut group.beams[0];
                 let logits = rows[0].expect("greedy group has one live hypothesis");
                 let generated = h.ids.len() - group.prompt_len;
@@ -1425,7 +1415,7 @@ impl<'m> BatchDecoder<'m> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::decode::{decode_reference, encode_source};
+    use crate::decode::encode_source;
     use crate::prefix::PREFIX_CACHE_CAP;
     use crate::transformer::build_params;
     use crate::vocab::SOS;
@@ -1451,8 +1441,7 @@ mod tests {
         encode_source(store, params, cfg, &src)
     }
 
-    /// Winner of the single-request reference on the paged layout the
-    /// scheduler itself runs.
+    /// Winner of the same request decoded alone by a fresh scheduler.
     fn reference_ids(
         store: &ParamStore,
         params: &TransformerParams,
@@ -1462,8 +1451,15 @@ mod tests {
         max_len: usize,
         opts: DecodeOptions,
     ) -> Vec<usize> {
-        let cache = DecoderCache::new(store, params, cfg, enc_out);
-        decode_reference(store, params, cfg, None, cache, prompt, max_len, opts).swap_remove(0)
+        let mut dec = BatchDecoder::with_precision(store, params, cfg, opts.beam, opts.precision);
+        let req = BatchRequest {
+            enc_out: enc_out.clone(),
+            prompt: prompt.to_vec(),
+            max_len,
+            opts,
+            submit: SubmitOptions::default(),
+        };
+        dec.decode_all(vec![req]).swap_remove(0)
     }
 
     /// Redeem a ticket that must be finished.

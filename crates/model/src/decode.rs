@@ -1,34 +1,32 @@
 //! Decoding semantics: [`DecodeOptions`], the token-selection and
-//! beam-expansion primitives the lockstep scheduler runs, and the two
-//! single-request **reference** drivers the test suites and benches compare
-//! that scheduler against.
+//! beam-expansion primitives the lockstep scheduler runs, and the tape
+//! replay it is checked against.
 //!
 //! Production decoding — one buffer or many — is a
 //! [`BatchDecoder`](crate::batch::BatchDecoder) request (behind an
 //! [`Engine`](crate::engine::Engine) for anything long-lived): a batch of
-//! one *is* the single-request path. What stays here is what that loop is
-//! pinned to:
+//! one *is* the single-request path. What stays here:
 //!
-//! * [`decode_reference`] — one generation over a caller-built
-//!   [`DecoderCache`], one [`decode_step`] per token, greedy or beam. Beam
-//!   search forks hypotheses by cloning the cache (a copy-on-write page
-//!   share on the paged layout) and selects top-k next tokens with
-//!   `select_nth_unstable_by`, O(V) instead of a full-vocabulary sort. The
-//!   scheduler shares `argmax_token`, `expand_beams` and
-//!   `ranked_hypothesis_ids` with it, so the two can only differ inside the
-//!   step kernels — which the property suites pin bitwise.
+//! * `argmax_token`, `expand_beams` and `ranked_hypothesis_ids` — greedy
+//!   selection, one beam-search expansion and the final beam ranking, which
+//!   the scheduler runs per request. An expansion forks hypotheses by
+//!   cloning their caches (a copy-on-write page share) and selects top-k
+//!   next tokens with `select_nth_unstable_by`, O(V) instead of a
+//!   full-vocabulary sort.
 //! * [`replay_decode_with`] — the cache-free path: the whole decoder prefix
-//!   replayed on a fresh autograd tape every step, O(T²·L). The tests below
-//!   pin the cached step's logits to it step by step, and the `decode`
-//!   criterion group measures the cache's speedup against it.
+//!   replayed on a fresh autograd tape every step, O(T²·L). It runs the
+//!   training forward ([`crate::transformer`]) and shares no step code with
+//!   the scheduler, so it is the independent oracle: the tests below pin
+//!   the batch step's logits to it step by step and the scheduler's greedy
+//!   and beam output to its output, and the `decode` criterion group
+//!   measures the cache's speedup against it.
 //!
 //! # Example
 //!
 //! ```
-//! use mpirical_model::decode::{decode_reference, encode_source, replay_decode_with};
+//! use mpirical_model::decode::{encode_source, replay_decode_with};
 //! use mpirical_model::transformer::build_params;
-//! use mpirical_model::vocab::SOS;
-//! use mpirical_model::{DecodeOptions, DecoderCache, ModelConfig};
+//! use mpirical_model::{BatchDecoder, BatchRequest, DecodeOptions, ModelConfig};
 //! use mpirical_tensor::ParamStore;
 //!
 //! let mut cfg = ModelConfig::tiny();
@@ -38,18 +36,16 @@
 //! let src = [1, 6, 7, 2]; // <sos> … <eos>
 //! let enc = encode_source(&store, &params, &cfg, &src);
 //!
-//! // The caller picks the cache layout; the ranked hypotheses come back
-//! // best-first (greedy yields exactly one).
+//! // One request alone in a scheduler decodes what the tape replay does.
+//! let mut dec = BatchDecoder::new(&store, &params, &cfg, 1);
+//! let ids = dec.decode_all(vec![BatchRequest::greedy(enc, 12)]);
 //! let opts = DecodeOptions::default();
-//! let cache = DecoderCache::new(&store, &params, &cfg, &enc);
-//! let ranked = decode_reference(&store, &params, &cfg, None, cache, &[SOS], 12, opts);
-//! assert_eq!(ranked.len(), 1);
-//! assert_eq!(ranked[0], replay_decode_with(&store, &params, &cfg, &src, 12, opts));
+//! assert_eq!(ids[0], replay_decode_with(&store, &params, &cfg, &src, 12, opts));
 //! ```
 
 use crate::config::ModelConfig;
 pub use crate::infer::encode_source;
-use crate::infer::{decode_step, decode_step_quant, DecoderCache, Precision, QuantDecoderWeights};
+use crate::infer::{DecoderCache, Precision};
 use crate::transformer::{decode as dec_forward, ForwardMode, TransformerParams};
 use crate::vocab::{EOS, SOS};
 use mpirical_tensor::{ParamStore, Tape, Tensor};
@@ -96,92 +92,8 @@ impl DecodeOptions {
     }
 }
 
-/// The single-request cached reference: feed `prompt` token by token into
-/// `cache` (prefill), continue with greedy or beam generation, and return
-/// **every** final hypothesis' generated ids (prompt excluded) best-first by
-/// length-normalized score. Greedy (`beam == 1`) yields exactly one
-/// hypothesis; beam search yields the final ranked beam.
-///
-/// This is the semantics of one [`BatchDecoder`](crate::batch::BatchDecoder)
-/// request — the scheduler's unit tests, the property harnesses and the
-/// benches pin its output to this function bitwise, hypothesis for
-/// hypothesis. The caller chooses what is being compared:
-///
-/// * `cache` — a fresh cache over the request's encoder output;
-///   [`DecoderCache::new`] for the paged layout the scheduler runs,
-///   [`DecoderCache::new_contiguous`] for the contiguous reference layout.
-/// * `qw` — prebuilt int8 weights for [`Precision::Int8`] options. `None`
-///   with int8 options quantizes here, once per call; f32 options ignore it.
-/// * `max_len` counts the prompt (a prompt at or past the cap generates
-///   nothing), `opts.min_len` counts generated tokens only.
-#[allow(clippy::too_many_arguments)]
-pub fn decode_reference(
-    store: &ParamStore,
-    params: &TransformerParams,
-    cfg: &ModelConfig,
-    qw: Option<&QuantDecoderWeights>,
-    mut cache: DecoderCache,
-    prompt: &[usize],
-    max_len: usize,
-    opts: DecodeOptions,
-) -> Vec<Vec<usize>> {
-    assert!(
-        opts.beam >= 1,
-        "beam width must be at least 1 (got 0); use beam = 1 for greedy"
-    );
-    assert!(!prompt.is_empty(), "prompt must hold at least <sos>");
-    let built;
-    let qw = match (opts.precision, qw) {
-        (Precision::F32, _) => None,
-        (Precision::Int8, Some(q)) => Some(q),
-        (Precision::Int8, None) => {
-            built = QuantDecoderWeights::new(store, params);
-            Some(&built)
-        }
-    };
-    let limit = max_len.min(cfg.max_dec_len);
-    if prompt.len() >= limit {
-        return vec![Vec::new()];
-    }
-    for &tok in &prompt[..prompt.len() - 1] {
-        step_at(store, params, cfg, qw, &mut cache, tok);
-    }
-    if opts.beam == 1 {
-        vec![greedy_cached(
-            store,
-            params,
-            cfg,
-            qw,
-            cache,
-            prompt,
-            limit,
-            opts.min_len,
-        )]
-    } else {
-        beam_cached(store, params, cfg, qw, cache, prompt, limit, opts)
-    }
-}
-
-/// One decode step at the reference's precision: f32 [`decode_step`] or
-/// quantized [`decode_step_quant`]. The single dispatch point for prefill,
-/// greedy and beam, so the two precisions can only differ inside the
-/// projection kernels.
-fn step_at(
-    store: &ParamStore,
-    params: &TransformerParams,
-    cfg: &ModelConfig,
-    qw: Option<&QuantDecoderWeights>,
-    cache: &mut DecoderCache,
-    token: usize,
-) -> Vec<f32> {
-    match qw {
-        None => decode_step(store, params, cfg, cache, token),
-        Some(q) => decode_step_quant(store, params, cfg, q, cache, token),
-    }
-}
-
-/// Argmax of a logits row, optionally banning `<eos>`. Shared with the
-/// batched scheduler so lockstep token selection is identical to greedy.
+/// Argmax of a logits row, optionally banning `<eos>`: greedy selection,
+/// for the scheduler and the replay alike.
 pub(crate) fn argmax_token(logits: &[f32], ban_eos: bool) -> usize {
     let mut best = usize::MAX;
     let mut best_v = f32::NEG_INFINITY;
@@ -218,37 +130,9 @@ fn top_k_indices(row: &[f32], k: usize, ban_eos: bool) -> Vec<usize> {
     idx
 }
 
-#[allow(clippy::too_many_arguments)]
-fn greedy_cached(
-    store: &ParamStore,
-    params: &TransformerParams,
-    cfg: &ModelConfig,
-    qw: Option<&QuantDecoderWeights>,
-    mut cache: DecoderCache,
-    prompt: &[usize],
-    limit: usize,
-    min_len: usize,
-) -> Vec<usize> {
-    let mut ids = prompt.to_vec();
-    while ids.len() < limit {
-        let logits = step_at(store, params, cfg, qw, &mut cache, *ids.last().unwrap());
-        let ban_eos = ids.len() - prompt.len() < min_len;
-        let tok = argmax_token(&logits, ban_eos);
-        if tok == EOS {
-            break;
-        }
-        ids.push(tok);
-    }
-    ids.split_off(prompt.len())
-}
-
-/// A beam-search hypothesis carrying its own decoder cache.
-///
-/// `pub(crate)` because the batched scheduler
-/// ([`BatchDecoder`](crate::batch::BatchDecoder)) runs the *same* beam
-/// semantics over lockstep-stepped hypotheses — sharing this type and
-/// [`expand_beams`] is what guarantees batched beam output is identical to
-/// the single-request path.
+/// A beam-search hypothesis carrying its own decoder cache — what the
+/// batched scheduler ([`BatchDecoder`](crate::batch::BatchDecoder)) steps
+/// in lockstep and hands to [`expand_beams`].
 pub(crate) struct Hypothesis {
     pub(crate) ids: Vec<usize>,
     pub(crate) log_prob: f32,
@@ -286,10 +170,9 @@ impl Hypothesis {
 /// *moves* the stepped cache, earlier ones clone it — with paged storage a
 /// clone is a COW fork, so an expansion never copies K/V rows).
 ///
-/// Shared by [`beam_cached`] (which steps hypotheses one at a time) and the
-/// batched scheduler (which steps all live hypotheses of all requests in
-/// lockstep): identical candidate ordering, tie-breaking, and cache
-/// handoff by construction.
+/// The scheduler steps every live hypothesis of every request in lockstep,
+/// then calls this once per beam request, so candidate ordering,
+/// tie-breaking and cache handoff do not depend on what else is batched.
 pub(crate) fn expand_beams(
     beams: Vec<Hypothesis>,
     rows: &[Option<&[f32]>],
@@ -389,8 +272,7 @@ pub(crate) fn expand_beams(
 }
 
 /// Final beam ranking: every hypothesis' generated ids (prompt stripped),
-/// best-first by length-normalized score. Shared with the batched scheduler
-/// so single-request and batched rankings agree element-for-element.
+/// best-first by length-normalized score.
 ///
 /// Ties break toward the *higher* original index, which keeps `ranked[0]`
 /// bitwise-identical to the historical `max_by` selection (`max_by` returns
@@ -410,47 +292,6 @@ pub(crate) fn ranked_hypothesis_ids(beams: Vec<Hypothesis>, prompt_len: usize) -
             ids.split_off(prompt_len)
         })
         .collect()
-}
-
-#[allow(clippy::too_many_arguments)]
-fn beam_cached(
-    store: &ParamStore,
-    params: &TransformerParams,
-    cfg: &ModelConfig,
-    qw: Option<&QuantDecoderWeights>,
-    cache: DecoderCache,
-    prompt: &[usize],
-    limit: usize,
-    opts: DecodeOptions,
-) -> Vec<Vec<usize>> {
-    let prompt_len = prompt.len();
-    let mut beams = vec![Hypothesis::root(prompt, cache)];
-    for _ in prompt_len..limit {
-        if beams.iter().all(|h| h.done) {
-            break;
-        }
-        // Step every live hypothesis once, in place.
-        let rows: Vec<Option<Vec<f32>>> = beams
-            .iter_mut()
-            .map(|h| {
-                if h.done {
-                    return None;
-                }
-                let cache = h.cache.as_mut().expect("live hypothesis has a cache");
-                Some(step_at(
-                    store,
-                    params,
-                    cfg,
-                    qw,
-                    cache,
-                    *h.ids.last().unwrap(),
-                ))
-            })
-            .collect();
-        let row_refs: Vec<Option<&[f32]>> = rows.iter().map(|r| r.as_deref()).collect();
-        beams = expand_beams(beams, &row_refs, opts.beam, opts.min_len, prompt_len);
-    }
-    ranked_hypothesis_ids(beams, prompt_len)
 }
 
 // ---------------------------------------------------------------------------
@@ -582,8 +423,13 @@ fn replay_logits(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::batch::{BatchDecoder, BatchRequest, SubmitOptions};
+    use crate::infer::{decode_step_batch, BatchScratch, DecoderWeights, QuantDecoderWeights};
+    use crate::paged::PagePool;
+    use crate::prefix::PrefixTable;
     use crate::train::{train, Example, TrainConfig};
     use crate::transformer::build_params;
+    use std::borrow::Cow;
 
     type Model = (ModelConfig, ParamStore, TransformerParams);
 
@@ -615,32 +461,53 @@ mod tests {
         (cfg, store, params)
     }
 
-    /// Winner of the cached reference over a fresh cache of the given
-    /// layout.
-    fn cached_on(
+    /// Winner of one request decoded alone by a fresh scheduler that draws
+    /// its pages from `pool`.
+    fn alone_in(
         m: &Model,
-        cache: DecoderCache,
-        qw: Option<&QuantDecoderWeights>,
+        pool: PagePool,
+        enc_out: &Tensor,
         prompt: &[usize],
         max_len: usize,
         opts: DecodeOptions,
     ) -> Vec<usize> {
         let (cfg, store, params) = m;
-        decode_reference(store, params, cfg, qw, cache, prompt, max_len, opts).swap_remove(0)
+        let weights = DecoderWeights::for_precision(store, params, opts.precision);
+        let lanes = opts.beam.max(1);
+        let mut dec = BatchDecoder::with_shared(
+            store,
+            params,
+            cfg,
+            lanes,
+            Cow::Owned(weights),
+            pool,
+            PrefixTable::new(),
+        );
+        let req = BatchRequest {
+            enc_out: enc_out.clone(),
+            prompt: prompt.to_vec(),
+            max_len,
+            opts,
+            submit: SubmitOptions::default(),
+        };
+        dec.decode_all(vec![req]).swap_remove(0)
     }
 
-    fn paged(m: &Model, enc_out: &Tensor) -> DecoderCache {
-        DecoderCache::new(&m.1, &m.2, &m.0, enc_out)
+    /// The default paged pool (16-row pages).
+    fn paged(m: &Model) -> PagePool {
+        PagePool::new(m.0.d_head())
     }
 
-    fn contiguous(m: &Model, enc_out: &Tensor) -> DecoderCache {
-        DecoderCache::new_contiguous(&m.1, &m.2, &m.0, enc_out)
+    /// A pool whose single page holds a whole generation: one contiguous
+    /// slab per head.
+    fn one_page(m: &Model) -> PagePool {
+        PagePool::with_page_rows(m.0.d_head(), m.0.max_dec_len)
     }
 
-    /// Encode `src`, then decode from `<sos>` on the paged layout.
+    /// Encode `src`, then decode from `<sos>` on the default pool.
     fn cached(m: &Model, src: &[usize], max_len: usize, opts: DecodeOptions) -> Vec<usize> {
         let enc_out = encode_source(&m.1, &m.2, &m.0, src);
-        cached_on(m, paged(m, &enc_out), None, &[SOS], max_len, opts)
+        alone_in(m, paged(m), &enc_out, &[SOS], max_len, opts)
     }
 
     fn beam(beam: usize) -> DecodeOptions {
@@ -677,28 +544,48 @@ mod tests {
         assert!(out.len() <= 2);
     }
 
-    /// The greedy driver (argmax) and the beam driver at width 1
-    /// (log-softmax scoring) are separate code; they must agree. Width 1
-    /// dispatches to greedy, so the beam driver is called directly.
+    /// Greedy selection (argmax) and beam expansion at width 1
+    /// (log-softmax top-1) are separate code; they must agree. The
+    /// scheduler sends width 1 to greedy, so the expansion is fed the same
+    /// one-lane step rows here directly.
     #[test]
     fn beam_one_matches_greedy() {
         let m = trained_copy_model();
         let (cfg, store, params) = &m;
+        let weights = DecoderWeights::for_precision(store, params, Precision::F32);
+        let mut scratch = BatchScratch::new(cfg, 1);
+        let mut row = vec![0.0; cfg.vocab_size];
         for a in 6..9usize {
             let src = [SOS, a, a + 1, EOS];
-            let g = cached(&m, &src, 8, beam(1));
+            let greedy = cached(&m, &src, 8, beam(1));
             let enc_out = encode_source(store, params, cfg, &src);
-            let b = beam_cached(
-                store,
-                params,
-                cfg,
-                None,
-                paged(&m, &enc_out),
-                &[SOS],
-                8,
-                beam(1),
+            let mut cache = DecoderCache::new(store, params, cfg, &enc_out);
+            let mut h = Hypothesis {
+                ids: vec![SOS],
+                log_prob: 0.0,
+                done: false,
+                cache: None, // the step below owns the one cache
+            };
+            while !h.done && h.ids.len() < 8 {
+                let tok = *h.ids.last().unwrap();
+                let lanes = &mut [&mut cache];
+                decode_step_batch(
+                    store,
+                    params,
+                    cfg,
+                    &weights,
+                    lanes,
+                    &[tok],
+                    &mut scratch,
+                    &mut row,
+                );
+                h = expand_beams(vec![h], &[Some(&row)], 1, 0, 1).swap_remove(0);
+            }
+            assert_eq!(
+                h.ids[1..],
+                greedy[..],
+                "beam=1 must equal greedy for src {src:?}"
             );
-            assert_eq!(vec![g], b, "beam=1 must equal greedy for src {src:?}");
         }
     }
 
@@ -714,25 +601,63 @@ mod tests {
 
     // -- cache equivalence -------------------------------------------------
 
-    /// Cached incremental logits must match full-replay logits at every
-    /// step of a forced token sequence.
+    /// The batch step's logits must match full-replay logits at every step
+    /// of a forced token sequence, alone and beside other lanes: at 3
+    /// lanes, lane `i` joins at step `i`, so the lanes sit at staggered
+    /// lengths over different encoder outputs.
     #[test]
     fn cached_logits_match_replay_logits_each_step() {
         let (cfg, store, params) = trained_copy_model();
-        let src = [SOS, 7, 10, EOS];
-        let enc_out = encode_source(&store, &params, &cfg, &src);
+        let weights = DecoderWeights::for_precision(&store, &params, Precision::F32);
         let forced = [SOS, 7, 10, 9, 6, 11, 8]; // arbitrary prefix walk
-        let mut cache = DecoderCache::new(&store, &params, &cfg, &enc_out);
-        for step in 1..=forced.len() {
-            let prefix = &forced[..step];
-            let cached = decode_step(&store, &params, &cfg, &mut cache, prefix[step - 1]);
-            let replayed = replay_logits(&store, &params, &cfg, &enc_out, prefix);
-            assert_eq!(cached.len(), replayed.len());
-            for (i, (c, r)) in cached.iter().zip(&replayed).enumerate() {
-                assert!(
-                    (c - r).abs() < 1e-4,
-                    "step {step} logit {i}: cached {c} vs replay {r}"
+        let srcs = [[SOS, 7, 10, EOS], [SOS, 6, 9, EOS], [SOS, 11, 8, EOS]];
+        for lanes in [1usize, 3] {
+            let encs: Vec<Tensor> = srcs[..lanes]
+                .iter()
+                .map(|src| encode_source(&store, &params, &cfg, src))
+                .collect();
+            let mut caches: Vec<DecoderCache> = encs
+                .iter()
+                .map(|e| DecoderCache::new(&store, &params, &cfg, e))
+                .collect();
+            let mut scratch = BatchScratch::new(&cfg, lanes);
+            for step in 0..forced.len() + lanes - 1 {
+                // Lane i feeds forced[step - i] while that is in range.
+                let live: Vec<usize> = (0..lanes)
+                    .filter(|&i| (i..i + forced.len()).contains(&step))
+                    .collect();
+                let tokens: Vec<usize> = live.iter().map(|&i| forced[step - i]).collect();
+                let mut batch: Vec<&mut DecoderCache> = caches
+                    .iter_mut()
+                    .enumerate()
+                    .filter(|(i, _)| live.contains(i))
+                    .map(|(_, c)| c)
+                    .collect();
+                let mut logits = vec![0.0; live.len() * cfg.vocab_size];
+                decode_step_batch(
+                    &store,
+                    &params,
+                    &cfg,
+                    &weights,
+                    &mut batch,
+                    &tokens,
+                    &mut scratch,
+                    &mut logits,
                 );
+                for (lane, (&i, cached)) in
+                    live.iter().zip(logits.chunks(cfg.vocab_size)).enumerate()
+                {
+                    let prefix = &forced[..=step - i];
+                    let replayed = replay_logits(&store, &params, &cfg, &encs[i], prefix);
+                    assert_eq!(cached.len(), replayed.len());
+                    for (v, (c, r)) in cached.iter().zip(&replayed).enumerate() {
+                        assert!(
+                            (c - r).abs() < 1e-4,
+                            "{lanes} lanes, lane {i} (row {lane}) step {step} logit {v}: \
+                             cached {c} vs replay {r}"
+                        );
+                    }
+                }
             }
         }
     }
@@ -793,8 +718,8 @@ mod tests {
         assert!(!forced.contains(&EOS));
     }
 
-    /// From a bare `<sos>` prompt the paged layout decodes exactly what the
-    /// contiguous reference layout does, greedy and beam.
+    /// From a bare `<sos>` prompt the default 16-row pages decode exactly
+    /// what a one-page pool (the contiguous slab) does, greedy and beam.
     #[test]
     fn sos_prompt_paged_matches_contiguous() {
         let m = trained_copy_model();
@@ -802,15 +727,15 @@ mod tests {
         let enc_out = encode_source(&m.1, &m.2, &m.0, &src);
         for width in [1usize, 3] {
             assert_eq!(
-                cached_on(&m, paged(&m, &enc_out), None, &[SOS], 10, beam(width)),
-                cached_on(&m, contiguous(&m, &enc_out), None, &[SOS], 10, beam(width)),
-                "beam={width} contiguous reference"
+                alone_in(&m, paged(&m), &enc_out, &[SOS], 10, beam(width)),
+                alone_in(&m, one_page(&m), &enc_out, &[SOS], 10, beam(width)),
+                "beam={width} one-page pool"
             );
         }
     }
 
     /// A longer forced prefix: the continuation excludes the prompt, stops
-    /// within the cap, and the paged path equals the contiguous reference.
+    /// within the cap, and the paged path equals the one-page pool.
     #[test]
     fn prompted_continuation_respects_prompt_and_cap() {
         let m = trained_copy_model();
@@ -823,22 +748,23 @@ mod tests {
                 min_len: 2,
                 ..Default::default()
             };
-            let out = cached_on(&m, paged(&m, &enc_out), None, &prompt, 12, opts);
+            let out = alone_in(&m, paged(&m), &enc_out, &prompt, 12, opts);
             assert!(out.len() + prompt.len() <= 12);
             assert!(out.len() >= 2, "min_len counts generated tokens");
             assert_eq!(
                 out,
-                cached_on(&m, contiguous(&m, &enc_out), None, &prompt, 12, opts),
+                alone_in(&m, one_page(&m), &enc_out, &prompt, 12, opts),
                 "beam={width}"
             );
         }
         // Prompt at the cap: nothing generated.
-        let at_cap = cached_on(&m, paged(&m, &enc_out), None, &prompt, 4, beam(1));
+        let at_cap = alone_in(&m, paged(&m), &enc_out, &prompt, 4, beam(1));
         assert!(at_cap.is_empty());
     }
 
     /// Regression (satellite fix): `beam = 0` is rejected with a
-    /// descriptive message at every decode entry point, and
+    /// descriptive message at every decode entry point (the scheduler's
+    /// `submit` guard is pinned in `batch::tests`), and
     /// `DecodeOptions::validate` reports it as an `Err`.
     #[test]
     fn zero_beam_is_invalid_and_validate_says_why() {
@@ -861,28 +787,41 @@ mod tests {
         replay_decode_with(&store, &params, &cfg, &[SOS, 6, 7, EOS], 8, beam(0));
     }
 
-    /// The quantized reference is self-consistent across how it gets its
-    /// weights and across cache layouts: on-the-fly quantization
-    /// (`precision: Int8`, no weights passed), prebuilt weights, and the
-    /// contiguous reference layout all emit identical tokens, for greedy
-    /// and beam.
+    /// Int8 decoding is self-consistent across how the scheduler gets its
+    /// weights and across page sizes: quantized at construction
+    /// (`with_precision`), prebuilt and borrowed (`with_weights`), and on a
+    /// one-page pool, all emit identical tokens, for greedy and beam.
     #[test]
     fn quant_entry_points_and_layouts_agree() {
         let m = trained_copy_model();
+        let (cfg, store, params) = &m;
         let src = [SOS, 8, 11, EOS];
-        let enc_out = encode_source(&m.1, &m.2, &m.0, &src);
-        let qw = QuantDecoderWeights::new(&m.1, &m.2);
+        let enc_out = encode_source(store, params, cfg, &src);
+        let prebuilt = DecoderWeights::Int8(QuantDecoderWeights::new(store, params));
         for width in [1usize, 3] {
             let opts = DecodeOptions {
                 beam: width,
                 min_len: 2,
                 precision: Precision::Int8,
             };
-            let on_the_fly = cached_on(&m, paged(&m, &enc_out), None, &[SOS], 10, opts);
-            let prebuilt = cached_on(&m, paged(&m, &enc_out), Some(&qw), &[SOS], 10, opts);
-            let contiguous = cached_on(&m, contiguous(&m, &enc_out), None, &[SOS], 10, opts);
-            assert_eq!(on_the_fly, prebuilt, "beam={width}");
-            assert_eq!(on_the_fly, contiguous, "beam={width} contiguous");
+            let req = || BatchRequest {
+                enc_out: enc_out.clone(),
+                prompt: vec![SOS],
+                max_len: 10,
+                opts,
+                submit: SubmitOptions::default(),
+            };
+            let on_the_fly =
+                BatchDecoder::with_precision(store, params, cfg, width, opts.precision)
+                    .decode_all(vec![req()])
+                    .swap_remove(0);
+            let borrowed =
+                BatchDecoder::with_weights(store, params, cfg, width, Cow::Borrowed(&prebuilt))
+                    .decode_all(vec![req()])
+                    .swap_remove(0);
+            let slab = alone_in(&m, one_page(&m), &enc_out, &[SOS], 10, opts);
+            assert_eq!(on_the_fly, borrowed, "beam={width}");
+            assert_eq!(on_the_fly, slab, "beam={width} one-page pool");
             assert!(!on_the_fly.is_empty(), "min_len forces generation");
         }
     }

@@ -875,11 +875,10 @@ fn apply_cancels(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::decode::{decode_reference, encode_source, DecodeOptions};
+    use crate::decode::{encode_source, DecodeOptions};
     use crate::prefix::PREFIX_CACHE_CAP;
     use crate::transformer::build_params;
     use crate::vocab::{EOS, SOS};
-    use crate::DecoderCache;
     use crate::SubmitOptions;
     use mpirical_tensor::Tensor;
 
@@ -904,7 +903,7 @@ mod tests {
         encode_source(store, params, cfg, &src)
     }
 
-    /// Winner of the single-request reference on the paged layout.
+    /// Winner of the same request decoded alone by a fresh scheduler.
     fn reference_ids(
         store: &ParamStore,
         params: &TransformerParams,
@@ -914,8 +913,15 @@ mod tests {
         max_len: usize,
         opts: DecodeOptions,
     ) -> Vec<usize> {
-        let cache = DecoderCache::new(store, params, cfg, enc_out);
-        decode_reference(store, params, cfg, None, cache, prompt, max_len, opts).swap_remove(0)
+        let mut dec = BatchDecoder::with_precision(store, params, cfg, opts.beam, opts.precision);
+        let req = BatchRequest {
+            enc_out: enc_out.clone(),
+            prompt: prompt.to_vec(),
+            max_len,
+            opts,
+            submit: SubmitOptions::default(),
+        };
+        dec.decode_all(vec![req]).swap_remove(0)
     }
 
     fn engine_over(

@@ -2,15 +2,16 @@
 //!
 //! Training records every op on an autograd [`Tape`](mpirical_tensor::Tape);
 //! inference needs none of that. This module implements a tape-free forward
-//! path that processes **exactly one new decoder token per step** against a
-//! [`DecoderCache`], turning the per-token cost of autoregressive generation
-//! from O(T²·L) prefix replay into O(T·L) attention over cached state.
+//! path that processes **exactly one new decoder token per lane per step**
+//! against a [`DecoderCache`], turning the per-token cost of autoregressive
+//! generation from O(T²·L) prefix replay into O(T·L) attention over cached
+//! state.
 //!
-//! Two entry points share the same math: [`decode_step`] advances a single
-//! request, and [`decode_step_batch`] advances N independent requests in
-//! lockstep, fusing their weight projections into packed-matrix
+//! There is one step: [`decode_step_batch`] advances N independent requests
+//! in lockstep, fusing their weight projections into packed-matrix
 //! [`batch_linear_packed`] calls while keeping one [`DecoderCache`] per
 //! request (the engine under [`BatchDecoder`](crate::batch::BatchDecoder)).
+//! A batch of one is the single-request path.
 //!
 //! [`encode_source`] is the encoder's side of the same bargain: one
 //! tape-free pass over all source rows per request, bitwise equal to the
@@ -20,14 +21,11 @@
 //!
 //! One `LayerCache` per decoder layer, holding:
 //!
-//! * **Self-attention K/V** — per attention head, a `[t, d_head]` buffer of
-//!   the keys/values of every decoder position processed so far, appended
-//!   in position order. The production layout is **paged**
-//!   ([`crate::paged`]): rows live in fixed-size refcounted pages from a
-//!   [`PagePool`], so resident memory tracks generated tokens instead of
-//!   `max_dec_len`, and forks share pages copy-on-write. The original
-//!   contiguous reserve-up-front layout is kept behind
-//!   [`DecoderCache::new_contiguous`] as the bitwise reference. Because
+//! * **Self-attention K/V** — per attention head, the keys/values of every
+//!   decoder position processed so far, appended in position order. Rows
+//!   are **paged** ([`crate::paged`]): they live in fixed-size refcounted
+//!   pages from a [`PagePool`], so resident memory tracks generated tokens
+//!   instead of `max_dec_len`, and forks share pages copy-on-write. Because
 //!   only positions `≤ t` are ever present, causal masking is implicit —
 //!   there is no future to mask out.
 //! * **Cross-attention K/V** — per head, a `[T_enc, d_head]` tensor
@@ -39,24 +37,22 @@
 //!
 //! # Invariants
 //!
-//! * `len()` equals the number of tokens fed via [`decode_step`]; every
-//!   self-attention head buffer holds exactly `len()` rows.
+//! * `len()` equals the number of tokens the cache has been stepped with;
+//!   every self-attention head buffer holds exactly `len()` rows.
 //! * A cache is bound to the `(store, params, cfg, encoder output)` it was
 //!   built from; feeding tokens from a different model is undefined
 //!   (garbage, not unsafety).
-//! * `decode_step` panics if fed beyond `cfg.max_dec_len` positions, the
-//!   same bound the replay path enforces.
+//! * A step panics if a lane is fed beyond `cfg.max_dec_len` positions,
+//!   the same bound the replay path enforces.
 //! * Cloning a cache (beam search forks hypotheses) shares every K/V page
-//!   copy-on-write through the parent's pool (contiguous reference caches
-//!   deep-copy instead) and shares the immutable cross-attention K/V via
-//!   `Arc`; clones evolve independently either way. Scratch buffers are
-//!   not cloned — a fork rebuilds them on its first step.
-//! * Paged and contiguous caches produce **bitwise identical** logits for
-//!   identical token schedules: the paged attention walk uses the very
-//!   same `dot_rows`/`vecmat_acc` kernels on page slices that the
-//!   contiguous walk uses on one slab, in the same row order
-//!   (`tests/paged_cache_props.rs` fuzzes this; the pool must also end
-//!   every schedule with zero live pages once caches drop).
+//!   copy-on-write through the parent's pool and shares the immutable
+//!   cross-attention K/V via `Arc`; clones evolve independently.
+//! * Logits do not depend on the page size: the attention walk runs the
+//!   same `dot_rows`/`vecmat_acc` kernels on each page slice in ascending
+//!   row order, so any page size — including one page holding all
+//!   `max_dec_len` rows, a single contiguous slab — gives **bitwise**
+//!   the same logits (`tests/paged_cache_props.rs` fuzzes this; the pool
+//!   must also end every schedule with zero live pages once caches drop).
 //!
 //! # Numerical equivalence
 //!
@@ -64,17 +60,19 @@
 //! through the tape op's own [`gelu`], `1e-5` LayerNorm epsilon,
 //! `√d_model` embedding scale, sinusoidal positions), so cached logits
 //! match full-replay logits to within f32 accumulation-order noise;
-//! `decode::tests` asserts ≤ 1e-4.
+//! `decode::tests` asserts ≤ 1e-4 at every step, at 1 and at 3 lanes.
 //!
 //! # Example
 //!
 //! Build a cache against an encoder output, then feed decoder tokens one at
-//! a time:
+//! a time through a one-lane step:
 //!
 //! ```
 //! use mpirical_model::decode::encode_source;
 //! use mpirical_model::transformer::build_params;
-//! use mpirical_model::{decode_step, DecoderCache, ModelConfig};
+//! use mpirical_model::{
+//!     decode_step_batch, BatchScratch, DecoderCache, DecoderWeights, ModelConfig, Precision,
+//! };
 //! use mpirical_tensor::ParamStore;
 //!
 //! let mut cfg = ModelConfig::tiny();
@@ -83,9 +81,16 @@
 //! let params = build_params(&cfg, &mut store, 1);
 //! let enc_out = encode_source(&store, &params, &cfg, &[1, 6, 7, 2]);
 //!
+//! let weights = DecoderWeights::for_precision(&store, &params, Precision::F32);
+//! let mut scratch = BatchScratch::new(&cfg, 1);
 //! let mut cache = DecoderCache::new(&store, &params, &cfg, &enc_out);
-//! let logits = decode_step(&store, &params, &cfg, &mut cache, 1); // feed <sos>
-//! assert_eq!(logits.len(), cfg.vocab_size);
+//! let mut logits = vec![0.0; cfg.vocab_size];
+//! let mut lanes = [&mut cache];
+//! // Feed <sos>.
+//! decode_step_batch(
+//!     &store, &params, &cfg, &weights, &mut lanes, &[1], &mut scratch, &mut logits,
+//! );
+//! assert!(logits.iter().all(|v| v.is_finite()));
 //! assert_eq!(cache.len(), 1);
 //! ```
 
@@ -93,8 +98,8 @@ use crate::config::ModelConfig;
 use crate::paged::{PagePool, PagedRows, PoolInner};
 use crate::transformer::{positional_encoding, LnParams, TransformerParams};
 use mpirical_tensor::{
-    batch_linear, batch_linear_packed, batch_linear_q, dot_rows, gelu, quantize_row, vecmat,
-    vecmat_acc, vecmat_bt, vecmat_q_pre, PackedMat, ParamStore, QuantMat, Tensor,
+    batch_linear, batch_linear_packed, batch_linear_q, dot_rows, gelu, vecmat, vecmat_acc,
+    vecmat_bt, PackedMat, ParamStore, QuantMat, Tensor,
 };
 use serde::{Deserialize, Serialize};
 
@@ -118,32 +123,25 @@ pub enum Precision {
 }
 
 /// Per-head self-attention K/V storage — the part of the cache that grows
-/// one row per decoded token.
-///
-/// `Paged` is the production layout ([`crate::paged`]): page-granular
-/// allocation, copy-on-write forks. `Contiguous` is the original
-/// reserve-up-front layout, kept as the *bitwise reference* — the property
-/// suite drives both through identical schedules and asserts logit
-/// equality bit for bit (the attention walks share the same `dot_rows` /
-/// `vecmat_acc` kernels, so equality is structural, not accidental).
+/// one row per decoded token, in pages of the cache's [`PagePool`]
+/// ([`crate::paged`]): page-granular allocation, copy-on-write forks.
 #[derive(Debug)]
-enum SelfKv {
-    Contiguous {
-        /// One `[t, d_head]` tensor per head (keys, then values).
-        k: Vec<Tensor>,
-        v: Vec<Tensor>,
-    },
-    Paged {
-        /// One page list per head.
-        k: Vec<PagedRows>,
-        v: Vec<PagedRows>,
-    },
+struct SelfKv {
+    /// One page list per head (keys, then values).
+    k: Vec<PagedRows>,
+    v: Vec<PagedRows>,
+}
+
+impl SelfKv {
+    fn heads(&mut self) -> impl Iterator<Item = &mut PagedRows> {
+        self.k.iter_mut().chain(self.v.iter_mut())
+    }
 }
 
 /// Per-layer cached attention state (see module docs for layout).
 #[derive(Debug)]
 struct LayerCache {
-    /// Self-attention K/V (grows per step; paged or contiguous).
+    /// Self-attention K/V (grows per step).
     kv: SelfKv,
     /// Cross-attention keys, one `[T_enc, d_head]` tensor per head
     /// (projected once from the encoder output). Never mutated after
@@ -153,94 +151,29 @@ struct LayerCache {
     cross_v: std::sync::Arc<Vec<Tensor>>,
 }
 
-/// Reusable per-step buffers so a decode step allocates only its logits row.
-#[derive(Debug)]
-struct Scratch {
-    normed: Vec<f32>,
-    q: Vec<f32>,
-    k: Vec<f32>,
-    v: Vec<f32>,
-    ctx: Vec<f32>,
-    proj: Vec<f32>,
-    ff: Vec<f32>,
-    scores: Vec<f32>,
-    /// Quantized-activation row for the int8 path (`max(d, d_ff)` i8 —
-    /// a few KB, so both precisions just carry it).
-    qrow: Vec<i8>,
-}
-
-impl Scratch {
-    fn new(d: usize, d_ff: usize, scores_len: usize) -> Box<Scratch> {
-        Box::new(Scratch {
-            normed: vec![0.0; d],
-            q: vec![0.0; d],
-            k: vec![0.0; d],
-            v: vec![0.0; d],
-            ctx: vec![0.0; d],
-            proj: vec![0.0; d],
-            ff: vec![0.0; d_ff],
-            scores: vec![0.0; scores_len],
-            qrow: vec![0; d.max(d_ff)],
-        })
-    }
-}
-
 /// Incremental decoding state for one generation (one hypothesis).
 #[derive(Debug)]
 pub struct DecoderCache {
     layers: Vec<LayerCache>,
     /// Tokens processed so far (== rows in every self-attention buffer).
     len: usize,
-    /// Row cap (`cfg.max_dec_len`); the contiguous layout reserves this
-    /// much per head up front, the paged layout only ever guards against it.
-    max_rows: usize,
-    /// Scratch size for attention scores (`max(max_dec_len, T_enc)`).
-    scores_len: usize,
-    /// Pool behind the paged storage (`None` ⇔ contiguous reference).
-    pool: Option<PagePool>,
-    /// Per-step work buffers, pure function of the model shape. `None`
-    /// after a fork — rebuilt on the fork's first decode step, so cloning
-    /// a cache for beam search never copies (or allocates) scratch it may
-    /// never use.
-    scratch: Option<Box<Scratch>>,
+    /// Pool behind the self-attention pages, shared with every fork.
+    pool: PagePool,
 }
 
 impl Clone for DecoderCache {
-    /// Fork for beam search. Paged caches share every K/V page
-    /// copy-on-write (a refcount bump per page — no row data moves);
-    /// contiguous caches deep-copy their buffers, re-reserving full
-    /// capacity so appends on the fork never reallocate. Both share the
-    /// immutable cross-attention K/V through `Arc`s, and neither copies
-    /// scratch (regenerable — rebuilt lazily on first use).
+    /// Fork for beam search: every K/V page is shared copy-on-write (a
+    /// refcount bump per page — no row data moves), and the immutable
+    /// cross-attention K/V through `Arc`s.
     fn clone(&self) -> DecoderCache {
+        let mut pool = self.pool.lock();
         let layers = self
             .layers
             .iter()
             .map(|lc| LayerCache {
-                kv: match &lc.kv {
-                    SelfKv::Contiguous { k, v } => {
-                        let deep = |bufs: &[Tensor]| {
-                            bufs.iter()
-                                .map(|buf| {
-                                    let mut copy = buf.clone();
-                                    let want = self.max_rows * buf.shape[1];
-                                    copy.data.reserve(want - copy.data.len());
-                                    copy
-                                })
-                                .collect()
-                        };
-                        SelfKv::Contiguous {
-                            k: deep(k),
-                            v: deep(v),
-                        }
-                    }
-                    SelfKv::Paged { k, v } => {
-                        let mut pool = self.pool.as_ref().expect("paged cache has a pool").lock();
-                        SelfKv::Paged {
-                            k: k.iter().map(|b| b.fork(&mut pool)).collect(),
-                            v: v.iter().map(|b| b.fork(&mut pool)).collect(),
-                        }
-                    }
+                kv: SelfKv {
+                    k: lc.kv.k.iter().map(|b| b.fork(&mut pool)).collect(),
+                    v: lc.kv.v.iter().map(|b| b.fork(&mut pool)).collect(),
                 },
                 cross_k: lc.cross_k.clone(),
                 cross_v: lc.cross_v.clone(),
@@ -249,36 +182,23 @@ impl Clone for DecoderCache {
         DecoderCache {
             layers,
             len: self.len,
-            max_rows: self.max_rows,
-            scores_len: self.scores_len,
             pool: self.pool.clone(),
-            scratch: None,
         }
     }
 }
 
 impl DecoderCache {
-    /// Drop all self-attention K/V rows, returning paged storage to the
+    /// Drop all self-attention K/V rows, returning their pages to the
     /// pool, while keeping the shared cross-attention K/V projections. The
     /// cache re-enters the freshly-constructed state (`len == 0`): feeding
     /// the same token sequence back through rebuilds the exact same rows —
     /// cache contents are a pure function of the fed tokens — which is what
     /// lets the scheduler's page eviction replay a request bitwise.
     pub(crate) fn evict_self_kv(&mut self) {
+        let mut pool = self.pool.lock();
         for lc in &mut self.layers {
-            match &mut lc.kv {
-                SelfKv::Contiguous { k, v } => {
-                    for buf in k.iter_mut().chain(v.iter_mut()) {
-                        buf.data.clear();
-                        buf.shape[0] = 0;
-                    }
-                }
-                SelfKv::Paged { k, v } => {
-                    let mut pool = self.pool.as_ref().expect("paged cache has a pool").lock();
-                    for buf in k.iter_mut().chain(v.iter_mut()) {
-                        buf.release(&mut pool);
-                    }
-                }
+            for buf in lc.kv.heads() {
+                buf.release(&mut pool);
             }
         }
         self.len = 0;
@@ -286,16 +206,13 @@ impl DecoderCache {
 }
 
 impl Drop for DecoderCache {
-    /// Return every referenced page to the pool (paged storage only) so
-    /// dropped hypotheses and retired lanes never leak pages.
+    /// Return every referenced page to the pool so dropped hypotheses and
+    /// retired lanes never leak pages.
     fn drop(&mut self) {
-        let Some(pool) = &self.pool else { return };
-        let mut pool = pool.lock();
+        let mut pool = self.pool.lock();
         for lc in &mut self.layers {
-            if let SelfKv::Paged { k, v } = &mut lc.kv {
-                for buf in k.iter_mut().chain(v.iter_mut()) {
-                    buf.release(&mut pool);
-                }
+            for buf in lc.kv.heads() {
+                buf.release(&mut pool);
             }
         }
     }
@@ -331,8 +248,8 @@ fn project_per_head(
 }
 
 impl DecoderCache {
-    /// Build a **paged** cache with its own fresh [`PagePool`] for decoding
-    /// against `enc_out` (`[T_enc, d_model]`, the encoder's output).
+    /// Build a cache with its own fresh [`PagePool`] for decoding against
+    /// `enc_out` (`[T_enc, d_model]`, the encoder's output).
     /// Cross-attention K/V are projected here, once. Beam forks (clones)
     /// share the pool — and their pages, copy-on-write.
     pub fn new(
@@ -345,14 +262,15 @@ impl DecoderCache {
         DecoderCache::new_in_pool(store, params, cfg, enc_out, &pool)
     }
 
-    /// Build a paged cache whose pages come from an existing shared `pool`
-    /// (the batched scheduler allocates every lane out of one pool, so
-    /// retired lanes recycle pages into newly admitted ones and beam forks
-    /// share pages copy-on-write).
+    /// Build a cache whose pages come from an existing shared `pool` (the
+    /// batched scheduler allocates every lane out of one pool, so retired
+    /// lanes recycle pages into newly admitted ones and beam forks share
+    /// pages copy-on-write).
     ///
     /// # Panics
     ///
-    /// If the pool's row width differs from `cfg.d_head()`.
+    /// If the pool's row width differs from `cfg.d_head()`, or `enc_out`
+    /// is not `[T_enc, d_model]`.
     pub fn new_in_pool(
         store: &ParamStore,
         params: &TransformerParams,
@@ -365,51 +283,6 @@ impl DecoderCache {
             cfg.d_head(),
             "pool row width must equal the head width"
         );
-        let h = cfg.n_heads;
-        let kv = || SelfKv::Paged {
-            k: (0..h).map(|_| PagedRows::new()).collect(),
-            v: (0..h).map(|_| PagedRows::new()).collect(),
-        };
-        DecoderCache::build(store, params, cfg, enc_out, kv, Some(pool.clone()))
-    }
-
-    /// Build a cache with the original contiguous layout: every head buffer
-    /// reserves `cfg.max_dec_len` rows up front and forks deep-copy.
-    ///
-    /// Kept as the bitwise reference implementation for the paged storage —
-    /// the property suite (`tests/paged_cache_props.rs`) and the memory
-    /// comparison in `profile_decode` run both layouts through identical
-    /// schedules.
-    pub fn new_contiguous(
-        store: &ParamStore,
-        params: &TransformerParams,
-        cfg: &ModelConfig,
-        enc_out: &Tensor,
-    ) -> DecoderCache {
-        let h = cfg.n_heads;
-        let dh = cfg.d_head();
-        let kv = || {
-            let empty_head = || {
-                let mut t = Tensor::from_vec(&[0, dh], Vec::new());
-                t.data.reserve(cfg.max_dec_len * dh);
-                t
-            };
-            SelfKv::Contiguous {
-                k: (0..h).map(|_| empty_head()).collect(),
-                v: (0..h).map(|_| empty_head()).collect(),
-            }
-        };
-        DecoderCache::build(store, params, cfg, enc_out, kv, None)
-    }
-
-    fn build(
-        store: &ParamStore,
-        params: &TransformerParams,
-        cfg: &ModelConfig,
-        enc_out: &Tensor,
-        mut kv: impl FnMut() -> SelfKv,
-        pool: Option<PagePool>,
-    ) -> DecoderCache {
         assert_eq!(enc_out.ndim(), 2, "encoder output must be [T, D]");
         assert_eq!(enc_out.shape[1], cfg.d_model, "encoder width mismatch");
         let h = cfg.n_heads;
@@ -424,20 +297,19 @@ impl DecoderCache {
                 let cross_v =
                     project_per_head(enc_out, store.value(ca.wv), store.value(ca.bv), h, dh);
                 LayerCache {
-                    kv: kv(),
+                    kv: SelfKv {
+                        k: (0..h).map(|_| PagedRows::new()).collect(),
+                        v: (0..h).map(|_| PagedRows::new()).collect(),
+                    },
                     cross_k: std::sync::Arc::new(cross_k),
                     cross_v: std::sync::Arc::new(cross_v),
                 }
             })
             .collect();
-        let scores_len = cfg.max_dec_len.max(enc_out.shape[0]);
         DecoderCache {
             layers,
             len: 0,
-            max_rows: cfg.max_dec_len,
-            scores_len,
-            pool,
-            scratch: Some(Scratch::new(cfg.d_model, cfg.d_ff, scores_len)),
+            pool: pool.clone(),
         }
     }
 
@@ -450,18 +322,18 @@ impl DecoderCache {
         self.len == 0
     }
 
-    /// The pool backing this cache's pages (`None` for the contiguous
-    /// reference layout). Handy for watching [`PoolStats`](crate::paged::PoolStats)
-    /// across a decode — the handle stays valid after the cache drops.
-    pub fn pool(&self) -> Option<&PagePool> {
-        self.pool.as_ref()
+    /// The pool backing this cache's pages. Handy for watching
+    /// [`PoolStats`](crate::paged::PoolStats) across a decode — the handle
+    /// stays valid after the cache drops.
+    pub fn pool(&self) -> &PagePool {
+        &self.pool
     }
 }
 
 /// Sum of a row over 8 lane-strided partial accumulators (a plain
 /// `iter().sum()` is a sequential float chain the vectorizer must preserve,
 /// ~one add per FP-latency; independent lanes turn it into one SIMD add per
-/// 8 elements). Shared by both decode paths, so they stay bitwise-paired.
+/// 8 elements).
 #[inline]
 fn lane_sum(x: &[f32], mut f: impl FnMut(f32) -> f32) -> f32 {
     const LANES: usize = 8;
@@ -506,43 +378,6 @@ fn ln_apply(x: &[f32], mean: f32, var: f32, gamma: &Tensor, beta: &Tensor, out: 
     let istd = 1.0 / (var + EPS).sqrt();
     for (j, o) in out.iter_mut().enumerate() {
         *o = (x[j] - mean) * istd * gamma.data[j] + beta.data[j];
-    }
-}
-
-/// `x @ W + b` for a single row, into `out`.
-fn linear_row(x: &[f32], w: &Tensor, b: &Tensor, out: &mut [f32]) {
-    vecmat(x, w, out);
-    for (o, &bv) in out.iter_mut().zip(&b.data) {
-        *o += bv;
-    }
-}
-
-/// Quantized `x @ Ŵ + b` for a single row: dynamic int8 activation
-/// quantization into the caller's `q` scratch, `i32`-accumulated product,
-/// bias added last in f32 (mirroring [`linear_row`]'s order).
-fn linear_row_q(x: &[f32], w: &QuantMat, b: &Tensor, out: &mut [f32], q: &mut [i8]) {
-    let k = x.len();
-    let scale = quantize_row(x, &mut q[..k]);
-    vecmat_q_pre(&q[..k], scale, w, out);
-    for (o, &bv) in out.iter_mut().zip(&b.data) {
-        *o += bv;
-    }
-}
-
-/// One projection of the single-request step, dispatching on precision:
-/// f32 [`linear_row`] when `qm` is `None`, quantized [`linear_row_q`]
-/// against the pre-quantized matrix otherwise.
-fn project_row(
-    x: &[f32],
-    w: &Tensor,
-    qm: Option<&QuantMat>,
-    b: &Tensor,
-    out: &mut [f32],
-    q: &mut [i8],
-) {
-    match qm {
-        None => linear_row(x, w, b, out),
-        Some(m) => linear_row_q(x, m, b, out, q),
     }
 }
 
@@ -594,11 +429,11 @@ fn attend(
 }
 
 /// Attend a single query row over per-head **paged** K/V buffers. The
-/// score of each position is the same independent [`dot_rows`] dot product
-/// the contiguous path computes, and the weighted value sum accumulates
-/// page after page in ascending row order through [`vecmat_acc`] — the
-/// identical per-element addition sequence [`vecmat`] performs on one
-/// slab — so the result is **bitwise** the contiguous [`attend`].
+/// score of each position is an independent [`dot_rows`] dot product, and
+/// the weighted value sum accumulates page after page in ascending row
+/// order through [`vecmat_acc`] — the identical per-element addition
+/// sequence [`vecmat`] performs on one slab — so the result does not depend
+/// on the page size.
 fn attend_paged(
     pool: &PoolInner,
     q: &[f32],
@@ -634,31 +469,21 @@ fn attend_paged(
     }
 }
 
-/// Append one row per head into the growing `[t, d_head]` buffers.
-fn append_heads(buffers: &mut [Tensor], row: &[f32]) {
-    let dh = buffers[0].shape[1];
-    for (head, buf) in buffers.iter_mut().enumerate() {
-        buf.data.extend_from_slice(&row[head * dh..(head + 1) * dh]);
-        buf.shape[0] += 1;
-    }
-}
-
-/// Append one row per head into paged buffers (the paged [`append_heads`]).
-fn append_heads_paged(pool: &mut PoolInner, buffers: &mut [PagedRows], row: &[f32]) {
+/// Append one row per head (the row split into `d_head` slices) to the
+/// per-head page lists.
+fn push_head_rows(pool: &mut PoolInner, buffers: &mut [PagedRows], row: &[f32]) {
     let dh = pool.row_width();
     for (head, buf) in buffers.iter_mut().enumerate() {
         buf.push_row(pool, &row[head * dh..(head + 1) * dh]);
     }
 }
 
-/// One lane's self-attention cache update + attention, dispatching on the
-/// storage layout. Shared verbatim by [`decode_step`] and
-/// [`decode_step_batch`], which is what keeps the two engines' attention
-/// bitwise-paired for either layout.
+/// One lane's self-attention cache update + attention: append this
+/// position's K/V rows, then attend `q` over every cached row.
 #[allow(clippy::too_many_arguments)]
 fn self_attend_append(
-    lc: &mut LayerCache,
-    pool: Option<&PagePool>,
+    kv: &mut SelfKv,
+    pool: &PagePool,
     q: &[f32],
     k_row: &[f32],
     v_row: &[f32],
@@ -666,25 +491,14 @@ fn self_attend_append(
     scores: &mut [f32],
     ctx: &mut [f32],
 ) {
-    match &mut lc.kv {
-        SelfKv::Contiguous { k, v } => {
-            append_heads(k, k_row);
-            append_heads(v, v_row);
-            attend(q, k, v, scale, scores, ctx);
-        }
-        SelfKv::Paged { k, v } => {
-            let pool = pool.expect("paged cache has a pool");
-            {
-                // Exclusive lock only for the append; parallel lanes contend
-                // here briefly, then attend concurrently under read locks.
-                let mut inner = pool.lock();
-                append_heads_paged(&mut inner, k, k_row);
-                append_heads_paged(&mut inner, v, v_row);
-            }
-            let inner = pool.read();
-            attend_paged(&inner, q, k, v, scale, scores, ctx);
-        }
+    {
+        // Exclusive lock only for the append; parallel lanes contend here
+        // briefly, then attend concurrently under read locks.
+        let mut inner = pool.lock();
+        push_head_rows(&mut inner, &mut kv.k, k_row);
+        push_head_rows(&mut inner, &mut kv.v, v_row);
     }
+    attend_paged(&pool.read(), q, &kv.k, &kv.v, scale, scores, ctx);
 }
 
 /// Sinusoidal positional encoding of a single position, added in place
@@ -700,218 +514,6 @@ fn add_positional(x: &mut [f32], pos: usize) {
     }
 }
 
-/// Process one decoder token through all layers; returns the logits row
-/// (`[vocab_size]`) predicting the *next* token.
-pub fn decode_step(
-    store: &ParamStore,
-    params: &TransformerParams,
-    cfg: &ModelConfig,
-    cache: &mut DecoderCache,
-    token: usize,
-) -> Vec<f32> {
-    decode_step_impl(store, params, cfg, None, cache, token)
-}
-
-/// [`decode_step`] with every weight projection routed through the int8
-/// per-channel quantized kernels of `qw` (quantized once per model via
-/// [`QuantDecoderWeights::new`]). Attention over the cache, LayerNorm,
-/// GELU, and the embedding lookup stay f32; the cache layout (paged or
-/// contiguous) is untouched, so paged and contiguous quantized caches stay
-/// **bitwise identical** for identical schedules exactly as in f32 —
-/// quantization never touches the storage walk.
-///
-/// `qw` must have been quantized from the same `(store, params)`.
-pub fn decode_step_quant(
-    store: &ParamStore,
-    params: &TransformerParams,
-    cfg: &ModelConfig,
-    qw: &QuantDecoderWeights,
-    cache: &mut DecoderCache,
-    token: usize,
-) -> Vec<f32> {
-    decode_step_impl(store, params, cfg, Some(qw), cache, token)
-}
-
-/// Shared single-request step body — the one implementation both
-/// precisions run, so they can only differ inside the projection kernels.
-fn decode_step_impl(
-    store: &ParamStore,
-    params: &TransformerParams,
-    cfg: &ModelConfig,
-    qw: Option<&QuantDecoderWeights>,
-    cache: &mut DecoderCache,
-    token: usize,
-) -> Vec<f32> {
-    let d = cfg.d_model;
-    let dh = cfg.d_head();
-    let scale = 1.0 / (dh as f32).sqrt();
-    let pos = cache.len;
-    assert!(
-        pos < cfg.max_dec_len,
-        "decoder cache at {} exceeds max {}",
-        pos + 1,
-        cfg.max_dec_len
-    );
-    assert!(token < cfg.vocab_size, "token {token} out of vocab");
-
-    // Embedding + positional encoding.
-    let emb = store.value(params.tok_emb);
-    let emb_scale = (d as f32).sqrt();
-    let mut x: Vec<f32> = emb.data[token * d..(token + 1) * d]
-        .iter()
-        .map(|v| v * emb_scale)
-        .collect();
-    add_positional(&mut x, pos);
-
-    let pool = cache.pool.clone();
-    let scores_len = cache.scores_len;
-    let s = &mut **cache
-        .scratch
-        .get_or_insert_with(|| Scratch::new(cfg.d_model, cfg.d_ff, scores_len));
-    let layers = &mut cache.layers;
-    for (li, (layer, lc)) in params.dec_layers.iter().zip(layers).enumerate() {
-        let ql = qw.map(|q| &q.layers[li]);
-        // Self-attention block (pre-LN residual): project Q/K/V from the
-        // normed row, append this position's K/V, attend over the cache.
-        ln_row(
-            &x,
-            store.value(layer.ln1.gamma),
-            store.value(layer.ln1.beta),
-            &mut s.normed,
-        );
-        let sa = &layer.self_attn;
-        project_row(
-            &s.normed,
-            store.value(sa.wq),
-            ql.map(|q| &q.wq),
-            store.value(sa.bq),
-            &mut s.q,
-            &mut s.qrow,
-        );
-        project_row(
-            &s.normed,
-            store.value(sa.wk),
-            ql.map(|q| &q.wk),
-            store.value(sa.bk),
-            &mut s.k,
-            &mut s.qrow,
-        );
-        project_row(
-            &s.normed,
-            store.value(sa.wv),
-            ql.map(|q| &q.wv),
-            store.value(sa.bv),
-            &mut s.v,
-            &mut s.qrow,
-        );
-        self_attend_append(
-            lc,
-            pool.as_ref(),
-            &s.q,
-            &s.k,
-            &s.v,
-            scale,
-            &mut s.scores,
-            &mut s.ctx,
-        );
-        project_row(
-            &s.ctx,
-            store.value(sa.wo),
-            ql.map(|q| &q.wo),
-            store.value(sa.bo),
-            &mut s.proj,
-            &mut s.qrow,
-        );
-        for (xv, &a) in x.iter_mut().zip(&s.proj) {
-            *xv += a;
-        }
-
-        // Cross-attention block over the precomputed encoder K/V.
-        ln_row(
-            &x,
-            store.value(layer.ln2.gamma),
-            store.value(layer.ln2.beta),
-            &mut s.normed,
-        );
-        let ca = &layer.cross_attn;
-        project_row(
-            &s.normed,
-            store.value(ca.wq),
-            ql.map(|q| &q.ca_wq),
-            store.value(ca.bq),
-            &mut s.q,
-            &mut s.qrow,
-        );
-        attend(
-            &s.q,
-            &lc.cross_k,
-            &lc.cross_v,
-            scale,
-            &mut s.scores,
-            &mut s.ctx,
-        );
-        project_row(
-            &s.ctx,
-            store.value(ca.wo),
-            ql.map(|q| &q.ca_wo),
-            store.value(ca.bo),
-            &mut s.proj,
-            &mut s.qrow,
-        );
-        for (xv, &c) in x.iter_mut().zip(&s.proj) {
-            *xv += c;
-        }
-
-        // Feed-forward block.
-        ln_row(
-            &x,
-            store.value(layer.ln3.gamma),
-            store.value(layer.ln3.beta),
-            &mut s.normed,
-        );
-        project_row(
-            &s.normed,
-            store.value(layer.ff.w1),
-            ql.map(|q| &q.ff_w1),
-            store.value(layer.ff.b1),
-            &mut s.ff,
-            &mut s.qrow,
-        );
-        gelu_row(&mut s.ff);
-        project_row(
-            &s.ff,
-            store.value(layer.ff.w2),
-            ql.map(|q| &q.ff_w2),
-            store.value(layer.ff.b2),
-            &mut s.proj,
-            &mut s.qrow,
-        );
-        for (xv, &f) in x.iter_mut().zip(&s.proj) {
-            *xv += f;
-        }
-    }
-
-    // Final LayerNorm + output projection.
-    ln_row(
-        &x,
-        store.value(params.dec_ln.gamma),
-        store.value(params.dec_ln.beta),
-        &mut s.normed,
-    );
-    let mut logits = vec![0.0f32; cfg.vocab_size];
-    project_row(
-        &s.normed,
-        store.value(params.out_w),
-        qw.map(|q| &q.out_w),
-        store.value(params.out_b),
-        &mut logits,
-        &mut s.qrow,
-    );
-
-    cache.len += 1;
-    logits
-}
-
 /// Decoder weight matrices repacked once into the tile-major
 /// [`PackedMat`] layout the batched kernels stream sequentially.
 ///
@@ -921,8 +523,8 @@ fn decode_step_impl(
 /// what lets a lockstep step run at memory bandwidth at serving model
 /// sizes. Weights are constant across steps, so one `PackedDecoderWeights`
 /// serves every step of every batch for the model's lifetime. Packing
-/// changes layout, not accumulation order: batched logits stay bitwise
-/// identical to the single-request path.
+/// changes layout, not accumulation order: each output element still sums
+/// in ascending `k` with the bias added last, as [`vecmat`] does.
 ///
 /// Biases, LayerNorm parameters, and the embedding table stay in the
 /// [`ParamStore`] — they are read row-wise, which is already sequential.
@@ -1275,13 +877,13 @@ fn ln_rows_batch(b: usize, d: usize, x: &[f32], gamma: &Tensor, beta: &Tensor, n
 ///
 /// # Equivalence
 ///
-/// `batch_linear` accumulates each output row in exactly the order
-/// [`decode_step`]'s single-row `vecmat` does, and every per-row helper
-/// (`ln_row`, `attend`, `gelu_row`) is literally shared with the
-/// single-request path, so each lane's logits row is **bitwise identical**
-/// to what a standalone [`decode_step`] on that lane's cache would produce.
-/// Lanes never read each other's state; batching is a scheduling decision,
-/// not a numerical one. `decode::tests` and `batch::tests` pin this.
+/// The fused kernels accumulate each output row in the same order whatever
+/// the other rows hold, and every per-lane helper (`ln_row`, the attention
+/// walks, `gelu_row`) reads only that lane's row and cache, so lane *i*'s
+/// logits row is **bitwise identical** to what the same cache alone in a
+/// one-lane step would produce. Lanes never read each other's state;
+/// batching is a scheduling decision, not a numerical one. `infer::tests`
+/// and `batch::tests` pin this.
 ///
 /// The per-lane sections (LayerNorm rows, K/V append, self- and
 /// cross-attention) additionally partition lanes across crossbeam scoped
@@ -1295,22 +897,19 @@ fn ln_rows_batch(b: usize, d: usize, x: &[f32], gamma: &Tensor, beta: &Tensor, n
 ///
 /// `weights` selects the projection kernels: [`DecoderWeights::F32`] runs
 /// the packed f32 kernels, [`DecoderWeights::Int8`] the per-channel
-/// quantized ones. In int8 mode each lane's logits row is **bitwise
-/// identical** to a standalone [`decode_step_quant`] on that lane's cache:
-/// activation rows quantize through the same [`quantize_row`], and the
-/// `i32` accumulator is order-invariant, so the batched blocking cannot
-/// perturb a single bit (the f32 mode makes the same promise via matched
-/// accumulation order).
+/// quantized ones. In int8 mode each lane's activation row quantizes on its
+/// own (one dynamic scale per lane, [`quantize_row`](mpirical_tensor::quantize_row))
+/// and the `i32` accumulator is order-invariant, so the lane-independence
+/// above holds in both precisions.
 ///
 /// # Panics
 ///
 /// If `caches`, `tokens`, and `logits` disagree on the lane count, if the
 /// lane count exceeds `scratch.max_batch()`, or if any lane is at
-/// `cfg.max_dec_len` / fed an out-of-vocabulary token (same guards as
-/// [`decode_step`]). `weights` must have been prepared from the same
-/// `(store, params)`.
-// `decode_step`'s model triple plus the three pieces of reusable batch
-// state; bundling them into a struct would just move the argument list.
+/// `cfg.max_dec_len` / fed an out-of-vocabulary token. `weights` must have
+/// been prepared from the same `(store, params)`.
+// The model triple plus the three pieces of reusable batch state; bundling
+// them into a struct would just move the argument list.
 #[allow(clippy::too_many_arguments)]
 pub fn decode_step_batch(
     store: &ParamStore,
@@ -1411,11 +1010,10 @@ pub fn decode_step_batch(
         let threads = lane_threads(b, 2 * d * (max_pos + 1));
         if threads <= 1 {
             for (i, cache) in caches.iter_mut().enumerate() {
-                let pool = cache.pool.clone();
-                let lc = &mut cache.layers[li];
+                let DecoderCache { layers, pool, .. } = &mut **cache;
                 self_attend_append(
-                    lc,
-                    pool.as_ref(),
+                    &mut layers[li].kv,
+                    pool,
                     &s.q[i * d..(i + 1) * d],
                     &s.k[i * d..(i + 1) * d],
                     &s.v[i * d..(i + 1) * d],
@@ -1437,11 +1035,10 @@ pub fn decode_step_batch(
                     scope.spawn(move |_| {
                         for (j, cache) in cache_chunk.iter_mut().enumerate() {
                             let i = ci * lanes_per + j;
-                            let pool = cache.pool.clone();
-                            let lc = &mut cache.layers[li];
+                            let DecoderCache { layers, pool, .. } = &mut **cache;
                             self_attend_append(
-                                lc,
-                                pool.as_ref(),
+                                &mut layers[li].kv,
+                                pool,
                                 &q[i * d..(i + 1) * d],
                                 &k[i * d..(i + 1) * d],
                                 &v[i * d..(i + 1) * d],
@@ -1542,8 +1139,7 @@ pub fn decode_step_batch(
         }
 
         // Feed-forward block: both linears fused across lanes; GELU is
-        // elementwise so one pass over the packed slab matches the
-        // single-request row-at-a-time application exactly.
+        // elementwise, so one pass covers the whole packed slab.
         let (g3, b3) = (store.value(layer.ln3.gamma), store.value(layer.ln3.beta));
         ln_rows_batch(b, d, &s.x, g3, b3, &mut s.normed);
         let dff = cfg.d_ff;
@@ -1845,7 +1441,14 @@ mod tests {
     use crate::transformer::{build_params, encode, ForwardMode};
     use mpirical_tensor::Tape;
 
-    fn setup() -> (ModelConfig, ParamStore, TransformerParams, Tensor) {
+    struct Fixture {
+        cfg: ModelConfig,
+        store: ParamStore,
+        params: TransformerParams,
+        enc_out: Tensor,
+    }
+
+    fn setup() -> Fixture {
         let mut cfg = ModelConfig::tiny();
         cfg.vocab_size = 24;
         cfg.n_dec_layers = 2; // exercise multi-layer cache plumbing
@@ -1861,47 +1464,95 @@ mod tests {
             ForwardMode::inference(),
         );
         let enc_out = tape.value(enc).clone();
-        (cfg, store, params, enc_out)
+        Fixture {
+            cfg,
+            store,
+            params,
+            enc_out,
+        }
+    }
+
+    impl Fixture {
+        fn cache(&self) -> DecoderCache {
+            DecoderCache::new(&self.store, &self.params, &self.cfg, &self.enc_out)
+        }
+
+        fn cache_in(&self, pool: &PagePool) -> DecoderCache {
+            DecoderCache::new_in_pool(&self.store, &self.params, &self.cfg, &self.enc_out, pool)
+        }
+
+        /// A pool whose single page holds a whole generation: one
+        /// contiguous slab per head.
+        fn one_page_pool(&self) -> PagePool {
+            PagePool::with_page_rows(self.cfg.d_head(), self.cfg.max_dec_len)
+        }
+
+        fn weights(&self, precision: Precision) -> DecoderWeights {
+            DecoderWeights::for_precision(&self.store, &self.params, precision)
+        }
+
+        /// Feed `token` to `cache` alone: the one lane of a step.
+        fn step(&self, w: &DecoderWeights, cache: &mut DecoderCache, token: usize) -> Vec<f32> {
+            let mut logits = vec![0.0; self.cfg.vocab_size];
+            decode_step_batch(
+                &self.store,
+                &self.params,
+                &self.cfg,
+                w,
+                &mut [cache],
+                &[token],
+                &mut BatchScratch::new(&self.cfg, 1),
+                &mut logits,
+            );
+            logits
+        }
     }
 
     #[test]
     fn cache_starts_empty_and_counts_steps() {
-        let (cfg, store, params, enc_out) = setup();
-        let mut cache = DecoderCache::new(&store, &params, &cfg, &enc_out);
+        let f = setup();
+        let w = f.weights(Precision::F32);
+        let mut cache = f.cache();
         assert!(cache.is_empty());
-        decode_step(&store, &params, &cfg, &mut cache, 1);
-        decode_step(&store, &params, &cfg, &mut cache, 5);
+        f.step(&w, &mut cache, 1);
+        f.step(&w, &mut cache, 5);
         assert_eq!(cache.len(), 2);
         for layer in &cache.layers {
-            match &layer.kv {
-                SelfKv::Paged { k, v } => {
-                    for head in k.iter().chain(v) {
-                        assert_eq!(head.len(), 2);
-                    }
-                }
-                SelfKv::Contiguous { .. } => panic!("DecoderCache::new builds paged storage"),
+            for head in layer.kv.k.iter().chain(&layer.kv.v) {
+                assert_eq!(head.len(), 2);
             }
         }
     }
 
-    /// The tentpole contract: paged storage must reproduce the contiguous
-    /// reference **bitwise** at every step, across page boundaries.
-    #[test]
-    fn paged_logits_are_bitwise_contiguous() {
-        let (cfg, store, params, enc_out) = setup();
+    /// Page size is invisible to the logits: every page size reproduces a
+    /// one-page pool (the contiguous slab) **bitwise** at every step,
+    /// across page boundaries, in both precisions.
+    fn assert_page_size_invisible(precision: Precision, steps: usize) {
+        let f = setup();
+        let w = f.weights(precision);
         for page_rows in [1usize, 3, 16] {
-            let pool = PagePool::with_page_rows(cfg.d_head(), page_rows);
-            let mut paged = DecoderCache::new_in_pool(&store, &params, &cfg, &enc_out, &pool);
-            let mut reference = DecoderCache::new_contiguous(&store, &params, &cfg, &enc_out);
-            for step in 0..20usize {
+            let pool = PagePool::with_page_rows(f.cfg.d_head(), page_rows);
+            let mut paged = f.cache_in(&pool);
+            let mut slab = f.cache_in(&f.one_page_pool());
+            for step in 0..steps {
                 let tok = 1 + (step * 5) % 23;
-                let lp = decode_step(&store, &params, &cfg, &mut paged, tok);
-                let lr = decode_step(&store, &params, &cfg, &mut reference, tok);
-                assert_eq!(lp, lr, "page_rows={page_rows} step={step}");
+                let lp = f.step(&w, &mut paged, tok);
+                let lr = f.step(&w, &mut slab, tok);
+                assert_eq!(lp, lr, "{precision:?} page_rows={page_rows} step={step}");
             }
             drop(paged);
             assert_eq!(pool.stats().pages_live, 0, "pages returned on drop");
         }
+    }
+
+    #[test]
+    fn paged_logits_are_bitwise_contiguous() {
+        assert_page_size_invisible(Precision::F32, 20);
+    }
+
+    #[test]
+    fn quant_paged_logits_are_bitwise_contiguous() {
+        assert_page_size_invisible(Precision::Int8, 12);
     }
 
     /// Forks share pages COW: the clone is cheap, both sides stay
@@ -1909,14 +1560,15 @@ mod tests {
     /// every page.
     #[test]
     fn forked_paged_caches_stay_bitwise_and_leak_nothing() {
-        let (cfg, store, params, enc_out) = setup();
-        let mut paged = DecoderCache::new(&store, &params, &cfg, &enc_out);
-        let mut reference = DecoderCache::new_contiguous(&store, &params, &cfg, &enc_out);
+        let f = setup();
+        let w = f.weights(Precision::F32);
+        let mut paged = f.cache();
+        let mut slab = f.cache_in(&f.one_page_pool());
         for tok in [1usize, 9, 4] {
-            decode_step(&store, &params, &cfg, &mut paged, tok);
-            decode_step(&store, &params, &cfg, &mut reference, tok);
+            f.step(&w, &mut paged, tok);
+            f.step(&w, &mut slab, tok);
         }
-        let pool = paged.pool().expect("paged").clone();
+        let pool = paged.pool().clone();
         let live_before = pool.stats().pages_live;
         let mut fork = paged.clone();
         assert_eq!(
@@ -1924,16 +1576,13 @@ mod tests {
             live_before,
             "fork allocates no pages"
         );
-        let mut ref_fork = reference.clone();
+        let mut slab_fork = slab.clone();
         // Diverge: different tokens down each branch.
         for (tok_a, tok_b) in [(6usize, 7usize), (2, 3)] {
+            assert_eq!(f.step(&w, &mut paged, tok_a), f.step(&w, &mut slab, tok_a));
             assert_eq!(
-                decode_step(&store, &params, &cfg, &mut paged, tok_a),
-                decode_step(&store, &params, &cfg, &mut reference, tok_a),
-            );
-            assert_eq!(
-                decode_step(&store, &params, &cfg, &mut fork, tok_b),
-                decode_step(&store, &params, &cfg, &mut ref_fork, tok_b),
+                f.step(&w, &mut fork, tok_b),
+                f.step(&w, &mut slab_fork, tok_b)
             );
         }
         assert!(pool.stats().cow_copies > 0, "divergence forced COW");
@@ -1942,194 +1591,133 @@ mod tests {
         assert_eq!(pool.stats().pages_live, 0);
     }
 
-    /// The memory claim behind the ROADMAP item: at a 64-token output the
-    /// paged cache holds ≥2× (here ~3.5×) fewer bytes per lane than the
-    /// contiguous layout reserves up front.
+    /// The memory claim behind paged storage: at a 64-token output the
+    /// cache holds ≥2× (here ~3.5×) fewer bytes per lane than reserving
+    /// `max_dec_len` rows per head up front would.
     #[test]
     fn paged_cache_uses_at_most_half_the_contiguous_reservation() {
-        let (mut cfg, store, params, enc_out) = setup();
-        cfg.max_dec_len = 240;
-        let mut cache = DecoderCache::new(&store, &params, &cfg, &enc_out);
+        let mut f = setup();
+        f.cfg.max_dec_len = 240;
+        let w = f.weights(Precision::F32);
+        let mut cache = f.cache();
         for step in 0..64usize {
-            decode_step(&store, &params, &cfg, &mut cache, 1 + step % 23);
+            f.step(&w, &mut cache, 1 + step % 23);
         }
-        let peak = cache.pool().expect("paged").stats().peak_bytes();
-        let contiguous = 2 // K and V
+        let cfg = &f.cfg;
+        let peak = cache.pool().stats().peak_bytes();
+        let reservation = 2 // K and V
             * cfg.n_dec_layers
             * cfg.n_heads
             * cfg.max_dec_len
             * cfg.d_head()
             * std::mem::size_of::<f32>();
         assert!(
-            peak * 2 <= contiguous,
-            "paged peak {peak}B vs contiguous reservation {contiguous}B"
+            peak * 2 <= reservation,
+            "paged peak {peak}B vs max_dec_len reservation {reservation}B"
         );
     }
 
     #[test]
     fn cross_kv_shapes_match_encoder_length() {
-        let (cfg, store, params, enc_out) = setup();
-        let cache = DecoderCache::new(&store, &params, &cfg, &enc_out);
+        let f = setup();
+        let cache = f.cache();
         for layer in &cache.layers {
-            assert_eq!(layer.cross_k.len(), cfg.n_heads);
+            assert_eq!(layer.cross_k.len(), f.cfg.n_heads);
             for head in layer.cross_k.iter() {
-                assert_eq!(head.shape, vec![enc_out.shape[0], cfg.d_head()]);
+                assert_eq!(head.shape, vec![f.enc_out.shape[0], f.cfg.d_head()]);
             }
         }
     }
 
     #[test]
     fn logits_are_finite_and_vocab_sized() {
-        let (cfg, store, params, enc_out) = setup();
-        let mut cache = DecoderCache::new(&store, &params, &cfg, &enc_out);
-        let logits = decode_step(&store, &params, &cfg, &mut cache, 1);
-        assert_eq!(logits.len(), cfg.vocab_size);
+        let f = setup();
+        let logits = f.step(&f.weights(Precision::F32), &mut f.cache(), 1);
+        assert_eq!(logits.len(), f.cfg.vocab_size);
         assert!(logits.iter().all(|v| v.is_finite()));
     }
 
     #[test]
     fn cloned_caches_diverge_independently() {
-        let (cfg, store, params, enc_out) = setup();
-        let mut a = DecoderCache::new(&store, &params, &cfg, &enc_out);
-        decode_step(&store, &params, &cfg, &mut a, 1);
+        let f = setup();
+        let w = f.weights(Precision::F32);
+        let mut a = f.cache();
+        f.step(&w, &mut a, 1);
         let mut b = a.clone();
-        let la = decode_step(&store, &params, &cfg, &mut a, 6);
-        let lb = decode_step(&store, &params, &cfg, &mut b, 7);
+        let la = f.step(&w, &mut a, 6);
+        let lb = f.step(&w, &mut b, 7);
         assert_ne!(la, lb, "different tokens give different logits");
         assert_eq!(a.len(), 2);
         assert_eq!(b.len(), 2);
     }
 
-    #[test]
-    fn batched_step_is_bitwise_single_step() {
-        let (cfg, store, params, enc_out) = setup();
-        // Three lanes at different positions, stepped in lockstep, must each
-        // reproduce the standalone single-request logits exactly.
-        let mut singles: Vec<DecoderCache> = (0..3)
-            .map(|_| DecoderCache::new(&store, &params, &cfg, &enc_out))
-            .collect();
-        let mut batched: Vec<DecoderCache> = (0..3)
-            .map(|_| DecoderCache::new(&store, &params, &cfg, &enc_out))
-            .collect();
+    /// Lane *i* of a 3-lane step is bitwise the same cache stepped alone,
+    /// with the lanes at different positions.
+    fn assert_lanes_independent(precision: Precision, steps: usize) {
+        let f = setup();
+        let w = f.weights(precision);
+        let mut alone: Vec<DecoderCache> = (0..3).map(|_| f.cache()).collect();
+        let mut batched: Vec<DecoderCache> = (0..3).map(|_| f.cache()).collect();
         // Desynchronize lane 2 by one step on both sides.
-        decode_step(&store, &params, &cfg, &mut singles[2], 3);
-        decode_step(&store, &params, &cfg, &mut batched[2], 3);
+        f.step(&w, &mut alone[2], 3);
+        f.step(&w, &mut batched[2], 3);
 
-        let weights = DecoderWeights::for_precision(&store, &params, Precision::F32);
-        let mut scratch = BatchScratch::new(&cfg, 3);
-        let mut logits = vec![0.0f32; 3 * cfg.vocab_size];
-        for step in 0..3usize {
+        let mut scratch = BatchScratch::new(&f.cfg, 3);
+        let mut logits = vec![0.0f32; 3 * f.cfg.vocab_size];
+        for step in 0..steps {
             let tokens = [1 + step, 7, 5 + step];
-            let expected: Vec<Vec<f32>> = singles
+            let expected: Vec<Vec<f32>> = alone
                 .iter_mut()
                 .zip(tokens)
-                .map(|(c, t)| decode_step(&store, &params, &cfg, c, t))
+                .map(|(c, t)| f.step(&w, c, t))
                 .collect();
             let mut lanes: Vec<&mut DecoderCache> = batched.iter_mut().collect();
             decode_step_batch(
-                &store,
-                &params,
-                &cfg,
-                &weights,
+                &f.store,
+                &f.params,
+                &f.cfg,
+                &w,
                 &mut lanes,
                 &tokens,
                 &mut scratch,
                 &mut logits,
             );
             for (i, want) in expected.iter().enumerate() {
-                let got = &logits[i * cfg.vocab_size..(i + 1) * cfg.vocab_size];
-                assert_eq!(got, &want[..], "lane {i} step {step}");
+                let got = &logits[i * f.cfg.vocab_size..(i + 1) * f.cfg.vocab_size];
+                assert_eq!(got, &want[..], "{precision:?} lane {i} step {step}");
             }
         }
-        for (s, b) in singles.iter().zip(&batched) {
-            assert_eq!(s.len(), b.len());
+        for (a, b) in alone.iter().zip(&batched) {
+            assert_eq!(a.len(), b.len());
         }
+    }
+
+    #[test]
+    fn batched_step_is_bitwise_single_step() {
+        assert_lanes_independent(Precision::F32, 3);
+    }
+
+    #[test]
+    fn quant_batched_step_is_bitwise_quant_single_step() {
+        assert_lanes_independent(Precision::Int8, 4);
     }
 
     #[test]
     #[should_panic(expected = "exceed")]
     fn batched_step_guards_scratch_capacity() {
-        let (cfg, store, params, enc_out) = setup();
-        let mut a = DecoderCache::new(&store, &params, &cfg, &enc_out);
-        let mut b = DecoderCache::new(&store, &params, &cfg, &enc_out);
-        let weights = DecoderWeights::for_precision(&store, &params, Precision::F32);
-        let mut lanes = vec![&mut a, &mut b];
-        let mut scratch = BatchScratch::new(&cfg, 1);
-        let mut logits = vec![0.0f32; 2 * cfg.vocab_size];
+        let f = setup();
+        let (mut a, mut b) = (f.cache(), f.cache());
+        let mut logits = vec![0.0f32; 2 * f.cfg.vocab_size];
         decode_step_batch(
-            &store,
-            &params,
-            &cfg,
-            &weights,
-            &mut lanes,
+            &f.store,
+            &f.params,
+            &f.cfg,
+            &f.weights(Precision::F32),
+            &mut [&mut a, &mut b],
             &[1, 2],
-            &mut scratch,
+            &mut BatchScratch::new(&f.cfg, 1),
             &mut logits,
         );
-    }
-
-    /// Quantized stepping never touches the storage walk: paged and
-    /// contiguous caches stay bitwise-identical under `decode_step_quant`,
-    /// exactly as in f32.
-    #[test]
-    fn quant_paged_logits_are_bitwise_contiguous() {
-        let (cfg, store, params, enc_out) = setup();
-        let qw = QuantDecoderWeights::new(&store, &params);
-        for page_rows in [1usize, 3, 16] {
-            let pool = PagePool::with_page_rows(cfg.d_head(), page_rows);
-            let mut paged = DecoderCache::new_in_pool(&store, &params, &cfg, &enc_out, &pool);
-            let mut reference = DecoderCache::new_contiguous(&store, &params, &cfg, &enc_out);
-            for step in 0..12usize {
-                let tok = 1 + (step * 5) % 23;
-                let lp = decode_step_quant(&store, &params, &cfg, &qw, &mut paged, tok);
-                let lr = decode_step_quant(&store, &params, &cfg, &qw, &mut reference, tok);
-                assert_eq!(lp, lr, "page_rows={page_rows} step={step}");
-            }
-            drop(paged);
-            assert_eq!(pool.stats().pages_live, 0);
-        }
-    }
-
-    /// The quantized batched step is bitwise the quantized single step —
-    /// integer accumulation is order-invariant, so this holds by
-    /// construction, and this test keeps it held.
-    #[test]
-    fn quant_batched_step_is_bitwise_quant_single_step() {
-        let (cfg, store, params, enc_out) = setup();
-        let qw = QuantDecoderWeights::new(&store, &params);
-        let mut singles: Vec<DecoderCache> = (0..3)
-            .map(|_| DecoderCache::new(&store, &params, &cfg, &enc_out))
-            .collect();
-        let mut batched: Vec<DecoderCache> = (0..3)
-            .map(|_| DecoderCache::new(&store, &params, &cfg, &enc_out))
-            .collect();
-        let weights = DecoderWeights::for_precision(&store, &params, Precision::Int8);
-        assert_eq!(weights.precision(), Precision::Int8);
-        let mut scratch = BatchScratch::new(&cfg, 3);
-        let mut logits = vec![0.0f32; 3 * cfg.vocab_size];
-        for step in 0..4usize {
-            let tokens = [2 + step, 9, 4 + step];
-            let expected: Vec<Vec<f32>> = singles
-                .iter_mut()
-                .zip(tokens)
-                .map(|(c, t)| decode_step_quant(&store, &params, &cfg, &qw, c, t))
-                .collect();
-            let mut lanes: Vec<&mut DecoderCache> = batched.iter_mut().collect();
-            decode_step_batch(
-                &store,
-                &params,
-                &cfg,
-                &weights,
-                &mut lanes,
-                &tokens,
-                &mut scratch,
-                &mut logits,
-            );
-            for (i, want) in expected.iter().enumerate() {
-                let got = &logits[i * cfg.vocab_size..(i + 1) * cfg.vocab_size];
-                assert_eq!(got, &want[..], "lane {i} step {step}");
-            }
-        }
     }
 
     /// Quantized logits are close to — but (being quantized) not bitwise
@@ -2137,15 +1725,15 @@ mod tests {
     /// would make them identical, which this test rejects.
     #[test]
     fn quant_logits_differ_from_f32_but_stay_close() {
-        let (cfg, store, params, enc_out) = setup();
-        let qw = QuantDecoderWeights::new(&store, &params);
-        assert_eq!(qw.out_scales().len(), cfg.vocab_size);
-        let mut f32_cache = DecoderCache::new(&store, &params, &cfg, &enc_out);
-        let mut q_cache = DecoderCache::new(&store, &params, &cfg, &enc_out);
+        let f = setup();
+        let qw = QuantDecoderWeights::new(&f.store, &f.params);
+        assert_eq!(qw.out_scales().len(), f.cfg.vocab_size);
+        let (wf, wq) = (f.weights(Precision::F32), DecoderWeights::Int8(qw));
+        let (mut f32_cache, mut q_cache) = (f.cache(), f.cache());
         let mut any_diff = false;
         for tok in [1usize, 8, 3, 15] {
-            let lf = decode_step(&store, &params, &cfg, &mut f32_cache, tok);
-            let lq = decode_step_quant(&store, &params, &cfg, &qw, &mut q_cache, tok);
+            let lf = f.step(&wf, &mut f32_cache, tok);
+            let lq = f.step(&wq, &mut q_cache, tok);
             any_diff |= lf != lq;
             for (i, (a, b)) in lf.iter().zip(&lq).enumerate() {
                 assert!(
@@ -2162,17 +1750,17 @@ mod tests {
     #[test]
     #[should_panic(expected = "at least one lane")]
     fn zero_lane_scratch_is_rejected_with_clear_error() {
-        let (cfg, _, _, _) = setup();
-        BatchScratch::new(&cfg, 0);
+        BatchScratch::new(&setup().cfg, 0);
     }
 
     #[test]
     #[should_panic(expected = "exceeds max")]
     fn step_guard_at_max_len() {
-        let (cfg, store, params, enc_out) = setup();
-        let mut cache = DecoderCache::new(&store, &params, &cfg, &enc_out);
-        for _ in 0..=cfg.max_dec_len {
-            decode_step(&store, &params, &cfg, &mut cache, 1);
+        let f = setup();
+        let w = f.weights(Precision::F32);
+        let mut cache = f.cache();
+        for _ in 0..=f.cfg.max_dec_len {
+            f.step(&w, &mut cache, 1);
         }
     }
 }

@@ -13,16 +13,17 @@
 //!   gradient clipping, and data-parallel batch sharding over crossbeam
 //!   scoped threads;
 //! * [`infer`] — the KV-cached incremental inference engine: per-layer
-//!   self-attention K/V caches plus cross-attention K/V projected once from
-//!   the encoder output, driven one token at a time with no autograd tape;
+//!   paged self-attention K/V caches plus cross-attention K/V projected
+//!   once from the encoder output, advanced one token per lane per
+//!   lockstep step with no autograd tape;
 //! * [`decode`] — [`DecodeOptions`], the greedy/beam token-selection rules,
-//!   and the two single-request references (cached and prefix-replay) kept
-//!   for equivalence tests and benches;
+//!   and the tape replay ([`replay_decode_with`]) kept as the independent
+//!   oracle for equivalence tests and benches;
 //! * [`batch`] — the [`BatchDecoder`] lockstep scheduler, the one decode
 //!   loop every prediction runs through: N concurrent requests (or one)
 //!   decoded with continuous batching, their per-step projections fused
-//!   into shared packed-matrix kernels (logits stay identical to the
-//!   single-request reference), with priority-aware admission ([`Priority`],
+//!   into shared packed-matrix kernels (a lane's logits never depend on
+//!   the other lanes), with priority-aware admission ([`Priority`],
 //!   aging, bulk-lane preemption), a typed [`PollResult`] lifecycle with
 //!   streaming partial tokens, and cancellation;
 //! * [`engine`] — the [`Engine`]: N such schedulers on worker threads over
@@ -52,11 +53,11 @@ pub use batch::{
 };
 pub use bpe::Bpe;
 pub use config::ModelConfig;
-pub use decode::{decode_reference, replay_decode_with, DecodeOptions};
+pub use decode::{replay_decode_with, DecodeOptions};
 pub use engine::{Engine, EngineConfig, EngineModel, EngineTicket, InteractiveReservation};
 pub use infer::{
-    decode_step, decode_step_batch, decode_step_quant, BatchScratch, DecoderCache, DecoderWeights,
-    PackedDecoderWeights, Precision, QuantDecoderWeights,
+    decode_step_batch, BatchScratch, DecoderCache, DecoderWeights, PackedDecoderWeights, Precision,
+    QuantDecoderWeights,
 };
 pub use paged::{PagePool, PoolStats, PAGE_ROWS};
 pub use prefix::{PrefixStats, PREFIX_CACHE_CAP};

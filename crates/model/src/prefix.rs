@@ -226,7 +226,7 @@ mod tests {
     use super::*;
     use crate::config::ModelConfig;
     use crate::decode::encode_source;
-    use crate::infer::decode_step;
+    use crate::infer::{decode_step_batch, BatchScratch, DecoderWeights, Precision};
     use crate::paged::PagePool;
     use crate::transformer::{build_params, TransformerParams};
     use crate::vocab::{EOS, SOS};
@@ -266,6 +266,23 @@ mod tests {
         assert_ne!(enc_a.data, enc_b.data, "encoder outputs must differ");
         let colliding_key = 42u64;
         let fresh = |e: &Tensor| DecoderCache::new_in_pool(&store, &params, &cfg, e, &pool);
+        let weights = DecoderWeights::for_precision(&store, &params, Precision::F32);
+        let step = |cache: &mut DecoderCache| {
+            let mut logits = vec![0.0; cfg.vocab_size];
+            let mut scratch = BatchScratch::new(&cfg, 1);
+            let (lanes, tokens) = (&mut [cache], &[SOS]);
+            decode_step_batch(
+                &store,
+                &params,
+                &cfg,
+                &weights,
+                lanes,
+                tokens,
+                &mut scratch,
+                &mut logits,
+            );
+            logits
+        };
         table.insert(colliding_key, enc_a.clone(), &fresh(&enc_a));
         table.insert(colliding_key, enc_b.clone(), &fresh(&enc_b));
         assert_eq!(len(&table), 2);
@@ -275,8 +292,8 @@ mod tests {
                 .lookup(colliding_key, enc_out, 0)
                 .expect("collision must not evict either entry");
             assert_eq!(shared.len(), 0);
-            let got = decode_step(&store, &params, &cfg, &mut shared, SOS);
-            let want = decode_step(&store, &params, &cfg, &mut fresh(enc_out), SOS);
+            let got = step(&mut shared);
+            let want = step(&mut fresh(enc_out));
             assert_eq!(got, want, "shared cross-K/V diverged from its own enc_out");
         }
         assert_eq!(table.stats().hits, 2);

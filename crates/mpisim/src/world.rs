@@ -13,14 +13,15 @@ use std::sync::Arc;
 ///
 /// The C interpreter runs an interpreted call as nested Rust calls and
 /// stops a rank at `mpirical_interp::MAX_CALL_DEPTH` (1 000) calls in
-/// progress. An optimised build spends 0.75–2.5 KiB of stack per call, the
-/// high end with the recursive call eight operators deep, so 8 MiB holds
-/// that bound three times over — and stays small enough that a 4-rank
-/// world's stacks fit glibc's 40 MiB cache of freed thread stacks, which
-/// verification's many short worlds rely on (on a 2-core Xeon, 16 MiB
+/// progress, or once those calls hold `mpirical_interp::MAX_LEVELS`
+/// (16 000) interpreter frames. An optimised build spends at most ≈ 0.3
+/// KiB of stack per frame, so 8 MiB holds that budget with room to spare
+/// — and stays small enough that a 4-rank world's stacks fit glibc's
+/// 40 MiB cache of freed thread stacks, which verification's many short
+/// worlds rely on (on a 2-core Xeon, 16 MiB
 /// stacks cost ≈ 30 µs more per 1 + 2 + 4-rank round, 128 MiB ≈ 65 µs,
-/// 8 MiB nothing measurable). A debug build spends
-/// ≈ 28× more per call (21–70 KiB), so it gets 128 MiB. The thread
+/// 8 MiB nothing measurable). A debug build spends up to ≈ 7 KiB per
+/// frame (≈ 112 MiB at the budget), so it gets 128 MiB. The thread
 /// default of 2 MiB let recursion in a submitted program overflow the
 /// stack and abort the process.
 pub const RANK_STACK_BYTES: usize = if cfg!(debug_assertions) {

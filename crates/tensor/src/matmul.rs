@@ -129,9 +129,9 @@ fn kernel_bt(a: &[f32], b: &[f32], out: &mut [f32], row0: usize, rows: usize, k:
 /// accumulators turn the loop into one SIMD FMA per 8 elements; the lanes
 /// are reduced pairwise at the end. (This changes the summation *order*
 /// relative to the naive loop — fine for every consumer, which tolerate
-/// f32 accumulation-order noise — but stays deterministic, and both the
-/// single-request and batched decode paths share this one implementation,
-/// so their attention scores remain bitwise identical to each other.)
+/// f32 accumulation-order noise — but stays deterministic, and every
+/// decode lane runs this one implementation, so a lane's attention scores
+/// do not depend on what it is batched with.)
 #[inline]
 fn dot(x: &[f32], y: &[f32]) -> f32 {
     dot_many(x, [y])[0]
@@ -337,8 +337,8 @@ const BM_JB: usize = 16;
 /// order (the blocking changes *where* partial sums live, not the order they
 /// are added in), so row `i` of the result is exactly
 /// `vecmat(&x[i*k..(i+1)*k], m, ..)` — bitwise, not just approximately —
-/// which is what lets the batched decode path promise logit equivalence with
-/// the single-request engine.
+/// which is what keeps a lane's logits in the batched decode step
+/// independent of the other lanes.
 ///
 /// Slices in, slice out: no tensor allocation on the decode hot path. The
 /// kernel is deliberately serial — decode batches are a handful of rows, far
@@ -425,8 +425,7 @@ fn bm_row_block<const RB: usize>(x: &[f32], m: &[f32], out: &mut [f32], k: usize
 
 /// [`batch_matmul`] plus a broadcast bias row: `out[i, :] = x[i, :] @ M + b`.
 /// Row `i` equals a [`vecmat`]-then-add-bias sequence bitwise (same ascending
-/// `k` accumulation, bias added last), matching the single-request
-/// `linear_row` used by the incremental decoder.
+/// `k` accumulation, bias added last), whatever the other rows hold.
 pub fn batch_linear(x: &[f32], rows: usize, m: &Tensor, b: &Tensor, out: &mut [f32]) {
     let n = m.shape[1];
     assert_eq!(b.data.len(), n, "batch_linear bias length");

@@ -30,8 +30,8 @@
 //! expression `(acc as f32) * s_v * s_j`. [`batch_matmul_q`] is therefore
 //! bitwise-equal to per-row [`vecmat_q`] *by construction* — there is no
 //! accumulation-order argument to make, unlike the f32 kernels — which is
-//! what lets the quantized batched decode path promise bitwise logit
-//! equivalence with the quantized single-request path.
+//! what lets the quantized batched decode step promise that a lane's
+//! logits do not depend on the other lanes.
 //!
 //! # Error bound
 //!

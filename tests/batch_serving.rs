@@ -8,9 +8,9 @@ use mpirical::{
     Suggestion, VerifyOptions,
 };
 use mpirical_corpus::{generate_dataset, CorpusConfig};
-use mpirical_model::decode::{decode_reference, encode_source};
+use mpirical_model::decode::encode_source;
 use mpirical_model::vocab::SOS;
-use mpirical_model::{DecodeOptions, DecoderCache, ModelConfig, Precision};
+use mpirical_model::{BatchDecoder, BatchRequest, DecodeOptions, ModelConfig, Precision};
 
 /// One tiny trained assistant shared by the whole file (training dominates
 /// test wall-clock, so do it once).
@@ -252,12 +252,12 @@ fn int8_artifact_serves_equivalently_through_batch_and_service() {
     );
 }
 
-/// Every one-shot prediction is a scheduler request; this pins that path
-/// to the single-request reference driver, which it no longer shares any
-/// loop with. For each precision × beam width × verification setting,
-/// `predict_ids` must be element 0 of `decode_reference`'s ranked list on
-/// a **contiguous** cache fed the same encoder ids — bitwise, so a
-/// reordered or perturbed hypothesis list fails — and `suggest_report`
+/// Every one-shot prediction is an engine request; this pins that path
+/// to the same request decoded alone by a bare `BatchDecoder` (no engine,
+/// no service). For each precision × beam width × verification setting,
+/// `predict_ids` must be element 0 of that decoder's ranked hypotheses for
+/// the same encoder ids — bitwise, so a reordered or perturbed hypothesis
+/// list fails — and `suggest_report`
 /// must carry exactly that hypothesis' call sites. Verification runs with
 /// an execution budget of zero: every hypothesis stays unverified, the
 /// stable re-rank is the identity, and the stats count the hypotheses the
@@ -295,16 +295,17 @@ fn one_shot_predictions_match_the_single_request_reference() {
                         &m.cfg,
                         &assistant.encode_source(src).ids,
                     );
-                    let ranked = decode_reference(
-                        &m.store,
-                        &m.params,
-                        &m.cfg,
-                        None,
-                        DecoderCache::new_contiguous(&m.store, &m.params, &m.cfg, &enc_out),
-                        &[SOS],
-                        m.cfg.max_dec_len,
-                        assistant.decode,
-                    );
+                    let mut dec =
+                        BatchDecoder::with_precision(&m.store, &m.params, &m.cfg, beam, precision);
+                    let ranked = dec
+                        .decode_all_hypotheses(vec![BatchRequest {
+                            enc_out,
+                            prompt: vec![SOS],
+                            max_len: m.cfg.max_dec_len,
+                            opts: assistant.decode,
+                            submit: SubmitOptions::default(),
+                        }])
+                        .swap_remove(0);
                     assert_eq!(assistant.predict_ids(src), ranked[0], "{case}: {src:?}");
 
                     let report = assistant.suggest_report(src);

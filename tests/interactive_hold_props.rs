@@ -6,7 +6,7 @@
 //!
 //! 1. **Random Interactive/Bulk/cancel schedules on {1, 2, 4} workers**, f32
 //!    AND int8: every completed request is **bitwise identical** to the
-//!    single-request reference; while a wave's Interactive tickets are
+//!    request decoded alone in a fresh `BatchDecoder`; while a wave's Interactive tickets are
 //!    unresolved, a client polling the Bulk tickets never sees one gain more
 //!    than the single token of a step already under way when the wave was
 //!    submitted (held groups neither step nor get admitted); and the
@@ -27,11 +27,11 @@
 //!
 //! [`InteractiveReservation`]: mpirical_model::InteractiveReservation
 
-use mpirical_model::decode::{decode_reference, encode_source};
+use mpirical_model::decode::encode_source;
 use mpirical_model::transformer::{build_params, TransformerParams};
 use mpirical_model::vocab::{EOS, SOS};
 use mpirical_model::{
-    BatchRequest, DecodeOptions, DecoderCache, Engine, EngineConfig, EngineModel, EngineTicket,
+    BatchDecoder, BatchRequest, DecodeOptions, Engine, EngineConfig, EngineModel, EngineTicket,
     ModelConfig, PollResult, Precision, SubmitOptions,
 };
 use mpirical_tensor::{ParamStore, Tensor};
@@ -81,11 +81,18 @@ fn fixture() -> &'static Fixture {
     })
 }
 
-/// Winner of the single-request reference on the contiguous cache layout.
+/// Winner of the request decoded alone in a fresh `BatchDecoder`.
 fn reference(enc: &Tensor, max_len: usize, opts: DecodeOptions) -> Vec<usize> {
     let (cfg, store, params, ..) = fixture();
-    let cache = DecoderCache::new_contiguous(store, params, cfg, enc);
-    decode_reference(store, params, cfg, None, cache, &[SOS], max_len, opts).swap_remove(0)
+    let mut dec = BatchDecoder::with_precision(store, params, cfg, opts.beam, opts.precision);
+    let req = BatchRequest {
+        enc_out: enc.clone(),
+        prompt: vec![SOS],
+        max_len,
+        opts,
+        submit: SubmitOptions::default(),
+    };
+    dec.decode_all(vec![req]).swap_remove(0)
 }
 
 /// A long greedy Bulk request (`min_len` keeps it decoding).

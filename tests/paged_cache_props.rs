@@ -2,75 +2,114 @@
 //!
 //! Four properties over randomized decode schedules:
 //!
-//! 1. **Bitwise storage equivalence** — for arbitrary token walks and page
-//!    sizes (including 1-row pages), `decode_step` on paged storage emits
-//!    logits bit-for-bit equal to the contiguous reference layout.
+//! 1. **Page size is invisible** — for arbitrary token walks and page
+//!    sizes (including 1-row pages), a one-lane `decode_step_batch` on
+//!    paged storage emits logits bit-for-bit equal to the same walk on a
+//!    one-page pool (`PagePool::with_page_rows(d_head, max_dec_len)`: one
+//!    contiguous slab per head).
 //! 2. **Fork soundness** — under arbitrary interleavings of step / COW-fork
 //!    / drop across a population of caches sharing one pool, every cache
-//!    tracks its contiguous twin bitwise, and the pool ends with zero live
+//!    tracks its one-page twin bitwise, and the pool ends with zero live
 //!    pages once all caches drop.
 //! 3. **Scheduler equivalence** — random request mixes (prompt lengths,
 //!    length caps, `min_len`, beam widths, late joins, early retirements,
 //!    duplicate prompts hitting the prefix table) through
-//!    `BatchDecoder` return exactly the per-request
-//!    `decode_reference` (contiguous cache) reference outputs, again with
-//!    zero leaked pages.
+//!    `BatchDecoder` return exactly what each request decodes alone in a
+//!    fresh `BatchDecoder`, again with zero leaked pages.
 //!
 //! 4. **Prefix sharing** — families of near-identical prompts (one encoder
 //!    output, random single-token edits of a shared base) decode
-//!    bitwise-equal to the no-sharing contiguous reference, concurrently
+//!    bitwise-equal to each member decoded alone (no sharing), concurrently
 //!    and sequenced; the sequenced order pins the prefix table's hit
 //!    accounting (one cold miss, then one hit per later member); the pool
 //!    always drains to zero.
 //!
 //! Properties 1, 3 and 4 also run **quantized**: property 1 repeats each
-//! random walk through the int8 projection kernels (`decode_step_quant`)
-//! asserting paged-quant ≡ contiguous-quant bitwise per step, and
+//! random walk through the int8 projection kernels (`DecoderWeights::Int8`)
+//! asserting paged-quant ≡ one-page-quant bitwise per step, and
 //! properties 3 and 4 replay every random schedule through an `Int8`
-//! scheduler against the contiguous-quant reference — quantization swaps
-//! the weight kernels but never touches the K/V storage walk, so the PR 3
-//! storage-equivalence invariant must survive it unchanged.
+//! scheduler against the request alone in an `Int8` scheduler —
+//! quantization swaps the weight kernels but never touches the K/V storage
+//! walk, so the storage-equivalence invariant must survive it unchanged.
 //!
 //! Case counts elevate via `PROPTEST_CASES` (CI runs the suite a second
 //! time with a larger count).
 
-use mpirical_model::decode::{decode_reference, encode_source};
+use mpirical_model::decode::encode_source;
 use mpirical_model::transformer::{build_params, TransformerParams};
 use mpirical_model::vocab::{EOS, SOS};
 use mpirical_model::{
-    decode_step, decode_step_quant, BatchDecoder, BatchRequest, DecodeOptions, DecoderCache,
-    ModelConfig, PagePool, Precision, QuantDecoderWeights, RequestId, SubmitOptions,
+    decode_step_batch, BatchDecoder, BatchRequest, BatchScratch, DecodeOptions, DecoderCache,
+    DecoderWeights, ModelConfig, PagePool, Precision, RequestId, SubmitOptions,
 };
 use mpirical_tensor::{ParamStore, Tensor};
 use proptest::prelude::*;
 use std::sync::OnceLock;
 
-type Fixture = (
-    ModelConfig,
-    ParamStore,
-    TransformerParams,
-    Vec<Tensor>,
-    QuantDecoderWeights,
-);
+struct Fixture {
+    cfg: ModelConfig,
+    store: ParamStore,
+    params: TransformerParams,
+    encs: Vec<Tensor>,
+    /// Packed f32 and int8 decoder weights, prepared once like an artifact.
+    f32: DecoderWeights,
+    int8: DecoderWeights,
+}
 
-/// Winner of the single-request reference ([`decode_reference`]) on the
-/// **contiguous** cache layout — the oracle every schedule is pinned to.
-fn contiguous_reference(
-    store: &ParamStore,
-    params: &TransformerParams,
-    cfg: &ModelConfig,
+/// Winner of one request decoded alone in a fresh `BatchDecoder` — the
+/// reference every schedule is pinned to.
+fn alone(
+    fx: &Fixture,
     enc_out: &Tensor,
     prompt: &[usize],
     max_len: usize,
     opts: DecodeOptions,
 ) -> Vec<usize> {
-    let cache = DecoderCache::new_contiguous(store, params, cfg, enc_out);
-    decode_reference(store, params, cfg, None, cache, prompt, max_len, opts).swap_remove(0)
+    let mut dec =
+        BatchDecoder::with_precision(&fx.store, &fx.params, &fx.cfg, opts.beam, opts.precision);
+    dec.decode_all(vec![BatchRequest {
+        enc_out: enc_out.clone(),
+        prompt: prompt.to_vec(),
+        max_len,
+        opts,
+        submit: SubmitOptions::default(),
+    }])
+    .swap_remove(0)
 }
 
-/// One random multi-layer model + a few encoder outputs + its int8
-/// decoder weights (quantized once, like an artifact would), built once
-/// for the whole suite (equivalence properties hold for any weights).
+impl Fixture {
+    /// A pool whose single page holds a whole generation.
+    fn one_page_pool(&self) -> PagePool {
+        PagePool::with_page_rows(self.cfg.d_head(), self.cfg.max_dec_len)
+    }
+
+    fn cache_in(&self, src: usize, pool: &PagePool) -> DecoderCache {
+        DecoderCache::new_in_pool(&self.store, &self.params, &self.cfg, &self.encs[src], pool)
+    }
+
+    /// Feed `token` to `cache` alone: the one lane of a step.
+    fn step(&self, w: &DecoderWeights, cache: &mut DecoderCache, token: usize) -> Vec<f32> {
+        let mut logits = vec![0.0; self.cfg.vocab_size];
+        let mut scratch = BatchScratch::new(&self.cfg, 1);
+        let (store, params, cfg) = (&self.store, &self.params, &self.cfg);
+        let (lanes, tokens) = (&mut [cache], &[token]);
+        decode_step_batch(
+            store,
+            params,
+            cfg,
+            w,
+            lanes,
+            tokens,
+            &mut scratch,
+            &mut logits,
+        );
+        logits
+    }
+}
+
+/// One random multi-layer model + a few encoder outputs + its packed and
+/// int8 decoder weights, built once for the whole suite (equivalence
+/// properties hold for any weights).
 fn fixture() -> &'static Fixture {
     static FIX: OnceLock<Fixture> = OnceLock::new();
     FIX.get_or_init(|| {
@@ -82,8 +121,16 @@ fn fixture() -> &'static Fixture {
         let encs: Vec<Tensor> = (0..3)
             .map(|i| encode_source(&store, &params, &cfg, &[SOS, 6 + i, 7 + 2 * i, 9, EOS]))
             .collect();
-        let qw = QuantDecoderWeights::new(&store, &params);
-        (cfg, store, params, encs, qw)
+        let f32 = DecoderWeights::for_precision(&store, &params, Precision::F32);
+        let int8 = DecoderWeights::for_precision(&store, &params, Precision::Int8);
+        Fixture {
+            cfg,
+            store,
+            params,
+            encs,
+            f32,
+            int8,
+        }
     })
 }
 
@@ -91,22 +138,21 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(48))]
 
     /// Property 1: arbitrary token walks, arbitrary page sizes → logits
-    /// bitwise-equal to the contiguous layout at every single step, and no
-    /// page outlives its cache.
+    /// bitwise-equal to a one-page pool (the contiguous slab) at every
+    /// single step, and no page outlives its cache.
     #[test]
     fn random_walks_match_contiguous_bitwise(
         page_rows in prop_oneof![Just(1usize), Just(2), Just(3), Just(5), Just(16)],
         tokens in proptest::collection::vec(1usize..24, 1..40),
         src in 0usize..3,
     ) {
-        let (cfg, store, params, encs, qw) = fixture();
-        let enc = &encs[src];
-        let pool = PagePool::with_page_rows(cfg.d_head(), page_rows);
-        let mut paged = DecoderCache::new_in_pool(store, params, cfg, enc, &pool);
-        let mut reference = DecoderCache::new_contiguous(store, params, cfg, enc);
+        let fx = fixture();
+        let pool = PagePool::with_page_rows(fx.cfg.d_head(), page_rows);
+        let mut paged = fx.cache_in(src, &pool);
+        let mut slab = fx.cache_in(src, &fx.one_page_pool());
         for (step, &tok) in tokens.iter().enumerate() {
-            let lp = decode_step(store, params, cfg, &mut paged, tok);
-            let lr = decode_step(store, params, cfg, &mut reference, tok);
+            let lp = fx.step(&fx.f32, &mut paged, tok);
+            let lr = fx.step(&fx.f32, &mut slab, tok);
             prop_assert_eq!(lp, lr, "page_rows={} step={}", page_rows, step);
         }
         prop_assert!(pool.stats().pages_live > 0, "walk allocated pages");
@@ -115,12 +161,12 @@ proptest! {
 
         // The same walk through the int8 kernels: quantization must not
         // break the storage-equivalence invariant (bitwise, per step).
-        let qpool = PagePool::with_page_rows(cfg.d_head(), page_rows);
-        let mut qpaged = DecoderCache::new_in_pool(store, params, cfg, enc, &qpool);
-        let mut qreference = DecoderCache::new_contiguous(store, params, cfg, enc);
+        let qpool = PagePool::with_page_rows(fx.cfg.d_head(), page_rows);
+        let mut qpaged = fx.cache_in(src, &qpool);
+        let mut qslab = fx.cache_in(src, &fx.one_page_pool());
         for (step, &tok) in tokens.iter().enumerate() {
-            let lp = decode_step_quant(store, params, cfg, qw, &mut qpaged, tok);
-            let lr = decode_step_quant(store, params, cfg, qw, &mut qreference, tok);
+            let lp = fx.step(&fx.int8, &mut qpaged, tok);
+            let lr = fx.step(&fx.int8, &mut qslab, tok);
             prop_assert_eq!(lp, lr, "quant page_rows={} step={}", page_rows, step);
         }
         drop(qpaged);
@@ -135,23 +181,20 @@ proptest! {
         page_rows in prop_oneof![Just(1usize), Just(3), Just(16)],
         ops in proptest::collection::vec(((0usize..4, 1usize..24), 0usize..8), 1..60),
     ) {
-        let (cfg, store, params, encs, _) = fixture();
-        let enc = &encs[0];
-        let pool = PagePool::with_page_rows(cfg.d_head(), page_rows);
-        let mut pairs = vec![(
-            DecoderCache::new_in_pool(store, params, cfg, enc, &pool),
-            DecoderCache::new_contiguous(store, params, cfg, enc),
-        )];
+        let fx = fixture();
+        let pool = PagePool::with_page_rows(fx.cfg.d_head(), page_rows);
+        let slab = fx.one_page_pool();
+        let mut pairs = vec![(fx.cache_in(0, &pool), fx.cache_in(0, &slab))];
         for ((kind, tok), idx) in ops {
             let i = idx % pairs.len();
             match kind {
                 0 | 1 => {
                     let (paged, reference) = &mut pairs[i];
-                    if paged.len() + 1 >= cfg.max_dec_len {
+                    if paged.len() + 1 >= fx.cfg.max_dec_len {
                         continue; // at capacity; stepping would panic
                     }
-                    let lp = decode_step(store, params, cfg, paged, tok);
-                    let lr = decode_step(store, params, cfg, reference, tok);
+                    let lp = fx.step(&fx.f32, paged, tok);
+                    let lr = fx.step(&fx.f32, reference, tok);
                     prop_assert_eq!(lp, lr, "cache {} diverged", i);
                 }
                 2 => {
@@ -169,14 +212,15 @@ proptest! {
         }
         // Survivors must still agree after the churn.
         for (paged, reference) in &mut pairs {
-            if paged.len() + 1 < cfg.max_dec_len {
-                let lp = decode_step(store, params, cfg, paged, 5);
-                let lr = decode_step(store, params, cfg, reference, 5);
+            if paged.len() + 1 < fx.cfg.max_dec_len {
+                let lp = fx.step(&fx.f32, paged, 5);
+                let lr = fx.step(&fx.f32, reference, 5);
                 prop_assert_eq!(lp, lr, "post-churn divergence");
             }
         }
         drop(pairs);
         prop_assert_eq!(pool.stats().pages_live, 0, "pages leaked after churn");
+        prop_assert_eq!(slab.stats().pages_live, 0, "one-page pool leaked after churn");
     }
 }
 
@@ -186,11 +230,10 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(24))]
 
     /// Property 3: random request schedules through `BatchDecoder` —
-    /// arbitrary prompts, caps, beam widths, late joins — match the
-    /// contiguous single-request reference exactly, and the pool drains.
-    /// Each schedule runs **twice**: once in f32 and once through an
-    /// `Int8` scheduler against the contiguous-quant reference —
-    /// quantization must not break the storage-equivalence invariant.
+    /// arbitrary prompts, caps, beam widths, late joins — match each
+    /// request decoded alone exactly, and the pool drains. Each schedule
+    /// runs **twice**: once in f32 and once through an `Int8` scheduler
+    /// against the request alone in an `Int8` scheduler.
     #[test]
     fn random_schedules_match_single_request_reference(
         specs in proptest::collection::vec(
@@ -202,7 +245,8 @@ proptest! {
             1..7,
         ),
     ) {
-        let (cfg, store, params, encs, _) = fixture();
+        let fx = fixture();
+        let (cfg, store, params, encs) = (&fx.cfg, &fx.store, &fx.params, &fx.encs);
         let max_batch = 8usize; // ≥ the widest generated beam
 
         struct Spec {
@@ -231,11 +275,7 @@ proptest! {
 
             let references: Vec<Vec<usize>> = specs
                 .iter()
-                .map(|s| {
-                    contiguous_reference(
-                        store, params, cfg, &encs[s.src], &s.prompt, s.max_len, opts_at(s),
-                    )
-                })
+                .map(|s| alone(fx, &encs[s.src], &s.prompt, s.max_len, opts_at(s)))
                 .collect();
 
             // Late joins: requests are submitted at their join step while
@@ -285,8 +325,8 @@ proptest! {
 
     /// Property 4: prefix sharing is bitwise-transparent. A family of
     /// near-identical prompts — one encoder output, random single-token
-    /// edits of a shared base — decodes exactly like the contiguous
-    /// single-request reference whether the members run concurrently or
+    /// edits of a shared base — decodes exactly like each member alone in a
+    /// fresh scheduler whether the members run concurrently or
     /// sequenced. The sequenced order makes the accounting deterministic:
     /// only the first member misses; every later member finds the encoder
     /// output and shares its cross-attention projection. The pool drains
@@ -297,7 +337,8 @@ proptest! {
         edits in proptest::collection::vec((1usize..20, 6usize..24), 1..5),
         src in 0usize..3,
     ) {
-        let (cfg, store, params, encs, _) = fixture();
+        let fx = fixture();
+        let (cfg, store, params, encs) = (&fx.cfg, &fx.store, &fx.params, &fx.encs);
         let base: Vec<usize> = std::iter::once(SOS).chain(base_extra).collect();
         let mut family = vec![base.clone()];
         for (pos, val) in edits {
@@ -311,9 +352,7 @@ proptest! {
             let opts = DecodeOptions { precision, ..Default::default() };
             let references: Vec<Vec<usize>> = family
                 .iter()
-                .map(|p| contiguous_reference(
-                    store, params, cfg, &encs[src], p, max_len, opts,
-                ))
+                .map(|p| alone(fx, &encs[src], p, max_len, opts))
                 .collect();
             let request = |p: &Vec<usize>| BatchRequest {
                 enc_out: encs[src].clone(),

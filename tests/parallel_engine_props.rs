@@ -8,8 +8,8 @@
 //!    lengths, beams 1–4, priority classes, token caps, late joins,
 //!    cancellations) run through engines with 1, 2, and 4 workers, in f32
 //!    AND int8. Every request that completes must be **bitwise identical**
-//!    to the single-request `decode_reference` (contiguous cache) reference
-//!    — the same oracle `tests/serving_props.rs` uses — which transitively
+//!    to the same request decoded alone in a fresh `BatchDecoder` — the
+//!    same oracle `tests/serving_props.rs` uses — which transitively
 //!    pins every pair of worker counts to each other. The suite forces the
 //!    intra-step lane parallelism on (`MPIRICAL_LANE_PAR`), so the
 //!    threaded per-lane attention path is exercised even at these tiny
@@ -40,12 +40,12 @@
 //! Case counts elevate via `PROPTEST_CASES` (CI runs the suite a second
 //! time with a larger count).
 
-use mpirical_model::decode::{decode_reference, encode_source};
+use mpirical_model::decode::encode_source;
 use mpirical_model::transformer::{build_params, TransformerParams};
 use mpirical_model::vocab::{EOS, SOS};
 use mpirical_model::{
-    BatchDecoder, BatchRequest, DecodeOptions, DecoderCache, Engine, EngineConfig, EngineModel,
-    EngineTicket, ModelConfig, PollResult, Precision, SubmitOptions,
+    BatchDecoder, BatchRequest, DecodeOptions, Engine, EngineConfig, EngineModel, EngineTicket,
+    ModelConfig, PollResult, Precision, SubmitOptions,
 };
 use mpirical_tensor::{ParamStore, Tensor};
 use proptest::prelude::*;
@@ -60,9 +60,9 @@ type Fixture = (
     Arc<EngineModel>,
 );
 
-/// Winner of the single-request reference ([`decode_reference`]) on the
-/// **contiguous** cache layout — the oracle every schedule is pinned to.
-fn contiguous_reference(
+/// Winner of one request decoded alone in a fresh `BatchDecoder` — the
+/// oracle every schedule is pinned to.
+fn alone(
     store: &ParamStore,
     params: &TransformerParams,
     cfg: &ModelConfig,
@@ -71,8 +71,15 @@ fn contiguous_reference(
     max_len: usize,
     opts: DecodeOptions,
 ) -> Vec<usize> {
-    let cache = DecoderCache::new_contiguous(store, params, cfg, enc_out);
-    decode_reference(store, params, cfg, None, cache, prompt, max_len, opts).swap_remove(0)
+    let mut dec = BatchDecoder::with_precision(store, params, cfg, opts.beam, opts.precision);
+    dec.decode_all(vec![BatchRequest {
+        enc_out: enc_out.clone(),
+        prompt: prompt.to_vec(),
+        max_len,
+        opts,
+        submit: SubmitOptions::default(),
+    }])
+    .swap_remove(0)
 }
 
 /// One random multi-layer model, a few encoder outputs, and prebuilt
@@ -160,7 +167,7 @@ impl Spec {
         enc: &Tensor,
         precision: Precision,
     ) -> Vec<usize> {
-        contiguous_reference(
+        alone(
             store,
             params,
             cfg,
@@ -347,7 +354,7 @@ fn seeded_schedules_place_deterministically() {
             engine.drain();
             for (i, t) in tickets.into_iter().enumerate() {
                 let src = i % encs.len();
-                let want = contiguous_reference(
+                let want = alone(
                     store,
                     params,
                     cfg,
@@ -395,7 +402,7 @@ fn hammer_concurrent_clients_are_race_free() {
         .unwrap_or(12);
     let references: Vec<Vec<usize>> = encs
         .iter()
-        .map(|e| contiguous_reference(store, params, cfg, e, &[SOS], 12, DecodeOptions::default()))
+        .map(|e| alone(store, params, cfg, e, &[SOS], 12, DecodeOptions::default()))
         .collect();
     let engine = Engine::new(
         Arc::clone(f32_model),
@@ -520,7 +527,7 @@ fn eviction_prefers_bulk_and_replays_bitwise() {
                     telemetry.evictions, 0,
                     "interactive request {i} must never be evicted"
                 );
-                let want = contiguous_reference(store, params, cfg, &encs[i], &[SOS], 20, long);
+                let want = alone(store, params, cfg, &encs[i], &[SOS], 20, long);
                 assert_eq!(ids, want, "interactive request {i} diverged");
             }
             other => panic!("interactive request {i} unfinished: {other:?}"),
@@ -531,15 +538,7 @@ fn eviction_prefers_bulk_and_replays_bitwise() {
         match dec.poll(id) {
             PollResult::Done { ids, telemetry, .. } => {
                 evicted_any |= telemetry.evictions > 0;
-                let want = contiguous_reference(
-                    store,
-                    params,
-                    cfg,
-                    &encs[i % encs.len()],
-                    &[SOS],
-                    20,
-                    long,
-                );
+                let want = alone(store, params, cfg, &encs[i % encs.len()], &[SOS], 20, long);
                 assert_eq!(
                     ids, want,
                     "bulk request {i} (evictions={}) must replay bitwise",
@@ -762,7 +761,7 @@ proptest! {
             let opts = DecodeOptions { precision, ..Default::default() };
             let references: Vec<Vec<usize>> = family
                 .iter()
-                .map(|p| contiguous_reference(
+                .map(|p| alone(
                     store, params, cfg, &encs[src], p, max_len, opts,
                 ))
                 .collect();

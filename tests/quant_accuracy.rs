@@ -25,19 +25,23 @@
 //!    f32 logits bitwise (a path that silently forwards to the f32 kernels
 //!    would agree 100% and slip through 1–2 otherwise).
 //!
-//! The same walks also pin the quantized engine's internal consistency:
-//! the `BatchDecoder` lockstep scheduler in `Int8` mode must emit exactly
-//! the single-request quantized tokens (greedy and beam), on paged and
-//! contiguous storage alike.
+//! Golden and quantized logits both come from one-lane steps of the
+//! production kernel (`decode_step_batch`), with `DecoderWeights::F32` and
+//! `DecoderWeights::Int8` respectively. The same artifacts also pin the
+//! quantized engine's internal consistency: the `BatchDecoder` lockstep
+//! scheduler in `Int8` mode must emit exactly the tokens the request
+//! decodes alone (greedy and beam), and the page size must not change a
+//! quantized logit.
 
-use mpirical_model::decode::{decode_reference, encode_source};
-use mpirical_model::transformer::build_params;
+use mpirical_model::decode::encode_source;
+use mpirical_model::transformer::{build_params, TransformerParams};
 use mpirical_model::vocab::{EOS, SOS};
 use mpirical_model::{
-    decode_step, decode_step_quant, BatchDecoder, BatchRequest, DecodeOptions, DecoderCache,
-    ModelConfig, Precision, QuantDecoderWeights, SubmitOptions,
+    decode_step_batch, BatchDecoder, BatchRequest, BatchScratch, DecodeOptions, DecoderCache,
+    DecoderWeights, ModelConfig, PagePool, Precision, QuantDecoderWeights, SubmitOptions,
 };
 use mpirical_tensor::{vecmat, vecmat_q, ParamStore, QuantMat, Tensor};
+use std::borrow::Cow;
 
 /// Max-abs logit error envelope per step. Measured: the corpus below
 /// lands at ≤ 3.3e-2 max-abs drift after two decoder layers (per-channel
@@ -56,12 +60,7 @@ fn artifact_full(
     d_ff: usize,
     vocab: usize,
     seed: u64,
-) -> (
-    ModelConfig,
-    ParamStore,
-    mpirical_model::TransformerParams,
-    Tensor,
-) {
+) -> (ModelConfig, ParamStore, TransformerParams, Tensor) {
     let cfg = ModelConfig {
         vocab_size: vocab,
         d_model: d,
@@ -81,6 +80,29 @@ fn artifact_full(
         .collect();
     let enc_out = encode_source(&store, &params, &cfg, &src);
     (cfg, store, params, enc_out)
+}
+
+/// Feed `token` to `cache` alone: the one lane of a step.
+fn step_one(
+    (cfg, store, params): (&ModelConfig, &ParamStore, &TransformerParams),
+    weights: &DecoderWeights,
+    cache: &mut DecoderCache,
+    token: usize,
+) -> Vec<f32> {
+    let mut logits = vec![0.0; cfg.vocab_size];
+    let mut scratch = BatchScratch::new(cfg, 1);
+    let (lanes, tokens) = (&mut [cache], &[token]);
+    decode_step_batch(
+        store,
+        params,
+        cfg,
+        weights,
+        lanes,
+        tokens,
+        &mut scratch,
+        &mut logits,
+    );
+    logits
 }
 
 /// Argmax over a logits row with `<eos>` banned (the walk must not end
@@ -176,12 +198,15 @@ fn quant_logits_track_f32_golden_logits_per_step() {
         let (cfg, store, params, enc_out) = artifact_full(256, 1024, 2048, seed);
         let qw = QuantDecoderWeights::new(&store, &params);
         assert_eq!(qw.out_scales().len(), cfg.vocab_size);
+        let m = (&cfg, &store, &params);
+        let fw = DecoderWeights::for_precision(&store, &params, Precision::F32);
+        let qw = DecoderWeights::Int8(qw);
         let mut golden_cache = DecoderCache::new(&store, &params, &cfg, &enc_out);
         let mut quant_cache = DecoderCache::new(&store, &params, &cfg, &enc_out);
         let mut tok = SOS;
         for _ in 0..60 {
-            let golden = decode_step(&store, &params, &cfg, &mut golden_cache, tok);
-            let quant = decode_step_quant(&store, &params, &cfg, &qw, &mut quant_cache, tok);
+            let golden = step_one(m, &fw, &mut golden_cache, tok);
+            let quant = step_one(m, &qw, &mut quant_cache, tok);
             assert_eq!(golden.len(), quant.len());
             any_bitwise_diff |= golden != quant;
             for (i, (g, q)) in golden.iter().zip(&quant).enumerate() {
@@ -227,35 +252,44 @@ fn quant_logits_track_f32_golden_logits_per_step() {
 }
 
 /// The quantized engine is internally consistent across every serving
-/// surface: lockstep `Int8` scheduling (greedy and beam), prebuilt-weight
-/// single requests, and the contiguous reference layout all emit the same
-/// tokens on randomized artifacts.
+/// surface: a request decoded alone on prebuilt int8 weights, the same
+/// request in a lockstep `Int8` batch beside another request (greedy and
+/// beam), and its trajectory re-stepped on a one-page pool (one contiguous
+/// slab per head) all agree on randomized artifacts.
 #[test]
 fn quant_scheduler_and_layouts_agree_on_random_artifacts() {
     let (cfg, store, params, enc_out) = artifact_full(128, 512, 1024, 21);
-    let qw = QuantDecoderWeights::new(&store, &params);
-    for beam in [1usize, 3] {
-        let opts = DecodeOptions {
+    let qw = DecoderWeights::Int8(QuantDecoderWeights::new(&store, &params));
+    let req = |beam: usize| BatchRequest {
+        enc_out: enc_out.clone(),
+        prompt: vec![SOS],
+        max_len: 24,
+        opts: DecodeOptions {
             beam,
             min_len: 8,
             precision: Precision::Int8,
-        };
-        let paged = DecoderCache::new(&store, &params, &cfg, &enc_out);
-        let single = decode_reference(&store, &params, &cfg, Some(&qw), paged, &[SOS], 24, opts)
-            .swap_remove(0);
+        },
+        submit: SubmitOptions::default(),
+    };
+    for beam in [1usize, 3] {
+        let mut alone = BatchDecoder::with_weights(&store, &params, &cfg, beam, Cow::Borrowed(&qw));
+        let single = alone.decode_all(vec![req(beam)]).swap_remove(0);
         assert!(single.len() >= 8, "min_len forces a real walk");
-        let flat = DecoderCache::new_contiguous(&store, &params, &cfg, &enc_out);
-        let contiguous =
-            decode_reference(&store, &params, &cfg, None, flat, &[SOS], 24, opts).swap_remove(0);
-        assert_eq!(single, contiguous, "beam={beam} paged vs contiguous");
         let mut dec = BatchDecoder::with_precision(&store, &params, &cfg, 4, Precision::Int8);
-        let batched = dec.decode_all(vec![BatchRequest {
-            enc_out: enc_out.clone(),
-            prompt: vec![SOS],
-            max_len: 24,
-            opts,
-            submit: SubmitOptions::default(),
-        }]);
-        assert_eq!(single, batched[0], "beam={beam} lockstep vs single");
+        let batched = dec.decode_all(vec![req(beam), req(1)]);
+        assert_eq!(single, batched[0], "beam={beam} lockstep vs alone");
+
+        // The page size never changes a quantized logit along the walk.
+        let m = (&cfg, &store, &params);
+        let slab = PagePool::with_page_rows(cfg.d_head(), cfg.max_dec_len);
+        let mut paged = DecoderCache::new(&store, &params, &cfg, &enc_out);
+        let mut flat = DecoderCache::new_in_pool(&store, &params, &cfg, &enc_out, &slab);
+        for &tok in std::iter::once(&SOS).chain(&single) {
+            assert_eq!(
+                step_one(m, &qw, &mut paged, tok),
+                step_one(m, &qw, &mut flat, tok),
+                "beam={beam} paged vs one-page pool"
+            );
+        }
     }
 }

@@ -9,9 +9,9 @@
 //!    classes, per-request token caps, late joins, cancellations aimed at
 //!    queued / decoding / finished / never-submitted tickets) run through a
 //!    priority scheduler with a small aging bound. Every surviving
-//!    request's output must be **bitwise identical** both to the
-//!    per-request `decode_reference` (contiguous cache) reference and to
-//!    the same schedule replayed through a FIFO scheduler (all requests
+//!    request's output must be **bitwise identical** both to the same
+//!    request decoded alone in a fresh `BatchDecoder` and to the same
+//!    schedule replayed through a FIFO scheduler (all requests
 //!    submitted interactive, no cancellations — the v1 admission policy):
 //!    priorities, preemption, aging, and cancellation are scheduling
 //!    decisions, never numerical ones. Cancelled requests poll
@@ -28,12 +28,12 @@
 //! Case counts elevate via `PROPTEST_CASES` (CI runs the suite a second
 //! time with a larger count, alongside the paged/quant suites).
 
-use mpirical_model::decode::{decode_reference, encode_source};
+use mpirical_model::decode::encode_source;
 use mpirical_model::transformer::{build_params, TransformerParams};
 use mpirical_model::vocab::{EOS, SOS};
 use mpirical_model::{
-    BatchDecoder, BatchRequest, DecodeOptions, DecoderCache, ModelConfig, PollResult, Precision,
-    RequestId, SubmitOptions,
+    BatchDecoder, BatchRequest, DecodeOptions, ModelConfig, PollResult, Precision, RequestId,
+    SubmitOptions,
 };
 use mpirical_tensor::{ParamStore, Tensor};
 use proptest::prelude::*;
@@ -41,9 +41,9 @@ use std::sync::OnceLock;
 
 type Fixture = (ModelConfig, ParamStore, TransformerParams, Vec<Tensor>);
 
-/// Winner of the single-request reference ([`decode_reference`]) on the
-/// **contiguous** cache layout — the oracle every schedule is pinned to.
-fn contiguous_reference(
+/// Winner of one request decoded alone in a fresh `BatchDecoder` — the
+/// oracle every schedule is pinned to.
+fn alone(
     store: &ParamStore,
     params: &TransformerParams,
     cfg: &ModelConfig,
@@ -52,8 +52,15 @@ fn contiguous_reference(
     max_len: usize,
     opts: DecodeOptions,
 ) -> Vec<usize> {
-    let cache = DecoderCache::new_contiguous(store, params, cfg, enc_out);
-    decode_reference(store, params, cfg, None, cache, prompt, max_len, opts).swap_remove(0)
+    let mut dec = BatchDecoder::with_precision(store, params, cfg, opts.beam, opts.precision);
+    dec.decode_all(vec![BatchRequest {
+        enc_out: enc_out.clone(),
+        prompt: prompt.to_vec(),
+        max_len,
+        opts,
+        submit: SubmitOptions::default(),
+    }])
+    .swap_remove(0)
 }
 
 /// One random multi-layer model + a few encoder outputs, built once for
@@ -230,7 +237,7 @@ proptest! {
             let references: Vec<Vec<usize>> = specs
                 .iter()
                 .map(|s| {
-                    contiguous_reference(
+                    alone(
                         store, params, cfg, &encs[s.src], &s.prompt,
                         s.effective_max_len(),
                         DecodeOptions { precision, ..s.opts },
@@ -361,7 +368,7 @@ proptest! {
         for (id, src) in interactive_ids {
             match dec.poll(id) {
                 PollResult::Done { ids, telemetry, .. } => {
-                    let want = contiguous_reference(
+                    let want = alone(
                         store, params, cfg, &encs[src], &[SOS], 16,
                         DecodeOptions::default(),
                     );
@@ -377,7 +384,7 @@ proptest! {
         }
         for (id, src, min_len) in bulk_ids {
             let opts = DecodeOptions { beam: 1, min_len, ..Default::default() };
-            let want = contiguous_reference(
+            let want = alone(
                 store, params, cfg, &encs[src], &[SOS], 24, opts,
             );
             let got = dec.poll(id).into_output().expect("bulk finished");

@@ -310,9 +310,19 @@ fn hostile_buffers_get_a_typed_verdict_and_the_process_lives() {
         "double sink(int n) {\ndouble big[4096];\nbig[0] = n;\nreturn sink(n + 1) + big[0];\n}",
         "sink(rank);",
     );
+    // 998 calls stay under the call bound, but each holds its self-call
+    // 118 blocks deep: together they overflowed a release rank stack.
+    let nested = hostile(
+        &format!(
+            "int nest(int n) {{\nif (n == 0) {{\nreturn 0;\n}}\n{}\nreturn nest(n - 1);\n{}\n}}",
+            "{".repeat(118),
+            "}".repeat(118)
+        ),
+        "buf[0] = nest(997);",
+    );
     let budget = VerifyOptions::default().cell_limit;
     type Expected = fn(&InterpError) -> bool;
-    let cases: [(&str, String, Expected); 7] = [
+    let cases: [(&str, String, Expected); 8] = [
         (
             "direct recursion",
             direct,
@@ -321,6 +331,11 @@ fn hostile_buffers_get_a_typed_verdict_and_the_process_lives() {
         ("mutual recursion", mutual, |e| {
             matches!(e, InterpError::CallDepth { .. })
         }),
+        (
+            "recursion 118 blocks deep",
+            nested,
+            |e| matches!(e, InterpError::CallDepth { limit, .. } if *limit < MAX_CALL_DEPTH),
+        ),
         // 4096 cells a call exhaust the cell budget long before the depth
         // bound: whichever bound is met first, the rank stops typed.
         ("recursion with large locals", large_locals, |e| {
@@ -382,6 +397,55 @@ fn hostile_buffers_get_a_typed_verdict_and_the_process_lives() {
             (Verdict::NotExecutable, 0),
             "{name}"
         );
+    }
+}
+
+/// Recursion as deep as the frame budget admits runs to completion on a
+/// rank thread, in a debug and a release build: for a self-call under 110
+/// blocks, at the end of a 120-operator expression and inside 12 nested MPI
+/// calls, a runaway recursion stops at `k < MAX_CALL_DEPTH` calls, and the
+/// same function recursing exactly `k` calls deep returns.
+#[test]
+fn nesting_times_recursion_at_the_frame_budget_fits_a_rank_stack() {
+    let shapes = [
+        (
+            "blocks",
+            format!(
+                "int f(int n) {{\nif (n == 0) {{\nreturn 0;\n}}\n{}\nreturn f(n - 1);\n{}\n}}",
+                "{".repeat(110),
+                "}".repeat(110)
+            ),
+        ),
+        (
+            "operators",
+            format!(
+                "int f(int n) {{\nif (n == 0) {{\nreturn 0;\n}}\nreturn f(n - 1){};\n}}",
+                " + 0".repeat(120)
+            ),
+        ),
+        (
+            "mpi calls",
+            format!(
+                "int cells[4];\nint f(int n) {{\nif (n == 0) {{\nreturn 0;\n}}\n{}f(n - 1){};\nreturn 0;\n}}",
+                "MPI_Comm_rank(MPI_COMM_WORLD, &cells[".repeat(12),
+                "])".repeat(12)
+            ),
+        ),
+    ];
+    let run = |defs: &str, n: usize| {
+        let src = hostile(defs, &format!("buf[0] = f({n});"));
+        let prog = parse_strict(&src).unwrap_or_else(|e| panic!("{e}\n{src}"));
+        run_program(&prog, &RunConfig::new(1))
+    };
+    for (name, defs) in &shapes {
+        let calls = match run(defs, 100_000) {
+            Err(InterpError::CallDepth { limit, .. }) => limit,
+            other => panic!("{name}: {other:?}"),
+        };
+        assert!(calls < MAX_CALL_DEPTH, "{name}: the call bound stopped it");
+        // `f(calls - 1)` puts exactly `calls` calls in progress.
+        let out = run(defs, calls - 1).unwrap_or_else(|e| panic!("{name} at {calls}: {e}"));
+        assert_eq!(out.exit_codes, [0], "{name}");
     }
 }
 
