@@ -35,13 +35,13 @@ use mpirical_metrics::CallSite;
 use mpirical_model::decode::encode_source as model_encode;
 use mpirical_model::vocab::{EOS, SEP, SOS};
 use mpirical_model::{
-    BatchRequest, DecodeOptions, DecoderWeights, Engine, EngineConfig, EngineModel, EpochStats,
-    ModelConfig, Precision, PrefixStats, QuantDecoderWeights, Seq2SeqModel, SubmitOptions,
-    TrainConfig, TrainReport, DEFAULT_MAX_BATCH,
+    BatchRequest, DecodeOptions, Engine, EngineConfig, EngineModel, EpochStats, ModelConfig,
+    Precision, PrefixStats, Seq2SeqModel, SubmitOptions, TrainConfig, TrainReport,
+    DEFAULT_MAX_BATCH,
 };
 use serde::{Deserialize, Serialize};
 use std::path::Path;
-use std::sync::{Arc, Mutex, OnceLock};
+use std::sync::{Arc, Mutex};
 
 /// One assistance suggestion: insert `function` at `line` of the
 /// standardized (predicted) program.
@@ -186,20 +186,14 @@ pub struct MpiRical {
     /// deserialize.
     #[serde(default)]
     pub decode: DecodeOptions,
-    /// Int8 decoder weights, quantized **once per artifact**: eagerly at
-    /// [`load`](Self::load)/[`train`](Self::train) when
-    /// `decode.precision == Int8`, lazily on the first quantized decode
-    /// otherwise. Held as the scheduler-facing [`DecoderWeights`] enum so
-    /// batch decoders can borrow the prepared set without re-quantizing.
-    /// Not serialized (always re-derived from the f32 weights); clones
-    /// share the cache through the `Arc`.
-    #[serde(skip)]
-    pub quant: Arc<OnceLock<DecoderWeights>>,
-    /// Cached [`EngineModel`] bundle for the sharded serving engine —
-    /// built on the first multi-core batch decode and reused for the
-    /// artifact's lifetime (invalidated if `decode.precision` changes, so
-    /// a re-configured artifact never serves stale-precision weights).
-    /// Not serialized; clones share the cache through the `Arc`.
+    /// Cached [`EngineModel`] bundle every [`Engine`] over this artifact
+    /// runs on, with its decoder weights packed or quantized **once per
+    /// artifact**: eagerly at [`load`](Self::load)/[`train`](Self::train)
+    /// when `decode.precision == Int8`, on the first decode otherwise.
+    /// Rebuilt if `decode.precision` changes, so a re-configured artifact
+    /// never serves stale-precision weights. Not serialized (always
+    /// re-derived from the f32 weights); clones share the cache through
+    /// the `Arc`.
     #[serde(skip)]
     pub(crate) engine_model: Arc<Mutex<Option<Arc<EngineModel>>>>,
     /// Closed-loop verification options; `Some` makes every suggestion
@@ -235,12 +229,11 @@ impl MpiRical {
             model,
             input_format: cfg.input_format,
             decode: cfg.decode,
-            quant: Arc::default(),
             engine_model: Arc::default(),
             verify: cfg.verify.clone(),
         };
         if assistant.decode.precision == Precision::Int8 {
-            assistant.int8_weights();
+            assistant.engine_model();
         }
         (assistant, report)
     }
@@ -248,8 +241,7 @@ impl MpiRical {
     /// Assemble an assistant directly from its parts — the escape hatch
     /// for tests, benches, and callers reconstructing an artifact by hand
     /// ([`train`](Self::train)/[`load`](Self::load) are the ordinary
-    /// paths). The quantized-weight and engine caches start empty and fill
-    /// lazily on first use.
+    /// paths). The engine-model cache starts empty and fills on first use.
     pub fn from_parts(
         model: Seq2SeqModel,
         input_format: InputFormat,
@@ -260,23 +252,9 @@ impl MpiRical {
             model,
             input_format,
             decode,
-            quant: Arc::default(),
             engine_model: Arc::default(),
             verify,
         }
-    }
-
-    /// The artifact's int8 decoder weights as the scheduler-facing enum,
-    /// quantized on first use and cached for the artifact's lifetime (an
-    /// `Int8`-configured artifact primes this at load/train, so serving
-    /// never pays it per request).
-    pub(crate) fn int8_weights(&self) -> &DecoderWeights {
-        self.quant.get_or_init(|| {
-            DecoderWeights::Int8(QuantDecoderWeights::new(
-                &self.model.store,
-                &self.model.params,
-            ))
-        })
     }
 
     /// Encode raw (possibly incomplete) C source into encoder ids:
@@ -459,11 +437,11 @@ impl MpiRical {
     }
 
     /// The cached [`EngineModel`] bundle every [`Engine`] over this
-    /// artifact runs on — the one-shot prediction paths here and the
-    /// sharded [`SuggestService`](crate::service::SuggestService) alike.
-    /// Built on first use from the artifact's current precision (an `Int8`
-    /// artifact hands its already-quantized weight cache to the bundle —
-    /// no re-quantization) and rebuilt only if `decode.precision` changes.
+    /// artifact runs on — the one-shot prediction paths here and every
+    /// [`SuggestService`](crate::service::SuggestService) alike. Built on
+    /// first use for the artifact's current precision (an `Int8` artifact
+    /// builds it at load/train, so serving never pays the quantization)
+    /// and rebuilt only if `decode.precision` changes.
     pub fn engine_model(&self) -> Arc<EngineModel> {
         let mut slot = self
             .engine_model
@@ -474,17 +452,7 @@ impl MpiRical {
                 return Arc::clone(bundle);
             }
         }
-        let m = &self.model;
-        let weights = match self.decode.precision {
-            Precision::F32 => DecoderWeights::for_precision(&m.store, &m.params, Precision::F32),
-            Precision::Int8 => self.int8_weights().clone(),
-        };
-        let bundle = Arc::new(EngineModel::with_weights(
-            m.store.clone(),
-            m.params.clone(),
-            m.cfg.clone(),
-            weights,
-        ));
+        let bundle = Arc::new(EngineModel::from_model(&self.model, self.decode.precision));
         *slot = Some(Arc::clone(&bundle));
         bundle
     }
@@ -654,7 +622,7 @@ impl MpiRical {
         m.model.store.rebuild_index();
         m.model.vocab.rebuild_index();
         if m.decode.precision == Precision::Int8 {
-            m.int8_weights();
+            m.engine_model();
         }
         Ok(m)
     }
@@ -854,7 +822,12 @@ mod tests {
         let loaded = MpiRical::load(&path).unwrap();
         assert_eq!(loaded.decode.precision, Precision::Int8);
         assert!(
-            loaded.quant.get().is_some(),
+            loaded
+                .engine_model
+                .lock()
+                .unwrap()
+                .as_ref()
+                .is_some_and(|bundle| bundle.precision() == Precision::Int8),
             "Int8 artifact quantizes at load time"
         );
         assert_eq!(

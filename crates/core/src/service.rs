@@ -1,13 +1,23 @@
-//! Request-level serving façade over the batched decoder.
+//! Request-level serving façade over the serving [`Engine`].
 //!
 //! [`SuggestService`] is the shape a long-running assistance daemon wants:
 //! clients `submit` raw C buffers and get back tickets; a driver loop calls
-//! `step` (one lockstep decode step for every in-flight request); clients
-//! `poll` their ticket until the suggestions are ready. Under the hood every
-//! in-flight request shares the weight passes of one [`BatchDecoder`]
-//! step, and finished
-//! requests retire continuously so a short completion never waits on a long
-//! one.
+//! `step`; clients `poll` their ticket until the suggestions are ready.
+//! Every request decodes on one [`Engine`]: in-flight requests share the
+//! weight passes of a worker's lockstep step, and finished requests retire
+//! continuously so a short completion never waits on a long one.
+//!
+//! The constructor chooses who drives that engine.
+//! [`new`](SuggestService::new) and
+//! [`with_max_batch`](SuggestService::with_max_batch) build one worker
+//! **stepped by the caller** ([`Engine::stepped`]): each
+//! [`step`](SuggestService::step) is exactly one decode step, so a test or
+//! an in-process editor integration sees a schedule that depends only on
+//! its own calls. [`sharded`](SuggestService::sharded) and
+//! [`owned`](SuggestService::owned) build autonomous workers that decode on
+//! their own cores (the daemon's service); `step` then waits briefly for
+//! progress. Both run the same routing, Interactive hold, work stealing
+//! and harvest code, and produce bitwise identical suggestions.
 //!
 //! # Serving API v2: priorities, streaming polls, cancellation
 //!
@@ -40,7 +50,7 @@
 //! request reserves `beam` lanes; hypotheses fork copy-on-write inside the
 //! scheduler's paged KV cache), no sequential fallback.
 //!
-//! The scheduler allocates every lane's cache from one page pool;
+//! Every lane's cache comes from the engine's one page pool;
 //! [`SuggestService::pool_stats`] surfaces its live/peak/shared page counts
 //! so a daemon can export serving-memory telemetry.
 //!
@@ -85,14 +95,13 @@ use crate::assistant::{MpiRical, Suggestion};
 use crate::verify::VerifyStats;
 use mpirical_cparse::{ParseHealth, Program};
 use mpirical_model::{
-    BatchDecoder, BatchRequest, Engine, EngineConfig, EngineTicket, PollResult, PoolStats,
-    PrefixStats, Priority, RequestId, RequestTelemetry, SubmitOptions, DEFAULT_MAX_BATCH,
+    Engine, EngineConfig, EngineModel, EngineTicket, PollResult, PoolStats, PrefixStats, Priority,
+    RequestId, RequestTelemetry, SubmitOptions, DEFAULT_MAX_BATCH,
 };
 use serde::{Deserialize, Serialize};
 use std::collections::HashMap;
 use std::ops::Deref;
 use std::sync::Arc;
-use std::time::Duration;
 
 /// Typed lifecycle state of a suggestion request — the [`Suggestion`]-level
 /// mirror of the scheduler's [`PollResult`] (see
@@ -149,7 +158,9 @@ impl SuggestPoll {
 /// generation backend (see module docs).
 pub struct SuggestService<'m> {
     assistant: AssistantHandle<'m>,
-    backend: Backend<'m>,
+    /// Where every request decodes: one caller-stepped worker or
+    /// autonomous workers, as the constructor chose.
+    engine: Engine,
     /// Front-end parse health per live ticket, captured at submit time and
     /// redeemed with the ticket (`Done` carries it; `Cancelled` drops it).
     health: HashMap<RequestId, ParseHealth>,
@@ -161,22 +172,9 @@ pub struct SuggestService<'m> {
     /// an interactive decode is in flight) or synchronously at
     /// [`poll`](SuggestService::poll).
     verify_queue: Vec<PendingVerify>,
-    /// Fully verified tickets awaiting redemption.
+    /// Verifying tickets settled by a sweep — verified `Done`, or
+    /// `Cancelled` — awaiting redemption.
     verify_done: HashMap<RequestId, SuggestPoll>,
-}
-
-/// The generation backend behind a [`SuggestService`]: one inline
-/// [`BatchDecoder`] stepped by the caller (the deterministic, step-precise
-/// reference — [`SuggestService::new`]), or a sharded multi-worker
-/// [`Engine`] whose workers decode autonomously
-/// ([`SuggestService::sharded`]). Both produce bitwise identical
-/// suggestions; they differ only in who drives the decode loop and how
-/// many cores it uses.
-enum Backend<'m> {
-    // Boxed: a BatchDecoder embeds its lane scratch (~700 bytes), the
-    // Engine handle is two Arcs — keep the enum pointer-sized either way.
-    Inline(Box<BatchDecoder<'m>>),
-    Sharded(Engine),
 }
 
 /// How a [`SuggestService`] holds its artifact: borrowed for the classic
@@ -199,38 +197,6 @@ impl Deref for AssistantHandle<'_> {
     }
 }
 
-impl Backend<'_> {
-    fn submit(&mut self, req: BatchRequest) -> RequestId {
-        match self {
-            // Engine tickets and decoder ids are both dense u64 sequences,
-            // so the service can expose one `RequestId` currency for both.
-            Backend::Inline(dec) => dec.submit(req),
-            Backend::Sharded(engine) => RequestId::from_raw(engine.submit(req).raw()),
-        }
-    }
-
-    fn cancel(&mut self, id: RequestId) -> bool {
-        match self {
-            Backend::Inline(dec) => dec.cancel(id),
-            Backend::Sharded(engine) => engine.cancel(EngineTicket::from_raw(id.raw())),
-        }
-    }
-
-    fn poll(&mut self, id: RequestId) -> PollResult {
-        match self {
-            Backend::Inline(dec) => dec.poll(id),
-            Backend::Sharded(engine) => engine.poll(EngineTicket::from_raw(id.raw())),
-        }
-    }
-
-    fn pending(&self) -> usize {
-        match self {
-            Backend::Inline(dec) => dec.pending(),
-            Backend::Sharded(engine) => engine.pending(),
-        }
-    }
-}
-
 /// Submit-time context a verifying service keeps per ticket.
 struct Ticket {
     base: Program,
@@ -245,12 +211,34 @@ struct PendingVerify {
     telemetry: RequestTelemetry,
 }
 
+/// The engine ticket behind a service ticket: both are the same dense
+/// `u64` sequence.
+fn ticket(id: RequestId) -> EngineTicket {
+    EngineTicket::from_raw(id.raw())
+}
+
 impl<'m> SuggestService<'m> {
-    /// An idle service over a constructed backend.
-    fn over(assistant: AssistantHandle<'m>, backend: Backend<'m>) -> SuggestService<'m> {
+    /// An idle service over an engine `build` makes from the artifact's
+    /// [`engine_model`](MpiRical::engine_model) and `cfg`, its per-worker
+    /// lane count raised to at least the artifact's beam width so a beam
+    /// request always fits one worker.
+    fn over(
+        assistant: AssistantHandle<'m>,
+        mut cfg: EngineConfig,
+        build: fn(Arc<EngineModel>, EngineConfig) -> Engine,
+    ) -> SuggestService<'m> {
+        assert!(
+            cfg.max_batch >= 1,
+            "SuggestService needs at least one lane (got max_batch = 0)"
+        );
+        if let Err(e) = assistant.decode.validate() {
+            panic!("invalid artifact decode options: {e}");
+        }
+        cfg.max_batch = cfg.max_batch.max(assistant.decode.beam);
+        let engine = build(assistant.engine_model(), cfg);
         SuggestService {
             assistant,
-            backend,
+            engine,
             health: HashMap::new(),
             tickets: HashMap::new(),
             verify_queue: Vec::new(),
@@ -258,18 +246,20 @@ impl<'m> SuggestService<'m> {
         }
     }
 
-    /// Service with the default lane count ([`DEFAULT_MAX_BATCH`]
-    /// concurrent requests).
+    /// Caller-stepped service with the default lane count
+    /// ([`DEFAULT_MAX_BATCH`] concurrent requests).
     pub fn new(assistant: &'m MpiRical) -> SuggestService<'m> {
         SuggestService::with_max_batch(assistant, DEFAULT_MAX_BATCH)
     }
 
-    /// Service decoding at most `max_batch` lanes concurrently; further
-    /// submissions queue and join as lanes free up. A beam-configured
-    /// artifact reserves `decode.beam` lanes per request, so the lane count
-    /// is raised to at least the beam width. The scheduler's weights are
-    /// prepared once here for the artifact's precision — an `Int8` artifact
-    /// serves every request through the quantized kernels.
+    /// Caller-stepped service decoding at most `max_batch` lanes
+    /// concurrently; further submissions queue and join as lanes free up.
+    /// A beam-configured artifact reserves `decode.beam` lanes per
+    /// request, so the lane count is raised to at least the beam width.
+    /// The engine's weights are the artifact's
+    /// [`engine_model`](MpiRical::engine_model), prepared once for its
+    /// precision — an `Int8` artifact serves every request through the
+    /// quantized kernels.
     ///
     /// # Panics
     ///
@@ -277,74 +267,53 @@ impl<'m> SuggestService<'m> {
     /// here, not deep inside a step) or the artifact's decode options are
     /// invalid (e.g. `beam = 0`).
     pub fn with_max_batch(assistant: &'m MpiRical, max_batch: usize) -> SuggestService<'m> {
-        assert!(
-            max_batch >= 1,
-            "SuggestService needs at least one lane (got max_batch = 0)"
-        );
-        if let Err(e) = assistant.decode.validate() {
-            panic!("invalid artifact decode options: {e}");
-        }
-        let m = &assistant.model;
-        let lanes = max_batch.max(assistant.decode.beam);
-        let decoder = match assistant.decode.precision {
-            mpirical_model::Precision::F32 => BatchDecoder::new(&m.store, &m.params, &m.cfg, lanes),
-            // Borrow the artifact's load-time quantized weights — the
-            // service never re-quantizes.
-            mpirical_model::Precision::Int8 => BatchDecoder::with_weights(
-                &m.store,
-                &m.params,
-                &m.cfg,
-                lanes,
-                std::borrow::Cow::Borrowed(assistant.int8_weights()),
-            ),
-        };
-        SuggestService::over(
-            AssistantHandle::Borrowed(assistant),
-            Backend::Inline(Box::new(decoder)),
-        )
-    }
-
-    /// Service backed by a sharded multi-worker [`Engine`]: `workers`
-    /// threads each run a private scheduler over its own page pool, so
-    /// aggregate throughput scales with cores while `submit`/`poll`/
-    /// `cancel` stay ordinary synchronous calls. Suggestions are bitwise
-    /// identical to the inline service ([`new`](Self::new)) — the engine
-    /// only changes *where* a request decodes, never its numerics.
-    ///
-    /// With a sharded backend, [`step`](Self::step) does not advance the
-    /// decode (workers run autonomously); it waits briefly and reports how
-    /// many requests are still in flight, so existing
-    /// `while service.step() > 0 {}` driver loops keep working.
-    pub fn sharded(assistant: &'m MpiRical, workers: usize) -> SuggestService<'m> {
-        let lanes = DEFAULT_MAX_BATCH.max(assistant.decode.beam);
-        SuggestService::sharded_with(
+        SuggestService::stepped_with(
             assistant,
             EngineConfig {
-                workers,
-                max_batch: lanes,
+                max_batch,
                 ..EngineConfig::default()
             },
         )
     }
 
-    /// [`sharded`](Self::sharded) with full [`EngineConfig`] control
-    /// (placement seed, per-worker lane count, aging bound, soft page
-    /// limit). The per-worker `max_batch` is raised to at least the
-    /// artifact's beam width so beam requests always fit one worker.
+    /// [`with_max_batch`](Self::with_max_batch) with full [`EngineConfig`]
+    /// control (aging bound, soft page limit) over the one caller-stepped
+    /// worker.
     ///
     /// # Panics
     ///
-    /// If `cfg.workers` is 0 or the artifact's decode options are invalid.
-    pub fn sharded_with(assistant: &'m MpiRical, mut cfg: EngineConfig) -> SuggestService<'m> {
-        if let Err(e) = assistant.decode.validate() {
-            panic!("invalid artifact decode options: {e}");
-        }
-        cfg.max_batch = cfg.max_batch.max(assistant.decode.beam);
-        let engine = Engine::new(assistant.engine_model(), cfg);
-        SuggestService::over(
-            AssistantHandle::Borrowed(assistant),
-            Backend::Sharded(engine),
-        )
+    /// If `cfg.workers` is not 1, `cfg.max_batch` is 0, or the artifact's
+    /// decode options are invalid.
+    pub fn stepped_with(assistant: &'m MpiRical, cfg: EngineConfig) -> SuggestService<'m> {
+        SuggestService::over(AssistantHandle::Borrowed(assistant), cfg, Engine::stepped)
+    }
+
+    /// Service backed by a sharded multi-worker [`Engine`]: `workers`
+    /// threads each run a private scheduler over the shared page pool, so
+    /// aggregate throughput scales with cores while `submit`/`poll`/
+    /// `cancel` stay ordinary synchronous calls. Suggestions are bitwise
+    /// identical to the caller-stepped service ([`new`](Self::new)) — the
+    /// engine only changes *where* and *when* a request decodes, never its
+    /// numerics.
+    ///
+    /// The workers decode autonomously, so [`step`](Self::step) does not
+    /// advance the decode; it waits briefly and reports how many requests
+    /// are still in flight, so `while service.step() > 0 {}` driver loops
+    /// work unchanged.
+    pub fn sharded(assistant: &'m MpiRical, workers: usize) -> SuggestService<'m> {
+        SuggestService::sharded_with(assistant, EngineConfig::with_workers(workers))
+    }
+
+    /// [`sharded`](Self::sharded) with full [`EngineConfig`] control
+    /// (placement seed, per-worker lane count, aging bound, soft page
+    /// limit).
+    ///
+    /// # Panics
+    ///
+    /// If `cfg.workers` or `cfg.max_batch` is 0, or the artifact's decode
+    /// options are invalid.
+    pub fn sharded_with(assistant: &'m MpiRical, cfg: EngineConfig) -> SuggestService<'m> {
+        SuggestService::over(AssistantHandle::Borrowed(assistant), cfg, Engine::new)
     }
 
     /// [`sharded`](Self::sharded), but **owning** the artifact: the service
@@ -355,15 +324,7 @@ impl<'m> SuggestService<'m> {
     /// identical to the borrowed sharded service: same engine, same bitwise
     /// outputs.
     pub fn owned(assistant: Arc<MpiRical>, workers: usize) -> SuggestService<'static> {
-        let lanes = DEFAULT_MAX_BATCH.max(assistant.decode.beam);
-        SuggestService::owned_with(
-            assistant,
-            EngineConfig {
-                workers,
-                max_batch: lanes,
-                ..EngineConfig::default()
-            },
-        )
+        SuggestService::owned_with(assistant, EngineConfig::with_workers(workers))
     }
 
     /// [`owned`](Self::owned) with full [`EngineConfig`] control — the
@@ -371,14 +332,10 @@ impl<'m> SuggestService<'m> {
     ///
     /// # Panics
     ///
-    /// If `cfg.workers` is 0 or the artifact's decode options are invalid.
-    pub fn owned_with(assistant: Arc<MpiRical>, mut cfg: EngineConfig) -> SuggestService<'static> {
-        if let Err(e) = assistant.decode.validate() {
-            panic!("invalid artifact decode options: {e}");
-        }
-        cfg.max_batch = cfg.max_batch.max(assistant.decode.beam);
-        let engine = Engine::new(assistant.engine_model(), cfg);
-        SuggestService::over(AssistantHandle::Owned(assistant), Backend::Sharded(engine))
+    /// If `cfg.workers` or `cfg.max_batch` is 0, or the artifact's decode
+    /// options are invalid.
+    pub fn owned_with(assistant: Arc<MpiRical>, cfg: EngineConfig) -> SuggestService<'static> {
+        SuggestService::over(AssistantHandle::Owned(assistant), cfg, Engine::new)
     }
 
     /// Queue a raw (possibly mid-edit) C buffer for suggestion at the
@@ -402,14 +359,10 @@ impl<'m> SuggestService<'m> {
         // A keystroke is in flight from here on: the engine's bulk work
         // holds while its front-end and encoder forward run, not only once
         // its ticket exists.
-        let _reservation = match &self.backend {
-            Backend::Sharded(engine) if interactive => Some(engine.reserve_interactive()),
-            _ => None,
-        };
+        let _reservation = interactive.then(|| self.engine.reserve_interactive());
         let enc = self.assistant.encode_source(c_source);
-        let id = self
-            .backend
-            .submit(self.assistant.request_from_encoded(&enc, submit));
+        let req = self.assistant.request_from_encoded(&enc, submit);
+        let id = RequestId::from_raw(self.engine.submit(req).raw());
         self.health.insert(id, enc.health);
         if let Some(base) = self.assistant.verify_base(c_source) {
             self.tickets.insert(id, Ticket { base, interactive });
@@ -420,23 +373,21 @@ impl<'m> SuggestService<'m> {
     /// Cancel a request: removed from the queue or from its lanes
     /// mid-flight, every KV page returned to the pool. Returns `true` if
     /// it was still pending (it will poll [`SuggestPoll::Cancelled`]
-    /// once); `false` if already finished, cancelled, or unknown.
+    /// once — or, with autonomous workers, `Done` if it finished before
+    /// the cancel landed); `false` if already finished, cancelled, or
+    /// unknown. Per-ticket context is dropped when the outcome is polled.
     pub fn cancel(&mut self, id: RequestId) -> bool {
-        let cancelled = self.backend.cancel(id);
-        // Inline cancellation is authoritative (single-threaded), so the
-        // verification context can be dropped now. A sharded cancel can
-        // race a concurrent completion — keep the context until poll
-        // settles the outcome (its `Cancelled` branch drops it).
-        if cancelled && matches!(self.backend, Backend::Inline(_)) {
-            self.tickets.remove(&id);
-        }
-        cancelled
+        self.engine.cancel(ticket(id))
     }
 
-    /// Advance every in-flight request by one token (admitting queued
-    /// requests into free lanes first, priority-first — an interactive
-    /// submission may preempt bulk lanes). Returns the number of requests
-    /// advanced; `0` means the service is idle.
+    /// Advance the decode by one step — see [`Engine::step`]. A
+    /// caller-stepped service runs exactly one scheduler step (admitting
+    /// queued requests into free lanes first, priority-first — an
+    /// interactive submission may preempt bulk lanes) and returns the
+    /// number of hypotheses it advanced; `0` means the service is idle.
+    /// Autonomous workers need no driving: `step` waits briefly for
+    /// progress and returns the number of requests still in flight, so
+    /// `while service.step() > 0 {}` loops drive either kind.
     ///
     /// On a verifying artifact, finished tickets move into the
     /// verification queue here, and — bulk semantics, mirroring
@@ -444,18 +395,8 @@ impl<'m> SuggestService<'m> {
     /// **only while no interactive decode is in flight**, so the closed
     /// loop never delays keystroke traffic. Remaining jobs complete at
     /// [`poll`](Self::poll) (synchronously) or on later idle steps.
-    /// With a sharded backend the workers decode autonomously — `step`
-    /// waits briefly for progress and returns the number of requests still
-    /// in flight instead, so `while service.step() > 0 {}` loops drive
-    /// both backends.
     pub fn step(&mut self) -> usize {
-        let n = match &mut self.backend {
-            Backend::Inline(dec) => dec.step(),
-            Backend::Sharded(engine) => {
-                engine.drain_for(Duration::from_millis(1));
-                engine.pending()
-            }
-        };
+        let n = self.engine.step();
         if self.assistant.verify.is_some() {
             self.sweep_finished();
             if !self.interactive_in_flight() {
@@ -468,10 +409,7 @@ impl<'m> SuggestService<'m> {
     /// Step until every submitted request has finished (including, on a
     /// verifying artifact, all queued verification work).
     pub fn run(&mut self) {
-        match &mut self.backend {
-            Backend::Inline(dec) => dec.run(),
-            Backend::Sharded(engine) => engine.drain(),
-        }
+        self.engine.drain();
         if self.assistant.verify.is_some() {
             self.sweep_finished();
             while self.verify_next() {}
@@ -479,42 +417,41 @@ impl<'m> SuggestService<'m> {
     }
 
     /// Tear the service down and return the final page stats, taken
-    /// **after** every decoder has dropped its lanes and the shared
-    /// prefix table has been cleared (a sharded backend runs one pool
-    /// across all workers, so the vector has a single entry either way).
-    /// Live pages are zero here no matter what was still queued — the
-    /// leak-check hook for tests and graceful daemon exit. Unredeemed
-    /// tickets are abandoned.
-    pub fn shutdown(self) -> Vec<PoolStats> {
-        match self.backend {
-            Backend::Inline(dec) => {
-                let pool = dec.pool().clone();
-                drop(dec);
-                vec![pool.stats()]
-            }
-            Backend::Sharded(engine) => engine.shutdown(),
-        }
+    /// **after** every worker dropped its lanes. Live pages are zero here
+    /// no matter what was still queued — the leak-check hook for tests
+    /// and graceful daemon exit. Unredeemed tickets are abandoned.
+    pub fn shutdown(self) -> PoolStats {
+        self.engine.shutdown()
     }
 
-    /// Move every decoder-finished verifying ticket into the verification
-    /// queue (redeeming the scheduler-level `Done` exactly once).
+    /// Settle every verifying ticket the engine has resolved: a decoded
+    /// one moves into the verification queue, a cancelled one is parked
+    /// as `Cancelled` with its context dropped (each engine-level outcome
+    /// redeems exactly once).
     fn sweep_finished(&mut self) {
         let mut ids: Vec<RequestId> = self.tickets.keys().copied().collect();
         ids.sort_by_key(|id| id.raw());
         for id in ids {
-            if let PollResult::Done {
-                hypotheses,
-                telemetry,
-                ..
-            } = self.backend.poll(id)
-            {
-                let ticket = self.tickets.remove(&id).expect("swept ids are tracked");
-                self.verify_queue.push(PendingVerify {
-                    id,
-                    base: ticket.base,
+            match self.engine.poll(ticket(id)) {
+                PollResult::Done {
                     hypotheses,
                     telemetry,
-                });
+                    ..
+                } => {
+                    let ticket = self.tickets.remove(&id).expect("swept ids are tracked");
+                    self.verify_queue.push(PendingVerify {
+                        id,
+                        base: ticket.base,
+                        hypotheses,
+                        telemetry,
+                    });
+                }
+                PollResult::Cancelled => {
+                    self.tickets.remove(&id);
+                    self.health.remove(&id);
+                    self.verify_done.insert(id, SuggestPoll::Cancelled);
+                }
+                _ => {}
             }
         }
     }
@@ -554,82 +491,42 @@ impl<'m> SuggestService<'m> {
 
     /// Requests submitted but not yet finished.
     pub fn pending(&self) -> usize {
-        self.backend.pending()
+        self.engine.pending()
     }
 
-    /// Worker threads decoding for this service (1 for the inline backend).
+    /// Worker threads decoding for this service (1 when caller-stepped).
     pub fn workers(&self) -> usize {
-        match &self.backend {
-            Backend::Inline(_) => 1,
-            Backend::Sharded(engine) => engine.workers(),
-        }
+        self.engine.workers()
     }
 
     /// Bulk lane preemptions performed so far (groups that yielded lanes
-    /// to interactive arrivals and later resumed), summed over workers on
-    /// a sharded backend.
+    /// to interactive arrivals and later resumed), summed over workers.
     pub fn preemptions(&self) -> u64 {
-        match &self.backend {
-            Backend::Inline(dec) => dec.preemptions(),
-            Backend::Sharded(engine) => engine.preemptions(),
-        }
+        self.engine.preemptions()
     }
 
     /// The aging bound in scheduler steps: queued bulk work is promoted to
     /// the interactive class after waiting this long (starvation bound).
+    /// Set it at construction through [`EngineConfig::aging_steps`].
     pub fn aging_steps(&self) -> u64 {
-        match &self.backend {
-            Backend::Inline(dec) => dec.aging_steps(),
-            Backend::Sharded(engine) => engine.aging_steps(),
-        }
+        self.engine.aging_steps()
     }
 
-    /// Tune the aging bound (see [`aging_steps`](Self::aging_steps)).
-    ///
-    /// # Panics
-    ///
-    /// On a sharded backend — worker schedulers are configured at
-    /// construction; set [`EngineConfig::aging_steps`] and build with
-    /// [`sharded_with`](Self::sharded_with) instead.
-    pub fn set_aging_steps(&mut self, steps: u64) {
-        match &mut self.backend {
-            Backend::Inline(dec) => dec.set_aging_steps(steps),
-            Backend::Sharded(_) => panic!(
-                "a sharded service configures aging at construction \
-                 (EngineConfig::aging_steps via SuggestService::sharded_with)"
-            ),
-        }
-    }
-
-    /// Telemetry of the scheduler's page pool: live/peak/shared page
-    /// counts, COW copy count, and byte sizes — the serving-memory numbers
-    /// a daemon exports. A sharded backend allocates all workers' lanes
-    /// from one shared pool, so these are already fleet-wide numbers.
+    /// Telemetry of the engine's page pool: live/peak/shared page counts,
+    /// COW copy count, and byte sizes — the serving-memory numbers a
+    /// daemon exports. Every worker allocates from this one pool, so these
+    /// are fleet-wide numbers.
     pub fn pool_stats(&self) -> PoolStats {
-        match &self.backend {
-            Backend::Inline(dec) => dec.pool_stats(),
-            Backend::Sharded(engine) => {
-                let per_worker = engine.pool_stats();
-                let mut total = per_worker.first().copied().unwrap_or_default();
-                for s in &per_worker[1..] {
-                    total.absorb(s);
-                }
-                total
-            }
-        }
+        self.engine.pool_stats()
     }
 
     /// Prefix-table telemetry: `hits` counts requests that shared the
     /// cross-attention K/V of an identical buffer's encoder output (the
-    /// IDE-retrigger fast path) instead of projecting them; sharded
-    /// backends share one table across workers. The
-    /// [`PrefixStats::hit_rate`] is the headline cache-effectiveness
-    /// number a daemon exports.
+    /// IDE-retrigger fast path) instead of projecting them; every worker
+    /// shares the one table. The [`PrefixStats::hit_rate`] is the headline
+    /// cache-effectiveness number a daemon exports.
     pub fn prefix_stats(&self) -> PrefixStats {
-        match &self.backend {
-            Backend::Inline(dec) => dec.prefix_stats(),
-            Backend::Sharded(engine) => engine.prefix_stats(),
-        }
+        self.engine.prefix_stats()
     }
 
     /// Report a request's lifecycle state (see [`SuggestPoll`]). `Done`
@@ -638,7 +535,7 @@ impl<'m> SuggestService<'m> {
     /// growing `partial` suggestions.
     pub fn poll(&mut self, id: RequestId) -> SuggestPoll {
         // Verifying artifacts: a finished ticket may already sit in the
-        // verification pipeline (its scheduler-level `Done` was redeemed by
+        // verification pipeline (its engine-level `Done` was redeemed by
         // the sweep). A poll completes its verification synchronously — the
         // client asked for the result now.
         if let Some(i) = self.verify_queue.iter().position(|p| p.id == id) {
@@ -648,7 +545,7 @@ impl<'m> SuggestService<'m> {
         if let Some(done) = self.verify_done.remove(&id) {
             return done;
         }
-        match self.backend.poll(id) {
+        match self.engine.poll(ticket(id)) {
             PollResult::Queued { position } => SuggestPoll::Queued { position },
             PollResult::Decoding { tokens_so_far } => {
                 // The partial winner, unverified: no splice base.
@@ -1029,8 +926,14 @@ mod tests {
             step_limit: 100_000,
             ..Default::default()
         });
-        let mut service = SuggestService::with_max_batch(&assistant, 2);
-        service.set_aging_steps(2);
+        let mut service = SuggestService::stepped_with(
+            &assistant,
+            EngineConfig {
+                max_batch: 2,
+                aging_steps: 2,
+                ..EngineConfig::default()
+            },
+        );
         let bulk = service.submit_with(
             "int main() { double local = 0.0; return 0; }",
             SubmitOptions::bulk().with_max_new_tokens(4),
@@ -1101,6 +1004,36 @@ mod tests {
         assert_eq!(health, want.health);
     }
 
+    /// A verifying ticket cancelled mid-decode polls `Cancelled`, not
+    /// `Unknown`: the verification sweep settles it instead of swallowing
+    /// its redeem-once marker, and drops its per-ticket context — else an
+    /// Interactive ticket would keep verification deferred forever.
+    #[test]
+    fn cancelled_verifying_ticket_polls_cancelled() {
+        let mut assistant = tiny_assistant();
+        assistant.decode.min_len = 200; // decodes far past the cancel
+        assistant.verify = Some(crate::verify::VerifyOptions {
+            rank_counts: vec![2],
+            step_limit: 100_000,
+            ..Default::default()
+        });
+        for mut service in [
+            SuggestService::new(&assistant),
+            SuggestService::sharded(&assistant, 1),
+        ] {
+            let doomed = service.submit("int main() { int rank; return 0; }");
+            while !matches!(service.poll(doomed), SuggestPoll::Decoding { .. }) {
+                assert!(service.step() > 0, "the ticket must start decoding");
+            }
+            assert!(service.cancel(doomed));
+            while service.step() > 0 {}
+            assert_eq!(service.poll(doomed), SuggestPoll::Cancelled);
+            assert!(service.tickets.is_empty(), "verification context dropped");
+            assert!(service.health.is_empty(), "parse health dropped");
+            assert!(!service.interactive_in_flight());
+        }
+    }
+
     /// Regression (satellite fix): a zero-lane service and a zero-beam
     /// artifact both fail loudly at construction.
     #[test]
@@ -1152,9 +1085,10 @@ mod tests {
         assert_eq!(take(&mut service, again), assistant.suggest(buffers[0]));
     }
 
-    /// The sharded multi-worker backend returns suggestion-for-suggestion
-    /// identical results to the inline single-scheduler service — the
-    /// engine changes where requests decode, never what they produce.
+    /// The sharded multi-worker service returns suggestion-for-suggestion
+    /// identical results to the caller-stepped one-worker service — the
+    /// engine changes where and when requests decode, never what they
+    /// produce.
     #[test]
     fn sharded_service_matches_inline_service() {
         let assistant = tiny_assistant();
@@ -1164,12 +1098,12 @@ mod tests {
             "int main() { int x = 1; if (x", // mid-edit buffer
             "int main() { return 0; }",
         ];
-        let mut inline = SuggestService::with_max_batch(&assistant, 2);
-        let inline_tickets: Vec<_> = buffers.iter().map(|b| inline.submit(b)).collect();
-        inline.run();
-        let reference: Vec<Vec<Suggestion>> = inline_tickets
+        let mut stepped = SuggestService::with_max_batch(&assistant, 2);
+        let stepped_tickets: Vec<_> = buffers.iter().map(|b| stepped.submit(b)).collect();
+        stepped.run();
+        let reference: Vec<Vec<Suggestion>> = stepped_tickets
             .into_iter()
-            .map(|t| take(&mut inline, t))
+            .map(|t| take(&mut stepped, t))
             .collect();
 
         let mut sharded = SuggestService::sharded(&assistant, 2);
@@ -1184,8 +1118,8 @@ mod tests {
     }
 
     /// A sharded service drives the daemon event loop exactly like the
-    /// inline one: `step() > 0` while work is in flight, lifecycle states
-    /// via `poll`, cancellation included.
+    /// caller-stepped one: `step() > 0` while work is in flight, lifecycle
+    /// states via `poll`, cancellation included.
     #[test]
     fn sharded_service_step_loop_and_cancel() {
         let assistant = tiny_assistant();
@@ -1205,16 +1139,12 @@ mod tests {
         }
         let got = take(&mut service, keep);
         assert_eq!(got, assistant.suggest("int main() { int rank; return 0; }"));
-        // A live service may retain prefix-cache snapshot pages; shutdown
-        // drops every worker's decoder and must leave nothing behind.
-        for stats in service.shutdown() {
-            assert_eq!(stats.pages_live, 0, "worker leaked KV pages");
-        }
+        assert_eq!(service.shutdown().pages_live, 0, "worker leaked KV pages");
     }
 
     /// The owned service is what a daemon thread carries: `'static`, `Send`,
     /// movable across threads, and suggestion-for-suggestion identical to
-    /// the borrowed inline reference.
+    /// the borrowed caller-stepped reference.
     #[test]
     fn owned_service_is_send_and_matches_inline() {
         fn assert_send<T: Send>(t: T) -> T {
@@ -1226,12 +1156,12 @@ mod tests {
             "int main() { double local = 0.0; return 0; }",
             "int main() { int x = 1; if (x", // mid-edit buffer
         ];
-        let mut inline = SuggestService::new(&assistant);
-        let inline_tickets: Vec<_> = buffers.iter().map(|b| inline.submit(b)).collect();
-        inline.run();
-        let reference: Vec<Vec<Suggestion>> = inline_tickets
+        let mut stepped = SuggestService::new(&assistant);
+        let stepped_tickets: Vec<_> = buffers.iter().map(|b| stepped.submit(b)).collect();
+        stepped.run();
+        let reference: Vec<Vec<Suggestion>> = stepped_tickets
             .into_iter()
-            .map(|t| take(&mut inline, t))
+            .map(|t| take(&mut stepped, t))
             .collect();
 
         let owned = assert_send(SuggestService::owned(Arc::new(assistant), 2));
@@ -1242,13 +1172,15 @@ mod tests {
             service.run();
             let got: Vec<Vec<Suggestion>> =
                 tickets.into_iter().map(|t| take(&mut service, t)).collect();
-            for stats in service.shutdown() {
-                assert_eq!(stats.pages_live, 0, "owned service leaked KV pages");
-            }
+            assert_eq!(
+                service.shutdown().pages_live,
+                0,
+                "owned service leaked KV pages"
+            );
             got
         });
         let got = handle.join().expect("service thread");
-        assert_eq!(got, reference, "owned sharded == borrowed inline");
+        assert_eq!(got, reference, "owned sharded == borrowed caller-stepped");
     }
 
     /// Every `SuggestPoll` state survives a JSON round-trip unchanged —

@@ -37,7 +37,9 @@ use crate::token::{Keyword, Punct, Token, TokenKind};
 /// compile and run), so without a bound a few kilobytes of `(` or `{`
 /// overflow the parsing thread's stack and abort the process. A block
 /// nested `n` deep opens `n + 1` levels with the statement inside it; a
-/// parenthesized subexpression opens two.
+/// parenthesized subexpression opens two; a binary operator opens one that
+/// stays open to the end of its chain, because a left-associative chain
+/// folds into a tree as deep as the chain is long.
 pub const MAX_NESTING: usize = 128;
 
 /// Result of a tolerant parse: the program plus all diagnostics.
@@ -242,15 +244,24 @@ impl Parser {
         }
     }
 
-    /// Run `parse` one level deeper; past [`MAX_NESTING`] report an error
-    /// and fail instead, so the caller's recovery skips the region.
-    fn nested<T>(&mut self, parse: fn(&mut Self) -> Option<T>) -> Option<T> {
+    /// Open one more level; past [`MAX_NESTING`] report an error and
+    /// return `false` instead, so the caller fails and its recovery skips
+    /// the region.
+    fn open_level(&mut self) -> bool {
         if self.depth == MAX_NESTING {
             let line = self.peek().line;
             self.error(line, format!("nesting deeper than {MAX_NESTING} levels"));
-            return None;
+            return false;
         }
         self.depth += 1;
+        true
+    }
+
+    /// Run `parse` one level deeper (see [`open_level`](Self::open_level)).
+    fn nested<T>(&mut self, parse: fn(&mut Self) -> Option<T>) -> Option<T> {
+        if !self.open_level() {
+            return None;
+        }
         let out = parse(self);
         self.depth -= 1;
         out
@@ -1038,11 +1049,24 @@ impl Parser {
     }
 
     fn parse_binary(&mut self, min_prec: u8) -> Option<Expr> {
+        let entry = self.depth;
+        let chain = self.binary_chain(min_prec);
+        self.depth = entry;
+        chain
+    }
+
+    /// Fold a left-associative operator chain. Each folded operator nests
+    /// the chain so far one level deeper, so it opens a level that
+    /// [`parse_binary`](Self::parse_binary) closes when the chain ends.
+    fn binary_chain(&mut self, min_prec: u8) -> Option<Expr> {
         let mut lhs = self.parse_unary()?;
         while let Some(op) = self.binop_at() {
             let prec = op.precedence();
             if prec < min_prec {
                 break;
+            }
+            if !self.open_level() {
+                return None;
             }
             self.bump();
             let rhs = self.parse_binary(prec + 1)?;
@@ -1778,8 +1802,8 @@ int main(int argc, char **argv) {
     /// and the deepest `n` that still fits [`MAX_NESTING`].
     type Shape = (&'static str, fn(usize) -> String, usize);
 
-    /// The three ways a statement nests.
-    fn nesting_shapes() -> [Shape; 3] {
+    /// The four ways a statement nests.
+    fn nesting_shapes() -> [Shape; 4] {
         [
             (
                 "blocks",
@@ -1794,6 +1818,11 @@ int main(int argc, char **argv) {
             (
                 "unary",
                 |n| format!("x = {}1;", "!".repeat(n)),
+                MAX_NESTING - 4,
+            ),
+            (
+                "operators",
+                |n| format!("x = 1{};", " + 1".repeat(n)),
                 MAX_NESTING - 4,
             ),
         ]

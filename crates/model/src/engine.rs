@@ -43,6 +43,13 @@
 //!   [`poll`](Engine::poll) / [`cancel`](Engine::cancel) are ordinary
 //!   synchronous calls from any thread (the engine is `Sync`); workers run
 //!   autonomously and park on a condvar when idle.
+//! * **Caller-stepped mode.** [`Engine::stepped`] builds a one-worker
+//!   engine whose worker runs the same loop but only on a turn its caller
+//!   grants: each [`step`](Engine::step) is exactly one pull → decode step
+//!   → harvest turn, so the schedule is a pure function of the call
+//!   sequence (the step-precise `SuggestService` runs on it).
+//!   [`drain`](Engine::drain) grants the turns itself, so nothing ever
+//!   waits for a turn nobody grants.
 //!
 //! # Determinism
 //!
@@ -106,23 +113,6 @@ impl EngineModel {
         precision: Precision,
     ) -> EngineModel {
         let weights = DecoderWeights::for_precision(&store, &params, precision);
-        EngineModel {
-            store,
-            params,
-            cfg,
-            weights,
-        }
-    }
-
-    /// Bundle a model around an already-prepared weight set (an artifact's
-    /// load-time quantized weights). `weights` must come from the same
-    /// `(store, params)`.
-    pub fn with_weights(
-        store: ParamStore,
-        params: TransformerParams,
-        cfg: ModelConfig,
-        weights: DecoderWeights,
-    ) -> EngineModel {
         EngineModel {
             store,
             params,
@@ -258,8 +248,10 @@ struct State {
     /// Per worker: the `fleet_steps` value at which held work parked on it
     /// ages past the bound (`u64::MAX`: not parked on aging).
     wake_at: Vec<u64>,
-    /// Latest streamed partial ids per decoding ticket.
-    progress_tokens: HashMap<EngineTicket, Vec<usize>>,
+    /// Latest harvested state of each ticket a worker holds: `Decoding`
+    /// with the partial ids, or `Queued` with its worker-local position
+    /// (not yet admitted, preempted, or page-evicted).
+    progress: HashMap<EngineTicket, PollResult>,
     /// Worker that pulled each in-flight ticket.
     owner: HashMap<EngineTicket, usize>,
     /// Cumulative lanes placed per worker by the front-end (interactive
@@ -276,6 +268,20 @@ struct State {
     /// directly.)
     sched_stats: Vec<WorkerSched>,
     next_ticket: u64,
+    /// `Some` on a caller-stepped engine (see [`Engine::stepped`]).
+    turn: Option<Turn>,
+    /// Workers whose loop has ended, by shutdown or by a panic.
+    exited: usize,
+}
+
+/// The turn ledger of a caller-stepped engine: its worker runs one pull →
+/// step → harvest turn per grant.
+#[derive(Debug, Default)]
+struct Turn {
+    granted: u64,
+    taken: u64,
+    /// Hypotheses the latest turn's decode step advanced.
+    advanced: usize,
 }
 
 /// Per-worker scheduler counters published each step.
@@ -285,7 +291,7 @@ struct WorkerSched {
 }
 
 impl State {
-    fn new(workers: usize) -> State {
+    fn new(workers: usize, turn: Option<Turn>) -> State {
         State {
             shutdown: false,
             inbox: (0..workers).map(|_| VecDeque::new()).collect(),
@@ -296,13 +302,15 @@ impl State {
             interactive: 0,
             fleet_steps: 0,
             wake_at: vec![u64::MAX; workers],
-            progress_tokens: HashMap::new(),
+            progress: HashMap::new(),
             owner: HashMap::new(),
             placed_lanes: vec![0; workers],
             placements: Vec::new(),
             bulk_steals: 0,
             sched_stats: vec![WorkerSched::default(); workers],
             next_ticket: 0,
+            turn,
+            exited: 0,
         }
     }
 
@@ -312,7 +320,7 @@ impl State {
     /// the fleet hold (the caller wakes the held workers).
     fn finish(&mut self, ticket: EngineTicket, resolution: Resolution) -> bool {
         let interactive = self.pending.remove(&ticket) == Some(Priority::Interactive);
-        self.progress_tokens.remove(&ticket);
+        self.progress.remove(&ticket);
         self.owner.remove(&ticket);
         self.results.insert(ticket, resolution);
         interactive && self.release_interactive()
@@ -372,17 +380,38 @@ impl Engine {
     ///
     /// # Panics
     ///
-    /// If `cfg.workers` is 0 (delegated lane checks — `max_batch` ≥ 1 —
-    /// panic in the workers' `BatchDecoder` constructors).
+    /// If `cfg.workers` or `cfg.max_batch` is 0.
     pub fn new(model: Arc<EngineModel>, cfg: EngineConfig) -> Engine {
+        Engine::spawn(model, cfg, None)
+    }
+
+    /// A one-worker engine **stepped by its caller**: the worker runs the
+    /// same pull → step → harvest loop as [`new`](Engine::new)'s, but one
+    /// turn per [`step`](Engine::step) call and never on its own, so every
+    /// poll between steps sees a schedule that depends on the call
+    /// sequence alone. [`drain`](Engine::drain) grants turns itself.
+    ///
+    /// # Panics
+    ///
+    /// If `cfg.workers` is not 1 or `cfg.max_batch` is 0.
+    pub fn stepped(model: Arc<EngineModel>, cfg: EngineConfig) -> Engine {
+        assert_eq!(cfg.workers, 1, "a caller-stepped engine has one worker");
+        Engine::spawn(model, cfg, Some(Turn::default()))
+    }
+
+    fn spawn(model: Arc<EngineModel>, cfg: EngineConfig, turn: Option<Turn>) -> Engine {
         assert!(cfg.workers >= 1, "engine needs at least one worker");
+        assert!(
+            cfg.max_batch >= 1,
+            "engine needs at least one lane per worker (got max_batch = 0)"
+        );
         let pool = PagePool::new(model.cfg.d_head());
         let shared = Arc::new(Shared {
             model,
             cfg,
             pool,
             prefix: PrefixTable::new(),
-            state: Mutex::new(State::new(cfg.workers)),
+            state: Mutex::new(State::new(cfg.workers, turn)),
             work: Condvar::new(),
             progress: Condvar::new(),
         });
@@ -447,11 +476,12 @@ impl Engine {
     }
 
     /// Report a ticket's lifecycle state. `Done` and `Cancelled` redeem
-    /// once, exactly like [`BatchDecoder::poll`]. `Decoding` streams the
-    /// latest partial ids the owning worker published (one step stale at
-    /// most); a ticket still queued — in the front-end or inside its
-    /// worker — reports `Queued` with the number of front-end-queued
-    /// requests ahead of it.
+    /// once, exactly like [`BatchDecoder::poll`]. A ticket a worker holds
+    /// reports what that worker's last harvest saw (one step stale at
+    /// most): `Decoding` with the partial ids, or `Queued` with its
+    /// position in the worker's queue — a preempted or page-evicted
+    /// request is `Queued` again. A ticket no worker holds yet reports
+    /// `Queued` with the number of front-end-queued requests ahead of it.
     pub fn poll(&self, ticket: EngineTicket) -> PollResult {
         let mut st = self.shared.state.lock();
         match st.results.remove(&ticket) {
@@ -472,10 +502,8 @@ impl Engine {
         if !st.pending.contains_key(&ticket) {
             return PollResult::Unknown;
         }
-        if let Some(tokens) = st.progress_tokens.get(&ticket) {
-            return PollResult::Decoding {
-                tokens_so_far: tokens.clone(),
-            };
+        if let Some(state) = st.progress.get(&ticket) {
+            return state.clone();
         }
         let position = st
             .inbox
@@ -548,19 +576,31 @@ impl Engine {
     }
 
     /// Block until every submitted request has resolved (done or
-    /// cancelled).
+    /// cancelled). A caller-stepped engine runs the turns itself, until
+    /// nothing is pending or a turn advances nothing — where
+    /// [`BatchDecoder::run`] stops too.
     pub fn drain(&self) {
-        let mut st = self.shared.state.lock();
-        while !st.pending.is_empty() {
-            self.shared.progress.wait(&mut st);
-        }
+        self.drain_until(None);
     }
 
     /// [`drain`](Engine::drain) with a timeout; `true` if fully drained.
     pub fn drain_for(&self, timeout: Duration) -> bool {
-        let deadline = Instant::now() + timeout;
+        self.drain_until(Some(Instant::now() + timeout))
+    }
+
+    fn drain_until(&self, deadline: Option<Instant>) -> bool {
         let mut st = self.shared.state.lock();
+        if st.turn.is_some() {
+            drop(st);
+            let open = || deadline.is_none_or(|d| Instant::now() < d);
+            while self.pending() > 0 && open() && self.step() > 0 {}
+            return self.pending() == 0;
+        }
         while !st.pending.is_empty() {
+            let Some(deadline) = deadline else {
+                self.shared.progress.wait(&mut st);
+                continue;
+            };
             if self
                 .shared
                 .progress
@@ -571,6 +611,36 @@ impl Engine {
             }
         }
         true
+    }
+
+    /// Advance by one step. A caller-stepped engine grants its worker
+    /// exactly one pull → step → harvest turn, waits for it, and returns
+    /// the hypotheses that turn's decode step advanced (0: idle, as for
+    /// [`BatchDecoder::step`]). Autonomous workers need no grant: the call
+    /// waits up to 1 ms for progress and returns the requests still
+    /// pending, so `while engine.step() > 0 {}` drives either kind.
+    ///
+    /// # Panics
+    ///
+    /// If the worker exited (it panicked) before taking the turn.
+    pub fn step(&self) -> usize {
+        let mut st = self.shared.state.lock();
+        let Some(turn) = st.turn.as_mut() else {
+            drop(st);
+            self.drain_for(Duration::from_millis(1));
+            return self.pending();
+        };
+        turn.granted += 1;
+        let granted = turn.granted;
+        self.shared.work.notify_all();
+        loop {
+            let turn = st.turn.as_ref().expect("a stepped engine stays stepped");
+            if turn.taken == granted {
+                return turn.advanced;
+            }
+            assert_eq!(st.exited, 0, "engine worker exited before taking its turn");
+            self.shared.progress.wait(&mut st);
+        }
     }
 
     /// The worker count this engine was built with.
@@ -590,11 +660,9 @@ impl Engine {
         self.shared.state.lock().bulk_steals
     }
 
-    /// Telemetry of the fleet-wide page pool (every worker draws from one
-    /// shared pool, so this is a single-entry list — the shape is kept for
-    /// callers that sum over entries).
-    pub fn pool_stats(&self) -> Vec<PoolStats> {
-        vec![self.shared.pool.stats()]
+    /// Telemetry of the fleet-wide page pool every worker draws from.
+    pub fn pool_stats(&self) -> PoolStats {
+        self.shared.pool.stats()
     }
 
     /// Preemptions across every worker's scheduler (bulk groups that
@@ -662,16 +730,15 @@ impl Engine {
     }
 
     /// Shut down and join every worker, returning the shared pool's
-    /// **final** telemetry (a single-entry list), captured after every
-    /// decoder dropped — so `pages_live == 0` unless pages actually leaked
-    /// (the property harness's closing assertion; prefix-table entries pin
-    /// no pages).
-    pub fn shutdown(mut self) -> Vec<PoolStats> {
+    /// **final** telemetry, captured after every decoder dropped — so
+    /// `pages_live == 0` unless pages actually leaked (the property
+    /// harness's closing assertion; prefix-table entries pin no pages).
+    pub fn shutdown(mut self) -> PoolStats {
         self.begin_shutdown();
         for h in self.handles.drain(..) {
             let _ = h.join();
         }
-        vec![self.shared.pool.stats()]
+        self.shared.pool.stats()
     }
 }
 
@@ -701,9 +768,22 @@ impl Drop for Engine {
     }
 }
 
+/// Counts a worker out on every exit path, unwinding included, so a caller
+/// waiting for its turn fails instead of waiting forever.
+struct Exit<'a>(&'a Shared);
+
+impl Drop for Exit<'_> {
+    fn drop(&mut self) {
+        self.0.state.lock().exited += 1;
+        self.0.progress.notify_all();
+    }
+}
+
 /// One worker: a private `BatchDecoder` scheduler over the fleet-shared
-/// pool and prefix table, driven by a pull-step-harvest loop.
+/// pool and prefix table, driven by a pull-step-harvest loop — on its own,
+/// or one turn per grant on a caller-stepped engine.
 fn worker_loop(shared: &Shared, w: usize) {
+    let _exit = Exit(shared);
     let model = &shared.model;
     let mut dec = BatchDecoder::with_shared(
         &model.store,
@@ -716,6 +796,9 @@ fn worker_loop(shared: &Shared, w: usize) {
     );
     dec.set_aging_steps(shared.cfg.aging_steps);
     dec.set_page_limit(shared.cfg.page_limit);
+    // A lone worker has nobody to leave the backlog to: it takes all of it,
+    // so its scheduler sees every request, as a bare `BatchDecoder` would.
+    let lone = shared.cfg.workers == 1;
     // Tickets this worker owns, paired with their local request ids.
     let mut live: Vec<(EngineTicket, RequestId)> = Vec::new();
     // `fleet_steps` when this worker last parked; the steps other workers
@@ -726,6 +809,11 @@ fn worker_loop(shared: &Shared, w: usize) {
         {
             let mut st = shared.state.lock();
             loop {
+                // A caller-stepped worker runs only on a granted turn.
+                if st.turn.as_ref().is_some_and(|t| t.taken == t.granted) && !st.shutdown {
+                    shared.work.wait(&mut st);
+                    continue;
+                }
                 if let Some(since) = parked_at.take() {
                     dec.sit_out(st.fleet_steps - since);
                 }
@@ -738,7 +826,7 @@ fn worker_loop(shared: &Shared, w: usize) {
                 // Steal bulk work while this worker plausibly has capacity
                 // (the local scheduler's admission handles exact lane fit,
                 // aging, and preemption).
-                while dec.pending() < dec.max_batch() {
+                while lone || dec.pending() < dec.max_batch() {
                     let Some(job) = st.pop_backlog() else { break };
                     st.owner.insert(job.ticket, w);
                     st.bulk_steals += 1;
@@ -754,7 +842,7 @@ fn worker_loop(shared: &Shared, w: usize) {
                 // and otherwise parks, leaving the cores to the keystroke.
                 let held = st.interactive > 0;
                 dec.set_fleet_hold(held);
-                if !live.is_empty() && (!held || dec.has_unheld_work()) {
+                if st.turn.is_some() || (!live.is_empty() && (!held || dec.has_unheld_work())) {
                     break;
                 }
                 // Parked on held work: ask to be woken when it would age
@@ -771,10 +859,10 @@ fn worker_loop(shared: &Shared, w: usize) {
         if should_exit {
             break;
         }
-        dec.step();
+        let advanced = dec.step();
         // Harvest outside the lock, publish under it.
         let mut resolved: Vec<(EngineTicket, Resolution)> = Vec::new();
-        let mut partials: Vec<(EngineTicket, Vec<usize>)> = Vec::new();
+        let mut progress: Vec<(EngineTicket, PollResult)> = Vec::new();
         live.retain(|&(ticket, rid)| match dec.poll(rid) {
             PollResult::Done {
                 ids,
@@ -795,17 +883,14 @@ fn worker_loop(shared: &Shared, w: usize) {
                 resolved.push((ticket, Resolution::Cancelled));
                 false
             }
-            PollResult::Decoding { tokens_so_far } => {
-                partials.push((ticket, tokens_so_far));
+            state => {
+                progress.push((ticket, state));
                 true
             }
-            PollResult::Queued { .. } => true,
         });
         {
             let mut st = shared.state.lock();
-            for (t, p) in partials {
-                st.progress_tokens.insert(t, p);
-            }
+            st.progress.extend(progress);
             let any_resolved = !resolved.is_empty();
             let mut lifted = false;
             for (t, r) in resolved {
@@ -816,8 +901,12 @@ fn worker_loop(shared: &Shared, w: usize) {
             };
             st.fleet_steps += 1;
             let aged = st.wake_at.iter().any(|&at| at <= st.fleet_steps);
+            let turn_taken = st.turn.as_mut().map(|turn| {
+                turn.taken += 1;
+                turn.advanced = advanced;
+            });
             drop(st);
-            if any_resolved {
+            if any_resolved || turn_taken.is_some() {
                 shared.progress.notify_all();
             }
             if lifted || aged {
@@ -924,19 +1013,26 @@ mod tests {
         dec.decode_all(vec![req]).swap_remove(0)
     }
 
+    fn model_over(
+        store: &ParamStore,
+        params: &TransformerParams,
+        cfg: &ModelConfig,
+    ) -> Arc<EngineModel> {
+        Arc::new(EngineModel::new(
+            store.clone(),
+            params.clone(),
+            cfg.clone(),
+            Precision::F32,
+        ))
+    }
+
     fn engine_over(
         store: &ParamStore,
         params: &TransformerParams,
         cfg: &ModelConfig,
         econf: EngineConfig,
     ) -> Engine {
-        let model = Arc::new(EngineModel::new(
-            store.clone(),
-            params.clone(),
-            cfg.clone(),
-            Precision::F32,
-        ));
-        Engine::new(model, econf)
+        Engine::new(model_over(store, params, cfg), econf)
     }
 
     #[test]
@@ -966,8 +1062,7 @@ mod tests {
         );
         assert_eq!(out, reference);
         let stats = engine.shutdown();
-        assert_eq!(stats.len(), 1);
-        assert_eq!(stats[0].pages_live, 0, "single worker leaked pages");
+        assert_eq!(stats.pages_live, 0, "single worker leaked pages");
     }
 
     #[test]
@@ -1004,9 +1099,7 @@ mod tests {
                 .collect(),
         );
         assert_eq!(out, singles);
-        for (w, s) in engine.shutdown().into_iter().enumerate() {
-            assert_eq!(s.pages_live, 0, "worker {w} leaked pages");
-        }
+        assert_eq!(engine.shutdown().pages_live, 0, "a worker leaked pages");
     }
 
     /// Cross-K/V projected by whichever worker admits first are visible to
@@ -1069,9 +1162,7 @@ mod tests {
             "only the first admission projects"
         );
         assert_eq!((s.shared_rows, s.prefilled_rows), (0, 3 * 17));
-        for (w, s) in engine.shutdown().into_iter().enumerate() {
-            assert_eq!(s.pages_live, 0, "worker {w} leaked pages");
-        }
+        assert_eq!(engine.shutdown().pages_live, 0, "a worker leaked pages");
     }
 
     /// The fleet's prefix table holds at most `PREFIX_CACHE_CAP` entries in
@@ -1122,7 +1213,7 @@ mod tests {
             "a full table frees one entry per call"
         );
         submit_one(2);
-        assert_eq!(engine.shutdown()[0].pages_live, 0);
+        assert_eq!(engine.shutdown().pages_live, 0);
     }
 
     #[test]
@@ -1242,13 +1333,13 @@ mod tests {
             "Done redeems exactly once"
         );
         let stats = engine.shutdown();
-        assert_eq!(stats[0].pages_live, 0);
+        assert_eq!(stats.pages_live, 0);
     }
 
     #[test]
     fn backlog_pops_earliest_deadline_then_fifo() {
         let (cfg, store, params) = setup();
-        let mut st = State::new(1);
+        let mut st = State::new(1, None);
         let deadlines = [Some(5u64), None, Some(2), Some(5)];
         for (i, dl) in deadlines.into_iter().enumerate() {
             let mut req = BatchRequest::greedy(enc(&store, &params, &cfg, i), 8).bulk();
@@ -1310,6 +1401,160 @@ mod tests {
         }
         assert_eq!(engine.interactive_in_flight(), 0, "shutdown");
         assert_eq!(engine.pending(), 0);
+    }
+
+    /// A Bulk ticket a keystroke preempts polls `Queued` again — not the
+    /// `Decoding` partial its worker published before the preemption.
+    #[test]
+    fn preempted_bulk_ticket_polls_queued() {
+        let (mut cfg, _, _) = setup();
+        // Long enough that neither request can finish inside the polls.
+        cfg.max_dec_len = 512;
+        let mut store = ParamStore::new();
+        let params = build_params(&cfg, &mut store, 13);
+        let engine = engine_over(
+            &store,
+            &params,
+            &cfg,
+            EngineConfig {
+                workers: 1,
+                max_batch: 1,
+                ..EngineConfig::default()
+            },
+        );
+        let long = |seed: usize| {
+            let mut req = BatchRequest::greedy(enc(&store, &params, &cfg, seed), cfg.max_dec_len);
+            req.opts.min_len = cfg.max_dec_len;
+            req
+        };
+        let until_decoding = |ticket: EngineTicket| loop {
+            match engine.poll(ticket) {
+                PollResult::Decoding { .. } => break,
+                PollResult::Queued { .. } => std::thread::yield_now(),
+                other => panic!("{ticket} resolved early: {other:?}"),
+            }
+        };
+        let bulk = engine.submit(long(0).bulk());
+        until_decoding(bulk);
+        // Held from here on, the bulk request can neither finish nor
+        // resume before the assertion below.
+        let reservation = engine.reserve_interactive();
+        let keystroke = engine.submit(long(1));
+        until_decoding(keystroke);
+        assert_eq!(
+            engine.poll(bulk),
+            PollResult::Queued { position: 0 },
+            "the preempted bulk ticket waits, first in its worker's queue"
+        );
+        drop(reservation);
+        engine.drain();
+        assert_eq!(engine.preemptions(), 1);
+        assert_eq!(engine.shutdown().pages_live, 0);
+    }
+
+    /// A caller-stepped engine is a `BatchDecoder` behind the engine's
+    /// routing: fed the same submissions between the same steps, every
+    /// step advances the same hypotheses and every ticket polls the same
+    /// state — queue positions, partial ids, preemption and all.
+    #[test]
+    fn stepped_engine_replays_a_batch_decoder_step_for_step() {
+        let (cfg, store, params) = setup();
+        let req = |i: usize| {
+            let mut req = BatchRequest::greedy(enc(&store, &params, &cfg, i), 20);
+            req.opts.min_len = 4 + i;
+            req
+        };
+        let mut dec = BatchDecoder::new(&store, &params, &cfg, 2);
+        let engine = Engine::stepped(
+            model_over(&store, &params, &cfg),
+            EngineConfig {
+                max_batch: 2,
+                ..EngineConfig::default()
+            },
+        );
+        let mut pairs: Vec<(RequestId, EngineTicket)> = Vec::new();
+        for step in 0.. {
+            let arrivals = match step {
+                0 => (0..3).map(|i| req(i).bulk()).collect(),
+                3 => vec![req(3), req(4).bulk()],
+                _ => Vec::new(),
+            };
+            for r in arrivals {
+                pairs.push((dec.submit(r.clone()), engine.submit(r)));
+            }
+            let advanced = dec.step();
+            assert_eq!(engine.step(), advanced, "step {step}");
+            for &(id, ticket) in &pairs {
+                assert_eq!(engine.poll(ticket), dec.poll(id), "step {step}, {ticket}");
+            }
+            if advanced == 0 {
+                break;
+            }
+        }
+        assert_eq!(engine.preemptions(), dec.preemptions());
+        assert!(engine.preemptions() > 0, "the keystroke preempted bulk");
+        assert_eq!(engine.pending(), 0);
+        assert_eq!(engine.shutdown().pages_live, 0);
+    }
+
+    /// Nothing waits for a turn nobody grants: `drain` runs the turns of a
+    /// caller-stepped engine itself, and shutdown with work still queued
+    /// returns at once and cancels it.
+    #[test]
+    fn stepped_engine_drains_and_shuts_down_without_grants() {
+        let (cfg, store, params) = setup();
+        let engine = Engine::stepped(
+            model_over(&store, &params, &cfg),
+            EngineConfig {
+                max_batch: 2,
+                ..EngineConfig::default()
+            },
+        );
+        let encs: Vec<Tensor> = (0..3).map(|i| enc(&store, &params, &cfg, i)).collect();
+        let out = engine.decode_all(
+            encs.iter()
+                .map(|e| BatchRequest::greedy(e.clone(), 16))
+                .collect(),
+        );
+        for (e, got) in encs.iter().zip(out) {
+            let alone = reference_ids(
+                &store,
+                &params,
+                &cfg,
+                e,
+                &[SOS],
+                16,
+                DecodeOptions::default(),
+            );
+            assert_eq!(got, alone);
+        }
+        let stranded = engine.submit(BatchRequest::greedy(encs[0].clone(), 16));
+        assert!(engine.poll(stranded).is_pending());
+        assert_eq!(engine.shutdown().pages_live, 0);
+    }
+
+    /// A worker that dies mid-turn (here on a request its scheduler
+    /// rejects) fails the caller waiting for the turn instead of hanging
+    /// it.
+    #[test]
+    #[should_panic(expected = "exited before taking its turn")]
+    fn stepped_engine_reports_a_dead_worker() {
+        let (cfg, store, params) = setup();
+        let engine = Engine::stepped(model_over(&store, &params, &cfg), EngineConfig::default());
+        let mut req = BatchRequest::greedy(enc(&store, &params, &cfg, 0), 8);
+        req.prompt.clear();
+        engine.submit(req);
+        engine.step();
+    }
+
+    #[test]
+    #[should_panic(expected = "one worker")]
+    fn stepped_engine_rejects_more_workers() {
+        let (cfg, store, params) = setup();
+        Engine::stepped(
+            model_over(&store, &params, &cfg),
+            EngineConfig::with_workers(2),
+        );
     }
 
     #[test]

@@ -111,25 +111,6 @@ impl Seq2SeqModel {
         )
     }
 
-    /// Generate from source ids: encode, then decode one [`BatchRequest`]
-    /// through a [`BatchDecoder`] built for `opts` (greedy or beam, f32 or
-    /// int8). Prepares the decoder weights per call — anything that
-    /// generates repeatedly should hold an [`Engine`] or a `BatchDecoder`
-    /// instead.
-    pub fn generate(&self, src_ids: &[usize], max_len: usize, opts: DecodeOptions) -> Vec<usize> {
-        let (store, params, cfg) = (&self.store, &self.params, &self.cfg);
-        let req = BatchRequest {
-            enc_out: decode::encode_source(store, params, cfg, src_ids),
-            prompt: vec![SOS],
-            max_len,
-            opts,
-            submit: SubmitOptions::default(),
-        };
-        BatchDecoder::with_precision(store, params, cfg, opts.beam, opts.precision)
-            .decode_all(vec![req])
-            .swap_remove(0)
-    }
-
     /// Teacher-forced metrics on a dataset: `(loss, seq_acc, tok_acc)`.
     pub fn evaluate(&self, examples: &[Example]) -> (f64, f64, f64) {
         evaluate(&self.store, &self.params, &self.cfg, examples)
@@ -184,10 +165,16 @@ mod tests {
     fn checkpoint_roundtrip_preserves_behaviour() {
         let m = tiny_model();
         let src = vec![SOS, m.vocab.id("int"), m.vocab.id("main"), EOS];
-        let out1 = m.generate(&src, 10, DecodeOptions::default());
+        let generate = |m: &Seq2SeqModel| {
+            let enc_out = decode::encode_source(&m.store, &m.params, &m.cfg, &src);
+            BatchDecoder::new(&m.store, &m.params, &m.cfg, 1)
+                .decode_all(vec![BatchRequest::greedy(enc_out, 10)])
+                .swap_remove(0)
+        };
+        let out1 = generate(&m);
         let json = m.to_json();
         let m2 = Seq2SeqModel::from_json(&json).unwrap();
-        let out2 = m2.generate(&src, 10, DecodeOptions::default());
+        let out2 = generate(&m2);
         assert_eq!(out1, out2, "loaded model generates identically");
         assert_eq!(m2.vocab.id("MPI_Init"), m.vocab.id("MPI_Init"));
     }

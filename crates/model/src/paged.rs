@@ -178,17 +178,6 @@ impl PoolStats {
     pub fn peak_bytes(&self) -> usize {
         self.pages_peak * self.page_bytes
     }
-
-    /// Fold another pool's counters into this one (fleet-wide totals for
-    /// multi-pool deployments). Page geometry is taken from `self`; peaks
-    /// sum, which over-reports a fleet peak whose pools peaked at
-    /// different times — fine for a telemetry ceiling.
-    pub fn absorb(&mut self, other: &PoolStats) {
-        self.pages_live += other.pages_live;
-        self.pages_peak += other.pages_peak;
-        self.pages_shared += other.pages_shared;
-        self.cow_copies += other.cow_copies;
-    }
 }
 
 /// Shared handle to a page pool (cheap to clone; forks and lanes that share

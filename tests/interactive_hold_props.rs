@@ -126,29 +126,41 @@ fn engine(model: &Arc<EngineModel>, workers: usize, aging_steps: u64) -> Engine 
 }
 
 /// Generated tokens a client can see for a ticket right now, redeeming
-/// (and recording) a terminal state on the way.
+/// (and recording) a terminal state on the way. `None` while the ticket is
+/// `Queued`: a preempted ticket keeps its tokens, but a poll does not show
+/// them.
 fn observe(
     engine: &Engine,
     ticket: EngineTicket,
     outcome: &mut Option<Option<Vec<usize>>>,
-) -> usize {
+) -> Option<usize> {
     if let Some(done) = outcome {
-        return done.as_ref().map_or(0, Vec::len);
+        return Some(done.as_ref().map_or(0, Vec::len));
     }
     match engine.poll(ticket) {
-        PollResult::Queued { .. } => 0,
-        PollResult::Decoding { tokens_so_far } => tokens_so_far.len(),
+        PollResult::Queued { .. } => None,
+        PollResult::Decoding { tokens_so_far } => Some(tokens_so_far.len()),
         PollResult::Done { ids, .. } => {
             let n = ids.len();
             *outcome = Some(Some(ids));
-            n
+            Some(n)
         }
         PollResult::Cancelled => {
             *outcome = Some(None);
-            0
+            Some(0)
         }
         PollResult::Unknown => panic!("{ticket} became Unknown while pending"),
     }
+}
+
+/// [`observe`], counting a `Queued` ticket as no tokens — exact for a
+/// ticket that has not been preempted, which is all the callers see.
+fn tokens(
+    engine: &Engine,
+    ticket: EngineTicket,
+    outcome: &mut Option<Option<Vec<usize>>>,
+) -> usize {
+    observe(engine, ticket, outcome).unwrap_or(0)
 }
 
 /// Assert every recorded outcome is the reference (or a cancellation the
@@ -253,10 +265,12 @@ proptest! {
                     // The window: bulk progress observed while one of this
                     // wave's tickets is still pending (so the count is > 0
                     // throughout) may include one step already under way
-                    // at submission, never more.
+                    // at submission, never more. A preempted ticket polls
+                    // `Queued` and shows no count; its first visible count
+                    // in the window is its base.
                     let mut first: Vec<Option<usize>> = vec![None; bulk.len()];
                     loop {
-                        let seen: Vec<usize> = (0..bulk.len())
+                        let seen: Vec<Option<usize>> = (0..bulk.len())
                             .map(|b| observe(&engine, tickets[b].expect("submitted"), &mut outcomes[b]))
                             .collect();
                         let mut open = false;
@@ -268,6 +282,7 @@ proptest! {
                             break;
                         }
                         for (b, &n) in seen.iter().enumerate() {
+                            let Some(n) = n else { continue };
                             let base = *first[b].get_or_insert(n);
                             prop_assert!(
                                 n <= base + 1,
@@ -287,9 +302,7 @@ proptest! {
                     observe(&engine, t.expect("submitted"), &mut outcomes[i]);
                 }
                 check_outcomes(&outcomes, &wants, &may_cancel, &label);
-                for stats in engine.shutdown() {
-                    prop_assert_eq!(stats.pages_live, 0, "{}: leaked pages", &label);
-                }
+                prop_assert_eq!(engine.shutdown().pages_live, 0, "{}: leaked pages", &label);
             }
         }
     }
@@ -315,7 +328,7 @@ fn reservation_holds_every_worker() {
         while tickets
             .iter()
             .zip(&mut outcomes)
-            .any(|(&t, o)| observe(&engine, t, o) == 0)
+            .any(|(&t, o)| tokens(&engine, t, o) == 0)
         {
             assert!(
                 started.elapsed() < Duration::from_secs(30),
@@ -328,12 +341,12 @@ fn reservation_holds_every_worker() {
         let first: Vec<usize> = tickets
             .iter()
             .zip(&mut outcomes)
-            .map(|(&t, o)| observe(&engine, t, o))
+            .map(|(&t, o)| tokens(&engine, t, o))
             .collect();
         let frozen_until = Instant::now() + Duration::from_millis(30);
         while Instant::now() < frozen_until {
             for ((&t, o), &base) in tickets.iter().zip(&mut outcomes).zip(&first) {
-                let n = observe(&engine, t, o);
+                let n = tokens(&engine, t, o);
                 assert!(
                     n <= base + 1,
                     "{workers} workers: bulk went {base} -> {n} tokens under a reservation"
@@ -348,9 +361,11 @@ fn reservation_holds_every_worker() {
             observe(&engine, t, o);
             assert_eq!(o.as_ref(), Some(&Some(want.clone())), "held bulk diverged");
         }
-        for stats in engine.shutdown() {
-            assert_eq!(stats.pages_live, 0, "{workers} workers: leaked pages");
-        }
+        assert_eq!(
+            engine.shutdown().pages_live,
+            0,
+            "{workers} workers: leaked pages"
+        );
     }
 }
 
@@ -386,7 +401,7 @@ proptest! {
         let (mut tickets, mut wants): (Vec<EngineTicket>, Vec<Vec<usize>>) =
             bulk[..split].iter().map(submit_bulk).unzip();
         let mut early = vec![None; split];
-        while tickets.iter().zip(&mut early).any(|(&t, o)| observe(&engine, t, o) == 0) {
+        while tickets.iter().zip(&mut early).any(|(&t, o)| tokens(&engine, t, o) == 0) {
             std::thread::yield_now();
         }
         // Held for the whole run, so the count never touches zero between
@@ -451,8 +466,6 @@ proptest! {
         }
         drop(reservation);
         prop_assert_eq!(engine.interactive_in_flight(), 0);
-        for stats in engine.shutdown() {
-            prop_assert_eq!(stats.pages_live, 0, "leaked pages");
-        }
+        prop_assert_eq!(engine.shutdown().pages_live, 0, "leaked pages");
     }
 }

@@ -237,12 +237,11 @@ fn run_engine_schedule(
             }
         })
         .collect();
-    for (w, stats) in engine.shutdown().into_iter().enumerate() {
-        assert_eq!(
-            stats.pages_live, 0,
-            "{workers}-worker engine: worker {w} leaked pages"
-        );
-    }
+    assert_eq!(
+        engine.shutdown().pages_live,
+        0,
+        "{workers}-worker engine leaked pages"
+    );
     outcomes
 }
 
@@ -375,9 +374,7 @@ fn seeded_schedules_place_deterministically() {
                 }
             }
             let placements = engine.placements();
-            for (w, stats) in engine.shutdown().into_iter().enumerate() {
-                assert_eq!(stats.pages_live, 0, "worker {w} leaked pages");
-            }
+            assert_eq!(engine.shutdown().pages_live, 0, "a worker leaked pages");
             placements
         };
         let first = run(1234);
@@ -457,9 +454,11 @@ fn hammer_concurrent_clients_are_race_free() {
     .expect("hammer clients do not panic");
     engine.drain();
     assert_eq!(engine.pending(), 0);
-    for (w, stats) in engine.shutdown().into_iter().enumerate() {
-        assert_eq!(stats.pages_live, 0, "worker {w} leaked pages under hammer");
-    }
+    assert_eq!(
+        engine.shutdown().pages_live,
+        0,
+        "a worker leaked pages under hammer"
+    );
 }
 
 /// Property 4: priority-aware eviction under a soft page limit. Bulk
@@ -787,12 +786,10 @@ proptest! {
                     "{:?} {} workers: every admission consults the shared table",
                     precision, workers
                 );
-                for (w, stats) in engine.shutdown().into_iter().enumerate() {
-                    prop_assert_eq!(
-                        stats.pages_live, 0,
-                        "{:?} {} workers: worker {} leaked pages", precision, workers, w
-                    );
-                }
+                prop_assert_eq!(
+                    engine.shutdown().pages_live, 0,
+                    "{:?} {} workers: leaked pages", precision, workers
+                );
             }
 
             // Sequenced across 2 workers: the table entry exists before the
@@ -822,12 +819,10 @@ proptest! {
                 s.hits, family.len() as u64 - 1,
                 "{:?} sequenced: every later member shares through the table", precision
             );
-            for (w, stats) in engine.shutdown().into_iter().enumerate() {
-                prop_assert_eq!(
-                    stats.pages_live, 0,
-                    "{:?} sequenced: worker {} leaked pages", precision, w
-                );
-            }
+            prop_assert_eq!(
+                engine.shutdown().pages_live, 0,
+                "{:?} sequenced: leaked pages", precision
+            );
         }
     }
 }

@@ -7,7 +7,7 @@
 //!
 //! * (a) responses over the wire are **bitwise identical** (serialized
 //!   suggestion + parse-health payloads compared as JSON strings) to the
-//!   inline in-process reference, for f32 **and** int8 artifacts, under
+//!   caller-stepped in-process reference, for f32 **and** int8 artifacts, under
 //!   concurrent clients;
 //! * (b) submissions past the admission budget receive a typed `Busy`
 //!   and are *not* queued;
@@ -88,8 +88,9 @@ fn start(assistant: MpiRical, budget: usize, workers: usize) -> Server {
     .expect("bind loopback")
 }
 
-/// The in-process reference: the inline (single-scheduler, deterministic)
-/// `SuggestService` path, serialized exactly as the wire serializes it.
+/// The in-process reference: the caller-stepped (one engine worker,
+/// deterministic) `SuggestService` path, serialized exactly as the wire
+/// serializes it.
 fn reference_payloads(assistant: &MpiRical, buffers: &[&str]) -> Vec<String> {
     let mut service = SuggestService::new(assistant);
     let tickets: Vec<_> = buffers.iter().map(|b| service.submit(b)).collect();

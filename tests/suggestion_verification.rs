@@ -386,8 +386,10 @@ fn hostile_buffers_get_a_typed_verdict_and_the_process_lives() {
     }
     // Nesting past the parser's bound once overflowed the stack of the
     // thread parsing it. The over-deep region is now an error node: strict
-    // parsing refuses the buffer and its verdict is typed.
-    for (name, body) in nesting_shapes(2_000) {
+    // parsing refuses the buffer and its verdict is typed. A flat operator
+    // chain nests too: 20 000 terms fold into a left spine 20 000 deep.
+    let chain = ("operators", format!("buf[0] = 1{};", " + 1".repeat(20_000)));
+    for (name, body) in nesting_shapes(2_000).into_iter().chain([chain]) {
         let src = hostile("", &body);
         assert!(parse_strict(&src).is_err(), "{name}");
         let tolerant = parse_tolerant(&src);
@@ -450,8 +452,9 @@ fn nesting_times_recursion_at_the_frame_budget_fits_a_rank_stack() {
 }
 
 /// A block, a parenthesized expression and a unary chain, each nested `n`
-/// levels deep, as statements for [`hostile`]'s `main`.
-fn nesting_shapes(n: usize) -> [(&'static str, String); 3] {
+/// levels deep, and a chain of `n` binary operators, as statements for
+/// [`hostile`]'s `main`.
+fn nesting_shapes(n: usize) -> [(&'static str, String); 4] {
     [
         ("blocks", "{".repeat(n) + ";" + &"}".repeat(n)),
         (
@@ -459,6 +462,7 @@ fn nesting_shapes(n: usize) -> [(&'static str, String); 3] {
             format!("buf[0] = {}1{};", "(".repeat(n), ")".repeat(n)),
         ),
         ("unary", format!("buf[0] = {}1;", "!".repeat(n))),
+        ("operators", format!("buf[0] = 1{};", " + 1".repeat(n))),
     ]
 }
 
@@ -469,7 +473,12 @@ fn nesting_shapes(n: usize) -> [(&'static str, String); 3] {
 #[test]
 fn nesting_at_the_parse_bound_fits_a_default_thread_stack() {
     let assistant = tiny_assistant();
-    let deepest = [MAX_NESTING - 1, (MAX_NESTING - 4) / 2, MAX_NESTING - 4];
+    let deepest = [
+        MAX_NESTING - 1,
+        (MAX_NESTING - 4) / 2,
+        MAX_NESTING - 4,
+        MAX_NESTING - 4,
+    ];
     std::thread::Builder::new()
         .stack_size(2 << 20)
         .spawn(move || {
