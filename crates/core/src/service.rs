@@ -276,14 +276,15 @@ impl<'m> SuggestService<'m> {
         )
     }
 
-    /// [`with_max_batch`](Self::with_max_batch) with full [`EngineConfig`]
-    /// control (aging bound, soft page limit) over the one caller-stepped
-    /// worker.
+    /// [`with_max_batch`](Self::with_max_batch) with [`EngineConfig`]
+    /// control (lanes, aging bound, soft page limit) over the one
+    /// caller-stepped worker; `cfg.workers` and `cfg.seed` are ignored
+    /// (see [`Engine::stepped`]).
     ///
     /// # Panics
     ///
-    /// If `cfg.workers` is not 1, `cfg.max_batch` is 0, or the artifact's
-    /// decode options are invalid.
+    /// If `cfg.max_batch` is 0 or the artifact's decode options are
+    /// invalid.
     pub fn stepped_with(assistant: &'m MpiRical, cfg: EngineConfig) -> SuggestService<'m> {
         SuggestService::over(AssistantHandle::Borrowed(assistant), cfg, Engine::stepped)
     }

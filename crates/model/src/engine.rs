@@ -121,10 +121,11 @@ impl EngineModel {
         }
     }
 
-    /// Bundle a copy of a checkpointed artifact.
+    /// Bundle a copy of a checkpointed artifact's weights (its optimizer
+    /// state stays behind).
     pub fn from_model(model: &Seq2SeqModel, precision: Precision) -> EngineModel {
         EngineModel::new(
-            model.store.clone(),
+            model.store.values_copy(),
             model.params.clone(),
             model.cfg.clone(),
             precision,
@@ -365,6 +366,10 @@ pub struct Engine {
     handles: Vec<std::thread::JoinHandle<()>>,
     /// Seed-derived starting offset for the placement tie-break rotation.
     rotation: usize,
+    /// Held by a [`step`](Engine::step) caller from its grant until its
+    /// turn is taken, so concurrent callers of a caller-stepped engine each
+    /// get their own turn.
+    stepper: Mutex<()>,
 }
 
 /// splitmix64 — decorrelates the raw seed into a rotation offset.
@@ -390,12 +395,13 @@ impl Engine {
     /// turn per [`step`](Engine::step) call and never on its own, so every
     /// poll between steps sees a schedule that depends on the call
     /// sequence alone. [`drain`](Engine::drain) grants turns itself.
+    /// `cfg.workers` is ignored: the engine always has one worker.
     ///
     /// # Panics
     ///
-    /// If `cfg.workers` is not 1 or `cfg.max_batch` is 0.
+    /// If `cfg.max_batch` is 0.
     pub fn stepped(model: Arc<EngineModel>, cfg: EngineConfig) -> Engine {
-        assert_eq!(cfg.workers, 1, "a caller-stepped engine has one worker");
+        let cfg = EngineConfig { workers: 1, ..cfg };
         Engine::spawn(model, cfg, Some(Turn::default()))
     }
 
@@ -428,6 +434,7 @@ impl Engine {
             shared,
             handles,
             rotation: (splitmix64(cfg.seed) % cfg.workers as u64) as usize,
+            stepper: Mutex::new(()),
         }
     }
 
@@ -619,23 +626,25 @@ impl Engine {
     /// [`BatchDecoder::step`]). Autonomous workers need no grant: the call
     /// waits up to 1 ms for progress and returns the requests still
     /// pending, so `while engine.step() > 0 {}` drives either kind.
+    /// Callers on several threads take turns one after another.
     ///
     /// # Panics
     ///
     /// If the worker exited (it panicked) before taking the turn.
     pub fn step(&self) -> usize {
-        let mut st = self.shared.state.lock();
-        let Some(turn) = st.turn.as_mut() else {
-            drop(st);
+        if self.shared.state.lock().turn.is_none() {
             self.drain_for(Duration::from_millis(1));
             return self.pending();
-        };
+        }
+        let _serial = self.stepper.lock();
+        let mut st = self.shared.state.lock();
+        let turn = st.turn.as_mut().expect("a stepped engine stays stepped");
         turn.granted += 1;
         let granted = turn.granted;
         self.shared.work.notify_all();
         loop {
             let turn = st.turn.as_ref().expect("a stepped engine stays stepped");
-            if turn.taken == granted {
+            if turn.taken >= granted {
                 return turn.advanced;
             }
             assert_eq!(st.exited, 0, "engine worker exited before taking its turn");
@@ -796,9 +805,6 @@ fn worker_loop(shared: &Shared, w: usize) {
     );
     dec.set_aging_steps(shared.cfg.aging_steps);
     dec.set_page_limit(shared.cfg.page_limit);
-    // A lone worker has nobody to leave the backlog to: it takes all of it,
-    // so its scheduler sees every request, as a bare `BatchDecoder` would.
-    let lone = shared.cfg.workers == 1;
     // Tickets this worker owns, paired with their local request ids.
     let mut live: Vec<(EngineTicket, RequestId)> = Vec::new();
     // `fleet_steps` when this worker last parked; the steps other workers
@@ -825,8 +831,10 @@ fn worker_loop(shared: &Shared, w: usize) {
                 }
                 // Steal bulk work while this worker plausibly has capacity
                 // (the local scheduler's admission handles exact lane fit,
-                // aging, and preemption).
-                while lone || dec.pending() < dec.max_batch() {
+                // aging, and preemption). A caller-stepped worker is the
+                // only one: it takes the whole backlog, so its scheduler
+                // sees every request, as a bare `BatchDecoder` would.
+                while st.turn.is_some() || dec.pending() < dec.max_batch() {
                     let Some(job) = st.pop_backlog() else { break };
                     st.owner.insert(job.ticket, w);
                     st.bulk_steals += 1;
@@ -1497,6 +1505,58 @@ mod tests {
         assert_eq!(engine.shutdown().pages_live, 0);
     }
 
+    /// Threads stepping one caller-stepped engine at once each get a turn
+    /// of their own: together they run the schedule a single caller runs,
+    /// every call reporting one distinct turn's count.
+    #[test]
+    fn stepped_engine_gives_concurrent_callers_one_turn_each() {
+        let (cfg, store, params) = setup();
+        let reqs: Vec<BatchRequest> = (0..4)
+            .map(|i| {
+                let mut req = BatchRequest::greedy(enc(&store, &params, &cfg, i), 20);
+                req.opts.min_len = 6 + i;
+                req
+            })
+            .collect();
+        let mut dec = BatchDecoder::new(&store, &params, &cfg, 2);
+        let ids: Vec<RequestId> = reqs.iter().map(|r| dec.submit(r.clone())).collect();
+        let mut want: Vec<usize> = std::iter::from_fn(|| Some(dec.step()))
+            .take_while(|&n| n > 0)
+            .collect();
+        // Two callers, an equal number of turns each, the last ones idle.
+        want.resize(want.len() + 2 - want.len() % 2, 0);
+        let engine = Engine::stepped(
+            model_over(&store, &params, &cfg),
+            EngineConfig {
+                max_batch: 2,
+                ..EngineConfig::default()
+            },
+        );
+        let tickets: Vec<EngineTicket> = reqs.into_iter().map(|r| engine.submit(r)).collect();
+        let mut got: Vec<usize> = std::thread::scope(|s| {
+            let callers: Vec<_> = (0..2)
+                .map(|_| {
+                    s.spawn(|| {
+                        (0..want.len() / 2)
+                            .map(|_| engine.step())
+                            .collect::<Vec<_>>()
+                    })
+                })
+                .collect();
+            callers
+                .into_iter()
+                .flat_map(|c| c.join().expect("caller returns"))
+                .collect()
+        });
+        got.sort_unstable();
+        want.sort_unstable();
+        assert_eq!(got, want, "each call reports its own turn");
+        for (id, ticket) in ids.into_iter().zip(tickets) {
+            assert_eq!(engine.poll(ticket), dec.poll(id), "{ticket}");
+        }
+        assert_eq!(engine.shutdown().pages_live, 0);
+    }
+
     /// Nothing waits for a turn nobody grants: `drain` runs the turns of a
     /// caller-stepped engine itself, and shutdown with work still queued
     /// returns at once and cancels it.
@@ -1545,16 +1605,6 @@ mod tests {
         req.prompt.clear();
         engine.submit(req);
         engine.step();
-    }
-
-    #[test]
-    #[should_panic(expected = "one worker")]
-    fn stepped_engine_rejects_more_workers() {
-        let (cfg, store, params) = setup();
-        Engine::stepped(
-            model_over(&store, &params, &cfg),
-            EngineConfig::with_workers(2),
-        );
     }
 
     #[test]

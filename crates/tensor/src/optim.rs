@@ -94,6 +94,25 @@ impl ParamStore {
         (0..self.slots.len()).map(ParamId)
     }
 
+    /// A copy of every parameter value with fresh (zeroed) Adam moments —
+    /// what an inference-only holder needs. Zeroed buffers are allocated
+    /// lazily, so of the copy only the values become resident.
+    pub fn values_copy(&self) -> ParamStore {
+        ParamStore {
+            slots: self
+                .slots
+                .iter()
+                .map(|s| Slot {
+                    name: s.name.clone(),
+                    value: s.value.clone(),
+                    m: Tensor::zeros(&s.value.shape),
+                    v: Tensor::zeros(&s.value.shape),
+                })
+                .collect(),
+            by_name: self.by_name.clone(),
+        }
+    }
+
     /// Rebuild the name index after deserialization (serde skips it).
     /// Callers that deserialize a `ParamStore` (e.g. the model crate's
     /// checkpoint loader) must invoke this before using `id_of`.
@@ -120,6 +139,18 @@ mod store_tests {
         assert_eq!(s.id_of("w"), Some(id));
         assert_eq!(s.name_of(id), "w");
         assert_eq!(s.value(id).data, vec![1.0; 6]);
+    }
+
+    #[test]
+    fn values_copy_keeps_values_and_zeroes_moments() {
+        let mut s = ParamStore::new();
+        let id = s.add("w", Tensor::ones(&[2, 3]));
+        s.slots[0].m = Tensor::ones(&[2, 3]);
+        let copy = s.values_copy();
+        assert_eq!(copy.id_of("w"), Some(id));
+        assert_eq!(copy.value(id).data, s.value(id).data);
+        assert_eq!(copy.slots[0].m.data, vec![0.0; 6]);
+        assert_eq!(copy.slots[0].v.shape, vec![2, 3]);
     }
 
     #[test]

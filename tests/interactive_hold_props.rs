@@ -245,6 +245,11 @@ proptest! {
                 let engine = engine(model, workers, NEVER_AGES);
                 let mut tickets: Vec<Option<EngineTicket>> = vec![None; requests.len()];
                 let mut outcomes: Vec<Option<Option<Vec<usize>>>> = vec![None; requests.len()];
+                // Each bulk ticket's latest visible count over the whole
+                // run. A pending ticket never loses tokens (preemption
+                // keeps them), so this stands in for the count a `Queued`
+                // poll hides.
+                let mut last: Vec<Option<usize>> = vec![None; bulk.len()];
                 for (i, req) in requests.iter().enumerate().take(bulk.len()) {
                     tickets[i] = Some(engine.submit(req.clone()));
                 }
@@ -265,14 +270,24 @@ proptest! {
                     // The window: bulk progress observed while one of this
                     // wave's tickets is still pending (so the count is > 0
                     // throughout) may include one step already under way
-                    // at submission, never more. A preempted ticket polls
-                    // `Queued` and shows no count; its first visible count
-                    // in the window is its base.
-                    let mut first: Vec<Option<usize>> = vec![None; bulk.len()];
+                    // at submission, never more. The base is a ticket's
+                    // count at its first poll in the window. A ticket
+                    // `Queued` then takes its latest count seen before; if
+                    // no worker has preempted anything yet, it was never
+                    // admitted and has none. Only a preempted ticket never
+                    // seen decoding falls back to its first visible count.
+                    let mut first: Option<Vec<Option<usize>>> = None;
                     loop {
                         let seen: Vec<Option<usize>> = (0..bulk.len())
                             .map(|b| observe(&engine, tickets[b].expect("submitted"), &mut outcomes[b]))
                             .collect();
+                        let bases = first.get_or_insert_with(|| {
+                            let unadmitted = (engine.preemptions() == 0).then_some(0);
+                            seen.iter().zip(&last).map(|(&n, &l)| n.or(l).or(unadmitted)).collect()
+                        });
+                        for (l, &n) in last.iter_mut().zip(&seen) {
+                            *l = n.or(*l);
+                        }
                         let mut open = false;
                         for &i in members {
                             observe(&engine, tickets[i].expect("submitted"), &mut outcomes[i]);
@@ -283,7 +298,7 @@ proptest! {
                         }
                         for (b, &n) in seen.iter().enumerate() {
                             let Some(n) = n else { continue };
-                            let base = *first[b].get_or_insert(n);
+                            let base = *bases[b].get_or_insert(n);
                             prop_assert!(
                                 n <= base + 1,
                                 "{}: bulk {} went {} -> {} tokens while wave {} was in flight",
