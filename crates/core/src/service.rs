@@ -165,8 +165,8 @@ pub struct SuggestService<'m> {
     /// redeemed with the ticket (`Done` carries it; `Cancelled` drops it).
     health: HashMap<RequestId, ParseHealth>,
     /// Verifying artifacts only: per-ticket splice base (the canonical
-    /// serial program) and priority class, captured at submit time.
-    tickets: HashMap<RequestId, Ticket>,
+    /// serial program), captured at submit time.
+    tickets: HashMap<RequestId, Program>,
     /// Decoded tickets awaiting verification, oldest first. Worked off one
     /// per idle [`step`](SuggestService::step) (bulk semantics: never while
     /// an interactive decode is in flight) or synchronously at
@@ -195,12 +195,6 @@ impl Deref for AssistantHandle<'_> {
             AssistantHandle::Owned(a) => a,
         }
     }
-}
-
-/// Submit-time context a verifying service keeps per ticket.
-struct Ticket {
-    base: Program,
-    interactive: bool,
 }
 
 /// A ticket that finished decoding and now owes a verification pass.
@@ -366,7 +360,7 @@ impl<'m> SuggestService<'m> {
         let id = RequestId::from_raw(self.engine.submit(req).raw());
         self.health.insert(id, enc.health);
         if let Some(base) = self.assistant.verify_base(c_source) {
-            self.tickets.insert(id, Ticket { base, interactive });
+            self.tickets.insert(id, base);
         }
         id
     }
@@ -400,7 +394,10 @@ impl<'m> SuggestService<'m> {
         let n = self.engine.step();
         if self.assistant.verify.is_some() {
             self.sweep_finished();
-            if !self.interactive_in_flight() {
+            // Every verifying ticket is tracked until the sweep sees it
+            // resolve, so the engine's in-flight count is exactly the
+            // Interactive tickets still queued or decoding.
+            if self.engine.interactive_in_flight() == 0 {
                 self.verify_next();
             }
         }
@@ -439,10 +436,10 @@ impl<'m> SuggestService<'m> {
                     telemetry,
                     ..
                 } => {
-                    let ticket = self.tickets.remove(&id).expect("swept ids are tracked");
+                    let base = self.tickets.remove(&id).expect("swept ids are tracked");
                     self.verify_queue.push(PendingVerify {
                         id,
-                        base: ticket.base,
+                        base,
                         hypotheses,
                         telemetry,
                     });
@@ -455,11 +452,6 @@ impl<'m> SuggestService<'m> {
                 _ => {}
             }
         }
-    }
-
-    /// True while any interactive-class ticket is still queued or decoding.
-    fn interactive_in_flight(&self) -> bool {
-        self.tickets.values().any(|t| t.interactive)
     }
 
     /// Verify the oldest queued ticket, if any. Returns whether one ran.
@@ -562,7 +554,7 @@ impl<'m> SuggestService<'m> {
             } => {
                 // A verifying ticket landing here finished between the last
                 // sweep and this poll: verify it now.
-                let base = self.tickets.remove(&id).map(|t| t.base);
+                let base = self.tickets.remove(&id);
                 let health = self.health.remove(&id).unwrap_or_default();
                 let (suggestions, verify) =
                     self.assistant.assemble(base.as_ref(), hypotheses, &health);
@@ -952,15 +944,15 @@ mod tests {
             assert!(service.step() > 0, "bulk request must retire");
         }
         assert!(
-            service.tickets.values().any(|t| t.interactive),
+            service.engine.interactive_in_flight() > 0,
             "interactive request still decoding when bulk retires"
         );
         // Deferral: while interactive traffic is in flight, stepping never
         // executes the queued verification.
-        while service.tickets.values().any(|t| t.interactive) {
+        while service.engine.interactive_in_flight() > 0 {
             let queued = service.verify_queue.len();
             service.step();
-            if service.tickets.values().any(|t| t.interactive) {
+            if service.engine.interactive_in_flight() > 0 {
                 assert_eq!(service.verify_queue.len(), queued, "deferred");
             }
         }
@@ -1031,7 +1023,7 @@ mod tests {
             assert_eq!(service.poll(doomed), SuggestPoll::Cancelled);
             assert!(service.tickets.is_empty(), "verification context dropped");
             assert!(service.health.is_empty(), "parse health dropped");
-            assert!(!service.interactive_in_flight());
+            assert_eq!(service.engine.interactive_in_flight(), 0);
         }
     }
 

@@ -27,30 +27,13 @@
 //!   [`Priority`] ([`Interactive`](Priority::Interactive) keystroke-latency
 //!   work vs [`Bulk`](Priority::Bulk) background re-indexing) and an
 //!   optional per-request cap on *generated* tokens.
-//! * **Priority admission** — the queue is a priority queue: highest
-//!   effective class first, FIFO ([`RequestId`] order) within a class. An
-//!   **aging** rule promotes any request that has waited
-//!   [`aging_steps`](BatchDecoder::aging_steps) scheduler steps to the
-//!   interactive class (and admits it preemption-immune), so bulk work can
-//!   never starve.
-//! * **Preemption** — when an interactive-class candidate (a fresh
-//!   interactive submission, or a request promoted by aging) finds every
-//!   lane held and unprotected bulk groups are running, the
-//!   youngest-admitted of them yield their lanes and re-enter the queue
-//!   *paused*: their paged KV caches stay alive (pages are refcounted), so
-//!   resuming is a lane reassignment, not a re-prefill, and the final
-//!   tokens are unchanged.
-//! * **Interactive hold** — while any Interactive request is in flight
-//!   (queued or decoding here, or — under the sharded
-//!   [`Engine`](crate::engine::Engine) — anywhere in the fleet), no
-//!   unprotected bulk group is admitted or stepped: held groups keep their
-//!   lanes, caches and pages and sit steps out, so the keystroke decodes
-//!   in a batch of its own instead of beside up to `max_batch - 1` bulk
-//!   lanes. Held steps count toward aging like queued ones: a group held
-//!   for [`aging_steps`](BatchDecoder::aging_steps) steps in a row is
-//!   promoted (protected) and steps again, so the aging bound still bounds
-//!   starvation, while a group that steps between keystrokes starts its
-//!   count afresh.
+//! * **Scheduling** — admission order, aging, preemption, page-pressure
+//!   victims and the Interactive hold are decided by the scheduler's
+//!   [`policy`](crate::policy) over integer tickets and step counts. This
+//!   module carries the decisions out: it fills lanes, keeps a paused or
+//!   held group's caches and pages alive (resuming is a lane reassignment,
+//!   not a re-prefill), drops an evicted group's self-attention pages, and
+//!   steps only the groups the policy lets step.
 //! * **Typed results + control** — [`poll`](BatchDecoder::poll)
 //!   distinguishes `Queued { position }`, `Decoding { tokens_so_far }`
 //!   (streaming partial output), `Done { ids, telemetry }`, `Cancelled`,
@@ -146,6 +129,8 @@ use crate::config::ModelConfig;
 use crate::decode::{argmax_token, expand_beams, ranked_hypothesis_ids, Hypothesis};
 use crate::infer::{decode_step_batch, BatchScratch, DecoderCache, DecoderWeights, Precision};
 use crate::paged::{PagePool, PoolStats};
+use crate::policy::Policy;
+pub use crate::policy::{Priority, RequestTelemetry, DEFAULT_AGING_STEPS};
 use crate::prefix::{PrefixStats, PrefixTable};
 use crate::transformer::TransformerParams;
 use crate::vocab::{EOS, SOS};
@@ -183,22 +168,6 @@ impl fmt::Display for RequestId {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         write!(f, "req#{}", self.0)
     }
-}
-
-/// Scheduling class of a request. Ordered: `Interactive > Bulk`.
-#[derive(
-    Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Default, Serialize, Deserialize,
-)]
-pub enum Priority {
-    /// Background work (corpus re-index, batch generation): decodes when
-    /// lanes are free, yields its lanes to interactive arrivals, and is
-    /// protected from starvation by the aging rule.
-    Bulk,
-    /// Latency-sensitive work (a keystroke-triggered suggestion): admitted
-    /// before queued bulk work and allowed to preempt running bulk lanes.
-    /// The default, so v1 `submit` callers keep their FIFO behaviour.
-    #[default]
-    Interactive,
 }
 
 /// Per-request submission knobs, carried by [`BatchRequest`] and flowing
@@ -250,23 +219,6 @@ impl SubmitOptions {
         self.deadline = Some(deadline);
         self
     }
-}
-
-/// Per-request scheduling telemetry, reported with the finished output so
-/// a serving daemon can export queue-health metrics per class.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default, Serialize, Deserialize)]
-pub struct RequestTelemetry {
-    /// Scheduler steps that ran while this request sat in the queue
-    /// (initial wait plus any paused-after-preemption waits).
-    pub queue_wait_steps: u64,
-    /// Lockstep steps this request participated in (prefill included, and
-    /// replay steps after a page eviction count again).
-    pub decode_steps: u64,
-    /// Times this request's lanes were preempted by interactive work.
-    pub preemptions: u64,
-    /// Times this request's KV pages were evicted under pool memory
-    /// pressure (the request re-entered the queue and replayed its tokens).
-    pub evictions: u64,
 }
 
 /// Typed lifecycle state returned by [`BatchDecoder::poll`].
@@ -330,16 +282,15 @@ impl PollResult {
 /// Default lane count for convenience constructors in the service layer.
 pub const DEFAULT_MAX_BATCH: usize = 8;
 
-/// Default aging bound: a queued request that has waited this many
-/// scheduler steps is promoted to the interactive class (and admitted
-/// preemption-immune), bounding bulk starvation. Tune per scheduler via
-/// [`BatchDecoder::set_aging_steps`].
-pub const DEFAULT_AGING_STEPS: u64 = 64;
-
 /// Most `Cancelled` markers retained for unpolled cancellations; past this
 /// the oldest degrade to [`PollResult::Unknown`], keeping fire-and-forget
 /// [`cancel`](BatchDecoder::cancel) memory-bounded in a long-lived daemon.
 pub const CANCELLED_MARKER_CAP: usize = 1024;
+
+/// Most Interactive placements an [`Engine`](crate::engine::Engine) keeps
+/// for [`placements`](crate::engine::Engine::placements); past this the
+/// oldest are dropped, keeping a long-lived daemon's engine bounded.
+pub const PLACEMENT_LOG_CAP: usize = 1024;
 
 /// One queued generation request.
 ///
@@ -423,21 +374,13 @@ impl BatchRequest {
     }
 }
 
-/// One admitted request: its hypotheses (one for greedy, up to `beam` once
-/// a beam request starts expanding) plus its generation bookkeeping.
+/// One admitted request — decoding, held, or paused in the queue: its
+/// hypotheses (one for greedy, up to `beam` once a beam request starts
+/// expanding) plus its generation bookkeeping.
 struct Group {
     id: RequestId,
-    /// Lanes reserved for this request (= its beam width) for its lifetime.
+    /// Lanes reserved for this request (= its beam width) while it decodes.
     reserved: usize,
-    /// Scheduling class this request was submitted with.
-    priority: Priority,
-    /// Immune to preemption: interactive requests always, and bulk
-    /// requests admitted through the aging rule (their starvation bound
-    /// would be meaningless if they could be evicted again).
-    protected: bool,
-    /// Admission order stamp; preemption evicts the youngest-admitted
-    /// unprotected bulk group first.
-    admit_seq: u64,
     /// Live and finished hypotheses, in [`expand_beams`] order. Greedy
     /// groups keep exactly one.
     beams: Vec<Hypothesis>,
@@ -448,30 +391,13 @@ struct Group {
     /// Generation stops once ids reach this length (prompt included).
     limit: usize,
     finished: bool,
-    /// EDF deadline stamp carried from [`SubmitOptions::deadline`] (kept on
-    /// the group so pauses/evictions re-enter the queue with it intact).
-    deadline: Option<u64>,
-    /// Steps in a row this group has sat out under the Interactive hold;
-    /// at the aging bound it is promoted (protected). Reset whenever the
-    /// group steps.
-    held_steps: u64,
-    /// Telemetry accumulators (see [`RequestTelemetry`]).
-    queue_wait_steps: u64,
+    /// See [`RequestTelemetry::decode_steps`].
     decode_steps: u64,
-    preemptions: u64,
-    evictions: u64,
 }
 
 impl Group {
     fn is_beam(&self) -> bool {
         self.reserved > 1
-    }
-
-    /// Sit out `steps` steps under the Interactive hold; held to the aging
-    /// bound, the group is promoted and escapes the hold.
-    fn hold(&mut self, steps: u64, aging_steps: u64) {
-        self.held_steps += steps;
-        self.protected = self.held_steps >= aging_steps;
     }
 
     /// Generated ids so far (prompt stripped): the single hypothesis for
@@ -488,51 +414,6 @@ impl Group {
         };
         best.map(|h| h.ids[self.prompt_len..].to_vec())
             .unwrap_or_default()
-    }
-
-    fn telemetry(&self) -> RequestTelemetry {
-        RequestTelemetry {
-            queue_wait_steps: self.queue_wait_steps,
-            decode_steps: self.decode_steps,
-            preemptions: self.preemptions,
-            evictions: self.evictions,
-        }
-    }
-}
-
-/// A queue entry: a fresh request awaiting prefill, or a paused group
-/// preempted mid-flight (its caches — and their pool pages — stay alive,
-/// so resuming is a lane reassignment, not a re-prefill).
-enum QueueItem {
-    Fresh(BatchRequest),
-    Paused(Box<Group>),
-}
-
-struct QueueEntry {
-    id: RequestId,
-    priority: Priority,
-    /// EDF deadline stamp (see [`SubmitOptions::deadline`]).
-    deadline: Option<u64>,
-    /// `step_count` when this entry (re-)entered the queue.
-    enqueued_step: u64,
-    item: QueueItem,
-}
-
-impl QueueEntry {
-    fn lanes_needed(&self) -> usize {
-        match &self.item {
-            QueueItem::Fresh(req) => req.opts.beam,
-            QueueItem::Paused(g) => g.reserved,
-        }
-    }
-
-    /// Queue-wait steps accrued in *earlier* queue stints (paused groups
-    /// carry their history; fresh requests have none).
-    fn accrued_wait(&self) -> u64 {
-        match &self.item {
-            QueueItem::Fresh(_) => 0,
-            QueueItem::Paused(g) => g.queue_wait_steps,
-        }
     }
 }
 
@@ -558,14 +439,18 @@ pub struct BatchDecoder<'m> {
     /// construction, borrowed when the caller already holds a prepared
     /// set (an artifact's load-time quantized weights).
     weights: Cow<'m, DecoderWeights>,
-    max_batch: usize,
     /// One page pool for every lane: retired requests recycle pages into
     /// newly admitted ones, and beam forks share pages COW.
     /// Private by default; [`with_shared`](Self::with_shared) lets a fleet
     /// of schedulers draw from one pool.
     pool: PagePool,
+    /// Every scheduling decision: admission, preemption, eviction victims
+    /// and the Interactive hold (see [`crate::policy`]).
+    policy: Policy,
+    /// Admitted groups, decoding or paused; the policy says which step.
     groups: Vec<Group>,
-    queue: Vec<QueueEntry>,
+    /// Submitted requests not yet admitted.
+    fresh: HashMap<RequestId, BatchRequest>,
     done: HashMap<RequestId, RetiredOutput>,
     cancelled: BTreeSet<RequestId>,
     /// Cross-K/V of recent encoder outputs (see [`crate::prefix`]);
@@ -574,23 +459,9 @@ pub struct BatchDecoder<'m> {
     scratch: BatchScratch,
     logits: Vec<f32>,
     next_id: u64,
-    /// Completed [`step`](Self::step) calls — the clock for aging and
-    /// queue-wait telemetry.
-    step_count: u64,
-    aging_steps: u64,
-    /// Monotone admission stamp (see [`Group::admit_seq`]).
-    admit_count: u64,
-    /// Total lane preemptions performed by this scheduler.
-    preemption_count: u64,
     /// Soft cap on live pool pages; `None` = unbounded. See
     /// [`set_page_limit`](Self::set_page_limit).
     page_limit: Option<usize>,
-    /// Total page evictions performed under pool memory pressure.
-    eviction_count: u64,
-    /// Interactive work is in flight elsewhere in the fleet (set by the
-    /// [`Engine`](crate::engine::Engine) worker that owns this scheduler):
-    /// unprotected bulk work is held exactly as if it were in flight here.
-    fleet_hold: bool,
 }
 
 impl<'m> BatchDecoder<'m> {
@@ -701,23 +572,17 @@ impl<'m> BatchDecoder<'m> {
             params,
             cfg,
             weights,
-            max_batch,
             pool,
+            policy: Policy::new(max_batch),
             groups: Vec::new(),
-            queue: Vec::new(),
+            fresh: HashMap::new(),
             done: HashMap::new(),
             cancelled: BTreeSet::new(),
             prefix,
             scratch: BatchScratch::new(cfg, max_batch),
             logits: vec![0.0; max_batch * cfg.vocab_size],
             next_id: 0,
-            step_count: 0,
-            aging_steps: DEFAULT_AGING_STEPS,
-            admit_count: 0,
-            preemption_count: 0,
             page_limit: None,
-            eviction_count: 0,
-            fleet_hold: false,
         }
     }
 
@@ -744,21 +609,19 @@ impl<'m> BatchDecoder<'m> {
              build the BatchDecoder with BatchDecoder::with_precision"
         );
         assert!(
-            req.opts.beam <= self.max_batch,
+            req.opts.beam <= self.max_batch(),
             "beam width {} exceeds the scheduler's {} lanes",
             req.opts.beam,
-            self.max_batch
+            self.max_batch()
         );
         assert!(!req.prompt.is_empty(), "prompt must hold at least <sos>");
         let id = RequestId(self.next_id);
         self.next_id += 1;
-        self.queue.push(QueueEntry {
-            id,
-            priority: req.submit.priority,
-            deadline: req.submit.deadline,
-            enqueued_step: self.step_count,
-            item: QueueItem::Fresh(req),
-        });
+        let SubmitOptions {
+            priority, deadline, ..
+        } = req.submit;
+        self.policy.submit(id.0, priority, req.opts.beam, deadline);
+        self.fresh.insert(id, req);
         id
     }
 
@@ -775,17 +638,14 @@ impl<'m> BatchDecoder<'m> {
     /// [`PollResult::Unknown`] — so a long-lived daemon that cancels
     /// without polling never grows unbounded state.
     pub fn cancel(&mut self, id: RequestId) -> bool {
-        if let Some(pos) = self.queue.iter().position(|e| e.id == id) {
-            self.queue.remove(pos);
-            self.mark_cancelled(id);
-            return true;
+        if self.policy.retire(id.0).is_none() {
+            return false;
         }
-        if let Some(pos) = self.groups.iter().position(|g| g.id == id) {
-            self.groups.remove(pos);
-            self.mark_cancelled(id);
-            return true;
+        if self.fresh.remove(&id).is_none() {
+            self.groups.retain(|g| g.id != id);
         }
-        false
+        self.mark_cancelled(id);
+        true
     }
 
     /// Record a `Cancelled` marker, evicting the oldest (smallest ticket)
@@ -800,54 +660,36 @@ impl<'m> BatchDecoder<'m> {
 
     /// Requests currently decoding in lanes.
     pub fn active(&self) -> usize {
-        self.groups.len()
-    }
-
-    /// Requests waiting for lanes (fresh submissions and preempted-paused
-    /// groups alike).
-    pub fn queued(&self) -> usize {
-        self.queue.len()
+        self.policy.active()
     }
 
     /// Requests submitted but not yet retired (active + queued).
     pub fn pending(&self) -> usize {
-        self.groups.len() + self.queue.len()
+        self.policy.pending()
     }
 
     /// The lane capacity this scheduler was built with.
     pub fn max_batch(&self) -> usize {
-        self.max_batch
-    }
-
-    /// Completed [`step`](Self::step) calls, plus the steps an engine
-    /// worker sat out under the fleet-wide Interactive hold — the scheduler
-    /// clock that aging and queue-wait telemetry count in.
-    pub fn steps_run(&self) -> u64 {
-        self.step_count
+        self.policy.max_batch
     }
 
     /// The aging bound: a queued request whose total wait reaches this
     /// many steps is promoted to the interactive class and admitted
     /// preemption-immune (see module docs).
     pub fn aging_steps(&self) -> u64 {
-        self.aging_steps
+        self.policy.aging_steps
     }
 
     /// Set the aging bound. `0` promotes every request immediately —
     /// pure submission-order FIFO across classes, no preemption targets.
     pub fn set_aging_steps(&mut self, steps: u64) {
-        self.aging_steps = steps;
+        self.policy.aging_steps = steps;
     }
 
     /// Total lane preemptions performed (bulk groups that yielded lanes to
     /// interactive arrivals).
     pub fn preemptions(&self) -> u64 {
-        self.preemption_count
-    }
-
-    /// Soft cap on live pool pages (see [`set_page_limit`](Self::set_page_limit)).
-    pub fn page_limit(&self) -> Option<usize> {
-        self.page_limit
+        self.policy.preemptions
     }
 
     /// Set a soft cap on live pool pages, enabling priority-aware KV-page
@@ -877,13 +719,7 @@ impl<'m> BatchDecoder<'m> {
 
     /// Total page evictions performed under pool memory pressure.
     pub fn evictions(&self) -> u64 {
-        self.eviction_count
-    }
-
-    /// Lanes currently reserved by admitted requests (capacity telemetry
-    /// for an admission front-end placing work across schedulers).
-    pub fn lanes_in_use(&self) -> usize {
-        self.lanes_used()
+        self.policy.evictions
     }
 
     /// The projection precision this scheduler's weights were prepared
@@ -911,94 +747,10 @@ impl<'m> BatchDecoder<'m> {
         self.prefix.stats()
     }
 
-    /// Lanes currently reserved by admitted requests.
-    fn lanes_used(&self) -> usize {
-        self.groups.iter().map(|g| g.reserved).sum()
-    }
-
-    /// Total queue wait of an entry: accrued history plus the current
-    /// stint.
-    fn entry_wait(&self, e: &QueueEntry) -> u64 {
-        e.accrued_wait() + (self.step_count - e.enqueued_step)
-    }
-
-    /// Admission sort key: `(class, aged, deadline, submission order)`.
-    /// Class 0 is interactive-effective (submitted interactive, or aged
-    /// past the bound). Within a class, entries aged past the bound admit
-    /// before fresher ones — the starvation guarantee EDF cannot be allowed
-    /// to break — then earliest deadline first (`None` after every explicit
-    /// stamp), then FIFO by ticket number. Smaller admits first.
-    fn entry_rank(&self, e: &QueueEntry) -> (u8, u8, u64, u64) {
-        let aged = self.entry_wait(e) >= self.aging_steps;
-        let interactive = e.priority == Priority::Interactive || aged;
-        (
-            u8::from(!interactive),
-            u8::from(!aged),
-            e.deadline.unwrap_or(u64::MAX),
-            e.id.0,
-        )
-    }
-
-    /// Best-ranked queue entry admissible right now: under pool pressure or
-    /// the Interactive hold, bulk-class entries stay queued (interactive
-    /// and aged-promoted entries always admit).
-    fn best_admissible(&self) -> Option<usize> {
-        let gated = self.pressure_gated() || self.bulk_held();
-        (0..self.queue.len())
-            .filter(|&i| !gated || self.entry_rank(&self.queue[i]).0 == 0)
-            .min_by_key(|&i| self.entry_rank(&self.queue[i]))
-    }
-
-    /// 0-based admission position of a queued request (0 = next).
-    fn queue_position(&self, id: RequestId) -> Option<usize> {
-        let target = self.queue.iter().find(|e| e.id == id)?;
-        let rank = self.entry_rank(target);
-        Some(
-            self.queue
-                .iter()
-                .filter(|e| self.entry_rank(e) < rank)
-                .count(),
-        )
-    }
-
-    /// Evict unprotected bulk groups (youngest-admitted first) until at
-    /// least `short` more lanes are free. The evicted groups re-enter the
-    /// queue paused — hypotheses, caches, and pool pages intact — and
-    /// resume later from exactly where they stopped. Returns `false`
-    /// (doing nothing) if the preemptable lanes cannot cover `short`.
-    fn preempt_for(&mut self, mut short: usize) -> bool {
-        let mut victims: Vec<(u64, RequestId, usize)> = self
-            .groups
-            .iter()
-            .filter(|g| g.priority == Priority::Bulk && !g.protected)
-            .map(|g| (g.admit_seq, g.id, g.reserved))
-            .collect();
-        if victims.iter().map(|&(_, _, lanes)| lanes).sum::<usize>() < short {
-            return false;
-        }
-        victims.sort_by_key(|&(seq, _, _)| std::cmp::Reverse(seq));
-        for (_, id, lanes) in victims {
-            if short == 0 {
-                break;
-            }
-            let pos = self
-                .groups
-                .iter()
-                .position(|g| g.id == id)
-                .expect("victim is an active group");
-            let mut group = self.groups.remove(pos);
-            group.preemptions += 1;
-            self.preemption_count += 1;
-            self.queue.push(QueueEntry {
-                id: group.id,
-                priority: Priority::Bulk,
-                deadline: group.deadline,
-                enqueued_step: self.step_count,
-                item: QueueItem::Paused(Box::new(group)),
-            });
-            short = short.saturating_sub(lanes);
-        }
-        true
+    /// The scheduling policy, for the [`Engine`](crate::engine::Engine)
+    /// worker that sets the fleet hold and credits the steps it sat out.
+    pub(crate) fn policy(&mut self) -> &mut Policy {
+        &mut self.policy
     }
 
     /// Whether bulk admissions are currently gated by pool pressure.
@@ -1007,261 +759,97 @@ impl<'m> BatchDecoder<'m> {
             .is_some_and(|limit| self.pool.stats().pages_live >= limit)
     }
 
-    /// The Interactive hold (see module docs): while an Interactive request
-    /// is in flight — queued or decoding here, or anywhere in the fleet per
-    /// [`set_fleet_hold`](Self::set_fleet_hold) — unprotected bulk groups
-    /// sit out [`step`](Self::step) and bulk-class entries are not admitted.
-    fn bulk_held(&self) -> bool {
-        self.fleet_hold
-            || self
-                .groups
-                .iter()
-                .any(|g| g.priority == Priority::Interactive)
-            || self
-                .queue
-                .iter()
-                .any(|e| e.priority == Priority::Interactive)
-    }
-
-    /// Hold this scheduler's bulk work for Interactive work in flight on
-    /// other schedulers of the same fleet (the engine's fleet-wide count).
-    pub(crate) fn set_fleet_hold(&mut self, held: bool) {
-        self.fleet_hold = held;
-    }
-
-    /// Whether [`step`](Self::step) would advance anything despite the
-    /// hold: a protected group, or a queue entry the hold still admits.
-    pub(crate) fn has_unheld_work(&self) -> bool {
-        self.groups.iter().any(|g| g.protected) || self.best_admissible().is_some()
-    }
-
-    /// Scheduler steps until the first held group or queued bulk entry
-    /// ages past the bound and escapes the hold (`None`: nothing is held).
-    pub(crate) fn steps_until_unheld(&self) -> Option<u64> {
-        let held_groups = self
-            .groups
-            .iter()
-            .filter(|g| !g.protected)
-            .map(|g| g.held_steps);
-        let queued = self
-            .queue
-            .iter()
-            .filter(|e| self.entry_rank(e).0 != 0)
-            .map(|e| self.entry_wait(e));
-        held_groups
-            .chain(queued)
-            .map(|wait| self.aging_steps.saturating_sub(wait).max(1))
-            .min()
-    }
-
-    /// Advance the clock by `steps` the whole scheduler sat out under the
-    /// fleet hold while other workers decoded: queued entries and held
-    /// groups age by them exactly as if `steps` held steps had run here,
-    /// so the aging bound keeps bounding starvation.
-    pub(crate) fn sit_out(&mut self, steps: u64) {
-        if steps == 0 || self.pending() == 0 {
-            return;
-        }
-        self.step_count += steps;
-        for g in self.groups.iter_mut().filter(|g| !g.protected) {
-            g.hold(steps, self.aging_steps);
-        }
-    }
-
     /// Enforce the soft page cap (see [`set_page_limit`](Self::set_page_limit)):
     /// drop prefix-table entries coldest-first while over the cap (they pin
-    /// no pages, so pressure that persists empties the table), then evict
-    /// unprotected bulk greedy groups youngest-first while a protected
-    /// group needs the headroom.
+    /// no pages, so pressure that persists empties the table), then drop
+    /// the self-attention pages of the groups the policy evicts.
     fn evict_for_pressure(&mut self) {
         let Some(limit) = self.page_limit else { return };
-        if self.pool.stats().pages_live <= limit {
-            return;
-        }
         while self.pool.stats().pages_live > limit && self.prefix.evict_coldest() {}
         while self.pool.stats().pages_live > limit {
-            // Eviction only helps if a never-evictable (protected) group
-            // benefits from the freed pages; a lone bulk group would just
-            // replay into the same pressure (see set_page_limit docs).
-            if !self.groups.iter().any(|g| g.protected) {
-                break;
-            }
-            let victim = self
-                .groups
-                .iter()
-                .filter(|g| g.priority == Priority::Bulk && !g.protected && !g.is_beam())
-                .max_by_key(|g| g.admit_seq)
-                .map(|g| g.id);
-            let Some(id) = victim else { break };
-            self.evict_group(id);
-        }
-    }
-
-    /// Evict one active greedy group's KV pages: the group keeps its ids
-    /// (prompt + generated so far) and shared cross-K/V, drops its
-    /// self-attention pages back to the pool, and re-enters the queue
-    /// paused. Re-admission replays the ids through the ordinary prefill
-    /// path; cache contents are a pure function of the fed token sequence,
-    /// so the rebuilt state — and the continued generation — is bitwise
-    /// identical to an uninterrupted run.
-    fn evict_group(&mut self, id: RequestId) {
-        let pos = self
-            .groups
-            .iter()
-            .position(|g| g.id == id)
-            .expect("eviction victim is an active group");
-        let mut group = self.groups.remove(pos);
-        for h in &mut group.beams {
-            if let Some(cache) = h.cache.as_mut() {
+            let Some(id) = self.policy.evict() else { break };
+            let group = self.groups.iter_mut().find(|g| g.id.0 == id);
+            let group = group.expect("an eviction victim is an admitted group");
+            for cache in group.beams.iter_mut().filter_map(|h| h.cache.as_mut()) {
                 cache.evict_self_kv();
             }
         }
-        group.evictions += 1;
-        self.eviction_count += 1;
-        self.queue.push(QueueEntry {
-            id: group.id,
-            priority: Priority::Bulk,
-            deadline: group.deadline,
-            enqueued_step: self.step_count,
-            item: QueueItem::Paused(Box::new(group)),
-        });
     }
 
-    /// Move queued requests into free lanes (continuous batching's "join"
-    /// half), best-ranked first: interactive class before bulk, FIFO
-    /// within a class, aged bulk promoted. An interactive-*class*
-    /// candidate (submitted interactive, or promoted by aging) that does
-    /// not fit may evict unprotected bulk lanes
-    /// ([`preempt_for`](Self::preempt_for)); a plain bulk candidate blocks
-    /// at the head of its class. Requests whose prompt already meets their
-    /// length cap retire immediately with an empty generation, without a
-    /// step.
+    /// Move the requests the policy admits into lanes (continuous
+    /// batching's "join" half): a paused group resumes in place — its
+    /// caches never left the pool — and a fresh request is prefilled.
+    /// Requests whose prompt already meets their length cap retire
+    /// immediately with an empty generation, without a step.
     fn admit(&mut self) {
-        while let Some(best) = self.best_admissible() {
-            let needed = self.queue[best].lanes_needed();
-            let free = self.max_batch - self.lanes_used();
-            if needed > free {
-                // Eviction rights follow the *effective* class: a promoted
-                // (aged) entry may evict too — otherwise an aged bulk entry
-                // at the head of the queue would block every interactive
-                // arrival behind it from ever preempting (head-of-line).
-                // Starvation-freedom survives because each promoted or
-                // interactive admission is protected, so the pool of
-                // evictable lanes only shrinks.
-                let evicts = self.entry_rank(&self.queue[best]).0 == 0;
-                if evicts && self.preempt_for(needed - free) {
-                    // Preemption may have re-ranked the queue (a paused
-                    // entry can age into the interactive class and outrank
-                    // the evictor), so loop back: the capacity check must
-                    // cover whatever is admitted next.
-                    continue;
-                }
-                break;
+        while let Some(id) = self.policy.admit_next(self.pressure_gated()) {
+            let id = RequestId(id);
+            let Some(req) = self.fresh.remove(&id) else {
+                continue;
+            };
+            let mut limit = req.max_len.min(self.cfg.max_dec_len);
+            if let Some(cap) = req.submit.max_new_tokens {
+                limit = limit.min(req.prompt.len() + cap);
             }
-            let entry = self.queue.remove(best);
-            self.admit_entry(entry);
-        }
-    }
-
-    /// Place one queue entry into lanes: resume a paused group as-is (lane
-    /// reassignment — its caches never left the pool), or prefill a fresh
-    /// request.
-    fn admit_entry(&mut self, entry: QueueEntry) {
-        let wait_now = self.step_count - entry.enqueued_step;
-        let aged = self.entry_wait(&entry) >= self.aging_steps;
-        self.admit_count += 1;
-        let admit_seq = self.admit_count;
-        match entry.item {
-            QueueItem::Paused(mut group) => {
-                group.queue_wait_steps += wait_now;
-                group.protected = group.protected || aged;
-                group.admit_seq = admit_seq;
-                self.groups.push(*group);
+            if req.prompt.len() >= limit {
+                let telemetry = self.policy.retire(id.0).expect("admitted");
+                self.done
+                    .insert(id, (Vec::new(), vec![Vec::new()], telemetry));
+                continue;
             }
-            QueueItem::Fresh(req) => {
-                let mut limit = req.max_len.min(self.cfg.max_dec_len);
-                if let Some(cap) = req.submit.max_new_tokens {
-                    limit = limit.min(req.prompt.len() + cap);
-                }
-                if req.prompt.len() >= limit {
-                    self.done.insert(
-                        entry.id,
-                        (
-                            Vec::new(),
-                            vec![Vec::new()],
-                            RequestTelemetry {
-                                queue_wait_steps: wait_now,
-                                ..Default::default()
-                            },
-                        ),
-                    );
-                    return;
-                }
-                // The root feeds `ids[cache.len()..]`: the whole prompt.
-                let cache = self
-                    .prefix
-                    .share(req.enc_out, req.prompt.len() - 1, |enc_out| {
-                        DecoderCache::new_in_pool(
-                            self.store,
-                            self.params,
-                            self.cfg,
-                            enc_out,
-                            &self.pool,
-                        )
-                    });
-                self.groups.push(Group {
-                    id: entry.id,
-                    reserved: req.opts.beam,
-                    priority: entry.priority,
-                    protected: entry.priority == Priority::Interactive || aged,
-                    admit_seq,
-                    beams: vec![Hypothesis::root(&req.prompt, cache)],
-                    expansions: 0,
-                    prompt_len: req.prompt.len(),
-                    min_len: req.opts.min_len,
-                    limit,
-                    finished: false,
-                    deadline: entry.deadline,
-                    held_steps: 0,
-                    queue_wait_steps: wait_now,
-                    decode_steps: 0,
-                    preemptions: 0,
-                    evictions: 0,
+            // The root feeds `ids[cache.len()..]`: the whole prompt.
+            let cache = self
+                .prefix
+                .share(req.enc_out, req.prompt.len() - 1, |enc_out| {
+                    DecoderCache::new_in_pool(
+                        self.store,
+                        self.params,
+                        self.cfg,
+                        enc_out,
+                        &self.pool,
+                    )
                 });
-            }
+            self.groups.push(Group {
+                id,
+                reserved: req.opts.beam,
+                beams: vec![Hypothesis::root(&req.prompt, cache)],
+                expansions: 0,
+                prompt_len: req.prompt.len(),
+                min_len: req.opts.min_len,
+                limit,
+                finished: false,
+                decode_steps: 0,
+            });
         }
     }
 
     /// Run one lockstep step: admit queued requests (priority order,
     /// preempting bulk lanes for interactive arrivals), advance every live
-    /// hypothesis by one token — except unprotected bulk groups held for
-    /// Interactive work in flight — and expand/retire finished requests.
-    /// Returns the number of hypotheses advanced (0 means the scheduler is
-    /// idle and [`run`](Self::run) would stop).
+    /// hypothesis of the groups the policy lets step by one token, and
+    /// expand/retire finished requests. Returns the number of hypotheses
+    /// advanced (0 means the scheduler is idle and [`run`](Self::run)
+    /// would stop).
     pub fn step(&mut self) -> usize {
         self.evict_for_pressure();
         self.admit();
         // Gather every live hypothesis across the groups that step, in
-        // group/beam order; under the Interactive hold unprotected bulk
-        // groups sit this step out.
-        let held = self.bulk_held();
-        let sits_out = |g: &Group| held && !g.protected;
-        let tokens: Vec<usize> = self
-            .groups
-            .iter()
-            .filter(|g| !sits_out(g))
-            .flat_map(|g| g.beams.iter())
+        // group/beam order; paused groups wait in the queue, and under the
+        // Interactive hold unprotected bulk groups sit this step out.
+        let held = self.policy.bulk_held();
+        let (mut groups, idle): (Vec<Group>, Vec<Group>) = std::mem::take(&mut self.groups)
+            .into_iter()
+            .partition(|g| self.policy.steps(g.id.0, held));
+        self.groups = idle;
+        let tokens: Vec<usize> = (groups.iter().flat_map(|g| g.beams.iter()))
             .filter_map(|h| h.cache.as_ref().map(|c| h.ids[c.len()]))
             .collect();
         let b = tokens.len();
         if b == 0 {
+            self.groups.append(&mut groups);
             return 0;
         }
         let vocab = self.cfg.vocab_size;
-        let mut caches: Vec<&mut DecoderCache> = self
-            .groups
-            .iter_mut()
-            .filter(|g| !sits_out(g))
+        let mut caches: Vec<&mut DecoderCache> = (groups.iter_mut())
             .flat_map(|g| g.beams.iter_mut())
             .filter_map(|h| h.cache.as_mut())
             .collect();
@@ -1280,13 +868,7 @@ impl<'m> BatchDecoder<'m> {
         // Consume logits in the same group/beam order the lanes were
         // gathered in.
         let mut row = 0usize;
-        let mut groups = std::mem::take(&mut self.groups);
         for group in &mut groups {
-            if sits_out(group) {
-                group.hold(1, self.aging_steps);
-                continue;
-            }
-            group.held_steps = 0;
             let live: Vec<bool> = group.beams.iter().map(|h| h.cache.is_some()).collect();
             if live.iter().any(|&l| l) {
                 group.decode_steps += 1;
@@ -1309,7 +891,8 @@ impl<'m> BatchDecoder<'m> {
                     r
                 }));
             }
-            if group.is_beam() {
+            // Every hypothesis of a finished request, best first.
+            let ranked = if group.is_beam() {
                 let beams = std::mem::take(&mut group.beams);
                 group.beams = expand_beams(
                     beams,
@@ -1319,39 +902,36 @@ impl<'m> BatchDecoder<'m> {
                     group.prompt_len,
                 );
                 group.expansions += 1;
-                if group.beams.iter().all(|h| h.done)
-                    || group.expansions >= group.limit - group.prompt_len
-                {
-                    let beams = std::mem::take(&mut group.beams);
-                    let ranked = ranked_hypothesis_ids(beams, group.prompt_len);
-                    let ids = ranked[0].clone();
-                    self.done.insert(group.id, (ids, ranked, group.telemetry()));
-                    group.finished = true;
-                }
+                let done = group.beams.iter().all(|h| h.done)
+                    || group.expansions >= group.limit - group.prompt_len;
+                done.then(|| {
+                    ranked_hypothesis_ids(std::mem::take(&mut group.beams), group.prompt_len)
+                })
             } else {
                 // Greedy: argmax, `<eos>` or the cap ends the request.
                 let h = &mut group.beams[0];
                 let logits = rows[0].expect("greedy group has one live hypothesis");
                 let generated = h.ids.len() - group.prompt_len;
                 let tok = argmax_token(logits, generated < group.min_len);
-                if tok == EOS {
-                    group.finished = true;
-                } else {
+                if tok != EOS {
                     h.ids.push(tok);
-                    if h.ids.len() >= group.limit {
-                        group.finished = true;
-                    }
                 }
-                if group.finished {
-                    let ids = h.ids[group.prompt_len..].to_vec();
-                    self.done
-                        .insert(group.id, (ids.clone(), vec![ids], group.telemetry()));
-                }
+                (tok == EOS || h.ids.len() >= group.limit)
+                    .then(|| vec![h.ids[group.prompt_len..].to_vec()])
+            };
+            if let Some(ranked) = ranked {
+                let telemetry = RequestTelemetry {
+                    decode_steps: group.decode_steps,
+                    ..self.policy.retire(group.id.0).expect("stepped")
+                };
+                self.done
+                    .insert(group.id, (ranked[0].clone(), ranked, telemetry));
+                group.finished = true;
             }
         }
         groups.retain(|g| !g.finished);
-        self.groups = groups;
-        self.step_count += 1;
+        self.groups.append(&mut groups);
+        self.policy.end_step(held);
         b
     }
 
@@ -1371,13 +951,13 @@ impl<'m> BatchDecoder<'m> {
         if self.cancelled.remove(&id) {
             return PollResult::Cancelled;
         }
+        if let Some(position) = self.policy.queue_position(id.0) {
+            return PollResult::Queued { position };
+        }
         if let Some(group) = self.groups.iter().find(|g| g.id == id) {
             return PollResult::Decoding {
                 tokens_so_far: group.partial_ids(),
             };
-        }
-        if let Some(position) = self.queue_position(id) {
-            return PollResult::Queued { position };
         }
         PollResult::Unknown
     }
@@ -2488,19 +2068,6 @@ mod tests {
     }
 
     #[test]
-    fn page_limit_accessor_roundtrip() {
-        let (cfg, store, params) = setup();
-        let mut dec = BatchDecoder::new(&store, &params, &cfg, 2);
-        assert_eq!(dec.page_limit(), None, "no cap by default");
-        assert_eq!(dec.evictions(), 0);
-        dec.set_page_limit(Some(12));
-        assert_eq!(dec.page_limit(), Some(12));
-        dec.set_page_limit(None);
-        assert_eq!(dec.page_limit(), None);
-        assert_eq!(dec.evictions(), 0, "setting a cap alone evicts nothing");
-    }
-
-    #[test]
     fn deadlines_order_admission_within_class_not_across() {
         let (cfg, store, params) = setup();
         let mut dec = BatchDecoder::new(&store, &params, &cfg, 1);
@@ -2687,17 +2254,12 @@ mod tests {
         dec.set_aging_steps(5);
         let group = dec.submit(bulk_req(&encs[0]));
         dec.step();
-        dec.set_fleet_hold(true);
+        dec.policy().set_fleet_hold(true);
         let entry = dec.submit(bulk_req(&encs[1]));
-        assert!(!dec.has_unheld_work(), "everything here is held");
         assert_eq!(dec.step(), 0, "a held scheduler advances nothing");
-        assert_eq!(dec.steps_until_unheld(), Some(5));
-        dec.sit_out(4);
-        assert!(!dec.has_unheld_work());
-        assert_eq!(dec.steps_until_unheld(), Some(1));
-        dec.sit_out(1);
-        assert!(dec.has_unheld_work(), "both aged past the bound");
-        assert_eq!(dec.steps_until_unheld(), None);
+        dec.policy().sit_out(4);
+        assert_eq!(dec.step(), 0, "still held one step short of the bound");
+        dec.policy().sit_out(1);
         assert_eq!(
             dec.step(),
             2,

@@ -75,12 +75,13 @@
 //! reports — `Cancelled`, or `Done` if the race went the other way.
 
 use crate::batch::{
-    BatchDecoder, BatchRequest, PollResult, Priority, RequestId, DEFAULT_AGING_STEPS,
-    DEFAULT_MAX_BATCH,
+    BatchDecoder, BatchRequest, PollResult, Priority, RequestId, RequestTelemetry,
+    DEFAULT_AGING_STEPS, DEFAULT_MAX_BATCH, PLACEMENT_LOG_CAP,
 };
 use crate::config::ModelConfig;
 use crate::infer::{DecoderWeights, Precision};
 use crate::paged::{PagePool, PoolStats};
+use crate::policy::{self, Placement};
 use crate::prefix::{PrefixStats, PrefixTable};
 use crate::transformer::TransformerParams;
 use crate::Seq2SeqModel;
@@ -220,7 +221,7 @@ enum Resolution {
     Done {
         ids: Vec<usize>,
         hypotheses: Vec<Vec<usize>>,
-        telemetry: crate::batch::RequestTelemetry,
+        telemetry: RequestTelemetry,
     },
     Cancelled,
 }
@@ -255,13 +256,12 @@ struct State {
     progress: HashMap<EngineTicket, PollResult>,
     /// Worker that pulled each in-flight ticket.
     owner: HashMap<EngineTicket, usize>,
-    /// Cumulative lanes placed per worker by the front-end (interactive
-    /// only — monotone, so placement is a pure function of the submission
-    /// sequence; bulk stealing provides the timing-reactive balance).
-    placed_lanes: Vec<u64>,
-    /// Interactive placements in submission order (telemetry; the
-    /// determinism property asserts this is a function of seed + schedule).
-    placements: Vec<(EngineTicket, usize)>,
+    /// Interactive placement across the workers (see [`Placement`]).
+    placement: Placement,
+    /// The newest [`PLACEMENT_LOG_CAP`] Interactive placements in
+    /// submission order (telemetry; the determinism property asserts this
+    /// is a function of seed + schedule).
+    placements: VecDeque<(EngineTicket, usize)>,
     /// Bulk jobs pulled from the shared backlog by workers.
     bulk_steals: u64,
     /// Latest published per-worker scheduler telemetry. (Pool and prefix
@@ -292,7 +292,7 @@ struct WorkerSched {
 }
 
 impl State {
-    fn new(workers: usize, turn: Option<Turn>) -> State {
+    fn new(workers: usize, seed: u64, turn: Option<Turn>) -> State {
         State {
             shutdown: false,
             inbox: (0..workers).map(|_| VecDeque::new()).collect(),
@@ -305,8 +305,8 @@ impl State {
             wake_at: vec![u64::MAX; workers],
             progress: HashMap::new(),
             owner: HashMap::new(),
-            placed_lanes: vec![0; workers],
-            placements: Vec::new(),
+            placement: Placement::new(workers, seed),
+            placements: VecDeque::new(),
             bulk_steals: 0,
             sched_stats: vec![WorkerSched::default(); workers],
             next_ticket: 0,
@@ -333,17 +333,6 @@ impl State {
         self.interactive -= 1;
         self.interactive == 0
     }
-
-    /// Pop the best bulk job: earliest deadline stamp first, then FIFO.
-    fn pop_backlog(&mut self) -> Option<Job> {
-        let best = self
-            .backlog
-            .iter()
-            .enumerate()
-            .min_by_key(|(_, j)| (j.req.submit.deadline.unwrap_or(u64::MAX), j.ticket.0))
-            .map(|(i, _)| i)?;
-        Some(self.backlog.remove(best))
-    }
 }
 
 struct Shared {
@@ -364,20 +353,10 @@ struct Shared {
 pub struct Engine {
     shared: Arc<Shared>,
     handles: Vec<std::thread::JoinHandle<()>>,
-    /// Seed-derived starting offset for the placement tie-break rotation.
-    rotation: usize,
     /// Held by a [`step`](Engine::step) caller from its grant until its
     /// turn is taken, so concurrent callers of a caller-stepped engine each
     /// get their own turn.
     stepper: Mutex<()>,
-}
-
-/// splitmix64 — decorrelates the raw seed into a rotation offset.
-fn splitmix64(mut x: u64) -> u64 {
-    x = x.wrapping_add(0x9e3779b97f4a7c15);
-    x = (x ^ (x >> 30)).wrapping_mul(0xbf58476d1ce4e5b9);
-    x = (x ^ (x >> 27)).wrapping_mul(0x94d049bb133111eb);
-    x ^ (x >> 31)
 }
 
 impl Engine {
@@ -417,7 +396,7 @@ impl Engine {
             cfg,
             pool,
             prefix: PrefixTable::new(),
-            state: Mutex::new(State::new(cfg.workers, turn)),
+            state: Mutex::new(State::new(cfg.workers, cfg.seed, turn)),
             work: Condvar::new(),
             progress: Condvar::new(),
         });
@@ -433,7 +412,6 @@ impl Engine {
         Engine {
             shared,
             handles,
-            rotation: (splitmix64(cfg.seed) % cfg.workers as u64) as usize,
             stepper: Mutex::new(()),
         }
     }
@@ -466,13 +444,11 @@ impl Engine {
         match req.submit.priority {
             Priority::Interactive => {
                 st.interactive += 1;
-                let workers = self.shared.cfg.workers;
-                let w = (0..workers)
-                    .map(|i| (i + self.rotation) % workers)
-                    .min_by_key(|&w| st.placed_lanes[w])
-                    .expect("at least one worker");
-                st.placed_lanes[w] += req.opts.beam as u64;
-                st.placements.push((ticket, w));
+                let w = st.placement.place(req.opts.beam);
+                if st.placements.len() == PLACEMENT_LOG_CAP {
+                    st.placements.pop_front();
+                }
+                st.placements.push_back((ticket, w));
                 st.inbox[w].push_back(Job { ticket, req });
             }
             Priority::Bulk => st.backlog.push(Job { ticket, req }),
@@ -657,11 +633,17 @@ impl Engine {
         self.shared.cfg.workers
     }
 
-    /// Interactive placements `(ticket, worker)` in submission order — a
-    /// pure function of the engine seed, worker count, and submission
-    /// sequence (see module docs).
+    /// The newest [`PLACEMENT_LOG_CAP`] Interactive placements
+    /// `(ticket, worker)` in submission order — a pure function of the
+    /// engine seed, worker count, and submission sequence (see module docs).
     pub fn placements(&self) -> Vec<(EngineTicket, usize)> {
-        self.shared.state.lock().placements.clone()
+        self.shared
+            .state
+            .lock()
+            .placements
+            .iter()
+            .copied()
+            .collect()
     }
 
     /// Bulk jobs workers have stolen from the shared backlog so far.
@@ -821,7 +803,7 @@ fn worker_loop(shared: &Shared, w: usize) {
                     continue;
                 }
                 if let Some(since) = parked_at.take() {
-                    dec.sit_out(st.fleet_steps - since);
+                    dec.policy().sit_out(st.fleet_steps - since);
                 }
                 apply_cancels(shared, &mut st, &mut dec, &mut live, w);
                 while let Some(job) = st.inbox[w].pop_front() {
@@ -835,7 +817,10 @@ fn worker_loop(shared: &Shared, w: usize) {
                 // only one: it takes the whole backlog, so its scheduler
                 // sees every request, as a bare `BatchDecoder` would.
                 while st.turn.is_some() || dec.pending() < dec.max_batch() {
-                    let Some(job) = st.pop_backlog() else { break };
+                    let key = |j: &Job| (j.req.submit.deadline, j.ticket.0);
+                    let Some(job) = policy::pop_backlog(&mut st.backlog, key) else {
+                        break;
+                    };
                     st.owner.insert(job.ticket, w);
                     st.bulk_steals += 1;
                     let rid = dec.submit(job.req);
@@ -849,13 +834,15 @@ fn worker_loop(shared: &Shared, w: usize) {
                 // flight anywhere, this worker steps only protected work
                 // and otherwise parks, leaving the cores to the keystroke.
                 let held = st.interactive > 0;
-                dec.set_fleet_hold(held);
-                if st.turn.is_some() || (!live.is_empty() && (!held || dec.has_unheld_work())) {
+                dec.policy().set_fleet_hold(held);
+                if st.turn.is_some()
+                    || (!live.is_empty() && (!held || dec.policy().has_unheld_work()))
+                {
                     break;
                 }
                 // Parked on held work: ask to be woken when it would age
                 // past the bound, so held time still bounds starvation.
-                st.wake_at[w] = match dec.steps_until_unheld() {
+                st.wake_at[w] = match dec.policy().steps_until_unheld() {
                     Some(steps) if held => st.fleet_steps + steps,
                     _ => u64::MAX,
                 };
@@ -1303,6 +1290,27 @@ mod tests {
         assert_eq!(per_worker, [3, 3, 3]);
     }
 
+    /// The placement log keeps only the newest `PLACEMENT_LOG_CAP`
+    /// entries, so a daemon's engine does not grow one per keystroke for
+    /// the life of the process.
+    #[test]
+    fn placement_log_keeps_the_newest_entries_up_to_the_cap() {
+        let (cfg, store, params) = setup();
+        let engine = engine_over(&store, &params, &cfg, EngineConfig::with_workers(2));
+        let e = enc(&store, &params, &cfg, 0);
+        let extra = 5;
+        // A `<sos>` prompt at a length cap of 1 retires at admission.
+        let tickets: Vec<EngineTicket> = (0..PLACEMENT_LOG_CAP + extra)
+            .map(|_| engine.submit(BatchRequest::greedy(e.clone(), 1)))
+            .collect();
+        let placements = engine.placements();
+        assert_eq!(placements.len(), PLACEMENT_LOG_CAP);
+        let kept: Vec<EngineTicket> = placements.iter().map(|&(t, _)| t).collect();
+        assert_eq!(kept, tickets[extra..], "the newest placements, in order");
+        engine.drain();
+        engine.shutdown();
+    }
+
     #[test]
     fn cancel_and_poll_lifecycle() {
         let (cfg, store, params) = setup();
@@ -1342,29 +1350,6 @@ mod tests {
         );
         let stats = engine.shutdown();
         assert_eq!(stats.pages_live, 0);
-    }
-
-    #[test]
-    fn backlog_pops_earliest_deadline_then_fifo() {
-        let (cfg, store, params) = setup();
-        let mut st = State::new(1, None);
-        let deadlines = [Some(5u64), None, Some(2), Some(5)];
-        for (i, dl) in deadlines.into_iter().enumerate() {
-            let mut req = BatchRequest::greedy(enc(&store, &params, &cfg, i), 8).bulk();
-            req.submit.deadline = dl;
-            st.backlog.push(Job {
-                ticket: EngineTicket(i as u64),
-                req,
-            });
-        }
-        let order: Vec<u64> = std::iter::from_fn(|| st.pop_backlog())
-            .map(|j| j.ticket.raw())
-            .collect();
-        assert_eq!(
-            order,
-            vec![2, 0, 3, 1],
-            "earliest deadline first, FIFO within ties, None last"
-        );
     }
 
     /// Every way an Interactive ticket can resolve releases its count —

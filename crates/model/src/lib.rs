@@ -23,9 +23,12 @@
 //!   loop every prediction runs through: N concurrent requests (or one)
 //!   decoded with continuous batching, their per-step projections fused
 //!   into shared packed-matrix kernels (a lane's logits never depend on
-//!   the other lanes), with priority-aware admission ([`Priority`],
-//!   aging, bulk-lane preemption), a typed [`PollResult`] lifecycle with
-//!   streaming partial tokens, and cancellation;
+//!   the other lanes), a typed [`PollResult`] lifecycle with streaming
+//!   partial tokens, and cancellation;
+//! * [`policy`] — every scheduling decision those schedulers carry out:
+//!   priority admission ([`Priority`], aging, EDF), bulk-lane preemption,
+//!   page-pressure victims, the Interactive hold and engine placement,
+//!   over integer tickets and step counts only;
 //! * [`engine`] — the [`Engine`]: N such schedulers on worker threads over
 //!   one page pool and one [`prefix`] table, which shares the
 //!   cross-attention K/V of a recently seen encoder output;
@@ -42,6 +45,7 @@ pub mod decode;
 pub mod engine;
 pub mod infer;
 pub mod paged;
+pub mod policy;
 pub mod prefix;
 pub mod train;
 pub mod transformer;
