@@ -619,7 +619,6 @@ impl MpiRical {
                 format!("artifact decode options: {e}"),
             )
         })?;
-        m.model.store.rebuild_index();
         m.model.vocab.rebuild_index();
         if m.decode.precision == Precision::Int8 {
             m.engine_model();
@@ -692,6 +691,61 @@ mod tests {
         let src = "int main() { int x = 3; return x; }";
         assert_eq!(assistant.predict_ids(src), loaded.predict_ids(src));
         std::fs::remove_file(path).ok();
+    }
+
+    /// A saved artifact carries parameter values only, and an artifact in
+    /// the older format — every slot also holding Adam moments `m`/`v` —
+    /// still loads (the moments are ignored) and predicts identically.
+    #[test]
+    fn saved_artifact_is_values_only_and_loads_the_moment_format() {
+        let assistant = tiny_assistant();
+        let json = serde_json::to_string(&assistant).unwrap();
+        assert!(!json.contains("\"m\":") && !json.contains("\"v\":"));
+        // Rebuild the older format: after each slot's value tensor (a flat
+        // `{"shape":[..],"data":[..]}` object), add moments of its shape.
+        let (mut old, mut rest, mut slots) = (String::new(), json.as_str(), 0);
+        while let Some(at) = rest.find("\"value\":{") {
+            let start = at + "\"value\":".len();
+            let end = start + rest[start..].find('}').unwrap() + 1;
+            let tensor = &rest[start..end];
+            old.push_str(&rest[..end]);
+            old.push_str(&format!(",\"m\":{tensor},\"v\":{tensor}"));
+            rest = &rest[end..];
+            slots += 1;
+        }
+        old.push_str(rest);
+        assert_eq!(slots, assistant.model.store.len());
+        let dir = std::env::temp_dir().join("mpirical_core_moment_format_test");
+        std::fs::create_dir_all(&dir).unwrap();
+        let path = dir.join("assistant.json");
+        std::fs::write(&path, old).unwrap();
+        let loaded = MpiRical::load(&path).unwrap();
+        let src = "int main() { int rank; double x = 0.0; return 0; }";
+        assert_eq!(assistant.predict_ids(src), loaded.predict_ids(src));
+        std::fs::remove_file(path).ok();
+    }
+
+    /// One weight set per artifact: its engine bundle (F32 or Int8) and
+    /// every clone share the artifact's `ParamStore` instead of copying it.
+    #[test]
+    fn engine_model_and_clones_share_the_artifact_weights() {
+        let shared = tiny_assistant();
+        for precision in [Precision::F32, Precision::Int8] {
+            let assistant = MpiRical::from_parts(
+                shared.model.clone(),
+                shared.input_format,
+                DecodeOptions {
+                    precision,
+                    ..shared.decode
+                },
+                None,
+            );
+            let store = &assistant.model.store;
+            assert!(Arc::ptr_eq(store, &assistant.engine_model().store));
+            let clone = assistant.clone();
+            assert!(Arc::ptr_eq(store, &clone.model.store));
+            assert!(Arc::ptr_eq(store, &clone.engine_model().store));
+        }
     }
 
     #[test]

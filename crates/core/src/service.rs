@@ -13,11 +13,13 @@
 //! **stepped by the caller** ([`Engine::stepped`]): each
 //! [`step`](SuggestService::step) is exactly one decode step, so a test or
 //! an in-process editor integration sees a schedule that depends only on
-//! its own calls. [`sharded`](SuggestService::sharded) and
-//! [`owned`](SuggestService::owned) build autonomous workers that decode on
-//! their own cores (the daemon's service); `step` then waits briefly for
-//! progress. Both run the same routing, Interactive hold, work stealing
-//! and harvest code, and produce bitwise identical suggestions.
+//! its own calls. [`sharded`](SuggestService::sharded) builds autonomous
+//! workers that decode on their own cores (the daemon's service); `step`
+//! then waits briefly for progress. Both run the same routing, Interactive
+//! hold, work stealing and harvest code, and produce bitwise identical
+//! suggestions. Either way the service holds its own clone of the artifact
+//! — an `Arc` bump on the shared weights plus the vocabulary — so it is
+//! `'static` and `Send`, and a daemon can move it into a service thread.
 //!
 //! # Serving API v2: priorities, streaming polls, cancellation
 //!
@@ -100,7 +102,6 @@ use mpirical_model::{
 };
 use serde::{Deserialize, Serialize};
 use std::collections::HashMap;
-use std::ops::Deref;
 use std::sync::Arc;
 
 /// Typed lifecycle state of a suggestion request — the [`Suggestion`]-level
@@ -156,8 +157,10 @@ impl SuggestPoll {
 
 /// Submit/poll scheduler turning an [`MpiRical`] artifact into a shared
 /// generation backend (see module docs).
-pub struct SuggestService<'m> {
-    assistant: AssistantHandle<'m>,
+pub struct SuggestService {
+    /// The service's own clone of the artifact; its weights are shared
+    /// with the caller's copy and with the engine, never copied.
+    assistant: MpiRical,
     /// Where every request decodes: one caller-stepped worker or
     /// autonomous workers, as the constructor chose.
     engine: Engine,
@@ -177,26 +180,6 @@ pub struct SuggestService<'m> {
     verify_done: HashMap<RequestId, SuggestPoll>,
 }
 
-/// How a [`SuggestService`] holds its artifact: borrowed for the classic
-/// in-process constructors, or owned (`Arc`) so a long-lived daemon thread
-/// can carry the whole service without tying it to a caller's stack frame
-/// ([`SuggestService::owned`] — the service is then `'static` and `Send`).
-enum AssistantHandle<'m> {
-    Borrowed(&'m MpiRical),
-    Owned(Arc<MpiRical>),
-}
-
-impl Deref for AssistantHandle<'_> {
-    type Target = MpiRical;
-
-    fn deref(&self) -> &MpiRical {
-        match self {
-            AssistantHandle::Borrowed(a) => a,
-            AssistantHandle::Owned(a) => a,
-        }
-    }
-}
-
 /// A ticket that finished decoding and now owes a verification pass.
 struct PendingVerify {
     id: RequestId,
@@ -211,16 +194,16 @@ fn ticket(id: RequestId) -> EngineTicket {
     EngineTicket::from_raw(id.raw())
 }
 
-impl<'m> SuggestService<'m> {
+impl SuggestService {
     /// An idle service over an engine `build` makes from the artifact's
     /// [`engine_model`](MpiRical::engine_model) and `cfg`, its per-worker
     /// lane count raised to at least the artifact's beam width so a beam
     /// request always fits one worker.
     fn over(
-        assistant: AssistantHandle<'m>,
+        assistant: &MpiRical,
         mut cfg: EngineConfig,
         build: fn(Arc<EngineModel>, EngineConfig) -> Engine,
-    ) -> SuggestService<'m> {
+    ) -> SuggestService {
         assert!(
             cfg.max_batch >= 1,
             "SuggestService needs at least one lane (got max_batch = 0)"
@@ -231,7 +214,7 @@ impl<'m> SuggestService<'m> {
         cfg.max_batch = cfg.max_batch.max(assistant.decode.beam);
         let engine = build(assistant.engine_model(), cfg);
         SuggestService {
-            assistant,
+            assistant: assistant.clone(),
             engine,
             health: HashMap::new(),
             tickets: HashMap::new(),
@@ -242,7 +225,7 @@ impl<'m> SuggestService<'m> {
 
     /// Caller-stepped service with the default lane count
     /// ([`DEFAULT_MAX_BATCH`] concurrent requests).
-    pub fn new(assistant: &'m MpiRical) -> SuggestService<'m> {
+    pub fn new(assistant: &MpiRical) -> SuggestService {
         SuggestService::with_max_batch(assistant, DEFAULT_MAX_BATCH)
     }
 
@@ -260,7 +243,7 @@ impl<'m> SuggestService<'m> {
     /// If `max_batch` is 0 (a zero-lane service could never decode — fail
     /// here, not deep inside a step) or the artifact's decode options are
     /// invalid (e.g. `beam = 0`).
-    pub fn with_max_batch(assistant: &'m MpiRical, max_batch: usize) -> SuggestService<'m> {
+    pub fn with_max_batch(assistant: &MpiRical, max_batch: usize) -> SuggestService {
         SuggestService::stepped_with(
             assistant,
             EngineConfig {
@@ -279,8 +262,8 @@ impl<'m> SuggestService<'m> {
     ///
     /// If `cfg.max_batch` is 0 or the artifact's decode options are
     /// invalid.
-    pub fn stepped_with(assistant: &'m MpiRical, cfg: EngineConfig) -> SuggestService<'m> {
-        SuggestService::over(AssistantHandle::Borrowed(assistant), cfg, Engine::stepped)
+    pub fn stepped_with(assistant: &MpiRical, cfg: EngineConfig) -> SuggestService {
+        SuggestService::over(assistant, cfg, Engine::stepped)
     }
 
     /// Service backed by a sharded multi-worker [`Engine`]: `workers`
@@ -295,7 +278,7 @@ impl<'m> SuggestService<'m> {
     /// advance the decode; it waits briefly and reports how many requests
     /// are still in flight, so `while service.step() > 0 {}` driver loops
     /// work unchanged.
-    pub fn sharded(assistant: &'m MpiRical, workers: usize) -> SuggestService<'m> {
+    pub fn sharded(assistant: &MpiRical, workers: usize) -> SuggestService {
         SuggestService::sharded_with(assistant, EngineConfig::with_workers(workers))
     }
 
@@ -307,30 +290,8 @@ impl<'m> SuggestService<'m> {
     ///
     /// If `cfg.workers` or `cfg.max_batch` is 0, or the artifact's decode
     /// options are invalid.
-    pub fn sharded_with(assistant: &'m MpiRical, cfg: EngineConfig) -> SuggestService<'m> {
-        SuggestService::over(AssistantHandle::Borrowed(assistant), cfg, Engine::new)
-    }
-
-    /// [`sharded`](Self::sharded), but **owning** the artifact: the service
-    /// carries an `Arc<MpiRical>` instead of a borrow, so its lifetime is
-    /// `'static` and it is `Send` — a serving daemon can move it into a
-    /// dedicated service thread and keep it alive for the process lifetime
-    /// (the `mpirical-server` daemon does exactly this). Behaviour is
-    /// identical to the borrowed sharded service: same engine, same bitwise
-    /// outputs.
-    pub fn owned(assistant: Arc<MpiRical>, workers: usize) -> SuggestService<'static> {
-        SuggestService::owned_with(assistant, EngineConfig::with_workers(workers))
-    }
-
-    /// [`owned`](Self::owned) with full [`EngineConfig`] control — the
-    /// owning counterpart of [`sharded_with`](Self::sharded_with).
-    ///
-    /// # Panics
-    ///
-    /// If `cfg.workers` or `cfg.max_batch` is 0, or the artifact's decode
-    /// options are invalid.
-    pub fn owned_with(assistant: Arc<MpiRical>, cfg: EngineConfig) -> SuggestService<'static> {
-        SuggestService::over(AssistantHandle::Owned(assistant), cfg, Engine::new)
+    pub fn sharded_with(assistant: &MpiRical, cfg: EngineConfig) -> SuggestService {
+        SuggestService::over(assistant, cfg, Engine::new)
     }
 
     /// Queue a raw (possibly mid-edit) C buffer for suggestion at the
@@ -1135,12 +1096,12 @@ mod tests {
         assert_eq!(service.shutdown().pages_live, 0, "worker leaked KV pages");
     }
 
-    /// The owned service is what a daemon thread carries: `'static`, `Send`,
-    /// movable across threads, and suggestion-for-suggestion identical to
-    /// the borrowed caller-stepped reference.
+    /// The sharded service is what a daemon thread carries: `'static`,
+    /// `Send`, movable across threads, sharing the caller's weights, and
+    /// suggestion-for-suggestion identical to the caller-stepped reference.
     #[test]
-    fn owned_service_is_send_and_matches_inline() {
-        fn assert_send<T: Send>(t: T) -> T {
+    fn sharded_service_is_send_and_matches_inline() {
+        fn assert_send<T: Send + 'static>(t: T) -> T {
             t
         }
         let assistant = tiny_assistant();
@@ -1157,10 +1118,15 @@ mod tests {
             .map(|t| take(&mut stepped, t))
             .collect();
 
-        let owned = assert_send(SuggestService::owned(Arc::new(assistant), 2));
+        let sharded = assert_send(SuggestService::sharded(&assistant, 2));
+        assert!(Arc::ptr_eq(
+            &sharded.assistant.model.store,
+            &assistant.model.store
+        ));
+        drop(assistant);
         // Drive it from another thread, as the daemon's service thread does.
         let handle = std::thread::spawn(move || {
-            let mut service = owned;
+            let mut service = sharded;
             let tickets: Vec<_> = buffers.iter().map(|b| service.submit(b)).collect();
             service.run();
             let got: Vec<Vec<Suggestion>> =
@@ -1168,12 +1134,12 @@ mod tests {
             assert_eq!(
                 service.shutdown().pages_live,
                 0,
-                "owned service leaked KV pages"
+                "sharded service leaked KV pages"
             );
             got
         });
         let got = handle.join().expect("service thread");
-        assert_eq!(got, reference, "owned sharded == borrowed caller-stepped");
+        assert_eq!(got, reference, "sharded == caller-stepped");
     }
 
     /// Every `SuggestPoll` state survives a JSON round-trip unchanged —

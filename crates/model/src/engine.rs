@@ -96,23 +96,27 @@ use std::time::{Duration, Instant};
 /// An owned, shareable model bundle for worker threads: parameters, config,
 /// and the decoder weights prepared **once** for the engine's precision.
 /// Workers borrow from one `Arc<EngineModel>`, so N workers never re-pack or
-/// re-quantize weights.
+/// re-quantize weights, and the parameter values are the artifact's own
+/// `Arc<ParamStore>`, never a copy.
 #[derive(Debug)]
 pub struct EngineModel {
-    pub store: ParamStore,
+    pub store: Arc<ParamStore>,
     pub params: TransformerParams,
     pub cfg: ModelConfig,
     weights: DecoderWeights,
 }
 
 impl EngineModel {
-    /// Bundle a model, preparing decoder weights for `precision`.
+    /// Bundle a model, preparing decoder weights for `precision`. Pass an
+    /// `Arc<ParamStore>` to share the values, or a `ParamStore` to hand
+    /// them over.
     pub fn new(
-        store: ParamStore,
+        store: impl Into<Arc<ParamStore>>,
         params: TransformerParams,
         cfg: ModelConfig,
         precision: Precision,
     ) -> EngineModel {
+        let store = store.into();
         let weights = DecoderWeights::for_precision(&store, &params, precision);
         EngineModel {
             store,
@@ -122,11 +126,10 @@ impl EngineModel {
         }
     }
 
-    /// Bundle a copy of a checkpointed artifact's weights (its optimizer
-    /// state stays behind).
+    /// Bundle an artifact's weights, sharing its parameter values.
     pub fn from_model(model: &Seq2SeqModel, precision: Precision) -> EngineModel {
         EngineModel::new(
-            model.store.values_copy(),
+            Arc::clone(&model.store),
             model.params.clone(),
             model.cfg.clone(),
             precision,

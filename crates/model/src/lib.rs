@@ -32,8 +32,9 @@
 //! * [`engine`] — the [`Engine`]: N such schedulers on worker threads over
 //!   one page pool and one [`prefix`] table, which shares the
 //!   cross-attention K/V of a recently seen encoder output;
-//! * [`Seq2SeqModel`] — the bundled artifact (config + vocab + weights) with
-//!   JSON checkpointing.
+//! * [`Seq2SeqModel`] — the bundled artifact (config + vocab + weights),
+//!   its values held in one `Arc<ParamStore>` that every [`EngineModel`]
+//!   built from it shares (the `mpirical` crate saves and loads it).
 //!
 //! The crate is representation-agnostic: it consumes `Vec<usize>` token ids.
 //! C-code tokenization lives in the `mpirical` core crate.
@@ -71,14 +72,18 @@ pub use vocab::{Vocab, EOS, NL, PAD, SEP, SOS, UNK};
 
 use mpirical_tensor::ParamStore;
 use serde::{Deserialize, Serialize};
-use std::path::Path;
+use std::sync::Arc;
 
 /// A complete model artifact: configuration, vocabulary and weights.
+///
+/// The weights are read-only once training ends, so clones of the artifact
+/// and the [`EngineModel`]s built from it share one value set; a clone
+/// costs an `Arc` bump plus the vocabulary.
 #[derive(Debug, Clone, Serialize, Deserialize)]
 pub struct Seq2SeqModel {
     pub cfg: ModelConfig,
     pub vocab: Vocab,
-    pub store: ParamStore,
+    pub store: Arc<ParamStore>,
     pub params: TransformerParams,
 }
 
@@ -91,12 +96,15 @@ impl Seq2SeqModel {
         Seq2SeqModel {
             cfg,
             vocab,
-            store,
+            store: Arc::new(store),
             params,
         }
     }
 
-    /// Train in place; returns per-epoch stats (Fig. 5 series).
+    /// Train in place; returns per-epoch stats (Fig. 5 series). Each call
+    /// starts a fresh optimizer (zero moments, step 0). The values are
+    /// written through [`Arc::make_mut`], so a store still shared with a
+    /// clone or an engine is copied first and they keep the old weights.
     pub fn fit(
         &mut self,
         train_set: &[Example],
@@ -105,7 +113,7 @@ impl Seq2SeqModel {
         on_epoch: impl FnMut(&EpochStats),
     ) -> TrainReport {
         train(
-            &mut self.store,
+            Arc::make_mut(&mut self.store),
             &self.params,
             &self.cfg,
             train_set,
@@ -118,30 +126,6 @@ impl Seq2SeqModel {
     /// Teacher-forced metrics on a dataset: `(loss, seq_acc, tok_acc)`.
     pub fn evaluate(&self, examples: &[Example]) -> (f64, f64, f64) {
         evaluate(&self.store, &self.params, &self.cfg, examples)
-    }
-
-    /// Serialize the full artifact to JSON.
-    pub fn to_json(&self) -> String {
-        serde_json::to_string(self).expect("model serializes")
-    }
-
-    /// Deserialize and rebuild skipped indices.
-    pub fn from_json(text: &str) -> Result<Seq2SeqModel, serde_json::Error> {
-        let mut m: Seq2SeqModel = serde_json::from_str(text)?;
-        m.store.rebuild_index();
-        m.vocab.rebuild_index();
-        Ok(m)
-    }
-
-    /// Save to a file.
-    pub fn save(&self, path: impl AsRef<Path>) -> std::io::Result<()> {
-        std::fs::write(path, self.to_json())
-    }
-
-    /// Load from a file.
-    pub fn load(path: impl AsRef<Path>) -> std::io::Result<Seq2SeqModel> {
-        let text = std::fs::read_to_string(path)?;
-        Seq2SeqModel::from_json(&text).map_err(std::io::Error::other)
     }
 }
 
@@ -163,36 +147,6 @@ mod tests {
         let m = tiny_model();
         assert_eq!(m.cfg.vocab_size, m.vocab.len());
         assert!(m.store.num_scalars() > 1000);
-    }
-
-    #[test]
-    fn checkpoint_roundtrip_preserves_behaviour() {
-        let m = tiny_model();
-        let src = vec![SOS, m.vocab.id("int"), m.vocab.id("main"), EOS];
-        let generate = |m: &Seq2SeqModel| {
-            let enc_out = decode::encode_source(&m.store, &m.params, &m.cfg, &src);
-            BatchDecoder::new(&m.store, &m.params, &m.cfg, 1)
-                .decode_all(vec![BatchRequest::greedy(enc_out, 10)])
-                .swap_remove(0)
-        };
-        let out1 = generate(&m);
-        let json = m.to_json();
-        let m2 = Seq2SeqModel::from_json(&json).unwrap();
-        let out2 = generate(&m2);
-        assert_eq!(out1, out2, "loaded model generates identically");
-        assert_eq!(m2.vocab.id("MPI_Init"), m.vocab.id("MPI_Init"));
-    }
-
-    #[test]
-    fn file_roundtrip() {
-        let m = tiny_model();
-        let dir = std::env::temp_dir().join("mpirical_model_test");
-        std::fs::create_dir_all(&dir).unwrap();
-        let path = dir.join("ckpt.json");
-        m.save(&path).unwrap();
-        let m2 = Seq2SeqModel::load(&path).unwrap();
-        assert_eq!(m2.cfg, m.cfg);
-        std::fs::remove_file(path).ok();
     }
 
     #[test]
@@ -220,5 +174,77 @@ mod tests {
         let report = m.fit(&data, &data, &tcfg, |_| {});
         assert_eq!(report.epochs.len(), 2);
         assert!(report.epochs[0].train_loss.is_finite());
+    }
+
+    /// Regression: a second `fit` once resumed the first one's Adam
+    /// moments with a reset step count. Every `fit` now starts fresh, so
+    /// `fit(A); fit(B)` on one model equals `fit(A)`, the values moved
+    /// into a fresh model, then `fit(B)` — bit for bit.
+    #[test]
+    fn second_fit_starts_from_fresh_optimizer_state() {
+        let set = |words: &[&str], m: &Seq2SeqModel| -> Vec<Example> {
+            words
+                .iter()
+                .map(|w| Example {
+                    src: vec![SOS, m.vocab.id(w), EOS],
+                    tgt: vec![SOS, m.vocab.id(w), m.vocab.id(";")],
+                })
+                .collect()
+        };
+        let tcfg = TrainConfig {
+            epochs: 2,
+            batch_size: 2,
+            threads: 1,
+            warmup_steps: 0,
+            validate: false,
+            ..Default::default()
+        };
+        let mut resumed = tiny_model();
+        let (a, b) = (
+            set(&["int", "main"], &resumed),
+            set(&["MPI_Init", "{"], &resumed),
+        );
+        resumed.fit(&a, &[], &tcfg, |_| {});
+        let mut fresh = tiny_model();
+        let store = Arc::make_mut(&mut fresh.store);
+        for id in resumed.store.ids() {
+            *store.value_mut(id) = resumed.store.value(id).clone();
+        }
+        resumed.fit(&b, &[], &tcfg, |_| {});
+        fresh.fit(&b, &[], &tcfg, |_| {});
+        for id in resumed.store.ids() {
+            let bits = |m: &Seq2SeqModel| -> Vec<u32> {
+                m.store.value(id).data.iter().map(|x| x.to_bits()).collect()
+            };
+            assert!(bits(&resumed) == bits(&fresh), "parameter {id:?} differs");
+        }
+    }
+
+    /// `fit` on a store an engine still shares copies it first: the engine
+    /// keeps serving the weights it was built on.
+    #[test]
+    fn fit_leaves_a_sharing_engine_model_untouched() {
+        let mut m = tiny_model();
+        let engine = EngineModel::from_model(&m, Precision::F32);
+        assert!(Arc::ptr_eq(&m.store, &engine.store));
+        let before = (*engine.store).clone();
+        let ex = Example {
+            src: vec![SOS, m.vocab.id("int"), EOS],
+            tgt: vec![SOS, m.vocab.id("main")],
+        };
+        let tcfg = TrainConfig {
+            epochs: 1,
+            threads: 1,
+            validate: false,
+            ..Default::default()
+        };
+        m.fit(&[ex], &[], &tcfg, |_| {});
+        assert!(!Arc::ptr_eq(&m.store, &engine.store));
+        for id in before.ids() {
+            assert_eq!(engine.store.value(id).data, before.value(id).data);
+        }
+        assert!(before
+            .ids()
+            .any(|id| m.store.value(id).data != before.value(id).data));
     }
 }

@@ -8,7 +8,7 @@
 //!  TCP clients ──▶   │ handler thread │ ──── Command{reply} ────▶ │ service thread  │
 //!   (N conns)        │ (one per conn) │ ◀──── Response ─────────  │ owns            │
 //!                    └────────────────┘      (per-command         │ SuggestService  │
-//!                    ┌────────────────┐       reply channel)      │ ::owned         │
+//!                    ┌────────────────┐       reply channel)      │ ::sharded       │
 //!                    │ accept thread  │                           │ (sharded Engine:│
 //!                    └────────────────┘                           │  W workers)     │
 //!                                                                 └─────────────────┘
@@ -81,7 +81,7 @@ pub struct ServerConfig {
     /// Bind address; port 0 picks a free port (read it back with
     /// [`Server::addr`]).
     pub addr: String,
-    /// Engine worker threads (sharded `SuggestService::owned` backend).
+    /// Engine worker threads (`SuggestService::sharded` backend).
     pub workers: usize,
     /// Admission budget: maximum unredeemed tickets before submissions
     /// are shed with [`Response::Busy`].
@@ -159,8 +159,8 @@ pub struct Server {
 
 impl Server {
     /// Bind, spawn the service and accept threads, and start serving.
-    /// The artifact is owned (`Arc`) — the daemon outlives any caller
-    /// stack frame.
+    /// The service thread holds its own clone of the artifact, sharing
+    /// the weights of `assistant`.
     pub fn start(assistant: Arc<MpiRical>, cfg: ServerConfig) -> io::Result<Server> {
         let listener = TcpListener::bind(&cfg.addr)?;
         let addr = listener.local_addr()?;
@@ -169,7 +169,7 @@ impl Server {
         let drained = Arc::new((Mutex::new(false), Condvar::new()));
         let (cmd_tx, cmd_rx) = sync_channel::<Command>(COMMAND_DEPTH);
 
-        let service = SuggestService::owned(assistant, cfg.workers.max(1));
+        let service = SuggestService::sharded(&assistant, cfg.workers.max(1));
         {
             let counters = Arc::clone(&counters);
             let drained = Arc::clone(&drained);
@@ -329,7 +329,7 @@ fn handle_connection(mut stream: TcpStream, cmd: SyncSender<Command>, counters: 
 
 /// Everything the service thread owns. `service` is `None` once drained.
 struct ServiceState {
-    service: Option<SuggestService<'static>>,
+    service: Option<SuggestService>,
     cfg: ServerConfig,
     counters: Arc<Counters>,
     /// Unredeemed tickets — the admission-budget currency (see module
@@ -482,7 +482,7 @@ impl ServiceState {
 }
 
 fn service_loop(
-    service: SuggestService<'static>,
+    service: SuggestService,
     rx: Receiver<Command>,
     cfg: ServerConfig,
     counters: Arc<Counters>,

@@ -30,8 +30,9 @@
 //! * [`Tape`] / [`Var`] — reverse-mode autograd over a per-step tape, with
 //!   every op a transformer needs (matmul, softmax, layernorm, GELU,
 //!   embedding gather, fused cross-entropy, dropout, column slice/concat);
-//! * [`ParamStore`] / [`Adam`] — named parameter storage with AdamW,
-//!   gradient clipping and the warmup + inverse-sqrt LR schedule.
+//! * [`ParamStore`] / [`Adam`] — named parameter values, and AdamW with
+//!   gradient clipping, the warmup + inverse-sqrt LR schedule and its own
+//!   moment buffers (a store holds values only).
 //!
 //! Every differentiable op is covered by a central-difference gradient check
 //! in `autograd::tests`.

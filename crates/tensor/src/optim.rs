@@ -1,15 +1,16 @@
 //! Parameter storage and the Adam optimizer.
 //!
-//! [`ParamStore`] owns every trainable tensor plus its Adam moment buffers;
-//! parameters are addressed by stable [`ParamId`]s handed out at
+//! [`ParamStore`] owns every trainable tensor — names and values, nothing
+//! else; parameters are addressed by stable [`ParamId`]s handed out at
 //! registration. Tapes borrow the store read-only during the forward pass,
 //! so data-parallel workers can share one store across threads without
-//! locks; only the optimizer step mutates it.
+//! locks; only the optimizer step mutates it. [`Adam`] owns the optimizer
+//! state — its schedule, step count and the two moment buffers per
+//! parameter — so a store saved after training carries the values alone.
 
 use crate::autograd::Grads;
 use crate::tensor::Tensor;
 use serde::{Deserialize, Serialize};
-use std::collections::HashMap;
 
 /// Stable handle to a parameter in a [`ParamStore`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
@@ -19,16 +20,12 @@ pub struct ParamId(pub usize);
 struct Slot {
     name: String,
     value: Tensor,
-    m: Tensor,
-    v: Tensor,
 }
 
 /// Container of all trainable parameters of a model.
 #[derive(Debug, Clone, Default, Serialize, Deserialize)]
 pub struct ParamStore {
     slots: Vec<Slot>,
-    #[serde(skip)]
-    by_name: HashMap<String, usize>,
 }
 
 impl ParamStore {
@@ -39,20 +36,14 @@ impl ParamStore {
     /// Register a parameter; names must be unique.
     pub fn add(&mut self, name: &str, value: Tensor) -> ParamId {
         assert!(
-            !self.by_name.contains_key(name),
+            self.slots.iter().all(|s| s.name != name),
             "duplicate parameter name {name}"
         );
-        let m = Tensor::zeros(&value.shape);
-        let v = Tensor::zeros(&value.shape);
         self.slots.push(Slot {
             name: name.to_string(),
             value,
-            m,
-            v,
         });
-        let id = ParamId(self.slots.len() - 1);
-        self.by_name.insert(name.to_string(), id.0);
-        id
+        ParamId(self.slots.len() - 1)
     }
 
     /// Number of parameters (tensors).
@@ -79,50 +70,9 @@ impl ParamStore {
         &mut self.slots[id.0].value
     }
 
-    /// Look up a parameter id by name.
-    pub fn id_of(&self, name: &str) -> Option<ParamId> {
-        self.by_name.get(name).map(|&i| ParamId(i))
-    }
-
-    /// Name of a parameter.
-    pub fn name_of(&self, id: ParamId) -> &str {
-        &self.slots[id.0].name
-    }
-
     /// All ids in registration order.
     pub fn ids(&self) -> impl Iterator<Item = ParamId> {
         (0..self.slots.len()).map(ParamId)
-    }
-
-    /// A copy of every parameter value with fresh (zeroed) Adam moments —
-    /// what an inference-only holder needs. Zeroed buffers are allocated
-    /// lazily, so of the copy only the values become resident.
-    pub fn values_copy(&self) -> ParamStore {
-        ParamStore {
-            slots: self
-                .slots
-                .iter()
-                .map(|s| Slot {
-                    name: s.name.clone(),
-                    value: s.value.clone(),
-                    m: Tensor::zeros(&s.value.shape),
-                    v: Tensor::zeros(&s.value.shape),
-                })
-                .collect(),
-            by_name: self.by_name.clone(),
-        }
-    }
-
-    /// Rebuild the name index after deserialization (serde skips it).
-    /// Callers that deserialize a `ParamStore` (e.g. the model crate's
-    /// checkpoint loader) must invoke this before using `id_of`.
-    pub fn rebuild_index(&mut self) {
-        self.by_name = self
-            .slots
-            .iter()
-            .enumerate()
-            .map(|(i, s)| (s.name.clone(), i))
-            .collect();
     }
 }
 
@@ -136,21 +86,8 @@ mod store_tests {
         let id = s.add("w", Tensor::ones(&[2, 3]));
         assert_eq!(s.len(), 1);
         assert_eq!(s.num_scalars(), 6);
-        assert_eq!(s.id_of("w"), Some(id));
-        assert_eq!(s.name_of(id), "w");
+        assert_eq!(s.ids().collect::<Vec<_>>(), vec![id]);
         assert_eq!(s.value(id).data, vec![1.0; 6]);
-    }
-
-    #[test]
-    fn values_copy_keeps_values_and_zeroes_moments() {
-        let mut s = ParamStore::new();
-        let id = s.add("w", Tensor::ones(&[2, 3]));
-        s.slots[0].m = Tensor::ones(&[2, 3]);
-        let copy = s.values_copy();
-        assert_eq!(copy.id_of("w"), Some(id));
-        assert_eq!(copy.value(id).data, s.value(id).data);
-        assert_eq!(copy.slots[0].m.data, vec![0.0; 6]);
-        assert_eq!(copy.slots[0].v.shape, vec![2, 3]);
     }
 
     #[test]
@@ -165,6 +102,11 @@ mod store_tests {
 /// Adam with optional decoupled weight decay (AdamW when `weight_decay > 0`)
 /// and linear warmup followed by inverse-sqrt decay — the schedule family
 /// used by Transformer training since Vaswani et al.
+///
+/// The first and second moment estimates live here, one buffer pair per
+/// parameter, allocated (zeroed) the first time that parameter gets a
+/// gradient. They last as long as this optimizer: a fresh `Adam` starts
+/// from zero moments and `t = 0` whatever store it steps.
 #[derive(Debug, Clone, Serialize, Deserialize)]
 pub struct Adam {
     pub lr: f32,
@@ -176,6 +118,11 @@ pub struct Adam {
     pub warmup: usize,
     /// Step counter (1-based after the first step).
     pub t: usize,
+    /// First moment per parameter, indexed by [`ParamId`]; empty until the
+    /// parameter's first gradient.
+    m: Vec<Vec<f32>>,
+    /// Second moment per parameter, laid out like `m`.
+    v: Vec<Vec<f32>>,
 }
 
 impl Default for Adam {
@@ -188,6 +135,8 @@ impl Default for Adam {
             weight_decay: 0.0,
             warmup: 0,
             t: 0,
+            m: Vec::new(),
+            v: Vec::new(),
         }
     }
 }
@@ -218,7 +167,10 @@ impl Adam {
         self.t += 1;
         let bc1 = 1.0 - self.beta1.powi(self.t as i32);
         let bc2 = 1.0 - self.beta2.powi(self.t as i32);
-        for (i, slot) in store.slots.iter_mut().enumerate() {
+        self.m.resize_with(store.len(), Vec::new);
+        self.v.resize_with(store.len(), Vec::new);
+        let moments = self.m.iter_mut().zip(self.v.iter_mut());
+        for (i, (slot, (m, v))) in store.slots.iter_mut().zip(moments).enumerate() {
             let Some(g) = grads.by_param.get(i).and_then(|g| g.as_ref()) else {
                 continue;
             };
@@ -227,12 +179,16 @@ impl Adam {
                 "gradient shape mismatch for {}",
                 slot.name
             );
+            if m.is_empty() {
+                *m = vec![0.0; g.data.len()];
+                *v = vec![0.0; g.data.len()];
+            }
             for j in 0..g.data.len() {
                 let gj = g.data[j];
-                slot.m.data[j] = self.beta1 * slot.m.data[j] + (1.0 - self.beta1) * gj;
-                slot.v.data[j] = self.beta2 * slot.v.data[j] + (1.0 - self.beta2) * gj * gj;
-                let mhat = slot.m.data[j] / bc1;
-                let vhat = slot.v.data[j] / bc2;
+                m[j] = self.beta1 * m[j] + (1.0 - self.beta1) * gj;
+                v[j] = self.beta2 * v[j] + (1.0 - self.beta2) * gj * gj;
+                let mhat = m[j] / bc1;
+                let vhat = v[j] / bc2;
                 let mut update = lr * mhat / (vhat.sqrt() + self.eps);
                 if self.weight_decay > 0.0 {
                     update += lr * self.weight_decay * slot.value.data[j];

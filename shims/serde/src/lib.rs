@@ -18,6 +18,7 @@ pub use serde_derive::{Deserialize, Serialize};
 
 use std::collections::{BTreeMap, HashMap};
 use std::fmt;
+use std::sync::Arc;
 
 /// Self-describing serialized value (the shim's data model).
 #[derive(Debug, Clone, PartialEq)]
@@ -187,11 +188,26 @@ macro_rules! ser_de_signed {
 }
 ser_de_signed!(i8, i16, i32, i64, isize);
 
+impl Serialize for f64 {
+    fn ser(&self) -> Value {
+        Value::Float(*self)
+    }
+}
+
+/// Written as the shortest decimal that reads back as this `f32`, as real
+/// serde_json does, not as the up to 17 digits of its `f64` widening.
+/// Reading parses an `f64` and narrows it; for the rare value where that
+/// double rounding lands on a neighbour, the exact widening is written.
+impl Serialize for f32 {
+    fn ser(&self) -> Value {
+        let short: f64 = self.to_string().parse().expect("a formatted f32 parses");
+        let exact = (short as f32).to_bits() == self.to_bits();
+        Value::Float(if exact { short } else { *self as f64 })
+    }
+}
+
 macro_rules! ser_de_float {
     ($($t:ty),*) => {$(
-        impl Serialize for $t {
-            fn ser(&self) -> Value { Value::Float(*self as f64) }
-        }
         impl Deserialize for $t {
             fn de(v: &Value) -> Result<Self, DeError> {
                 match v {
@@ -305,6 +321,20 @@ impl<T: Serialize> Serialize for Box<T> {
 impl<T: Deserialize> Deserialize for Box<T> {
     fn de(v: &Value) -> Result<Self, DeError> {
         T::de(v).map(Box::new)
+    }
+}
+
+/// Transparent, like real serde's `rc` feature: the pointee is written in
+/// place, and every deserialized `Arc` is a fresh, unshared allocation.
+impl<T: Serialize> Serialize for Arc<T> {
+    fn ser(&self) -> Value {
+        (**self).ser()
+    }
+}
+
+impl<T: Deserialize> Deserialize for Arc<T> {
+    fn de(v: &Value) -> Result<Self, DeError> {
+        T::de(v).map(Arc::new)
     }
 }
 
@@ -454,6 +484,25 @@ mod tests {
     }
 
     #[test]
+    fn f32_writes_its_shortest_digits_and_reads_back_exactly() {
+        assert_eq!(0.1f32.ser(), Value::Float(0.1));
+        // Shortest digits "7.038531e-26" read through `f64` would narrow to
+        // a neighbour, so this one keeps its exact widening.
+        let double_rounded = f32::from_bits(0x15ae_43fd);
+        assert_eq!(double_rounded.ser(), Value::Float(double_rounded as f64));
+        for x in [
+            0.1f32,
+            -0.0,
+            1.0e-45,
+            f32::MAX,
+            0.012_345_679,
+            double_rounded,
+        ] {
+            assert_eq!(f32::de(&x.ser()).unwrap().to_bits(), x.to_bits(), "{x}");
+        }
+    }
+
+    #[test]
     fn containers_roundtrip() {
         let v = vec![1usize, 2, 3];
         assert_eq!(Vec::<usize>::de(&v.ser()).unwrap(), v);
@@ -463,6 +512,9 @@ mod tests {
         assert_eq!(<(u32, String)>::de(&t.ser()).unwrap(), t);
         let a = [1usize, 2, 3];
         assert_eq!(<[usize; 3]>::de(&a.ser()).unwrap(), a);
+        let shared = Arc::new(vec![4u32, 5]);
+        assert_eq!(shared.ser(), vec![4u32, 5].ser(), "an Arc is transparent");
+        assert_eq!(Arc::<Vec<u32>>::de(&shared.ser()).unwrap(), shared);
     }
 
     #[test]
