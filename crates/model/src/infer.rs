@@ -98,7 +98,7 @@ use crate::config::ModelConfig;
 use crate::paged::{PagePool, PagedRows, PoolInner};
 use crate::transformer::{positional_encoding, LnParams, TransformerParams};
 use mpirical_tensor::{
-    batch_linear, batch_linear_packed, batch_linear_q, dot_rows, gelu, vecmat, vecmat_acc,
+    batch_linear, batch_linear_packed, batch_linear_q, dot_rows, gelu, par, vecmat, vecmat_acc,
     vecmat_bt, PackedMat, ParamStore, QuantMat, Tensor,
 };
 use serde::{Deserialize, Serialize};
@@ -793,73 +793,31 @@ macro_rules! fused_linear {
     };
 }
 
-/// Work threshold (in multiply-add-ish flops across all lanes) below which
-/// the per-lane sections of [`decode_step_batch`] stay serial: the crossbeam
-/// scope spawn cost only pays for itself on serving-scale shapes. Mirrors
-/// `matmul`'s `PAR_THRESHOLD` approach.
-const LANE_PAR_THRESHOLD: usize = 1 << 17;
-
-/// Test override: `MPIRICAL_LANE_PAR=<n>` forces the per-lane sections onto
-/// `n` threads regardless of the work estimate, so the property suites can
-/// exercise the threaded code paths at tiny shapes. Read once per process.
-fn lane_par_override() -> Option<usize> {
-    static OVERRIDE: std::sync::OnceLock<Option<usize>> = std::sync::OnceLock::new();
-    *OVERRIDE.get_or_init(|| {
-        std::env::var("MPIRICAL_LANE_PAR")
-            .ok()
-            .and_then(|v| v.parse::<usize>().ok())
-            .filter(|&n| n >= 1)
-    })
-}
-
-/// Threads for a per-lane (embarrassingly parallel) section over `lanes`
-/// lanes of roughly `work_per_lane` flops each. Lanes never share state, and
-/// each lane's accumulation order is unchanged by the partitioning, so the
-/// thread count can never perturb a bit — it is purely a latency decision.
-fn lane_threads(lanes: usize, work_per_lane: usize) -> usize {
-    if lanes < 2 {
-        return 1;
-    }
-    if let Some(forced) = lane_par_override() {
-        return forced.min(lanes);
-    }
-    if lanes.saturating_mul(work_per_lane) < LANE_PAR_THRESHOLD {
-        return 1;
-    }
-    mpirical_tensor::available_cores().min(lanes)
+/// Rows per part when `rows` decoder lanes or encoder rows of about
+/// `work_per_row` flops each are split across [`par::threads`]. Rows never
+/// share what they write, and each row's accumulation order is unchanged by
+/// the partitioning, so the thread count can never perturb a bit — it is
+/// purely a latency decision.
+fn rows_per_part(rows: usize, work_per_row: usize) -> usize {
+    rows.div_ceil(par::threads(rows, work_per_row, par::LANE_MIN_WORK))
 }
 
 /// LayerNorm one row per lane (`x[i·d..]` → `normed[i·d..]`), partitioning
-/// lanes across scoped threads when the batch is wide enough. Each row is
-/// normalized by the same [`ln_row`] the serial path calls, so the output is
-/// bitwise identical at any thread count.
+/// lanes across threads when the batch is wide enough. Each row is
+/// normalized by the same [`ln_row`] whatever part it falls in, so the
+/// output is bitwise identical at any thread count.
 fn ln_rows_batch(b: usize, d: usize, x: &[f32], gamma: &Tensor, beta: &Tensor, normed: &mut [f32]) {
-    let threads = lane_threads(b, 10 * d);
-    if threads <= 1 {
-        for i in 0..b {
-            ln_row(
-                &x[i * d..(i + 1) * d],
-                gamma,
-                beta,
-                &mut normed[i * d..(i + 1) * d],
-            );
-        }
-        return;
-    }
-    let lanes_per = b.div_ceil(threads);
-    crossbeam::scope(|scope| {
-        for (x_chunk, out_chunk) in x[..b * d]
-            .chunks(lanes_per * d)
-            .zip(normed[..b * d].chunks_mut(lanes_per * d))
-        {
-            scope.spawn(move |_| {
-                for (row, out) in x_chunk.chunks(d).zip(out_chunk.chunks_mut(d)) {
-                    ln_row(row, gamma, beta, out);
-                }
-            });
-        }
-    })
-    .expect("lane threads do not panic");
+    let part = rows_per_part(b, 10 * d) * d;
+    par::for_each(
+        x[..b * d]
+            .chunks(part)
+            .zip(normed[..b * d].chunks_mut(part)),
+        |(x, out)| {
+            for (row, out) in x.chunks(d).zip(out.chunks_mut(d)) {
+                ln_row(row, gamma, beta, out);
+            }
+        },
+    );
 }
 
 /// Process one decoder token for **each of N independent requests** in
@@ -886,11 +844,11 @@ fn ln_rows_batch(b: usize, d: usize, x: &[f32], gamma: &Tensor, beta: &Tensor, n
 /// and `batch::tests` pin this.
 ///
 /// The per-lane sections (LayerNorm rows, K/V append, self- and
-/// cross-attention) additionally partition lanes across crossbeam scoped
-/// threads above a work threshold — the same row-partition scheme `matmul`
-/// uses. Each lane's accumulation order is fixed regardless of which thread
-/// runs it, so the thread count affects latency only, never a bit of the
-/// logits (`tests/parallel_engine_props.rs` pins this under a forced
+/// cross-attention) additionally partition lanes across threads through
+/// [`par::for_each`] above a work threshold — the same row-partition scheme
+/// `matmul` uses. Each lane's accumulation order is fixed regardless of
+/// which thread runs it, so the thread count affects latency only, never a
+/// bit of the logits (`tests/parallel_engine_props.rs` pins this under a forced
 /// thread-count override).
 ///
 /// # Precision
@@ -1002,56 +960,36 @@ pub fn decode_step_batch(
             &mut s.v[..b * d]
         );
         // Per-lane K/V append + attention. Lanes own disjoint caches, score
-        // slabs, and ctx rows, so wide batches partition lanes across scoped
+        // slabs, and ctx rows, so wide batches partition lanes across
         // threads exactly like `matmul` partitions output rows; each lane's
         // accumulation order is untouched, so logits stay bitwise identical
-        // to the serial walk.
+        // at any thread count.
         let cap = s.scores_cap;
-        let threads = lane_threads(b, 2 * d * (max_pos + 1));
-        if threads <= 1 {
-            for (i, cache) in caches.iter_mut().enumerate() {
-                let DecoderCache { layers, pool, .. } = &mut **cache;
-                self_attend_append(
-                    &mut layers[li].kv,
-                    pool,
-                    &s.q[i * d..(i + 1) * d],
-                    &s.k[i * d..(i + 1) * d],
-                    &s.v[i * d..(i + 1) * d],
-                    scale,
-                    &mut s.scores[i * cap..(i + 1) * cap],
-                    &mut s.ctx[i * d..(i + 1) * d],
-                );
-            }
-        } else {
-            let lanes_per = b.div_ceil(threads);
-            let (q, k, v) = (&s.q[..b * d], &s.k[..b * d], &s.v[..b * d]);
-            crossbeam::scope(|scope| {
-                for (ci, ((cache_chunk, ctx_chunk), scores_chunk)) in caches
-                    .chunks_mut(lanes_per)
-                    .zip(s.ctx[..b * d].chunks_mut(lanes_per * d))
-                    .zip(s.scores[..b * cap].chunks_mut(lanes_per * cap))
-                    .enumerate()
-                {
-                    scope.spawn(move |_| {
-                        for (j, cache) in cache_chunk.iter_mut().enumerate() {
-                            let i = ci * lanes_per + j;
-                            let DecoderCache { layers, pool, .. } = &mut **cache;
-                            self_attend_append(
-                                &mut layers[li].kv,
-                                pool,
-                                &q[i * d..(i + 1) * d],
-                                &k[i * d..(i + 1) * d],
-                                &v[i * d..(i + 1) * d],
-                                scale,
-                                &mut scores_chunk[j * cap..(j + 1) * cap],
-                                &mut ctx_chunk[j * d..(j + 1) * d],
-                            );
-                        }
-                    });
+        let lanes_per = rows_per_part(b, 2 * d * (max_pos + 1));
+        let (q, k, v) = (&s.q[..b * d], &s.k[..b * d], &s.v[..b * d]);
+        par::for_each(
+            caches
+                .chunks_mut(lanes_per)
+                .zip(s.ctx[..b * d].chunks_mut(lanes_per * d))
+                .zip(s.scores[..b * cap].chunks_mut(lanes_per * cap))
+                .enumerate(),
+            |(ci, ((cache_chunk, ctx_chunk), scores_chunk))| {
+                for (j, cache) in cache_chunk.iter_mut().enumerate() {
+                    let i = ci * lanes_per + j;
+                    let DecoderCache { layers, pool, .. } = &mut **cache;
+                    self_attend_append(
+                        &mut layers[li].kv,
+                        pool,
+                        &q[i * d..(i + 1) * d],
+                        &k[i * d..(i + 1) * d],
+                        &v[i * d..(i + 1) * d],
+                        scale,
+                        &mut scores_chunk[j * cap..(j + 1) * cap],
+                        &mut ctx_chunk[j * d..(j + 1) * d],
+                    );
                 }
-            })
-            .expect("lane threads do not panic");
-        }
+            },
+        );
         fused_linear!(
             weights,
             s,
@@ -1083,47 +1021,29 @@ pub fn decode_step_batch(
         // Cross-attention reads per-lane encoder K/V (shared `Arc`s, never
         // mutated), so the same lane partitioning applies.
         let t_enc = caches[0].layers[li].cross_k[0].shape[0];
-        let threads = lane_threads(b, 2 * d * t_enc);
-        if threads <= 1 {
-            for (i, cache) in caches.iter_mut().enumerate() {
-                let lc = &cache.layers[li];
-                attend(
-                    &s.q[i * d..(i + 1) * d],
-                    &lc.cross_k,
-                    &lc.cross_v,
-                    scale,
-                    &mut s.scores[i * cap..(i + 1) * cap],
-                    &mut s.ctx[i * d..(i + 1) * d],
-                );
-            }
-        } else {
-            let lanes_per = b.div_ceil(threads);
-            let q = &s.q[..b * d];
-            crossbeam::scope(|scope| {
-                for (ci, ((cache_chunk, ctx_chunk), scores_chunk)) in caches
-                    .chunks(lanes_per)
-                    .zip(s.ctx[..b * d].chunks_mut(lanes_per * d))
-                    .zip(s.scores[..b * cap].chunks_mut(lanes_per * cap))
-                    .enumerate()
-                {
-                    scope.spawn(move |_| {
-                        for (j, cache) in cache_chunk.iter().enumerate() {
-                            let i = ci * lanes_per + j;
-                            let lc = &cache.layers[li];
-                            attend(
-                                &q[i * d..(i + 1) * d],
-                                &lc.cross_k,
-                                &lc.cross_v,
-                                scale,
-                                &mut scores_chunk[j * cap..(j + 1) * cap],
-                                &mut ctx_chunk[j * d..(j + 1) * d],
-                            );
-                        }
-                    });
+        let lanes_per = rows_per_part(b, 2 * d * t_enc);
+        let q = &s.q[..b * d];
+        par::for_each(
+            caches
+                .chunks(lanes_per)
+                .zip(s.ctx[..b * d].chunks_mut(lanes_per * d))
+                .zip(s.scores[..b * cap].chunks_mut(lanes_per * cap))
+                .enumerate(),
+            |(ci, ((cache_chunk, ctx_chunk), scores_chunk))| {
+                for (j, cache) in cache_chunk.iter().enumerate() {
+                    let i = ci * lanes_per + j;
+                    let lc = &cache.layers[li];
+                    attend(
+                        &q[i * d..(i + 1) * d],
+                        &lc.cross_k,
+                        &lc.cross_v,
+                        scale,
+                        &mut scores_chunk[j * cap..(j + 1) * cap],
+                        &mut ctx_chunk[j * d..(j + 1) * d],
+                    );
                 }
-            })
-            .expect("lane threads do not panic");
-        }
+            },
+        );
         fused_linear!(
             weights,
             s,
@@ -1236,27 +1156,6 @@ impl EncoderRows {
     }
 }
 
-/// Run `f` over every `(rows of x, block)` pair — on scoped threads when
-/// there is more than one block, the row-partition scheme of `matmul` and of
-/// the per-lane sections of [`decode_step_batch`].
-fn for_each_block(
-    x: &mut [f32],
-    blocks: &mut [EncoderRows],
-    block_len: usize,
-    f: impl Fn(&mut [f32], &mut EncoderRows) + Sync,
-) {
-    if let [block] = blocks {
-        return f(x, block);
-    }
-    crossbeam::scope(|scope| {
-        for (x_rows, block) in x.chunks_mut(block_len).zip(blocks) {
-            let f = &f;
-            scope.spawn(move |_| f(x_rows, block));
-        }
-    })
-    .expect("encoder threads do not panic");
-}
-
 /// Copy rows `row0..` of a `[_, h·dh]` projection into the head-major
 /// `out[h][t][dh]`, where each head's `t` rows form the contiguous block
 /// [`dot_rows`] and [`vecmat_acc`] walk.
@@ -1340,8 +1239,7 @@ pub fn encode_source(
 
     // One block of rows per thread; a row costs about this many multiply-adds
     // per layer (four d×d projections, two d×d_ff, scores and context).
-    let threads = lane_threads(t, 4 * d * d + 2 * d * dff + 2 * t * d);
-    let block_rows = t.div_ceil(threads);
+    let block_rows = rows_per_part(t, 4 * d * d + 2 * d * dff + 2 * t * d);
     let mut blocks: Vec<EncoderRows> = x
         .chunks(block_rows * d)
         .map(|rows| EncoderRows::new(rows.len() / d, t, cfg))
@@ -1351,7 +1249,7 @@ pub fn encode_source(
     for layer in &params.enc_layers {
         // Self-attention block (pre-LN residual): project this block's rows…
         let a = &layer.attn;
-        for_each_block(&mut x, &mut blocks, block_rows * d, |x, s| {
+        par::for_each(x.chunks_mut(block_rows * d).zip(&mut blocks), |(x, s)| {
             let rows = x.len() / d;
             ln_rows_seq(x, d, layer.ln1, store, &mut s.normed);
             batch_linear(
@@ -1383,7 +1281,7 @@ pub fn encode_source(
         // …then attend bidirectionally, every query row over all `t` keys,
         // and finish the layer row-wise.
         let f = &layer.ff;
-        for_each_block(&mut x, &mut blocks, block_rows * d, |x, s| {
+        par::for_each(x.chunks_mut(block_rows * d).zip(&mut blocks), |(x, s)| {
             let rows = x.len() / d;
             for (q_row, ctx_row) in s.q.chunks_exact(d).zip(s.ctx.chunks_exact_mut(d)) {
                 for (head, (qh, ctx_h)) in q_row

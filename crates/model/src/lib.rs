@@ -10,8 +10,8 @@
 //!   sinusoidal positions, pre-LN residual blocks, multi-head attention and
 //!   GELU feed-forward;
 //! * [`mod@train`] — teacher-forced training with Adam(W), warmup schedule,
-//!   gradient clipping, and data-parallel batch sharding over crossbeam
-//!   scoped threads;
+//!   gradient clipping, and data-parallel batch sharding through
+//!   [`mpirical_tensor::par`];
 //! * [`infer`] — the KV-cached incremental inference engine: per-layer
 //!   paged self-attention K/V caches plus cross-attention K/V projected
 //!   once from the encoder output, advanced one token per lane per

@@ -1,16 +1,19 @@
 //! Training loop: teacher forcing, gradient accumulation, data-parallel
-//! batch sharding across crossbeam scoped threads.
+//! batch sharding through [`par::for_each`].
 //!
 //! One optimizer step processes `batch_size` examples. The batch is split
-//! into `threads` shards; each worker thread replays its shard on a private
-//! [`Tape`] against the shared read-only [`ParamStore`], producing a
-//! [`Grads`]. Shard gradients are merged in a fixed order (shard 0, 1, …) so
-//! training is bit-reproducible for a given `(seed, threads)` pair.
+//! into `threads` shards; each shard is replayed on its own thread, on a
+//! private [`Tape`] against the shared read-only [`ParamStore`], producing a
+//! [`Grads`]. The shards are the only level of parallelism: the `matmul`
+//! kernels a shard calls run inside its region, so they stay serial and the
+//! process runs one thread per shard. Shard gradients are merged in a fixed
+//! order (shard 0, 1, …) so training is bit-reproducible for a given
+//! `(seed, threads)` pair.
 
 use crate::config::ModelConfig;
 use crate::transformer::{seq2seq_loss, ForwardMode, TransformerParams};
 use crate::vocab::EOS;
-use mpirical_tensor::{Adam, Grads, ParamStore, Tape};
+use mpirical_tensor::{par, Adam, Grads, ParamStore, Tape};
 use serde::{Deserialize, Serialize};
 
 /// One supervised sequence pair (token ids; both sides start with `<sos>`).
@@ -55,9 +58,7 @@ impl Default for TrainConfig {
 impl TrainConfig {
     fn effective_threads(&self) -> usize {
         if self.threads == 0 {
-            std::thread::available_parallelism()
-                .map(|n| n.get())
-                .unwrap_or(1)
+            par::available_cores()
         } else {
             self.threads
         }
@@ -146,32 +147,20 @@ pub fn train_step(
 ) -> f64 {
     assert!(!batch.is_empty());
     let mode = ForwardMode::training(dropout_seed);
-    let threads = threads.max(1).min(batch.len());
-
-    let (mut grads, loss_sum) = if threads == 1 {
-        accumulate_shard(store, params, model_cfg, batch, mode)
-    } else {
-        let chunk = batch.len().div_ceil(threads);
-        let shards: Vec<&[&Example]> = batch.chunks(chunk).collect();
-        let mut results: Vec<Option<(Grads, f64)>> = (0..shards.len()).map(|_| None).collect();
-        let store_ref = &*store;
-        crossbeam::scope(|scope| {
-            for (shard, slot) in shards.into_iter().zip(results.iter_mut()) {
-                scope.spawn(move |_| {
-                    *slot = Some(accumulate_shard(store_ref, params, model_cfg, shard, mode));
-                });
-            }
+    let shard_len = batch.len().div_ceil(threads.max(1));
+    let shards = batch.chunks(shard_len);
+    let mut results = vec![(Grads::default(), 0.0); shards.len()];
+    par::for_each(shards.zip(&mut results), |(shard, slot)| {
+        *slot = accumulate_shard(store, params, model_cfg, shard, mode);
+    });
+    // Merge in fixed shard order for determinism.
+    let (mut grads, loss_sum) = results
+        .into_iter()
+        .reduce(|(mut grads, loss), (g, l)| {
+            grads.merge(&g);
+            (grads, loss + l)
         })
-        .expect("training threads do not panic");
-        // Merge in fixed shard order for determinism.
-        let mut grads = Grads::default();
-        let mut loss_sum = 0.0;
-        for r in results.into_iter().flatten() {
-            grads.merge(&r.0);
-            loss_sum += r.1;
-        }
-        (grads, loss_sum)
-    };
+        .expect("a non-empty batch has a shard");
 
     let n = batch.len() as f32;
     grads.scale(1.0 / n);

@@ -10,8 +10,8 @@
 //! * [`Tensor`] — dense row-major `f32` tensors with the usual elementwise,
 //!   reduction and shaping operations;
 //! * [`matmul()`] — cache-blocked i-k-j matrix multiply, parallelized across
-//!   output-row slices with crossbeam scoped threads (disjoint output, no
-//!   locks — the data-parallel structure the HPC guides prescribe); the
+//!   output-row slices by [`par`] (disjoint output, no locks — the
+//!   data-parallel structure the HPC guides prescribe); the
 //!   `A·Bᵀ` / `Aᵀ·B` variants attention and backward need use the same
 //!   row-partition scheme, and the single-row [`vecmat`] / [`vecmat_bt`]
 //!   kernels serve KV-cached incremental decoding without allocating, and
@@ -32,7 +32,10 @@
 //!   embedding gather, fused cross-entropy, dropout, column slice/concat);
 //! * [`ParamStore`] / [`Adam`] — named parameter values, and AdamW with
 //!   gradient clipping, the warmup + inverse-sqrt LR schedule and its own
-//!   moment buffers (a store holds values only).
+//!   moment buffers (a store holds values only);
+//! * [`par`] — the one parallel-for every data-parallel section runs
+//!   through (kernels here, the decoder's lanes, the encoder's row blocks,
+//!   training shards); a section inside a section runs serial.
 //!
 //! Every differentiable op is covered by a central-difference gradient check
 //! in `autograd::tests`.
@@ -60,16 +63,18 @@ pub mod init;
 pub mod math;
 pub mod matmul;
 pub mod optim;
+pub mod par;
 pub mod quant;
 pub mod tensor;
 
 pub use autograd::{Grads, Tape, Var};
 pub use math::{gelu, tanhf};
 pub use matmul::{
-    available_cores, batch_linear, batch_linear_packed, batch_matmul, batch_matmul_packed,
-    dot_rows, matmul, matmul_at, matmul_bt, vecmat, vecmat_acc, vecmat_bt, PackedMat,
+    batch_linear, batch_linear_packed, batch_matmul, batch_matmul_packed, dot_rows, matmul,
+    matmul_at, matmul_bt, vecmat, vecmat_acc, vecmat_bt, PackedMat,
 };
 pub use optim::{Adam, ParamId, ParamStore};
+pub use par::available_cores;
 pub use quant::{batch_linear_q, batch_matmul_q, quantize_row, vecmat_q, vecmat_q_pre, QuantMat};
 pub use tensor::Tensor;
 

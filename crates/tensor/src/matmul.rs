@@ -1,12 +1,16 @@
 //! Matrix multiplication — the training and inference hot path.
 //!
 //! The `matmul` kernel uses the cache-friendly i-k-j loop order (row-major A
-//! and B), which lets LLVM vectorize the inner j-loop. Above a size
-//! threshold the output-row range is split across crossbeam scoped threads:
-//! each thread owns a disjoint slice of the output, so there is no
-//! synchronization on the hot path (the pattern the HPC guides recommend:
-//! partition output, share read-only inputs). `matmul_bt` (`A·Bᵀ`) and
-//! `matmul_at` (`Aᵀ·B`) use the same row-partition scheme.
+//! and B), which lets LLVM vectorize the inner j-loop. Above
+//! `par::MATMUL_MIN_WORK` multiply-adds the output-row range is split
+//! into one slice per core and run through [`par::for_each`]: each thread
+//! owns a disjoint slice of the output, so there is no synchronization on
+//! the hot path (the pattern the HPC guides recommend: partition output,
+//! share read-only inputs). `matmul_bt` (`A·Bᵀ`) and `matmul_at` (`Aᵀ·B`)
+//! use the same row-partition scheme. Every output element is accumulated
+//! by one thread in the serial order, so the partition never changes a bit.
+//! Called inside another parallel section (a training shard), a kernel runs
+//! serially: one level of threads per process.
 //!
 //! For KV-cached incremental decoding, where every activation is a single
 //! row, the [`vecmat`] / [`vecmat_bt`] kernels compute `v · M` and `v · Mᵀ`
@@ -14,19 +18,20 @@
 //! plain slices, so a decode step does zero intermediate allocations beyond
 //! its output buffers.
 
+use crate::par;
 use crate::tensor::Tensor;
 
-/// Work threshold (in multiply-adds) below which threading is not worth it.
-const PAR_THRESHOLD: usize = 1 << 18;
-
-/// Cores this process may run on: `available_parallelism()`, read once per
-/// process. The std call re-reads the cgroup CPU limits on every call
-/// (≈ 12 µs), which is too slow for a per-kernel thread decision, so the
-/// thread counts chosen per call (matmul here, the decoder's per-lane
-/// sections, the engine's default worker count) read this cache.
-pub fn available_cores() -> usize {
-    static CORES: std::sync::OnceLock<usize> = std::sync::OnceLock::new();
-    *CORES.get_or_init(|| std::thread::available_parallelism().map_or(1, |n| n.get()))
+/// The `[m, n]` product whose output rows (`n·k` multiply-adds each) are
+/// cut into one slice per [`par::threads`]; `fill(row0, slice)` computes
+/// the rows from `row0` on into `slice`.
+fn by_rows(m: usize, n: usize, k: usize, fill: impl Fn(usize, &mut [f32]) + Sync) -> Tensor {
+    let mut out = vec![0.0f32; m * n];
+    let rows_per = m.div_ceil(par::threads(m, n * k, par::MATMUL_MIN_WORK));
+    par::for_each(
+        out.chunks_mut((rows_per * n).max(1)).enumerate(),
+        |(t, slice)| fill(t * rows_per, slice),
+    );
+    Tensor::from_vec(&[m, n], out)
 }
 
 /// `C[m,n] = A[m,k] @ B[k,n]`.
@@ -36,25 +41,9 @@ pub fn matmul(a: &Tensor, b: &Tensor) -> Tensor {
     let (m, k) = (a.shape[0], a.shape[1]);
     let (k2, n) = (b.shape[0], b.shape[1]);
     assert_eq!(k, k2, "matmul inner dims: {:?} @ {:?}", a.shape, b.shape);
-    let mut out = vec![0.0f32; m * n];
-    let threads = available_cores();
-    if m * n * k >= PAR_THRESHOLD && threads > 1 && m > 1 {
-        let rows_per = m.div_ceil(threads);
-        crossbeam::scope(|scope| {
-            for (t, chunk) in out.chunks_mut(rows_per * n).enumerate() {
-                let a_data = &a.data;
-                let b_data = &b.data;
-                scope.spawn(move |_| {
-                    let row0 = t * rows_per;
-                    kernel(a_data, b_data, chunk, row0, chunk.len() / n, k, n);
-                });
-            }
-        })
-        .expect("matmul threads do not panic");
-    } else {
-        kernel(&a.data, &b.data, &mut out, 0, m, k, n);
-    }
-    Tensor::from_vec(&[m, n], out)
+    by_rows(m, n, k, |row0, out| {
+        kernel(&a.data, &b.data, out, row0, out.len() / n, k, n)
+    })
 }
 
 /// Serial kernel over rows `[row0, row0+rows)` writing into `out` (which
@@ -89,24 +78,9 @@ pub fn matmul_bt(a: &Tensor, b: &Tensor) -> Tensor {
         "matmul_bt inner dims: {:?} @ {:?}^T",
         a.shape, b.shape
     );
-    let mut out = vec![0.0f32; m * n];
-    let threads = available_cores();
-    if m * n * k >= PAR_THRESHOLD && threads > 1 && m > 1 {
-        let rows_per = m.div_ceil(threads);
-        crossbeam::scope(|scope| {
-            for (t, chunk) in out.chunks_mut(rows_per * n).enumerate() {
-                let a_data = &a.data;
-                let b_data = &b.data;
-                scope.spawn(move |_| {
-                    kernel_bt(a_data, b_data, chunk, t * rows_per, chunk.len() / n, k, n);
-                });
-            }
-        })
-        .expect("matmul_bt threads do not panic");
-    } else {
-        kernel_bt(&a.data, &b.data, &mut out, 0, m, k, n);
-    }
-    Tensor::from_vec(&[m, n], out)
+    by_rows(m, n, k, |row0, out| {
+        kernel_bt(&a.data, &b.data, out, row0, out.len() / n, k, n)
+    })
 }
 
 /// Serial `A·Bᵀ` kernel over output rows `[row0, row0+rows)`.
@@ -180,26 +154,11 @@ pub fn matmul_at(a: &Tensor, b: &Tensor) -> Tensor {
         "matmul_at inner dims: {:?}^T @ {:?}",
         a.shape, b.shape
     );
-    let mut out = vec![0.0f32; m * n];
-    let threads = available_cores();
-    if m * n * k >= PAR_THRESHOLD && threads > 1 && m > 1 {
-        let rows_per = m.div_ceil(threads);
-        crossbeam::scope(|scope| {
-            for (t, chunk) in out.chunks_mut(rows_per * n).enumerate() {
-                // Offset A by the thread's first output row; `kernel_at`
-                // reads column `i` of the shifted view.
-                let a_data = &a.data[t * rows_per..];
-                let b_data = &b.data;
-                scope.spawn(move |_| {
-                    kernel_at(a_data, b_data, chunk, chunk.len() / n, k, m, n);
-                });
-            }
-        })
-        .expect("matmul_at threads do not panic");
-    } else {
-        kernel_at(&a.data, &b.data, &mut out, m, k, m, n);
-    }
-    Tensor::from_vec(&[m, n], out)
+    // Offset A by the part's first output row; `kernel_at` reads column `i`
+    // of the shifted view.
+    by_rows(m, n, k, |row0, out| {
+        kernel_at(&a.data[row0..], &b.data, out, out.len() / n, k, m, n)
+    })
 }
 
 /// Serial `Aᵀ·B` kernel over `rows` output rows. `a` is A's data offset so
@@ -654,7 +613,7 @@ mod tests {
 
     #[test]
     fn bt_parallel_path_matches_serial() {
-        // 128×64×64 = 2^19 multiply-adds ≥ PAR_THRESHOLD → threaded branch.
+        // 128×64×64 = 2^19 multiply-adds ≥ MATMUL_MIN_WORK → threaded branch.
         let a = seq_tensor(&[128, 64], 0.1);
         let b = seq_tensor(&[64, 64], 0.2);
         assert_close(&matmul_bt(&a, &b), &naive(&a, &b.transpose2()), 1e-3);
@@ -665,6 +624,31 @@ mod tests {
         let a = seq_tensor(&[64, 128], 0.1);
         let b = seq_tensor(&[64, 64], 0.2);
         assert_close(&matmul_at(&a, &b), &naive(&a.transpose2(), &b), 1e-3);
+    }
+
+    /// Inside a parallel section the kernels run serially, and the row
+    /// partition never changes an element's accumulation order, so a
+    /// kernel called from a training shard is bitwise the top-level call.
+    #[test]
+    fn kernels_inside_a_section_are_bitwise_the_threaded_kernels() {
+        let a = seq_tensor(&[128, 64], 0.1);
+        let b = seq_tensor(&[64, 64], 0.2);
+        let top = [
+            matmul(&a, &b),
+            matmul_bt(&a, &b),
+            matmul_at(&b, &a.transpose2()),
+        ];
+        par::for_each(0..2, |_| {
+            assert!(par::in_region());
+            let inner = [
+                matmul(&a, &b),
+                matmul_bt(&a, &b),
+                matmul_at(&b, &a.transpose2()),
+            ];
+            for (x, y) in top.iter().zip(&inner) {
+                assert_eq!(x.data, y.data);
+            }
+        });
     }
 
     #[test]
