@@ -896,9 +896,10 @@ fn bench_suggestion_latency(c: &mut Criterion) {
 ///
 /// The `prefix_shared` variant decodes 16 prompted requests over one
 /// encoder output: the same 33-token prompt with one edited token per
-/// repeat. Setup asserts (on a sequenced 2-worker engine) that the prefix
-/// table reports one miss and 15 hits, and that the burst's outputs are
-/// bitwise equal across 1, 2 and 4 workers.
+/// repeat. Setup asserts that the burst's outputs are bitwise equal across
+/// 1, 2 and 4 workers, and that a sequenced 2-worker engine encoding the
+/// source once per request through its encoder table runs one forward,
+/// skips 15, and returns the same outputs.
 fn bench_engine_scaling(c: &mut Criterion) {
     let cfg = ModelConfig {
         vocab_size: 4096,
@@ -984,29 +985,6 @@ fn bench_engine_scaling(c: &mut Criterion) {
             })
             .collect()
     };
-    // Sequenced, so every lookup after the first finds the table entry.
-    {
-        let seq = Engine::new(model.clone(), {
-            let mut ecfg = EngineConfig::with_workers(2);
-            ecfg.max_batch = 8;
-            ecfg
-        });
-        for req in shared_burst() {
-            let ticket = seq.submit(req);
-            seq.drain();
-            assert!(
-                matches!(seq.poll(ticket), mpirical_model::PollResult::Done { .. }),
-                "sequenced prefix-shared request did not finish"
-            );
-        }
-        let s = seq.prefix_stats();
-        assert_eq!(
-            (s.hits, s.misses),
-            (15, 1),
-            "every repeat shares the encoder output's cross-K/V"
-        );
-        seq.shutdown();
-    }
     let shared_reference = engines[0].1.decode_all(shared_burst());
     for (w, e) in &engines[1..] {
         assert_eq!(
@@ -1014,6 +992,36 @@ fn bench_engine_scaling(c: &mut Criterion) {
             shared_reference,
             "{w}-worker engine must match the 1-worker prefix-shared outputs bitwise"
         );
+    }
+    // Sequenced through the encoder table: the first request runs the
+    // forward, every repeat skips it, and the outputs do not change.
+    {
+        let seq = Engine::new(model.clone(), {
+            let mut ecfg = EngineConfig::with_workers(2);
+            ecfg.max_batch = 8;
+            ecfg
+        });
+        // The source of `enc_outs[0]`.
+        let src: Vec<usize> = (0..48).map(|i| 6 + (i * 3) % 200).collect();
+        for (req, want) in shared_burst().into_iter().zip(&shared_reference) {
+            let ticket = seq.submit(BatchRequest {
+                enc_out: seq.encode(&src),
+                ..req
+            });
+            seq.drain();
+            match seq.poll(ticket) {
+                mpirical_model::PollResult::Done { ids, .. } => assert_eq!(&ids, want),
+                other => panic!("sequenced prefix-shared request did not finish: {other:?}"),
+            }
+        }
+        let s = seq.prefix_stats();
+        assert_eq!(
+            (s.hits, s.misses),
+            (15, 1),
+            "every repeat skips the encoder forward"
+        );
+        assert_eq!(s.prefilled_rows, 16 * 32, "every prompt is prefilled");
+        seq.shutdown();
     }
 
     let mut g = c.benchmark_group("engine_scaling");

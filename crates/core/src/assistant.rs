@@ -39,6 +39,7 @@ use mpirical_model::{
     Precision, PrefixStats, Seq2SeqModel, SubmitOptions, TrainConfig, TrainReport,
     DEFAULT_MAX_BATCH,
 };
+use mpirical_tensor::Tensor;
 use serde::{Deserialize, Serialize};
 use std::path::Path;
 use std::sync::{Arc, Mutex};
@@ -97,10 +98,11 @@ pub struct SuggestReport {
     /// off). Defaults so pre-existing serialized reports still deserialize.
     #[serde(default)]
     pub verify: Option<VerifyStats>,
-    /// Prefix-sharing telemetry from the engine's prefix table — hits and
-    /// misses on the encoder output ([`PrefixStats::hit_rate`] is the
-    /// headline number): one snapshot of the engine that decoded the
-    /// call, repeated on every report of a
+    /// Encoder-table telemetry of the one-shot engine that served the
+    /// call: `hits` counts sources of the call whose encoder forward was
+    /// skipped because identical encoder ids came earlier in the same call,
+    /// `misses` the forwards run ([`PrefixStats::hit_rate`] is the headline
+    /// number). One snapshot, repeated on every report of a
     /// [`MpiRical::suggest_batch_reports`] batch. Optional so pre-existing
     /// serialized reports still deserialize.
     #[serde(default)]
@@ -292,38 +294,36 @@ impl MpiRical {
     }
 
     /// The one generation call every prediction path funnels through:
-    /// decode `reqs` on a one-shot [`Engine`] over the cached
+    /// encode each source's encoder ids through a one-shot [`Engine`]'s
+    /// encoder table (a source repeated within the call runs its forward
+    /// once), decode them on that engine over the cached
     /// [`engine_model`](Self::engine_model) bundle (weights packed or
     /// quantized once per artifact, not per call) and return each
-    /// request's ranked hypotheses — best model score first, never empty —
-    /// in input order, plus the scheduler's final [`PrefixStats`] snapshot
+    /// source's ranked hypotheses — best model score first, never empty —
+    /// in input order, plus the engine's final [`PrefixStats`] snapshot
     /// (taken after the batch drains).
     /// How many workers the engine runs is a pure throughput decision:
     /// outputs are bitwise identical at any count (pinned by
     /// `tests/parallel_engine_props.rs`).
-    fn decode_hypotheses(&self, reqs: Vec<BatchRequest>) -> (Vec<Vec<Vec<usize>>>, PrefixStats) {
-        if reqs.is_empty() {
+    fn decode_hypotheses(&self, sources: &[&[usize]]) -> (Vec<Vec<Vec<usize>>>, PrefixStats) {
+        if sources.is_empty() {
             return (Vec::new(), PrefixStats::default());
         }
         let engine = Engine::new(
             self.engine_model(),
             EngineConfig {
-                workers: Self::engine_workers(reqs.len()),
+                workers: Self::engine_workers(sources.len()),
                 max_batch: DEFAULT_MAX_BATCH.max(self.decode.beam),
                 ..EngineConfig::default()
             },
         );
+        let reqs = (sources.iter())
+            .map(|ids| self.request(engine.encode(ids), SubmitOptions::default()))
+            .collect();
         let out = engine.decode_all_hypotheses(reqs);
         let prefix = engine.prefix_stats();
         engine.shutdown();
         (out, prefix)
-    }
-
-    /// The model's own prediction for one prepared request: element 0 of
-    /// its ranked hypotheses.
-    fn decode_winner(&self, req: BatchRequest) -> Vec<usize> {
-        let (mut ranked, _) = self.decode_hypotheses(vec![req]);
-        ranked.swap_remove(0).swap_remove(0)
     }
 
     /// Turn one request's ranked hypotheses into what the caller sees —
@@ -416,7 +416,8 @@ impl MpiRical {
     /// projection kernels when `decode.precision` is [`Precision::Int8`]).
     pub fn predict_ids(&self, c_source: &str) -> Vec<usize> {
         let enc = self.encode_source(c_source);
-        self.decode_winner(self.request_from_encoded(&enc, SubmitOptions::default()))
+        let (mut ranked, _) = self.decode_hypotheses(&[&enc.ids]);
+        ranked.swap_remove(0).swap_remove(0)
     }
 
     /// Suggest MPI functions and their insertion lines (paper RQ1 + RQ2).
@@ -494,23 +495,28 @@ impl MpiRical {
     }
 
     /// Build a [`BatchRequest`] from an already-encoded source: run the
-    /// encoder, attach the artifact's [`DecodeOptions`] (beam included —
-    /// the lockstep scheduler decodes beam requests natively) and the
+    /// encoder forward (never cached: this is the forward as such) and
+    /// attach the `<sos>` prompt, the artifact's [`DecodeOptions`] and the
     /// caller's [`SubmitOptions`]. The caller keeps the
-    /// [`EncodedSource::health`] to interpret the eventual output. The
-    /// single construction point shared by every prediction method here
-    /// and [`SuggestService`](crate::service::SuggestService), so the
-    /// one-shot and daemon serving paths can never drift apart.
+    /// [`EncodedSource::health`] to interpret the eventual output.
     pub fn request_from_encoded(&self, enc: &EncodedSource, submit: SubmitOptions) -> BatchRequest {
-        self.request_from_ids(&enc.ids, submit)
+        let m = &self.model;
+        let enc_out = model_encode(&m.store, &m.params, &m.cfg, &enc.ids);
+        self.request(enc_out, submit)
     }
 
-    fn request_from_ids(&self, src_ids: &[usize], submit: SubmitOptions) -> BatchRequest {
-        let m = &self.model;
+    /// Build a [`BatchRequest`] over an encoder output: the `<sos>` prompt,
+    /// the artifact's [`DecodeOptions`] (beam included — the lockstep
+    /// scheduler decodes beam requests natively) and the caller's
+    /// [`SubmitOptions`]. The single construction point shared by every
+    /// prediction method here and
+    /// [`SuggestService`](crate::service::SuggestService), so the one-shot
+    /// and daemon serving paths can never drift apart.
+    pub(crate) fn request(&self, enc_out: Tensor, submit: SubmitOptions) -> BatchRequest {
         BatchRequest {
-            enc_out: model_encode(&m.store, &m.params, &m.cfg, src_ids),
+            enc_out,
             prompt: vec![SOS],
-            max_len: m.cfg.max_dec_len,
+            max_len: self.model.cfg.max_dec_len,
             opts: self.decode,
             submit,
         }
@@ -529,18 +535,14 @@ impl MpiRical {
 
     /// [`suggest_batch`](Self::suggest_batch) with full per-source
     /// [`SuggestReport`]s: parse health, verification telemetry (on a
-    /// verifying artifact), and the batch scheduler's prefix-sharing
-    /// telemetry. Every report in the batch carries the same fleet-wide
-    /// [`PrefixStats`] snapshot — identical buffers (the IDE-retrigger
-    /// workload) show up as hits and a high
-    /// [`hit_rate`](PrefixStats::hit_rate).
+    /// verifying artifact), and the call's encoder-table telemetry. Every
+    /// report in the batch carries the same [`PrefixStats`] snapshot —
+    /// identical buffers within the call skip their encoder forward and
+    /// show up as hits.
     pub fn suggest_batch_reports(&self, sources: &[&str]) -> Vec<SuggestReport> {
         let encoded: Vec<EncodedSource> = sources.iter().map(|s| self.encode_source(s)).collect();
-        let reqs = encoded
-            .iter()
-            .map(|e| self.request_from_encoded(e, SubmitOptions::default()))
-            .collect();
-        let (ranked, prefix) = self.decode_hypotheses(reqs);
+        let ids: Vec<&[usize]> = encoded.iter().map(|e| &e.ids[..]).collect();
+        let (ranked, prefix) = self.decode_hypotheses(&ids);
         ranked
             .into_iter()
             .zip(encoded.into_iter().zip(sources))
@@ -581,13 +583,9 @@ impl MpiRical {
             .iter()
             .map(|r| encode_record(r, vocab, cfg, self.input_format))
             .collect();
-        let reqs = encoded
-            .iter()
-            .flatten()
-            .map(|ex| self.request_from_ids(&ex.src, SubmitOptions::default()))
-            .collect();
+        let ids: Vec<&[usize]> = encoded.iter().flatten().map(|ex| &ex.src[..]).collect();
         let mut winners = self
-            .decode_hypotheses(reqs)
+            .decode_hypotheses(&ids)
             .0
             .into_iter()
             .map(|mut ranked| ranked.swap_remove(0));

@@ -296,12 +296,13 @@ impl SuggestService {
 
     /// Queue a raw (possibly mid-edit) C buffer for suggestion at the
     /// default scheduling options ([`Priority::Interactive`], no token
-    /// cap). The front-end work — tolerant parse, standardization, X-SBT,
-    /// encoder forward pass — happens here (via
-    /// [`MpiRical::encode_source`], the same construction `suggest_batch`
-    /// uses); decoding happens across subsequent [`step`](Self::step)
-    /// calls. The parse's [`ParseHealth`] is captured per ticket and
-    /// redeemed with [`SuggestPoll::Done`].
+    /// cap). The front-end work — tolerant parse, standardization, X-SBT
+    /// ([`MpiRical::encode_source`], the same construction `suggest_batch`
+    /// uses), then the encoder forward unless the engine's encoder table
+    /// holds the same ids ([`Engine::encode`]) — happens here; decoding
+    /// happens across subsequent [`step`](Self::step) calls. The parse's
+    /// [`ParseHealth`] is captured per ticket and redeemed with
+    /// [`SuggestPoll::Done`].
     pub fn submit(&mut self, c_source: &str) -> RequestId {
         self.submit_with(c_source, SubmitOptions::default())
     }
@@ -317,7 +318,7 @@ impl SuggestService {
         // its ticket exists.
         let _reservation = interactive.then(|| self.engine.reserve_interactive());
         let enc = self.assistant.encode_source(c_source);
-        let req = self.assistant.request_from_encoded(&enc, submit);
+        let req = self.assistant.request(self.engine.encode(&enc.ids), submit);
         let id = RequestId::from_raw(self.engine.submit(req).raw());
         self.health.insert(id, enc.health);
         if let Some(base) = self.assistant.verify_base(c_source) {
@@ -474,10 +475,10 @@ impl SuggestService {
         self.engine.pool_stats()
     }
 
-    /// Prefix-table telemetry: `hits` counts requests that shared the
-    /// cross-attention K/V of an identical buffer's encoder output (the
-    /// IDE-retrigger fast path) instead of projecting them; every worker
-    /// shares the one table. The [`PrefixStats::hit_rate`] is the headline
+    /// Encoder-table telemetry: `hits` counts submissions that skipped the
+    /// encoder forward because an identical buffer's encoder ids were
+    /// encoded recently (the IDE-retrigger fast path), `misses` the
+    /// forwards run. The [`PrefixStats::hit_rate`] is the headline
     /// cache-effectiveness number a daemon exports.
     pub fn prefix_stats(&self) -> PrefixStats {
         self.engine.prefix_stats()
@@ -1031,8 +1032,8 @@ mod tests {
         assert!(stats.pages_peak > 0, "beam decoding allocated pages");
         assert_eq!(stats.pages_live, 0, "all lanes retired, pages freed");
 
-        // The IDE-retrigger path: resubmitting an identical buffer shares
-        // its cross-attention K/V instead of projecting them again.
+        // The IDE-retrigger path: resubmitting an identical buffer skips
+        // its encoder forward.
         let again = service.submit(buffers[0]);
         service.run();
         assert_eq!(service.prefix_stats().hits, 1);

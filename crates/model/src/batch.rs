@@ -62,17 +62,16 @@
 //! [`PagePool`]), so a beam expansion bumps refcounts instead of copying
 //! K/V rows.
 //!
-//! # Prefix sharing
+//! # Admission
 //!
-//! A fresh request is admitted through the [`PrefixTable`] (see
-//! [`crate::prefix`]): when a byte-identical encoder output was admitted
-//! recently — the IDE retrigger of an unchanged buffer — the request
-//! starts from a 0-row fork of that output's cross-attention K/V instead
-//! of projecting them again, then feeds its prompt as usual. The hash is
-//! only a filter (encoder equality is verified in full) and the shared
-//! projections are immutable, so outputs are unchanged. A fleet of
-//! schedulers built by the [`Engine`](crate::engine::Engine) shares one
-//! table; [`BatchDecoder::prefix_stats`] counts its hits and misses.
+//! A fresh request brings its encoder output in [`BatchRequest::enc_out`];
+//! admission projects that output's cross-attention K/V into a new cache
+//! and feeds the prompt as usual
+//! ([`BatchDecoder::prefilled_rows`] counts the prompt rows fed). What
+//! repeats across an IDE's retriggers is the encoder forward, not the
+//! projection: the [`Engine`](crate::engine::Engine)'s encoder table
+//! ([`crate::prefix`]) skips that forward in front of the scheduler, so
+//! the scheduler holds no table and no projection outlives its lanes.
 //!
 //! # Equivalence
 //!
@@ -131,7 +130,6 @@ use crate::infer::{decode_step_batch, BatchScratch, DecoderCache, DecoderWeights
 use crate::paged::{PagePool, PoolStats};
 use crate::policy::Policy;
 pub use crate::policy::{Priority, RequestTelemetry, DEFAULT_AGING_STEPS};
-use crate::prefix::{PrefixStats, PrefixTable};
 use crate::transformer::TransformerParams;
 use crate::vocab::{EOS, SOS};
 use crate::DecodeOptions;
@@ -453,9 +451,8 @@ pub struct BatchDecoder<'m> {
     fresh: HashMap<RequestId, BatchRequest>,
     done: HashMap<RequestId, RetiredOutput>,
     cancelled: BTreeSet<RequestId>,
-    /// Cross-K/V of recent encoder outputs (see [`crate::prefix`]);
-    /// private by default, fleet-shared via [`with_shared`](Self::with_shared).
-    prefix: PrefixTable,
+    /// See [`prefilled_rows`](Self::prefilled_rows).
+    prefilled_rows: u64,
     scratch: BatchScratch,
     logits: Vec<f32>,
     next_id: u64,
@@ -532,22 +529,19 @@ impl<'m> BatchDecoder<'m> {
             max_batch,
             weights,
             PagePool::new(cfg.d_head()),
-            PrefixTable::new(),
         )
     }
 
     /// [`with_weights`](Self::with_weights) drawing pages from a caller's
-    /// [`PagePool`] and shared cross-K/V from a caller's [`PrefixTable`] —
-    /// the fleet constructor: the sharded [`Engine`](crate::engine::Engine)
-    /// hands every worker the same pool and table. Sharing is
-    /// bitwise-transparent, so fleet outputs equal the private-pool outputs
-    /// exactly.
+    /// [`PagePool`] — the fleet constructor: the sharded
+    /// [`Engine`](crate::engine::Engine) hands every worker the same pool.
+    /// Sharing is bitwise-transparent, so fleet outputs equal the
+    /// private-pool outputs exactly.
     ///
     /// # Panics
     ///
     /// If `max_batch` is 0, `cfg.vocab_size` is unset, or the pool's row
     /// width differs from `cfg.d_head()`.
-    #[allow(clippy::too_many_arguments)]
     pub(crate) fn with_shared(
         store: &'m ParamStore,
         params: &'m TransformerParams,
@@ -555,7 +549,6 @@ impl<'m> BatchDecoder<'m> {
         max_batch: usize,
         weights: Cow<'m, DecoderWeights>,
         pool: PagePool,
-        prefix: PrefixTable,
     ) -> BatchDecoder<'m> {
         assert!(
             max_batch >= 1,
@@ -578,7 +571,7 @@ impl<'m> BatchDecoder<'m> {
             fresh: HashMap::new(),
             done: HashMap::new(),
             cancelled: BTreeSet::new(),
-            prefix,
+            prefilled_rows: 0,
             scratch: BatchScratch::new(cfg, max_batch),
             logits: vec![0.0; max_batch * cfg.vocab_size],
             next_id: 0,
@@ -695,11 +688,10 @@ impl<'m> BatchDecoder<'m> {
     /// Set a soft cap on live pool pages, enabling priority-aware KV-page
     /// eviction under memory pressure. While live pages exceed the cap *and*
     /// a protected (interactive or aged-promoted) group is decoding, the
-    /// scheduler frees memory at each step in priority order: retained
-    /// prefix-table entries first (pure optimization state), then the
+    /// scheduler frees memory at each step by evicting the
     /// **youngest-admitted unprotected bulk greedy** groups — each evicted
     /// group drops its self-attention KV pages, keeps its generated ids and
-    /// shared cross-K/V, and re-enters the queue paused; on re-admission it
+    /// cross-K/V, and re-enters the queue paused; on re-admission it
     /// replays its tokens through the normal prefill path, which rebuilds
     /// the exact cache state bitwise, so the resumed output is identical to
     /// an uninterrupted run. While over the cap, fresh *bulk* admissions are
@@ -740,11 +732,11 @@ impl<'m> BatchDecoder<'m> {
         self.pool.stats()
     }
 
-    /// Telemetry of the prefix table behind this scheduler: hits, misses,
-    /// prefilled rows (see [`PrefixStats`]). Table-global — inside an
-    /// [`Engine`](crate::engine::Engine) the counts cover the whole fleet.
-    pub fn prefix_stats(&self) -> PrefixStats {
-        self.prefix.stats()
+    /// Prompt rows the admitted requests fed before generating
+    /// (`prompt.len() - 1` each, so 0 for the one-token `<sos>` prompt) —
+    /// the `prefilled_rows` of [`PrefixStats`](crate::PrefixStats).
+    pub fn prefilled_rows(&self) -> u64 {
+        self.prefilled_rows
     }
 
     /// The scheduling policy, for the [`Engine`](crate::engine::Engine)
@@ -760,12 +752,9 @@ impl<'m> BatchDecoder<'m> {
     }
 
     /// Enforce the soft page cap (see [`set_page_limit`](Self::set_page_limit)):
-    /// drop prefix-table entries coldest-first while over the cap (they pin
-    /// no pages, so pressure that persists empties the table), then drop
-    /// the self-attention pages of the groups the policy evicts.
+    /// drop the self-attention pages of the groups the policy evicts.
     fn evict_for_pressure(&mut self) {
         let Some(limit) = self.page_limit else { return };
-        while self.pool.stats().pages_live > limit && self.prefix.evict_coldest() {}
         while self.pool.stats().pages_live > limit {
             let Some(id) = self.policy.evict() else { break };
             let group = self.groups.iter_mut().find(|g| g.id.0 == id);
@@ -798,17 +787,14 @@ impl<'m> BatchDecoder<'m> {
                 continue;
             }
             // The root feeds `ids[cache.len()..]`: the whole prompt.
-            let cache = self
-                .prefix
-                .share(req.enc_out, req.prompt.len() - 1, |enc_out| {
-                    DecoderCache::new_in_pool(
-                        self.store,
-                        self.params,
-                        self.cfg,
-                        enc_out,
-                        &self.pool,
-                    )
-                });
+            let cache = DecoderCache::new_in_pool(
+                self.store,
+                self.params,
+                self.cfg,
+                &req.enc_out,
+                &self.pool,
+            );
+            self.prefilled_rows += req.prompt.len() as u64 - 1;
             self.groups.push(Group {
                 id,
                 reserved: req.opts.beam,
@@ -996,7 +982,6 @@ impl<'m> BatchDecoder<'m> {
 mod tests {
     use super::*;
     use crate::decode::encode_source;
-    use crate::prefix::PREFIX_CACHE_CAP;
     use crate::transformer::build_params;
     use crate::vocab::SOS;
 
@@ -1848,12 +1833,13 @@ mod tests {
         });
     }
 
-    // -- paged pool + prefix sharing ---------------------------------------
+    // -- paged pool + admission -------------------------------------------
 
-    /// Identical encoder outputs share the retained cross-K/V projections
-    /// — and still return identical output.
+    /// Requests over one encoder output each project their own
+    /// cross-attention K/V at admission: twins admitted after the first
+    /// retired decode exactly like it, and every page returns to the pool.
     #[test]
-    fn identical_prompts_share_prefill_pages() {
+    fn identical_requests_project_their_own_cross_kv() {
         let (cfg, store, params) = setup();
         let e = enc(&store, &params, &cfg, 3);
         let reference = reference_ids(
@@ -1868,22 +1854,22 @@ mod tests {
         let mut dec = BatchDecoder::new(&store, &params, &cfg, 4);
         let a = dec.submit(BatchRequest::greedy(e.clone(), 18));
         dec.run();
-        assert_eq!(dec.prefix_stats().hits, 0, "first submission projects");
         let b = dec.submit(BatchRequest::greedy(e.clone(), 18));
         let c = dec.submit(BatchRequest::greedy(e, 18));
         dec.run();
-        assert_eq!(dec.prefix_stats().hits, 2, "twins share the projections");
         assert_eq!(take(&mut dec, a), reference);
         assert_eq!(take(&mut dec, b), reference);
         assert_eq!(take(&mut dec, c), reference);
+        assert_eq!(dec.prefilled_rows(), 0, "a <sos> prompt feeds no rows");
+        assert_eq!(dec.pool_stats().pages_live, 0, "retired lanes free pages");
     }
 
-    /// Prompted requests over one encoder output share its cross-K/V from
-    /// the table and prefill their whole prompt from there, so an edited
-    /// prompt and an identical resubmit both decode bitwise like a
-    /// from-scratch decode.
+    /// Prompted requests over one encoder output prefill their whole
+    /// prompt — `prefilled_rows` counts every fed row — so an edited prompt
+    /// and an identical resubmit both decode bitwise like a from-scratch
+    /// decode.
     #[test]
-    fn prompted_requests_share_cross_kv_and_prefill_their_prompt() {
+    fn prompted_requests_prefill_their_whole_prompt() {
         let (cfg, store, params) = setup();
         let e = enc(&store, &params, &cfg, 2);
         // 18-token prompts: 17 prefill rows = one full 16-row page + 1.
@@ -1902,9 +1888,7 @@ mod tests {
         req.prompt = base.clone();
         let a = dec.submit(req);
         dec.run();
-        let after_first = dec.prefix_stats();
-        assert_eq!(after_first.misses, 1, "an empty table misses");
-        assert_eq!(after_first.prefilled_rows, 17);
+        assert_eq!(dec.prefilled_rows(), 17);
 
         let mut req = BatchRequest::greedy(e.clone(), 24);
         req.prompt = edited.clone();
@@ -1913,43 +1897,11 @@ mod tests {
         req.prompt = base;
         let c = dec.submit(req);
         dec.run();
-        let s = dec.prefix_stats();
-        assert_eq!((s.hits, s.misses), (2, 1), "both later requests share");
-        assert_eq!(s.shared_rows, 0, "no token rows are shared");
-        assert_eq!(s.prefilled_rows, 3 * 17, "every prompt is prefilled");
+        assert_eq!(dec.prefilled_rows(), 3 * 17, "every prompt is prefilled");
 
         assert_eq!(take(&mut dec, a), refs[0]);
-        assert_eq!(take(&mut dec, b), refs[1], "shared cross-K/V stay bitwise");
+        assert_eq!(take(&mut dec, b), refs[1]);
         assert_eq!(take(&mut dec, c), refs[0]);
-    }
-
-    /// Regression: eviction at capacity must be LRU, not FIFO — the hot
-    /// entry (the buffer being actively edited, resubmitted between every
-    /// churn insertion) survives `PREFIX_CACHE_CAP` insertions of distinct
-    /// cold entries.
-    #[test]
-    fn hot_prefix_entry_survives_cap_churn() {
-        let (cfg, store, params) = setup();
-        let hot = enc(&store, &params, &cfg, 0);
-        let mut dec = BatchDecoder::new(&store, &params, &cfg, 4);
-        dec.decode_all(vec![BatchRequest::greedy(hot.clone(), 10)]);
-        assert_eq!(dec.prefix_stats().hits, 0, "first submission misses");
-        for seed in 1..=PREFIX_CACHE_CAP {
-            // Re-touch the hot prompt, then churn in a distinct one.
-            dec.decode_all(vec![
-                BatchRequest::greedy(hot.clone(), 10),
-                BatchRequest::greedy(enc(&store, &params, &cfg, seed), 10),
-            ]);
-        }
-        let hits_before = dec.prefix_stats().hits;
-        assert_eq!(hits_before, PREFIX_CACHE_CAP as u64, "every re-touch hit");
-        dec.decode_all(vec![BatchRequest::greedy(hot, 10)]);
-        assert_eq!(
-            dec.prefix_stats().hits,
-            hits_before + 1,
-            "hot entry survived PREFIX_CACHE_CAP insertions (LRU, not FIFO)"
-        );
-        assert!(dec.prefix_stats().evictions >= 1, "capacity did evict");
     }
 
     /// Every page goes back to the pool once the scheduler drops —

@@ -426,7 +426,6 @@ mod tests {
     use crate::batch::{BatchDecoder, BatchRequest, SubmitOptions};
     use crate::infer::{decode_step_batch, BatchScratch, DecoderWeights, QuantDecoderWeights};
     use crate::paged::PagePool;
-    use crate::prefix::PrefixTable;
     use crate::train::{train, Example, TrainConfig};
     use crate::transformer::build_params;
     use std::borrow::Cow;
@@ -474,15 +473,8 @@ mod tests {
         let (cfg, store, params) = m;
         let weights = DecoderWeights::for_precision(store, params, opts.precision);
         let lanes = opts.beam.max(1);
-        let mut dec = BatchDecoder::with_shared(
-            store,
-            params,
-            cfg,
-            lanes,
-            Cow::Owned(weights),
-            pool,
-            PrefixTable::new(),
-        );
+        let mut dec =
+            BatchDecoder::with_shared(store, params, cfg, lanes, Cow::Owned(weights), pool);
         let req = BatchRequest {
             enc_out: enc_out.clone(),
             prompt: prompt.to_vec(),

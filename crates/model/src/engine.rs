@@ -6,10 +6,11 @@
 //! whatever the fused kernels parallelize internally). The [`Engine`] scales
 //! out instead: each worker thread owns a private `BatchDecoder` scheduler
 //! — its own lanes and scheduler clock — while all workers draw pages from
-//! **one shared [`PagePool`]** and cross-attention K/V from **one shared
-//! [`PrefixTable`]** (see [`crate::prefix`]): an encoder output projected
-//! by any worker is shared by an identical resubmit landing on any other.
-//! The front-end routes requests to workers:
+//! **one shared [`PagePool`]**. In front of them sits **one encoder table**
+//! ([`crate::prefix`]): [`encode`](Engine::encode) runs the encoder forward
+//! on the calling thread unless the same encoder ids were encoded
+//! recently, in which case it returns the retained output and skips the
+//! forward. The front-end routes requests to workers:
 //!
 //! * **Priority-aware placement.** Interactive requests are placed into a
 //!   specific worker's inbox at submit time, so they start decoding on the
@@ -57,12 +58,13 @@
 //! a request decodes entirely within one worker's `BatchDecoder`, whose
 //! per-lane numerics are pinned bitwise to the single-request reference
 //! (see [`decode_step_batch`](crate::decode_step_batch)), and lanes never
-//! read each other's *mutable* state — shared cross-attention K/V are
-//! immutable and a pure function of `enc_out`, identical no matter which
-//! worker projected them — so neither placement, stealing order, nor
-//! co-scheduled traffic can perturb a logit. What *does* vary with timing
-//! is scheduling telemetry (queue waits, preemptions) and which worker ran
-//! a stolen bulk request. `tests/parallel_engine_props.rs` drives random
+//! read each other's state — each admission projects its own
+//! cross-attention K/V from its request's `enc_out`, and a retained encoder
+//! output is the very bits a forward of its ids returns — so neither
+//! placement, stealing order, nor co-scheduled traffic can perturb a
+//! logit. What *does* vary with timing is scheduling telemetry (queue
+//! waits, preemptions) and which worker ran a stolen bulk request.
+//! `tests/parallel_engine_props.rs` drives random
 //! schedules through worker counts {1, 2, 4} and asserts token equality
 //! against the single-threaded references, plus zero leaked pages on every
 //! pool after [`shutdown`](Engine::shutdown).
@@ -79,13 +81,14 @@ use crate::batch::{
     DEFAULT_AGING_STEPS, DEFAULT_MAX_BATCH, PLACEMENT_LOG_CAP,
 };
 use crate::config::ModelConfig;
+use crate::decode::encode_source;
 use crate::infer::{DecoderWeights, Precision};
 use crate::paged::{PagePool, PoolStats};
 use crate::policy::{self, Placement};
 use crate::prefix::{PrefixStats, PrefixTable};
 use crate::transformer::TransformerParams;
 use crate::Seq2SeqModel;
-use mpirical_tensor::ParamStore;
+use mpirical_tensor::{ParamStore, Tensor};
 use parking_lot::{Condvar, Mutex, MutexGuard};
 use std::borrow::Cow;
 use std::collections::{HashMap, VecDeque};
@@ -159,7 +162,7 @@ pub struct EngineConfig {
     pub aging_steps: u64,
     /// Soft page cap (see [`BatchDecoder::set_page_limit`]). Workers share
     /// one pool, so the cap counts pages **fleet-wide**: any worker over it
-    /// sheds prefix-table entries / bulk lanes by its own scheduler's policy.
+    /// sheds bulk lanes by its own scheduler's policy.
     pub page_limit: Option<usize>,
     /// Placement seed: rotates the tie-break order of interactive
     /// placement. Same seed + same worker count ⇒ identical placement for
@@ -267,9 +270,8 @@ struct State {
     placements: VecDeque<(EngineTicket, usize)>,
     /// Bulk jobs pulled from the shared backlog by workers.
     bulk_steals: u64,
-    /// Latest published per-worker scheduler telemetry. (Pool and prefix
-    /// telemetry need no publishing: the shared pool and table are read
-    /// directly.)
+    /// Latest published per-worker scheduler telemetry. (Pool and encoder
+    /// table telemetry need no publishing: both are read directly.)
     sched_stats: Vec<WorkerSched>,
     next_ticket: u64,
     /// `Some` on a caller-stepped engine (see [`Engine::stepped`]).
@@ -292,6 +294,16 @@ struct Turn {
 #[derive(Debug, Clone, Copy, Default)]
 struct WorkerSched {
     preemptions: u64,
+    prefilled_rows: u64,
+}
+
+impl WorkerSched {
+    fn of(dec: &BatchDecoder) -> WorkerSched {
+        WorkerSched {
+            preemptions: dec.preemptions(),
+            prefilled_rows: dec.prefilled_rows(),
+        }
+    }
 }
 
 impl State {
@@ -343,7 +355,7 @@ struct Shared {
     cfg: EngineConfig,
     /// The fleet-wide page pool every worker's lanes draw from.
     pool: PagePool,
-    /// The fleet-wide prefix table.
+    /// The encoder table in front of [`Engine::encode`].
     prefix: PrefixTable,
     state: Mutex<State>,
     /// Workers park here when idle; submit/cancel/shutdown notify it.
@@ -666,11 +678,31 @@ impl Engine {
         st.sched_stats.iter().map(|s| s.preemptions).sum()
     }
 
-    /// Telemetry of the fleet-wide prefix table: hits, misses, prefilled
-    /// rows (see [`PrefixStats`]). The table is shared by every worker, so
-    /// a hit occurs no matter which worker each request landed on.
+    /// The encoder output for `ids` (`[ids.len(), d_model]`): a copy of
+    /// the one retained for the same ids, or on a miss the encoder forward
+    /// ([`encode_source`]) run **on the calling thread**, then retained.
+    /// Bitwise the same tensor either way (see [`crate::prefix`]).
+    ///
+    /// # Panics
+    ///
+    /// As [`encode_source`]: empty ids, too many, or one outside the
+    /// vocabulary.
+    pub fn encode(&self, ids: &[usize]) -> Tensor {
+        let m = &self.shared.model;
+        let forward = |ids: &[usize]| encode_source(&m.store, &m.params, &m.cfg, ids);
+        self.shared.prefix.encode(ids, forward)
+    }
+
+    /// Telemetry of the encoder table (see [`PrefixStats`]): forwards
+    /// [`encode`](Engine::encode) skipped and ran, LRU evictions, plus the
+    /// prompt rows every worker's admissions prefilled.
     pub fn prefix_stats(&self) -> PrefixStats {
-        self.shared.prefix.stats()
+        let table = self.shared.prefix.stats();
+        let st = self.shared.state.lock();
+        PrefixStats {
+            prefilled_rows: st.sched_stats.iter().map(|s| s.prefilled_rows).sum(),
+            ..table
+        }
     }
 
     /// The aging bound every worker's scheduler was configured with.
@@ -726,7 +758,7 @@ impl Engine {
     /// Shut down and join every worker, returning the shared pool's
     /// **final** telemetry, captured after every decoder dropped — so
     /// `pages_live == 0` unless pages actually leaked (the property
-    /// harness's closing assertion; prefix-table entries pin no pages).
+    /// harness's closing assertion; encoder-table entries pin no pages).
     pub fn shutdown(mut self) -> PoolStats {
         self.begin_shutdown();
         for h in self.handles.drain(..) {
@@ -774,8 +806,8 @@ impl Drop for Exit<'_> {
 }
 
 /// One worker: a private `BatchDecoder` scheduler over the fleet-shared
-/// pool and prefix table, driven by a pull-step-harvest loop — on its own,
-/// or one turn per grant on a caller-stepped engine.
+/// pool, driven by a pull-step-harvest loop — on its own, or one turn per
+/// grant on a caller-stepped engine.
 fn worker_loop(shared: &Shared, w: usize) {
     let _exit = Exit(shared);
     let model = &shared.model;
@@ -786,7 +818,6 @@ fn worker_loop(shared: &Shared, w: usize) {
         shared.cfg.max_batch,
         Cow::Borrowed(&model.weights),
         shared.pool.clone(),
-        shared.prefix.clone(),
     );
     dec.set_aging_steps(shared.cfg.aging_steps);
     dec.set_page_limit(shared.cfg.page_limit);
@@ -894,9 +925,7 @@ fn worker_loop(shared: &Shared, w: usize) {
             for (t, r) in resolved {
                 lifted |= st.finish(t, r);
             }
-            st.sched_stats[w] = WorkerSched {
-                preemptions: dec.preemptions(),
-            };
+            st.sched_stats[w] = WorkerSched::of(&dec);
             st.fleet_steps += 1;
             let aged = st.wake_at.iter().any(|&at| at <= st.fleet_steps);
             let turn_taken = st.turn.as_mut().map(|turn| {
@@ -914,9 +943,7 @@ fn worker_loop(shared: &Shared, w: usize) {
     }
     // Shutdown: dropping the decoder releases every group's pages back to
     // the shared pool.
-    let final_sched = WorkerSched {
-        preemptions: dec.preemptions(),
-    };
+    let final_sched = WorkerSched::of(&dec);
     drop(dec);
     let mut st = shared.state.lock();
     st.sched_stats[w] = final_sched;
@@ -1100,14 +1127,28 @@ mod tests {
         assert_eq!(engine.shutdown().pages_live, 0, "a worker leaked pages");
     }
 
-    /// Cross-K/V projected by whichever worker admits first are visible to
-    /// every other worker through the shared prefix table: sequenced
-    /// resubmits over the same encoder output hit no matter which worker
-    /// picks them up, with outputs bitwise equal to the unshared reference.
+    fn src(seed: usize) -> Vec<usize> {
+        vec![SOS, 6 + (seed % 5), 7 + (seed % 7), 9, EOS]
+    }
+
+    /// Submit one request and drain, returning its winner.
+    fn decode_one(engine: &Engine, req: BatchRequest) -> Vec<usize> {
+        let ticket = engine.submit(req);
+        engine.drain();
+        match engine.poll(ticket) {
+            PollResult::Done { ids, .. } => ids,
+            other => panic!("sequenced request not done: {other:?}"),
+        }
+    }
+
+    /// The encoder table sits in front of every worker: a repeated source
+    /// runs one forward and then hits, whichever worker decodes it, and
+    /// each member — prompted, edited or resubmitted — decodes bitwise
+    /// like the reference over a fresh forward.
     #[test]
     fn prefix_table_is_shared_across_workers() {
         let (cfg, store, params) = setup();
-        let e = enc(&store, &params, &cfg, 3);
+        let e = encode_source(&store, &params, &cfg, &src(3));
         let base: Vec<usize> = std::iter::once(SOS)
             .chain((0..17).map(|i| 3 + i % 20))
             .collect();
@@ -1134,40 +1175,31 @@ mod tests {
                 ..EngineConfig::default()
             },
         );
-        let submit_one = |prompt: &[usize]| {
-            let ticket = engine.submit(BatchRequest {
-                enc_out: e.clone(),
+        let request = |prompt: &[usize]| {
+            let enc_out = engine.encode(&src(3));
+            assert_eq!(enc_out.data, e.data, "a hit returns the forward's bits");
+            BatchRequest {
+                enc_out,
                 prompt: prompt.to_vec(),
                 max_len: 24,
                 opts: DecodeOptions::default(),
                 submit: SubmitOptions::default(),
-            });
-            engine.drain();
-            match engine.poll(ticket) {
-                PollResult::Done { ids, .. } => ids,
-                other => panic!("sequenced request not done: {other:?}"),
             }
         };
-        // Sequenced so the entry exists before the next lookup; drains
-        // between submits let different workers serve each request.
-        assert_eq!(submit_one(&base), reference(&base));
-        assert_eq!(submit_one(&edited), reference(&edited));
-        assert_eq!(submit_one(&base), reference(&base));
+        // Drains between submits let different workers serve each request.
+        assert_eq!(decode_one(&engine, request(&base)), reference(&base));
+        assert_eq!(decode_one(&engine, request(&edited)), reference(&edited));
+        assert_eq!(decode_one(&engine, request(&base)), reference(&base));
         let s = engine.prefix_stats();
-        assert_eq!(
-            (s.misses, s.hits),
-            (1, 2),
-            "only the first admission projects"
-        );
+        assert_eq!((s.misses, s.hits), (1, 2), "only the first encode runs");
         assert_eq!((s.shared_rows, s.prefilled_rows), (0, 3 * 17));
         assert_eq!(engine.shutdown().pages_live, 0, "a worker leaked pages");
     }
 
-    /// The fleet's prefix table holds at most `PREFIX_CACHE_CAP` entries in
-    /// LRU order: a hot buffer resubmitted between `PREFIX_CACHE_CAP`
-    /// distinct cold ones survives, the one capacity eviction takes the
-    /// coldest, pressure eviction frees one entry per call until it reports
-    /// empty, and no page is live after shutdown.
+    /// The fleet's encoder table holds at most `PREFIX_CACHE_CAP` entries
+    /// in LRU order: a hot buffer resubmitted between `PREFIX_CACHE_CAP`
+    /// distinct cold ones survives and the one capacity eviction takes the
+    /// coldest. A full table pins no pages: the idle pool is empty.
     #[test]
     fn prefix_table_is_lru_bounded_and_pins_no_pages() {
         let (cfg, store, params) = setup();
@@ -1182,9 +1214,8 @@ mod tests {
             },
         );
         let submit_one = |seed: usize| {
-            let ticket = engine.submit(BatchRequest::greedy(enc(&store, &params, &cfg, seed), 8));
-            engine.drain();
-            assert!(matches!(engine.poll(ticket), PollResult::Done { .. }));
+            decode_one(&engine, BatchRequest::greedy(engine.encode(&src(seed)), 8));
+            assert!(engine.shared.prefix.len() <= PREFIX_CACHE_CAP);
             engine.prefix_stats()
         };
         submit_one(0);
@@ -1201,17 +1232,51 @@ mod tests {
             s.misses + 1,
             "the coldest was evicted"
         );
-        let mut freed = 0;
-        while engine.shared.prefix.evict_coldest() {
-            freed += 1;
-            assert!(freed <= PREFIX_CACHE_CAP, "table outgrew its cap");
-        }
-        assert_eq!(
-            freed, PREFIX_CACHE_CAP,
-            "a full table frees one entry per call"
-        );
-        submit_one(2);
+        assert_eq!(engine.shared.prefix.len(), PREFIX_CACHE_CAP);
+        assert_eq!(engine.pool_stats().pages_live, 0, "entries pin no pages");
         assert_eq!(engine.shutdown().pages_live, 0);
+    }
+
+    /// A resubmitted source — its encoder forward skipped — decodes to the
+    /// same ranked hypotheses as the same source on a fresh engine, in F32
+    /// and Int8, greedy and at beam 4.
+    #[test]
+    fn resubmitted_source_decodes_like_a_fresh_engine() {
+        let (cfg, store, params) = setup();
+        for precision in [Precision::F32, Precision::Int8] {
+            let model = Arc::new(EngineModel::new(
+                store.clone(),
+                params.clone(),
+                cfg.clone(),
+                precision,
+            ));
+            for beam in [1, 4] {
+                let opts = DecodeOptions {
+                    beam,
+                    precision,
+                    ..DecodeOptions::default()
+                };
+                let decode = |engine: &Engine| {
+                    let mut req = BatchRequest::greedy(engine.encode(&src(2)), 16);
+                    req.opts = opts;
+                    engine.decode_all_hypotheses(vec![req]).swap_remove(0)
+                };
+                let econf = EngineConfig {
+                    workers: 2,
+                    max_batch: 4,
+                    ..EngineConfig::default()
+                };
+                let fresh = Engine::new(Arc::clone(&model), econf);
+                let want = decode(&fresh);
+                let engine = Engine::new(Arc::clone(&model), econf);
+                assert_eq!(decode(&engine), want, "{precision:?} beam {beam}: first");
+                assert_eq!(decode(&engine), want, "{precision:?} beam {beam}: resubmit");
+                let s = engine.prefix_stats();
+                assert_eq!((s.misses, s.hits), (1, 1), "{precision:?} beam {beam}");
+                assert_eq!(engine.shutdown().pages_live, 0);
+                assert_eq!(fresh.shutdown().pages_live, 0);
+            }
+        }
     }
 
     #[test]

@@ -31,9 +31,8 @@
 //! * **Cross-attention K/V** — per head, a `[T_enc, d_head]` tensor
 //!   projected **once** from the encoder output at cache construction.
 //!   Replayed decoding recomputes these projections every step; they never
-//!   change, which is most of the cross-attention savings. A 0-row clone
-//!   is exactly these projections, which is what the
-//!   [`PrefixTable`](crate::prefix::PrefixTable) retains per encoder output.
+//!   change, which is most of the cross-attention savings. Clones share
+//!   them via `Arc`, and they drop with the last cache that uses them.
 //!
 //! # Invariants
 //!
@@ -98,8 +97,8 @@ use crate::config::ModelConfig;
 use crate::paged::{PagePool, PagedRows, PoolInner};
 use crate::transformer::{positional_encoding, LnParams, TransformerParams};
 use mpirical_tensor::{
-    batch_linear, batch_linear_packed, batch_linear_q, dot_rows, gelu, par, vecmat, vecmat_acc,
-    vecmat_bt, PackedMat, ParamStore, QuantMat, Tensor,
+    batch_linear, batch_linear_packed, batch_linear_q, batch_matmul_slice, dot_rows, gelu, par,
+    vecmat, vecmat_acc, vecmat_bt, PackedMat, ParamStore, QuantMat, Tensor,
 };
 use serde::{Deserialize, Serialize};
 
@@ -1125,8 +1124,14 @@ fn add_rows(x: &mut [f32], y: &[f32]) {
     }
 }
 
+/// Query rows of one head that [`encode_source`] attends together: their
+/// attention weights form an `[ATTN_RB, T]` slab whose product with the
+/// head's values streams each value row once per slab, not once per row.
+const ATTN_RB: usize = 8;
+
 /// Every row-wise intermediate of one contiguous block of encoder rows
-/// (`[rows, d]`, `ff` `[rows, d_ff]`, `scores` one attention row), allocated
+/// (`[rows, d]`, `ff` `[rows, d_ff]`, `scores` the attention rows of up to
+/// [`ATTN_RB`] queries, `ctx_head` their context in one head), allocated
 /// once per forward and reused by every layer. [`encode_source`] gives each
 /// thread one block, so threads share nothing they write.
 struct EncoderRows {
@@ -1138,6 +1143,7 @@ struct EncoderRows {
     proj: Vec<f32>,
     ff: Vec<f32>,
     scores: Vec<f32>,
+    ctx_head: Vec<f32>,
 }
 
 impl EncoderRows {
@@ -1151,14 +1157,15 @@ impl EncoderRows {
             ctx: slab(),
             proj: slab(),
             ff: vec![0.0; rows * cfg.d_ff],
-            scores: vec![0.0; t],
+            scores: vec![0.0; ATTN_RB * t],
+            ctx_head: vec![0.0; ATTN_RB * cfg.d_head()],
         }
     }
 }
 
 /// Copy rows `row0..` of a `[_, h·dh]` projection into the head-major
 /// `out[h][t][dh]`, where each head's `t` rows form the contiguous block
-/// [`dot_rows`] and [`vecmat_acc`] walk.
+/// [`dot_rows`] and [`batch_matmul_slice`] walk.
 fn scatter_heads(x: &[f32], row0: usize, t: usize, dh: usize, out: &mut [f32]) {
     let d = out.len() / t;
     for (i, row) in x.chunks_exact(d).enumerate() {
@@ -1176,21 +1183,25 @@ fn scatter_heads(x: &[f32], row0: usize, t: usize, dh: usize, out: &mut [f32]) {
 /// The `[T, d]` activation matrix moves through each projection in
 /// register-blocked [`batch_linear`] calls that read the weights in place
 /// from `store` (no per-request weight copy, no cached state), attention runs
-/// per head and query row over head-major K/V, and every intermediate lives
-/// in scratch allocated once per call and reused across layers. Above a work
-/// threshold the rows are split into one contiguous block per core: every
-/// stage but attention's read of all keys and values is row-wise, so the
-/// blocks meet only where K/V are gathered, twice per layer.
+/// per head over head-major K/V, eight query rows at a time (their context
+/// is one register-blocked product of the weight slab and the head's
+/// values), and every intermediate lives in scratch allocated once per call
+/// and reused across layers. Above a work threshold the rows are split into
+/// one contiguous block per core: every stage but attention's read of all
+/// keys and values is row-wise, so the blocks meet only where K/V are
+/// gathered, twice per layer.
 ///
 /// # Equivalence
 ///
 /// The result is **bitwise identical** to [`transformer::encode`] in
 /// inference mode, which stays the training path and the independent oracle
-/// (`tests/encoder_props.rs`): every kernel accumulates in ascending `k` with
-/// the bias added last, attention scores are the same `dot` products, softmax
-/// is the same expression, GELU is the same function ([`gelu`], vectorised
-/// here by `gelu_row`), and LayerNorm sums sequentially (`ln_row_seq`) like
-/// the tape op. No row's arithmetic depends on which block it falls in, so
+/// (`tests/encoder_props.rs`): every kernel accumulates in ascending `k` from
+/// `+0.0` with the bias added last (the context kernel adds the zero weights
+/// the tape's `matmul` skips, which leaves finite sums bitwise unchanged),
+/// attention scores are the same `dot` products, softmax is the same
+/// expression, GELU is the same function ([`gelu`], vectorised here by
+/// `gelu_row`), and LayerNorm sums sequentially (`ln_row_seq`) like the tape
+/// op. No row's arithmetic depends on which block it falls in, so
 /// the thread count moves latency only.
 ///
 /// [`transformer::encode`]: crate::transformer::encode
@@ -1283,20 +1294,26 @@ pub fn encode_source(
         let f = &layer.ff;
         par::for_each(x.chunks_mut(block_rows * d).zip(&mut blocks), |(x, s)| {
             let rows = x.len() / d;
-            for (q_row, ctx_row) in s.q.chunks_exact(d).zip(s.ctx.chunks_exact_mut(d)) {
-                for (head, (qh, ctx_h)) in q_row
-                    .chunks_exact(dh)
-                    .zip(ctx_row.chunks_exact_mut(dh))
-                    .enumerate()
-                {
-                    let head_rows = head * t * dh..(head + 1) * t * dh;
-                    dot_rows(qh, &keys[head_rows.clone()], &mut s.scores);
-                    for sc in s.scores.iter_mut() {
-                        *sc *= scale;
+            for head in 0..d / dh {
+                let head_rows = head * t * dh..(head + 1) * t * dh;
+                let (keys, values) = (&keys[head_rows.clone()], &values[head_rows]);
+                for i0 in (0..rows).step_by(ATTN_RB) {
+                    let rb = ATTN_RB.min(rows - i0);
+                    let scores = &mut s.scores[..rb * t];
+                    for (r, sc) in scores.chunks_exact_mut(t).enumerate() {
+                        let q = (i0 + r) * d + head * dh;
+                        dot_rows(&s.q[q..q + dh], keys, sc);
+                        for v in sc.iter_mut() {
+                            *v *= scale;
+                        }
+                        softmax_row(sc);
                     }
-                    softmax_row(&mut s.scores);
-                    ctx_h.fill(0.0);
-                    vecmat_acc(&s.scores, &values[head_rows], dh, ctx_h);
+                    let ctx_head = &mut s.ctx_head[..rb * dh];
+                    batch_matmul_slice(scores, rb, values, dh, ctx_head);
+                    for (r, c) in ctx_head.chunks_exact(dh).enumerate() {
+                        let at = (i0 + r) * d + head * dh;
+                        s.ctx[at..at + dh].copy_from_slice(c);
+                    }
                 }
             }
             batch_linear(

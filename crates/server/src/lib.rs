@@ -2,7 +2,7 @@
 //!
 //! The network face of the assistant: a TCP daemon that exposes the whole
 //! serving stack — sharded multi-worker [`Engine`](mpirical::Engine),
-//! priority scheduling with preemption, prefix sharing, closed-loop
+//! priority scheduling with preemption, an encoder table, closed-loop
 //! verification — behind a small length-prefixed JSON protocol, so an
 //! editor/IDE process (the deployment shape MPI-RICAL, Schneider et al.,
 //! SC 2023, describes) talks to one long-lived daemon instead of linking

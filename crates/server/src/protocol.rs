@@ -141,7 +141,8 @@ pub struct ServerStats {
     pub draining: bool,
     /// Fleet-wide KV page-pool telemetry (live/peak/shared/COW).
     pub pool: PoolStats,
-    /// Prefix-table telemetry (hits, misses, hit rate, evictions).
+    /// Encoder-table telemetry: forwards skipped (hits) and run (misses),
+    /// hit rate, evictions.
     pub prefix: PrefixStats,
     /// Bulk-lane preemptions performed by the engine so far.
     pub preemptions: u64,

@@ -70,8 +70,8 @@ pub mod tensor;
 pub use autograd::{Grads, Tape, Var};
 pub use math::{gelu, tanhf};
 pub use matmul::{
-    batch_linear, batch_linear_packed, batch_matmul, batch_matmul_packed, dot_rows, matmul,
-    matmul_at, matmul_bt, vecmat, vecmat_acc, vecmat_bt, PackedMat,
+    batch_linear, batch_linear_packed, batch_matmul, batch_matmul_packed, batch_matmul_slice,
+    dot_rows, matmul, matmul_at, matmul_bt, vecmat, vecmat_acc, vecmat_bt, PackedMat,
 };
 pub use optim::{Adam, ParamId, ParamStore};
 pub use par::available_cores;

@@ -310,7 +310,20 @@ pub fn batch_matmul(x: &[f32], rows: usize, m: &Tensor, out: &mut [f32]) {
         "batch_matmul rhs must be 2-D, got {:?}",
         m.shape
     );
-    let (k, n) = (m.shape[0], m.shape[1]);
+    batch_matmul_slice(x, rows, &m.data, m.shape[1], out);
+}
+
+/// [`batch_matmul`] over a raw row-major `[k, n]` block `m` (`k` is
+/// `m.len() / n`): the same register-blocked kernel, bitwise the same
+/// result, for callers whose right-hand side is a slice of a larger buffer
+/// (the encoder's per-head value block).
+pub fn batch_matmul_slice(x: &[f32], rows: usize, m: &[f32], n: usize, out: &mut [f32]) {
+    assert_eq!(out.len(), rows * n, "batch_matmul output length");
+    if n == 0 {
+        return;
+    }
+    let k = m.len() / n;
+    assert_eq!(m.len(), k * n, "batch_matmul rhs: [{k}, {n}] block");
     assert_eq!(
         x.len(),
         rows * k,
@@ -318,30 +331,25 @@ pub fn batch_matmul(x: &[f32], rows: usize, m: &Tensor, out: &mut [f32]) {
         rows * k,
         x.len()
     );
-    assert_eq!(out.len(), rows * n, "batch_matmul output length");
     let mut i0 = 0;
     while i0 + BM_RB <= rows {
-        bm_row_block::<BM_RB>(
-            &x[i0 * k..],
-            &m.data,
-            &mut out[i0 * n..(i0 + BM_RB) * n],
-            k,
-            n,
-        );
+        bm_row_block::<BM_RB>(&x[i0 * k..], m, &mut out[i0 * n..(i0 + BM_RB) * n], k, n);
         i0 += BM_RB;
     }
-    // Row remainder: progressively smaller register blocks, then `vecmat`
-    // (all accumulate in the same ascending-k order).
+    // Row remainder: progressively smaller register blocks, then
+    // `vecmat_acc` (all accumulate in the same ascending-k order).
     if i0 + 4 <= rows {
-        bm_row_block::<4>(&x[i0 * k..], &m.data, &mut out[i0 * n..(i0 + 4) * n], k, n);
+        bm_row_block::<4>(&x[i0 * k..], m, &mut out[i0 * n..(i0 + 4) * n], k, n);
         i0 += 4;
     }
     if i0 + 2 <= rows {
-        bm_row_block::<2>(&x[i0 * k..], &m.data, &mut out[i0 * n..(i0 + 2) * n], k, n);
+        bm_row_block::<2>(&x[i0 * k..], m, &mut out[i0 * n..(i0 + 2) * n], k, n);
         i0 += 2;
     }
     for i in i0..rows {
-        vecmat(&x[i * k..i * k + k], m, &mut out[i * n..i * n + n]);
+        let out = &mut out[i * n..i * n + n];
+        out.fill(0.0);
+        vecmat_acc(&x[i * k..i * k + k], m, n, out);
     }
 }
 
@@ -746,6 +754,28 @@ mod tests {
         for i in 0..rows {
             vecmat(&x.data[i * k..(i + 1) * k], &m, &mut single);
             assert_eq!(&batched[i * n..(i + 1) * n], &single[..], "row {i}");
+        }
+    }
+
+    /// The encoder's attention context: weight rows with exact zeros in
+    /// them (which `vecmat_acc` skips and the register block adds) times a
+    /// slice of a larger buffer give bitwise the per-row `vecmat_acc` sums.
+    #[test]
+    fn batch_matmul_slice_rows_are_bitwise_vecmat_acc_despite_zero_weights() {
+        let (rows, k, n) = (11usize, 13, 20);
+        let mut x = seq_tensor(&[rows, k], 0.4).data;
+        for (i, w) in x.iter_mut().enumerate() {
+            *w = if i % 3 == 0 { 0.0 } else { w.abs() };
+        }
+        let buffer = seq_tensor(&[k + 2, n], -0.6).data;
+        let m = &buffer[n..(k + 1) * n];
+        let mut batched = vec![0.0f32; rows * n];
+        batch_matmul_slice(&x, rows, m, n, &mut batched);
+        for i in 0..rows {
+            let mut single = vec![0.0f32; n];
+            vecmat_acc(&x[i * k..(i + 1) * k], m, n, &mut single);
+            let bits = |v: &[f32]| v.iter().map(|f| f.to_bits()).collect::<Vec<_>>();
+            assert_eq!(bits(&batched[i * n..(i + 1) * n]), bits(&single), "row {i}");
         }
     }
 

@@ -154,14 +154,14 @@ fn main() {
         }
     }
 
-    // Editor A retriggers on a keystroke pause: the identical buffer shares
-    // its encoder output's cross-attention K/V instead of re-projecting them.
+    // Editor A retriggers on a keystroke pause: the identical buffer's
+    // encoder ids are in the encoder table, so its forward is skipped.
     let retrigger = service.submit(&buffer);
     service.run();
     assert!(matches!(service.poll(retrigger), SuggestPoll::Done { .. }));
     let stats = service.pool_stats();
     println!(
-        "\npaged KV cache: peak {} pages ({} KiB), {} COW copies, {} prefix hit(s)",
+        "\npaged KV cache: peak {} pages ({} KiB), {} COW copies, {} encoder forward(s) skipped",
         stats.pages_peak,
         stats.peak_bytes() / 1024,
         stats.cow_copies,

@@ -129,11 +129,13 @@ fn service_reports_paged_pool_and_prefix_sharing() {
     assert_eq!(after_first.pages_live, 0, "retired lanes free their pages");
 
     // The IDE-retrigger pattern: the identical buffer resubmitted twice
-    // shares its cross-attention K/V instead of re-projecting them.
+    // skips its encoder forward both times and decodes the same.
     let again = service.submit(buffer);
     let thrice = service.submit(buffer);
     service.run();
-    assert_eq!(service.prefix_stats().hits, 2);
+    let prefix = service.prefix_stats();
+    assert_eq!((prefix.misses, prefix.hits), (1, 2));
+    assert_eq!(prefix.prefilled_rows, 0, "a <sos> prompt feeds no rows");
     for t in [first, again, thrice] {
         assert_eq!(take(&mut service, t), expected);
     }

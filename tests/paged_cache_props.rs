@@ -13,15 +13,16 @@
 //!    pages once all caches drop.
 //! 3. **Scheduler equivalence** — random request mixes (prompt lengths,
 //!    length caps, `min_len`, beam widths, late joins, early retirements,
-//!    duplicate prompts hitting the prefix table) through
-//!    `BatchDecoder` return exactly what each request decodes alone in a
-//!    fresh `BatchDecoder`, again with zero leaked pages.
+//!    duplicate prompts) through `BatchDecoder` return exactly what each
+//!    request decodes alone in a fresh `BatchDecoder`, again with zero
+//!    leaked pages.
 //!
-//! 4. **Prefix sharing** — families of near-identical prompts (one encoder
-//!    output, random single-token edits of a shared base) decode
-//!    bitwise-equal to each member decoded alone (no sharing), concurrently
-//!    and sequenced; the sequenced order pins the prefix table's hit
-//!    accounting (one cold miss, then one hit per later member); the pool
+//! 4. **Repeated sources** — families of near-identical prompts (one
+//!    source, random single-token edits of a shared base) take their
+//!    encoder output from an encoder table (`PrefixTable`): one forward
+//!    runs, every later member hits, and each member decodes
+//!    bitwise-equal to itself alone over a fresh forward, concurrently and
+//!    sequenced; `prefilled_rows` counts every prompt row fed; the pool
 //!    always drains to zero.
 //!
 //! Properties 1, 3 and 4 also run **quantized**: property 1 repeats each
@@ -36,6 +37,7 @@
 //! time with a larger count).
 
 use mpirical_model::decode::encode_source;
+use mpirical_model::prefix::PrefixTable;
 use mpirical_model::transformer::{build_params, TransformerParams};
 use mpirical_model::vocab::{EOS, SOS};
 use mpirical_model::{
@@ -44,12 +46,15 @@ use mpirical_model::{
 };
 use mpirical_tensor::{ParamStore, Tensor};
 use proptest::prelude::*;
+use std::cell::Cell;
 use std::sync::OnceLock;
 
 struct Fixture {
     cfg: ModelConfig,
     store: ParamStore,
     params: TransformerParams,
+    /// Encoder ids of a few sources, and their encoder outputs.
+    srcs: Vec<Vec<usize>>,
     encs: Vec<Tensor>,
     /// Packed f32 and int8 decoder weights, prepared once like an artifact.
     f32: DecoderWeights,
@@ -118,8 +123,11 @@ fn fixture() -> &'static Fixture {
         cfg.n_dec_layers = 2;
         let mut store = ParamStore::new();
         let params = build_params(&cfg, &mut store, 29);
-        let encs: Vec<Tensor> = (0..3)
-            .map(|i| encode_source(&store, &params, &cfg, &[SOS, 6 + i, 7 + 2 * i, 9, EOS]))
+        let srcs: Vec<Vec<usize>> = (0..3)
+            .map(|i| vec![SOS, 6 + i, 7 + 2 * i, 9, EOS])
+            .collect();
+        let encs: Vec<Tensor> = (srcs.iter())
+            .map(|src| encode_source(&store, &params, &cfg, src))
             .collect();
         let f32 = DecoderWeights::for_precision(&store, &params, Precision::F32);
         let int8 = DecoderWeights::for_precision(&store, &params, Precision::Int8);
@@ -127,6 +135,7 @@ fn fixture() -> &'static Fixture {
             cfg,
             store,
             params,
+            srcs,
             encs,
             f32,
             int8,
@@ -323,14 +332,15 @@ proptest! {
     // cases keep tier-1 fast (CI elevates via PROPTEST_CASES).
     #![proptest_config(ProptestConfig::with_cases(12))]
 
-    /// Property 4: prefix sharing is bitwise-transparent. A family of
-    /// near-identical prompts — one encoder output, random single-token
-    /// edits of a shared base — decodes exactly like each member alone in a
-    /// fresh scheduler whether the members run concurrently or
-    /// sequenced. The sequenced order makes the accounting deterministic:
-    /// only the first member misses; every later member finds the encoder
-    /// output and shares its cross-attention projection. The pool drains
-    /// to zero either way.
+    /// Property 4: a repeated source runs one encoder forward, and what
+    /// the table hands back is bitwise-transparent. A family of
+    /// near-identical prompts — one source, random single-token edits of a
+    /// shared base — takes each member's encoder output from one table:
+    /// the first lookup runs the forward, every later one hits and runs
+    /// none. Every member decodes exactly like itself alone in a fresh
+    /// scheduler over a fresh forward, whether the members run
+    /// concurrently or sequenced, and every prompt row is prefilled. The
+    /// pool drains to zero either way.
     #[test]
     fn near_identical_prompt_families_share_bitwise(
         base_extra in proptest::collection::vec(6usize..24, 4..20),
@@ -354,32 +364,47 @@ proptest! {
                 .iter()
                 .map(|p| alone(fx, &encs[src], p, max_len, opts))
                 .collect();
+            // One table per precision, so each run counts its own forwards.
+            let table = PrefixTable::new();
+            let forwards = Cell::new(0u64);
+            let forward = |ids: &[usize]| {
+                forwards.set(forwards.get() + 1);
+                encode_source(store, params, cfg, ids)
+            };
             let request = |p: &Vec<usize>| BatchRequest {
-                enc_out: encs[src].clone(),
+                enc_out: table.encode(&fx.srcs[src], forward),
                 prompt: p.clone(),
                 max_len,
                 opts,
                 submit: SubmitOptions::default(),
             };
+            let prompt_rows: u64 = family.iter().map(|p| p.len() as u64 - 1).sum();
 
-            // Concurrent: the whole family in one batch. What gets shared
-            // mid-flight is scheduler-internal; the tokens must not depend
-            // on it.
+            // Concurrent: the whole family in one batch.
             let mut dec = BatchDecoder::with_precision(store, params, cfg, 8, precision);
             let pool = dec.pool().clone();
             let got = dec.decode_all(family.iter().map(request).collect());
             prop_assert_eq!(
                 &got, &references,
-                "{:?}: concurrent prefix sharing changed tokens", precision
+                "{:?}: a table hit changed tokens", precision
             );
+            prop_assert_eq!(dec.prefilled_rows(), prompt_rows);
             drop(dec);
             prop_assert_eq!(
                 pool.stats().pages_live, 0,
                 "{:?}: concurrent family leaked pages", precision
             );
+            let s = table.stats();
+            prop_assert_eq!(
+                (s.misses, forwards.get()), (1, 1),
+                "{:?}: only the first family member runs the forward", precision
+            );
+            prop_assert_eq!(
+                s.hits, family.len() as u64 - 1,
+                "{:?}: every later member hits the table", precision
+            );
 
-            // Sequenced: the table entry exists before the next lookup, so
-            // the hit accounting is deterministic.
+            // Sequenced: each member admitted after the previous retired.
             let mut dec = BatchDecoder::with_precision(store, params, cfg, 8, precision);
             let pool = dec.pool().clone();
             for (p, want) in family.iter().zip(&references) {
@@ -388,18 +413,11 @@ proptest! {
                 let got = dec.poll(id).into_output().expect("retired");
                 prop_assert_eq!(
                     &got, want,
-                    "{:?}: sequenced prefix sharing changed tokens", precision
+                    "{:?}: sequenced member changed tokens", precision
                 );
             }
-            let s = dec.prefix_stats();
-            prop_assert_eq!(
-                s.misses, 1,
-                "{:?}: only the first family member misses", precision
-            );
-            prop_assert_eq!(
-                s.hits, family.len() as u64 - 1,
-                "{:?}: every later member shares through the table", precision
-            );
+            prop_assert_eq!(dec.prefilled_rows(), prompt_rows);
+            prop_assert_eq!(forwards.get(), 1, "{:?}: the entry stayed", precision);
             drop(dec);
             prop_assert_eq!(
                 pool.stats().pages_live, 0,

@@ -29,13 +29,13 @@
 //! 5. **EDF + aging** — earlier deadlines admit first within a priority
 //!    class, and a proptest over adversarial early-deadline interactive
 //!    streams shows aging still bounds bulk starvation.
-//! 6. **Cross-worker prefix sharing** — families of near-identical prompts
-//!    (one encoder output, random single-token edits of a shared base)
-//!    stay bitwise pinned to the reference at every worker count and
-//!    precision while the workers share one prefix table; a sequenced
-//!    2-worker schedule pins the hit accounting (one cold miss, then one
-//!    hit per later member regardless of which worker serves it); every
-//!    run leaves zero live pages.
+//! 6. **The encoder table in front of the fleet** — families of
+//!    near-identical prompts over a repeated source (random single-token
+//!    edits of a shared base), each member encoded through
+//!    `Engine::encode`, stay bitwise pinned to the reference over a fresh
+//!    forward at every worker count and precision; the first encode runs
+//!    the forward and every later one hits, whichever worker decodes the
+//!    member, concurrently or sequenced; every run leaves zero live pages.
 //!
 //! Case counts elevate via `PROPTEST_CASES` (CI runs the suite a second
 //! time with a larger count).
@@ -59,6 +59,11 @@ type Fixture = (
     Arc<EngineModel>,
     Arc<EngineModel>,
 );
+
+/// Encoder ids of the fixture's encoder output `i`.
+fn src_ids(i: usize) -> Vec<usize> {
+    vec![SOS, 6 + i, 8 + 2 * i, 9, EOS]
+}
 
 /// Winner of one request decoded alone in a fresh `BatchDecoder` — the
 /// oracle every schedule is pinned to.
@@ -100,7 +105,7 @@ fn fixture() -> &'static Fixture {
         let mut store = ParamStore::new();
         let params = build_params(&cfg, &mut store, 47);
         let encs: Vec<Tensor> = (0..3)
-            .map(|i| encode_source(&store, &params, &cfg, &[SOS, 6 + i, 8 + 2 * i, 9, EOS]))
+            .map(|i| encode_source(&store, &params, &cfg, &src_ids(i)))
             .collect();
         let f32_model = Arc::new(EngineModel::new(
             store.clone(),
@@ -730,13 +735,13 @@ proptest! {
     // (CI elevates via PROPTEST_CASES).
     #![proptest_config(ProptestConfig::with_cases(6))]
 
-    /// Property 6: cross-worker prefix sharing is bitwise-transparent. The
-    /// engines share one prefix table and one page pool across workers, so
-    /// cross-K/V projected by any worker may seed any other worker's
-    /// admission — and the tokens must not depend on whether that
-    /// happened. The sequenced 2-worker run then pins the accounting:
-    /// after the first member's miss, every later member hits the shared
-    /// table no matter which worker picks it up.
+    /// Property 6: the encoder table is bitwise-transparent at every
+    /// worker count. Each family member takes its encoder output from
+    /// `Engine::encode` over one repeated source, so the first member runs
+    /// the forward and every later one hits — on the calling thread, before
+    /// any worker sees the request — and the tokens must equal the member
+    /// decoded alone over a fresh forward, whether the members decode
+    /// concurrently or sequenced across workers.
     #[test]
     fn radix_sharing_is_worker_count_invariant(
         base_extra in proptest::collection::vec(6usize..24, 4..16),
@@ -764,27 +769,29 @@ proptest! {
                     store, params, cfg, &encs[src], p, max_len, opts,
                 ))
                 .collect();
-            let request = |p: &Vec<usize>| BatchRequest {
-                enc_out: encs[src].clone(),
+            let request = |engine: &Engine, p: &Vec<usize>| BatchRequest {
+                enc_out: engine.encode(&src_ids(src)),
                 prompt: p.clone(),
                 max_len,
                 opts,
                 submit: SubmitOptions::default(),
             };
+            let hits = family.len() as u64 - 1;
             for workers in [1usize, 2, 4] {
                 let engine = Engine::new(
                     Arc::clone(model),
                     EngineConfig { workers, max_batch: 4, ..EngineConfig::default() },
                 );
-                let got = engine.decode_all(family.iter().map(request).collect());
+                let reqs = family.iter().map(|p| request(&engine, p)).collect();
+                let got = engine.decode_all(reqs);
                 prop_assert_eq!(
                     &got, &references,
-                    "{:?} {} workers: prefix sharing changed tokens", precision, workers
+                    "{:?} {} workers: a table hit changed tokens", precision, workers
                 );
+                let s = engine.prefix_stats();
                 prop_assert_eq!(
-                    engine.prefix_stats().lookups(), family.len() as u64,
-                    "{:?} {} workers: every admission consults the shared table",
-                    precision, workers
+                    (s.misses, s.hits), (1, hits),
+                    "{:?} {} workers: one forward, then hits", precision, workers
                 );
                 prop_assert_eq!(
                     engine.shutdown().pages_live, 0,
@@ -792,32 +799,32 @@ proptest! {
                 );
             }
 
-            // Sequenced across 2 workers: the table entry exists before the
-            // next lookup, so the accounting is deterministic even though
-            // any worker may serve any member.
+            // Sequenced across 2 workers: any worker may serve any member,
+            // and each is encoded only after the previous one retired.
             let engine = Engine::new(
                 Arc::clone(model),
                 EngineConfig { workers: 2, max_batch: 4, ..EngineConfig::default() },
             );
             for (p, want) in family.iter().zip(&references) {
-                let ticket = engine.submit(request(p));
+                let ticket = engine.submit(request(&engine, p));
                 engine.drain();
                 match engine.poll(ticket) {
                     PollResult::Done { ids, .. } => prop_assert_eq!(
                         &ids, want,
-                        "{:?} sequenced: prefix sharing changed tokens", precision
+                        "{:?} sequenced: a table hit changed tokens", precision
                     ),
                     other => panic!("sequenced member unfinished: {other:?}"),
                 }
             }
             let s = engine.prefix_stats();
             prop_assert_eq!(
-                s.misses, 1,
-                "{:?} sequenced: only the first family member misses", precision
+                (s.misses, s.hits), (1, hits),
+                "{:?} sequenced: one forward, then hits", precision
             );
             prop_assert_eq!(
-                s.hits, family.len() as u64 - 1,
-                "{:?} sequenced: every later member shares through the table", precision
+                s.prefilled_rows,
+                family.iter().map(|p| p.len() as u64 - 1).sum::<u64>(),
+                "{:?} sequenced: every prompt row is prefilled", precision
             );
             prop_assert_eq!(
                 engine.shutdown().pages_live, 0,
