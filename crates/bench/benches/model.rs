@@ -30,7 +30,7 @@ fn reference_ids(
     opts: DecodeOptions,
 ) -> Vec<usize> {
     let req = BatchRequest {
-        enc_out: enc_out.clone(),
+        enc_out: enc_out.clone().into(),
         prompt: vec![SOS],
         max_len,
         opts,
@@ -356,7 +356,7 @@ fn bench_batch_decode(c: &mut Criterion) {
             let reqs = enc_outs
                 .iter()
                 .map(|e| BatchRequest {
-                    enc_out: e.clone(),
+                    enc_out: e.clone().into(),
                     prompt: vec![mpirical_model::vocab::SOS],
                     max_len: 65,
                     opts,
@@ -374,7 +374,7 @@ fn bench_batch_decode(c: &mut Criterion) {
                 .iter()
                 .chain(enc_outs.iter())
                 .map(|e| BatchRequest {
-                    enc_out: e.clone(),
+                    enc_out: e.clone().into(),
                     prompt: vec![mpirical_model::vocab::SOS],
                     max_len: 65,
                     opts,
@@ -424,7 +424,7 @@ fn bench_batch_beam(c: &mut Criterion) {
     let reqs = |encs: &[Tensor]| -> Vec<BatchRequest> {
         encs.iter()
             .map(|e| BatchRequest {
-                enc_out: e.clone(),
+                enc_out: e.clone().into(),
                 prompt: vec![mpirical_model::vocab::SOS],
                 max_len: 33,
                 opts,
@@ -548,7 +548,7 @@ fn bench_decode_quant(c: &mut Criterion) {
             let reqs = enc_outs
                 .iter()
                 .map(|e| BatchRequest {
-                    enc_out: e.clone(),
+                    enc_out: e.clone().into(),
                     prompt: vec![mpirical_model::vocab::SOS],
                     max_len: 65,
                     opts: qopts,
@@ -614,14 +614,14 @@ fn bench_decode_priority(c: &mut Criterion) {
         ..Default::default()
     };
     let bulk_req = |e: &Tensor| BatchRequest {
-        enc_out: e.clone(),
+        enc_out: e.clone().into(),
         prompt: vec![mpirical_model::vocab::SOS],
         max_len: 65,
         opts: bulk_opts,
         submit: SubmitOptions::bulk(),
     };
     let fast_req = |priority: bool| BatchRequest {
-        enc_out: enc_outs[8].clone(),
+        enc_out: enc_outs[8].clone().into(),
         prompt: vec![mpirical_model::vocab::SOS],
         max_len: 65,
         opts: fast_opts,
@@ -930,7 +930,7 @@ fn bench_engine_scaling(c: &mut Criterion) {
             .iter()
             .chain(enc_outs.iter())
             .map(|e| BatchRequest {
-                enc_out: e.clone(),
+                enc_out: e.clone().into(),
                 prompt: vec![mpirical_model::vocab::SOS],
                 max_len: 65,
                 opts,
@@ -976,7 +976,7 @@ fn bench_engine_scaling(c: &mut Criterion) {
                     prompt[20] = 6 + (210 + r) % 300;
                 }
                 BatchRequest {
-                    enc_out: enc_outs[0].clone(),
+                    enc_out: enc_outs[0].clone().into(),
                     prompt,
                     max_len: 65,
                     opts,

@@ -36,10 +36,9 @@ use mpirical_model::decode::encode_source as model_encode;
 use mpirical_model::vocab::{EOS, SEP, SOS};
 use mpirical_model::{
     BatchRequest, DecodeOptions, Engine, EngineConfig, EngineModel, EpochStats, ModelConfig,
-    Precision, PrefixStats, Seq2SeqModel, SubmitOptions, TrainConfig, TrainReport,
+    Precision, PrefixStats, Seq2SeqModel, SourceRequest, SubmitOptions, TrainConfig, TrainReport,
     DEFAULT_MAX_BATCH,
 };
-use mpirical_tensor::Tensor;
 use serde::{Deserialize, Serialize};
 use std::path::Path;
 use std::sync::{Arc, Mutex};
@@ -318,7 +317,9 @@ impl MpiRical {
             },
         );
         let reqs = (sources.iter())
-            .map(|ids| self.request(engine.encode(ids), SubmitOptions::default()))
+            .map(|ids| self.request(ids.to_vec(), SubmitOptions::default()))
+            .zip(sources)
+            .map(|(req, ids)| req.encoded(engine.encode(ids)))
             .collect();
         let out = engine.decode_all_hypotheses(reqs);
         let prefix = engine.prefix_stats();
@@ -502,19 +503,20 @@ impl MpiRical {
     pub fn request_from_encoded(&self, enc: &EncodedSource, submit: SubmitOptions) -> BatchRequest {
         let m = &self.model;
         let enc_out = model_encode(&m.store, &m.params, &m.cfg, &enc.ids);
-        self.request(enc_out, submit)
+        self.request(enc.ids.clone(), submit).encoded(enc_out)
     }
 
-    /// Build a [`BatchRequest`] over an encoder output: the `<sos>` prompt,
-    /// the artifact's [`DecodeOptions`] (beam included — the lockstep
-    /// scheduler decodes beam requests natively) and the caller's
-    /// [`SubmitOptions`]. The single construction point shared by every
-    /// prediction method here and
-    /// [`SuggestService`](crate::service::SuggestService), so the one-shot
-    /// and daemon serving paths can never drift apart.
-    pub(crate) fn request(&self, enc_out: Tensor, submit: SubmitOptions) -> BatchRequest {
-        BatchRequest {
-            enc_out,
+    /// Build a [`SourceRequest`] over encoder ids: the `<sos>` prompt, the
+    /// artifact's [`DecodeOptions`] (beam included — the lockstep scheduler
+    /// decodes beam requests natively) and the caller's [`SubmitOptions`].
+    /// The single construction point shared by every prediction method
+    /// here and [`SuggestService`](crate::service::SuggestService) (which
+    /// submits it as is; the one-shot paths attach the encoder output
+    /// first), so the one-shot and daemon serving paths can never drift
+    /// apart.
+    pub(crate) fn request(&self, ids: Vec<usize>, submit: SubmitOptions) -> SourceRequest {
+        SourceRequest {
+            ids,
             prompt: vec![SOS],
             max_len: self.model.cfg.max_dec_len,
             opts: self.decode,

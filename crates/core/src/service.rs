@@ -3,18 +3,23 @@
 //! [`SuggestService`] is the shape a long-running assistance daemon wants:
 //! clients `submit` raw C buffers and get back tickets; a driver loop calls
 //! `step`; clients `poll` their ticket until the suggestions are ready.
-//! Every request decodes on one [`Engine`]: in-flight requests share the
-//! weight passes of a worker's lockstep step, and finished requests retire
-//! continuously so a short completion never waits on a long one.
+//! `submit` runs only the buffer's front-end (parse, X-SBT, tokenize) and
+//! routes its encoder ids: the encoder forward is the first stage an
+//! engine worker runs for the request, so the caller's thread never runs
+//! the model. Every request decodes on one [`Engine`]: in-flight requests
+//! share the weight passes of a worker's lockstep step, and finished
+//! requests retire continuously so a short completion never waits on a
+//! long one.
 //!
 //! The constructor chooses who drives that engine.
 //! [`new`](SuggestService::new) and
 //! [`with_max_batch`](SuggestService::with_max_batch) build one worker
 //! **stepped by the caller** ([`Engine::stepped`]): each
-//! [`step`](SuggestService::step) is exactly one decode step, so a test or
-//! an in-process editor integration sees a schedule that depends only on
-//! its own calls. [`sharded`](SuggestService::sharded) builds autonomous
-//! workers that decode on their own cores (the daemon's service); `step`
+//! [`step`](SuggestService::step) is exactly one scheduler step — the
+//! pending encoder work, then one decode step — so a test or an in-process
+//! editor integration sees a schedule that depends only on its own calls.
+//! [`sharded`](SuggestService::sharded) builds autonomous workers that
+//! encode and decode on their own cores (the daemon's service); `step`
 //! then waits briefly for progress. Both run the same routing, Interactive
 //! hold, work stealing and harvest code, and produce bitwise identical
 //! suggestions. Either way the service holds its own clone of the artifact
@@ -24,16 +29,18 @@
 //! # Serving API v2: priorities, streaming polls, cancellation
 //!
 //! [`submit_with`](SuggestService::submit_with) carries
-//! [`SubmitOptions`] — a [`Priority`] class plus an optional generated-token
-//! cap — into the scheduler: an [`Interactive`](mpirical_model::Priority::Interactive)
-//! keystroke request starts decoding within one step, preempting
+//! [`SubmitOptions`] — a [`Priority`](mpirical_model::Priority) class plus
+//! an optional generated-token cap — into the scheduler: an
+//! [`Interactive`](mpirical_model::Priority::Interactive) keystroke request
+//! starts decoding within one step, preempting
 //! [`Bulk`](mpirical_model::Priority::Bulk) re-index lanes if every lane is
-//! taken, and holds all bulk work while it is in flight — from the start of
-//! its front-end and encoder forward in `submit_with` until its ticket
-//! resolves (held bulk pauses with its KV pages intact and resumes
-//! unchanged). [`poll`](SuggestService::poll)
-//! returns a typed [`SuggestPoll`]: queue position, streaming partial
-//! suggestions while decoding, the finished suggestions plus scheduling
+//! taken, and holds all bulk work while it is in flight — from its
+//! submission, through its encoder forward on a worker, until its ticket
+//! resolves (held bulk pauses with its KV pages intact, or its encoder
+//! forward after a layer, and resumes unchanged).
+//! [`poll`](SuggestService::poll) returns a typed [`SuggestPoll`]: queue
+//! position, streaming partial suggestions while decoding, the finished
+//! suggestions plus scheduling
 //! telemetry ([`RequestTelemetry`]: queue-wait steps, decode steps,
 //! preemptions), a cancellation marker, or `Unknown` for a ticket the
 //! service never issued (so a daemon can detect client-side ticket bugs —
@@ -97,8 +104,8 @@ use crate::assistant::{MpiRical, Suggestion};
 use crate::verify::VerifyStats;
 use mpirical_cparse::{ParseHealth, Program};
 use mpirical_model::{
-    Engine, EngineConfig, EngineModel, EngineTicket, PollResult, PoolStats, PrefixStats, Priority,
-    RequestId, RequestTelemetry, SubmitOptions, DEFAULT_MAX_BATCH,
+    Engine, EngineConfig, EngineModel, EngineTicket, PollResult, PoolStats, PrefixStats, RequestId,
+    RequestTelemetry, Resolutions, SubmitOptions, DEFAULT_MAX_BATCH,
 };
 use serde::{Deserialize, Serialize};
 use std::collections::HashMap;
@@ -295,31 +302,28 @@ impl SuggestService {
     }
 
     /// Queue a raw (possibly mid-edit) C buffer for suggestion at the
-    /// default scheduling options ([`Priority::Interactive`], no token
-    /// cap). The front-end work — tolerant parse, standardization, X-SBT
-    /// ([`MpiRical::encode_source`], the same construction `suggest_batch`
-    /// uses), then the encoder forward unless the engine's encoder table
-    /// holds the same ids ([`Engine::encode`]) — happens here; decoding
-    /// happens across subsequent [`step`](Self::step) calls. The parse's
-    /// [`ParseHealth`] is captured per ticket and redeemed with
-    /// [`SuggestPoll::Done`].
+    /// default scheduling options
+    /// ([`Priority::Interactive`](mpirical_model::Priority::Interactive), no
+    /// token cap). Only the front-end — tolerant parse, standardization, X-SBT
+    /// and tokenizing ([`MpiRical::encode_source`], the same construction
+    /// `suggest_batch` uses) — happens here: the request goes to the
+    /// engine as encoder ids ([`Engine::submit_source`]), and the encoder
+    /// forward (stage 0, skipped when the engine's encoder table holds the
+    /// same ids) and decoding happen on a worker across subsequent
+    /// [`step`](Self::step) calls. The parse's [`ParseHealth`] is captured
+    /// per ticket and redeemed with [`SuggestPoll::Done`].
     pub fn submit(&mut self, c_source: &str) -> RequestId {
         self.submit_with(c_source, SubmitOptions::default())
     }
 
     /// [`submit`](Self::submit) with explicit [`SubmitOptions`]: a
-    /// [`Priority`] class (bulk re-index jobs yield their lanes to
-    /// interactive keystroke requests) and an optional cap on generated
-    /// tokens.
+    /// [`Priority`](mpirical_model::Priority) class (bulk re-index jobs
+    /// yield their lanes to interactive keystroke requests) and an
+    /// optional cap on generated tokens.
     pub fn submit_with(&mut self, c_source: &str, submit: SubmitOptions) -> RequestId {
-        let interactive = matches!(submit.priority, Priority::Interactive);
-        // A keystroke is in flight from here on: the engine's bulk work
-        // holds while its front-end and encoder forward run, not only once
-        // its ticket exists.
-        let _reservation = interactive.then(|| self.engine.reserve_interactive());
         let enc = self.assistant.encode_source(c_source);
-        let req = self.assistant.request(self.engine.encode(&enc.ids), submit);
-        let id = RequestId::from_raw(self.engine.submit(req).raw());
+        let req = self.assistant.request(enc.ids, submit);
+        let id = RequestId::from_raw(self.engine.submit_source(req).raw());
         self.health.insert(id, enc.health);
         if let Some(base) = self.assistant.verify_base(c_source) {
             self.tickets.insert(id, base);
@@ -338,10 +342,12 @@ impl SuggestService {
     }
 
     /// Advance the decode by one step — see [`Engine::step`]. A
-    /// caller-stepped service runs exactly one scheduler step (admitting
-    /// queued requests into free lanes first, priority-first — an
-    /// interactive submission may preempt bulk lanes) and returns the
-    /// number of hypotheses it advanced; `0` means the service is idle.
+    /// caller-stepped service runs exactly one scheduler step (the encoder
+    /// work of requests still in stage 0, then admitting queued requests
+    /// into free lanes, priority-first — an interactive submission may
+    /// preempt bulk lanes — then one decode step) and returns the number
+    /// of hypotheses it advanced plus the encoder layers it ran and table
+    /// hits it took; `0` means the service is idle.
     /// Autonomous workers need no driving: `step` waits briefly for
     /// progress and returns the number of requests still in flight, so
     /// `while service.step() > 0 {}` loops drive either kind.
@@ -442,6 +448,12 @@ impl SuggestService {
                 verify,
             },
         );
+    }
+
+    /// A handle that waits for this service's tickets to resolve, for a
+    /// thread that does not own the service (see [`Resolutions`]).
+    pub fn resolutions(&self) -> Resolutions {
+        self.engine.resolutions()
     }
 
     /// Requests submitted but not yet finished.
@@ -630,6 +642,49 @@ mod tests {
         assert!(telemetry.decode_steps > 0);
         assert_eq!(service.pending(), 0);
         assert_eq!(service.poll(t), SuggestPoll::Unknown, "already redeemed");
+    }
+
+    /// `submit_with` does the front-end only: after several submits and
+    /// before the first step no encoder forward has run or been looked up
+    /// — stage 0 runs on the engine's worker, inside the steps — and after
+    /// `run` every ticket's tokens are bitwise those of a fresh engine
+    /// decoding the eagerly encoded request, the repeated buffer's forward
+    /// skipped once.
+    #[test]
+    fn submit_runs_only_the_front_end() {
+        let assistant = tiny_assistant();
+        let buffers = [
+            "int main() { int rank; return 0; }",
+            "int main() { double local = 0.0; return 0; }",
+            "int main() { int rank; return 0; }",
+        ];
+        let mut service = SuggestService::with_max_batch(&assistant, 2);
+        let tickets: Vec<RequestId> = buffers
+            .iter()
+            .zip(
+                [SubmitOptions::bulk(), SubmitOptions::interactive()]
+                    .iter()
+                    .cycle(),
+            )
+            .map(|(b, &opts)| service.submit_with(b, opts))
+            .collect();
+        assert_eq!(service.prefix_stats().lookups(), 0, "no forward in submit");
+        assert_eq!(service.engine.encoder_layers(), 0);
+        service.run();
+        let fresh = Engine::new(assistant.engine_model(), EngineConfig::default());
+        let requests = buffers.iter().map(|b| {
+            let enc = assistant.encode_source(b);
+            assistant.request_from_encoded(&enc, SubmitOptions::default())
+        });
+        let want = fresh.decode_all(requests.collect());
+        for (id, want) in tickets.into_iter().zip(want) {
+            match service.engine.poll(ticket(id)) {
+                PollResult::Done { ids, .. } => assert_eq!(ids, want, "{id}"),
+                other => panic!("{id} not finished: {other:?}"),
+            }
+        }
+        let s = service.prefix_stats();
+        assert_eq!((s.misses, s.hits), (2, 1));
     }
 
     /// A finished ticket stays redeemable while later requests churn

@@ -62,16 +62,31 @@
 //! [`PagePool`]), so a beam expansion bumps refcounts instead of copying
 //! K/V rows.
 //!
+//! # Stage 0: the encoder forward
+//!
+//! A request arrives with its encoder output ([`submit`](BatchDecoder::submit)
+//! of a [`BatchRequest`]) or with its encoder ids
+//! ([`submit_source`](BatchDecoder::submit_source) of a [`SourceRequest`]).
+//! The second kind starts in stage 0: queued and aging, but not admissible
+//! until its encoder output exists. Each [`step`](BatchDecoder::step) first
+//! looks such requests up in the scheduler's encoder table
+//! ([`crate::prefix`]; a hit completes the stage at once) and otherwise runs
+//! the forward as an [`EncoderRun`]: every Interactive forward to
+//! completion, then at most one encoder layer of the best-ranked Bulk
+//! forward, and that only while Bulk is not held or the request has aged
+//! (the [`policy`](crate::policy) decides). A Bulk forward thus pauses after
+//! any layer, as a held Bulk decode pauses after any step, and a keystroke
+//! waits behind at most one Bulk layer. A finished forward is retained in
+//! the table, so the next request over the same ids shares its buffer.
+//!
 //! # Admission
 //!
-//! A fresh request brings its encoder output in [`BatchRequest::enc_out`];
-//! admission projects that output's cross-attention K/V into a new cache
-//! and feeds the prompt as usual
-//! ([`BatchDecoder::prefilled_rows`] counts the prompt rows fed). What
-//! repeats across an IDE's retriggers is the encoder forward, not the
-//! projection: the [`Engine`](crate::engine::Engine)'s encoder table
-//! ([`crate::prefix`]) skips that forward in front of the scheduler, so
-//! the scheduler holds no table and no projection outlives its lanes.
+//! Admission projects a request's encoder output
+//! ([`BatchRequest::enc_out`]) into the cross-attention K/V of a new cache
+//! and feeds the prompt as usual ([`BatchDecoder::prefilled_rows`] counts
+//! the prompt rows fed). What repeats across an IDE's retriggers is the
+//! encoder forward, not the projection: the encoder table skips that
+//! forward, and no projection outlives its lanes.
 //!
 //! # Equivalence
 //!
@@ -126,10 +141,14 @@
 
 use crate::config::ModelConfig;
 use crate::decode::{argmax_token, expand_beams, ranked_hypothesis_ids, Hypothesis};
-use crate::infer::{decode_step_batch, BatchScratch, DecoderCache, DecoderWeights, Precision};
+use crate::infer::{
+    check_encoder_ids, decode_step_batch, BatchScratch, DecoderCache, DecoderWeights, EncoderRun,
+    Precision,
+};
 use crate::paged::{PagePool, PoolStats};
 use crate::policy::Policy;
 pub use crate::policy::{Priority, RequestTelemetry, DEFAULT_AGING_STEPS};
+use crate::prefix::PrefixTable;
 use crate::transformer::TransformerParams;
 use crate::vocab::{EOS, SOS};
 use crate::DecodeOptions;
@@ -138,6 +157,7 @@ use serde::{Deserialize, Serialize};
 use std::borrow::Cow;
 use std::collections::{BTreeSet, HashMap};
 use std::fmt;
+use std::sync::Arc;
 
 /// Ticket identifying a submitted request; redeem with
 /// [`BatchDecoder::poll`].
@@ -297,8 +317,10 @@ pub const PLACEMENT_LOG_CAP: usize = 1024;
 /// decoder prefix, per-request decoding knobs, and scheduling options.
 #[derive(Debug, Clone)]
 pub struct BatchRequest {
-    /// Encoder output `[T_enc, d_model]` for this request's source.
-    pub enc_out: Tensor,
+    /// Encoder output `[T_enc, d_model]` for this request's source. Shared,
+    /// never copied: an encoder-table entry and every request over the
+    /// same encoder ids hold one buffer.
+    pub enc_out: Arc<Tensor>,
     /// Forced decoder prefix, fed token-by-token before generation starts
     /// (the prefill phase). Almost always `[<sos>]`; longer prompts let a
     /// caller resume a partially-decoded sequence. Must be non-empty.
@@ -317,9 +339,9 @@ pub struct BatchRequest {
 impl BatchRequest {
     /// A plain greedy request: `<sos>` prompt, default options,
     /// interactive priority.
-    pub fn greedy(enc_out: Tensor, max_len: usize) -> BatchRequest {
+    pub fn greedy(enc_out: impl Into<Arc<Tensor>>, max_len: usize) -> BatchRequest {
         BatchRequest {
-            enc_out,
+            enc_out: enc_out.into(),
             prompt: vec![SOS],
             max_len,
             opts: DecodeOptions::default(),
@@ -328,9 +350,9 @@ impl BatchRequest {
     }
 
     /// A beam-search request: `<sos>` prompt, the given beam width.
-    pub fn beam(enc_out: Tensor, max_len: usize, beam: usize) -> BatchRequest {
+    pub fn beam(enc_out: impl Into<Arc<Tensor>>, max_len: usize, beam: usize) -> BatchRequest {
         BatchRequest {
-            enc_out,
+            enc_out: enc_out.into(),
             prompt: vec![SOS],
             max_len,
             opts: DecodeOptions {
@@ -369,6 +391,39 @@ impl BatchRequest {
     pub fn with_deadline(mut self, deadline: u64) -> BatchRequest {
         self.submit.deadline = Some(deadline);
         self
+    }
+}
+
+/// A generation request submitted by its encoder ids: the scheduler runs
+/// its encoder forward as stage 0 (see module docs), then decodes it
+/// exactly like the [`BatchRequest`] [`encoded`](Self::encoded) would
+/// build.
+#[derive(Debug, Clone)]
+pub struct SourceRequest {
+    /// Encoder ids `<sos> code <sep> xsbt <eos>`: non-empty, at most
+    /// `cfg.max_enc_len`, every id inside the vocabulary.
+    pub ids: Vec<usize>,
+    /// See [`BatchRequest::prompt`].
+    pub prompt: Vec<usize>,
+    /// See [`BatchRequest::max_len`].
+    pub max_len: usize,
+    /// See [`BatchRequest::opts`].
+    pub opts: DecodeOptions,
+    /// See [`BatchRequest::submit`].
+    pub submit: SubmitOptions,
+}
+
+impl SourceRequest {
+    /// The [`BatchRequest`] over `enc_out`, the encoder output of
+    /// [`ids`](Self::ids).
+    pub fn encoded(self, enc_out: impl Into<Arc<Tensor>>) -> BatchRequest {
+        BatchRequest {
+            enc_out: enc_out.into(),
+            prompt: self.prompt,
+            max_len: self.max_len,
+            opts: self.opts,
+            submit: self.submit,
+        }
     }
 }
 
@@ -442,17 +497,23 @@ pub struct BatchDecoder<'m> {
     /// Private by default; [`with_shared`](Self::with_shared) lets a fleet
     /// of schedulers draw from one pool.
     pool: PagePool,
-    /// Every scheduling decision: admission, preemption, eviction victims
-    /// and the Interactive hold (see [`crate::policy`]).
+    /// Every scheduling decision: admission, preemption, eviction victims,
+    /// stage-0 order and the Interactive hold (see [`crate::policy`]).
     policy: Policy,
+    /// The encoder table stage 0 consults (private, or the engine's).
+    table: PrefixTable,
     /// Admitted groups, decoding or paused; the policy says which step.
     groups: Vec<Group>,
-    /// Submitted requests not yet admitted.
+    /// Requests in stage 0: the ids, and the forward once it started.
+    encoding: HashMap<RequestId, (SourceRequest, Option<EncoderRun<'m>>)>,
+    /// Requests past stage 0, not yet admitted.
     fresh: HashMap<RequestId, BatchRequest>,
     done: HashMap<RequestId, RetiredOutput>,
     cancelled: BTreeSet<RequestId>,
     /// See [`prefilled_rows`](Self::prefilled_rows).
     prefilled_rows: u64,
+    /// See [`encoder_layers`](Self::encoder_layers).
+    encoder_layers: u64,
     scratch: BatchScratch,
     logits: Vec<f32>,
     next_id: u64,
@@ -529,14 +590,16 @@ impl<'m> BatchDecoder<'m> {
             max_batch,
             weights,
             PagePool::new(cfg.d_head()),
+            PrefixTable::new(),
         )
     }
 
     /// [`with_weights`](Self::with_weights) drawing pages from a caller's
-    /// [`PagePool`] — the fleet constructor: the sharded
-    /// [`Engine`](crate::engine::Engine) hands every worker the same pool.
-    /// Sharing is bitwise-transparent, so fleet outputs equal the
-    /// private-pool outputs exactly.
+    /// [`PagePool`] and consulting a caller's encoder table in stage 0 —
+    /// the fleet constructor: the sharded [`Engine`](crate::engine::Engine)
+    /// hands every worker the same pool and table. Sharing is
+    /// bitwise-transparent, so fleet outputs equal the private-pool
+    /// outputs exactly.
     ///
     /// # Panics
     ///
@@ -549,6 +612,7 @@ impl<'m> BatchDecoder<'m> {
         max_batch: usize,
         weights: Cow<'m, DecoderWeights>,
         pool: PagePool,
+        table: PrefixTable,
     ) -> BatchDecoder<'m> {
         assert!(
             max_batch >= 1,
@@ -567,11 +631,14 @@ impl<'m> BatchDecoder<'m> {
             weights,
             pool,
             policy: Policy::new(max_batch),
+            table,
             groups: Vec::new(),
+            encoding: HashMap::new(),
             fresh: HashMap::new(),
             done: HashMap::new(),
             cancelled: BTreeSet::new(),
             prefilled_rows: 0,
+            encoder_layers: 0,
             scratch: BatchScratch::new(cfg, max_batch),
             logits: vec![0.0; max_batch * cfg.vocab_size],
             next_id: 0,
@@ -591,30 +658,57 @@ impl<'m> BatchDecoder<'m> {
     /// the request's precision differs from the scheduler's prepared
     /// weights.
     pub fn submit(&mut self, req: BatchRequest) -> RequestId {
-        assert!(
-            req.opts.beam >= 1,
-            "beam width must be at least 1 (got 0); use beam = 1 for greedy"
-        );
-        assert_eq!(
-            req.opts.precision,
-            self.weights.precision(),
-            "request precision differs from the scheduler's prepared weights; \
-             build the BatchDecoder with BatchDecoder::with_precision"
-        );
-        assert!(
-            req.opts.beam <= self.max_batch(),
-            "beam width {} exceeds the scheduler's {} lanes",
-            req.opts.beam,
-            self.max_batch()
-        );
-        assert!(!req.prompt.is_empty(), "prompt must hold at least <sos>");
-        let id = RequestId(self.next_id);
-        self.next_id += 1;
+        let id = self.ticket(&req.opts, &req.prompt);
         let SubmitOptions {
             priority, deadline, ..
         } = req.submit;
         self.policy.submit(id.0, priority, req.opts.beam, deadline);
         self.fresh.insert(id, req);
+        id
+    }
+
+    /// Queue a request by its encoder ids: its encoder forward runs as
+    /// stage 0 inside later [`step`](Self::step)s (see module docs), after
+    /// which it decodes exactly like [`submit`](Self::submit) of the
+    /// [`BatchRequest`] over that output. Until then it polls `Queued`.
+    ///
+    /// # Panics
+    ///
+    /// As [`submit`](Self::submit), and if the ids fail the encoder's
+    /// guards (empty, longer than `cfg.max_enc_len`, or outside the
+    /// vocabulary).
+    pub fn submit_source(&mut self, req: SourceRequest) -> RequestId {
+        check_encoder_ids(self.store, self.params, self.cfg, &req.ids);
+        let id = self.ticket(&req.opts, &req.prompt);
+        let SubmitOptions {
+            priority, deadline, ..
+        } = req.submit;
+        (self.policy).submit_encoding(id.0, priority, req.opts.beam, deadline);
+        self.encoding.insert(id, (req, None));
+        id
+    }
+
+    /// Check a submission's decode fields and issue its ticket.
+    fn ticket(&mut self, opts: &DecodeOptions, prompt: &[usize]) -> RequestId {
+        assert!(
+            opts.beam >= 1,
+            "beam width must be at least 1 (got 0); use beam = 1 for greedy"
+        );
+        assert_eq!(
+            opts.precision,
+            self.weights.precision(),
+            "request precision differs from the scheduler's prepared weights; \
+             build the BatchDecoder with BatchDecoder::with_precision"
+        );
+        assert!(
+            opts.beam <= self.max_batch(),
+            "beam width {} exceeds the scheduler's {} lanes",
+            opts.beam,
+            self.max_batch()
+        );
+        assert!(!prompt.is_empty(), "prompt must hold at least <sos>");
+        let id = RequestId(self.next_id);
+        self.next_id += 1;
         id
     }
 
@@ -634,7 +728,7 @@ impl<'m> BatchDecoder<'m> {
         if self.policy.retire(id.0).is_none() {
             return false;
         }
-        if self.fresh.remove(&id).is_none() {
+        if self.fresh.remove(&id).is_none() && self.encoding.remove(&id).is_none() {
             self.groups.retain(|g| g.id != id);
         }
         self.mark_cancelled(id);
@@ -739,6 +833,12 @@ impl<'m> BatchDecoder<'m> {
         self.prefilled_rows
     }
 
+    /// Encoder layers stage 0 has run on this scheduler (a table hit runs
+    /// none).
+    pub fn encoder_layers(&self) -> u64 {
+        self.encoder_layers
+    }
+
     /// The scheduling policy, for the [`Engine`](crate::engine::Engine)
     /// worker that sets the fleet hold and credits the steps it sat out.
     pub(crate) fn policy(&mut self) -> &mut Policy {
@@ -763,6 +863,54 @@ impl<'m> BatchDecoder<'m> {
                 cache.evict_self_kv();
             }
         }
+    }
+
+    /// Stage 0 of a step, in the order the policy gives (see module
+    /// docs): look each request up in the encoder table once, run the
+    /// forward of a miss whole (Interactive) or one layer (Bulk), and move
+    /// a request whose output exists to the admissible queue, its output
+    /// retained in the table. Returns the encoder layers run plus the
+    /// table hits taken.
+    fn encode(&mut self) -> usize {
+        let mut work = 0;
+        let mut layer_run = false;
+        while let Some((id, whole)) = self.policy.next_forward(layer_run) {
+            let id = RequestId(id);
+            let (src, run) = self.encoding.remove(&id).expect("an encoding ticket");
+            let mut run = match run {
+                Some(run) => run,
+                None => match self.table.lookup(&src.ids) {
+                    Some(enc_out) => {
+                        work += 1;
+                        self.encoded(id, src.encoded(enc_out));
+                        continue;
+                    }
+                    None => EncoderRun::new(self.store, self.params, self.cfg, &src.ids),
+                },
+            };
+            loop {
+                run.step_layer();
+                work += 1;
+                self.encoder_layers += 1;
+                if run.is_done() || !whole {
+                    break;
+                }
+            }
+            layer_run |= !whole;
+            if run.is_done() {
+                let enc_out = self.table.retain(&src.ids, Arc::new(run.finish()));
+                self.encoded(id, src.encoded(enc_out));
+            } else {
+                self.encoding.insert(id, (src, Some(run)));
+            }
+        }
+        work
+    }
+
+    /// Stage 0 of `id` is done: its request may admit from now on.
+    fn encoded(&mut self, id: RequestId, req: BatchRequest) {
+        self.policy.encoded(id.0);
+        self.fresh.insert(id, req);
     }
 
     /// Move the requests the policy admits into lanes (continuous
@@ -809,13 +957,16 @@ impl<'m> BatchDecoder<'m> {
         }
     }
 
-    /// Run one lockstep step: admit queued requests (priority order,
+    /// Run one lockstep step: stage 0 of requests submitted by their ids
+    /// (see module docs), admit queued requests (priority order,
     /// preempting bulk lanes for interactive arrivals), advance every live
     /// hypothesis of the groups the policy lets step by one token, and
     /// expand/retire finished requests. Returns the number of hypotheses
-    /// advanced (0 means the scheduler is idle and [`run`](Self::run)
+    /// advanced plus the stage-0 work done — encoder layers run and table
+    /// hits taken (0 means the scheduler is idle and [`run`](Self::run)
     /// would stop).
     pub fn step(&mut self) -> usize {
+        let encoded = self.encode();
         self.evict_for_pressure();
         self.admit();
         // Gather every live hypothesis across the groups that step, in
@@ -832,7 +983,10 @@ impl<'m> BatchDecoder<'m> {
         let b = tokens.len();
         if b == 0 {
             self.groups.append(&mut groups);
-            return 0;
+            if encoded > 0 {
+                self.policy.end_step(held);
+            }
+            return encoded;
         }
         let vocab = self.cfg.vocab_size;
         let mut caches: Vec<&mut DecoderCache> = (groups.iter_mut())
@@ -918,7 +1072,7 @@ impl<'m> BatchDecoder<'m> {
         groups.retain(|g| !g.finished);
         self.groups.append(&mut groups);
         self.policy.end_step(held);
-        b
+        b + encoded
     }
 
     /// Report a request's lifecycle state (see [`PollResult`]). `Done` and
@@ -1018,7 +1172,7 @@ mod tests {
     ) -> Vec<usize> {
         let mut dec = BatchDecoder::with_precision(store, params, cfg, opts.beam, opts.precision);
         let req = BatchRequest {
-            enc_out: enc_out.clone(),
+            enc_out: enc_out.clone().into(),
             prompt: prompt.to_vec(),
             max_len,
             opts,
@@ -1095,7 +1249,7 @@ mod tests {
             .iter()
             .zip(encs)
             .map(|(p, e)| BatchRequest {
-                enc_out: e,
+                enc_out: e.into(),
                 prompt: p.to_vec(),
                 max_len: 18,
                 opts: DecodeOptions::default(),
@@ -1129,7 +1283,7 @@ mod tests {
             .iter()
             .zip(encs)
             .map(|(&(max_len, min_len), e)| BatchRequest {
-                enc_out: e,
+                enc_out: e.into(),
                 prompt: vec![SOS],
                 max_len,
                 opts: DecodeOptions {
@@ -1219,7 +1373,7 @@ mod tests {
         let e = enc(&store, &params, &cfg, 0);
         let mut dec = BatchDecoder::new(&store, &params, &cfg, 2);
         let id = dec.submit(BatchRequest {
-            enc_out: e,
+            enc_out: e.into(),
             prompt: vec![SOS, 6, 7],
             max_len: 3,
             opts: DecodeOptions::default(),
@@ -1303,7 +1457,7 @@ mod tests {
             .take(lanes)
             .map(|e| {
                 dec.submit(BatchRequest {
-                    enc_out: e.clone(),
+                    enc_out: e.clone().into(),
                     prompt: vec![SOS],
                     max_len: 24,
                     opts: long,
@@ -1397,7 +1551,7 @@ mod tests {
         let mut dec = BatchDecoder::new(&store, &params, &cfg, 1);
         dec.set_aging_steps(4);
         let bulk = dec.submit(BatchRequest {
-            enc_out: e.clone(),
+            enc_out: e.clone().into(),
             prompt: vec![SOS],
             max_len: 12,
             opts: DecodeOptions {
@@ -1451,7 +1605,7 @@ mod tests {
             ..Default::default()
         };
         let mk = |e: &Tensor| BatchRequest {
-            enc_out: e.clone(),
+            enc_out: e.clone().into(),
             prompt: vec![SOS],
             max_len: 20,
             opts: long,
@@ -1515,14 +1669,14 @@ mod tests {
         assert!(full.len() >= 10);
         let mut dec = BatchDecoder::new(&store, &params, &cfg, 2);
         let capped = dec.submit(BatchRequest {
-            enc_out: e.clone(),
+            enc_out: e.clone().into(),
             prompt: vec![SOS],
             max_len: 20,
             opts,
             submit: SubmitOptions::interactive().with_max_new_tokens(4),
         });
         let zero = dec.submit(BatchRequest {
-            enc_out: e,
+            enc_out: e.into(),
             prompt: vec![SOS],
             max_len: 20,
             opts,
@@ -1557,7 +1711,7 @@ mod tests {
             let reqs = encs
                 .iter()
                 .map(|e| BatchRequest {
-                    enc_out: e.clone(),
+                    enc_out: e.clone().into(),
                     prompt: vec![SOS],
                     max_len: 16,
                     opts,
@@ -1606,7 +1760,7 @@ mod tests {
             .iter()
             .zip(encs)
             .map(|(&opts, enc_out)| BatchRequest {
-                enc_out,
+                enc_out: enc_out.into(),
                 prompt: vec![SOS],
                 max_len: 14,
                 opts,
@@ -1630,7 +1784,7 @@ mod tests {
         let reference = reference_ids(&store, &params, &cfg, &e, &prompt, 15, opts);
         let mut dec = BatchDecoder::new(&store, &params, &cfg, 4);
         let out = dec.decode_all(vec![BatchRequest {
-            enc_out: e,
+            enc_out: e.into(),
             prompt: prompt.to_vec(),
             max_len: 15,
             opts,
@@ -1662,7 +1816,7 @@ mod tests {
             .iter()
             .map(|e| {
                 dec.submit(BatchRequest {
-                    enc_out: e.clone(),
+                    enc_out: e.clone().into(),
                     prompt: vec![SOS],
                     max_len: 12,
                     opts,
@@ -1685,14 +1839,14 @@ mod tests {
             ..Default::default()
         };
         let b0 = dec.submit(BatchRequest {
-            enc_out: encs[0].clone(),
+            enc_out: encs[0].clone().into(),
             prompt: vec![SOS],
             max_len: 12,
             opts: long,
             submit: SubmitOptions::bulk(),
         });
         let b1 = dec.submit(BatchRequest {
-            enc_out: encs[1].clone(),
+            enc_out: encs[1].clone().into(),
             prompt: vec![SOS],
             max_len: 12,
             opts: long,
@@ -1707,7 +1861,7 @@ mod tests {
         };
         let wide_ref = reference_ids(&store, &params, &cfg, &encs[2], &[SOS], 12, wide_opts);
         let wide = dec.submit(BatchRequest {
-            enc_out: encs[2].clone(),
+            enc_out: encs[2].clone().into(),
             prompt: vec![SOS],
             max_len: 12,
             opts: wide_opts,
@@ -1755,7 +1909,7 @@ mod tests {
         let e = enc(&store, &params, &cfg, 0);
         let mut dec = BatchDecoder::new(&store, &params, &cfg, 2);
         dec.submit(BatchRequest {
-            enc_out: e,
+            enc_out: e.into(),
             prompt: vec![SOS],
             max_len: 8,
             opts: DecodeOptions {
@@ -1796,7 +1950,7 @@ mod tests {
             .iter()
             .zip(encs)
             .map(|(&(beam, min_len), enc_out)| BatchRequest {
-                enc_out,
+                enc_out: enc_out.into(),
                 prompt: vec![SOS],
                 max_len: 14,
                 opts: DecodeOptions {
@@ -1821,7 +1975,7 @@ mod tests {
         let e = enc(&store, &params, &cfg, 0);
         let mut dec = BatchDecoder::new(&store, &params, &cfg, 2); // f32 weights
         dec.submit(BatchRequest {
-            enc_out: e,
+            enc_out: e.into(),
             prompt: vec![SOS],
             max_len: 8,
             opts: DecodeOptions {
@@ -1916,7 +2070,7 @@ mod tests {
             .iter()
             .enumerate()
             .map(|(i, e)| BatchRequest {
-                enc_out: e.clone(),
+                enc_out: e.clone().into(),
                 prompt: vec![SOS],
                 max_len: 12,
                 opts: DecodeOptions {
@@ -1951,7 +2105,7 @@ mod tests {
         let mut dec = BatchDecoder::new(&store, &params, &cfg, 1);
         dec.set_aging_steps(3);
         let running = dec.submit(BatchRequest {
-            enc_out: e.clone(),
+            enc_out: e.clone().into(),
             prompt: vec![SOS],
             max_len: 24,
             opts: long,
@@ -2024,7 +2178,7 @@ mod tests {
         let (cfg, store, params) = setup();
         let mut dec = BatchDecoder::new(&store, &params, &cfg, 1);
         let hold = dec.submit(BatchRequest {
-            enc_out: enc(&store, &params, &cfg, 0),
+            enc_out: enc(&store, &params, &cfg, 0).into(),
             prompt: vec![SOS],
             max_len: 18,
             opts: DecodeOptions {
@@ -2073,7 +2227,7 @@ mod tests {
         dec.set_aging_steps(6);
         let bulk = dec.submit(
             BatchRequest {
-                enc_out: eb,
+                enc_out: eb.into(),
                 prompt: vec![SOS],
                 max_len: 20,
                 opts,
@@ -2086,7 +2240,7 @@ mod tests {
         }
         assert_eq!(dec.evictions(), 0, "no protected group, no eviction yet");
         let inter = dec.submit(BatchRequest {
-            enc_out: enc(&store, &params, &cfg, 6),
+            enc_out: enc(&store, &params, &cfg, 6).into(),
             prompt: vec![SOS],
             max_len: 20,
             opts: DecodeOptions {
@@ -2129,7 +2283,7 @@ mod tests {
             ..Default::default()
         };
         let bulk_req = |e: &Tensor| BatchRequest {
-            enc_out: e.clone(),
+            enc_out: e.clone().into(),
             prompt: vec![SOS],
             max_len: 20,
             opts: long,
@@ -2144,7 +2298,7 @@ mod tests {
             ..Default::default()
         };
         let key = dec.submit(BatchRequest {
-            enc_out: encs[3].clone(),
+            enc_out: encs[3].clone().into(),
             prompt: vec![SOS],
             max_len: 8,
             opts: key_opts,
@@ -2196,7 +2350,7 @@ mod tests {
             ..Default::default()
         };
         let bulk_req = |e: &Tensor| BatchRequest {
-            enc_out: e.clone(),
+            enc_out: e.clone().into(),
             prompt: vec![SOS],
             max_len: 16,
             opts: long,
@@ -2249,7 +2403,7 @@ mod tests {
         let mut dec = BatchDecoder::new(&store, &params, &cfg, 2);
         dec.set_aging_steps(3);
         let bulk = dec.submit(BatchRequest {
-            enc_out: e.clone(),
+            enc_out: e.clone().into(),
             prompt: vec![SOS],
             max_len: 20,
             opts: long,
@@ -2257,7 +2411,7 @@ mod tests {
         });
         dec.step();
         dec.submit(BatchRequest {
-            enc_out: e.clone(),
+            enc_out: e.clone().into(),
             prompt: vec![SOS],
             max_len: 10,
             opts: DecodeOptions {
@@ -2284,5 +2438,104 @@ mod tests {
             reference_ids(&store, &params, &cfg, &e, &[SOS], 20, long)
         );
         assert_eq!(telemetry.preemptions, 0);
+    }
+    /// The model of the stage-0 tests: two encoder layers, so a Bulk
+    /// forward pauses between them.
+    fn two_layer_setup() -> (ModelConfig, ParamStore, TransformerParams) {
+        let (mut cfg, _, _) = setup();
+        cfg.n_enc_layers = 2;
+        let mut store = ParamStore::new();
+        let params = build_params(&cfg, &mut store, 13);
+        (cfg, store, params)
+    }
+
+    /// A greedy request over the ids `enc(.., seed)` encodes.
+    fn source(seed: usize, max_len: usize, priority: Priority) -> SourceRequest {
+        SourceRequest {
+            ids: vec![SOS, 6 + (seed % 5), 7 + (seed % 7), 9, EOS],
+            prompt: vec![SOS],
+            max_len,
+            opts: DecodeOptions::default(),
+            submit: SubmitOptions {
+                priority,
+                ..SubmitOptions::default()
+            },
+        }
+    }
+
+    /// Stage 0 runs inside the steps, in the policy's order: a Bulk
+    /// forward advances one layer per step, FIFO, beside the decode of the
+    /// groups already admitted; a keystroke's forward runs whole, first,
+    /// and holds the paused Bulk forward and the admitted Bulk group; every
+    /// request then decodes bitwise like its pre-encoded reference.
+    #[test]
+    fn stage_0_runs_in_steps_and_decodes_like_pre_encoded() {
+        let (cfg, store, params) = two_layer_setup();
+        let mut dec = BatchDecoder::new(&store, &params, &cfg, 4);
+        let b0 = dec.submit_source(source(0, 16, Priority::Bulk));
+        let b1 = dec.submit_source(source(1, 16, Priority::Bulk));
+        assert_eq!(dec.poll(b1), PollResult::Queued { position: 1 });
+        assert_eq!((dec.table.stats().lookups(), dec.encoder_layers()), (0, 0));
+        assert_eq!(dec.step(), 1, "b0's first layer, nothing to decode");
+        assert_eq!(dec.poll(b0), PollResult::Queued { position: 0 });
+        assert_eq!(dec.step(), 2, "b0's last layer, then its first token");
+        assert!(matches!(dec.poll(b0), PollResult::Decoding { .. }));
+        assert_eq!(dec.step(), 2, "b1's first layer beside b0's decode");
+        let before = dec.poll(b0);
+        let k = dec.submit_source(source(2, 16, Priority::Interactive));
+        assert_eq!(dec.step(), 3, "the keystroke's two layers and first token");
+        assert_eq!(dec.encoder_layers(), 5);
+        assert_eq!(dec.poll(b0), before, "held: b0 sat the step out");
+        assert!(matches!(dec.poll(b1), PollResult::Queued { .. }));
+        dec.run();
+        for (id, seed) in [(b0, 0), (b1, 1), (k, 2)] {
+            let e = enc(&store, &params, &cfg, seed);
+            let want = reference_ids(&store, &params, &cfg, &e, &[SOS], 16, Default::default());
+            assert_eq!(take(&mut dec, id), want, "request {id}");
+        }
+        assert_eq!(dec.table.stats().misses, 3);
+        assert_eq!(dec.pool_stats().pages_live, 0);
+    }
+
+    /// A stage-0 hit shares the retained encoder output: two keystrokes
+    /// over the same ids run one forward, and both queued requests hold the
+    /// table entry's buffer (`Arc::ptr_eq`), not copies of it.
+    #[test]
+    fn a_stage_0_hit_shares_the_table_buffer() {
+        let (cfg, store, params) = two_layer_setup();
+        let mut dec = BatchDecoder::new(&store, &params, &cfg, 1);
+        let mut long = BatchRequest::greedy(enc(&store, &params, &cfg, 4), 12);
+        long.opts.min_len = 12;
+        let busy = dec.submit(long);
+        let a = dec.submit_source(source(3, 12, Priority::Interactive));
+        let b = dec.submit_source(source(3, 12, Priority::Interactive));
+        dec.step();
+        let s = dec.table.stats();
+        assert_eq!((s.misses, s.hits, dec.encoder_layers()), (1, 1, 2));
+        let entry = dec.table.lookup(&source(3, 12, Priority::Interactive).ids);
+        let entry = entry.expect("retained");
+        assert!(Arc::ptr_eq(&dec.fresh[&a].enc_out, &entry));
+        assert!(Arc::ptr_eq(&dec.fresh[&b].enc_out, &entry));
+        dec.run();
+        let e = enc(&store, &params, &cfg, 3);
+        let want = reference_ids(&store, &params, &cfg, &e, &[SOS], 12, Default::default());
+        assert_eq!(take(&mut dec, a), want);
+        assert_eq!(take(&mut dec, b), want);
+        assert!(matches!(dec.poll(busy), PollResult::Done { .. }));
+    }
+
+    /// Cancelling a request in stage 0 drops its paused forward: it polls
+    /// `Cancelled` once, and nothing of it is left to step.
+    #[test]
+    fn cancel_in_stage_0_drops_the_forward() {
+        let (cfg, store, params) = two_layer_setup();
+        let mut dec = BatchDecoder::new(&store, &params, &cfg, 2);
+        let id = dec.submit_source(source(0, 16, Priority::Bulk));
+        assert_eq!(dec.step(), 1, "one layer, paused");
+        assert!(dec.cancel(id));
+        assert!(dec.encoding.is_empty(), "the run is dropped");
+        assert_eq!(dec.poll(id), PollResult::Cancelled);
+        assert_eq!((dec.pending(), dec.step()), (0, 0));
+        assert_eq!(dec.pool_stats().pages_live, 0);
     }
 }

@@ -426,6 +426,7 @@ mod tests {
     use crate::batch::{BatchDecoder, BatchRequest, SubmitOptions};
     use crate::infer::{decode_step_batch, BatchScratch, DecoderWeights, QuantDecoderWeights};
     use crate::paged::PagePool;
+    use crate::prefix::PrefixTable;
     use crate::train::{train, Example, TrainConfig};
     use crate::transformer::build_params;
     use std::borrow::Cow;
@@ -473,10 +474,11 @@ mod tests {
         let (cfg, store, params) = m;
         let weights = DecoderWeights::for_precision(store, params, opts.precision);
         let lanes = opts.beam.max(1);
-        let mut dec =
-            BatchDecoder::with_shared(store, params, cfg, lanes, Cow::Owned(weights), pool);
+        let weights = Cow::Owned(weights);
+        let table = PrefixTable::new();
+        let mut dec = BatchDecoder::with_shared(store, params, cfg, lanes, weights, pool, table);
         let req = BatchRequest {
-            enc_out: enc_out.clone(),
+            enc_out: enc_out.clone().into(),
             prompt: prompt.to_vec(),
             max_len,
             opts,
@@ -797,7 +799,7 @@ mod tests {
                 precision: Precision::Int8,
             };
             let req = || BatchRequest {
-                enc_out: enc_out.clone(),
+                enc_out: enc_out.clone().into(),
                 prompt: vec![SOS],
                 max_len: 10,
                 opts,

@@ -6,11 +6,20 @@
 //! whatever the fused kernels parallelize internally). The [`Engine`] scales
 //! out instead: each worker thread owns a private `BatchDecoder` scheduler
 //! — its own lanes and scheduler clock — while all workers draw pages from
-//! **one shared [`PagePool`]**. In front of them sits **one encoder table**
-//! ([`crate::prefix`]): [`encode`](Engine::encode) runs the encoder forward
-//! on the calling thread unless the same encoder ids were encoded
-//! recently, in which case it returns the retained output and skips the
-//! forward. The front-end routes requests to workers:
+//! **one shared [`PagePool`]** and consult **one encoder table**
+//! ([`crate::prefix`]).
+//!
+//! A request submitted by its encoder ids
+//! ([`submit_source`](Engine::submit_source)) travels as ids: the front-end
+//! only routes it, and the worker that pulls it runs its encoder forward as
+//! stage 0 of its scheduler's steps — a table hit completes the stage at
+//! once, an Interactive forward runs whole ahead of everything else on that
+//! worker, and a Bulk forward advances one layer per step, never while Bulk
+//! is held unless it aged (see [`BatchDecoder`]). A pre-encoded
+//! [`BatchRequest`] ([`submit`](Engine::submit)) is the same job with stage
+//! 0 already done. [`encode`](Engine::encode) runs a forward through the
+//! table on the calling thread, for callers that want the output itself.
+//! The front-end routes requests to workers:
 //!
 //! * **Priority-aware placement.** Interactive requests are placed into a
 //!   specific worker's inbox at submit time, so they start decoding on the
@@ -27,28 +36,29 @@
 //!   drains its interactive load first absorbs the backlog, so bulk
 //!   throughput tracks actual idle capacity rather than a static split.
 //! * **Interactive owns the fleet while it is in flight.** The state keeps
-//!   a count of Interactive requests in flight: [`submit`](Engine::submit)
-//!   of an Interactive request raises it, and so does an
-//!   [`InteractiveReservation`] a front-end takes before it runs the
-//!   request's encoder forward; the one resolution point every ticket goes
-//!   through (harvest, cancel, shutdown) lowers it. While it is non-zero,
-//!   every worker holds its unprotected bulk work — admitted groups keep
-//!   their lanes and pages but sit steps out, queued bulk is not admitted —
-//!   and a worker with nothing else parks, so the keystroke's encoder and
-//!   its batch-of-one decode get the cores. Aged (protected) bulk is
-//!   exempt: held steps count toward aging (see [`BatchDecoder`]), and a
-//!   parked worker is woken by the fleet's step clock when its held work
-//!   would age, so the aging bound still bounds starvation. The price is
-//!   that bulk pauses for the life of each keystroke.
+//!   a count of Interactive requests in flight: submitting an Interactive
+//!   request raises it, so the hold covers its stage 0, and the one
+//!   resolution point every ticket goes through (harvest, cancel, shutdown)
+//!   lowers it. While it is non-zero, every worker holds its unprotected
+//!   bulk work — admitted groups keep their lanes and pages but sit steps
+//!   out, queued bulk is neither admitted nor advanced a layer through its
+//!   forward — and a worker with nothing else parks, so the keystroke's
+//!   encoder forward and its batch-of-one decode get the cores. Aged
+//!   (protected) bulk is exempt: held steps count toward aging (see
+//!   [`BatchDecoder`]), and a parked worker is woken by the fleet's step
+//!   clock when its held work would age, so the aging bound still bounds
+//!   starvation. The price is that bulk pauses for the life of each
+//!   keystroke.
 //! * **Synchronous client API.** [`submit`](Engine::submit) /
 //!   [`poll`](Engine::poll) / [`cancel`](Engine::cancel) are ordinary
 //!   synchronous calls from any thread (the engine is `Sync`); workers run
 //!   autonomously and park on a condvar when idle.
 //! * **Caller-stepped mode.** [`Engine::stepped`] builds a one-worker
 //!   engine whose worker runs the same loop but only on a turn its caller
-//!   grants: each [`step`](Engine::step) is exactly one pull → decode step
-//!   → harvest turn, so the schedule is a pure function of the call
-//!   sequence (the step-precise `SuggestService` runs on it).
+//!   grants: each [`step`](Engine::step) is exactly one pull → scheduler
+//!   step (stage 0, then decode) → harvest turn, so the schedule is a pure
+//!   function of the call sequence (the step-precise `SuggestService` runs
+//!   on it).
 //!   [`drain`](Engine::drain) grants the turns itself, so nothing ever
 //!   waits for a turn nobody grants.
 //!
@@ -60,7 +70,8 @@
 //! (see [`decode_step_batch`](crate::decode_step_batch)), and lanes never
 //! read each other's state — each admission projects its own
 //! cross-attention K/V from its request's `enc_out`, and a retained encoder
-//! output is the very bits a forward of its ids returns — so neither
+//! output is the very bits a forward of its ids returns, however many
+//! pauses that forward took — so neither
 //! placement, stealing order, nor co-scheduled traffic can perturb a
 //! logit. What *does* vary with timing is scheduling telemetry (queue
 //! waits, preemptions) and which worker ran a stolen bulk request.
@@ -77,12 +88,12 @@
 //! reports — `Cancelled`, or `Done` if the race went the other way.
 
 use crate::batch::{
-    BatchDecoder, BatchRequest, PollResult, Priority, RequestId, RequestTelemetry,
-    DEFAULT_AGING_STEPS, DEFAULT_MAX_BATCH, PLACEMENT_LOG_CAP,
+    BatchDecoder, BatchRequest, PollResult, Priority, RequestId, RequestTelemetry, SourceRequest,
+    SubmitOptions, DEFAULT_AGING_STEPS, DEFAULT_MAX_BATCH, PLACEMENT_LOG_CAP,
 };
 use crate::config::ModelConfig;
-use crate::decode::encode_source;
-use crate::infer::{DecoderWeights, Precision};
+use crate::decode::{encode_source, DecodeOptions};
+use crate::infer::{check_encoder_ids, DecoderWeights, Precision};
 use crate::paged::{PagePool, PoolStats};
 use crate::policy::{self, Placement};
 use crate::prefix::{PrefixStats, PrefixTable};
@@ -216,10 +227,33 @@ impl fmt::Display for EngineTicket {
     }
 }
 
-/// A routed request awaiting a worker.
+/// A routed request awaiting a worker: its stage 0 still to run (its
+/// encoder ids), or done (a pre-encoded request).
 struct Job {
     ticket: EngineTicket,
-    req: BatchRequest,
+    req: Request,
+}
+
+enum Request {
+    Source(SourceRequest),
+    Encoded(BatchRequest),
+}
+
+impl Request {
+    fn fields(&self) -> (&DecodeOptions, &SubmitOptions) {
+        match self {
+            Request::Source(r) => (&r.opts, &r.submit),
+            Request::Encoded(r) => (&r.opts, &r.submit),
+        }
+    }
+
+    /// Hand the request to a worker's scheduler.
+    fn submit_to(self, dec: &mut BatchDecoder) -> RequestId {
+        match self {
+            Request::Source(r) => dec.submit_source(r),
+            Request::Encoded(r) => dec.submit(r),
+        }
+    }
 }
 
 /// A retired request's terminal state.
@@ -233,7 +267,7 @@ enum Resolution {
 }
 
 /// Mutable engine state behind one mutex. Workers hold it only for routing
-/// bookkeeping (pops, publishes) — never across a decode step.
+/// bookkeeping (pops, publishes) — never across a scheduler step.
 struct State {
     shutdown: bool,
     /// Interactive jobs placed per worker (deterministic front-end routing).
@@ -244,11 +278,12 @@ struct State {
     cancels: Vec<Vec<EngineTicket>>,
     /// Terminal states awaiting their one redeeming poll.
     results: HashMap<EngineTicket, Resolution>,
+    /// Tickets resolved so far (see [`Resolutions`]).
+    resolved: u64,
     /// Tickets submitted and not yet resolved, with their class.
     pending: HashMap<EngineTicket, Priority>,
-    /// Interactive requests in flight: pending Interactive tickets plus
-    /// outstanding [`InteractiveReservation`]s. While it is non-zero every
-    /// worker holds its unprotected bulk work (see module docs).
+    /// Pending Interactive tickets, stage 0 included. While it is non-zero
+    /// every worker holds its unprotected bulk work (see module docs).
     interactive: usize,
     /// Decode steps run fleet-wide — the clock a worker sitting out the
     /// hold credits its held work with (see [`BatchDecoder`] aging).
@@ -295,6 +330,7 @@ struct Turn {
 struct WorkerSched {
     preemptions: u64,
     prefilled_rows: u64,
+    encoder_layers: u64,
 }
 
 impl WorkerSched {
@@ -302,6 +338,7 @@ impl WorkerSched {
         WorkerSched {
             preemptions: dec.preemptions(),
             prefilled_rows: dec.prefilled_rows(),
+            encoder_layers: dec.encoder_layers(),
         }
     }
 }
@@ -314,6 +351,7 @@ impl State {
             backlog: Vec::new(),
             cancels: vec![Vec::new(); workers],
             results: HashMap::new(),
+            resolved: 0,
             pending: HashMap::new(),
             interactive: 0,
             fleet_steps: 0,
@@ -339,12 +377,10 @@ impl State {
         self.progress.remove(&ticket);
         self.owner.remove(&ticket);
         self.results.insert(ticket, resolution);
-        interactive && self.release_interactive()
-    }
-
-    /// Drop one Interactive request from the in-flight count; `true` when
-    /// the count reached zero.
-    fn release_interactive(&mut self) -> bool {
+        self.resolved += 1;
+        if !interactive {
+            return false;
+        }
         self.interactive -= 1;
         self.interactive == 0
     }
@@ -355,7 +391,8 @@ struct Shared {
     cfg: EngineConfig,
     /// The fleet-wide page pool every worker's lanes draw from.
     pool: PagePool,
-    /// The encoder table in front of [`Engine::encode`].
+    /// The encoder table every worker's stage 0 and [`Engine::encode`]
+    /// consult.
     prefix: PrefixTable,
     state: Mutex<State>,
     /// Workers park here when idle; submit/cancel/shutdown notify it.
@@ -431,8 +468,8 @@ impl Engine {
         }
     }
 
-    /// Queue a request, routing it by priority class (see module docs), and
-    /// return its ticket.
+    /// Queue a pre-encoded request (its stage 0 done), routing it by
+    /// priority class (see module docs), and return its ticket.
     ///
     /// # Panics
     ///
@@ -440,14 +477,35 @@ impl Engine {
     /// `max_batch`, its precision differs from the engine model's, or the
     /// engine has been shut down.
     pub fn submit(&self, req: BatchRequest) -> EngineTicket {
+        self.route(Request::Encoded(req))
+    }
+
+    /// Queue a request by its encoder ids, routing it by priority class;
+    /// the worker that pulls it runs its encoder forward as stage 0 (see
+    /// module docs). The caller does no model work here.
+    ///
+    /// # Panics
+    ///
+    /// As [`submit`](Self::submit), and if the ids fail the encoder's
+    /// guards (empty, longer than `max_enc_len`, or outside the
+    /// vocabulary).
+    pub fn submit_source(&self, req: SourceRequest) -> EngineTicket {
+        let m = &self.shared.model;
+        check_encoder_ids(&m.store, &m.params, &m.cfg, &req.ids);
+        self.route(Request::Source(req))
+    }
+
+    fn route(&self, req: Request) -> EngineTicket {
+        let (opts, submit) = req.fields();
+        let (beam, priority) = (opts.beam, submit.priority);
         assert!(
-            req.opts.beam >= 1 && req.opts.beam <= self.shared.cfg.max_batch,
+            beam >= 1 && beam <= self.shared.cfg.max_batch,
             "beam width {} outside the engine's 1..={} lanes per worker",
-            req.opts.beam,
+            beam,
             self.shared.cfg.max_batch
         );
         assert_eq!(
-            req.opts.precision,
+            opts.precision,
             self.shared.model.precision(),
             "request precision differs from the engine model's prepared weights"
         );
@@ -455,11 +513,11 @@ impl Engine {
         assert!(!st.shutdown, "engine is shut down");
         let ticket = EngineTicket(st.next_ticket);
         st.next_ticket += 1;
-        st.pending.insert(ticket, req.submit.priority);
-        match req.submit.priority {
+        st.pending.insert(ticket, priority);
+        match priority {
             Priority::Interactive => {
                 st.interactive += 1;
-                let w = st.placement.place(req.opts.beam);
+                let w = st.placement.place(beam);
                 if st.placements.len() == PLACEMENT_LOG_CAP {
                     st.placements.pop_front();
                 }
@@ -553,22 +611,11 @@ impl Engine {
         self.shared.state.lock().pending.len()
     }
 
-    /// Count an Interactive request as in flight before it is submitted,
-    /// so the fleet's bulk work is held while its front-end and encoder
-    /// forward run (a keystroke's encoder shares the cores with the
-    /// workers). The reservation ends when the returned guard drops;
-    /// submit the request before that, and its ticket carries the hold on.
-    pub fn reserve_interactive(&self) -> InteractiveReservation {
-        self.shared.state.lock().interactive += 1;
-        InteractiveReservation {
-            shared: Arc::clone(&self.shared),
-        }
-    }
-
-    /// Interactive requests in flight — pending Interactive tickets plus
-    /// outstanding reservations. While it is non-zero no unprotected bulk
-    /// group is admitted or stepped on any worker; it is 0 whenever every
-    /// Interactive ticket has resolved and no reservation is held.
+    /// Interactive requests in flight: pending Interactive tickets, from
+    /// submission (stage 0 included) to resolution. While it is non-zero
+    /// no unprotected bulk work is admitted, stepped or advanced a layer
+    /// through its forward on any worker; it is 0 whenever every
+    /// Interactive ticket has resolved.
     pub fn interactive_in_flight(&self) -> usize {
         self.shared.state.lock().interactive
     }
@@ -678,24 +725,41 @@ impl Engine {
         st.sched_stats.iter().map(|s| s.preemptions).sum()
     }
 
-    /// The encoder output for `ids` (`[ids.len(), d_model]`): a copy of
-    /// the one retained for the same ids, or on a miss the encoder forward
-    /// ([`encode_source`]) run **on the calling thread**, then retained.
-    /// Bitwise the same tensor either way (see [`crate::prefix`]).
+    /// A handle that waits for this engine's tickets to resolve, for a
+    /// thread that has no access to the engine itself.
+    pub fn resolutions(&self) -> Resolutions {
+        Resolutions {
+            shared: Arc::clone(&self.shared),
+        }
+    }
+
+    /// Encoder layers the workers' stage 0 has run, as of each worker's
+    /// latest step (see [`BatchDecoder::encoder_layers`]).
+    pub fn encoder_layers(&self) -> u64 {
+        let st = self.shared.state.lock();
+        st.sched_stats.iter().map(|s| s.encoder_layers).sum()
+    }
+
+    /// The encoder output for `ids` (`[ids.len(), d_model]`): the one
+    /// retained for the same ids (shared, not copied), or on a miss the
+    /// encoder forward ([`encode_source`]) run **on the calling thread**,
+    /// then retained. Bitwise the same tensor either way (see
+    /// [`crate::prefix`]).
     ///
     /// # Panics
     ///
     /// As [`encode_source`]: empty ids, too many, or one outside the
     /// vocabulary.
-    pub fn encode(&self, ids: &[usize]) -> Tensor {
+    pub fn encode(&self, ids: &[usize]) -> Arc<Tensor> {
         let m = &self.shared.model;
         let forward = |ids: &[usize]| encode_source(&m.store, &m.params, &m.cfg, ids);
         self.shared.prefix.encode(ids, forward)
     }
 
-    /// Telemetry of the encoder table (see [`PrefixStats`]): forwards
-    /// [`encode`](Engine::encode) skipped and ran, LRU evictions, plus the
-    /// prompt rows every worker's admissions prefilled.
+    /// Telemetry of the encoder table (see [`PrefixStats`]): forwards the
+    /// workers' stage 0 and [`encode`](Engine::encode) skipped and ran, LRU
+    /// evictions, plus the prompt rows every worker's admissions
+    /// prefilled.
     pub fn prefix_stats(&self) -> PrefixStats {
         let table = self.shared.prefix.stats();
         let st = self.shared.state.lock();
@@ -768,17 +832,34 @@ impl Engine {
     }
 }
 
-/// An Interactive request counted in flight ahead of its submission (see
-/// [`Engine::reserve_interactive`]); dropping it releases the count.
-pub struct InteractiveReservation {
+/// Waits for an engine's tickets to resolve (see [`Engine::resolutions`]):
+/// a daemon's connection thread paces its client's polls of a pending
+/// ticket with it.
+#[derive(Clone)]
+pub struct Resolutions {
     shared: Arc<Shared>,
 }
 
-impl Drop for InteractiveReservation {
-    fn drop(&mut self) {
-        let lifted = self.shared.state.lock().release_interactive();
-        if lifted {
-            self.shared.work.notify_all();
+impl Resolutions {
+    /// Tickets resolved so far (done or cancelled).
+    pub fn count(&self) -> u64 {
+        self.shared.state.lock().resolved
+    }
+
+    /// Block until more than `seen` tickets have resolved, or `timeout`
+    /// has passed.
+    pub fn wait_past(&self, seen: u64, timeout: Duration) {
+        let deadline = Instant::now() + timeout;
+        let mut st = self.shared.state.lock();
+        while st.resolved == seen {
+            if self
+                .shared
+                .progress
+                .wait_until(&mut st, deadline)
+                .timed_out()
+            {
+                return;
+            }
         }
     }
 }
@@ -806,8 +887,10 @@ impl Drop for Exit<'_> {
 }
 
 /// One worker: a private `BatchDecoder` scheduler over the fleet-shared
-/// pool, driven by a pull-step-harvest loop — on its own, or one turn per
-/// grant on a caller-stepped engine.
+/// pool and encoder table, driven by a pull-step-harvest loop — on its
+/// own, or one turn per grant on a caller-stepped engine. The state lock is
+/// held to pull and to publish, never during a step: stage 0 (the encoder
+/// layers) and decoding both run outside it.
 fn worker_loop(shared: &Shared, w: usize) {
     let _exit = Exit(shared);
     let model = &shared.model;
@@ -818,6 +901,7 @@ fn worker_loop(shared: &Shared, w: usize) {
         shared.cfg.max_batch,
         Cow::Borrowed(&model.weights),
         shared.pool.clone(),
+        shared.prefix.clone(),
     );
     dec.set_aging_steps(shared.cfg.aging_steps);
     dec.set_page_limit(shared.cfg.page_limit);
@@ -842,23 +926,22 @@ fn worker_loop(shared: &Shared, w: usize) {
                 apply_cancels(shared, &mut st, &mut dec, &mut live, w);
                 while let Some(job) = st.inbox[w].pop_front() {
                     st.owner.insert(job.ticket, w);
-                    let rid = dec.submit(job.req);
-                    live.push((job.ticket, rid));
+                    live.push((job.ticket, job.req.submit_to(&mut dec)));
                 }
                 // Steal bulk work while this worker plausibly has capacity
                 // (the local scheduler's admission handles exact lane fit,
-                // aging, and preemption). A caller-stepped worker is the
-                // only one: it takes the whole backlog, so its scheduler
-                // sees every request, as a bare `BatchDecoder` would.
+                // aging, and preemption; a request in stage 0 counts). A
+                // caller-stepped worker is the only one: it takes the whole
+                // backlog, so its scheduler sees every request, as a bare
+                // `BatchDecoder` would.
                 while st.turn.is_some() || dec.pending() < dec.max_batch() {
-                    let key = |j: &Job| (j.req.submit.deadline, j.ticket.0);
+                    let key = |j: &Job| (j.req.fields().1.deadline, j.ticket.0);
                     let Some(job) = policy::pop_backlog(&mut st.backlog, key) else {
                         break;
                     };
                     st.owner.insert(job.ticket, w);
                     st.bulk_steals += 1;
-                    let rid = dec.submit(job.req);
-                    live.push((job.ticket, rid));
+                    live.push((job.ticket, job.req.submit_to(&mut dec)));
                 }
                 if st.shutdown {
                     should_exit = true;
@@ -866,7 +949,8 @@ fn worker_loop(shared: &Shared, w: usize) {
                 }
                 // The Interactive hold is fleet-wide: with a keystroke in
                 // flight anywhere, this worker steps only protected work
-                // and otherwise parks, leaving the cores to the keystroke.
+                // (and runs only Interactive or aged stage 0) and otherwise
+                // parks, leaving the cores to the keystroke.
                 let held = st.interactive > 0;
                 dec.policy().set_fleet_hold(held);
                 if st.turn.is_some()
@@ -989,6 +1073,7 @@ fn apply_cancels(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::batch::SourceRequest;
     use crate::decode::{encode_source, DecodeOptions};
     use crate::prefix::PREFIX_CACHE_CAP;
     use crate::transformer::build_params;
@@ -997,10 +1082,12 @@ mod tests {
     use mpirical_tensor::Tensor;
 
     /// A random (untrained) multi-layer model — the engine's equivalence
-    /// properties hold for any weights.
+    /// properties hold for any weights. Two encoder layers, so a Bulk
+    /// forward pauses between them.
     fn setup() -> (ModelConfig, ParamStore, TransformerParams) {
         let mut cfg = ModelConfig::tiny();
         cfg.vocab_size = 24;
+        cfg.n_enc_layers = 2;
         cfg.n_dec_layers = 2;
         let mut store = ParamStore::new();
         let params = build_params(&cfg, &mut store, 13);
@@ -1029,7 +1116,7 @@ mod tests {
     ) -> Vec<usize> {
         let mut dec = BatchDecoder::with_precision(store, params, cfg, opts.beam, opts.precision);
         let req = BatchRequest {
-            enc_out: enc_out.clone(),
+            enc_out: enc_out.clone().into(),
             prompt: prompt.to_vec(),
             max_len,
             opts,
@@ -1420,9 +1507,22 @@ mod tests {
         assert_eq!(stats.pages_live, 0);
     }
 
+    /// A request over `src(seed)` submitted by its encoder ids.
+    /// (`enc(.., seed)` is the output of its forward.)
+    fn source(seed: usize, max_len: usize) -> SourceRequest {
+        SourceRequest {
+            ids: src(seed),
+            prompt: vec![SOS],
+            max_len,
+            opts: DecodeOptions::default(),
+            submit: SubmitOptions::default(),
+        }
+    }
+
     /// Every way an Interactive ticket can resolve releases its count —
-    /// harvest, a cancel from the inbox or mid-flight, and shutdown — and
-    /// a reservation counts exactly while it is held.
+    /// harvest, a cancel from the inbox or mid-flight, and shutdown — for
+    /// pre-encoded and id-submitted tickets alike, and Bulk is never
+    /// counted.
     #[test]
     fn interactive_count_is_released_on_every_resolution_path() {
         let (cfg, store, params) = setup();
@@ -1436,24 +1536,27 @@ mod tests {
                 ..EngineConfig::default()
             },
         );
-        let reservation = engine.reserve_interactive();
-        assert_eq!(engine.interactive_in_flight(), 1);
-        let bulk = engine.submit(BatchRequest::greedy(enc(&store, &params, &cfg, 0), 16).bulk());
-        assert_eq!(engine.interactive_in_flight(), 1, "bulk is not counted");
+        let mut bulk = source(0, 16);
+        bulk.submit = SubmitOptions::bulk();
+        let bulk = engine.submit_source(bulk);
+        assert_eq!(engine.interactive_in_flight(), 0, "bulk is not counted");
         let tickets: Vec<EngineTicket> = (0..4)
-            .map(|i| engine.submit(BatchRequest::greedy(enc(&store, &params, &cfg, i), 16)))
+            .map(|i| match i % 2 {
+                0 => engine.submit(BatchRequest::greedy(enc(&store, &params, &cfg, i), 16)),
+                _ => engine.submit_source(source(i, 16)),
+            })
             .collect();
         engine.cancel(tickets[0]);
         engine.cancel(tickets[3]);
-        drop(reservation);
         engine.drain();
         assert_eq!(engine.interactive_in_flight(), 0, "harvest and cancels");
         for t in tickets.into_iter().chain([bulk]) {
             assert!(!engine.poll(t).is_pending());
         }
-        // Shutdown with Interactive work still queued or decoding.
+        // Shutdown with Interactive work still queued, encoding or decoding.
         for i in 0..6 {
             engine.submit(BatchRequest::greedy(enc(&store, &params, &cfg, i), 16));
+            engine.submit_source(source(i, 16));
         }
         let mut engine = engine;
         engine.begin_shutdown();
@@ -1497,17 +1600,18 @@ mod tests {
         };
         let bulk = engine.submit(long(0).bulk());
         until_decoding(bulk);
-        // Held from here on, the bulk request can neither finish nor
-        // resume before the assertion below.
-        let reservation = engine.reserve_interactive();
-        let keystroke = engine.submit(long(1));
+        // Held from its submission on — its encoder forward on the worker
+        // included — the keystroke keeps the bulk request from finishing or
+        // resuming before the assertion below.
+        let mut keystroke = source(1, cfg.max_dec_len);
+        keystroke.opts.min_len = cfg.max_dec_len;
+        let keystroke = engine.submit_source(keystroke);
         until_decoding(keystroke);
         assert_eq!(
             engine.poll(bulk),
             PollResult::Queued { position: 0 },
             "the preempted bulk ticket waits, first in its worker's queue"
         );
-        drop(reservation);
         engine.drain();
         assert_eq!(engine.preemptions(), 1);
         assert_eq!(engine.shutdown().pages_live, 0);
@@ -1515,8 +1619,10 @@ mod tests {
 
     /// A caller-stepped engine is a `BatchDecoder` behind the engine's
     /// routing: fed the same submissions between the same steps, every
-    /// step advances the same hypotheses and every ticket polls the same
-    /// state — queue positions, partial ids, preemption and all.
+    /// step advances the same hypotheses and encoder layers and every
+    /// ticket polls the same state — queue positions, partial ids, stage
+    /// 0, preemption and all. Odd requests go by their encoder ids, so the
+    /// worker runs their forwards inside its turns.
     #[test]
     fn stepped_engine_replays_a_batch_decoder_step_for_step() {
         let (cfg, store, params) = setup();
@@ -1524,6 +1630,13 @@ mod tests {
             let mut req = BatchRequest::greedy(enc(&store, &params, &cfg, i), 20);
             req.opts.min_len = 4 + i;
             req
+        };
+        let by_ids = |r: BatchRequest, i: usize| SourceRequest {
+            ids: src(i),
+            prompt: r.prompt,
+            max_len: r.max_len,
+            opts: r.opts,
+            submit: r.submit,
         };
         let mut dec = BatchDecoder::new(&store, &params, &cfg, 2);
         let engine = Engine::stepped(
@@ -1536,12 +1649,18 @@ mod tests {
         let mut pairs: Vec<(RequestId, EngineTicket)> = Vec::new();
         for step in 0.. {
             let arrivals = match step {
-                0 => (0..3).map(|i| req(i).bulk()).collect(),
-                3 => vec![req(3), req(4).bulk()],
+                0 => (0..3).map(|i| (i, req(i).bulk())).collect(),
+                3 => vec![(3, req(3)), (4, req(4).bulk())],
                 _ => Vec::new(),
             };
-            for r in arrivals {
-                pairs.push((dec.submit(r.clone()), engine.submit(r)));
+            for (i, r) in arrivals {
+                pairs.push(match i % 2 {
+                    0 => (dec.submit(r.clone()), engine.submit(r)),
+                    _ => {
+                        let r = by_ids(r, i);
+                        (dec.submit_source(r.clone()), engine.submit_source(r))
+                    }
+                });
             }
             let advanced = dec.step();
             assert_eq!(engine.step(), advanced, "step {step}");
@@ -1554,7 +1673,71 @@ mod tests {
         }
         assert_eq!(engine.preemptions(), dec.preemptions());
         assert!(engine.preemptions() > 0, "the keystroke preempted bulk");
+        assert_eq!(engine.encoder_layers(), dec.encoder_layers());
+        assert_eq!(engine.encoder_layers(), 2 * 2, "two forwards of two layers");
         assert_eq!(engine.pending(), 0);
+        assert_eq!(engine.shutdown().pages_live, 0);
+    }
+
+    /// Stage 0 runs on the worker, inside the turns: nothing is looked up
+    /// or encoded before the first turn, a Bulk forward cancelled part-way
+    /// resolves `Cancelled`, and a shutdown with a forward paused, one not
+    /// started and a keystroke never pulled resolves each `Cancelled`,
+    /// with the count back at 0 and no live page.
+    #[test]
+    fn stage_0_cancels_and_shutdown_resolve_cancelled() {
+        let (cfg, store, params) = setup();
+        let engine = Engine::stepped(
+            model_over(&store, &params, &cfg),
+            EngineConfig {
+                max_batch: 2,
+                ..EngineConfig::default()
+            },
+        );
+        let bulk = |seed: usize| SourceRequest {
+            submit: SubmitOptions::bulk(),
+            ..source(seed, 16)
+        };
+        let a = engine.submit_source(bulk(0));
+        assert_eq!(engine.prefix_stats().lookups(), 0, "submit encodes nothing");
+        assert_eq!(engine.step(), 1, "one layer of a's forward");
+        assert!(engine.cancel(a));
+        assert_eq!(engine.step(), 0, "the turn applies the cancel");
+        assert_eq!(engine.poll(a), PollResult::Cancelled);
+        let paused = engine.submit_source(bulk(1));
+        let unstarted = engine.submit_source(bulk(2));
+        assert_eq!(engine.step(), 1, "one layer of the first forward");
+        let keystroke = engine.submit_source(source(3, 16));
+        assert_eq!(engine.interactive_in_flight(), 1, "counted before stage 0");
+        let mut engine = engine;
+        engine.begin_shutdown();
+        for h in engine.handles.drain(..) {
+            h.join().expect("worker exits cleanly");
+        }
+        for t in [paused, unstarted, keystroke] {
+            assert_eq!(engine.poll(t), PollResult::Cancelled, "{t}");
+        }
+        assert_eq!((engine.interactive_in_flight(), engine.pending()), (0, 0));
+        assert_eq!(engine.encoder_layers(), 2);
+        assert_eq!(engine.pool_stats().pages_live, 0);
+    }
+
+    /// A table hit shares the retained output: `Engine::encode` of the same
+    /// ids twice returns one buffer, the one a worker's stage 0 retained
+    /// for an id-submitted request over those ids.
+    #[test]
+    fn encoder_table_hits_share_one_buffer() {
+        let (cfg, store, params) = setup();
+        let engine = engine_over(&store, &params, &cfg, EngineConfig::with_workers(2));
+        let ticket = engine.submit_source(source(2, 8));
+        engine.drain();
+        assert!(matches!(engine.poll(ticket), PollResult::Done { .. }));
+        let (first, again) = (engine.encode(&src(2)), engine.encode(&src(2)));
+        assert!(Arc::ptr_eq(&first, &again), "a hit is an Arc bump");
+        assert_eq!(first.data, enc(&store, &params, &cfg, 2).data);
+        let s = engine.prefix_stats();
+        assert_eq!((s.misses, s.hits), (1, 2), "stage 0 ran the one forward");
+        assert_eq!(engine.encoder_layers(), 2);
         assert_eq!(engine.shutdown().pages_live, 0);
     }
 

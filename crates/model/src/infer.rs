@@ -223,7 +223,10 @@ impl Drop for DecoderCache {
 /// streams the weight matrix once per 8 rows instead of once per row,
 /// cutting cache-construction latency several-fold at serving model sizes
 /// (and accumulating in the same ascending-k order as `matmul`, so the
-/// projected K/V are unchanged).
+/// projected K/V are unchanged). Above a work threshold the rows are split
+/// into one contiguous block per core, the rule an [`EncoderRun`] uses: each
+/// row runs the same kernel whatever block it falls in, so the thread count
+/// moves latency only.
 fn project_per_head(
     x: &Tensor,
     w: &Tensor,
@@ -231,10 +234,14 @@ fn project_per_head(
     n_heads: usize,
     d_head: usize,
 ) -> Vec<Tensor> {
-    let t = x.shape[0];
+    let (t, d_in) = (x.shape[0], x.shape[1]);
     let d = w.shape[1];
     let mut full = vec![0.0f32; t * d];
-    batch_linear(&x.data, t, w, b, &mut full);
+    let part = rows_per_part(t, d_in * d);
+    par::for_each(
+        x.data.chunks(part * d_in).zip(full.chunks_mut(part * d)),
+        |(x, out)| batch_linear(x, x.len() / d_in, w, b, out),
+    );
     (0..n_heads)
         .map(|h| {
             let mut data = Vec::with_capacity(t * d_head);
@@ -1124,7 +1131,7 @@ fn add_rows(x: &mut [f32], y: &[f32]) {
     }
 }
 
-/// Query rows of one head that [`encode_source`] attends together: their
+/// Query rows of one head that an [`EncoderRun`] attends together: their
 /// attention weights form an `[ATTN_RB, T]` slab whose product with the
 /// head's values streams each value row once per slab, not once per row.
 const ATTN_RB: usize = 8;
@@ -1132,7 +1139,7 @@ const ATTN_RB: usize = 8;
 /// Every row-wise intermediate of one contiguous block of encoder rows
 /// (`[rows, d]`, `ff` `[rows, d_ff]`, `scores` the attention rows of up to
 /// [`ATTN_RB`] queries, `ctx_head` their context in one head), allocated
-/// once per forward and reused by every layer. [`encode_source`] gives each
+/// once per run and reused by every layer. An [`EncoderRun`] gives each
 /// thread one block, so threads share nothing they write.
 struct EncoderRows {
     normed: Vec<f32>,
@@ -1178,33 +1185,7 @@ fn scatter_heads(x: &[f32], row0: usize, t: usize, dh: usize, out: &mut [f32]) {
 
 /// Run the encoder once over `src_ids` and return its output activations
 /// (`[T, d_model]`) — the tape-free inference forward behind every decode
-/// entry point.
-///
-/// The `[T, d]` activation matrix moves through each projection in
-/// register-blocked [`batch_linear`] calls that read the weights in place
-/// from `store` (no per-request weight copy, no cached state), attention runs
-/// per head over head-major K/V, eight query rows at a time (their context
-/// is one register-blocked product of the weight slab and the head's
-/// values), and every intermediate lives in scratch allocated once per call
-/// and reused across layers. Above a work threshold the rows are split into
-/// one contiguous block per core: every stage but attention's read of all
-/// keys and values is row-wise, so the blocks meet only where K/V are
-/// gathered, twice per layer.
-///
-/// # Equivalence
-///
-/// The result is **bitwise identical** to [`transformer::encode`] in
-/// inference mode, which stays the training path and the independent oracle
-/// (`tests/encoder_props.rs`): every kernel accumulates in ascending `k` from
-/// `+0.0` with the bias added last (the context kernel adds the zero weights
-/// the tape's `matmul` skips, which leaves finite sums bitwise unchanged),
-/// attention scores are the same `dot` products, softmax is the same
-/// expression, GELU is the same function ([`gelu`], vectorised here by
-/// `gelu_row`), and LayerNorm sums sequentially (`ln_row_seq`) like the tape
-/// op. No row's arithmetic depends on which block it falls in, so
-/// the thread count moves latency only.
-///
-/// [`transformer::encode`]: crate::transformer::encode
+/// entry point: an [`EncoderRun`] stepped through every layer.
 ///
 /// # Panics
 ///
@@ -1216,6 +1197,25 @@ pub fn encode_source(
     cfg: &ModelConfig,
     src_ids: &[usize],
 ) -> Tensor {
+    let mut run = EncoderRun::new(store, params, cfg, src_ids);
+    while !run.is_done() {
+        run.step_layer();
+    }
+    run.finish()
+}
+
+/// Check encoder ids against the guards of the tape path: non-empty, at
+/// most `cfg.max_enc_len`, every id inside the embedding table.
+///
+/// # Panics
+///
+/// If any guard fails.
+pub(crate) fn check_encoder_ids(
+    store: &ParamStore,
+    params: &TransformerParams,
+    cfg: &ModelConfig,
+    src_ids: &[usize],
+) {
     assert!(!src_ids.is_empty(), "encoder input must be non-empty");
     assert!(
         src_ids.len() <= cfg.max_enc_len,
@@ -1223,44 +1223,137 @@ pub fn encode_source(
         src_ids.len(),
         cfg.max_enc_len
     );
-    let (t, d, dff) = (src_ids.len(), cfg.d_model, cfg.d_ff);
-    let dh = cfg.d_head();
-    let scale = 1.0 / (dh as f32).sqrt();
+    let vocab = store.value(params.tok_emb).shape[0];
+    if let Some(id) = src_ids.iter().find(|&&id| id >= vocab) {
+        panic!("embedding id {id} out of vocab {vocab}");
+    }
+}
 
-    // Embedding rows read in place, scaled, plus the sinusoidal position row.
-    let emb = store.value(params.tok_emb);
-    let vocab = emb.shape[0];
-    let emb_scale = (d as f32).sqrt();
-    let positions = positional_encoding(t, d);
-    let mut x = vec![0.0f32; t * d];
-    for ((&id, row), pos_row) in src_ids
-        .iter()
-        .zip(x.chunks_exact_mut(d))
-        .zip(positions.data.chunks_exact(d))
-    {
-        assert!(id < vocab, "embedding id {id} out of vocab {vocab}");
-        for ((o, &e), &p) in row
-            .iter_mut()
-            .zip(&emb.data[id * d..(id + 1) * d])
-            .zip(pos_row)
+/// One encoder forward that can pause after any layer: [`new`](Self::new)
+/// embeds the ids, each [`step_layer`](Self::step_layer) runs one encoder
+/// layer, and [`finish`](Self::finish) applies the final LayerNorm.
+/// [`encode_source`] is exactly that sequence, so a run stepped across
+/// any number of pauses returns the same bits; the scheduler uses the
+/// pauses to interleave a Bulk request's forward with other work (see
+/// [`BatchDecoder`](crate::batch::BatchDecoder)).
+///
+/// The `[T, d]` activation matrix moves through each projection in
+/// register-blocked [`batch_linear`] calls that read the weights in place
+/// from `store` (no per-request weight copy), attention runs per head over
+/// head-major K/V, eight query rows at a time (their context is one
+/// register-blocked product of the weight slab and the head's values), and
+/// every intermediate lives in scratch the run allocates once and reuses
+/// across layers. Above a work threshold the rows are split into one
+/// contiguous block per core: every stage but attention's read of all keys
+/// and values is row-wise, so the blocks meet only where K/V are gathered,
+/// twice per layer.
+///
+/// # Equivalence
+///
+/// The result is **bitwise identical** to [`transformer::encode`] in
+/// inference mode, which stays the training path and the independent oracle
+/// (`tests/encoder_props.rs`): every kernel accumulates in ascending `k` from
+/// `+0.0` with the bias added last (the context kernel adds the zero weights
+/// the tape's `matmul` skips, which leaves finite sums bitwise unchanged),
+/// attention scores are the same `dot` products, softmax is the same
+/// expression, GELU is the same function ([`gelu`], vectorised here by
+/// `gelu_row`), and LayerNorm sums sequentially (`ln_row_seq`) like the tape
+/// op. No row's arithmetic depends on which block it falls in, so the
+/// thread count moves latency only.
+///
+/// [`transformer::encode`]: crate::transformer::encode
+pub struct EncoderRun<'m> {
+    store: &'m ParamStore,
+    params: &'m TransformerParams,
+    cfg: &'m ModelConfig,
+    /// The `[T, d]` activation rows.
+    x: Vec<f32>,
+    /// Rows per block; the last block may be shorter.
+    block_rows: usize,
+    blocks: Vec<EncoderRows>,
+    /// Head-major K/V gathered from every block, `[h][T][d_head]`.
+    keys: Vec<f32>,
+    values: Vec<f32>,
+    /// Layers run so far.
+    layers_done: usize,
+}
+
+impl<'m> EncoderRun<'m> {
+    /// Embed `src_ids` (embedding rows read in place, scaled, plus the
+    /// sinusoidal position row) and allocate the run's scratch. No layer
+    /// runs yet.
+    ///
+    /// # Panics
+    ///
+    /// As [`encode_source`].
+    pub fn new(
+        store: &'m ParamStore,
+        params: &'m TransformerParams,
+        cfg: &'m ModelConfig,
+        src_ids: &[usize],
+    ) -> EncoderRun<'m> {
+        check_encoder_ids(store, params, cfg, src_ids);
+        let (t, d, dff) = (src_ids.len(), cfg.d_model, cfg.d_ff);
+        let emb = store.value(params.tok_emb);
+        let emb_scale = (d as f32).sqrt();
+        let positions = positional_encoding(t, d);
+        let mut x = vec![0.0f32; t * d];
+        for ((&id, row), pos_row) in src_ids
+            .iter()
+            .zip(x.chunks_exact_mut(d))
+            .zip(positions.data.chunks_exact(d))
         {
-            *o = e * emb_scale + p;
+            for ((o, &e), &p) in row
+                .iter_mut()
+                .zip(&emb.data[id * d..(id + 1) * d])
+                .zip(pos_row)
+            {
+                *o = e * emb_scale + p;
+            }
+        }
+        // One block of rows per thread; a row costs about this many
+        // multiply-adds per layer (four d×d projections, two d×d_ff,
+        // scores and context).
+        let block_rows = rows_per_part(t, 4 * d * d + 2 * d * dff + 2 * t * d);
+        let blocks = x
+            .chunks(block_rows * d)
+            .map(|rows| EncoderRows::new(rows.len() / d, t, cfg))
+            .collect();
+        EncoderRun {
+            store,
+            params,
+            cfg,
+            x,
+            block_rows,
+            blocks,
+            keys: vec![0.0; t * d],
+            values: vec![0.0; t * d],
+            layers_done: 0,
         }
     }
 
-    // One block of rows per thread; a row costs about this many multiply-adds
-    // per layer (four d×d projections, two d×d_ff, scores and context).
-    let block_rows = rows_per_part(t, 4 * d * d + 2 * d * dff + 2 * t * d);
-    let mut blocks: Vec<EncoderRows> = x
-        .chunks(block_rows * d)
-        .map(|rows| EncoderRows::new(rows.len() / d, t, cfg))
-        .collect();
-    let mut keys = vec![0.0f32; t * d];
-    let mut values = vec![0.0f32; t * d];
-    for layer in &params.enc_layers {
+    /// Whether every encoder layer has run.
+    pub fn is_done(&self) -> bool {
+        self.layers_done == self.params.enc_layers.len()
+    }
+
+    /// Run the next encoder layer.
+    ///
+    /// # Panics
+    ///
+    /// If every layer has already run.
+    pub fn step_layer(&mut self) {
+        assert!(!self.is_done(), "every encoder layer has run");
+        let layer = &self.params.enc_layers[self.layers_done];
+        let store = self.store;
+        let d = self.cfg.d_model;
+        let dh = self.cfg.d_head();
+        let t = self.x.len() / d;
+        let scale = 1.0 / (dh as f32).sqrt();
+        let block = self.block_rows * d;
         // Self-attention block (pre-LN residual): project this block's rows…
         let a = &layer.attn;
-        par::for_each(x.chunks_mut(block_rows * d).zip(&mut blocks), |(x, s)| {
+        par::for_each(self.x.chunks_mut(block).zip(&mut self.blocks), |(x, s)| {
             let rows = x.len() / d;
             ln_rows_seq(x, d, layer.ln1, store, &mut s.normed);
             batch_linear(
@@ -1285,18 +1378,19 @@ pub fn encode_source(
                 &mut s.v,
             );
         });
-        for (i, s) in blocks.iter().enumerate() {
-            scatter_heads(&s.k, i * block_rows, t, dh, &mut keys);
-            scatter_heads(&s.v, i * block_rows, t, dh, &mut values);
+        for (i, s) in self.blocks.iter().enumerate() {
+            scatter_heads(&s.k, i * self.block_rows, t, dh, &mut self.keys);
+            scatter_heads(&s.v, i * self.block_rows, t, dh, &mut self.values);
         }
         // …then attend bidirectionally, every query row over all `t` keys,
         // and finish the layer row-wise.
         let f = &layer.ff;
-        par::for_each(x.chunks_mut(block_rows * d).zip(&mut blocks), |(x, s)| {
+        let (all_keys, all_values) = (&self.keys, &self.values);
+        par::for_each(self.x.chunks_mut(block).zip(&mut self.blocks), |(x, s)| {
             let rows = x.len() / d;
             for head in 0..d / dh {
                 let head_rows = head * t * dh..(head + 1) * t * dh;
-                let (keys, values) = (&keys[head_rows.clone()], &values[head_rows]);
+                let (keys, values) = (&all_keys[head_rows.clone()], &all_values[head_rows]);
                 for i0 in (0..rows).step_by(ATTN_RB) {
                     let rb = ATTN_RB.min(rows - i0);
                     let scores = &mut s.scores[..rb * t];
@@ -1344,10 +1438,22 @@ pub fn encode_source(
             );
             add_rows(x, &s.proj);
         });
+        self.layers_done += 1;
     }
-    let mut out = vec![0.0f32; t * d];
-    ln_rows_seq(&x, d, params.enc_ln, store, &mut out);
-    Tensor::from_vec(&[t, d], out)
+
+    /// The encoder output `[T, d_model]`: the final LayerNorm over the
+    /// activation rows.
+    ///
+    /// # Panics
+    ///
+    /// If a layer has not run yet.
+    pub fn finish(self) -> Tensor {
+        assert!(self.is_done(), "finish before the last encoder layer");
+        let d = self.cfg.d_model;
+        let mut out = vec![0.0f32; self.x.len()];
+        ln_rows_seq(&self.x, d, self.params.enc_ln, self.store, &mut out);
+        Tensor::from_vec(&[self.x.len() / d, d], out)
+    }
 }
 
 #[cfg(test)]
@@ -1530,6 +1636,40 @@ mod tests {
             peak * 2 <= reservation,
             "paged peak {peak}B vs max_dec_len reservation {reservation}B"
         );
+    }
+
+    /// The admission-time cross-K/V projection splits its rows into one
+    /// block per core above the work threshold, the encoder's rule: at the
+    /// top level (two blocks on a 2-core host) and inside a section (one
+    /// thread) it is bitwise one `batch_linear` over every row, head by
+    /// head.
+    #[test]
+    fn cross_kv_projection_is_bitwise_at_any_thread_count() {
+        let mut cfg = ModelConfig::tiny();
+        cfg.vocab_size = 24;
+        (cfg.d_model, cfg.n_heads, cfg.d_ff) = (64, 4, 64);
+        let mut store = ParamStore::new();
+        let params = build_params(&cfg, &mut store, 9);
+        let ids: Vec<usize> = (0..37).map(|i| 3 + i % 20).collect();
+        let enc_out = encode_source(&store, &params, &cfg, &ids);
+        let (t, d, dh) = (ids.len(), cfg.d_model, cfg.d_head());
+        let ca = &params.dec_layers[0].cross_attn;
+        let (w, b) = (store.value(ca.wk), store.value(ca.bk));
+        let mut full = vec![0.0f32; t * d];
+        batch_linear(&enc_out.data, t, w, b, &mut full);
+        let project = || project_per_head(&enc_out, w, b, cfg.n_heads, dh);
+        let check = |heads: Vec<Tensor>| {
+            for (h, head) in heads.iter().enumerate() {
+                let want: Vec<u32> = full
+                    .chunks_exact(d)
+                    .flat_map(|row| row[h * dh..(h + 1) * dh].iter().map(|v| v.to_bits()))
+                    .collect();
+                let got: Vec<u32> = head.data.iter().map(|v| v.to_bits()).collect();
+                assert_eq!(got, want, "head {h}");
+            }
+        };
+        check(project());
+        par::for_each(0..2, |_| check(project()));
     }
 
     #[test]

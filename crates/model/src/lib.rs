@@ -53,16 +53,16 @@ pub mod transformer;
 pub mod vocab;
 
 pub use batch::{
-    BatchDecoder, BatchRequest, PollResult, Priority, RequestId, RequestTelemetry, SubmitOptions,
-    DEFAULT_AGING_STEPS, DEFAULT_MAX_BATCH,
+    BatchDecoder, BatchRequest, PollResult, Priority, RequestId, RequestTelemetry, SourceRequest,
+    SubmitOptions, DEFAULT_AGING_STEPS, DEFAULT_MAX_BATCH,
 };
 pub use bpe::Bpe;
 pub use config::ModelConfig;
 pub use decode::{replay_decode_with, DecodeOptions};
-pub use engine::{Engine, EngineConfig, EngineModel, EngineTicket, InteractiveReservation};
+pub use engine::{Engine, EngineConfig, EngineModel, EngineTicket, Resolutions};
 pub use infer::{
-    decode_step_batch, BatchScratch, DecoderCache, DecoderWeights, PackedDecoderWeights, Precision,
-    QuantDecoderWeights,
+    decode_step_batch, BatchScratch, DecoderCache, DecoderWeights, EncoderRun,
+    PackedDecoderWeights, Precision, QuantDecoderWeights,
 };
 pub use paged::{PagePool, PoolStats, PAGE_ROWS};
 pub use prefix::{PrefixStats, PREFIX_CACHE_CAP};

@@ -9,6 +9,14 @@
 //! cache or page, so every schedule is a pure function of the call
 //! sequence and its tests build no model.
 //!
+//! * **Stage 0** — a request submitted by its encoder ids starts as an
+//!   *encoding* record: queued, ranked and aged like any other, but not
+//!   admissible until its encoder forward is done. Each step runs every
+//!   Interactive forward to completion first, then at most one encoder
+//!   layer of the best-ranked Bulk forward — only while Bulk is not held,
+//!   unless the record has aged — so a keystroke waits behind at most one
+//!   Bulk layer, and held forwards age toward the same bound as held
+//!   decodes.
 //! * **Admission** — queued records admit by the rank
 //!   `(class, aged, deadline, ticket)`. A record whose total queue wait
 //!   reaches [`aging_steps`](crate::BatchDecoder::aging_steps) is promoted
@@ -114,6 +122,9 @@ struct Record {
     /// Immune to preemption and eviction, and exempt from the hold:
     /// interactive records always, bulk ones once aged.
     protected: bool,
+    /// In stage 0: the encoder forward is not done, so the record is
+    /// queued but not admissible.
+    encoding: bool,
     /// The clock when the record last entered the queue.
     enqueued: u64,
     /// Steps in a row sat out under the hold while holding lanes.
@@ -171,10 +182,49 @@ impl Policy {
             lanes,
             admitted: None,
             protected: false,
+            encoding: false,
             enqueued: self.clock,
             held: 0,
             telemetry: RequestTelemetry::default(),
         });
+    }
+
+    /// Queue a ticket whose encoder forward has yet to run (stage 0); it
+    /// waits and ages from now, and admits once [`encoded`](Self::encoded).
+    pub(crate) fn submit_encoding(
+        &mut self,
+        id: u64,
+        class: Priority,
+        lanes: usize,
+        deadline: Option<u64>,
+    ) {
+        self.submit(id, class, lanes, deadline);
+        self.records.last_mut().expect("just pushed").encoding = true;
+    }
+
+    /// Stage 0 of ticket `id` is done: it may admit from now on, keeping
+    /// the wait it accrued while encoding.
+    pub(crate) fn encoded(&mut self, id: u64) {
+        if let Some(r) = self.records.iter_mut().find(|r| r.id == id) {
+            r.encoding = false;
+        }
+    }
+
+    /// The next stage-0 work of a step, as `(ticket, whole)`: an
+    /// Interactive forward runs whole, before anything else; otherwise —
+    /// unless a Bulk layer already ran this step (`layer_run`) — one layer
+    /// of the best-ranked Bulk forward that is not held (the hold is off,
+    /// or the record aged past the bound). `None`: no more stage-0 work
+    /// this step.
+    pub(crate) fn next_forward(&self, layer_run: bool) -> Option<(u64, bool)> {
+        let held = self.bulk_held();
+        let interactive = |r: &Record| r.class == Priority::Interactive;
+        self.records
+            .iter()
+            .filter(|r| r.encoding)
+            .filter(|r| interactive(r) || (!layer_run && (!held || self.rank_of(r).0 == 0)))
+            .min_by_key(|r| (!interactive(r), self.rank_of(r)))
+            .map(|r| (r.id, interactive(r)))
     }
 
     /// Drop a finished or cancelled ticket's record, returning its
@@ -230,7 +280,7 @@ impl Policy {
     fn best_admissible(&self, pressure: bool) -> Option<usize> {
         let gated = pressure || self.bulk_held();
         (0..self.records.len())
-            .filter(|&i| self.records[i].admitted.is_none())
+            .filter(|&i| self.records[i].admitted.is_none() && !self.records[i].encoding)
             .map(|i| (self.rank_of(&self.records[i]), i))
             .filter(|(rank, _)| !gated || rank.0 == 0)
             .min()
@@ -346,13 +396,15 @@ impl Policy {
     }
 
     /// Whether a step under the hold would advance anything: a protected
-    /// record holds lanes, or an interactive-class record is queued.
+    /// record holds lanes, or an interactive-class record is queued or
+    /// encoding.
     pub(crate) fn has_unheld_work(&self) -> bool {
         self.running().any(|r| r.protected) || self.queued().any(|r| self.rank_of(r).0 == 0)
     }
 
-    /// Steps until the first held group or queued bulk record ages past
-    /// the bound and escapes the hold (`None`: nothing is held).
+    /// Steps until the first held group or queued (or encoding) bulk
+    /// record ages past the bound and escapes the hold (`None`: nothing is
+    /// held).
     pub(crate) fn steps_until_unheld(&self) -> Option<u64> {
         let held_groups = self.running().filter(|r| !r.protected).map(|r| r.held);
         let queued = self.queued().filter(|r| self.rank_of(r).0 != 0);
@@ -479,6 +531,71 @@ mod tests {
         );
     }
 
+    /// Stage 0 under the hold: a held Bulk forward does not advance; once
+    /// the record ages past the bound its layers run during the hold; an
+    /// Interactive forward is ordered before any queued Bulk layer, and an
+    /// encoding record never admits.
+    #[test]
+    fn held_bulk_forwards_wait_and_aged_ones_advance() {
+        let mut policy = Policy::new(2);
+        policy.aging_steps = 3;
+        policy.submit_encoding(0, Priority::Bulk, 1, None);
+        assert_eq!(policy.next_forward(false), Some((0, false)), "unheld");
+        policy.set_fleet_hold(true);
+        assert_eq!(policy.next_forward(false), None, "held Bulk stage 0 waits");
+        assert_eq!(
+            policy.admit_next(false),
+            None,
+            "an encoding record never admits"
+        );
+        assert!(!policy.has_unheld_work());
+        assert_eq!(policy.steps_until_unheld(), Some(3));
+        policy.sit_out(3);
+        assert!(policy.has_unheld_work(), "aged past the bound");
+        assert_eq!(
+            policy.next_forward(false),
+            Some((0, false)),
+            "aged: advances"
+        );
+        policy.submit_encoding(1, Priority::Interactive, 1, None);
+        assert_eq!(
+            policy.next_forward(false),
+            Some((1, true)),
+            "the keystroke's whole forward goes first"
+        );
+        policy.encoded(1);
+        assert_eq!(policy.admit_next(false), Some(1));
+        assert_eq!(policy.next_forward(false), Some((0, false)));
+        assert_eq!(policy.next_forward(true), None, "one Bulk layer per step");
+        policy.encoded(0);
+        assert_eq!(policy.next_forward(false), None);
+        assert_eq!(policy.admit_next(false), Some(0), "aged, so admitted held");
+        assert_eq!(policy.retire(0).unwrap().queue_wait_steps, 3);
+    }
+
+    /// A keystroke's wait behind Bulk stage-0 work is bounded by one layer:
+    /// with Bulk forwards pending and no hold, a step runs one Bulk layer at
+    /// most, and a keystroke arriving after it is the next forward to run,
+    /// whole, while every Bulk forward waits behind it.
+    #[test]
+    fn a_keystroke_waits_behind_at_most_one_bulk_layer() {
+        let mut policy = Policy::new(4);
+        for id in 0..3 {
+            policy.submit_encoding(id, Priority::Bulk, 1, Some(10 - id));
+        }
+        assert_eq!(policy.next_forward(false), Some((2, false)), "EDF order");
+        assert_eq!(policy.next_forward(true), None, "no second Bulk layer");
+        policy.submit_encoding(3, Priority::Interactive, 1, None);
+        assert_eq!(policy.next_forward(true), Some((3, true)));
+        assert_eq!(policy.next_forward(false), Some((3, true)));
+        policy.encoded(3);
+        assert!(policy.bulk_held(), "the keystroke is pending");
+        assert_eq!(policy.next_forward(false), None, "Bulk waits behind it");
+        assert_eq!(policy.admit_next(false), Some(3));
+        policy.retire(3);
+        assert_eq!(policy.next_forward(false), Some((2, false)));
+    }
+
     #[test]
     fn placement_balances_lanes_with_a_seed_rotated_tie_break() {
         for seed in 0..8 {
@@ -492,11 +609,13 @@ mod tests {
         }
     }
 
-    /// A test driver standing in for the decoder: every admitted ticket
-    /// needs `work[id]` steps, and each op below is one call sequence.
+    /// A test driver standing in for the decoder: every encoding ticket
+    /// needs `layers[id]` encoder layers, every admitted one `work[id]`
+    /// steps, and each op below is one call sequence.
     struct Driver {
         policy: Policy,
         work: HashMap<u64, u64>,
+        layers: HashMap<u64, u64>,
         next: u64,
     }
 
@@ -507,22 +626,71 @@ mod tests {
             Driver {
                 policy,
                 work: HashMap::new(),
+                layers: HashMap::new(),
                 next: 0,
             }
         }
 
+        /// Queue a ticket; `layers > 0` submits it by its encoder ids.
         fn submit(
             &mut self,
             class: Priority,
             lanes: usize,
             deadline: Option<u64>,
             len: u64,
+            layers: u64,
         ) -> u64 {
             let id = self.next;
             self.next += 1;
-            self.policy.submit(id, class, lanes, deadline);
+            if layers > 0 {
+                self.policy.submit_encoding(id, class, lanes, deadline);
+                self.layers.insert(id, layers);
+            } else {
+                self.policy.submit(id, class, lanes, deadline);
+            }
             self.work.insert(id, len);
             id
+        }
+
+        fn cancel(&mut self, id: u64) -> bool {
+            self.work.remove(&id);
+            self.layers.remove(&id);
+            self.policy.retire(id).is_some()
+        }
+
+        /// Stage 0 of one step, as the decoder runs it: every Interactive
+        /// forward whole, then one layer of one unheld (or aged) Bulk
+        /// forward at most, never while an Interactive forward waits.
+        /// Returns the layers run.
+        fn encode(&mut self) -> u64 {
+            let mut layer_run = false;
+            let mut layers = 0;
+            while let Some((id, whole)) = self.policy.next_forward(layer_run) {
+                let r = self.record(id);
+                assert!(r.encoding, "{id} is not encoding");
+                assert_eq!(whole, r.class == Priority::Interactive, "{id}");
+                if !whole {
+                    assert!(!layer_run, "a second Bulk layer in one step");
+                    let p = &self.policy;
+                    assert!(!p.bulk_held() || p.rank_of(r).0 == 0, "held layer of {id}");
+                    assert!(
+                        !p.records
+                            .iter()
+                            .any(|q| q.encoding && q.class == Priority::Interactive),
+                        "Bulk layer of {id} ahead of a keystroke's forward"
+                    );
+                }
+                let left = self.layers.get_mut(&id).expect("tracked");
+                let n = if whole { *left } else { 1 };
+                *left -= n;
+                layers += n;
+                layer_run |= !whole;
+                if *left == 0 {
+                    self.layers.remove(&id);
+                    self.policy.encoded(id);
+                }
+            }
+            layers
         }
 
         fn record(&self, id: u64) -> &Record {
@@ -553,9 +721,11 @@ mod tests {
             }
         }
 
-        /// One decoder step: admit, step whatever the policy lets step,
-        /// retire finished tickets. Returns the tickets admitted, in order.
+        /// One decoder step: stage 0, admit, step whatever the policy lets
+        /// step, retire finished tickets. Returns the tickets admitted, in
+        /// order.
         fn step(&mut self, pressure: bool) -> Vec<u64> {
+            let layers = self.encode();
             let mut admitted = Vec::new();
             loop {
                 let before = self.running();
@@ -574,10 +744,11 @@ mod tests {
                 // Admission order is rank order: nothing still queued and
                 // admissible outranks the record just admitted (same clock).
                 let r = self.record(id);
+                assert!(!r.encoding, "{id} admitted before its forward ran");
                 let aged = r.telemetry.queue_wait_steps >= p.aging_steps;
                 let admitted_rank = rank(r.class, aged, r.deadline, r.id);
                 let gated = pressure || p.bulk_held();
-                for q in p.queued() {
+                for q in p.queued().filter(|q| !q.encoding) {
                     let rank = p.rank_of(q);
                     if !gated || rank.0 == 0 {
                         assert!(rank > admitted_rank, "{} outranks admitted {id}", q.id);
@@ -590,6 +761,9 @@ mod tests {
                 .map(|r| r.id)
                 .collect();
             if stepping.is_empty() {
+                if layers > 0 {
+                    self.policy.end_step(held);
+                }
                 return admitted;
             }
             for id in stepping {
@@ -620,11 +794,13 @@ mod tests {
     proptest! {
         #![proptest_config(ProptestConfig::with_cases(64))]
 
-        /// Random integer schedules — submissions of any class, lane count
-        /// and deadline, cancels, page pressure, steps under an arbitrary
-        /// fleet hold and credited sit-outs: reserved lanes never exceed
-        /// `max_batch`, a protected ticket never loses its lanes, admission
-        /// follows the rank, and with the hold lifted everything drains.
+        /// Random integer schedules — submissions of any class, lane count,
+        /// deadline and stage 0 (pre-encoded, or 1–2 encoder layers),
+        /// cancels, page pressure, steps under an arbitrary fleet hold and
+        /// credited sit-outs: reserved lanes never exceed `max_batch`, a
+        /// protected ticket never loses its lanes, admission follows the
+        /// rank, stage 0 keeps its order (see `Driver::encode`), and with
+        /// the hold lifted everything drains.
         #[test]
         fn random_integer_schedules_keep_lanes_protection_and_rank(
             max_batch in 1usize..=4,
@@ -638,13 +814,12 @@ mod tests {
                         let class = if x & 1 == 0 { Priority::Interactive } else { Priority::Bulk };
                         let lanes = 1 + (x >> 1) as usize % max_batch;
                         let deadline = Some((x >> 3) % 4).filter(|&d| d > 0);
-                        d.submit(class, lanes, deadline, 1 + (x >> 5) % 6);
+                        d.submit(class, lanes, deadline, 1 + (x >> 5) % 6, (x >> 8) % 3);
                     }
                     5 => {
                         let id = x % (d.next + 2);
                         let live = d.policy.records.iter().any(|r| r.id == id);
-                        prop_assert_eq!(d.policy.retire(id).is_some(), live);
-                        d.work.remove(&id);
+                        prop_assert_eq!(d.cancel(id), live);
                     }
                     6 => d.evict(),
                     7 => d.policy.sit_out(x % 4),
@@ -665,27 +840,29 @@ mod tests {
         }
 
         /// Under a continuous Interactive stream (a fresh one-step
-        /// keystroke every step), bulk is held until it ages and every bulk
-        /// ticket is admitted within `aging_steps` plus the bulk work
-        /// submitted — a bound linear in `aging_steps`.
+        /// keystroke every step, with an encoder forward of its own), bulk
+        /// is held until it ages and every bulk ticket is admitted within
+        /// `aging_steps` plus the bulk work submitted — decode steps and
+        /// encoder layers — a bound linear in `aging_steps`.
         #[test]
         fn continuous_interactive_stream_admits_bulk_within_the_aging_bound(
             max_batch in 1usize..=4,
             aging_steps in 1u64..24,
-            bulk in proptest::collection::vec((0u64..1 << 16, 1u64..8), 1..6),
+            bulk in proptest::collection::vec((0u64..1 << 16, 1u64..8, 0u64..3), 1..6),
         ) {
             let mut d = Driver::new(max_batch, aging_steps);
             let mut bulk_ids: HashMap<u64, Option<u64>> = HashMap::new();
             let mut total = 0;
-            for &(x, len) in &bulk {
+            for &(x, len, layers) in &bulk {
                 let lanes = 1 + x as usize % max_batch;
-                let id = d.submit(Priority::Bulk, lanes, Some((x >> 3) % 4).filter(|&d| d > 0), len);
+                let deadline = Some((x >> 3) % 4).filter(|&d| d > 0);
+                let id = d.submit(Priority::Bulk, lanes, deadline, len, layers);
                 bulk_ids.insert(id, None);
-                total += len;
+                total += len + layers;
             }
             let bound = aging_steps + total + 1;
             while bulk_ids.values().any(Option::is_none) && d.policy.clock <= bound {
-                d.submit(Priority::Interactive, 1, None, 1);
+                d.submit(Priority::Interactive, 1, None, 1, 2);
                 let clock = d.policy.clock;
                 for id in d.step(false) {
                     if let Some(at) = bulk_ids.get_mut(&id) {

@@ -4,8 +4,9 @@
 //! An IDE keeps re-sending buffers the assistant has already seen, and a
 //! byte-identical buffer yields byte-identical encoder ids. The table sits
 //! in front of the encoder forward — by far the largest cost of a keystroke
-//! request — so a resubmit skips the forward and starts from a copy of the
-//! retained output. What a request shares stops there: admission always
+//! request — so a resubmit skips the forward and shares the retained
+//! output (an `Arc`: the table and every request over the same ids hold
+//! one buffer). What a request shares stops there: admission always
 //! projects its own cross-attention K/V from the output, so no projection
 //! outlives the lanes using it.
 //!
@@ -16,8 +17,10 @@
 //!   An entry holds its ids and one encoder output, and no pool pages, so
 //!   page pressure never looks at the table.
 //! * **Fleet-shared.** The handle is `Arc<Mutex<…>>`: the sharded
-//!   [`Engine`](crate::engine::Engine) keeps one table for every caller of
-//!   [`Engine::encode`](crate::engine::Engine::encode).
+//!   [`Engine`](crate::engine::Engine) keeps one table that every worker
+//!   consults when it runs a request's stage 0 (the encoder forward, see
+//!   [`BatchDecoder`](crate::batch::BatchDecoder)), and so does every caller
+//!   of [`Engine::encode`](crate::engine::Engine::encode).
 //!
 //! Outputs never depend on a hit: the encoder output is a pure function of
 //! the ids, and a hit returns the very bits a forward would.
@@ -68,7 +71,7 @@ impl PrefixStats {
 
 struct Entry {
     ids: Vec<usize>,
-    enc_out: Tensor,
+    enc_out: Arc<Tensor>,
     last_touch: u64,
 }
 
@@ -126,28 +129,33 @@ impl PrefixTable {
         self.inner.lock().entries.len()
     }
 
-    /// The encoder output for `ids`: a copy of the retained one, or on a
-    /// miss `forward(ids)`, which is then retained for the next lookup.
-    /// `forward` runs on the calling thread, outside the lock.
-    pub fn encode(&self, ids: &[usize], forward: impl FnOnce(&[usize]) -> Tensor) -> Tensor {
-        {
-            let mut inner = self.inner.lock();
-            let clock = inner.tick();
-            if let Some(entry) = inner.find(ids) {
-                entry.last_touch = clock;
-                let enc_out = entry.enc_out.clone();
-                inner.stats.hits += 1;
-                return enc_out;
-            }
-            inner.stats.misses += 1;
-        }
-        let enc_out = forward(ids);
+    /// The retained encoder output for `ids`, counted as a hit, or `None`,
+    /// counted as a miss: the caller runs the forward and hands the output
+    /// to [`retain`](Self::retain). A hit refreshes the entry and shares
+    /// its buffer (an `Arc` bump, no copy).
+    pub fn lookup(&self, ids: &[usize]) -> Option<Arc<Tensor>> {
         let mut inner = self.inner.lock();
         let clock = inner.tick();
-        // Another caller may have stored the same ids since our miss.
+        let Some(entry) = inner.find(ids) else {
+            inner.stats.misses += 1;
+            return None;
+        };
+        entry.last_touch = clock;
+        let enc_out = Arc::clone(&entry.enc_out);
+        inner.stats.hits += 1;
+        Some(enc_out)
+    }
+
+    /// Retain the output a forward of `ids` returned, dropping the coldest
+    /// entry at the cap, and return the buffer the table now holds for
+    /// `ids`: `enc_out` itself, or the entry another caller stored since
+    /// this caller's miss (the same bits).
+    pub fn retain(&self, ids: &[usize], enc_out: Arc<Tensor>) -> Arc<Tensor> {
+        let mut inner = self.inner.lock();
+        let clock = inner.tick();
         if let Some(entry) = inner.find(ids) {
             entry.last_touch = clock;
-            return enc_out;
+            return Arc::clone(&entry.enc_out);
         }
         if inner.entries.len() >= PREFIX_CACHE_CAP {
             let coldest = (0..inner.entries.len())
@@ -158,10 +166,20 @@ impl PrefixTable {
         }
         inner.entries.push(Entry {
             ids: ids.to_vec(),
-            enc_out: enc_out.clone(),
+            enc_out: Arc::clone(&enc_out),
             last_touch: clock,
         });
         enc_out
+    }
+
+    /// The encoder output for `ids`: the retained one on a hit, or on a
+    /// miss `forward(ids)` — run on the calling thread, outside the lock —
+    /// which is then retained for the next lookup.
+    pub fn encode(&self, ids: &[usize], forward: impl FnOnce(&[usize]) -> Tensor) -> Arc<Tensor> {
+        match self.lookup(ids) {
+            Some(enc_out) => enc_out,
+            None => self.retain(ids, Arc::new(forward(ids))),
+        }
     }
 }
 
@@ -191,7 +209,7 @@ mod tests {
         let table = PrefixTable::new();
         let first = table.encode(&src(0), &forward);
         let again = table.encode(&src(0), &forward);
-        assert_eq!((first.shape, first.data), (again.shape, again.data));
+        assert_eq!((&first.shape, &first.data), (&again.shape, &again.data));
         let s = table.stats();
         assert_eq!((s.hits, s.misses), (1, 1));
         assert_eq!(s.misses, forwards.get(), "misses count the forwards run");
@@ -214,7 +232,29 @@ mod tests {
             last_touch: _,
         } = &inner.entries[0];
         assert_eq!(ids, &src(3));
-        assert_eq!(enc_out.data, out.data);
+        assert!(
+            Arc::ptr_eq(enc_out, &out),
+            "the entry is the returned buffer"
+        );
+    }
+
+    /// A hit shares the retained buffer instead of copying it, and a
+    /// forward retained after another caller stored the same ids yields
+    /// to the stored entry, so every holder of those ids shares one buffer.
+    #[test]
+    fn a_hit_shares_the_retained_buffer() {
+        let forwards = Cell::new(0);
+        let forward = counted(&forwards);
+        let table = PrefixTable::new();
+        let first = table.encode(&src(1), &forward);
+        let hit = table.lookup(&src(1)).expect("retained");
+        assert!(Arc::ptr_eq(&first, &hit), "a hit is an Arc bump");
+        assert!(table.lookup(&src(2)).is_none(), "a miss");
+        let raced = Arc::new(forward(&src(1)));
+        let kept = table.retain(&src(1), raced);
+        assert!(Arc::ptr_eq(&kept, &first), "the stored entry wins");
+        let s = table.stats();
+        assert_eq!((s.hits, s.misses, table.len()), (1, 2, 1));
     }
 
     #[test]

@@ -22,6 +22,25 @@
 //! budget check (below), which is what produces typed
 //! [`Response::Busy`] sheds instead of unbounded queueing.
 //!
+//! The service thread runs no model work. A `Submit` costs the buffer's
+//! front-end — tolerant parse, X-SBT, tokenize, ≈ 0.2 ms — and hands its
+//! encoder ids to the engine; the encoder forward and the decode run on
+//! the engine's workers (see [`SuggestService::submit_with`]). A command
+//! queued behind a `Submit` therefore waits for a front-end, not for an
+//! encoder forward. Polls assemble suggestions from decoded ids, and a
+//! verifying artifact's closed loop still runs here.
+//!
+//! # Pending polls
+//!
+//! A `Poll` of a ticket that is still queued or decoding is answered after
+//! the engine's next resolution (any ticket's) or [`POLL_PACE`], whichever
+//! comes first: the connection's handler thread waits on the engine's
+//! [`Resolutions`] and then asks the service thread again. A client that
+//! polls in a loop without sleeping thus costs the daemon one round trip
+//! per resolution or per millisecond instead of spinning the handler and
+//! service threads against the engine workers, and a ticket that resolves
+//! during the wait is reported at once. The service thread never waits.
+//!
 //! # Admission budget
 //!
 //! The budget counts **unredeemed tickets** — submitted and not yet
@@ -59,6 +78,7 @@
 
 use crate::framing::{read_frame, write_frame, FrameError};
 use crate::protocol::{Request, Response, ServerCounters, ServerStats, TelemetryAggregate};
+use mpirical::model::Resolutions;
 use mpirical::{
     MpiRical, PoolStats, PrefixStats, RequestId, SubmitOptions, SuggestPoll, SuggestService,
 };
@@ -74,6 +94,10 @@ use std::time::Duration;
 /// Depth of the handler → service command channel. Transport backpressure
 /// only — admission control is the budget check on the service thread.
 const COMMAND_DEPTH: usize = 64;
+
+/// Longest a `Poll` of a pending ticket waits for a resolution before it is
+/// answered (see module docs).
+pub const POLL_PACE: Duration = Duration::from_millis(1);
 
 /// Daemon configuration.
 #[derive(Debug, Clone)]
@@ -170,6 +194,7 @@ impl Server {
         let (cmd_tx, cmd_rx) = sync_channel::<Command>(COMMAND_DEPTH);
 
         let service = SuggestService::sharded(&assistant, cfg.workers.max(1));
+        let resolutions = service.resolutions();
         {
             let counters = Arc::clone(&counters);
             let drained = Arc::clone(&drained);
@@ -181,7 +206,7 @@ impl Server {
             let stop = Arc::clone(&stop);
             let counters = Arc::clone(&counters);
             let cmd_tx = cmd_tx.clone();
-            std::thread::spawn(move || accept_loop(listener, cmd_tx, stop, counters))
+            std::thread::spawn(move || accept_loop(listener, cmd_tx, resolutions, stop, counters))
         };
 
         Ok(Server {
@@ -243,6 +268,7 @@ impl Drop for Server {
 fn accept_loop(
     listener: TcpListener,
     cmd: SyncSender<Command>,
+    resolutions: Resolutions,
     stop: Arc<AtomicBool>,
     counters: Arc<Counters>,
 ) {
@@ -258,8 +284,9 @@ fn accept_loop(
                 // socket that refuses the option still works, only slower.
                 let _ = stream.set_nodelay(true);
                 let cmd = cmd.clone();
+                let resolutions = resolutions.clone();
                 let counters = Arc::clone(&counters);
-                std::thread::spawn(move || handle_connection(stream, cmd, counters));
+                std::thread::spawn(move || handle_connection(stream, cmd, resolutions, counters));
             }
             Err(_) => {
                 if stop.load(Ordering::SeqCst) {
@@ -270,9 +297,25 @@ fn accept_loop(
     }
 }
 
+/// Send one command to the service thread and wait for its reply; `None`
+/// once the service thread is gone.
+fn ask(
+    cmd: &SyncSender<Command>,
+    command: impl FnOnce(Sender<Response>) -> Command,
+) -> Option<Response> {
+    let (reply_tx, reply_rx) = channel();
+    cmd.send(command(reply_tx)).ok()?;
+    reply_rx.recv().ok()
+}
+
 /// One connection's request/response loop. Every exit path returns —
 /// terminating exactly this connection, never the daemon.
-fn handle_connection(mut stream: TcpStream, cmd: SyncSender<Command>, counters: Arc<Counters>) {
+fn handle_connection(
+    mut stream: TcpStream,
+    cmd: SyncSender<Command>,
+    resolutions: Resolutions,
+    counters: Arc<Counters>,
+) {
     loop {
         let payload = match read_frame(&mut stream) {
             Ok(p) => p,
@@ -295,28 +338,32 @@ fn handle_connection(mut stream: TcpStream, cmd: SyncSender<Command>, counters: 
             }
         };
         counters.frames.fetch_add(1, Ordering::Relaxed);
-        let (reply_tx, reply_rx) = channel();
-        let command = match request {
-            Request::Submit { source, options } => Command::Submit {
+        let seen = resolutions.count();
+        let response = match request {
+            Request::Submit { source, options } => ask(&cmd, |reply| Command::Submit {
                 source,
                 options,
-                reply: reply_tx,
-            },
-            Request::Poll { id } => Command::Poll {
-                id,
-                reply: reply_tx,
-            },
-            Request::Cancel { id } => Command::Cancel {
-                id,
-                reply: reply_tx,
-            },
-            Request::Stats => Command::Stats { reply: reply_tx },
-            Request::Drain => Command::Drain { reply: reply_tx },
+                reply,
+            }),
+            Request::Poll { id } => ask(&cmd, |reply| Command::Poll { id, reply }).and_then(|r| {
+                let Response::Poll { state } = &r else {
+                    return Some(r);
+                };
+                if !matches!(
+                    state,
+                    SuggestPoll::Queued { .. } | SuggestPoll::Decoding { .. }
+                ) {
+                    return Some(r);
+                }
+                resolutions.wait_past(seen, POLL_PACE);
+                ask(&cmd, |reply| Command::Poll { id, reply })
+            }),
+            Request::Cancel { id } => ask(&cmd, |reply| Command::Cancel { id, reply }),
+            Request::Stats => ask(&cmd, |reply| Command::Stats { reply }),
+            Request::Drain => ask(&cmd, |reply| Command::Drain { reply }),
         };
-        if cmd.send(command).is_err() {
-            return; // service thread is gone; nothing left to serve
-        }
-        let Ok(response) = reply_rx.recv() else {
+        // `None`: the service thread is gone; nothing left to serve.
+        let Some(response) = response else {
             return;
         };
         let json = serde_json::to_string(&response)

@@ -31,7 +31,9 @@ pub enum Request {
     },
     /// Report a ticket's lifecycle state. Answered with
     /// [`Response::Poll`]; `Done`/`Cancelled` redeem once, exactly as
-    /// in-process.
+    /// in-process. A still-pending ticket is answered after the engine's
+    /// next resolution or [`POLL_PACE`](crate::daemon::POLL_PACE),
+    /// whichever comes first.
     Poll {
         /// The raw ticket from [`Response::Submitted`].
         id: u64,

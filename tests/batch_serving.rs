@@ -301,7 +301,7 @@ fn one_shot_predictions_match_the_single_request_reference() {
                         BatchDecoder::with_precision(&m.store, &m.params, &m.cfg, beam, precision);
                     let ranked = dec
                         .decode_all_hypotheses(vec![BatchRequest {
-                            enc_out,
+                            enc_out: enc_out.into(),
                             prompt: vec![SOS],
                             max_len: m.cfg.max_dec_len,
                             opts: assistant.decode,

@@ -12,6 +12,11 @@
 //! LayerNorm parameters are randomized — `build_params` leaves them at 0/1,
 //! which would hide a misplaced bias add or a swapped gain.
 //!
+//! The scheduler runs the same forward as an [`EncoderRun`] paused after
+//! any layer, several runs interleaved on one thread; a second property
+//! steps two to four runs layer by layer in a random interleaving and pins
+//! each to `encode_source` and to the tape.
+//!
 //! The forward splits its rows into one block per thread above a work
 //! threshold; the suite forces three blocks (`MPIRICAL_LANE_PAR`) so uneven
 //! partitions run at every shape on any host, and lengths 1 and 2 still
@@ -22,7 +27,7 @@
 
 use mpirical_model::decode::encode_source;
 use mpirical_model::transformer::{build_params, encode, ForwardMode, TransformerParams};
-use mpirical_model::ModelConfig;
+use mpirical_model::{EncoderRun, ModelConfig};
 use mpirical_tensor::{ParamStore, Tape, Tensor};
 use proptest::prelude::*;
 
@@ -115,6 +120,65 @@ proptest! {
             &tape_encode(&store, &params, &cfg, &ids),
             &format!("{len} ids, {n_heads} heads, d_ff {d_ff}, {n_enc_layers} layers"),
         );
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(48))]
+
+    /// Runs paused after any layer and resumed in any order interleave
+    /// without touching each other: two to four runs over different ids of
+    /// one model, stepped one layer at a time in a random order, each finish
+    /// bitwise as `encode_source` and the tape.
+    #[test]
+    fn interleaved_runs_are_each_bitwise_the_forward(
+        n_heads in 1usize..=3,
+        d_head in 1usize..=9,
+        d_ff in 1usize..=29,
+        n_enc_layers in 1usize..=3,
+        runs in proptest::collection::vec(
+            (1usize..=24, proptest::collection::vec(0usize..10_000, 24)),
+            2..5,
+        ),
+        order in proptest::collection::vec(0usize..4, 0..16),
+        vocab_size in 2usize..30,
+        seed in 0u64..1_000_000,
+    ) {
+        force_row_blocks();
+        let cfg = ModelConfig {
+            vocab_size,
+            d_model: n_heads * d_head,
+            n_heads,
+            d_ff,
+            n_enc_layers,
+            n_dec_layers: 1,
+            max_enc_len: 24,
+            max_dec_len: 4,
+            dropout: 0.0,
+        };
+        let (store, params) = random_model(&cfg, seed);
+        let ids: Vec<Vec<usize>> = runs
+            .iter()
+            .map(|(len, picks)| picks[..*len].iter().map(|p| p % vocab_size).collect())
+            .collect();
+        let mut live: Vec<EncoderRun> = ids
+            .iter()
+            .map(|ids| EncoderRun::new(&store, &params, &cfg, ids))
+            .collect();
+        // The random order first, then every run to its end in turn.
+        let n = live.len();
+        let rest = (0..n).flat_map(|k| std::iter::repeat_n(k, n_enc_layers));
+        for k in order.iter().map(|&k| k % n).chain(rest) {
+            if !live[k].is_done() {
+                live[k].step_layer();
+            }
+        }
+        for (run, ids) in live.into_iter().zip(&ids) {
+            let what = format!("{} ids, {n_heads} heads, {n_enc_layers} layers", ids.len());
+            let out = run.finish();
+            assert_bitwise(&out, &encode_source(&store, &params, &cfg, ids), &what);
+            assert_bitwise(&out, &tape_encode(&store, &params, &cfg, ids), &what);
+        }
     }
 }
 

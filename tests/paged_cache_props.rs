@@ -73,7 +73,7 @@ fn alone(
     let mut dec =
         BatchDecoder::with_precision(&fx.store, &fx.params, &fx.cfg, opts.beam, opts.precision);
     dec.decode_all(vec![BatchRequest {
-        enc_out: enc_out.clone(),
+        enc_out: enc_out.clone().into(),
         prompt: prompt.to_vec(),
         max_len,
         opts,
@@ -295,7 +295,7 @@ proptest! {
                 for (i, s) in specs.iter().enumerate() {
                     if s.join == t {
                         tickets[i] = Some(dec.submit(BatchRequest {
-                            enc_out: encs[s.src].clone(),
+                            enc_out: encs[s.src].clone().into(),
                             prompt: s.prompt.clone(),
                             max_len: s.max_len,
                             opts: opts_at(s),

@@ -6,20 +6,23 @@
 //!
 //! 1. **Worker-count invariance** — random request schedules (prompt
 //!    lengths, beams 1–4, priority classes, token caps, late joins,
-//!    cancellations) run through engines with 1, 2, and 4 workers, in f32
-//!    AND int8. Every request that completes must be **bitwise identical**
-//!    to the same request decoded alone in a fresh `BatchDecoder` — the
-//!    same oracle `tests/serving_props.rs` uses — which transitively
-//!    pins every pair of worker counts to each other. The suite forces the
-//!    intra-step lane parallelism on (`MPIRICAL_LANE_PAR`), so the
+//!    cancellations, pre-encoded or submitted by encoder ids so the worker
+//!    runs the two-layer forward as stage 0) run through engines with 1, 2,
+//!    and 4 workers, in f32 AND int8. Every request that completes must be
+//!    **bitwise identical** to the same request decoded alone in a fresh
+//!    `BatchDecoder` — the same oracle `tests/serving_props.rs` uses —
+//!    which transitively pins every pair of worker counts to each other.
+//!    The suite forces the intra-step lane parallelism on
+//!    (`MPIRICAL_LANE_PAR`), so the
 //!    threaded per-lane attention path is exercised even at these tiny
 //!    shapes. After drain + shutdown, **every worker's pool reports zero
 //!    live pages**.
 //! 2. **Seeded determinism** — the same engine seed, worker count, and
 //!    interactive submission sequence reproduce the exact same
 //!    telemetry-visible placement (`Engine::placements`), twice.
-//! 3. **Concurrency hammer** — 8 client threads submit/cancel/poll against
-//!    one 4-worker engine; every completion is still bitwise pinned to the
+//! 3. **Concurrency hammer** — 8 client threads submit (pre-encoded or by
+//!    ids)/cancel/poll against one 4-worker engine, so stage 0 and its
+//!    table race too; every completion is still bitwise pinned to the
 //!    reference and no page leaks. Iterations elevate via `HAMMER_ITERS`
 //!    (the CI stress job raises it; tier-1 keeps it small).
 //! 4. **Priority-aware eviction** — under a soft page limit, bulk groups
@@ -45,7 +48,7 @@ use mpirical_model::transformer::{build_params, TransformerParams};
 use mpirical_model::vocab::{EOS, SOS};
 use mpirical_model::{
     BatchDecoder, BatchRequest, DecodeOptions, Engine, EngineConfig, EngineModel, EngineTicket,
-    ModelConfig, PollResult, Precision, SubmitOptions,
+    ModelConfig, PollResult, Precision, SourceRequest, SubmitOptions,
 };
 use mpirical_tensor::{ParamStore, Tensor};
 use proptest::prelude::*;
@@ -78,7 +81,7 @@ fn alone(
 ) -> Vec<usize> {
     let mut dec = BatchDecoder::with_precision(store, params, cfg, opts.beam, opts.precision);
     dec.decode_all(vec![BatchRequest {
-        enc_out: enc_out.clone(),
+        enc_out: enc_out.clone().into(),
         prompt: prompt.to_vec(),
         max_len,
         opts,
@@ -101,6 +104,7 @@ fn fixture() -> &'static Fixture {
         std::env::set_var("MPIRICAL_LANE_PAR", "2");
         let mut cfg = ModelConfig::tiny();
         cfg.vocab_size = 24;
+        cfg.n_enc_layers = 2;
         cfg.n_dec_layers = 2;
         let mut store = ParamStore::new();
         let params = build_params(&cfg, &mut store, 47);
@@ -135,6 +139,8 @@ struct Spec {
     join: usize,
     cancel_at: Option<usize>,
     src: usize,
+    /// Submitted by its encoder ids rather than pre-encoded.
+    by_ids: bool,
 }
 
 impl Spec {
@@ -153,7 +159,7 @@ impl Spec {
         };
         submit.max_new_tokens = self.max_new;
         BatchRequest {
-            enc_out: enc.clone(),
+            enc_out: enc.clone().into(),
             prompt: self.prompt.clone(),
             max_len: self.max_len,
             opts: DecodeOptions {
@@ -162,6 +168,21 @@ impl Spec {
             },
             submit,
         }
+    }
+
+    /// Submit this request to `engine`, by its ids when `by_ids`.
+    fn submit(&self, engine: &Engine, enc: &Tensor, precision: Precision) -> EngineTicket {
+        let req = self.request(enc, precision);
+        if !self.by_ids {
+            return engine.submit(req);
+        }
+        engine.submit_source(SourceRequest {
+            ids: src_ids(self.src),
+            prompt: req.prompt,
+            max_len: req.max_len,
+            opts: req.opts,
+            submit: req.submit,
+        })
     }
 
     fn reference(
@@ -217,7 +238,7 @@ fn run_engine_schedule(
     for wave in 0..=last_wave {
         for (i, s) in specs.iter().enumerate() {
             if s.join == wave {
-                tickets[i] = Some(engine.submit(s.request(&encs[s.src], precision)));
+                tickets[i] = Some(s.submit(&engine, &encs[s.src], precision));
             }
             if s.cancel_at == Some(wave) {
                 // Aim the cancel wherever the engine put the request by
@@ -269,7 +290,7 @@ proptest! {
             (
                 (proptest::collection::vec(6usize..24, 0..4), 2usize..24),
                 ((0usize..4, 1usize..5), (any::<bool>(), maybe(0..10))),
-                ((0usize..4, maybe(0..4)), 0usize..3),
+                ((0usize..4, maybe(0..4)), (0usize..3, any::<bool>())),
             ),
             1..7,
         ),
@@ -277,7 +298,7 @@ proptest! {
         let (cfg, store, params, encs, f32_model, int8_model) = fixture();
         let specs: Vec<Spec> = specs
             .into_iter()
-            .map(|((extra, max_len), ((min_len, beam), (bulk, max_new)), ((join, cancel_at), src))| {
+            .map(|((extra, max_len), ((min_len, beam), (bulk, max_new)), ((join, cancel_at), (src, by_ids)))| {
                 Spec {
                     prompt: std::iter::once(SOS).chain(extra).collect(),
                     max_len,
@@ -287,6 +308,7 @@ proptest! {
                     join,
                     cancel_at,
                     src,
+                    by_ids,
                 }
             })
             .collect();
@@ -426,7 +448,17 @@ fn hammer_concurrent_clients_are_race_free() {
                     if (client + i) % 2 == 0 {
                         req = req.bulk();
                     }
-                    let ticket = engine.submit(req);
+                    let ticket = if client % 2 == 0 {
+                        engine.submit(req)
+                    } else {
+                        engine.submit_source(SourceRequest {
+                            ids: src_ids(src),
+                            prompt: req.prompt,
+                            max_len: req.max_len,
+                            opts: req.opts,
+                            submit: req.submit,
+                        })
+                    };
                     let try_cancel = (client * 7 + i) % 3 == 0;
                     if try_cancel {
                         engine.cancel(ticket);
@@ -488,7 +520,7 @@ fn eviction_prefers_bulk_and_replays_bitwise() {
     let bulk_ids: Vec<_> = (0..3)
         .map(|i| {
             dec.submit(BatchRequest {
-                enc_out: encs[i % encs.len()].clone(),
+                enc_out: encs[i % encs.len()].clone().into(),
                 prompt: vec![SOS],
                 max_len: 20,
                 opts: long,
@@ -506,7 +538,7 @@ fn eviction_prefers_bulk_and_replays_bitwise() {
     let interactive_ids: Vec<_> = (0..2)
         .map(|i| {
             dec.submit(BatchRequest {
-                enc_out: encs[i].clone(),
+                enc_out: encs[i].clone().into(),
                 prompt: vec![SOS],
                 max_len: 20,
                 opts: long,
@@ -573,21 +605,21 @@ fn earlier_deadlines_rank_first_within_a_class() {
     let running = dec.submit(BatchRequest::greedy(encs[0].clone(), 18));
     dec.step();
     let late = dec.submit(BatchRequest {
-        enc_out: encs[0].clone(),
+        enc_out: encs[0].clone().into(),
         prompt: vec![SOS],
         max_len: 8,
         opts: DecodeOptions::default(),
         submit: submit_with(Some(7)),
     });
     let early = dec.submit(BatchRequest {
-        enc_out: encs[1].clone(),
+        enc_out: encs[1].clone().into(),
         prompt: vec![SOS],
         max_len: 8,
         opts: DecodeOptions::default(),
         submit: submit_with(Some(3)),
     });
     let never = dec.submit(BatchRequest {
-        enc_out: encs[2].clone(),
+        enc_out: encs[2].clone().into(),
         prompt: vec![SOS],
         max_len: 8,
         opts: DecodeOptions::default(),
@@ -619,7 +651,7 @@ fn aged_bulk_outranks_fresh_earliest_deadline() {
     // Hold the single lane long enough that nothing below gets admitted
     // (interactive work never preempts interactive work).
     let running = dec.submit(BatchRequest {
-        enc_out: encs[0].clone(),
+        enc_out: encs[0].clone().into(),
         prompt: vec![SOS],
         max_len: 18,
         opts: DecodeOptions {
@@ -630,7 +662,7 @@ fn aged_bulk_outranks_fresh_earliest_deadline() {
     });
     dec.step();
     let bulk = dec.submit(BatchRequest {
-        enc_out: encs[1].clone(),
+        enc_out: encs[1].clone().into(),
         prompt: vec![SOS],
         max_len: 6,
         opts: DecodeOptions::default(),
@@ -645,7 +677,7 @@ fn aged_bulk_outranks_fresh_earliest_deadline() {
     let mut submit = SubmitOptions::interactive();
     submit.deadline = Some(0);
     let urgent = dec.submit(BatchRequest {
-        enc_out: encs[2].clone(),
+        enc_out: encs[2].clone().into(),
         prompt: vec![SOS],
         max_len: 6,
         opts: DecodeOptions::default(),
@@ -687,7 +719,7 @@ proptest! {
         let mut dec = BatchDecoder::new(store, params, cfg, 1);
         dec.set_aging_steps(aging);
         let bulk = dec.submit(BatchRequest {
-            enc_out: encs[0].clone(),
+            enc_out: encs[0].clone().into(),
             prompt: vec![SOS],
             max_len: 8,
             opts: DecodeOptions::default(),
@@ -702,7 +734,7 @@ proptest! {
             let mut submit = SubmitOptions::interactive();
             submit.deadline = Some(next_deadline);
             dec.submit(BatchRequest {
-                enc_out: encs[1].clone(),
+                enc_out: encs[1].clone().into(),
                 prompt: vec![SOS],
                 max_len: len.max(2),
                 opts: DecodeOptions {

@@ -261,7 +261,7 @@ fn quant_scheduler_and_layouts_agree_on_random_artifacts() {
     let (cfg, store, params, enc_out) = artifact_full(128, 512, 1024, 21);
     let qw = DecoderWeights::Int8(QuantDecoderWeights::new(&store, &params));
     let req = |beam: usize| BatchRequest {
-        enc_out: enc_out.clone(),
+        enc_out: enc_out.clone().into(),
         prompt: vec![SOS],
         max_len: 24,
         opts: DecodeOptions {

@@ -24,9 +24,11 @@ use mpirical::corpus::{generate_dataset, CorpusConfig};
 use mpirical::cparse::ParseHealth;
 use mpirical::model::{DecodeOptions, ModelConfig, Precision};
 use mpirical::{MpiRical, MpiRicalConfig, SubmitOptions, SuggestPoll, SuggestService, Suggestion};
+use mpirical_server::daemon::POLL_PACE;
 use mpirical_server::{write_frame, Client, Server, ServerConfig, Submitted};
 use std::net::TcpStream;
 use std::sync::{Arc, OnceLock};
+use std::time::{Duration, Instant};
 
 /// Train once for the whole suite (training dominates wall-clock); tests
 /// clone the artifact (weights shared through `Arc`s inside the model).
@@ -466,5 +468,42 @@ fn smoke_sixteen_concurrent_clients_stats_and_drain() {
 
     let pool = client.drain().expect("drain");
     assert_eq!(pool.pages_live, 0, "smoke drained to zero leaked pages");
+    server.shutdown();
+}
+
+/// A client polling a pending ticket in a loop without sleeping is paced
+/// by the daemon: with nothing else resolving, every poll of the pending
+/// ticket waits out `POLL_PACE` (only the ticket's own resolution can end
+/// one wait early), so a 50 ms loop makes at most 51 polls; the ticket
+/// still resolves to the reference payload.
+#[test]
+fn busy_polling_a_pending_ticket_is_paced() {
+    let mut assistant = tiny_assistant();
+    assistant.decode.min_len = 200; // decodes long past the loop
+    let want = reference_payloads(&assistant, &BUFFERS[..1]);
+    let server = start(assistant, 8, 1);
+    let mut client = Client::connect(server.addr()).expect("connect");
+    let id = expect_ticket(client.submit(BUFFERS[0]).expect("submit"));
+    let window = Duration::from_millis(50);
+    let started = Instant::now();
+    let (mut polls, mut state) = (0u128, None);
+    while started.elapsed() < window {
+        polls += 1;
+        match client.poll(id).expect("poll") {
+            SuggestPoll::Queued { .. } | SuggestPoll::Decoding { .. } => {}
+            done => {
+                state = Some(done);
+                break;
+            }
+        }
+    }
+    let bound = window.as_millis() / POLL_PACE.as_millis() + 1;
+    assert!(
+        polls <= bound,
+        "{polls} polls in {window:?} (at most {bound})"
+    );
+    let state = state.unwrap_or_else(|| client.wait(id).expect("wait"));
+    assert_eq!(expect_done(state), want[0]);
+    assert_eq!(client.drain().expect("drain").pages_live, 0);
     server.shutdown();
 }

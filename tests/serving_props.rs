@@ -54,7 +54,7 @@ fn alone(
 ) -> Vec<usize> {
     let mut dec = BatchDecoder::with_precision(store, params, cfg, opts.beam, opts.precision);
     dec.decode_all(vec![BatchRequest {
-        enc_out: enc_out.clone(),
+        enc_out: enc_out.clone().into(),
         prompt: prompt.to_vec(),
         max_len,
         opts,
@@ -114,7 +114,7 @@ impl Spec {
         };
         submit.max_new_tokens = self.max_new;
         BatchRequest {
-            enc_out: enc.clone(),
+            enc_out: enc.clone().into(),
             prompt: self.prompt.clone(),
             max_len: self.max_len,
             opts: DecodeOptions {
@@ -329,7 +329,7 @@ proptest! {
             .map(|(i, &min_len)| {
                 let opts = DecodeOptions { beam: 1, min_len, ..Default::default() };
                 let id = dec.submit(BatchRequest {
-                    enc_out: encs[i % encs.len()].clone(),
+                    enc_out: encs[i % encs.len()].clone().into(),
                     prompt: vec![SOS],
                     max_len: 24,
                     opts,
