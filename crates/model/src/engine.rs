@@ -49,6 +49,12 @@
 //!   clock when its held work would age, so the aging bound still bounds
 //!   starvation. The price is that bulk pauses for the life of each
 //!   keystroke.
+//! * **A stepping worker occupies its core.** Each step holds a
+//!   [`par::occupy`] guard, so the step's data-parallel sections thread
+//!   only onto cores no other worker is stepping on: a fleet that fills
+//!   the cores steps serially instead of spawning onto busy ones. A step
+//!   whose scheduler holds an Interactive ticket counts every core as
+//!   free; the hold parks the other workers at their next step boundary.
 //! * **Synchronous client API.** [`submit`](Engine::submit) /
 //!   [`poll`](Engine::poll) / [`cancel`](Engine::cancel) are ordinary
 //!   synchronous calls from any thread (the engine is `Sync`); workers run
@@ -99,7 +105,7 @@ use crate::policy::{self, Placement};
 use crate::prefix::{PrefixStats, PrefixTable};
 use crate::transformer::TransformerParams;
 use crate::Seq2SeqModel;
-use mpirical_tensor::{ParamStore, Tensor};
+use mpirical_tensor::{par, ParamStore, Tensor};
 use parking_lot::{Condvar, Mutex, MutexGuard};
 use std::borrow::Cow;
 use std::collections::{HashMap, VecDeque};
@@ -972,7 +978,11 @@ fn worker_loop(shared: &Shared, w: usize) {
         if should_exit {
             break;
         }
-        let advanced = dec.step();
+        // See "A stepping worker occupies its core" in the module docs.
+        let advanced = {
+            let _core = par::occupy(dec.policy().holds_interactive());
+            dec.step()
+        };
         // Harvest outside the lock, publish under it.
         let mut resolved: Vec<(EngineTicket, Resolution)> = Vec::new();
         let mut progress: Vec<(EngineTicket, PollResult)> = Vec::new();

@@ -262,11 +262,14 @@ impl Policy {
     /// The Interactive hold: an Interactive ticket is pending here, or
     /// one is in flight elsewhere in the fleet.
     pub(crate) fn bulk_held(&self) -> bool {
-        self.fleet_hold
-            || self
-                .records
-                .iter()
-                .any(|r| r.class == Priority::Interactive)
+        self.fleet_hold || self.holds_interactive()
+    }
+
+    /// An Interactive ticket is pending here.
+    pub(crate) fn holds_interactive(&self) -> bool {
+        self.records
+            .iter()
+            .any(|r| r.class == Priority::Interactive)
     }
 
     /// Hold bulk work for Interactive work in flight on other schedulers

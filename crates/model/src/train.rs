@@ -2,11 +2,11 @@
 //! batch sharding through [`par::for_each`].
 //!
 //! One optimizer step processes `batch_size` examples. The batch is split
-//! into `threads` shards; each shard is replayed on its own thread, on a
-//! private [`Tape`] against the shared read-only [`ParamStore`], producing a
-//! [`Grads`]. The shards are the only level of parallelism: the `matmul`
-//! kernels a shard calls run inside its region, so they stay serial and the
-//! process runs one thread per shard. Shard gradients are merged in a fixed
+//! into `threads` shards; each shard is replayed on a private [`Tape`]
+//! against the shared read-only [`ParamStore`], producing a [`Grads`], and
+//! the shards run on the free cores, at most one thread per shard. The
+//! shards are the only level of parallelism: the `matmul` kernels a shard
+//! calls run inside its region, so they stay serial. Shard gradients are merged in a fixed
 //! order (shard 0, 1, …) so training is bit-reproducible for a given
 //! `(seed, threads)` pair.
 

@@ -3,12 +3,13 @@
 //! The `matmul` kernel uses the cache-friendly i-k-j loop order (row-major A
 //! and B), which lets LLVM vectorize the inner j-loop. Above
 //! `par::MATMUL_MIN_WORK` multiply-adds the output-row range is split
-//! into one slice per core and run through [`par::for_each`]: each thread
-//! owns a disjoint slice of the output, so there is no synchronization on
-//! the hot path (the pattern the HPC guides recommend: partition output,
+//! into one slice per core and run through [`par::for_each`] on the free
+//! cores: each slice is a disjoint part of the output, so there is no
+//! synchronization on the hot path (the pattern the HPC guides recommend: partition output,
 //! share read-only inputs). `matmul_bt` (`A·Bᵀ`) and `matmul_at` (`Aᵀ·B`)
 //! use the same row-partition scheme. Every output element is accumulated
-//! by one thread in the serial order, so the partition never changes a bit.
+//! by one thread in the serial order, so neither the partition nor the
+//! thread count changes a bit.
 //! Called inside another parallel section (a training shard), a kernel runs
 //! serially: one level of threads per process.
 //!
