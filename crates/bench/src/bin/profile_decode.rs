@@ -6,7 +6,7 @@ use mpirical_model::{
     decode_step_batch, BatchScratch, DecoderCache, DecoderWeights, ModelConfig, Precision,
 };
 use mpirical_tensor::{
-    batch_matmul, batch_matmul_packed, vecmat, vecmat_bt, vecmat_q, PackedMat, ParamStore,
+    batch_matmul_packed, batch_matmul_slice, vecmat, vecmat_bt, vecmat_q, PackedMat, ParamStore,
     QuantMat, Tensor,
 };
 use std::time::Instant;
@@ -67,8 +67,8 @@ fn main() {
             vecmat(&v64, &w_out, &mut out512)
         }
     });
-    time("batch_matmul 8x256x2048", 1000, || {
-        batch_matmul(&x8, 8, &w_out, &mut bout)
+    time("batch_matmul_slice 8x256x2048 (row-major)", 1000, || {
+        batch_matmul_slice(&x8, 8, &w_out.data, 2048, &mut bout)
     });
     let pw_out = PackedMat::pack(&w_out);
     time("batch_matmul_packed 8x256x2048", 1000, || {
@@ -81,8 +81,9 @@ fn main() {
         vecmat_q(&v64, &qm_out, &mut out512)
     });
     time("vecmat 256x256", 20000, || vecmat(&v64, &w_sq, &mut out64));
-    time("batch_matmul 8x256x256", 4000, || {
-        batch_matmul(&x8, 8, &w_sq, &mut bout64)
+    let pw_sq = PackedMat::pack(&w_sq);
+    time("batch_matmul_packed 8x256x256", 4000, || {
+        batch_matmul_packed(&x8, 8, &pw_sq, &mut bout64)
     });
     time("vecmat_bt q64 @ [48,64]", 20000, || {
         vecmat_bt(&q16, &kmat, &mut out128)

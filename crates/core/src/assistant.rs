@@ -188,9 +188,10 @@ pub struct MpiRical {
     #[serde(default)]
     pub decode: DecodeOptions,
     /// Cached [`EngineModel`] bundle every [`Engine`] over this artifact
-    /// runs on, with its decoder weights packed or quantized **once per
-    /// artifact**: eagerly at [`load`](Self::load)/[`train`](Self::train)
-    /// when `decode.precision == Int8`, on the first decode otherwise.
+    /// runs on: the store's own packed weights at `F32`, decoder weights
+    /// quantized **once per artifact** at `Int8` — eagerly at
+    /// [`load`](Self::load)/[`train`](Self::train) when
+    /// `decode.precision == Int8`, on the first decode otherwise.
     /// Rebuilt if `decode.precision` changes, so a re-configured artifact
     /// never serves stale-precision weights. Not serialized (always
     /// re-derived from the f32 weights); clones share the cache through
@@ -296,8 +297,8 @@ impl MpiRical {
     /// encode each source's encoder ids through a one-shot [`Engine`]'s
     /// encoder table (a source repeated within the call runs its forward
     /// once), decode them on that engine over the cached
-    /// [`engine_model`](Self::engine_model) bundle (weights packed or
-    /// quantized once per artifact, not per call) and return each
+    /// [`engine_model`](Self::engine_model) bundle (int8 weights quantized
+    /// once per artifact, not per call) and return each
     /// source's ranked hypotheses — best model score first, never empty —
     /// in input order, plus the engine's final [`PrefixStats`] snapshot
     /// (taken after the batch drains).
@@ -725,6 +726,65 @@ mod tests {
         std::fs::remove_file(path).ok();
     }
 
+    /// The store keeps its matrices packed, but `save` writes every
+    /// parameter as its row-major tensor: the file is byte-identical to the
+    /// artifact JSON rebuilt with a store of plain row-major tensors of the
+    /// same values — the format of every artifact saved before matrices
+    /// were packed — and loads back to the same bits.
+    #[test]
+    fn saved_artifact_is_byte_identical_to_the_row_major_format() {
+        #[derive(Serialize)]
+        struct RowMajorSlot {
+            name: String,
+            value: mpirical_tensor::Tensor,
+        }
+        #[derive(Serialize)]
+        struct RowMajorStore {
+            slots: Vec<RowMajorSlot>,
+        }
+        struct Tree(serde::Value);
+        impl Serialize for Tree {
+            fn ser(&self) -> serde::Value {
+                self.0.clone()
+            }
+        }
+        fn field<'v>(v: &'v mut serde::Value, key: &str) -> &'v mut serde::Value {
+            let serde::Value::Map(entries) = v else {
+                panic!("{key}: not a map")
+            };
+            &mut entries.iter_mut().find(|(k, _)| k == key).expect(key).1
+        }
+
+        let assistant = tiny_assistant();
+        let store = &assistant.model.store;
+        let row_major = RowMajorStore {
+            slots: store
+                .ids()
+                .map(|id| RowMajorSlot {
+                    name: store.name(id).to_string(),
+                    value: store.tensor(id),
+                })
+                .collect(),
+        };
+        let mut tree = assistant.ser();
+        *field(field(&mut tree, "model"), "store") = row_major.ser();
+        let want = serde_json::to_string(&Tree(tree)).unwrap();
+
+        let dir = std::env::temp_dir().join("mpirical_core_row_major_format_test");
+        std::fs::create_dir_all(&dir).unwrap();
+        let path = dir.join("assistant.json");
+        assistant.save(&path).unwrap();
+        assert!(std::fs::read_to_string(&path).unwrap() == want);
+        let loaded = MpiRical::load(&path).unwrap();
+        for id in store.ids() {
+            let bits = |t: mpirical_tensor::Tensor| -> Vec<u32> {
+                t.data.iter().map(|x| x.to_bits()).collect()
+            };
+            assert_eq!(bits(loaded.model.store.tensor(id)), bits(store.tensor(id)));
+        }
+        std::fs::remove_file(path).ok();
+    }
+
     /// One weight set per artifact: its engine bundle (F32 or Int8) and
     /// every clone share the artifact's `ParamStore` instead of copying it.
     #[test]
@@ -847,7 +907,7 @@ mod tests {
             );
             assert!(
                 Arc::ptr_eq(&bundle, &assistant.engine_model()),
-                "{precision:?}: a second call must not re-pack or re-quantize the weights"
+                "{precision:?}: a second call must not rebuild the bundle or re-quantize the weights"
             );
         }
         let mut assistant = shared;

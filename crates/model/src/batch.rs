@@ -486,11 +486,11 @@ pub struct BatchDecoder<'m> {
     store: &'m ParamStore,
     params: &'m TransformerParams,
     cfg: &'m ModelConfig,
-    /// Decoder weights prepared once for the scheduler's precision:
-    /// tile-packed f32, or per-channel int8 for [`Precision::Int8`]
-    /// serving (see [`DecoderWeights`]). Owned when prepared at
-    /// construction, borrowed when the caller already holds a prepared
-    /// set (an artifact's load-time quantized weights).
+    /// Decoder weights for the scheduler's precision: the store's own
+    /// packed f32 matrices, or per-channel int8 prepared once for
+    /// [`Precision::Int8`] serving (see [`DecoderWeights`]). Owned when
+    /// prepared at construction, borrowed when the caller already holds a
+    /// prepared set (an artifact's load-time quantized weights).
     weights: Cow<'m, DecoderWeights>,
     /// One page pool for every lane: retired requests recycle pages into
     /// newly admitted ones, and beam forks share pages COW.
@@ -539,10 +539,10 @@ impl<'m> BatchDecoder<'m> {
         BatchDecoder::with_precision(store, params, cfg, max_batch, Precision::F32)
     }
 
-    /// [`new`](Self::new) with an explicit projection precision: the
-    /// decoder weights are packed (f32) or quantized (int8) **once here**
-    /// — artifact-load/service-startup time — and streamed by every step
-    /// of every batch thereafter. Every submitted request must carry the
+    /// [`new`](Self::new) with an explicit projection precision: int8
+    /// decoder weights are quantized **once here** — artifact-load/
+    /// service-startup time — and streamed by every step of every batch
+    /// thereafter (f32 steps stream the store's packed matrices). Every submitted request must carry the
     /// same [`DecodeOptions::precision`]; [`submit`](Self::submit) rejects
     /// mismatches (one fused kernel pass covers all lanes, so a step
     /// cannot mix precisions).
@@ -569,8 +569,8 @@ impl<'m> BatchDecoder<'m> {
     /// [`with_precision`](Self::with_precision) over a weight set prepared
     /// elsewhere — `Cow::Borrowed` lets a long-lived owner (an artifact
     /// whose int8 weights were quantized once at load) hand the same
-    /// prepared set to any number of schedulers without re-packing or
-    /// re-quantizing per scheduler. `weights` must come from the same
+    /// prepared set to any number of schedulers without re-quantizing per
+    /// scheduler. `weights` must come from the same
     /// `(store, params)`.
     ///
     /// # Panics

@@ -114,10 +114,12 @@ use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 /// An owned, shareable model bundle for worker threads: parameters, config,
-/// and the decoder weights prepared **once** for the engine's precision.
-/// Workers borrow from one `Arc<EngineModel>`, so N workers never re-pack or
-/// re-quantize weights, and the parameter values are the artifact's own
-/// `Arc<ParamStore>`, never a copy.
+/// and the decoder weight set for the engine's precision. The parameter
+/// values are the artifact's own `Arc<ParamStore>`, never a copy, and at
+/// `F32` the kernels stream its packed matrices in place, so the bundle
+/// adds no weights; only `Int8` prepares a weight set of its own (the
+/// quantized matrices, built **once**). Workers borrow from one
+/// `Arc<EngineModel>`, so N workers never re-quantize.
 #[derive(Debug)]
 pub struct EngineModel {
     pub store: Arc<ParamStore>,
@@ -127,9 +129,9 @@ pub struct EngineModel {
 }
 
 impl EngineModel {
-    /// Bundle a model, preparing decoder weights for `precision`. Pass an
-    /// `Arc<ParamStore>` to share the values, or a `ParamStore` to hand
-    /// them over.
+    /// Bundle a model, preparing decoder weights for `precision` (a no-op
+    /// at `F32`). Pass an `Arc<ParamStore>` to share the values, or a
+    /// `ParamStore` to hand them over.
     pub fn new(
         store: impl Into<Arc<ParamStore>>,
         params: TransformerParams,

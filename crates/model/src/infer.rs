@@ -13,6 +13,13 @@
 //! request (the engine under [`BatchDecoder`](crate::batch::BatchDecoder)).
 //! A batch of one is the single-request path.
 //!
+//! Every weight matrix is read in place from the [`ParamStore`], which holds
+//! each matrix once, in the [`PackedMat`] layout these kernels stream: the
+//! f32 step, the encoder forward and the cross-K/V projection share that
+//! one copy, and an embedding lookup gathers its row from the panels. Only
+//! [`Precision::Int8`] prepares a weight set of its own
+//! ([`QuantDecoderWeights`]).
+//!
 //! [`encode_source`] is the encoder's side of the same bargain: one
 //! tape-free pass over all source rows per request, bitwise equal to the
 //! tape's [`encode`](crate::transformer::encode).
@@ -69,9 +76,7 @@
 //! ```
 //! use mpirical_model::decode::encode_source;
 //! use mpirical_model::transformer::build_params;
-//! use mpirical_model::{
-//!     decode_step_batch, BatchScratch, DecoderCache, DecoderWeights, ModelConfig, Precision,
-//! };
+//! use mpirical_model::{decode_step_batch, BatchScratch, DecoderCache, DecoderWeights, ModelConfig};
 //! use mpirical_tensor::ParamStore;
 //!
 //! let mut cfg = ModelConfig::tiny();
@@ -80,7 +85,8 @@
 //! let params = build_params(&cfg, &mut store, 1);
 //! let enc_out = encode_source(&store, &params, &cfg, &[1, 6, 7, 2]);
 //!
-//! let weights = DecoderWeights::for_precision(&store, &params, Precision::F32);
+//! // f32 steps stream the store's own packed matrices: nothing to prepare.
+//! let weights = DecoderWeights::F32;
 //! let mut scratch = BatchScratch::new(&cfg, 1);
 //! let mut cache = DecoderCache::new(&store, &params, &cfg, &enc_out);
 //! let mut logits = vec![0.0; cfg.vocab_size];
@@ -97,8 +103,8 @@ use crate::config::ModelConfig;
 use crate::paged::{PagePool, PagedRows, PoolInner};
 use crate::transformer::{positional_encoding, LnParams, TransformerParams};
 use mpirical_tensor::{
-    batch_linear, batch_linear_packed, batch_linear_q, batch_matmul_slice, dot_rows, gelu, par,
-    vecmat, vecmat_acc, vecmat_bt, PackedMat, ParamStore, QuantMat, Tensor,
+    batch_linear_packed, batch_linear_q, batch_matmul_slice, dot_rows, gelu, par, vecmat,
+    vecmat_acc, vecmat_bt, PackedMat, ParamId, ParamStore, QuantMat, Tensor,
 };
 use serde::{Deserialize, Serialize};
 
@@ -219,8 +225,9 @@ impl Drop for DecoderCache {
 
 /// Project `x[T, D]` through an attention parameter pair and split the
 /// result into per-head `[T, d_head]` tensors. Uses the register-blocked
-/// [`batch_linear`] kernel — `x` is exactly a packed-rows matrix — which
-/// streams the weight matrix once per 8 rows instead of once per row,
+/// [`batch_linear_packed`] kernel over the store's packed weight — `x` is
+/// exactly a packed-rows matrix — which streams the weight matrix once per
+/// 8 rows instead of once per row,
 /// cutting cache-construction latency several-fold at serving model sizes
 /// (and accumulating in the same ascending-k order as `matmul`, so the
 /// projected K/V are unchanged). Above a work threshold the rows are split
@@ -229,18 +236,18 @@ impl Drop for DecoderCache {
 /// moves latency only.
 fn project_per_head(
     x: &Tensor,
-    w: &Tensor,
+    w: &PackedMat,
     b: &Tensor,
     n_heads: usize,
     d_head: usize,
 ) -> Vec<Tensor> {
     let (t, d_in) = (x.shape[0], x.shape[1]);
-    let d = w.shape[1];
+    let d = w.shape().1;
     let mut full = vec![0.0f32; t * d];
     let part = rows_per_part(t, d_in * d);
     par::for_each(
         x.data.chunks(part * d_in).zip(full.chunks_mut(part * d)),
-        |(x, out)| batch_linear(x, x.len() / d_in, w, b, out),
+        |(x, out)| batch_linear_packed(x, x.len() / d_in, w, b, out),
     );
     (0..n_heads)
         .map(|h| {
@@ -299,9 +306,9 @@ impl DecoderCache {
             .map(|layer| {
                 let ca = &layer.cross_attn;
                 let cross_k =
-                    project_per_head(enc_out, store.value(ca.wk), store.value(ca.bk), h, dh);
+                    project_per_head(enc_out, store.matrix(ca.wk), store.value(ca.bk), h, dh);
                 let cross_v =
-                    project_per_head(enc_out, store.value(ca.wv), store.value(ca.bv), h, dh);
+                    project_per_head(enc_out, store.matrix(ca.wv), store.value(ca.bv), h, dh);
                 LayerCache {
                     kv: SelfKv {
                         k: (0..h).map(|_| PagedRows::new()).collect(),
@@ -520,144 +527,82 @@ fn add_positional(x: &mut [f32], pos: usize) {
     }
 }
 
-/// Decoder weight matrices repacked once into the tile-major
-/// [`PackedMat`] layout the batched kernels stream sequentially.
-///
-/// The batched step reads every decoder weight matrix every step; packing
-/// them once per model (a single-pass copy, ~the weights' own size) turns
-/// those reads from strided cache-line picks into linear streams, which is
-/// what lets a lockstep step run at memory bandwidth at serving model
-/// sizes. Weights are constant across steps, so one `PackedDecoderWeights`
-/// serves every step of every batch for the model's lifetime. Packing
-/// changes layout, not accumulation order: each output element still sums
-/// in ascending `k` with the bias added last, as [`vecmat`] does.
-///
-/// Biases, LayerNorm parameters, and the embedding table stay in the
-/// [`ParamStore`] — they are read row-wise, which is already sequential.
-#[derive(Debug, Clone)]
-pub struct PackedDecoderWeights {
-    layers: Vec<PackedLayer>,
-    out_w: PackedMat,
-}
-
-#[derive(Debug, Clone)]
-struct PackedLayer {
-    wq: PackedMat,
-    wk: PackedMat,
-    wv: PackedMat,
-    wo: PackedMat,
-    ca_wq: PackedMat,
-    ca_wo: PackedMat,
-    ff_w1: PackedMat,
-    ff_w2: PackedMat,
-}
-
-impl PackedDecoderWeights {
-    /// Pack every decoder-side weight matrix of `params`.
-    pub fn new(store: &ParamStore, params: &TransformerParams) -> PackedDecoderWeights {
-        let p = |id| PackedMat::pack(store.value(id));
-        PackedDecoderWeights {
-            layers: params
-                .dec_layers
-                .iter()
-                .map(|layer| PackedLayer {
-                    wq: p(layer.self_attn.wq),
-                    wk: p(layer.self_attn.wk),
-                    wv: p(layer.self_attn.wv),
-                    wo: p(layer.self_attn.wo),
-                    ca_wq: p(layer.cross_attn.wq),
-                    ca_wo: p(layer.cross_attn.wo),
-                    ff_w1: p(layer.ff.w1),
-                    ff_w2: p(layer.ff.w2),
-                })
-                .collect(),
-            out_w: p(params.out_w),
-        }
-    }
-}
-
 /// Every decoder-side weight matrix quantized once to per-channel int8
-/// ([`QuantMat`]) — the artifact-load-time counterpart of
-/// [`PackedDecoderWeights`] for [`Precision::Int8`] serving.
+/// ([`QuantMat`]) for [`Precision::Int8`] serving.
 ///
 /// The quantized panels are ~¼ the bytes of the f32 weights, and the
 /// decode step streams them instead of the originals, which is the entire
-/// speedup on the memory-bound step. Quantization is a single pass over
-/// the weights (amortized to noise over a model's serving lifetime);
-/// biases, LayerNorm parameters, cross-attention K/V projections of the
-/// *encoder output* (computed per request at cache build, not per step),
-/// and the embedding table stay f32.
+/// speedup on the memory-bound step. Quantization reads the store's packed
+/// matrices in place (their panels are the int8 panels' layout), in two
+/// passes amortized to noise over a model's serving lifetime; biases,
+/// LayerNorm parameters, cross-attention K/V projections of the *encoder
+/// output* (computed per request at cache build, not per step), and the
+/// embedding table stay f32.
 #[derive(Debug, Clone)]
 pub struct QuantDecoderWeights {
-    layers: Vec<QuantLayer>,
-    out_w: QuantMat,
-}
-
-#[derive(Debug, Clone)]
-struct QuantLayer {
-    wq: QuantMat,
-    wk: QuantMat,
-    wv: QuantMat,
-    wo: QuantMat,
-    ca_wq: QuantMat,
-    ca_wo: QuantMat,
-    ff_w1: QuantMat,
-    ff_w2: QuantMat,
+    /// Indexed by [`ParamId`]: the quantized matrix of every decoder
+    /// projection, `None` for every other parameter.
+    mats: Vec<Option<QuantMat>>,
+    out_w: ParamId,
 }
 
 impl QuantDecoderWeights {
     /// Quantize every decoder-side weight matrix of `params`.
     pub fn new(store: &ParamStore, params: &TransformerParams) -> QuantDecoderWeights {
-        let q = |id| QuantMat::quantize(store.value(id));
-        QuantDecoderWeights {
-            layers: params
-                .dec_layers
-                .iter()
-                .map(|layer| QuantLayer {
-                    wq: q(layer.self_attn.wq),
-                    wk: q(layer.self_attn.wk),
-                    wv: q(layer.self_attn.wv),
-                    wo: q(layer.self_attn.wo),
-                    ca_wq: q(layer.cross_attn.wq),
-                    ca_wo: q(layer.cross_attn.wo),
-                    ff_w1: q(layer.ff.w1),
-                    ff_w2: q(layer.ff.w2),
-                })
-                .collect(),
-            out_w: q(params.out_w),
+        let mut mats: Vec<Option<QuantMat>> = (0..store.len()).map(|_| None).collect();
+        let layers = params.dec_layers.iter().flat_map(|layer| {
+            let (sa, ca, ff) = (&layer.self_attn, &layer.cross_attn, &layer.ff);
+            [sa.wq, sa.wk, sa.wv, sa.wo, ca.wq, ca.wo, ff.w1, ff.w2]
+        });
+        for id in layers.chain([params.out_w]) {
+            mats[id.0] = Some(QuantMat::quantize_packed(store.matrix(id)));
         }
+        QuantDecoderWeights {
+            mats,
+            out_w: params.out_w,
+        }
+    }
+
+    /// The quantized matrix of decoder projection `id`.
+    fn mat(&self, id: ParamId) -> &QuantMat {
+        self.mats[id.0]
+            .as_ref()
+            .expect("a decoder projection matrix")
     }
 
     /// Per-channel scales of the final vocabulary projection — the scales
     /// the accuracy harness derives its logit error bound from.
     pub fn out_scales(&self) -> &[f32] {
-        self.out_w.scales()
+        self.mat(self.out_w).scales()
     }
 }
 
-/// The decoder weight set a batched scheduler streams every step, prepared
-/// once per model for its precision: tile-packed f32 or per-channel int8.
+/// The decoder weight set a batched scheduler streams every step, for its
+/// precision.
 ///
-/// [`decode_step_batch`] dispatches each fused projection on this enum;
-/// everything around the projections (LayerNorm, attention, GELU, token
-/// selection) is the same code either way.
+/// `F32` owns nothing: the kernels stream the [`ParamStore`]'s own packed
+/// matrices in place. `Int8` holds the per-channel quantized copies,
+/// prepared once per model. [`decode_step_batch`] dispatches each fused
+/// projection on this enum; everything around the projections (LayerNorm,
+/// attention, GELU, token selection) is the same code either way.
 #[derive(Debug, Clone)]
 pub enum DecoderWeights {
-    /// Full-precision packed weights ([`PackedDecoderWeights`]).
-    F32(PackedDecoderWeights),
+    /// Full-precision weights: the store's packed matrices.
+    F32,
     /// Per-channel int8 quantized weights ([`QuantDecoderWeights`]).
     Int8(QuantDecoderWeights),
 }
 
 impl DecoderWeights {
-    /// Prepare the weight set for `precision` (pack or quantize once).
+    /// Prepare the weight set for `precision` (quantize once for `Int8`;
+    /// nothing to prepare for `F32`).
     pub fn for_precision(
         store: &ParamStore,
         params: &TransformerParams,
         precision: Precision,
     ) -> DecoderWeights {
         match precision {
-            Precision::F32 => DecoderWeights::F32(PackedDecoderWeights::new(store, params)),
+            Precision::F32 => DecoderWeights::F32,
             Precision::Int8 => DecoderWeights::Int8(QuantDecoderWeights::new(store, params)),
         }
     }
@@ -665,7 +610,7 @@ impl DecoderWeights {
     /// The precision this weight set was prepared for.
     pub fn precision(&self) -> Precision {
         match self {
-            DecoderWeights::F32(_) => Precision::F32,
+            DecoderWeights::F32 => Precision::F32,
             DecoderWeights::Int8(_) => Precision::Int8,
         }
     }
@@ -761,36 +706,23 @@ impl BatchScratch {
     }
 }
 
-/// One fused weight projection of [`decode_step_batch`], dispatching on
-/// the prepared weight set's precision: packed-f32 or quantized-int8
-/// kernels over the same packed activation rows (the int8 arm threads the
-/// scratch's i8 row buffers through). A macro rather than a function so
-/// the disjoint scratch-field borrows stay visible to the borrow checker.
+/// One fused weight projection of [`decode_step_batch`] — weight `$w` and
+/// bias `$b` (param ids) over `$rows` packed activation rows — dispatching
+/// on the weight set's precision: the store's packed f32 matrix or its
+/// quantized-int8 copy (the int8 arm threads the scratch's i8 row buffers
+/// through). A macro rather than a function so the disjoint scratch-field
+/// borrows stay visible to the borrow checker.
 macro_rules! fused_linear {
-    ($weights:expr, $s:expr, layer $li:expr, $field:ident, $x:expr, $rows:expr, $bias:expr, $out:expr) => {
+    ($weights:expr, $store:expr, $s:expr, $w:expr, $b:expr, $x:expr, $rows:expr, $out:expr) => {
         match $weights {
-            DecoderWeights::F32(w) => {
-                batch_linear_packed($x, $rows, &w.layers[$li].$field, $bias, $out)
+            DecoderWeights::F32 => {
+                batch_linear_packed($x, $rows, $store.matrix($w), $store.value($b), $out)
             }
-            DecoderWeights::Int8(w) => batch_linear_q(
+            DecoderWeights::Int8(q) => batch_linear_q(
                 $x,
                 $rows,
-                &w.layers[$li].$field,
-                $bias,
-                &mut $s.q8,
-                &mut $s.qscales,
-                $out,
-            ),
-        }
-    };
-    ($weights:expr, $s:expr, out, $x:expr, $rows:expr, $bias:expr, $out:expr) => {
-        match $weights {
-            DecoderWeights::F32(w) => batch_linear_packed($x, $rows, &w.out_w, $bias, $out),
-            DecoderWeights::Int8(w) => batch_linear_q(
-                $x,
-                $rows,
-                &w.out_w,
-                $bias,
+                q.mat($w),
+                $store.value($b),
                 &mut $s.q8,
                 &mut $s.qscales,
                 $out,
@@ -835,7 +767,7 @@ fn ln_rows_batch(b: usize, d: usize, x: &[f32], gamma: &Tensor, beta: &Tensor, n
 /// self-attention Q/K/V/O, cross-attention Q/O, both feed-forward linears,
 /// and the final vocabulary projection — is fused into a single
 /// [`batch_linear_packed`] call over the packed `[N, d]` activation matrix
-/// against pre-packed weights ([`PackedDecoderWeights`]), so each weight is
+/// against the store's packed weights ([`PackedMat`]), so each weight is
 /// streamed from memory once per *step* instead of once per *request*, and
 /// sequentially rather than strided.
 ///
@@ -904,7 +836,7 @@ pub fn decode_step_batch(
 
     // Embedding + positional encoding, one row per lane (position rows come
     // from the scratch memo — computed once per position, not once per lane).
-    let emb = store.value(params.tok_emb);
+    let emb = store.matrix(params.tok_emb);
     let emb_scale = (d as f32).sqrt();
     let max_pos = caches.iter().map(|c| c.len).max().expect("b >= 1");
     scratch.pos_row(max_pos);
@@ -919,12 +851,9 @@ pub fn decode_step_batch(
         assert!(token < cfg.vocab_size, "token {token} out of vocab");
         let row = &mut scratch.x[i * d..(i + 1) * d];
         let pos_row = &scratch.pos_rows[pos * d..(pos + 1) * d];
-        for ((o, &e), &p) in row
-            .iter_mut()
-            .zip(&emb.data[token * d..(token + 1) * d])
-            .zip(pos_row)
-        {
-            *o = e * emb_scale + p;
+        emb.gather_row(token, row);
+        for (o, &p) in row.iter_mut().zip(pos_row) {
+            *o = *o * emb_scale + p;
         }
     }
 
@@ -937,32 +866,32 @@ pub fn decode_step_batch(
         let sa = &layer.self_attn;
         fused_linear!(
             weights,
+            store,
             s,
-            layer li,
-            wq,
+            sa.wq,
+            sa.bq,
             &s.normed[..b * d],
             b,
-            store.value(sa.bq),
             &mut s.q[..b * d]
         );
         fused_linear!(
             weights,
+            store,
             s,
-            layer li,
-            wk,
+            sa.wk,
+            sa.bk,
             &s.normed[..b * d],
             b,
-            store.value(sa.bk),
             &mut s.k[..b * d]
         );
         fused_linear!(
             weights,
+            store,
             s,
-            layer li,
-            wv,
+            sa.wv,
+            sa.bv,
             &s.normed[..b * d],
             b,
-            store.value(sa.bv),
             &mut s.v[..b * d]
         );
         // Per-lane K/V append + attention. Lanes own disjoint caches, score
@@ -998,12 +927,12 @@ pub fn decode_step_batch(
         );
         fused_linear!(
             weights,
+            store,
             s,
-            layer li,
-            wo,
+            sa.wo,
+            sa.bo,
             &s.ctx[..b * d],
             b,
-            store.value(sa.bo),
             &mut s.proj[..b * d]
         );
         for (xv, &a) in s.x[..b * d].iter_mut().zip(&s.proj[..b * d]) {
@@ -1016,12 +945,12 @@ pub fn decode_step_batch(
         let ca = &layer.cross_attn;
         fused_linear!(
             weights,
+            store,
             s,
-            layer li,
-            ca_wq,
+            ca.wq,
+            ca.bq,
             &s.normed[..b * d],
             b,
-            store.value(ca.bq),
             &mut s.q[..b * d]
         );
         // Cross-attention reads per-lane encoder K/V (shared `Arc`s, never
@@ -1052,12 +981,12 @@ pub fn decode_step_batch(
         );
         fused_linear!(
             weights,
+            store,
             s,
-            layer li,
-            ca_wo,
+            ca.wo,
+            ca.bo,
             &s.ctx[..b * d],
             b,
-            store.value(ca.bo),
             &mut s.proj[..b * d]
         );
         for (xv, &c) in s.x[..b * d].iter_mut().zip(&s.proj[..b * d]) {
@@ -1071,23 +1000,23 @@ pub fn decode_step_batch(
         let dff = cfg.d_ff;
         fused_linear!(
             weights,
+            store,
             s,
-            layer li,
-            ff_w1,
+            layer.ff.w1,
+            layer.ff.b1,
             &s.normed[..b * d],
             b,
-            store.value(layer.ff.b1),
             &mut s.ff[..b * dff]
         );
         gelu_row(&mut s.ff[..b * dff]);
         fused_linear!(
             weights,
+            store,
             s,
-            layer li,
-            ff_w2,
+            layer.ff.w2,
+            layer.ff.b2,
             &s.ff[..b * dff],
             b,
-            store.value(layer.ff.b2),
             &mut s.proj[..b * d]
         );
         for (xv, &f) in s.x[..b * d].iter_mut().zip(&s.proj[..b * d]) {
@@ -1103,11 +1032,12 @@ pub fn decode_step_batch(
     ln_rows_batch(b, d, &s.x, g, be, &mut s.normed);
     fused_linear!(
         weights,
+        store,
         s,
-        out,
+        params.out_w,
+        params.out_b,
         &s.normed[..b * d],
         b,
-        store.value(params.out_b),
         logits
     );
 
@@ -1223,7 +1153,7 @@ pub(crate) fn check_encoder_ids(
         src_ids.len(),
         cfg.max_enc_len
     );
-    let vocab = store.value(params.tok_emb).shape[0];
+    let vocab = store.matrix(params.tok_emb).shape().0;
     if let Some(id) = src_ids.iter().find(|&&id| id >= vocab) {
         panic!("embedding id {id} out of vocab {vocab}");
     }
@@ -1238,9 +1168,9 @@ pub(crate) fn check_encoder_ids(
 /// [`BatchDecoder`](crate::batch::BatchDecoder)).
 ///
 /// The `[T, d]` activation matrix moves through each projection in
-/// register-blocked [`batch_linear`] calls that read the weights in place
-/// from `store` (no per-request weight copy), attention runs per head over
-/// head-major K/V, eight query rows at a time (their context is one
+/// register-blocked [`batch_linear_packed`] calls that stream the store's
+/// packed weights in place (no per-request weight copy), attention runs per
+/// head over head-major K/V, eight query rows at a time (their context is one
 /// register-blocked product of the weight slab and the head's values), and
 /// every intermediate lives in scratch the run allocates once and reuses
 /// across layers. Above a work threshold the rows are split into one
@@ -1294,7 +1224,7 @@ impl<'m> EncoderRun<'m> {
     ) -> EncoderRun<'m> {
         check_encoder_ids(store, params, cfg, src_ids);
         let (t, d, dff) = (src_ids.len(), cfg.d_model, cfg.d_ff);
-        let emb = store.value(params.tok_emb);
+        let emb = store.matrix(params.tok_emb);
         let emb_scale = (d as f32).sqrt();
         let positions = positional_encoding(t, d);
         let mut x = vec![0.0f32; t * d];
@@ -1303,12 +1233,9 @@ impl<'m> EncoderRun<'m> {
             .zip(x.chunks_exact_mut(d))
             .zip(positions.data.chunks_exact(d))
         {
-            for ((o, &e), &p) in row
-                .iter_mut()
-                .zip(&emb.data[id * d..(id + 1) * d])
-                .zip(pos_row)
-            {
-                *o = e * emb_scale + p;
+            emb.gather_row(id, row);
+            for (o, &p) in row.iter_mut().zip(pos_row) {
+                *o = *o * emb_scale + p;
             }
         }
         // One block of rows per thread; a row costs about this many
@@ -1356,24 +1283,24 @@ impl<'m> EncoderRun<'m> {
         par::for_each(self.x.chunks_mut(block).zip(&mut self.blocks), |(x, s)| {
             let rows = x.len() / d;
             ln_rows_seq(x, d, layer.ln1, store, &mut s.normed);
-            batch_linear(
+            batch_linear_packed(
                 &s.normed,
                 rows,
-                store.value(a.wq),
+                store.matrix(a.wq),
                 store.value(a.bq),
                 &mut s.q,
             );
-            batch_linear(
+            batch_linear_packed(
                 &s.normed,
                 rows,
-                store.value(a.wk),
+                store.matrix(a.wk),
                 store.value(a.bk),
                 &mut s.k,
             );
-            batch_linear(
+            batch_linear_packed(
                 &s.normed,
                 rows,
-                store.value(a.wv),
+                store.matrix(a.wv),
                 store.value(a.bv),
                 &mut s.v,
             );
@@ -1410,10 +1337,10 @@ impl<'m> EncoderRun<'m> {
                     }
                 }
             }
-            batch_linear(
+            batch_linear_packed(
                 &s.ctx,
                 rows,
-                store.value(a.wo),
+                store.matrix(a.wo),
                 store.value(a.bo),
                 &mut s.proj,
             );
@@ -1421,18 +1348,18 @@ impl<'m> EncoderRun<'m> {
 
             // Feed-forward block.
             ln_rows_seq(x, d, layer.ln2, store, &mut s.normed);
-            batch_linear(
+            batch_linear_packed(
                 &s.normed,
                 rows,
-                store.value(f.w1),
+                store.matrix(f.w1),
                 store.value(f.b1),
                 &mut s.ff,
             );
             gelu_row(&mut s.ff);
-            batch_linear(
+            batch_linear_packed(
                 &s.ff,
                 rows,
-                store.value(f.w2),
+                store.matrix(f.w2),
                 store.value(f.b2),
                 &mut s.proj,
             );
@@ -1641,8 +1568,8 @@ mod tests {
     /// The admission-time cross-K/V projection splits its rows into one
     /// block per core above the work threshold, the encoder's rule: at the
     /// top level (two blocks on a 2-core host) and inside a section (one
-    /// thread) it is bitwise one `batch_linear` over every row, head by
-    /// head.
+    /// thread) it is bitwise one `batch_linear_packed` over every row, head
+    /// by head.
     #[test]
     fn cross_kv_projection_is_bitwise_at_any_thread_count() {
         let mut cfg = ModelConfig::tiny();
@@ -1654,9 +1581,9 @@ mod tests {
         let enc_out = encode_source(&store, &params, &cfg, &ids);
         let (t, d, dh) = (ids.len(), cfg.d_model, cfg.d_head());
         let ca = &params.dec_layers[0].cross_attn;
-        let (w, b) = (store.value(ca.wk), store.value(ca.bk));
+        let (w, b) = (store.matrix(ca.wk), store.value(ca.bk));
         let mut full = vec![0.0f32; t * d];
-        batch_linear(&enc_out.data, t, w, b, &mut full);
+        batch_linear_packed(&enc_out.data, t, w, b, &mut full);
         let project = || project_per_head(&enc_out, w, b, cfg.n_heads, dh);
         let check = |heads: Vec<Tensor>| {
             for (h, head) in heads.iter().enumerate() {

@@ -61,8 +61,8 @@ pub use config::ModelConfig;
 pub use decode::{replay_decode_with, DecodeOptions};
 pub use engine::{Engine, EngineConfig, EngineModel, EngineTicket, Resolutions};
 pub use infer::{
-    decode_step_batch, BatchScratch, DecoderCache, DecoderWeights, EncoderRun,
-    PackedDecoderWeights, Precision, QuantDecoderWeights,
+    decode_step_batch, BatchScratch, DecoderCache, DecoderWeights, EncoderRun, Precision,
+    QuantDecoderWeights,
 };
 pub use paged::{PagePool, PoolStats, PAGE_ROWS};
 pub use prefix::{PrefixStats, PREFIX_CACHE_CAP};
@@ -208,13 +208,18 @@ mod tests {
         let mut fresh = tiny_model();
         let store = Arc::make_mut(&mut fresh.store);
         for id in resumed.store.ids() {
-            *store.value_mut(id) = resumed.store.value(id).clone();
+            store.set(id, resumed.store.tensor(id));
         }
         resumed.fit(&b, &[], &tcfg, |_| {});
         fresh.fit(&b, &[], &tcfg, |_| {});
         for id in resumed.store.ids() {
             let bits = |m: &Seq2SeqModel| -> Vec<u32> {
-                m.store.value(id).data.iter().map(|x| x.to_bits()).collect()
+                m.store
+                    .tensor(id)
+                    .data
+                    .iter()
+                    .map(|x| x.to_bits())
+                    .collect()
             };
             assert!(bits(&resumed) == bits(&fresh), "parameter {id:?} differs");
         }
@@ -241,10 +246,10 @@ mod tests {
         m.fit(&[ex], &[], &tcfg, |_| {});
         assert!(!Arc::ptr_eq(&m.store, &engine.store));
         for id in before.ids() {
-            assert_eq!(engine.store.value(id).data, before.value(id).data);
+            assert_eq!(engine.store.tensor(id).data, before.tensor(id).data);
         }
         assert!(before
             .ids()
-            .any(|id| m.store.value(id).data != before.value(id).data));
+            .any(|id| m.store.tensor(id).data != before.tensor(id).data));
     }
 }

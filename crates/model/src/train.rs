@@ -358,7 +358,7 @@ mod tests {
         assert_eq!(l1, l2);
         // Weights bit-identical.
         for id in s1.ids() {
-            assert_eq!(s1.value(id).data, s2.value(id).data);
+            assert_eq!(s1.tensor(id).data, s2.tensor(id).data);
         }
     }
 
@@ -380,7 +380,7 @@ mod tests {
         let (l2, s2) = run(2);
         assert!((l1 - l2).abs() < 1e-9, "losses: {l1} vs {l2}");
         for id in s1.ids() {
-            for (a, b) in s1.value(id).data.iter().zip(&s2.value(id).data) {
+            for (a, b) in s1.tensor(id).data.iter().zip(&s2.tensor(id).data) {
                 assert!((a - b).abs() < 1e-4, "weights diverged: {a} vs {b}");
             }
         }

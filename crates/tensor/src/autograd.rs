@@ -125,10 +125,11 @@ impl Tape {
         self.push(value, vec![], None)
     }
 
-    /// A parameter leaf bound to `store[id]`; its gradient lands in
+    /// A parameter leaf bound to `store[id]`, holding a row-major copy of
+    /// its value (a matrix is unpacked); its gradient lands in
     /// [`Grads::by_param`] at `id`.
     pub fn param(&mut self, store: &ParamStore, id: ParamId) -> Var {
-        let v = self.push(store.value(id).clone(), vec![], None);
+        let v = self.push(store.tensor(id), vec![], None);
         self.nodes[v.0].param = Some(id);
         v
     }
@@ -567,17 +568,21 @@ mod tests {
         f: &dyn Fn(&ParamStore) -> f32,
         eps: f32,
     ) -> Tensor {
-        let n = store.value(id).numel();
-        let mut grad = Tensor::zeros(&store.value(id).shape.clone());
-        for i in 0..n {
-            let orig = store.value(id).data[i];
-            store.value_mut(id).data[i] = orig + eps;
-            let fp = f(store);
-            store.value_mut(id).data[i] = orig - eps;
-            let fm = f(store);
-            store.value_mut(id).data[i] = orig;
+        let value = store.tensor(id);
+        let mut grad = Tensor::zeros(&value.shape);
+        let mut at = |i: usize, x: f32| {
+            let mut nudged = value.clone();
+            nudged.data[i] = x;
+            store.set(id, nudged);
+            f(store)
+        };
+        for i in 0..value.numel() {
+            let orig = value.data[i];
+            let fp = at(i, orig + eps);
+            let fm = at(i, orig - eps);
             grad.data[i] = (fp - fm) / (2.0 * eps);
         }
+        store.set(id, value);
         grad
     }
 

@@ -15,9 +15,10 @@
 //!   `A·Bᵀ` / `Aᵀ·B` variants attention and backward need use the same
 //!   row-partition scheme, and the single-row [`vecmat`] / [`vecmat_bt`]
 //!   kernels serve KV-cached incremental decoding without allocating, and
-//!   the packed-rows [`batch_matmul`] / [`batch_linear`] kernels fuse N
-//!   concurrent requests' projections into one weight pass (each output row
-//!   bitwise-equal to its `vecmat`, so batching never changes logits);
+//!   the register-blocked [`batch_matmul_packed`] / [`batch_linear_packed`]
+//!   kernels fuse N concurrent requests' projections into one pass over a
+//!   [`PackedMat`] (each output row bitwise-equal to its `vecmat`, so
+//!   batching never changes logits);
 //! * [`QuantMat`] — symmetric per-output-channel **int8** weight
 //!   quantization with packed panels, plus the [`vecmat_q`] /
 //!   [`batch_matmul_q`] W8A8 kernels (exact `i32` accumulation, one
@@ -30,9 +31,10 @@
 //! * [`Tape`] / [`Var`] — reverse-mode autograd over a per-step tape, with
 //!   every op a transformer needs (matmul, softmax, layernorm, GELU,
 //!   embedding gather, fused cross-entropy, dropout, column slice/concat);
-//! * [`ParamStore`] / [`Adam`] — named parameter values, and AdamW with
-//!   gradient clipping, the warmup + inverse-sqrt LR schedule and its own
-//!   moment buffers (a store holds values only);
+//! * [`ParamStore`] / [`Adam`] — named parameter values, each held once
+//!   (every matrix in the [`PackedMat`] layout the kernels stream), and
+//!   AdamW with gradient clipping, the warmup + inverse-sqrt LR schedule and
+//!   its own moment buffers (a store holds values only);
 //! * [`par`] — the one parallel-for every data-parallel section runs
 //!   through (kernels here, the decoder's lanes, the encoder's row blocks,
 //!   training shards); a section inside a section runs serial.
@@ -70,8 +72,8 @@ pub mod tensor;
 pub use autograd::{Grads, Tape, Var};
 pub use math::{gelu, tanhf};
 pub use matmul::{
-    batch_linear, batch_linear_packed, batch_matmul, batch_matmul_packed, batch_matmul_slice,
-    dot_rows, matmul, matmul_at, matmul_bt, vecmat, vecmat_acc, vecmat_bt, PackedMat,
+    batch_linear_packed, batch_matmul_packed, batch_matmul_slice, dot_rows, matmul, matmul_at,
+    matmul_bt, vecmat, vecmat_acc, vecmat_bt, PackedMat,
 };
 pub use optim::{Adam, ParamId, ParamStore};
 pub use par::available_cores;

@@ -18,9 +18,16 @@
 //! without materializing a 1-row `Tensor` per operand: they take and return
 //! plain slices, so a decode step does zero intermediate allocations beyond
 //! its output buffers.
+//!
+//! Weight matrices are read in the [`PackedMat`] panel layout: a
+//! [`ParamStore`](crate::ParamStore) holds every matrix once, packed, and
+//! the register-blocked [`batch_matmul_packed`] / [`batch_linear_packed`]
+//! kernels stream it in place. [`batch_matmul_slice`] is the same kernel
+//! over a row-major block, for right-hand sides that are activations.
 
 use crate::par;
 use crate::tensor::Tensor;
+use std::ops::Range;
 
 /// The `[m, n]` product whose output rows (`n·k` multiply-adds each) are
 /// cut into one slice per [`par::threads`]; `fill(row0, slice)` computes
@@ -273,51 +280,32 @@ pub fn dot_rows(v: &[f32], m: &[f32], out: &mut [f32]) {
     }
 }
 
-/// Rows per register block of [`batch_matmul`]: enough that each streamed
-/// weight element feeds 8 independent FMA chains, few enough that the
-/// accumulator tile stays in registers.
+/// Rows per register block of the batched kernels: enough that each
+/// streamed weight element feeds 8 independent FMA chains, few enough that
+/// the accumulator tile stays in registers.
 const BM_RB: usize = 8;
-/// Columns per register block of [`batch_matmul`] (one/two SIMD vectors).
+/// Columns per register block of the batched kernels (one/two SIMD vectors),
+/// and the width of a [`PackedMat`] panel.
 const BM_JB: usize = 16;
 
-/// Packed-rows product `X[rows, k] @ M[k, n] → out[rows, n]` — the batched
-/// generalization of [`vecmat`], built for lockstep multi-request decoding
-/// where the per-request activation rows are packed into one matrix.
+/// Packed-rows product `X[rows, k] @ M[k, n] → out[rows, n]` over a raw
+/// row-major block `m` (`k` is `m.len() / n`) — the batched generalization
+/// of [`vecmat`] for right-hand sides that are activations, not weights
+/// (the encoder's per-head value block, a slice of a larger buffer).
 ///
-/// The kernel is **register-blocked**: an `8×8` accumulator tile lives in
-/// registers while `k` runs innermost, so each weight element is loaded once
-/// per 8 activation rows and feeds 8 independent FMA chains (a single-row
-/// `vecmat` has no such independence to exploit — its accumulators round-trip
-/// through memory with a loop-carried latency on every element). That gives
-/// batched decoding two structural wins over N sequential `vecmat` calls:
-/// ~8× less weight traffic when the weights don't fit in cache, and several
-/// times the FLOP throughput when they do.
+/// The kernel is **register-blocked**: an `8×16` accumulator tile lives in
+/// registers while `k` runs innermost, so each `M` element is loaded once
+/// per 8 left-hand rows and feeds 8 independent FMA chains (a single-row
+/// `vecmat` has no such independence to exploit — its accumulators
+/// round-trip through memory with a loop-carried latency on every element).
 ///
 /// Each output element still accumulates its `k` terms in ascending-`k`
-/// order (the blocking changes *where* partial sums live, not the order they
-/// are added in), so row `i` of the result is exactly
-/// `vecmat(&x[i*k..(i+1)*k], m, ..)` — bitwise, not just approximately —
-/// which is what keeps a lane's logits in the batched decode step
-/// independent of the other lanes.
+/// order from `+0.0` (the blocking changes *where* partial sums live, not
+/// the order they are added in), so row `i` of the result is exactly the
+/// [`vecmat_acc`] of row `i` into zeros — bitwise, not just approximately.
 ///
-/// Slices in, slice out: no tensor allocation on the decode hot path. The
-/// kernel is deliberately serial — decode batches are a handful of rows, far
-/// too little work to amortize thread spawns (contrast [`matmul`], which
-/// threads across output rows above its work threshold).
-pub fn batch_matmul(x: &[f32], rows: usize, m: &Tensor, out: &mut [f32]) {
-    assert_eq!(
-        m.ndim(),
-        2,
-        "batch_matmul rhs must be 2-D, got {:?}",
-        m.shape
-    );
-    batch_matmul_slice(x, rows, &m.data, m.shape[1], out);
-}
-
-/// [`batch_matmul`] over a raw row-major `[k, n]` block `m` (`k` is
-/// `m.len() / n`): the same register-blocked kernel, bitwise the same
-/// result, for callers whose right-hand side is a slice of a larger buffer
-/// (the encoder's per-head value block).
+/// Slices in, slice out; the kernel is serial (callers split rows across
+/// threads when there are enough of them).
 pub fn batch_matmul_slice(x: &[f32], rows: usize, m: &[f32], n: usize, out: &mut [f32]) {
     assert_eq!(out.len(), rows * n, "batch_matmul output length");
     if n == 0 {
@@ -354,8 +342,8 @@ pub fn batch_matmul_slice(x: &[f32], rows: usize, m: &[f32], n: usize, out: &mut
     }
 }
 
-/// One `RB`-row stripe of [`batch_matmul`]: `x` holds the stripe's rows
-/// (`RB × k`, starting at offset 0), `out` exactly `RB × n` elements.
+/// One `RB`-row stripe of [`batch_matmul_slice`]: `x` holds the stripe's
+/// rows (`RB × k`, starting at offset 0), `out` exactly `RB × n` elements.
 #[inline]
 fn bm_row_block<const RB: usize>(x: &[f32], m: &[f32], out: &mut [f32], k: usize, n: usize) {
     let x_rows: [&[f32]; RB] = std::array::from_fn(|r| &x[r * k..r * k + k]);
@@ -391,37 +379,26 @@ fn bm_row_block<const RB: usize>(x: &[f32], m: &[f32], out: &mut [f32], k: usize
     }
 }
 
-/// [`batch_matmul`] plus a broadcast bias row: `out[i, :] = x[i, :] @ M + b`.
-/// Row `i` equals a [`vecmat`]-then-add-bias sequence bitwise (same ascending
-/// `k` accumulation, bias added last), whatever the other rows hold.
-pub fn batch_linear(x: &[f32], rows: usize, m: &Tensor, b: &Tensor, out: &mut [f32]) {
-    let n = m.shape[1];
-    assert_eq!(b.data.len(), n, "batch_linear bias length");
-    batch_matmul(x, rows, m, out);
-    for o_row in out.chunks_exact_mut(n) {
-        for (o, &bv) in o_row.iter_mut().zip(&b.data) {
-            *o += bv;
-        }
-    }
-}
-
-/// A weight matrix repacked into tile-major panels for the batched decode
-/// kernels.
+/// A weight matrix in the tile-major panel layout every weight kernel
+/// streams — the one layout a [`ParamStore`](crate::ParamStore) keeps a
+/// matrix in.
 ///
-/// [`batch_matmul`]'s register-blocked loop reads a 16-column stripe of a
-/// row-major `M[k, n]` with a stride of `n` floats — for serving-scale
-/// matrices (`n` in the thousands) that is one cache line per `k` step at a
-/// multi-KB stride, which hardware prefetchers refuse to stream, so the
-/// kernel stalls on memory latency instead of running at bandwidth.
-/// Packing rewrites `M` once into `[n/16]` panels of `[k, 16]` each
-/// (column remainder in a final narrow panel), making every panel walk
-/// perfectly sequential.
+/// A register-blocked loop over a row-major `M[k, n]` reads a 16-column
+/// stripe with a stride of `n` floats — for serving-scale matrices (`n` in
+/// the thousands) that is one cache line per `k` step at a multi-KB stride,
+/// which hardware prefetchers refuse to stream, so the kernel stalls on
+/// memory latency instead of running at bandwidth. The packed layout holds
+/// `M` as `[n/16]` panels of `[k, 16]` each (column remainder in a final
+/// narrow panel), making every panel walk perfectly sequential.
 ///
-/// Decode weights are constant across steps, so a scheduler packs each
-/// matrix once per model and reuses it for every step of every batch —
-/// the one-time copy is amortized to noise. Packing changes memory layout
-/// only, never accumulation order: [`batch_matmul_packed`] remains bitwise
-/// equal to [`batch_matmul`] and therefore to per-row [`vecmat`].
+/// The store packs each matrix once, in place, when it is registered or
+/// loaded, and every reader uses that copy: the kernels stream it in place, an
+/// embedding lookup gathers a row with [`gather_row`](Self::gather_row),
+/// and the autograd tape takes a row-major copy with
+/// [`unpack`](Self::unpack). Packing changes memory layout only, never
+/// accumulation order: [`batch_matmul_packed`] is bitwise equal to
+/// [`batch_matmul_slice`] over the row-major matrix and therefore to
+/// per-row [`vecmat`].
 #[derive(Debug, Clone)]
 pub struct PackedMat {
     k: usize,
@@ -430,34 +407,123 @@ pub struct PackedMat {
 }
 
 impl PackedMat {
-    /// Repack a row-major `[k, n]` matrix (one sequential read pass).
+    /// Pack a copy of a row-major `[k, n]` matrix.
     pub fn pack(m: &Tensor) -> PackedMat {
+        PackedMat::pack_in_place(m.clone())
+    }
+
+    /// Pack a row-major `[k, n]` matrix in its own buffer: the elements
+    /// move to their panel positions one permutation cycle at a time, so
+    /// packing never holds a second copy of the matrix (a parameter store
+    /// packs every matrix it registers or loads this way).
+    pub fn pack_in_place(m: Tensor) -> PackedMat {
         assert_eq!(m.ndim(), 2, "PackedMat wants 2-D, got {:?}", m.shape);
         let (k, n) = (m.shape[0], m.shape[1]);
-        let full = n / BM_JB;
-        let rem = n - full * BM_JB;
-        let mut data = vec![0.0f32; k * n];
-        for (kk, row) in m.data.chunks_exact(n).enumerate() {
-            for jt in 0..full {
-                let dst = jt * k * BM_JB + kk * BM_JB;
-                data[dst..dst + BM_JB].copy_from_slice(&row[jt * BM_JB..(jt + 1) * BM_JB]);
+        let mut data = m.data;
+        // Where row-major element `i` lives once packed.
+        let full = n / BM_JB * BM_JB;
+        let target = |i: usize| {
+            let (kk, j) = (i / n, i % n);
+            if j < full {
+                j / BM_JB * k * BM_JB + kk * BM_JB + j % BM_JB
+            } else {
+                full * k + kk * (n - full) + (j - full)
             }
-            if rem > 0 {
-                let dst = full * k * BM_JB + kk * rem;
-                data[dst..dst + rem].copy_from_slice(&row[full * BM_JB..]);
+        };
+        // Whole panel pieces move together when every row is made of them
+        // (the permutation is then a transpose of 16-float units).
+        let unit = if n == full { BM_JB } else { 1 };
+        // One bit per unit: already at its panel position.
+        let mut placed = vec![0u64; (data.len() / unit).div_ceil(64)];
+        let mut carried = [0.0f32; BM_JB];
+        for start in 0..data.len() / unit {
+            if placed[start / 64] >> (start % 64) & 1 == 1 {
+                continue;
+            }
+            carried[..unit].copy_from_slice(&data[start * unit..(start + 1) * unit]);
+            let mut i = start;
+            loop {
+                let to = target(i * unit) / unit;
+                data[to * unit..(to + 1) * unit].swap_with_slice(&mut carried[..unit]);
+                placed[to / 64] |= 1 << (to % 64);
+                if to == start {
+                    break;
+                }
+                i = to;
             }
         }
         PackedMat { k, n, data }
+    }
+
+    /// The row-major `[k, n]` matrix this was packed from, bitwise.
+    pub fn unpack(&self) -> Tensor {
+        let mut data = vec![0.0f32; self.k * self.n];
+        for (kk, row) in data.chunks_exact_mut(self.n).enumerate() {
+            self.gather_row(kk, row);
+        }
+        Tensor::from_vec(&[self.k, self.n], data)
+    }
+
+    /// Copy row `r` of the row-major matrix into `out` (`n` elements): one
+    /// 16-wide piece from each panel.
+    ///
+    /// # Panics
+    ///
+    /// If `r >= k` or `out.len() != n`.
+    pub fn gather_row(&self, r: usize, out: &mut [f32]) {
+        assert!(r < self.k, "row {r} of a [{}, {}] matrix", self.k, self.n);
+        assert_eq!(out.len(), self.n, "gather_row output length");
+        for (at, cols) in row_pieces(self.k, self.n, r) {
+            out[cols.clone()].copy_from_slice(&self.data[at..at + cols.len()]);
+        }
     }
 
     /// `(k, n)` of the original matrix.
     pub fn shape(&self) -> (usize, usize) {
         (self.k, self.n)
     }
+
+    /// The packed elements, in panel order: elementwise updates (the
+    /// optimizer's) run over them as over any flat buffer.
+    pub(crate) fn data_mut(&mut self) -> &mut [f32] {
+        &mut self.data
+    }
+
+    /// The packed elements, in panel order.
+    pub(crate) fn data(&self) -> &[f32] {
+        &self.data
+    }
+
+    /// The column of the row-major matrix that packed element `p` holds.
+    pub(crate) fn column(&self, p: usize) -> usize {
+        let (panel, full) = (self.k * BM_JB, self.n / BM_JB);
+        if p < full * panel {
+            p / panel * BM_JB + p % BM_JB
+        } else {
+            full * BM_JB + (p - full * panel) % (self.n - full * BM_JB)
+        }
+    }
 }
 
-/// [`batch_matmul`] over a pre-packed weight matrix — bitwise the same
-/// result, streamed sequentially (see [`PackedMat`]).
+/// Where row `kk` of a packed `[k, n]` matrix lives: one `(at, cols)` pair
+/// per panel — the row-major columns `cols` sit at `data[at..at + cols.len()]`.
+fn row_pieces(k: usize, n: usize, kk: usize) -> impl Iterator<Item = (usize, Range<usize>)> {
+    (0..n.div_ceil(BM_JB)).map(move |jt| {
+        let cols = jt * BM_JB..((jt + 1) * BM_JB).min(n);
+        (jt * k * BM_JB + kk * cols.len(), cols)
+    })
+}
+
+/// Packed-rows product `X[rows, k] @ M[k, n] → out[rows, n]` over a packed
+/// weight matrix — the kernel behind every weight projection. Lockstep
+/// decoding packs the per-request activation rows into one matrix, so each
+/// weight element is streamed once per 8 rows (~8× less weight traffic than
+/// N [`vecmat`] calls when the weights do not fit in cache), and
+/// sequentially (see [`PackedMat`]). The register blocks and the
+/// accumulation order are [`batch_matmul_slice`]'s, so the result is
+/// bitwise that kernel's over the row-major matrix, and row `i` is bitwise
+/// the `vecmat` of row `i` — which keeps a lane's logits independent of the
+/// other lanes.
 pub fn batch_matmul_packed(x: &[f32], rows: usize, m: &PackedMat, out: &mut [f32]) {
     let (k, n) = (m.k, m.n);
     assert_eq!(
@@ -487,8 +553,10 @@ pub fn batch_matmul_packed(x: &[f32], rows: usize, m: &PackedMat, out: &mut [f32
     }
 }
 
-/// [`batch_matmul_packed`] plus a broadcast bias row (the packed
-/// counterpart of [`batch_linear`]).
+/// [`batch_matmul_packed`] plus a broadcast bias row:
+/// `out[i, :] = x[i, :] @ M + b`. Row `i` equals a [`vecmat`]-then-add-bias
+/// sequence bitwise (same ascending `k` accumulation, bias added last),
+/// whatever the other rows hold.
 pub fn batch_linear_packed(x: &[f32], rows: usize, m: &PackedMat, b: &Tensor, out: &mut [f32]) {
     assert_eq!(b.data.len(), m.n, "batch_linear_packed bias length");
     batch_matmul_packed(x, rows, m, out);
@@ -737,7 +805,7 @@ mod tests {
             let x = seq_tensor(&[rows, k], 0.4);
             let m = seq_tensor(&[k, n], -0.2);
             let mut out = vec![0.0f32; rows * n];
-            batch_matmul(&x.data, rows, &m, &mut out);
+            batch_matmul_slice(&x.data, rows, &m.data, n, &mut out);
             assert_close(&Tensor::from_vec(&[rows, n], out), &matmul(&x, &m), 1e-5);
         }
     }
@@ -750,7 +818,7 @@ mod tests {
         let x = seq_tensor(&[rows, k], 0.15);
         let m = seq_tensor(&[k, n], -0.85);
         let mut batched = vec![0.0f32; rows * n];
-        batch_matmul(&x.data, rows, &m, &mut batched);
+        batch_matmul_packed(&x.data, rows, &PackedMat::pack(&m), &mut batched);
         let mut single = vec![0.0f32; n];
         for i in 0..rows {
             vecmat(&x.data[i * k..(i + 1) * k], &m, &mut single);
@@ -787,7 +855,7 @@ mod tests {
         let m = seq_tensor(&[k, n], 0.7);
         let b = seq_tensor(&[n], -1.5);
         let mut out = vec![0.0f32; rows * n];
-        batch_linear(&x.data, rows, &m, &b, &mut out);
+        batch_linear_packed(&x.data, rows, &PackedMat::pack(&m), &b, &mut out);
         let plain = matmul(&x, &m);
         for i in 0..rows {
             for j in 0..n {
@@ -814,23 +882,28 @@ mod tests {
             assert_eq!(packed.shape(), (k, n));
             let mut a = vec![0.0f32; rows * n];
             let mut b = vec![0.0f32; rows * n];
-            batch_matmul(&x.data, rows, &m, &mut a);
+            batch_matmul_slice(&x.data, rows, &m.data, n, &mut a);
             batch_matmul_packed(&x.data, rows, &packed, &mut b);
             assert_eq!(a, b, "rows={rows} k={k} n={n}");
         }
     }
 
+    /// The bias is added last, after the whole ascending-k sum.
     #[test]
     fn packed_linear_adds_bias() {
         let (rows, k, n) = (5usize, 6, 20);
         let x = seq_tensor(&[rows, k], 0.3);
         let m = seq_tensor(&[k, n], 0.7);
         let b = seq_tensor(&[n], -1.5);
-        let packed = PackedMat::pack(&m);
         let mut a = vec![0.0f32; rows * n];
         let mut p = vec![0.0f32; rows * n];
-        batch_linear(&x.data, rows, &m, &b, &mut a);
-        batch_linear_packed(&x.data, rows, &packed, &b, &mut p);
+        batch_matmul_slice(&x.data, rows, &m.data, n, &mut a);
+        for row in a.chunks_exact_mut(n) {
+            for (o, &bv) in row.iter_mut().zip(&b.data) {
+                *o += bv;
+            }
+        }
+        batch_linear_packed(&x.data, rows, &PackedMat::pack(&m), &b, &mut p);
         assert_eq!(a, p);
     }
 
@@ -838,7 +911,7 @@ mod tests {
     #[should_panic(expected = "batch_matmul lhs")]
     fn batch_matmul_dim_mismatch_panics() {
         let mut out = vec![0.0f32; 4];
-        batch_matmul(&[1.0, 2.0, 3.0], 2, &Tensor::zeros(&[2, 2]), &mut out);
+        batch_matmul_slice(&[1.0, 2.0, 3.0], 2, &[0.0; 4], 2, &mut out);
     }
 
     #[test]

@@ -2,13 +2,22 @@
 //!
 //! [`ParamStore`] owns every trainable tensor — names and values, nothing
 //! else; parameters are addressed by stable [`ParamId`]s handed out at
-//! registration. Tapes borrow the store read-only during the forward pass,
-//! so data-parallel workers can share one store across threads without
-//! locks; only the optimizer step mutates it. [`Adam`] owns the optimizer
-//! state — its schedule, step count and the two moment buffers per
-//! parameter — so a store saved after training carries the values alone.
+//! registration. Each value is held **once**, in the layout its readers
+//! stream: a matrix (a rank-2 tensor) in the tile-major [`PackedMat`]
+//! layout, packed in place at registration or load (no transient second
+//! copy), and everything else (biases, LayerNorm gains) dense. The serving kernels read a matrix in place, an
+//! embedding lookup gathers a row of it, and the autograd tape takes a
+//! row-major copy ([`ParamStore::tensor`]). Serde writes every matrix as its
+//! row-major [`Tensor`], so a saved store does not depend on the layout.
+//!
+//! Tapes borrow the store read-only during the forward pass, so
+//! data-parallel workers can share one store across threads without locks;
+//! only the optimizer step mutates it. [`Adam`] owns the optimizer state —
+//! its schedule, step count and the two moment buffers per parameter — so
+//! a store saved after training carries the values alone.
 
 use crate::autograd::Grads;
+use crate::matmul::PackedMat;
 use crate::tensor::Tensor;
 use serde::{Deserialize, Serialize};
 
@@ -16,10 +25,60 @@ use serde::{Deserialize, Serialize};
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
 pub struct ParamId(pub usize);
 
+/// A parameter's one copy: packed when it is a matrix, dense otherwise.
+#[derive(Debug, Clone)]
+enum Value {
+    Dense(Tensor),
+    Matrix(PackedMat),
+}
+
+impl Value {
+    /// The layout is the tensor's rank: rank 2 packs, in the tensor's own
+    /// buffer.
+    fn new(t: Tensor) -> Value {
+        if t.ndim() == 2 {
+            Value::Matrix(PackedMat::pack_in_place(t))
+        } else {
+            Value::Dense(t)
+        }
+    }
+
+    fn shape(&self) -> Vec<usize> {
+        match self {
+            Value::Dense(t) => t.shape.clone(),
+            Value::Matrix(m) => {
+                let (k, n) = m.shape();
+                vec![k, n]
+            }
+        }
+    }
+
+    /// The row-major tensor, bitwise.
+    fn tensor(&self) -> Tensor {
+        match self {
+            Value::Dense(t) => t.clone(),
+            Value::Matrix(m) => m.unpack(),
+        }
+    }
+}
+
+/// Written as the row-major tensor, whatever the layout in memory.
+impl Serialize for Value {
+    fn ser(&self) -> serde::Value {
+        self.tensor().ser()
+    }
+}
+
+impl Deserialize for Value {
+    fn de(v: &serde::Value) -> Result<Value, serde::DeError> {
+        Tensor::de(v).map(Value::new)
+    }
+}
+
 #[derive(Debug, Clone, Serialize, Deserialize)]
 struct Slot {
     name: String,
-    value: Tensor,
+    value: Value,
 }
 
 /// Container of all trainable parameters of a model.
@@ -33,7 +92,7 @@ impl ParamStore {
         ParamStore::default()
     }
 
-    /// Register a parameter; names must be unique.
+    /// Register a parameter; names must be unique. A matrix is packed here.
     pub fn add(&mut self, name: &str, value: Tensor) -> ParamId {
         assert!(
             self.slots.iter().all(|s| s.name != name),
@@ -41,7 +100,7 @@ impl ParamStore {
         );
         self.slots.push(Slot {
             name: name.to_string(),
-            value,
+            value: Value::new(value),
         });
         ParamId(self.slots.len() - 1)
     }
@@ -57,17 +116,66 @@ impl ParamStore {
 
     /// Total scalar parameter count.
     pub fn num_scalars(&self) -> usize {
-        self.slots.iter().map(|s| s.value.numel()).sum()
+        self.slots
+            .iter()
+            .map(|s| s.value.shape().iter().product::<usize>())
+            .sum()
     }
 
-    /// Value of a parameter.
+    /// Registered name of a parameter.
+    pub fn name(&self, id: ParamId) -> &str {
+        &self.slots[id.0].name
+    }
+
+    /// Shape of a parameter as registered.
+    pub fn shape(&self, id: ParamId) -> Vec<usize> {
+        self.slots[id.0].value.shape()
+    }
+
+    /// Value of a parameter that is not a matrix (a bias, a LayerNorm gain).
+    ///
+    /// # Panics
+    ///
+    /// If the parameter is a matrix: read it with [`matrix`](Self::matrix),
+    /// or copy it out with [`tensor`](Self::tensor).
     pub fn value(&self, id: ParamId) -> &Tensor {
-        &self.slots[id.0].value
+        match &self.slots[id.0].value {
+            Value::Dense(t) => t,
+            Value::Matrix(_) => panic!("parameter {} is a packed matrix", self.name(id)),
+        }
     }
 
-    /// Mutable value (tests / manual surgery).
-    pub fn value_mut(&mut self, id: ParamId) -> &mut Tensor {
-        &mut self.slots[id.0].value
+    /// A matrix parameter, packed.
+    ///
+    /// # Panics
+    ///
+    /// If the parameter is not a matrix.
+    pub fn matrix(&self, id: ParamId) -> &PackedMat {
+        match &self.slots[id.0].value {
+            Value::Matrix(m) => m,
+            Value::Dense(_) => panic!("parameter {} is not a matrix", self.name(id)),
+        }
+    }
+
+    /// A row-major copy of any parameter, bitwise its value.
+    pub fn tensor(&self, id: ParamId) -> Tensor {
+        self.slots[id.0].value.tensor()
+    }
+
+    /// Replace a parameter's value (tests / manual surgery); a matrix is
+    /// packed again.
+    ///
+    /// # Panics
+    ///
+    /// If the shape differs from the registered one.
+    pub fn set(&mut self, id: ParamId, value: Tensor) {
+        assert_eq!(
+            value.shape,
+            self.shape(id),
+            "new value for {} changes its shape",
+            self.name(id)
+        );
+        self.slots[id.0].value = Value::new(value);
     }
 
     /// All ids in registration order.
@@ -87,7 +195,10 @@ mod store_tests {
         assert_eq!(s.len(), 1);
         assert_eq!(s.num_scalars(), 6);
         assert_eq!(s.ids().collect::<Vec<_>>(), vec![id]);
-        assert_eq!(s.value(id).data, vec![1.0; 6]);
+        assert_eq!(s.name(id), "w");
+        assert_eq!(s.shape(id), vec![2, 3]);
+        assert_eq!(s.tensor(id).data, vec![1.0; 6]);
+        assert_eq!(s.matrix(id).shape(), (2, 3));
     }
 
     #[test]
@@ -106,7 +217,9 @@ mod store_tests {
 /// The first and second moment estimates live here, one buffer pair per
 /// parameter, allocated (zeroed) the first time that parameter gets a
 /// gradient. They last as long as this optimizer: a fresh `Adam` starts
-/// from zero moments and `t = 0` whatever store it steps.
+/// from zero moments and `t = 0` whatever store it steps. The update is
+/// elementwise, so it runs in the slot's own layout: a matrix's gradient is
+/// packed first, and its moments are laid out like the packed values.
 #[derive(Debug, Clone, Serialize, Deserialize)]
 pub struct Adam {
     pub lr: f32,
@@ -118,8 +231,8 @@ pub struct Adam {
     pub warmup: usize,
     /// Step counter (1-based after the first step).
     pub t: usize,
-    /// First moment per parameter, indexed by [`ParamId`]; empty until the
-    /// parameter's first gradient.
+    /// First moment per parameter, indexed by [`ParamId`], in the slot's
+    /// layout; empty until the parameter's first gradient.
     m: Vec<Vec<f32>>,
     /// Second moment per parameter, laid out like `m`.
     v: Vec<Vec<f32>>,
@@ -175,25 +288,34 @@ impl Adam {
                 continue;
             };
             assert_eq!(
-                g.shape, slot.value.shape,
+                g.shape,
+                slot.value.shape(),
                 "gradient shape mismatch for {}",
                 slot.name
             );
+            let packed;
+            let (g, value) = match &mut slot.value {
+                Value::Dense(t) => (&g.data[..], &mut t.data[..]),
+                Value::Matrix(w) => {
+                    packed = PackedMat::pack(g);
+                    (packed.data(), w.data_mut())
+                }
+            };
             if m.is_empty() {
-                *m = vec![0.0; g.data.len()];
-                *v = vec![0.0; g.data.len()];
+                *m = vec![0.0; g.len()];
+                *v = vec![0.0; g.len()];
             }
-            for j in 0..g.data.len() {
-                let gj = g.data[j];
+            for j in 0..g.len() {
+                let gj = g[j];
                 m[j] = self.beta1 * m[j] + (1.0 - self.beta1) * gj;
                 v[j] = self.beta2 * v[j] + (1.0 - self.beta2) * gj * gj;
                 let mhat = m[j] / bc1;
                 let vhat = v[j] / bc2;
                 let mut update = lr * mhat / (vhat.sqrt() + self.eps);
                 if self.weight_decay > 0.0 {
-                    update += lr * self.weight_decay * slot.value.data[j];
+                    update += lr * self.weight_decay * value[j];
                 }
-                slot.value.data[j] -= update;
+                value[j] -= update;
             }
         }
     }

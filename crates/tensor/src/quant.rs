@@ -17,10 +17,11 @@
 //!
 //! # Layout
 //!
-//! `QuantMat` packs its `i8` data into the same tile-major panels as
-//! [`PackedMat`](crate::PackedMat): `[n/16]` panels of `[k, 16]` (column
-//! remainder in a final narrow panel), so the kernels stream the weights
-//! perfectly sequentially.
+//! `QuantMat` packs its `i8` data into the same tile-major panels as a
+//! [`PackedMat`], `[n/16]` panels of `[k, 16]` (column remainder in a
+//! final narrow panel), so the kernels stream the weights
+//! perfectly sequentially, and a packed matrix quantizes element for
+//! element in place ([`QuantMat::quantize_packed`]).
 //!
 //! # Determinism across batching and storage
 //!
@@ -49,6 +50,7 @@
 //! `tests/quant_props.rs` and the accuracy harness in
 //! `tests/quant_accuracy.rs` enforce it.
 
+use crate::matmul::PackedMat;
 use crate::tensor::Tensor;
 
 /// Columns per packed panel (matches `PackedMat`'s tile width — one/two
@@ -84,43 +86,38 @@ impl QuantMat {
     /// accumulator could overflow (`k > i32::MAX / 127²` — far beyond any
     /// transformer projection).
     pub fn quantize(m: &Tensor) -> QuantMat {
-        assert_eq!(m.ndim(), 2, "QuantMat wants 2-D, got {:?}", m.shape);
-        let (k, n) = (m.shape[0], m.shape[1]);
+        QuantMat::quantize_packed(&PackedMat::pack(m))
+    }
+
+    /// [`quantize`](Self::quantize) the matrix a [`PackedMat`] holds, read
+    /// in place: the int8 panels have its layout, so packed element `p`
+    /// quantizes to int8 element `p` (a parameter store's matrices are
+    /// quantized without a row-major copy).
+    ///
+    /// # Panics
+    ///
+    /// As [`quantize`](Self::quantize).
+    pub fn quantize_packed(m: &PackedMat) -> QuantMat {
+        let (k, n) = m.shape();
         assert!(
             k <= MAX_K,
             "inner dim {k} could overflow the i32 accumulator (max {MAX_K})"
         );
         let mut amax = vec![0.0f32; n];
-        for row in m.data.chunks_exact(n) {
-            for (a, &v) in amax.iter_mut().zip(row) {
-                *a = a.max(v.abs());
-            }
+        for (p, &v) in m.data().iter().enumerate() {
+            let a = &mut amax[m.column(p)];
+            *a = a.max(v.abs());
         }
         let scales: Vec<f32> = amax
             .iter()
             .map(|&a| if a == 0.0 { 1.0 } else { a / 127.0 })
             .collect();
-        let full = n / QM_JB;
-        let rem = n - full * QM_JB;
-        let mut data = vec![0i8; k * n];
-        for (kk, row) in m.data.chunks_exact(n).enumerate() {
-            let quant = |j: usize| {
-                let q = (row[j] / scales[j]).round();
-                q.clamp(-127.0, 127.0) as i8
-            };
-            for jt in 0..full {
-                let dst = jt * k * QM_JB + kk * QM_JB;
-                for (o, j) in (jt * QM_JB..(jt + 1) * QM_JB).enumerate() {
-                    data[dst + o] = quant(j);
-                }
-            }
-            if rem > 0 {
-                let dst = full * k * QM_JB + kk * rem;
-                for (o, j) in (full * QM_JB..n).enumerate() {
-                    data[dst + o] = quant(j);
-                }
-            }
-        }
+        let data = m
+            .data()
+            .iter()
+            .enumerate()
+            .map(|(p, &v)| (v / scales[m.column(p)]).round().clamp(-127.0, 127.0) as i8)
+            .collect();
         QuantMat { k, n, data, scales }
     }
 

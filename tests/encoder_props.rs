@@ -5,9 +5,9 @@
 //! bit**, for any ids, length and architecture.
 //!
 //! The generator aims at the kernel seams: lengths 1..=`max_enc_len` that
-//! are mostly not multiples of `batch_linear`'s 8-row register block (so the
-//! 4/2/1-row remainders run), `d_model`/`d_ff` that are mostly not multiples
-//! of its 16-column tile (so the scalar column remainder runs), odd widths
+//! are mostly not multiples of `batch_linear_packed`'s 8-row register block
+//! (so the 4/2/1-row remainders run), `d_model`/`d_ff` that are mostly not
+//! multiples of its 16-column panel (so the narrow remainder panel runs), odd widths
 //! (a zero last positional column), 1–4 heads and 1–3 layers. Biases and
 //! LayerNorm parameters are randomized — `build_params` leaves them at 0/1,
 //! which would hide a misplaced bias add or a swapped gain.
@@ -58,16 +58,17 @@ fn random_model(cfg: &ModelConfig, seed: u64) -> (ParamStore, TransformerParams)
     let mut state = seed | 1;
     let ids: Vec<_> = store.ids().collect();
     for id in ids {
-        let value = store.value_mut(id);
-        if value.ndim() != 1 {
+        if store.shape(id).len() != 1 {
             continue;
         }
+        let mut value = store.tensor(id);
         for v in value.data.iter_mut() {
             state ^= state << 13;
             state ^= state >> 7;
             state ^= state << 17;
             *v += (state >> 40) as f32 / (1u64 << 24) as f32 - 0.5;
         }
+        store.set(id, value);
     }
     (store, params)
 }
