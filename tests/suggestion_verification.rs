@@ -797,8 +797,8 @@ fn batch_and_service_agree_with_sequential_verification() {
 const INTERPRETER_FIXTURE: &str = include_str!("fixtures/cinterp_behaviour.tsv");
 
 /// The cases of the fixture: every benchmark11 program on 1, 2 and 4 ranks
-/// under the default budget, and every fault-corpus row on 2 ranks under
-/// the fault budget.
+/// under the default budget, every fault-corpus row on 2 ranks under the
+/// fault budget, then [`SEMANTICS_CASES`].
 fn fixture_cases() -> Vec<(&'static str, &'static str, usize, u64)> {
     let mut cases = Vec::new();
     for p in benchmark_programs() {
@@ -810,8 +810,329 @@ fn fixture_cases() -> Vec<(&'static str, &'static str, usize, u64)> {
     for (name, src, _) in FAULT_CORPUS {
         cases.push((name, src, 2, fault_opts().step_limit));
     }
+    for &(name, nranks, budget, src) in SEMANTICS_CASES {
+        cases.push((name, src, nranks, budget));
+    }
     cases
 }
+
+/// Programs that pin the interpreter's semantics construct by construct —
+/// control flow, evaluation order, places, calls, `printf` and one program
+/// per run-time error kind with its line — as `(name, ranks, step budget,
+/// source)`. Appended to the fixture by `record_interpreter_fixture` at
+/// commit c4a72d8, whose rows above them were unchanged.
+const SEMANTICS_CASES: &[(&str, usize, u64, &str)] = &[
+    (
+        "loops with break and continue",
+        1,
+        1_000_000,
+        "int skip_rest() {\n\
+         int x = 3;\n\
+         if (x) { break; }\n\
+         return 9;\n\
+         }\n\
+         int main() {\n\
+         int i, j, sum = 0, trace = 0;\n\
+         for (i = 0; i < 10; i++) {\n\
+         if (i == 2) continue;\n\
+         if (i == 7) break;\n\
+         sum += i;\n\
+         }\n\
+         j = 0;\n\
+         while (1) {\n\
+         j++;\n\
+         if (j % 3 == 0) { continue; }\n\
+         if (j > 10) break;\n\
+         trace = trace * 2 + j;\n\
+         }\n\
+         int k = 0;\n\
+         do {\n\
+         k += 2;\n\
+         if (k == 4) continue;\n\
+         if (k > 9) break;\n\
+         trace += k;\n\
+         } while (k < 20);\n\
+         for (i = 0, j = 5; ; i++, j--) { if (i >= j) break; sum += i * j; }\n\
+         for (int m = 0; m < 4; m++) {\n\
+         int local = m * m;\n\
+         { int inner = local + 1; if (inner == 2) continue; sum += inner; }\n\
+         while (local > 0) { local = local - 3; if (local < 2) break; }\n\
+         }\n\
+         int n = 0;\n\
+         while (n < 5) n++;\n\
+         do n--; while (n > 2);\n\
+         printf(\"%d %d %d %d %d %d %d\\n\", sum, trace, i, j, k, n, skip_rest());\n\
+         return 0;\n\
+         }",
+    ),
+    (
+        "conditionals and short circuits",
+        1,
+        1_000_000,
+        "int calls = 0;\n\
+         int bump(int v) { calls = calls + 1; return v; }\n\
+         int main() {\n\
+         int a = 5, b = 0, r = 0;\n\
+         if (a < 3) { r = 1; } else if (a < 5) { r = 2; } else if (a == 5) { r = 3; } else { r = 4; }\n\
+         if (b) r = 100; else if (!a) r = 200;\n\
+         int t = a > 4 ? bump(10) : bump(20);\n\
+         int u = (b != 0) ? 1 : (a == 5 ? 2 : 3);\n\
+         int c = (r = r + 1, r * 2);\n\
+         int s1 = b && bump(1);\n\
+         int s2 = a || bump(2);\n\
+         int s3 = a && bump(0);\n\
+         int s4 = b || bump(7);\n\
+         int s5 = (b && bump(1)) || (a && bump(3));\n\
+         double h = 0.0;\n\
+         int s6 = h || (h = 2.5, h > 2);\n\
+         printf(\"%d %d %d %d %d %d %d %d %d %d %d %.1f\\n\", r, t, u, c, s1, s2, s3, s4, s5, s6, calls, h);\n\
+         return 0;\n\
+         }",
+    ),
+    (
+        "places, increments and compound assignment",
+        1,
+        1_000_000,
+        "int main() {\n\
+         int a[6];\n\
+         int i;\n\
+         for (i = 0; i < 6; i++) a[i] = 0;\n\
+         i = 1;\n\
+         a[i++] = i;\n\
+         a[i++] = i * 10;\n\
+         a[3] += 5; a[3] *= 3; a[3] -= 1; a[3] /= 2; a[3] %= 5;\n\
+         a[4]++; ++a[4]; a[4]--; --a[5];\n\
+         int *p = a;\n\
+         p++; ++p; p--;\n\
+         int v = *p++;\n\
+         int w = *--p;\n\
+         *p += 100;\n\
+         double m[2][3];\n\
+         m[1][2] = 4; m[1][2] += 0.5; m[0][0] = m[1][2]--;\n\
+         double d = 1.5; d *= 4; d -= 0.25;\n\
+         int x = 7; x <<= 2; x |= 1; x ^= 3; x &= 29; x >>= 1;\n\
+         int y = (x = 3) + (x += 2);\n\
+         MPI_Status st;\n\
+         st.MPI_TAG = 5; st.MPI_TAG *= 3;\n\
+         int *q = &a[2];\n\
+         q[1] = -q[0];\n\
+         printf(\"%d %d %d %d %d %d | %d %d %d %.2f %d %d %.1f %.1f %d %d\\n\", a[0], a[1], a[2], a[3], a[4], a[5], v, w, p[0], d, x, y, m[0][0], m[1][2], st.MPI_TAG, a[3]);\n\
+         return 0;\n\
+         }",
+    ),
+    (
+        "printf, recursion and a late global",
+        1,
+        1_000_000,
+        "int fact(int n) {\n\
+         if (n <= 1) { return 1; }\n\
+         return n * fact(n - 1);\n\
+         }\n\
+         int is_even(int n);\n\
+         int is_odd(int n) { if (n == 0) { return 0; } return is_even(n - 1); }\n\
+         int is_even(int n) { if (n == 0) { return 1; } return is_odd(n - 1); }\n\
+         int read_late() { return late * 2; }\n\
+         int late = 21;\n\
+         double half(double x) { return x / 2; }\n\
+         int grid[2][2] = {{1, 2}, {3, 4}};\n\
+         int main(int argc, char **argv) {\n\
+         printf(\"%d %s %5.2f %c %ld %e|%-4d|%x %%\\n\", fact(6), \"mixed\", half(7.0), 65, 1234567890123, 0.5, 42, 255);\n\
+         printf(\"%d %d %d %d %d\\n\", is_even(10), is_odd(7), read_late(), grid[1][0], argc);\n\
+         return fact(4);\n\
+         }",
+    ),
+    (
+        "error: undefined variable",
+        1,
+        1_000_000,
+        "int main() {\n\
+         int a = 1;\n\
+         return a + missing;\n\
+         }",
+    ),
+    (
+        "error: undefined function",
+        1,
+        1_000_000,
+        "int main() {\n\
+         int a = 1;\n\
+         a = a + 1;\n\
+         return nothing(a);\n\
+         }",
+    ),
+    (
+        "error: global read before its declaration ran",
+        1,
+        1_000_000,
+        "int peek() { return late; }\n\
+         int early = peek();\n\
+         int late = 3;\n\
+         int main() { return early; }",
+    ),
+    (
+        "error: pointer used as number",
+        1,
+        1_000_000,
+        "int main() {\n\
+         int a[2];\n\
+         double x = 1.0;\n\
+         x = a * 2.0;\n\
+         return 0;\n\
+         }",
+    ),
+    (
+        "error: builtin short of arguments",
+        1,
+        1_000_000,
+        "int main() {\n\
+         double r = 2.0;\n\
+         r = sqrt();\n\
+         return 0;\n\
+         }",
+    ),
+    (
+        "error: printf argument of the wrong kind",
+        1,
+        1_000_000,
+        "int main() {\n\
+         int a[2];\n\
+         printf(\"ok\\n\");\n\
+         printf(\"%d\\n\", a);\n\
+         return 0;\n\
+         }",
+    ),
+    (
+        "error: negative index",
+        1,
+        1_000_000,
+        "int main() {\n\
+         int a[4];\n\
+         int i = -1;\n\
+         a[i] = 3;\n\
+         return 0;\n\
+         }",
+    ),
+    (
+        "error: negative array dimension",
+        1,
+        1_000_000,
+        "int main() {\n\
+         int n = -2;\n\
+         int b[n];\n\
+         return 0;\n\
+         }",
+    ),
+    (
+        "error: initializer past its array",
+        1,
+        1_000_000,
+        "int main() {\n\
+         int ok = 1;\n\
+         int a[2] = {1, 2, 3};\n\
+         return ok;\n\
+         }",
+    ),
+    (
+        "error: write through NULL",
+        1,
+        1_000_000,
+        "int main() {\n\
+         int *p = NULL;\n\
+         *p = 1;\n\
+         return 0;\n\
+         }",
+    ),
+    (
+        "error: division by zero in a global",
+        1,
+        1_000_000,
+        "int zero = 0;\n\
+         int bad = 1 / zero;\n\
+         int main() { return bad; }",
+    ),
+    (
+        "error: remainder by zero",
+        1,
+        1_000_000,
+        "int main() {\n\
+         int a = 7, b = 0;\n\
+         a %= b;\n\
+         return a;\n\
+         }",
+    ),
+    (
+        "error: step limit",
+        2,
+        5_000,
+        "int main() {\n\
+         int x = 0;\n\
+         while (1) { x = x + 1; }\n\
+         return x;\n\
+         }",
+    ),
+    (
+        "error: memory limit",
+        1,
+        1_000_000,
+        "int main() {\n\
+         int n = 3;\n\
+         double *p = (double *)malloc(800000000);\n\
+         return n;\n\
+         }",
+    ),
+    (
+        "error: call depth",
+        1,
+        1_000_000,
+        "int down(int n) {\n\
+         return down(n + 1) + 1;\n\
+         }\n\
+         int main() {\n\
+         return down(0);\n\
+         }",
+    ),
+    (
+        "error: message count",
+        2,
+        1_000_000,
+        "int main(int argc, char **argv) {\n\
+         int rank;\n\
+         int buf[4];\n\
+         MPI_Init(&argc, &argv);\n\
+         MPI_Comm_rank(MPI_COMM_WORLD, &rank);\n\
+         if (rank == 0) {\n\
+         MPI_Send(buf, -1, MPI_INT, 1, 0, MPI_COMM_WORLD);\n\
+         }\n\
+         MPI_Finalize();\n\
+         return 0;\n\
+         }",
+    ),
+    (
+        "error: unsupported MPI function",
+        1,
+        1_000_000,
+        "int main(int argc, char **argv) {\n\
+         MPI_Init(&argc, &argv);\n\
+         MPI_Type_commit(0);\n\
+         MPI_Finalize();\n\
+         return 0;\n\
+         }",
+    ),
+    (
+        "error: MPI abort",
+        2,
+        1_000_000,
+        "int main(int argc, char **argv) {\n\
+         int rank;\n\
+         MPI_Init(&argc, &argv);\n\
+         MPI_Comm_rank(MPI_COMM_WORLD, &rank);\n\
+         if (rank == 1) { MPI_Abort(MPI_COMM_WORLD, 4); }\n\
+         MPI_Barrier(MPI_COMM_WORLD);\n\
+         MPI_Finalize();\n\
+         return 0;\n\
+         }",
+    ),
+];
 
 /// The observable outcome of a run: per-rank exit codes and stdout, or the
 /// root-cause error as displayed.
