@@ -1,4 +1,4 @@
-//! The lowering pass: checked AST → slot-resolved IR.
+//! The lowering pass: checked AST → slot-resolved IR → flat code.
 //!
 //! [`compile`] walks a [`Program`] once and decides everything that does
 //! not depend on run-time values, so that the interpreter
@@ -17,26 +17,28 @@
 //!   sorted into buffers, counts, datatypes, ranks and statuses.
 //! * **Types.** Declarations, parameters, casts and `sizeof` carry their
 //!   [`CType`] and pointer-ness instead of re-deriving them from type words.
-//! * **Stack depth.** Each function records the most interpreter frames one
-//!   activation holds open (`Function::levels`), which the interpreter sums
-//!   over the calls in progress against [`MAX_LEVELS`](crate::MAX_LEVELS).
+//! * **Frame depth.** Each function records the static depth of one
+//!   activation (`Function::levels`), which the interpreter sums over the
+//!   calls in progress against [`MAX_LEVELS`](crate::MAX_LEVELS).
 //!
 //! The pass is infallible. What is wrong with a program — a name that
 //! resolves to nothing, a call with too few arguments, an assignment to a
 //! non-lvalue, an unparsed region — is only wrong *if it runs*: dead code
 //! in a model-generated program must not fail the live code around it, and
 //! the verifier classifies run-time errors, not compile-time ones. Such a
-//! construct lowers to a node (`Expr::Raise`, `Stmt::Raise`, a `VarRef`
-//! without a slot) that raises its [`InterpError`] when
-//! executed. The one thing no slot can know statically is whether a
-//! *global* has been initialised yet (an initialiser may call a function
-//! that reads a global declared further down), so an unbound global slot
-//! raises `Undefined` at run time as well.
+//! construct lowers to a node (`Expr::Raise`, `Stmt::Raise`, an unresolved
+//! `VarRef`) that raises its [`InterpError`] when executed. The one thing
+//! no slot can know statically is whether a *global* has been initialised
+//! yet (an initialiser may call a function that reads a global declared
+//! further down), so an unbound global slot raises `Undefined` at run time
+//! as well.
 //!
-//! The IR keeps the tree's shape — statements, blocks, expressions — so
-//! step accounting, error lines and evaluation order are the walker's.
+//! The IR keeps the tree's shape — statements, blocks, expressions — and
+//! lives only while its function is lowered: `code.rs` emits each
+//! function's flat code from it.
 
 use crate::builtins::{MathFn, RAND_MAX};
+use crate::code::{Code, Emit};
 use crate::error::InterpError;
 use crate::machine::{CType, Slot, Value};
 use mpirical_cparse as ast;
@@ -48,42 +50,73 @@ use std::collections::HashMap;
 /// every world that runs it.
 #[derive(Debug)]
 pub struct Compiled {
-    /// Global declarations, source order.
-    pub(crate) globals: Vec<Decl>,
-    /// Number of global slots.
-    pub(crate) global_slots: usize,
-    pub(crate) functions: Vec<Function>,
+    /// The flat code of the globals, `main`'s entry and every function.
+    pub(crate) code: Code,
     pub(crate) main: Option<u32>,
-    /// Variable names by [`VarRef::name`], for `Undefined` errors.
+    /// Identifiers, for `Undefined` errors: by name id.
     pub(crate) names: Vec<Box<str>>,
+    /// The name id of each global slot.
+    pub(crate) global_names: Vec<u32>,
 }
 
 impl Compiled {
-    pub(crate) fn name(&self, v: VarRef) -> &str {
-        &self.names[v.name as usize]
+    /// The identifier `v` was written as, where `func` is the running
+    /// function (whose slots a local `v` indexes).
+    pub(crate) fn name(&self, v: VarRef, func: Option<usize>) -> &str {
+        let id = match v.slot() {
+            None => v.0 & !VarRef::UNRESOLVED,
+            Some(Slot::Global(i)) => self.global_names[i as usize],
+            Some(Slot::Local(i)) => {
+                let func = func.expect("a local is read inside a call");
+                self.code.functions[func].local_names[i as usize]
+            }
+        };
+        &self.names[id as usize]
     }
 }
 
-/// An identifier after resolution.
-#[derive(Debug, Clone, Copy)]
-pub(crate) struct VarRef {
-    /// `None`: no declaration is in scope here; executing it is `Undefined`.
-    pub slot: Option<Slot>,
-    pub name: u32,
+/// An identifier after resolution, packed in one word so that an op can
+/// carry two: a global or local [`Slot`], or — for a name no declaration is
+/// in scope for, which is `Undefined` when executed — the name's id. A
+/// slot's name is its declaration's ([`Compiled::name`]).
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub(crate) struct VarRef(u32);
+
+impl VarRef {
+    const GLOBAL: u32 = 1 << 31;
+    const UNRESOLVED: u32 = 1 << 30;
+
+    fn to(slot: Slot) -> VarRef {
+        match slot {
+            Slot::Global(i) => VarRef(i | VarRef::GLOBAL),
+            Slot::Local(i) => VarRef(i),
+        }
+    }
+
+    #[inline]
+    pub fn slot(self) -> Option<Slot> {
+        if self.0 & VarRef::GLOBAL != 0 {
+            Some(Slot::Global(self.0 & !VarRef::GLOBAL))
+        } else if self.0 & VarRef::UNRESOLVED != 0 {
+            None
+        } else {
+            Some(Slot::Local(self.0))
+        }
+    }
 }
 
 #[derive(Debug)]
 pub(crate) struct Function {
     pub params: Vec<Param>,
     pub body: Block,
-    /// Local slots of one activation.
-    pub slots: usize,
-    /// Most interpreter frames one activation holds open at once, its
-    /// callees not counted: one per statement, block, interior expression,
-    /// lvalue, declaration and initializer level, with the larger frames of
-    /// a call (3), a `printf` (2) and an MPI call (7) weighted as several.
-    /// Leaves and expression statements run in their parent's frame and
-    /// count nothing. The interpreter sums this over the calls in progress
+    /// The name id of each local slot of one activation.
+    pub local_names: Vec<u32>,
+    /// The static depth of one activation, its callees not counted: the
+    /// most nested levels open at once, one per statement, block, interior
+    /// expression, lvalue, declaration and initializer level, with a call
+    /// weighted 3, a `printf` 2 and an MPI call 7 (the Rust frames the tree
+    /// walker spent on each). Leaves and expression statements count
+    /// nothing. The interpreter sums this over the calls in progress
     /// against [`MAX_LEVELS`](crate::MAX_LEVELS).
     pub levels: usize,
     pub line: u32,
@@ -387,14 +420,17 @@ pub fn compile(prog: &Program) -> Compiled {
             lower.declare(&decl.name);
         }
     }
-    let globals = global_decls().map(|d| lower.declaration(d)).collect();
-    let functions = prog.functions().map(|f| lower.function(f)).collect();
+    let globals: Vec<Decl> = global_decls().map(|d| lower.declaration(d)).collect();
+    let mut emit = Emit::default();
+    emit.globals(&globals);
+    for f in prog.functions() {
+        emit.function(lower.function(f));
+    }
     Compiled {
-        globals,
-        global_slots: lower.globals.len(),
-        functions,
+        code: emit.finish(),
         main: lower.funcs.get("main").map(|&(index, _)| index),
         names: lower.names,
+        global_names: lower.global_names,
     }
 }
 
@@ -408,9 +444,11 @@ struct Lower<'a> {
     /// Block scopes of the function being lowered, innermost last; empty
     /// while lowering global declarations.
     scopes: Vec<HashMap<&'a str, u32>>,
-    /// Local slots handed out in that function so far.
-    slots: u32,
-    /// Frames open at the node being lowered, and the most seen in the
+    /// The name id of each local slot handed out in that function so far.
+    local_names: Vec<u32>,
+    /// The name id of each global slot.
+    global_names: Vec<u32>,
+    /// Levels open at the node being lowered, and the most seen in the
     /// function so far (see [`Function::levels`]).
     open: usize,
     deepest: usize,
@@ -491,20 +529,21 @@ impl<'a> Lower<'a> {
     /// The slot of a declaration of `name` in the innermost scope. Declaring
     /// a name twice in one scope rebinds the same slot.
     fn declare(&mut self, name: &'a str) -> VarRef {
+        let id = self.name_id(name);
         let slot = match self.scopes.last_mut() {
             Some(scope) => Slot::Local(*scope.entry(name).or_insert_with(|| {
-                self.slots += 1;
-                self.slots - 1
+                self.local_names.push(id);
+                self.local_names.len() as u32 - 1
             })),
             None => {
                 let next = self.globals.len() as u32;
-                Slot::Global(*self.globals.entry(name).or_insert(next))
+                Slot::Global(*self.globals.entry(name).or_insert_with(|| {
+                    self.global_names.push(id);
+                    next
+                }))
             }
         };
-        VarRef {
-            slot: Some(slot),
-            name: self.name_id(name),
-        }
+        VarRef::to(slot)
     }
 
     /// What `name` means here: the innermost declaration already seen in an
@@ -515,9 +554,9 @@ impl<'a> Lower<'a> {
             Some(&i) => Some(Slot::Local(i)),
             None => self.globals.get(name).map(|&i| Slot::Global(i)),
         };
-        VarRef {
-            slot,
-            name: self.name_id(name),
+        match slot {
+            Some(slot) => VarRef::to(slot),
+            None => VarRef(self.name_id(name) | VarRef::UNRESOLVED),
         }
     }
 
@@ -528,8 +567,7 @@ impl<'a> Lower<'a> {
         out
     }
 
-    /// Lower with `levels` more interpreter frames open (see
-    /// [`Function::levels`]).
+    /// Lower with `levels` more levels open (see [`Function::levels`]).
     fn nested<T>(&mut self, levels: usize, lower: impl FnOnce(&mut Self) -> T) -> T {
         self.open += levels;
         self.deepest = self.deepest.max(self.open);
@@ -539,7 +577,6 @@ impl<'a> Lower<'a> {
     }
 
     fn function(&mut self, f: &'a ast::FunctionDef) -> Function {
-        self.slots = 0;
         self.deepest = 0;
         // Parameters live in a scope of their own around the body block.
         let (params, body) = self.scoped(|this| {
@@ -554,10 +591,11 @@ impl<'a> Lower<'a> {
                 .collect();
             (params, this.nested(1, |this| this.block(&f.body)))
         });
+        let local_names = std::mem::take(&mut self.local_names);
         Function {
             params,
             body,
-            slots: self.slots as usize,
+            local_names,
             levels: self.deepest,
             line: f.line,
         }

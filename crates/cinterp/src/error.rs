@@ -19,8 +19,8 @@ pub enum InterpError {
     /// The per-rank memory budget was exhausted (unbounded allocation).
     MemoryLimit { limit: usize },
     /// A call would nest deeper than [`MAX_CALL_DEPTH`] user-function calls,
-    /// or its frames past [`MAX_LEVELS`] (unbounded recursion). `limit` is
-    /// the calls in progress when the next was refused.
+    /// or its static levels past [`MAX_LEVELS`] (unbounded recursion).
+    /// `limit` is the calls in progress when the next was refused.
     ///
     /// [`MAX_CALL_DEPTH`]: crate::MAX_CALL_DEPTH
     /// [`MAX_LEVELS`]: crate::MAX_LEVELS

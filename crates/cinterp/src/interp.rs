@@ -1,21 +1,23 @@
 //! The interpreter: runs a [`Compiled`] program on one rank.
 //!
-//! Statements and expressions are evaluated over the rank's [`Memory`] in
-//! the order and with the step accounting of the source tree — one step
-//! per statement executed and one per loop iteration — but without names:
-//! a variable is the [`Binding`] in its slot, a call is an index or a
-//! builtin tag, a type is a [`CType`]. Nothing on the path of an executed
-//! statement allocates; what a block declares is released when it exits.
+//! One dispatch loop steps through the program's flat code (`code.rs`)
+//! over the rank's [`Memory`]: expressions on a reused operand stack of
+//! [`Value`]s, lvalues on a place stack, a user call as a frame record
+//! (return position, the caller's binding frame and stack mark, open
+//! blocks, frame depth) pushed beside them. Nothing recurses on the Rust
+//! stack, so what a rank thread needs does not grow with the program, and
+//! nothing on the path of an executed statement allocates; what a block
+//! declares is released when it exits. Step accounting, evaluation order
+//! and every error (kind, text and line) are pinned by
+//! `tests/fixtures/cinterp_behaviour.tsv`.
 
 use crate::builtins::{format_printf, PrintfArg, Rng};
-use crate::compile::{
-    Block, Call, Callee, Compiled, Decl, Envelope, Expr, ForInit, Init, Lvalue, Mpi, MpiDtype,
-    Named, Param, Printf, PrintfOperand, Stmt, VarRef,
-};
+use crate::code::Op;
+use crate::compile::{Compiled, MpiDtype, Param, VarRef};
 use crate::error::{Fault, InterpError};
-use crate::machine::{Binding, CType, Dims, Memory, Value};
+use crate::machine::{Binding, CType, Dims, Frame, Mark, Memory, Value};
 use mpirical_cparse::BinOp;
-use mpirical_sim::{Comm, Source, Status, Tag};
+use mpirical_sim::{Comm, ReduceOp, Source, Status, Tag};
 
 /// Per-rank execution limits.
 #[derive(Debug, Clone, Copy)]
@@ -32,35 +34,26 @@ pub struct Limits {
 }
 
 /// Most user-function calls a rank may have in progress; one more is a
-/// [`InterpError::CallDepth`]. Interpreted calls are Rust calls on the rank
-/// thread, so this bound, with the [`RANK_STACK_BYTES`] every rank thread
-/// gets, is what keeps recursion in a submitted program from overflowing
-/// the stack and aborting the process. It is a constant rather than a
-/// [`Limits`] field so that the stack it needs is known when the thread is
-/// spawned.
-///
-/// [`RANK_STACK_BYTES`]: mpirical_sim::RANK_STACK_BYTES
+/// [`InterpError::CallDepth`], which verification reports as a crash of the
+/// rank (unbounded recursion), checked before the call evaluates its
+/// arguments. Calls are frame records on the heap, not Rust calls, so the
+/// bound protects no stack: it is part of the semantics a verdict depends
+/// on.
 pub const MAX_CALL_DEPTH: usize = 1_000;
 
-/// Most interpreter frames the calls in progress may hold open, summed
-/// over their functions' static frame depths, which
-/// [`compile()`](crate::compile()) records (one per statement, block,
-/// interior expression, lvalue, declaration and initializer level; a call
-/// counts 3, a `printf` 2, an MPI call 7); a call that would exceed it is
-/// a [`InterpError::CallDepth`] as well. [`MAX_CALL_DEPTH`] counts calls,
-/// but a call whose recursion sits a hundred blocks deep stacks a hundred
-/// frames: 998 such calls overflowed a release rank stack.
+/// Most static frame levels the calls in progress may hold, summed over
+/// their functions' depths, which [`compile()`](crate::compile()) records
+/// (one per statement, block, interior expression, lvalue, declaration and
+/// initializer level; a call counts 3, a `printf` 2, an MPI call 7); a call
+/// that would exceed it is a [`InterpError::CallDepth`] as well, so a
+/// recursion whose self-call sits a hundred blocks deep stops at fewer than
+/// [`MAX_CALL_DEPTH`] calls.
 ///
-/// Sizing: the largest frame per level is ≈ 7 KB in a debug build (an
-/// interior expression; an MPI call, ≈ 40 KB, counts as 7 levels) and
-/// ≈ 0.3 KB optimised (a block), so 16 000 levels need ≈ 112 MB of the
-/// 128 MiB debug and ≈ 4.6 MB of the 8 MiB release [`RANK_STACK_BYTES`].
-/// Measured on x86-64, a rank thread recursing through the costliest
-/// shapes first overflows between 19 500 and 21 000 levels in debug and
-/// between 32 000 and 40 000 optimised. It admits the full
+/// The budget was sized when each level was a Rust frame on the rank
+/// thread's stack. The flat interpreter spends no stack per level, but the
+/// levels still decide where a deep recursion stops and so which verdict
+/// it gets, so the bound stays as a semantic one. It admits the full
 /// [`MAX_CALL_DEPTH`] for calls up to 15 levels deep.
-///
-/// [`RANK_STACK_BYTES`]: mpirical_sim::RANK_STACK_BYTES
 pub const MAX_LEVELS: usize = 16_000;
 
 impl Default for Limits {
@@ -70,16 +63,6 @@ impl Default for Limits {
             cell_limit: 4_000_000,
         }
     }
-}
-
-/// Control-flow signal from statement execution. A `Return`'s value waits
-/// in [`Interp::returned`], which keeps `Result<Flow, Fault>` in registers.
-#[derive(Clone, Copy, PartialEq, Eq)]
-enum Flow {
-    Normal,
-    Break,
-    Continue,
-    Return,
 }
 
 /// A resolved storage location.
@@ -115,6 +98,23 @@ impl Place {
     }
 }
 
+/// The return position of `main`'s frame record: returning there ends the run.
+const MAIN_RETURNS: usize = usize::MAX;
+
+/// A user call in progress.
+struct CallFrame {
+    /// Where the caller continues.
+    ret: usize,
+    /// The caller's binding frame and stack height.
+    frame: Frame,
+    /// Marked blocks open in the caller.
+    marks: usize,
+    /// The callee's static frame depth, counted in [`Interp::levels`].
+    levels: usize,
+    /// The callee, whose slots the locals index.
+    func: usize,
+}
+
 /// A typed message buffer bridging cells ↔ the simulator's generics.
 enum TypedVec {
     I32(Vec<i32>),
@@ -124,26 +124,28 @@ enum TypedVec {
     U8(Vec<u8>),
 }
 
-/// The constant a named MPI argument resolved to at compile time, or the
-/// error it raises now that the call has reached it.
-fn named<T: Copy>(arg: &Named<T>) -> Result<T, Fault> {
-    arg.as_ref().map(|&v| v).map_err(Clone::clone)
-}
-
 pub(crate) struct Interp<'a> {
-    code: &'a Compiled,
+    program: &'a Compiled,
     comm: &'a Comm,
     mem: Memory,
-    /// Evaluated arguments of the user calls being set up, as a stack.
-    args: Vec<Value>,
-    /// The value of the `return` statement being unwound to its call.
-    returned: Value,
+    /// The operand stack, while an out-of-line MPI op reads it (the dispatch
+    /// loop holds it otherwise).
+    stack: Vec<Value>,
+    /// Places of the lvalues being evaluated.
+    places: Vec<Place>,
+    /// Stack marks of the blocks that declare, innermost last.
+    marks: Vec<Mark>,
+    /// User calls in progress, `main`'s first once it runs.
+    frames: Vec<CallFrame>,
+    /// Storage and dims of the initializers being run, innermost element last.
+    inits: Vec<(usize, Dims)>,
+    /// Collective results waiting for the receive buffer to be evaluated.
+    bufs: Vec<TypedVec>,
     rng: Rng,
     output: String,
-    steps: u64,
     /// User-function calls in progress.
     depth: usize,
-    /// Sum of `Function::levels` over `main` and the calls in progress.
+    /// Sum of the static frame depths of `main` and the calls in progress.
     levels: usize,
     limits: Limits,
     /// The name-keyed environment the slots replaced, kept beside them in
@@ -153,16 +155,19 @@ pub(crate) struct Interp<'a> {
 }
 
 impl<'a> Interp<'a> {
-    pub fn new(code: &'a Compiled, comm: &'a Comm, limits: Limits) -> Interp<'a> {
+    pub fn new(program: &'a Compiled, comm: &'a Comm, limits: Limits) -> Interp<'a> {
         Interp {
-            code,
+            program,
             comm,
-            mem: Memory::new(code.global_slots),
-            args: Vec::new(),
-            returned: Value::Int(0),
+            mem: Memory::new(program.global_names.len()),
+            stack: Vec::with_capacity(64),
+            places: Vec::with_capacity(16),
+            marks: Vec::with_capacity(16),
+            frames: Vec::with_capacity(16),
+            inits: Vec::new(),
+            bufs: Vec::new(),
             rng: Rng::new(comm.rank() as u64 + 1),
             output: String::new(),
-            steps: 0,
             depth: 0,
             levels: 0,
             limits,
@@ -171,40 +176,370 @@ impl<'a> Interp<'a> {
         }
     }
 
-    /// Execute `main`; returns `(exit code, captured stdout)`.
+    /// Declare the globals, then execute `main`; returns `(exit code,
+    /// captured stdout)`.
     pub fn run(mut self) -> Result<(i64, String), Fault> {
-        let code = self.code;
-        // Globals first.
-        for d in &code.globals {
-            self.exec_declaration(d)?;
+        let returned = self.exec()?;
+        // A pointer returned from `main` exits 0.
+        Ok((returned.as_i64(0).unwrap_or(0), self.output))
+    }
+
+    /// The dispatch loop, from the first global declaration to `main`'s
+    /// return. The operand stack is a local here, so its length can live in
+    /// a register; the rare ops that read it out of line get it lent back
+    /// through `self.stack`.
+    fn exec(&mut self) -> Result<Value, Fault> {
+        let program = self.program;
+        let ops = &program.code.ops[..];
+        let mut stack = std::mem::take(&mut self.stack);
+        let limit = self.limits.step_limit;
+        let mut steps = 0u64;
+        // One step of the budget per statement and per loop iteration.
+        macro_rules! tick {
+            ($n:expr) => {{
+                steps += u64::from($n);
+                if steps > limit {
+                    return Err(self.out_of_steps());
+                }
+            }};
         }
-        let main = code
-            .main
-            .map(|index| &code.functions[index as usize])
-            .ok_or_else(|| {
-                Box::new(InterpError::Undefined {
-                    name: "main".into(),
-                    line: 1,
-                })
-            })?;
-        let frame = self.mem.push_frame(main.slots);
-        #[cfg(test)]
-        self.shadow.push_frame();
-        self.levels = main.levels;
-        // argc/argv exist but hold placeholder values.
-        for p in &main.params {
-            let addr = self.bind_param(p)?;
-            self.mem.store(addr, Value::Int(0), main.line)?;
+        let mut pc = 0;
+        loop {
+            let op = &ops[pc];
+            pc += 1;
+            match *op {
+                Op::Tick(n) => tick!(n),
+                Op::Enter => {
+                    self.marks.push(self.mem.mark());
+                    #[cfg(test)]
+                    self.shadow.push_scope();
+                }
+                Op::Leave(n) => self.leave(n as usize),
+                Op::Jump(to) => pc = to as usize,
+                Op::Loop { to, ticks } => {
+                    tick!(ticks);
+                    pc = to as usize;
+                }
+                Op::LoopIfTrue { to, ticks } => {
+                    if pop(&mut stack).truthy() {
+                        tick!(ticks);
+                        pc = to as usize;
+                    }
+                }
+                Op::LoopVarVar {
+                    lhs,
+                    op,
+                    rhs,
+                    to,
+                    ticks,
+                } => {
+                    let (a, b) = (self.load_var(lhs)?, self.load_var(rhs)?);
+                    if binop(op, a, b, 0)?.truthy() {
+                        tick!(ticks);
+                        pc = to as usize;
+                    }
+                }
+                Op::LoopVarInt {
+                    lhs,
+                    op,
+                    rhs,
+                    to,
+                    ticks,
+                } => {
+                    let a = self.load_var(lhs)?;
+                    if binop(op, a, Value::Int(rhs.into()), 0)?.truthy() {
+                        tick!(ticks);
+                        pc = to as usize;
+                    }
+                }
+                Op::JumpIfFalse(to) => {
+                    if !pop(&mut stack).truthy() {
+                        pc = to as usize;
+                    }
+                }
+                Op::Pop => {
+                    pop(&mut stack);
+                }
+                Op::Return | Op::ReturnVoid => {
+                    let value = match *op {
+                        Op::Return => pop(&mut stack),
+                        _ => Value::Int(0),
+                    };
+                    match self.ret() {
+                        Some(to) => {
+                            stack.push(value);
+                            pc = to;
+                        }
+                        None => return Ok(value),
+                    }
+                }
+                Op::Raise(i) => return Err(Box::new(program.code.raises[i as usize].clone())),
+                Op::Main => pc = self.enter_main()?,
+
+                Op::Dim { line } => self.dim(pop(&mut stack), line)?,
+                Op::Declare(i) => self.declare(i as usize)?,
+                Op::InitAt { index, ctype } => {
+                    let (addr, dims) = *self.inits.last().expect("initializer cursor");
+                    let inner = dims.tail();
+                    let stride = self.stride(inner);
+                    self.inits
+                        .push((addr + index as usize * stride * ctype.cells(), inner));
+                }
+                Op::InitStore { ctype, line } => {
+                    let v = pop(&mut stack);
+                    let (addr, _) = self.inits.pop().expect("initializer cursor");
+                    self.mem.store_typed(addr, v, ctype, line)?;
+                }
+                Op::InitPop => {
+                    self.inits.pop();
+                }
+
+                Op::Int(v) => stack.push(Value::Int(v)),
+                Op::Float(v) => stack.push(Value::Double(v)),
+                Op::Ptr(v) => stack.push(Value::Ptr(v)),
+                Op::Load(var) => stack.push(self.load_var(var)?),
+                Op::AssignVar { var, op, keep } => {
+                    let place = Place::var(self.binding(var, 0)?);
+                    let rv = pop(&mut stack);
+                    self.assign(&place, op, rv)?;
+                    if keep {
+                        stack.push(self.load_place(&place, 0)?);
+                    }
+                }
+                Op::AssignVarVar { var, op, src } => {
+                    let rv = self.load_var(src)?;
+                    let place = Place::var(self.binding(var, 0)?);
+                    self.assign(&place, op, rv)?;
+                }
+                Op::IncDecVar {
+                    var,
+                    delta,
+                    post,
+                    keep,
+                } => {
+                    let place = Place::var(self.binding(var, 0)?);
+                    let v = self.inc_dec(&place, delta, post)?;
+                    if keep {
+                        stack.push(v);
+                    }
+                }
+                Op::LoadPlace => {
+                    let place = self.pop_place();
+                    stack.push(self.load_place(&place, 0)?);
+                }
+                Op::AddrOf => {
+                    let place = self.pop_place();
+                    stack.push(Value::Ptr(place.addr));
+                }
+                Op::Assign { op, keep } => {
+                    let place = self.pop_place();
+                    let rv = pop(&mut stack);
+                    self.assign(&place, op, rv)?;
+                    if keep {
+                        stack.push(self.load_place(&place, 0)?);
+                    }
+                }
+                Op::IncDec { delta, post, keep } => {
+                    let place = self.pop_place();
+                    let v = self.inc_dec(&place, delta, post)?;
+                    if keep {
+                        stack.push(v);
+                    }
+                }
+                Op::Deref => {
+                    let ptr = pop(&mut stack).as_ptr(0)?;
+                    stack.push(self.mem.load(ptr, 0)?);
+                }
+                Op::Neg => {
+                    let v = match pop(&mut stack) {
+                        Value::Int(v) => Value::Int(v.wrapping_neg()),
+                        Value::Double(v) => Value::Double(-v),
+                        Value::Ptr(_) => {
+                            return Err(InterpError::TypeError {
+                                detail: "negating a pointer".into(),
+                                line: 0,
+                            }
+                            .into())
+                        }
+                    };
+                    stack.push(v);
+                }
+                Op::Not => {
+                    let v = pop(&mut stack);
+                    stack.push(Value::Int(!v.truthy() as i64));
+                }
+                Op::BitNot => {
+                    let v = pop(&mut stack).as_i64(0)?;
+                    stack.push(Value::Int(!v));
+                }
+                Op::AndThen(to) => {
+                    if !pop(&mut stack).truthy() {
+                        stack.push(Value::Int(0));
+                        pc = to as usize;
+                    }
+                }
+                Op::OrElse(to) => {
+                    if pop(&mut stack).truthy() {
+                        stack.push(Value::Int(1));
+                        pc = to as usize;
+                    }
+                }
+                Op::Truth => {
+                    let v = pop(&mut stack);
+                    stack.push(Value::Int(v.truthy() as i64));
+                }
+                Op::Binary(op) => {
+                    let b = pop(&mut stack);
+                    binary(&mut stack, op, b)?;
+                }
+                Op::BinaryInt { op, rhs } => binary(&mut stack, op, Value::Int(rhs))?,
+                Op::BinaryFloat { op, rhs } => binary(&mut stack, op, Value::Double(rhs))?,
+                Op::BinaryVar { op, rhs } => {
+                    let b = self.load_var(rhs)?;
+                    binary(&mut stack, op, b)?;
+                }
+                Op::VarInt { lhs, op, rhs } => {
+                    let a = self.load_var(lhs)?;
+                    stack.push(binop(op, a, Value::Int(rhs), 0)?);
+                }
+                Op::VarFloat { lhs, op, rhs } => {
+                    let a = self.load_var(lhs)?;
+                    stack.push(binop(op, a, Value::Double(rhs), 0)?);
+                }
+                Op::VarVar { lhs, op, rhs } => {
+                    let (a, b) = (self.load_var(lhs)?, self.load_var(rhs)?);
+                    stack.push(binop(op, a, b, 0)?);
+                }
+                Op::Cast { to_float } => {
+                    let v = pop(&mut stack);
+                    stack.push(match (to_float, v) {
+                        (true, Value::Int(i)) => Value::Double(i as f64),
+                        (false, Value::Double(d)) => Value::Int(d as i64),
+                        _ => v,
+                    });
+                }
+
+                Op::Place(var) => {
+                    let place = Place::var(self.binding(var, 0)?);
+                    self.places.push(place);
+                }
+                Op::Index => self.index(pop(&mut stack))?,
+                Op::PlaceDeref(pointee) => {
+                    let addr = pop(&mut stack).as_ptr(0)?;
+                    // If the operand is a known pointer variable, propagate type.
+                    let ctype = pointee.and_then(|var| self.binding(var, 0).ok().map(|b| b.ctype));
+                    self.places.push(Place::cell(addr, ctype));
+                }
+                Op::Member(offset) => {
+                    let base = self.pop_place();
+                    self.places
+                        .push(Place::cell(base.addr + offset as usize, Some(CType::Int)));
+                }
+
+                Op::CallCheck { func, line } => self.call_check(func as usize, line)?,
+                Op::Call { func, line } => {
+                    let base = stack.len() - program.code.functions[func as usize].params.len();
+                    pc = self.call(func as usize, line, pc, &stack[base..])?;
+                    stack.truncate(base);
+                }
+                Op::ToF64 { line } => {
+                    let v = pop(&mut stack).as_f64(line)?;
+                    stack.push(Value::Double(v));
+                }
+                Op::ToI64 { line } => {
+                    let v = pop(&mut stack).as_i64(line)?;
+                    stack.push(Value::Int(v));
+                }
+                Op::ToPtr { line } => {
+                    let v = pop(&mut stack).as_ptr(line)?;
+                    stack.push(Value::Ptr(v));
+                }
+                Op::Count { line } => {
+                    let count = pop(&mut stack).as_i64(line)?;
+                    let n = self.message_len(count, line)?;
+                    stack.push(Value::Int(n as i64));
+                }
+                Op::Math(f) => {
+                    let b = pop_f64(&mut stack);
+                    let a = pop_f64(&mut stack);
+                    stack.push(Value::Double(f.apply(a, b)));
+                }
+                Op::Srand => {
+                    let seed = pop_i64(&mut stack);
+                    self.rng.srand(seed as u64);
+                    stack.push(Value::Int(0));
+                }
+                Op::Rand => stack.push(Value::Int(self.rng.rand())),
+                Op::Abs => {
+                    let v = pop_i64(&mut stack);
+                    stack.push(Value::Int(v.wrapping_abs()));
+                }
+                Op::Exit | Op::Abort => {
+                    let code = pop_i64(&mut stack);
+                    return Err(InterpError::Mpi(self.comm.abort(code as i32)).into());
+                }
+                Op::Malloc { elem, line } => {
+                    let bytes = pop_i64(&mut stack);
+                    stack.push(self.malloc(bytes, elem, line)?);
+                }
+                Op::Printf(i) => {
+                    let base = stack.len() - program.code.printfs[i as usize].values;
+                    let v = self.printf(i as usize, &stack[base..])?;
+                    stack.truncate(base);
+                    stack.push(v);
+                }
+
+                _ => {
+                    self.stack = std::mem::take(&mut stack);
+                    let next = self.mpi(*op, pc);
+                    stack = std::mem::take(&mut self.stack);
+                    pc = next?;
+                }
+            }
         }
-        let flow = self.exec_block(&main.body)?;
+    }
+
+    /// The value of a variable.
+    #[inline(always)]
+    fn load_var(&self, var: VarRef) -> Result<Value, Fault> {
+        let place = Place::var(self.binding(var, 0)?);
+        self.load_place(&place, 0)
+    }
+
+    #[cold]
+    fn out_of_steps(&self) -> Fault {
+        Box::new(InterpError::StepLimit {
+            limit: self.limits.step_limit,
+        })
+    }
+
+    // -- the stacks --------------------------------------------------------------
+
+    #[inline]
+    fn pop_place(&mut self) -> Place {
+        self.places.pop().expect("place stack underflow")
+    }
+
+    fn pop_i64(&mut self) -> i64 {
+        pop_i64(&mut self.stack)
+    }
+
+    fn pop_usize(&mut self) -> usize {
+        usize_of(pop(&mut self.stack))
+    }
+
+    // -- blocks and calls --------------------------------------------------------
+
+    /// Leave `n` marked blocks: what the outermost declared is released.
+    fn leave(&mut self, n: usize) {
+        let outer = self.marks.len() - n;
+        let mark = self.marks[outer];
+        self.marks.truncate(outer);
         #[cfg(test)]
-        self.shadow.pop_frame();
-        self.mem.pop_frame(frame);
-        let exit = match flow {
-            Flow::Return => self.returned.as_i64(0).unwrap_or(0),
-            _ => 0,
-        };
-        Ok((exit, self.output))
+        for _ in 0..n {
+            self.shadow.pop_scope();
+        }
+        self.mem.release(mark);
     }
 
     /// Would `n` more cells exceed the budget of live cells?
@@ -224,31 +559,112 @@ impl<'a> Interp<'a> {
         Ok(self.mem.alloc(n))
     }
 
-    #[inline]
-    fn tick(&mut self) -> Result<(), Fault> {
-        self.steps += 1;
-        if self.steps > self.limits.step_limit {
-            return Err(self.out_of_steps());
+    /// Enter `main`, its arguments placeholders; returns its entry point.
+    #[inline(never)]
+    fn enter_main(&mut self) -> Result<usize, Fault> {
+        let program = self.program;
+        let main = program
+            .main
+            .map(|index| &program.code.functions[index as usize])
+            .ok_or_else(|| {
+                Box::new(InterpError::Undefined {
+                    name: "main".into(),
+                    line: 1,
+                })
+            })?;
+        let frame = self.mem.push_frame(main.local_names.len());
+        #[cfg(test)]
+        self.shadow.push_frame();
+        self.levels = main.levels;
+        self.frames.push(CallFrame {
+            ret: MAIN_RETURNS,
+            frame,
+            marks: self.marks.len(),
+            levels: 0,
+            func: program.main.expect("main exists") as usize,
+        });
+        // argc/argv exist but hold placeholder values.
+        for p in &main.params {
+            let addr = self.bind_param(p)?;
+            self.mem.store(addr, Value::Int(0), main.line)?;
+        }
+        Ok(main.entry as usize)
+    }
+
+    #[inline(never)]
+    fn call_check(&self, func: usize, line: u32) -> Result<(), Fault> {
+        let f = &self.program.code.functions[func];
+        if self.depth == MAX_CALL_DEPTH || self.levels + f.levels > MAX_LEVELS {
+            return Err(InterpError::CallDepth {
+                limit: self.depth,
+                line,
+            }
+            .into());
         }
         Ok(())
     }
 
-    #[cold]
-    fn out_of_steps(&self) -> Fault {
-        Box::new(InterpError::StepLimit {
-            limit: self.limits.step_limit,
-        })
+    /// Enter user function `func` with its arguments; returns its entry
+    /// point.
+    #[inline(never)]
+    fn call(&mut self, func: usize, line: u32, ret: usize, args: &[Value]) -> Result<usize, Fault> {
+        let program = self.program;
+        let f = &program.code.functions[func];
+        let frame = self.mem.push_frame(f.local_names.len());
+        #[cfg(test)]
+        self.shadow.push_frame();
+        self.frames.push(CallFrame {
+            ret,
+            frame,
+            marks: self.marks.len(),
+            levels: f.levels,
+            func,
+        });
+        for (p, &v) in f.params.iter().zip(args) {
+            let addr = self.bind_param(p)?;
+            if p.is_pointer {
+                self.mem.store(addr, v, line)?;
+            } else {
+                self.mem.store_typed(addr, v, p.ctype, line)?;
+            }
+        }
+        self.depth += 1;
+        self.levels += f.levels;
+        Ok(f.entry as usize)
+    }
+
+    /// Leave the running call; returns where its caller continues, or
+    /// `None` when `main` returns.
+    #[inline(never)]
+    fn ret(&mut self) -> Option<usize> {
+        let f = self.frames.pop().expect("a call in progress");
+        self.marks.truncate(f.marks);
+        #[cfg(test)]
+        self.shadow.pop_frame();
+        self.mem.pop_frame(f.frame);
+        if f.ret == MAIN_RETURNS {
+            return None;
+        }
+        self.depth -= 1;
+        self.levels -= f.levels;
+        Some(f.ret)
     }
 
     // -- variables -------------------------------------------------------------
 
+    /// The function running, if any (global initializers run in none).
+    fn func(&self) -> Option<usize> {
+        self.frames.last().map(|f| f.func)
+    }
+
     /// Execute the declaration of `var`.
     fn bind(&mut self, var: VarRef, binding: Binding) {
-        if let Some(slot) = var.slot {
+        if let Some(slot) = var.slot() {
             self.mem.bind(slot, binding);
         }
         #[cfg(test)]
-        self.shadow.define(self.code.name(var), binding.addr);
+        self.shadow
+            .define(self.program.name(var, self.func()), binding.addr);
     }
 
     /// Give a parameter of the function being entered its cell.
@@ -271,233 +687,68 @@ impl<'a> Interp<'a> {
     #[inline]
     fn binding(&self, var: VarRef, line: u32) -> Result<Binding, Fault> {
         let bound = var
-            .slot
+            .slot()
             .map(|slot| self.mem.binding(slot))
             .filter(|b| b.addr != 0);
         #[cfg(test)]
         self.shadow
-            .check(self.code.name(var), bound.map(|b| b.addr));
+            .check(self.program.name(var, self.func()), bound.map(|b| b.addr));
         bound.ok_or_else(|| self.undefined(var, line))
     }
 
     #[cold]
     fn undefined(&self, var: VarRef, line: u32) -> Fault {
         Box::new(InterpError::Undefined {
-            name: self.code.name(var).to_string(),
+            name: self.program.name(var, self.func()).to_string(),
             line,
         })
     }
 
-    // -- statements ----------------------------------------------------------
+    // -- declarations ------------------------------------------------------------
 
-    fn exec_block(&mut self, b: &Block) -> Result<Flow, Fault> {
-        let mark = self.mem.mark();
-        #[cfg(test)]
-        self.shadow.push_scope();
-        let mut flow = Flow::Normal;
-        for s in &b.stmts {
-            flow = self.exec_stmt(s)?;
-            if flow != Flow::Normal {
-                break;
-            }
-        }
-        #[cfg(test)]
-        self.shadow.pop_scope();
-        self.mem.release(mark);
-        Ok(flow)
-    }
-
-    /// One step, then the statement. Expression statements — most of what
-    /// a loop body executes — run in the caller's frame.
-    #[inline(always)]
-    fn exec_stmt(&mut self, s: &Stmt) -> Result<Flow, Fault> {
-        self.tick()?;
-        match s {
-            Stmt::Expr(Some(e)) => {
-                self.eval(e)?;
-                Ok(Flow::Normal)
-            }
-            _ => self.exec_compound(s),
-        }
-    }
-
+    /// The next dimension of the array being declared: whatever its
+    /// expression evaluated to at this point of execution.
     #[inline(never)]
-    fn exec_compound(&mut self, s: &Stmt) -> Result<Flow, Fault> {
-        match s {
-            Stmt::Decl(d) => {
-                self.exec_declaration(d)?;
-                Ok(Flow::Normal)
+    fn dim(&mut self, v: Value, line: u32) -> Result<(), Fault> {
+        let n = v.as_i64(line)?;
+        if n < 0 {
+            return Err(InterpError::OutOfBounds {
+                detail: format!("negative array dimension {n}"),
+                line,
             }
-            Stmt::Expr(expr) => {
-                if let Some(e) = expr {
-                    self.eval(e)?;
-                }
-                Ok(Flow::Normal)
-            }
-            Stmt::If {
-                cond,
-                then_branch,
-                else_branch,
-            } => {
-                if self.eval(cond)?.truthy() {
-                    self.exec_stmt(then_branch)
-                } else if let Some(e) = else_branch {
-                    self.exec_stmt(e)
-                } else {
-                    Ok(Flow::Normal)
-                }
-            }
-            Stmt::While { cond, body } => {
-                while self.eval(cond)?.truthy() {
-                    self.tick()?;
-                    match self.exec_stmt(body)? {
-                        Flow::Break => break,
-                        Flow::Return => return Ok(Flow::Return),
-                        Flow::Normal | Flow::Continue => {}
-                    }
-                }
-                Ok(Flow::Normal)
-            }
-            Stmt::DoWhile { body, cond } => {
-                loop {
-                    self.tick()?;
-                    match self.exec_stmt(body)? {
-                        Flow::Break => break,
-                        Flow::Return => return Ok(Flow::Return),
-                        Flow::Normal | Flow::Continue => {}
-                    }
-                    if !self.eval(cond)?.truthy() {
-                        break;
-                    }
-                }
-                Ok(Flow::Normal)
-            }
-            Stmt::For {
-                init,
-                cond,
-                step,
-                body,
-            } => {
-                let mark = self.mem.mark();
-                #[cfg(test)]
-                self.shadow.push_scope();
-                match init {
-                    ForInit::None => {}
-                    ForInit::Decl(d) => self.exec_declaration(d)?,
-                    ForInit::Expr(e) => {
-                        self.eval(e)?;
-                    }
-                }
-                let result = loop {
-                    let go = match cond {
-                        Some(c) => self.eval(c)?.truthy(),
-                        None => true,
-                    };
-                    if !go {
-                        break Flow::Normal;
-                    }
-                    self.tick()?;
-                    match self.exec_stmt(body)? {
-                        Flow::Break => break Flow::Normal,
-                        Flow::Return => break Flow::Return,
-                        Flow::Normal | Flow::Continue => {}
-                    }
-                    if let Some(st) = step {
-                        self.eval(st)?;
-                    }
-                };
-                #[cfg(test)]
-                self.shadow.pop_scope();
-                self.mem.release(mark);
-                Ok(result)
-            }
-            Stmt::Return(expr) => {
-                self.returned = match expr {
-                    Some(e) => self.eval(e)?,
-                    None => Value::Int(0),
-                };
-                Ok(Flow::Return)
-            }
-            Stmt::Break => Ok(Flow::Break),
-            Stmt::Continue => Ok(Flow::Continue),
-            Stmt::Block(b) => self.exec_block(b),
-            Stmt::Raise(e) => Err(e.clone()),
+            .into());
         }
-    }
-
-    #[inline(never)]
-    fn exec_declaration(&mut self, d: &Decl) -> Result<(), Fault> {
-        for decl in &d.declarators {
-            // Array dims are whatever their expressions evaluate to at this
-            // point of execution.
-            let at = self.mem.mark();
-            let mut elems = Some(1usize);
-            for dim in &decl.dims {
-                let n = match dim {
-                    Some(e) => self.eval(e)?.as_i64(d.line)?,
-                    None => 0,
-                };
-                if n < 0 {
-                    return Err(InterpError::OutOfBounds {
-                        detail: format!("negative array dimension {n}"),
-                        line: d.line,
-                    }
-                    .into());
-                }
-                self.mem.push_dim(n as usize);
-                elems = elems.and_then(|e| e.checked_mul(n as usize));
-            }
-            let dims = self.mem.dims_since(at);
-            // A product past `usize` is past any budget.
-            let cells = elems
-                .and_then(|e| e.max(1).checked_mul(d.ctype.cells()))
-                .unwrap_or(usize::MAX);
-            let addr = self.alloc(cells)?;
-            self.bind(
-                decl.var,
-                Binding {
-                    addr,
-                    ctype: d.ctype,
-                    dims,
-                    is_pointer: decl.is_pointer,
-                },
-            );
-            if let Some(init) = &decl.init {
-                self.init_into(addr, d.ctype, dims, init, d.line)?;
-            }
-        }
+        self.mem.push_dim(n as usize);
         Ok(())
     }
 
-    fn init_into(
-        &mut self,
-        addr: usize,
-        ctype: CType,
-        dims: Dims,
-        init: &Init,
-        line: u32,
-    ) -> Result<(), Fault> {
-        match init {
-            Init::Expr(e) => {
-                let v = self.eval(e)?;
-                self.mem.store_typed(addr, v, ctype, line)
-            }
-            Init::List(items) => {
-                let inner = dims.tail();
-                let stride = self.stride(inner);
-                for (i, item) in items.iter().enumerate() {
-                    let sub = addr + i * stride * ctype.cells();
-                    match item {
-                        Init::List(_) => self.init_into(sub, ctype, inner, item, line)?,
-                        Init::Expr(e) => {
-                            let v = self.eval(e)?;
-                            self.mem.store_typed(sub, v, ctype, line)?;
-                        }
-                    }
-                }
-                Ok(())
-            }
+    #[inline(never)]
+    fn declare(&mut self, index: usize) -> Result<(), Fault> {
+        let program = self.program;
+        let d = &program.code.decls[index];
+        let dims = self.mem.last_dims(d.dims as usize);
+        let mut elems = Some(1usize);
+        for &n in self.mem.dims(dims) {
+            elems = elems.and_then(|e| e.checked_mul(n));
         }
+        // A product past `usize` is past any budget.
+        let cells = elems
+            .and_then(|e| e.max(1).checked_mul(d.ctype.cells()))
+            .unwrap_or(usize::MAX);
+        let addr = self.alloc(cells)?;
+        self.bind(
+            d.var,
+            Binding {
+                addr,
+                ctype: d.ctype,
+                dims,
+                is_pointer: d.is_pointer,
+            },
+        );
+        if d.init {
+            self.inits.push((addr, dims));
+        }
+        Ok(())
     }
 
     /// Elements in one step of an array whose *remaining* dims are `inner`.
@@ -507,70 +758,45 @@ impl<'a> Interp<'a> {
 
     // -- places (lvalues) ----------------------------------------------------
 
-    /// A plain variable — the usual target — is resolved in the caller's
-    /// frame, like the leaves of [`Interp::eval`].
-    #[inline(always)]
-    fn place(&mut self, lv: &Lvalue, line: u32) -> Result<Place, Fault> {
-        match lv {
-            Lvalue::Var(var) => Ok(Place::var(self.binding(*var, line)?)),
-            _ => self.place_interior(lv, line),
-        }
-    }
-
     #[inline(never)]
-    fn place_interior(&mut self, lv: &Lvalue, line: u32) -> Result<Place, Fault> {
-        match lv {
-            Lvalue::Var(_) => self.place(lv, line),
-            Lvalue::Index { base, index } => {
-                let b = self.place(base, line)?;
-                let idx = self.eval(index)?.as_i64(line)?;
-                if idx < 0 {
-                    return Err(InterpError::OutOfBounds {
-                        detail: format!("negative index {idx}"),
-                        line,
-                    }
-                    .into());
-                }
-                let idx = idx as usize;
-                let elem_cells = b.ctype.map(CType::cells).unwrap_or(1);
-                if !b.dims.is_scalar() {
-                    // Sub-array step: product of trailing dims.
-                    let inner = b.dims.tail();
-                    Ok(Place {
-                        addr: b.addr + idx * self.stride(inner) * elem_cells,
-                        ctype: b.ctype,
-                        dims: inner,
-                        is_pointer: false,
-                    })
-                } else if b.is_pointer {
-                    // Pointer subscript: load the pointer, then offset.
-                    let ptr = self.mem.load(b.addr, line)?.as_ptr(line)?;
-                    Ok(Place::cell(ptr + idx * elem_cells, b.ctype))
-                } else {
-                    Err(InterpError::TypeError {
-                        detail: "subscript of non-array".into(),
-                        line,
-                    }
-                    .into())
-                }
+    fn index(&mut self, idx: Value) -> Result<(), Fault> {
+        let line = 0;
+        let idx = idx.as_i64(line)?;
+        let b = self.pop_place();
+        if idx < 0 {
+            return Err(InterpError::OutOfBounds {
+                detail: format!("negative index {idx}"),
+                line,
             }
-            Lvalue::Deref { ptr, pointee } => {
-                let addr = self.eval(ptr)?.as_ptr(line)?;
-                // If the operand is a known pointer variable, propagate type.
-                let ctype = match pointee {
-                    Some(var) => self.binding(*var, line).ok().map(|b| b.ctype),
-                    None => None,
-                };
-                Ok(Place::cell(addr, ctype))
-            }
-            Lvalue::Member { base, offset } => {
-                let b = self.place(base, line)?;
-                Ok(Place::cell(b.addr + offset, Some(CType::Int)))
-            }
-            Lvalue::Raise(e) => Err(e.clone()),
+            .into());
         }
+        let idx = idx as usize;
+        let elem_cells = b.ctype.map(CType::cells).unwrap_or(1);
+        let place = if !b.dims.is_scalar() {
+            // Sub-array step: product of trailing dims.
+            let inner = b.dims.tail();
+            Place {
+                addr: b.addr + idx * self.stride(inner) * elem_cells,
+                ctype: b.ctype,
+                dims: inner,
+                is_pointer: false,
+            }
+        } else if b.is_pointer {
+            // Pointer subscript: load the pointer, then offset.
+            let ptr = self.mem.load(b.addr, line)?.as_ptr(line)?;
+            Place::cell(ptr + idx * elem_cells, b.ctype)
+        } else {
+            return Err(InterpError::TypeError {
+                detail: "subscript of non-array".into(),
+                line,
+            }
+            .into());
+        };
+        self.places.push(place);
+        Ok(())
     }
 
+    #[inline]
     fn load_place(&self, p: &Place, line: u32) -> Result<Value, Fault> {
         if !p.dims.is_scalar() {
             // Array decays to a pointer.
@@ -584,6 +810,7 @@ impl<'a> Interp<'a> {
         Ok(v)
     }
 
+    #[inline]
     fn store_place(&mut self, p: &Place, v: Value, line: u32) -> Result<(), Fault> {
         match p.ctype {
             Some(ct) if !p.is_pointer => self.mem.store_typed(p.addr, v, ct, line),
@@ -591,213 +818,66 @@ impl<'a> Interp<'a> {
         }
     }
 
-    // -- expressions ----------------------------------------------------------
-
-    /// Leaves — about half of all nodes — are evaluated in the caller's
-    /// frame; only interior nodes pay for a call into the big match.
+    /// Store `rv` into `place`, combined with what it holds under `op`.
+    /// (What an assignment evaluates to is the value re-read from the
+    /// place, which cannot fail once the store succeeded, so a discarded
+    /// one is skipped.)
     #[inline(always)]
-    fn eval(&mut self, e: &Expr) -> Result<Value, Fault> {
-        match e {
-            Expr::Const(v) => Ok(*v),
-            Expr::Var(var) => {
-                let place = Place::var(self.binding(*var, 0)?);
-                self.load_place(&place, 0)
+    fn assign(&mut self, place: &Place, op: Option<BinOp>, rv: Value) -> Result<(), Fault> {
+        let value = match op {
+            None => rv,
+            Some(op) => {
+                let current = self.load_place(place, 0)?;
+                binop(op, current, rv, 0)?
             }
-            _ => self.eval_interior(e),
-        }
-    }
-
-    #[inline(never)]
-    fn eval_interior(&mut self, e: &Expr) -> Result<Value, Fault> {
-        let line = 0;
-        match e {
-            Expr::Const(_) | Expr::Var(_) => self.eval(e),
-            Expr::Load(lv) => {
-                let place = self.place(lv, line)?;
-                self.load_place(&place, line)
-            }
-            Expr::AddrOf(lv) => Ok(Value::Ptr(self.place(lv, line)?.addr)),
-            Expr::IncDec {
-                target,
-                delta,
-                post,
-            } => {
-                let place = self.place(target, line)?;
-                let old = self.load_place(&place, line)?;
-                let new = match old {
-                    Value::Int(v) => Value::Int(v.wrapping_add(*delta)),
-                    Value::Double(v) => Value::Double(v + *delta as f64),
-                    Value::Ptr(p) => Value::Ptr((p as i64).wrapping_add(*delta) as usize),
-                };
-                self.store_place(&place, new, line)?;
-                Ok(if *post { old } else { new })
-            }
-            Expr::Deref(operand) => {
-                let ptr = self.eval(operand)?.as_ptr(line)?;
-                self.mem.load(ptr, line)
-            }
-            Expr::Neg(operand) => match self.eval(operand)? {
-                Value::Int(v) => Ok(Value::Int(v.wrapping_neg())),
-                Value::Double(v) => Ok(Value::Double(-v)),
-                Value::Ptr(_) => Err(InterpError::TypeError {
-                    detail: "negating a pointer".into(),
-                    line,
-                }
-                .into()),
-            },
-            Expr::Not(operand) => Ok(Value::Int(!self.eval(operand)?.truthy() as i64)),
-            Expr::BitNot(operand) => Ok(Value::Int(!self.eval(operand)?.as_i64(line)?)),
-            Expr::And(lhs, rhs) => Ok(Value::Int(
-                (self.eval(lhs)?.truthy() && self.eval(rhs)?.truthy()) as i64,
-            )),
-            Expr::Or(lhs, rhs) => Ok(Value::Int(
-                (self.eval(lhs)?.truthy() || self.eval(rhs)?.truthy()) as i64,
-            )),
-            Expr::Binary { op, lhs, rhs } => {
-                let a = self.eval(lhs)?;
-                let b = self.eval(rhs)?;
-                binop(*op, a, b, line)
-            }
-            Expr::Assign { op, target, rhs } => {
-                let rv = self.eval(rhs)?;
-                let place = self.place(target, line)?;
-                let value = match op {
-                    None => rv,
-                    Some(op) => {
-                        let current = self.load_place(&place, line)?;
-                        binop(*op, current, rv, line)?
-                    }
-                };
-                self.store_place(&place, value, line)?;
-                self.load_place(&place, line)
-            }
-            Expr::Cast { to_float, operand } => {
-                let v = self.eval(operand)?;
-                Ok(match (to_float, v) {
-                    (true, Value::Int(i)) => Value::Double(i as f64),
-                    (false, Value::Double(d)) => Value::Int(d as i64),
-                    _ => v,
-                })
-            }
-            Expr::Ternary {
-                cond,
-                then_expr,
-                else_expr,
-            } => {
-                if self.eval(cond)?.truthy() {
-                    self.eval(then_expr)
-                } else {
-                    self.eval(else_expr)
-                }
-            }
-            Expr::Comma(lhs, rhs) => {
-                self.eval(lhs)?;
-                self.eval(rhs)
-            }
-            Expr::Call(call) => self.call(call),
-            Expr::Printf(p) => self.printf(p),
-            Expr::Mpi(call) => self.mpi_call(&call.op, call.line),
-            Expr::Raise(e) => Err(e.clone()),
-        }
-    }
-
-    // -- calls -----------------------------------------------------------------
-
-    #[inline(never)]
-    fn call(&mut self, call: &Call) -> Result<Value, Fault> {
-        let line = call.line;
-        // Builtins read one or two leading arguments; compilation made sure
-        // they are there.
-        let arg = |this: &mut Self, i: usize| match call.args.get(i) {
-            Some(e) => this.eval(e),
-            None => Ok(Value::Int(0)),
         };
-        match call.callee {
-            Callee::User(index) => self.call_user(index, &call.args, line),
-            Callee::Math(f) => {
-                let a = arg(self, 0)?.as_f64(line)?;
-                let b = arg(self, 1)?.as_f64(line)?;
-                Ok(Value::Double(f.apply(a, b)))
-            }
-            Callee::Srand => {
-                let seed = arg(self, 0)?.as_i64(line)?;
-                self.rng.srand(seed as u64);
-                Ok(Value::Int(0))
-            }
-            Callee::Rand => Ok(Value::Int(self.rng.rand())),
-            Callee::Abs => Ok(Value::Int(arg(self, 0)?.as_i64(line)?.wrapping_abs())),
-            Callee::Exit => {
-                let code = arg(self, 0)?.as_i64(line)?;
-                Err(InterpError::Mpi(self.comm.abort(code as i32)).into())
-            }
-            Callee::Malloc(elem) => {
-                let bytes = arg(self, 0)?.as_i64(line)?;
-                if bytes < 0 {
-                    return Err(InterpError::OutOfBounds {
-                        detail: format!("malloc({bytes})"),
-                        line,
-                    }
-                    .into());
-                }
-                let cells = (bytes as usize).div_ceil(elem.size_bytes()).max(1);
-                self.check_cells(cells)?;
-                Ok(Value::Ptr(self.mem.alloc_heap(cells)))
-            }
-        }
+        self.store_place(place, value, 0)
     }
 
+    /// `++`/`--` of `place`; returns the old value if `post`, else the new.
+    #[inline(always)]
+    fn inc_dec(&mut self, place: &Place, delta: i8, post: bool) -> Result<Value, Fault> {
+        let delta = i64::from(delta);
+        let old = self.load_place(place, 0)?;
+        let new = match old {
+            Value::Int(v) => Value::Int(v.wrapping_add(delta)),
+            Value::Double(v) => Value::Double(v + delta as f64),
+            Value::Ptr(p) => Value::Ptr((p as i64).wrapping_add(delta) as usize),
+        };
+        self.store_place(place, new, 0)?;
+        Ok(if post { old } else { new })
+    }
+
+    // -- builtins --------------------------------------------------------------
+
     #[inline(never)]
-    fn call_user(&mut self, index: u32, args: &[Expr], line: u32) -> Result<Value, Fault> {
-        let code = self.code;
-        let f = &code.functions[index as usize];
-        if self.depth == MAX_CALL_DEPTH || self.levels + f.levels > MAX_LEVELS {
-            return Err(InterpError::CallDepth {
-                limit: self.depth,
+    fn malloc(&mut self, bytes: i64, elem: CType, line: u32) -> Result<Value, Fault> {
+        if bytes < 0 {
+            return Err(InterpError::OutOfBounds {
+                detail: format!("malloc({bytes})"),
                 line,
             }
             .into());
         }
-        let base = self.args.len();
-        for a in args {
-            let v = self.eval(a)?;
-            self.args.push(v);
-        }
-        let frame = self.mem.push_frame(f.slots);
-        #[cfg(test)]
-        self.shadow.push_frame();
-        for (i, p) in f.params.iter().enumerate() {
-            let v = self.args[base + i];
-            let addr = self.bind_param(p)?;
-            if p.is_pointer {
-                self.mem.store(addr, v, line)?;
-            } else {
-                self.mem.store_typed(addr, v, p.ctype, line)?;
-            }
-        }
-        self.args.truncate(base);
-        self.depth += 1;
-        self.levels += f.levels;
-        let flow = self.exec_block(&f.body)?;
-        self.depth -= 1;
-        self.levels -= f.levels;
-        #[cfg(test)]
-        self.shadow.pop_frame();
-        self.mem.pop_frame(frame);
-        Ok(match flow {
-            Flow::Return => self.returned,
-            _ => Value::Int(0),
-        })
+        let cells = (bytes as usize).div_ceil(elem.size_bytes()).max(1);
+        self.check_cells(cells)?;
+        Ok(Value::Ptr(self.mem.alloc_heap(cells)))
     }
 
+    /// Format `printf` number `index` with its `values`; returns what it
+    /// printed, as `printf`'s value.
     #[inline(never)]
-    fn printf(&mut self, p: &Printf) -> Result<Value, Fault> {
-        let mut pargs = Vec::with_capacity(p.args.len());
-        for a in &p.args {
-            pargs.push(match a {
-                PrintfOperand::Str(s) => PrintfArg::Str(s),
-                PrintfOperand::Value(e) => PrintfArg::Value(self.eval(e)?),
-            });
-        }
+    fn printf(&mut self, index: usize, values: &[Value]) -> Result<Value, Fault> {
+        let p = &self.program.code.printfs[index];
+        let mut values = values.iter();
+        let pargs: Vec<PrintfArg<'_>> = p
+            .args
+            .iter()
+            .map(|a| match a {
+                Some(s) => PrintfArg::Str(s),
+                None => PrintfArg::Value(*values.next().expect("a printf value")),
+            })
+            .collect();
         let text = format_printf(&p.fmt, &pargs, p.line)?;
         self.output.push_str(&text);
         Ok(Value::Int(text.len() as i64))
@@ -862,35 +942,6 @@ impl<'a> Interp<'a> {
         Ok(())
     }
 
-    /// Fill in the `MPI_Status` an argument points at.
-    fn write_status(&mut self, arg: &Expr, st: Status, line: u32) -> Result<(), Fault> {
-        let ptr = self.eval(arg)?.as_ptr(line)?;
-        self.mem.store(ptr, Value::Int(st.source as i64), line)?;
-        self.mem.store(ptr + 1, Value::Int(st.tag as i64), line)?;
-        self.mem.store(ptr + 2, Value::Int(st.count as i64), line)?;
-        Ok(())
-    }
-
-    /// Mark the request an `MPI_Isend`/`MPI_Irecv` argument points at as
-    /// complete (both complete eagerly).
-    fn complete_request(&mut self, arg: &Option<Expr>, line: u32) -> Result<(), Fault> {
-        if let Some(req) = arg {
-            let ptr = self.eval(req)?.as_ptr(line)?;
-            self.mem.store(ptr, Value::Int(0), line)?;
-        }
-        Ok(())
-    }
-
-    fn eval_index(&mut self, e: &Expr, line: u32) -> Result<usize, Fault> {
-        Ok(self.eval(e)?.as_i64(line)? as usize)
-    }
-
-    /// An MPI element count, checked before it sizes a buffer.
-    fn eval_count(&mut self, e: &Expr, line: u32) -> Result<usize, Fault> {
-        let count = self.eval(e)?.as_i64(line)?;
-        self.message_len(count, line)
-    }
-
     /// `count` as a buffer length: no more elements than the cell budget,
     /// since a rank's memory holds no more, so no input sizes a `Vec` past
     /// what the rank may use.
@@ -908,117 +959,89 @@ impl<'a> Interp<'a> {
         self.message_len(total, line)
     }
 
-    fn send(&mut self, s: &Envelope, line: u32) -> Result<(), Fault> {
-        let ptr = self.eval(&s.buf)?.as_ptr(line)?;
-        let count = self.eval_count(&s.count, line)?;
-        let dtype = named(&s.dtype)?;
-        let dest = self.eval_index(&s.peer, line)?;
-        let tag = self.eval(&s.tag)?.as_i64(line)? as i32;
-        match &self.read_buf(ptr, count, dtype, line)? {
-            TypedVec::I32(v) => self.comm.send(v, dest, tag)?,
-            TypedVec::I64(v) => self.comm.send(v, dest, tag)?,
-            TypedVec::F32(v) => self.comm.send(v, dest, tag)?,
-            TypedVec::F64(v) => self.comm.send(v, dest, tag)?,
-            TypedVec::U8(v) => self.comm.send(v, dest, tag)?,
-        }
-        Ok(())
-    }
-
-    fn recv(&mut self, r: &Envelope, line: u32) -> Result<Status, Fault> {
-        let ptr = self.eval(&r.buf)?.as_ptr(line)?;
-        let count = self.eval_count(&r.count, line)?;
-        let dtype = named(&r.dtype)?;
-        // Negative ranks and tags are the wildcards (`MPI_ANY_SOURCE`).
-        let source = match self.eval(&r.peer)?.as_i64(line)? {
-            v if v < 0 => Source::Any,
-            v => Source::Rank(v as usize),
-        };
-        let tag = match self.eval(&r.tag)?.as_i64(line)? {
-            v if v < 0 => Tag::Any,
-            v => Tag::Value(v as i32),
-        };
-        macro_rules! recv_as {
-            ($t:ty, $variant:ident) => {{
-                let mut buf = vec![<$t>::default(); count];
-                let st = self.comm.recv(&mut buf, source, tag)?;
-                self.write_buf(ptr, &TypedVec::$variant(buf), line)?;
-                st
-            }};
-        }
-        Ok(match dtype {
-            MpiDtype::Int => recv_as!(i32, I32),
-            MpiDtype::Long => recv_as!(i64, I64),
-            MpiDtype::Float => recv_as!(f32, F32),
-            MpiDtype::Double => recv_as!(f64, F64),
-            MpiDtype::Byte => recv_as!(u8, U8),
-        })
-    }
-
+    /// Execute an MPI op at `pc - 1`; returns where execution continues.
     #[inline(never)]
-    fn mpi_call(&mut self, call: &Mpi, line: u32) -> Result<Value, Fault> {
-        match call {
-            Mpi::Nop => {}
-            Mpi::CommRank(out) => {
-                let ptr = self.eval(out)?.as_ptr(line)?;
-                self.mem
-                    .store(ptr, Value::Int(self.comm.rank() as i64), line)?;
+    fn mpi(&mut self, op: Op, pc: usize) -> Result<usize, Fault> {
+        match op {
+            Op::CommRank { line } | Op::CommSize { line } => {
+                let ptr = self.pop_usize();
+                let v = match op {
+                    Op::CommRank { .. } => self.comm.rank(),
+                    _ => self.comm.size(),
+                };
+                self.mem.store(ptr, Value::Int(v as i64), line)?;
             }
-            Mpi::CommSize(out) => {
-                let ptr = self.eval(out)?.as_ptr(line)?;
-                self.mem
-                    .store(ptr, Value::Int(self.comm.size() as i64), line)?;
-            }
-            Mpi::Wtime => return Ok(Value::Double(self.comm.wtime())),
-            Mpi::Barrier => self.comm.barrier()?,
-            Mpi::Abort(code) => {
-                let code = self.eval(code)?.as_i64(line)?;
-                return Err(InterpError::Mpi(self.comm.abort(code as i32)).into());
-            }
-            Mpi::Send(send) => self.send(send, line)?,
-            Mpi::Isend { send, request } => {
-                // Buffered send completes immediately.
-                self.send(send, line)?;
-                self.complete_request(request, line)?;
-            }
-            Mpi::Recv { recv, status } => {
-                let st = self.recv(recv, line)?;
-                if let Some(status) = status {
-                    self.write_status(status, st, line)?;
+            Op::Wtime => self.stack.push(Value::Double(self.comm.wtime())),
+            Op::Barrier => self.comm.barrier()?,
+            Op::Send { dtype, line } => {
+                let tag = self.pop_i64() as i32;
+                let dest = self.pop_i64() as usize;
+                let count = self.pop_usize();
+                let ptr = self.pop_usize();
+                match &self.read_buf(ptr, count, dtype, line)? {
+                    TypedVec::I32(v) => self.comm.send(v, dest, tag)?,
+                    TypedVec::I64(v) => self.comm.send(v, dest, tag)?,
+                    TypedVec::F32(v) => self.comm.send(v, dest, tag)?,
+                    TypedVec::F64(v) => self.comm.send(v, dest, tag)?,
+                    TypedVec::U8(v) => self.comm.send(v, dest, tag)?,
                 }
             }
-            Mpi::Irecv { recv, request } => {
-                self.recv(recv, line)?;
-                self.complete_request(request, line)?;
-            }
-            Mpi::Wait { status } => {
-                // Requests complete eagerly; zero the status if provided.
-                if let Some(status) = status {
-                    let done = Status {
-                        source: 0,
-                        tag: 0,
-                        count: 0,
-                    };
-                    self.write_status(status, done, line)?;
-                }
-            }
-            Mpi::Sendrecv { send, recv, status } => {
-                // Send side first (buffered, never blocks).
-                self.send(send, line)?;
-                let st = self.recv(recv, line)?;
-                if let Some(status) = status {
-                    self.write_status(status, st, line)?;
-                }
-            }
-            Mpi::Bcast {
-                buf,
-                count,
+            Op::Recv {
                 dtype,
-                root,
+                status,
+                line,
             } => {
-                let ptr = self.eval(buf)?.as_ptr(line)?;
-                let count = self.eval_count(count, line)?;
-                let dtype = named(dtype)?;
-                let root = self.eval_index(root, line)?;
+                // Negative ranks and tags are the wildcards (`MPI_ANY_SOURCE`).
+                let tag = match self.pop_i64() {
+                    v if v < 0 => Tag::Any,
+                    v => Tag::Value(v as i32),
+                };
+                let source = match self.pop_i64() {
+                    v if v < 0 => Source::Any,
+                    v => Source::Rank(v as usize),
+                };
+                let count = self.pop_usize();
+                let ptr = self.pop_usize();
+                macro_rules! recv_as {
+                    ($t:ty, $variant:ident) => {{
+                        let mut buf = vec![<$t>::default(); count];
+                        let st = self.comm.recv(&mut buf, source, tag)?;
+                        self.write_buf(ptr, &TypedVec::$variant(buf), line)?;
+                        st
+                    }};
+                }
+                let st = match dtype {
+                    MpiDtype::Int => recv_as!(i32, I32),
+                    MpiDtype::Long => recv_as!(i64, I64),
+                    MpiDtype::Float => recv_as!(f32, F32),
+                    MpiDtype::Double => recv_as!(f64, F64),
+                    MpiDtype::Byte => recv_as!(u8, U8),
+                };
+                if status {
+                    self.stack.push(Value::Int(st.source as i64));
+                    self.stack.push(Value::Int(st.tag as i64));
+                    self.stack.push(Value::Int(st.count as i64));
+                }
+            }
+            Op::WriteStatus { line } => {
+                let ptr = self.pop_usize();
+                let st = Status {
+                    count: self.pop_i64() as usize,
+                    tag: self.pop_i64() as i32,
+                    source: self.pop_i64() as usize,
+                };
+                self.mem.store(ptr, Value::Int(st.source as i64), line)?;
+                self.mem.store(ptr + 1, Value::Int(st.tag as i64), line)?;
+                self.mem.store(ptr + 2, Value::Int(st.count as i64), line)?;
+            }
+            Op::Complete { line } => {
+                let ptr = self.pop_usize();
+                self.mem.store(ptr, Value::Int(0), line)?;
+            }
+            Op::Bcast { dtype, line } => {
+                let root = self.pop_i64() as usize;
+                let count = self.pop_usize();
+                let ptr = self.pop_usize();
                 macro_rules! bcast_as {
                     ($t:ty, $variant:ident) => {{
                         let mut buf = vec![<$t>::default(); count];
@@ -1039,143 +1062,221 @@ impl<'a> Interp<'a> {
                     MpiDtype::Byte => bcast_as!(u8, U8),
                 }
             }
-            Mpi::Reduce {
-                send,
-                recv,
-                count,
+            Op::Reduce {
                 dtype,
                 op,
-                root,
+                rooted,
+                skip,
+                line,
             } => {
-                let sptr = self.eval(send)?.as_ptr(line)?;
-                let count = self.eval_count(count, line)?;
-                let dtype = named(dtype)?;
-                let op = named(op)?;
-                let root = match root {
-                    Some(root) => Some(self.eval_index(root, line)?),
-                    None => None,
-                };
-                // Only a rank that receives the result evaluates where to.
-                macro_rules! reduce_as {
-                    ($t:ty, $variant:ident) => {{
-                        let send = match self.read_buf(sptr, count, dtype, line)? {
-                            TypedVec::$variant(v) => v,
-                            _ => unreachable!(),
-                        };
-                        let mut out = vec![<$t>::default(); count];
-                        match root {
-                            None => self.comm.allreduce(&send, &mut out, op)?,
-                            Some(root) if self.comm.rank() == root => {
-                                self.comm.reduce(&send, Some(&mut out), op, root)?
-                            }
-                            Some(root) => {
-                                self.comm.reduce(&send, None, op, root)?;
-                                return Ok(Value::Int(0));
-                            }
-                        }
-                        let rptr = self.eval(recv)?.as_ptr(line)?;
-                        self.write_buf(rptr, &TypedVec::$variant(out), line)?;
-                    }};
+                let root = rooted.then(|| self.pop_i64() as usize);
+                let count = self.pop_usize();
+                let sptr = self.pop_usize();
+                if !self.reduce(sptr, count, dtype, op, root, line)? {
+                    return Ok(skip as usize);
                 }
-                match dtype {
-                    MpiDtype::Int => reduce_as!(i32, I32),
-                    MpiDtype::Long => reduce_as!(i64, I64),
-                    MpiDtype::Float => reduce_as!(f32, F32),
-                    MpiDtype::Double => reduce_as!(f64, F64),
-                    MpiDtype::Byte => {
-                        return Err(InterpError::Unsupported {
-                            detail: "reduce on MPI_BYTE".into(),
-                            line,
-                        }
-                        .into())
+            }
+            Op::Gather {
+                dtype,
+                rooted,
+                skip,
+                line,
+            } => {
+                let root = rooted.then(|| self.pop_i64() as usize);
+                let count = self.pop_usize();
+                let sptr = self.pop_usize();
+                if !self.gather(sptr, count, dtype, root, line)? {
+                    return Ok(skip as usize);
+                }
+            }
+            Op::WriteBuf { line } => {
+                let ptr = self.pop_usize();
+                let out = self.bufs.pop().expect("a collective result");
+                self.write_buf(ptr, &out, line)?;
+            }
+            Op::ScatterBegin { dtype, skip, line } => {
+                let n = self.stack.len();
+                let [count, _, _, root] = self.stack[n - 4..] else {
+                    unreachable!("scatter operands")
+                };
+                let total = self.world_len(usize_of(count), line)?;
+                if self.comm.rank() != usize_of(root) {
+                    self.scatter(None, total, dtype, line)?;
+                    return Ok(skip as usize);
+                }
+            }
+            Op::ScatterRoot { dtype, line } => {
+                let sptr = self.pop_usize();
+                let count = usize_of(self.stack[self.stack.len() - 4]);
+                let total = self.world_len(count, line)?;
+                self.scatter(Some(sptr), total, dtype, line)?;
+            }
+            other => unreachable!("not an MPI op: {other:?}"),
+        }
+        Ok(pc)
+    }
+
+    /// Reduce `count` elements at `sptr`; returns whether this rank
+    /// receives the result (kept for [`Op::WriteBuf`]).
+    fn reduce(
+        &mut self,
+        sptr: usize,
+        count: usize,
+        dtype: MpiDtype,
+        op: ReduceOp,
+        root: Option<usize>,
+        line: u32,
+    ) -> Result<bool, Fault> {
+        macro_rules! reduce_as {
+            ($t:ty, $variant:ident) => {{
+                let send = match self.read_buf(sptr, count, dtype, line)? {
+                    TypedVec::$variant(v) => v,
+                    _ => unreachable!(),
+                };
+                let mut out = vec![<$t>::default(); count];
+                match root {
+                    None => self.comm.allreduce(&send, &mut out, op)?,
+                    Some(root) if self.comm.rank() == root => {
+                        self.comm.reduce(&send, Some(&mut out), op, root)?
+                    }
+                    Some(root) => {
+                        self.comm.reduce(&send, None, op, root)?;
+                        return Ok(false);
                     }
                 }
-            }
-            Mpi::Gather {
-                send,
-                count,
-                dtype,
-                recv,
-                root,
-            } => {
-                let sptr = self.eval(send)?.as_ptr(line)?;
-                let count = self.eval_count(count, line)?;
-                let dtype = named(dtype)?;
-                let root = match root {
-                    Some(root) => Some(self.eval_index(root, line)?),
-                    None => None,
+                TypedVec::$variant(out)
+            }};
+        }
+        let out = match dtype {
+            MpiDtype::Int => reduce_as!(i32, I32),
+            MpiDtype::Long => reduce_as!(i64, I64),
+            MpiDtype::Float => reduce_as!(f32, F32),
+            MpiDtype::Double => reduce_as!(f64, F64),
+            MpiDtype::Byte => unreachable!("compiled to an error"),
+        };
+        self.bufs.push(out);
+        Ok(true)
+    }
+
+    /// Gather `count` elements at `sptr` from every rank; returns whether
+    /// this rank receives the result (kept for [`Op::WriteBuf`]).
+    fn gather(
+        &mut self,
+        sptr: usize,
+        count: usize,
+        dtype: MpiDtype,
+        root: Option<usize>,
+        line: u32,
+    ) -> Result<bool, Fault> {
+        let total = self.world_len(count, line)?;
+        macro_rules! gather_as {
+            ($t:ty, $variant:ident) => {{
+                let send = match self.read_buf(sptr, count, dtype, line)? {
+                    TypedVec::$variant(v) => v,
+                    _ => unreachable!(),
                 };
-                let total = self.world_len(count, line)?;
-                macro_rules! gather_as {
-                    ($t:ty, $variant:ident) => {{
-                        let send = match self.read_buf(sptr, count, dtype, line)? {
+                let mut out = vec![<$t>::default(); total];
+                match root {
+                    None => self.comm.allgather(&send, &mut out)?,
+                    Some(root) if self.comm.rank() == root => {
+                        self.comm.gather(&send, Some(&mut out), root)?
+                    }
+                    Some(root) => {
+                        self.comm.gather(&send, None, root)?;
+                        return Ok(false);
+                    }
+                }
+                TypedVec::$variant(out)
+            }};
+        }
+        let out = match dtype {
+            MpiDtype::Int => gather_as!(i32, I32),
+            MpiDtype::Long => gather_as!(i64, I64),
+            MpiDtype::Float => gather_as!(f32, F32),
+            MpiDtype::Double => gather_as!(f64, F64),
+            MpiDtype::Byte => gather_as!(u8, U8),
+        };
+        self.bufs.push(out);
+        Ok(true)
+    }
+
+    /// Scatter from `sptr` (`total` elements; the root's only) with `count,
+    /// recv, recv_count, root` on the stack, which this pops.
+    fn scatter(
+        &mut self,
+        sptr: Option<usize>,
+        total: usize,
+        dtype: MpiDtype,
+        line: u32,
+    ) -> Result<(), Fault> {
+        let root = self.pop_i64() as usize;
+        let recv_count = self.pop_usize();
+        let rptr = self.pop_usize();
+        pop(&mut self.stack);
+        macro_rules! scatter_as {
+            ($t:ty, $variant:ident) => {{
+                let mut mine = vec![<$t>::default(); recv_count];
+                match sptr {
+                    Some(sptr) => {
+                        let all = match self.read_buf(sptr, total, dtype, line)? {
                             TypedVec::$variant(v) => v,
                             _ => unreachable!(),
                         };
-                        let mut out = vec![<$t>::default(); total];
-                        match root {
-                            None => self.comm.allgather(&send, &mut out)?,
-                            Some(root) if self.comm.rank() == root => {
-                                self.comm.gather(&send, Some(&mut out), root)?
-                            }
-                            Some(root) => {
-                                self.comm.gather(&send, None, root)?;
-                                return Ok(Value::Int(0));
-                            }
-                        }
-                        let rptr = self.eval(recv)?.as_ptr(line)?;
-                        self.write_buf(rptr, &TypedVec::$variant(out), line)?;
-                    }};
+                        self.comm.scatter(Some(&all), &mut mine, root)?;
+                    }
+                    None => self.comm.scatter(None, &mut mine, root)?,
                 }
-                match dtype {
-                    MpiDtype::Int => gather_as!(i32, I32),
-                    MpiDtype::Long => gather_as!(i64, I64),
-                    MpiDtype::Float => gather_as!(f32, F32),
-                    MpiDtype::Double => gather_as!(f64, F64),
-                    MpiDtype::Byte => gather_as!(u8, U8),
-                }
-            }
-            Mpi::Scatter {
-                send,
-                count,
-                dtype,
-                recv,
-                recv_count,
-                root,
-            } => {
-                let count = self.eval_count(count, line)?;
-                let dtype = named(dtype)?;
-                let rptr = self.eval(recv)?.as_ptr(line)?;
-                let recv_count = self.eval_count(recv_count, line)?;
-                let root = self.eval_index(root, line)?;
-                let total = self.world_len(count, line)?;
-                // Only the root evaluates where it scatters from.
-                macro_rules! scatter_as {
-                    ($t:ty, $variant:ident) => {{
-                        let mut mine = vec![<$t>::default(); recv_count];
-                        if self.comm.rank() == root {
-                            let sptr = self.eval(send)?.as_ptr(line)?;
-                            let all = match self.read_buf(sptr, total, dtype, line)? {
-                                TypedVec::$variant(v) => v,
-                                _ => unreachable!(),
-                            };
-                            self.comm.scatter(Some(&all), &mut mine, root)?;
-                        } else {
-                            self.comm.scatter(None, &mut mine, root)?;
-                        }
-                        self.write_buf(rptr, &TypedVec::$variant(mine), line)?;
-                    }};
-                }
-                match dtype {
-                    MpiDtype::Int => scatter_as!(i32, I32),
-                    MpiDtype::Long => scatter_as!(i64, I64),
-                    MpiDtype::Float => scatter_as!(f32, F32),
-                    MpiDtype::Double => scatter_as!(f64, F64),
-                    MpiDtype::Byte => scatter_as!(u8, U8),
-                }
-            }
+                self.write_buf(rptr, &TypedVec::$variant(mine), line)?;
+            }};
         }
-        Ok(Value::Int(0)) // MPI_SUCCESS
+        match dtype {
+            MpiDtype::Int => scatter_as!(i32, I32),
+            MpiDtype::Long => scatter_as!(i64, I64),
+            MpiDtype::Float => scatter_as!(f32, F32),
+            MpiDtype::Double => scatter_as!(f64, F64),
+            MpiDtype::Byte => scatter_as!(u8, U8),
+        }
+        Ok(())
+    }
+}
+
+#[inline(always)]
+fn pop(stack: &mut Vec<Value>) -> Value {
+    stack.pop().expect("operand stack underflow")
+}
+
+/// Pop a value a conversion op left (an integer, double or pointer).
+fn pop_i64(stack: &mut Vec<Value>) -> i64 {
+    match pop(stack) {
+        Value::Int(v) => v,
+        Value::Double(v) => v as i64,
+        Value::Ptr(p) => p as i64,
+    }
+}
+
+fn pop_f64(stack: &mut Vec<Value>) -> f64 {
+    match pop(stack) {
+        Value::Double(v) => v,
+        Value::Int(v) => v as f64,
+        Value::Ptr(p) => p as f64,
+    }
+}
+
+/// Replace the top value `a` with `a op b`.
+#[inline(always)]
+fn binary(stack: &mut [Value], op: BinOp, b: Value) -> Result<(), Fault> {
+    let a = stack.last_mut().expect("operand stack underflow");
+    *a = binop(op, *a, b, 0)?;
+    Ok(())
+}
+
+/// A count, pointer or rank a conversion op left on the stack, as `as
+/// usize` converts it.
+fn usize_of(v: Value) -> usize {
+    match v {
+        Value::Int(v) => v as usize,
+        Value::Double(v) => v as usize,
+        Value::Ptr(p) => p,
     }
 }
 

@@ -6,18 +6,21 @@
 //! Together with the simulator this substitutes the paper's §VI-C validity
 //! check ("we evaluated the validity of generated programs by compiling and
 //! running them"): [`run_source`] executes a program on N simulated ranks —
-//! each rank an OS thread with private memory — captures every rank's
-//! `printf` output, and reports deterministic errors for deadlocks, type
-//! mismatches, out-of-bounds accesses and runaway loops.
+//! rank 0 on the calling thread, each other rank on a thread of its own,
+//! every rank with private memory — captures every rank's `printf` output,
+//! and reports deterministic errors for deadlocks, type mismatches,
+//! out-of-bounds accesses and runaway loops.
 //!
-//! Execution is **compile, then run**. [`compile()`] lowers the AST once into
-//! an IR of the same shape in which every identifier is a slot index, every
-//! call site knows its callee, and every declaration knows its type
-//! ([`mod@compile`] says what is resolved when, and why undefined names and
-//! short argument lists stay run-time errors); [`run_compiled`] then runs
-//! that one [`Compiled`] program on any number of worlds, each rank
-//! interpreting it over its own [`Memory`] without allocating or hashing
-//! per step. [`run_program`] is the two in a row.
+//! Execution is **compile, then run**. [`compile()`] resolves the AST once —
+//! every identifier becomes a slot index, every call site knows its callee,
+//! every declaration knows its type ([`mod@compile`] says what is resolved
+//! when, and why undefined names and short argument lists stay run-time
+//! errors) — and lowers each function body to flat code: one instruction
+//! stream with jump targets and explicit call frames (`code.rs`).
+//! [`run_compiled`] then runs that one [`Compiled`] program on any number
+//! of worlds, each rank stepping through it in a single dispatch loop over
+//! its own [`Memory`], without allocating or hashing per step and without
+//! growing the Rust stack. [`run_program`] is the two in a row.
 //!
 //! ```
 //! use mpirical_interp::run_source;
@@ -42,6 +45,7 @@
 //! ```
 
 pub mod builtins;
+mod code;
 pub mod compile;
 pub mod error;
 pub mod interp;

@@ -409,6 +409,16 @@ impl Memory {
         }
     }
 
+    /// The last `n` dims pushed: those of the array being declared, whose
+    /// dimension expressions have all run (a call among them releases what
+    /// it pushed).
+    pub fn last_dims(&self, n: usize) -> Dims {
+        Dims {
+            start: (self.dims.len() - n) as u32,
+            len: n as u32,
+        }
+    }
+
     pub fn dims(&self, d: Dims) -> &[usize] {
         let start = d.start as usize;
         self.dims.get(start..start + d.len as usize).unwrap_or(&[])

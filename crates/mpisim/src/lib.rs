@@ -1,11 +1,12 @@
 //! # mpirical-sim
 //!
-//! A simulated MPI runtime: ranks are OS threads inside one process,
-//! point-to-point messages travel through per-rank mailboxes with MPI's
-//! `(source, tag)` matching semantics (wildcards included) and non-overtaking
-//! order, and the collectives the paper's benchmark programs use (Barrier,
-//! Bcast, Reduce, Allreduce, Gather, Scatter, Allgather) are built on top
-//! with deterministic rank-ordered reductions.
+//! A simulated MPI runtime: ranks are threads inside one process (rank 0
+//! runs on the caller's), point-to-point messages travel through per-rank
+//! mailboxes with MPI's `(source, tag)` matching semantics (wildcards
+//! included) and non-overtaking order, and the collectives the paper's
+//! benchmark programs use (Barrier, Bcast, Reduce, Allreduce, Gather,
+//! Scatter, Allgather) are built on top with deterministic rank-ordered
+//! reductions.
 //!
 //! In the paper, generated benchmark programs are validated by *compiling
 //! and running* them with a real MPI installation (§VI-C). Offline, this
@@ -42,7 +43,7 @@ pub mod world;
 pub use comm::{Comm, Source, Status, Tag};
 pub use datatype::{Datatype, ReduceOp, Reducible};
 pub use error::{BlockedOp, SimError};
-pub use world::{World, WorldConfig, RANK_STACK_BYTES};
+pub use world::{World, WorldConfig};
 
 #[cfg(test)]
 mod tests {

@@ -4,7 +4,7 @@
 //!
 //! API surface covered: `crossbeam::scope(|s| …)` returning a `Result`,
 //! `Scope::spawn(|_| …)`, and
-//! `Scope::builder().name(…).stack_size(…).spawn(|_| …)`.
+//! `Scope::builder().name(…).spawn(|_| …)`.
 //! The closure argument that crossbeam passes (a nested-spawn handle) is
 //! replaced by a zero-sized [`ScopeHandle`](thread::ScopeHandle); every call site in this
 //! workspace ignores it.
@@ -49,11 +49,6 @@ pub mod thread {
     impl<'scope, 'env> ScopedThreadBuilder<'scope, 'env> {
         pub fn name(mut self, name: String) -> Self {
             self.builder = self.builder.name(name);
-            self
-        }
-
-        pub fn stack_size(mut self, size: usize) -> Self {
-            self.builder = self.builder.stack_size(size);
             self
         }
 

@@ -17,7 +17,9 @@
 //!    artifact).
 
 use mpirical::cparse::{parse_strict, parse_tolerant, standardize, MAX_NESTING};
-use mpirical::interp::{run_program, InterpError, RunConfig, MAX_CALL_DEPTH};
+use mpirical::interp::{
+    compile, run_compiled, run_program, InterpError, RunConfig, MAX_CALL_DEPTH,
+};
 use mpirical::sim::SimError;
 use mpirical::verify::{rerank, verify_prediction, verify_program};
 use mpirical::{
@@ -448,6 +450,56 @@ fn nesting_times_recursion_at_the_frame_budget_fits_a_rank_stack() {
         // `f(calls - 1)` puts exactly `calls` calls in progress.
         let out = run(defs, calls - 1).unwrap_or_else(|e| panic!("{name} at {calls}: {e}"));
         assert_eq!(out.exit_codes, [0], "{name}");
+    }
+}
+
+/// A 1-rank world runs its rank on the calling thread, and interpretation
+/// does not grow the Rust stack: run on a thread with 512 KiB of stack, a
+/// quarter of Rust's default, recursion to [`MAX_CALL_DEPTH`] and recursion
+/// 118 blocks deep, which the frame budget stops first, each end with the
+/// typed `CallDepth` limit they always had, and the process lives.
+#[test]
+fn recursion_to_the_bounds_on_a_small_stack_stops_typed() {
+    let direct = hostile("void down(int n) {\ndown(n + 1);\n}", "down(rank);");
+    let nested = hostile(
+        &format!(
+            "int nest(int n) {{\nif (n == 0) {{\nreturn 0;\n}}\n{}\nreturn nest(n - 1);\n{}\n}}",
+            "{".repeat(118),
+            "}".repeat(118)
+        ),
+        "buf[0] = nest(997);",
+    );
+    let cases = [
+        (
+            "direct recursion",
+            direct,
+            InterpError::CallDepth {
+                limit: MAX_CALL_DEPTH,
+                line: 2,
+            },
+        ),
+        (
+            "recursion 118 blocks deep",
+            nested,
+            InterpError::CallDepth {
+                limit: 128,
+                line: 6,
+            },
+        ),
+    ];
+    for (name, src, expected) in cases {
+        // Parsing and compiling recurse with the nesting (bounded by
+        // `MAX_NESTING`); running does not.
+        let code = compile(&parse_strict(&src).unwrap_or_else(|e| panic!("{name}: {e}")));
+        let run = std::thread::scope(|scope| {
+            std::thread::Builder::new()
+                .stack_size(512 << 10)
+                .spawn_scoped(scope, || run_compiled(&code, &RunConfig::new(1)))
+                .unwrap()
+                .join()
+                .unwrap()
+        });
+        assert_eq!(run, Err(expected), "{name}");
     }
 }
 
