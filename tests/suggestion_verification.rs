@@ -862,7 +862,7 @@ fn fixture_cases() -> Vec<(&'static str, &'static str, usize, u64)> {
     for (name, src, _) in FAULT_CORPUS {
         cases.push((name, src, 2, fault_opts().step_limit));
     }
-    for &(name, nranks, budget, src) in SEMANTICS_CASES {
+    for &(name, nranks, budget, src) in SEMANTICS_CASES.iter().chain(WORLD_CASES) {
         cases.push((name, src, nranks, budget));
     }
     cases
@@ -1180,6 +1180,44 @@ const SEMANTICS_CASES: &[(&str, usize, u64, &str)] = &[
          MPI_Comm_rank(MPI_COMM_WORLD, &rank);\n\
          if (rank == 1) { MPI_Abort(MPI_COMM_WORLD, 4); }\n\
          MPI_Barrier(MPI_COMM_WORLD);\n\
+         MPI_Finalize();\n\
+         return 0;\n\
+         }",
+    ),
+];
+
+/// Programs that pin what a multi-rank world reports when its ranks fail
+/// or stall at different times, in the layout of [`SEMANTICS_CASES`].
+/// Appended to the fixture by `record_interpreter_fixture` at commit
+/// 96caeb6, where every rank ran on a thread of its own; both outcomes were
+/// already independent of the thread schedule there.
+const WORLD_CASES: &[(&str, usize, u64, &str)] = &[
+    (
+        "world: the computing lower rank's fault is the root cause",
+        2,
+        1_000_000,
+        "int main(int argc, char **argv) {\n\
+         int rank, i, zero = 0;\n\
+         int a[4];\n\
+         long acc = 0;\n\
+         MPI_Init(&argc, &argv);\n\
+         MPI_Comm_rank(MPI_COMM_WORLD, &rank);\n\
+         if (rank == 1) { acc = rank / zero; }\n\
+         for (i = 0; i < 3000; i++) { acc += i; }\n\
+         a[acc] = 1;\n\
+         MPI_Finalize();\n\
+         return 0;\n\
+         }",
+    ),
+    (
+        "world: a barrier one rank never enters",
+        4,
+        1_000_000,
+        "int main(int argc, char **argv) {\n\
+         int rank;\n\
+         MPI_Init(&argc, &argv);\n\
+         MPI_Comm_rank(MPI_COMM_WORLD, &rank);\n\
+         if (rank != 3) { MPI_Barrier(MPI_COMM_WORLD); }\n\
          MPI_Finalize();\n\
          return 0;\n\
          }",
