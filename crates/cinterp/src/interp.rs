@@ -5,11 +5,16 @@
 //! [`Value`]s, lvalues on a place stack, a user call as a frame record
 //! (return position, the caller's binding frame and stack mark, open
 //! blocks, frame depth) pushed beside them. Nothing recurses on the Rust
-//! stack, so what a rank thread needs does not grow with the program, and
+//! stack, so what running a rank needs does not grow with the program, and
 //! nothing on the path of an executed statement allocates; what a block
 //! declares is released when it exits. Step accounting, evaluation order
 //! and every error (kind, text and line) are pinned by
 //! `tests/fixtures/cinterp_behaviour.tsv`.
+//!
+//! All of a rank's state is this struct, so a rank pauses as a value: an
+//! MPI op the world cannot complete yet leaves its operands on the operand
+//! stack and `pc` on itself, and `Interp::resume` runs it again. Only an
+//! MPI op can pause a rank; the loop checks nothing else per op.
 
 use crate::builtins::{format_printf, PrintfArg, Rng};
 use crate::code::Op;
@@ -17,7 +22,19 @@ use crate::compile::{Compiled, MpiDtype, Param, VarRef};
 use crate::error::{Fault, InterpError};
 use crate::machine::{Binding, CType, Dims, Frame, Mark, Memory, Value};
 use mpirical_cparse::BinOp;
-use mpirical_sim::{Comm, ReduceOp, Source, Status, Tag};
+use mpirical_sim::{Matcher, ReduceOp, Source, Status, Tag};
+use std::task::Poll;
+use std::time::Instant;
+
+/// Unwrap a ready value, or return `Pending` from the enclosing MPI op.
+macro_rules! ready {
+    ($e:expr) => {
+        match $e {
+            Poll::Ready(v) => v,
+            Poll::Pending => return Ok(Poll::Pending),
+        }
+    };
+}
 
 /// Per-rank execution limits.
 #[derive(Debug, Clone, Copy)]
@@ -124,12 +141,21 @@ enum TypedVec {
     U8(Vec<u8>),
 }
 
+/// One rank's whole execution state: resumed by [`Interp::resume`] until
+/// `main` returns, a fault, or an MPI op that cannot complete yet.
 pub(crate) struct Interp<'a> {
     program: &'a Compiled,
-    comm: &'a Comm,
+    rank: usize,
+    size: usize,
+    /// When the world started (`MPI_Wtime`).
+    start: Instant,
     mem: Memory,
-    /// The operand stack, while an out-of-line MPI op reads it (the dispatch
-    /// loop holds it otherwise).
+    /// Where the next resume starts: 0, or the MPI op that was waiting.
+    pc: usize,
+    /// Steps spent so far.
+    steps: u64,
+    /// The operand stack, while an out-of-line MPI op reads it or the rank
+    /// waits (the dispatch loop holds it otherwise).
     stack: Vec<Value>,
     /// Places of the lvalues being evaluated.
     places: Vec<Place>,
@@ -155,18 +181,28 @@ pub(crate) struct Interp<'a> {
 }
 
 impl<'a> Interp<'a> {
-    pub fn new(program: &'a Compiled, comm: &'a Comm, limits: Limits) -> Interp<'a> {
+    pub fn new(
+        program: &'a Compiled,
+        rank: usize,
+        size: usize,
+        limits: Limits,
+        start: Instant,
+    ) -> Interp<'a> {
         Interp {
             program,
-            comm,
+            rank,
+            size,
+            start,
             mem: Memory::new(program.global_names.len()),
+            pc: 0,
+            steps: 0,
             stack: Vec::with_capacity(64),
             places: Vec::with_capacity(16),
             marks: Vec::with_capacity(16),
             frames: Vec::with_capacity(16),
             inits: Vec::new(),
             bufs: Vec::new(),
-            rng: Rng::new(comm.rank() as u64 + 1),
+            rng: Rng::new(rank as u64 + 1),
             output: String::new(),
             depth: 0,
             levels: 0,
@@ -176,24 +212,35 @@ impl<'a> Interp<'a> {
         }
     }
 
-    /// Declare the globals, then execute `main`; returns `(exit code,
-    /// captured stdout)`.
-    pub fn run(mut self) -> Result<(i64, String), Fault> {
-        let returned = self.exec()?;
+    /// Run on from where the rank stopped — the first global declaration,
+    /// or the MPI op it waited in, which runs again — until `main` returns
+    /// its exit code, a fault, or an MPI op that cannot complete yet
+    /// (`Pending`, with the op's operands kept on the operand stack).
+    pub fn resume(&mut self, world: &mut Matcher) -> Result<Poll<i64>, Fault> {
         // A pointer returned from `main` exits 0.
-        Ok((returned.as_i64(0).unwrap_or(0), self.output))
+        Ok(self.exec(world)?.map(|v| v.as_i64(0).unwrap_or(0)))
     }
 
-    /// The dispatch loop, from the first global declaration to `main`'s
-    /// return. The operand stack is a local here, so its length can live in
+    /// Steps spent so far.
+    pub fn steps(&self) -> u64 {
+        self.steps
+    }
+
+    /// The captured stdout.
+    pub fn into_output(self) -> String {
+        self.output
+    }
+
+    /// The dispatch loop, from `self.pc` to `main`'s return or a waiting
+    /// MPI op. The operand stack is a local here, so its length can live in
     /// a register; the rare ops that read it out of line get it lent back
-    /// through `self.stack`.
-    fn exec(&mut self) -> Result<Value, Fault> {
+    /// through `self.stack`, where it also stays while the rank waits.
+    fn exec(&mut self, world: &mut Matcher) -> Result<Poll<Value>, Fault> {
         let program = self.program;
         let ops = &program.code.ops[..];
         let mut stack = std::mem::take(&mut self.stack);
         let limit = self.limits.step_limit;
-        let mut steps = 0u64;
+        let mut steps = self.steps;
         // One step of the budget per statement and per loop iteration.
         macro_rules! tick {
             ($n:expr) => {{
@@ -203,7 +250,7 @@ impl<'a> Interp<'a> {
                 }
             }};
         }
-        let mut pc = 0;
+        let mut pc = self.pc;
         loop {
             let op = &ops[pc];
             pc += 1;
@@ -270,7 +317,10 @@ impl<'a> Interp<'a> {
                             stack.push(value);
                             pc = to;
                         }
-                        None => return Ok(value),
+                        None => {
+                            self.steps = steps;
+                            return Ok(Poll::Ready(value));
+                        }
                     }
                 }
                 Op::Raise(i) => return Err(Box::new(program.code.raises[i as usize].clone())),
@@ -476,7 +526,7 @@ impl<'a> Interp<'a> {
                 }
                 Op::Exit | Op::Abort => {
                     let code = pop_i64(&mut stack);
-                    return Err(InterpError::Mpi(self.comm.abort(code as i32)).into());
+                    return Err(InterpError::Mpi(world.abort(self.rank, code as i32)).into());
                 }
                 Op::Malloc { elem, line } => {
                     let bytes = pop_i64(&mut stack);
@@ -491,9 +541,17 @@ impl<'a> Interp<'a> {
 
                 _ => {
                     self.stack = std::mem::take(&mut stack);
-                    let next = self.mpi(*op, pc);
-                    stack = std::mem::take(&mut self.stack);
-                    pc = next?;
+                    match self.mpi(*op, pc, world)? {
+                        Poll::Ready(next) => {
+                            stack = std::mem::take(&mut self.stack);
+                            pc = next;
+                        }
+                        Poll::Pending => {
+                            self.pc = pc - 1;
+                            self.steps = steps;
+                            return Ok(Poll::Pending);
+                        }
+                    }
                 }
             }
         }
@@ -955,35 +1013,71 @@ impl<'a> Interp<'a> {
 
     /// The elements of a gather or scatter across every rank, `count` each.
     fn world_len(&self, count: usize, line: u32) -> Result<usize, Fault> {
-        let total = (count as i64).saturating_mul(self.comm.size() as i64);
+        let total = (count as i64).saturating_mul(self.size as i64);
         self.message_len(total, line)
     }
 
-    /// Execute an MPI op at `pc - 1`; returns where execution continues.
+    /// The top `N` operands, deepest first, left on the stack: an op that
+    /// may wait pops them only once it completes.
+    fn operands<const N: usize>(&self) -> [Value; N] {
+        let n = self.stack.len();
+        self.stack[n - N..]
+            .try_into()
+            .expect("operands on the stack")
+    }
+
+    fn drop_operands(&mut self, n: usize) {
+        self.stack.truncate(self.stack.len() - n);
+    }
+
+    /// The `send, count[, root]` operands of a reduce or gather.
+    fn rooted_operands(&self, rooted: bool) -> (usize, usize, Option<usize>) {
+        let args = &self.stack[self.stack.len() - 2 - usize::from(rooted)..];
+        let root = rooted.then(|| i64_of(args[2]) as usize);
+        (usize_of(args[0]), usize_of(args[1]), root)
+    }
+
+    /// Pop a completed reduce's or gather's operands; a rank that received
+    /// nothing continues at `skip`, past evaluating a receive buffer.
+    fn rooted_done(&mut self, rooted: bool, received: bool, skip: u32, pc: usize) -> usize {
+        self.drop_operands(2 + usize::from(rooted));
+        if received {
+            pc
+        } else {
+            skip as usize
+        }
+    }
+
+    /// Execute an MPI op at `pc - 1`; returns where execution continues,
+    /// or `Pending` with the op's operands still on the stack if it waits.
     #[inline(never)]
-    fn mpi(&mut self, op: Op, pc: usize) -> Result<usize, Fault> {
+    fn mpi(&mut self, op: Op, pc: usize, world: &mut Matcher) -> Result<Poll<usize>, Fault> {
+        let me = self.rank;
         match op {
             Op::CommRank { line } | Op::CommSize { line } => {
                 let ptr = self.pop_usize();
                 let v = match op {
-                    Op::CommRank { .. } => self.comm.rank(),
-                    _ => self.comm.size(),
+                    Op::CommRank { .. } => self.rank,
+                    _ => self.size,
                 };
                 self.mem.store(ptr, Value::Int(v as i64), line)?;
             }
-            Op::Wtime => self.stack.push(Value::Double(self.comm.wtime())),
-            Op::Barrier => self.comm.barrier()?,
+            Op::Wtime => {
+                let t = self.start.elapsed().as_secs_f64();
+                self.stack.push(Value::Double(t));
+            }
+            Op::Barrier => ready!(world.barrier(me)?),
             Op::Send { dtype, line } => {
                 let tag = self.pop_i64() as i32;
                 let dest = self.pop_i64() as usize;
                 let count = self.pop_usize();
                 let ptr = self.pop_usize();
                 match &self.read_buf(ptr, count, dtype, line)? {
-                    TypedVec::I32(v) => self.comm.send(v, dest, tag)?,
-                    TypedVec::I64(v) => self.comm.send(v, dest, tag)?,
-                    TypedVec::F32(v) => self.comm.send(v, dest, tag)?,
-                    TypedVec::F64(v) => self.comm.send(v, dest, tag)?,
-                    TypedVec::U8(v) => self.comm.send(v, dest, tag)?,
+                    TypedVec::I32(v) => world.send(me, v, dest, tag)?,
+                    TypedVec::I64(v) => world.send(me, v, dest, tag)?,
+                    TypedVec::F32(v) => world.send(me, v, dest, tag)?,
+                    TypedVec::F64(v) => world.send(me, v, dest, tag)?,
+                    TypedVec::U8(v) => world.send(me, v, dest, tag)?,
                 }
             }
             Op::Recv {
@@ -991,21 +1085,21 @@ impl<'a> Interp<'a> {
                 status,
                 line,
             } => {
+                let [ptr, count, source, tag] = self.operands();
                 // Negative ranks and tags are the wildcards (`MPI_ANY_SOURCE`).
-                let tag = match self.pop_i64() {
+                let tag = match i64_of(tag) {
                     v if v < 0 => Tag::Any,
                     v => Tag::Value(v as i32),
                 };
-                let source = match self.pop_i64() {
+                let source = match i64_of(source) {
                     v if v < 0 => Source::Any,
                     v => Source::Rank(v as usize),
                 };
-                let count = self.pop_usize();
-                let ptr = self.pop_usize();
+                let (count, ptr) = (usize_of(count), usize_of(ptr));
                 macro_rules! recv_as {
                     ($t:ty, $variant:ident) => {{
                         let mut buf = vec![<$t>::default(); count];
-                        let st = self.comm.recv(&mut buf, source, tag)?;
+                        let st = ready!(world.recv(me, &mut buf, source, tag)?);
                         self.write_buf(ptr, &TypedVec::$variant(buf), line)?;
                         st
                     }};
@@ -1017,6 +1111,7 @@ impl<'a> Interp<'a> {
                     MpiDtype::Double => recv_as!(f64, F64),
                     MpiDtype::Byte => recv_as!(u8, U8),
                 };
+                self.drop_operands(4);
                 if status {
                     self.stack.push(Value::Int(st.source as i64));
                     self.stack.push(Value::Int(st.tag as i64));
@@ -1039,18 +1134,17 @@ impl<'a> Interp<'a> {
                 self.mem.store(ptr, Value::Int(0), line)?;
             }
             Op::Bcast { dtype, line } => {
-                let root = self.pop_i64() as usize;
-                let count = self.pop_usize();
-                let ptr = self.pop_usize();
+                let [ptr, count, root] = self.operands();
+                let (ptr, count, root) = (usize_of(ptr), usize_of(count), i64_of(root) as usize);
                 macro_rules! bcast_as {
                     ($t:ty, $variant:ident) => {{
                         let mut buf = vec![<$t>::default(); count];
-                        if self.comm.rank() == root {
+                        if me == root {
                             if let TypedVec::$variant(v) = self.read_buf(ptr, count, dtype, line)? {
                                 buf = v;
                             }
                         }
-                        self.comm.bcast(&mut buf, root)?;
+                        ready!(world.bcast(me, &mut buf, root)?);
                         self.write_buf(ptr, &TypedVec::$variant(buf), line)?;
                     }};
                 }
@@ -1061,6 +1155,7 @@ impl<'a> Interp<'a> {
                     MpiDtype::Double => bcast_as!(f64, F64),
                     MpiDtype::Byte => bcast_as!(u8, U8),
                 }
+                self.drop_operands(3);
             }
             Op::Reduce {
                 dtype,
@@ -1069,12 +1164,9 @@ impl<'a> Interp<'a> {
                 skip,
                 line,
             } => {
-                let root = rooted.then(|| self.pop_i64() as usize);
-                let count = self.pop_usize();
-                let sptr = self.pop_usize();
-                if !self.reduce(sptr, count, dtype, op, root, line)? {
-                    return Ok(skip as usize);
-                }
+                let (sptr, count, root) = self.rooted_operands(rooted);
+                let received = ready!(self.reduce(world, sptr, count, dtype, op, root, line)?);
+                return Ok(Poll::Ready(self.rooted_done(rooted, received, skip, pc)));
             }
             Op::Gather {
                 dtype,
@@ -1082,12 +1174,9 @@ impl<'a> Interp<'a> {
                 skip,
                 line,
             } => {
-                let root = rooted.then(|| self.pop_i64() as usize);
-                let count = self.pop_usize();
-                let sptr = self.pop_usize();
-                if !self.gather(sptr, count, dtype, root, line)? {
-                    return Ok(skip as usize);
-                }
+                let (sptr, count, root) = self.rooted_operands(rooted);
+                let received = ready!(self.gather(world, sptr, count, dtype, root, line)?);
+                return Ok(Poll::Ready(self.rooted_done(rooted, received, skip, pc)));
             }
             Op::WriteBuf { line } => {
                 let ptr = self.pop_usize();
@@ -1095,38 +1184,33 @@ impl<'a> Interp<'a> {
                 self.write_buf(ptr, &out, line)?;
             }
             Op::ScatterBegin { dtype, skip, line } => {
-                let n = self.stack.len();
-                let [count, _, _, root] = self.stack[n - 4..] else {
-                    unreachable!("scatter operands")
-                };
-                let total = self.world_len(usize_of(count), line)?;
-                if self.comm.rank() != usize_of(root) {
-                    self.scatter(None, total, dtype, line)?;
-                    return Ok(skip as usize);
+                let [count, _, _, root] = self.operands();
+                self.world_len(usize_of(count), line)?;
+                if me != usize_of(root) {
+                    ready!(self.scatter(world, false, dtype, line)?);
+                    return Ok(Poll::Ready(skip as usize));
                 }
             }
-            Op::ScatterRoot { dtype, line } => {
-                let sptr = self.pop_usize();
-                let count = usize_of(self.stack[self.stack.len() - 4]);
-                let total = self.world_len(count, line)?;
-                self.scatter(Some(sptr), total, dtype, line)?;
-            }
+            Op::ScatterRoot { dtype, line } => ready!(self.scatter(world, true, dtype, line)?),
             other => unreachable!("not an MPI op: {other:?}"),
         }
-        Ok(pc)
+        Ok(Poll::Ready(pc))
     }
 
     /// Reduce `count` elements at `sptr`; returns whether this rank
     /// receives the result (kept for [`Op::WriteBuf`]).
+    #[allow(clippy::too_many_arguments)]
     fn reduce(
         &mut self,
+        world: &mut Matcher,
         sptr: usize,
         count: usize,
         dtype: MpiDtype,
         op: ReduceOp,
         root: Option<usize>,
         line: u32,
-    ) -> Result<bool, Fault> {
+    ) -> Result<Poll<bool>, Fault> {
+        let me = self.rank;
         macro_rules! reduce_as {
             ($t:ty, $variant:ident) => {{
                 let send = match self.read_buf(sptr, count, dtype, line)? {
@@ -1135,13 +1219,13 @@ impl<'a> Interp<'a> {
                 };
                 let mut out = vec![<$t>::default(); count];
                 match root {
-                    None => self.comm.allreduce(&send, &mut out, op)?,
-                    Some(root) if self.comm.rank() == root => {
-                        self.comm.reduce(&send, Some(&mut out), op, root)?
+                    None => ready!(world.allreduce(me, &send, &mut out, op)?),
+                    Some(root) if me == root => {
+                        ready!(world.reduce(me, &send, Some(&mut out), op, root)?)
                     }
                     Some(root) => {
-                        self.comm.reduce(&send, None, op, root)?;
-                        return Ok(false);
+                        ready!(world.reduce(me, &send, None, op, root)?);
+                        return Ok(Poll::Ready(false));
                     }
                 }
                 TypedVec::$variant(out)
@@ -1155,19 +1239,21 @@ impl<'a> Interp<'a> {
             MpiDtype::Byte => unreachable!("compiled to an error"),
         };
         self.bufs.push(out);
-        Ok(true)
+        Ok(Poll::Ready(true))
     }
 
     /// Gather `count` elements at `sptr` from every rank; returns whether
     /// this rank receives the result (kept for [`Op::WriteBuf`]).
     fn gather(
         &mut self,
+        world: &mut Matcher,
         sptr: usize,
         count: usize,
         dtype: MpiDtype,
         root: Option<usize>,
         line: u32,
-    ) -> Result<bool, Fault> {
+    ) -> Result<Poll<bool>, Fault> {
+        let me = self.rank;
         let total = self.world_len(count, line)?;
         macro_rules! gather_as {
             ($t:ty, $variant:ident) => {{
@@ -1177,13 +1263,13 @@ impl<'a> Interp<'a> {
                 };
                 let mut out = vec![<$t>::default(); total];
                 match root {
-                    None => self.comm.allgather(&send, &mut out)?,
-                    Some(root) if self.comm.rank() == root => {
-                        self.comm.gather(&send, Some(&mut out), root)?
+                    None => ready!(world.allgather(me, &send, &mut out)?),
+                    Some(root) if me == root => {
+                        ready!(world.gather(me, &send, Some(&mut out), root)?)
                     }
                     Some(root) => {
-                        self.comm.gather(&send, None, root)?;
-                        return Ok(false);
+                        ready!(world.gather(me, &send, None, root)?);
+                        return Ok(Poll::Ready(false));
                     }
                 }
                 TypedVec::$variant(out)
@@ -1197,22 +1283,27 @@ impl<'a> Interp<'a> {
             MpiDtype::Byte => gather_as!(u8, U8),
         };
         self.bufs.push(out);
-        Ok(true)
+        Ok(Poll::Ready(true))
     }
 
-    /// Scatter from `sptr` (`total` elements; the root's only) with `count,
-    /// recv, recv_count, root` on the stack, which this pops.
+    /// Scatter with `count, recv, recv_count, root` on the stack, under the
+    /// root's send pointer if `root_sends`; pops them once it completes.
     fn scatter(
         &mut self,
-        sptr: Option<usize>,
-        total: usize,
+        world: &mut Matcher,
+        root_sends: bool,
         dtype: MpiDtype,
         line: u32,
-    ) -> Result<(), Fault> {
-        let root = self.pop_i64() as usize;
-        let recv_count = self.pop_usize();
-        let rptr = self.pop_usize();
-        pop(&mut self.stack);
+    ) -> Result<Poll<()>, Fault> {
+        let me = self.rank;
+        let n = self.stack.len() - usize::from(root_sends);
+        let [count, rptr, recv_count, root] = self.stack[n - 4..n] else {
+            unreachable!("scatter operands")
+        };
+        let total = self.world_len(usize_of(count), line)?;
+        let sptr = root_sends.then(|| usize_of(self.stack[n]));
+        let (rptr, recv_count, root) =
+            (usize_of(rptr), usize_of(recv_count), i64_of(root) as usize);
         macro_rules! scatter_as {
             ($t:ty, $variant:ident) => {{
                 let mut mine = vec![<$t>::default(); recv_count];
@@ -1222,9 +1313,9 @@ impl<'a> Interp<'a> {
                             TypedVec::$variant(v) => v,
                             _ => unreachable!(),
                         };
-                        self.comm.scatter(Some(&all), &mut mine, root)?;
+                        ready!(world.scatter(me, Some(&all), &mut mine, root)?);
                     }
-                    None => self.comm.scatter(None, &mut mine, root)?,
+                    None => ready!(world.scatter(me, None, &mut mine, root)?),
                 }
                 self.write_buf(rptr, &TypedVec::$variant(mine), line)?;
             }};
@@ -1236,7 +1327,8 @@ impl<'a> Interp<'a> {
             MpiDtype::Double => scatter_as!(f64, F64),
             MpiDtype::Byte => scatter_as!(u8, U8),
         }
-        Ok(())
+        self.stack.truncate(n - 4);
+        Ok(Poll::Ready(()))
     }
 }
 
@@ -1245,13 +1337,19 @@ fn pop(stack: &mut Vec<Value>) -> Value {
     stack.pop().expect("operand stack underflow")
 }
 
-/// Pop a value a conversion op left (an integer, double or pointer).
-fn pop_i64(stack: &mut Vec<Value>) -> i64 {
-    match pop(stack) {
+/// A value a conversion op left (an integer, double or pointer), as an
+/// integer.
+fn i64_of(v: Value) -> i64 {
+    match v {
         Value::Int(v) => v,
         Value::Double(v) => v as i64,
         Value::Ptr(p) => p as i64,
     }
+}
+
+/// Pop a value a conversion op left.
+fn pop_i64(stack: &mut Vec<Value>) -> i64 {
+    i64_of(pop(stack))
 }
 
 fn pop_f64(stack: &mut Vec<Value>) -> f64 {

@@ -6,10 +6,11 @@
 //! Together with the simulator this substitutes the paper's §VI-C validity
 //! check ("we evaluated the validity of generated programs by compiling and
 //! running them"): [`run_source`] executes a program on N simulated ranks —
-//! rank 0 on the calling thread, each other rank on a thread of its own,
-//! every rank with private memory — captures every rank's `printf` output,
-//! and reports deterministic errors for deadlocks, type mismatches,
-//! out-of-bounds accesses and runaway loops.
+//! every rank with private memory, all of them taking turns on the calling
+//! thread, where a rank runs until it finishes, fails or waits in an MPI
+//! call — captures every rank's `printf` output, and reports deterministic
+//! errors for deadlocks, type mismatches, out-of-bounds accesses and
+//! runaway loops.
 //!
 //! Execution is **compile, then run**. [`compile()`] resolves the AST once —
 //! every identifier becomes a slot index, every call site knows its callee,
@@ -21,6 +22,11 @@
 //! of worlds, each rank stepping through it in a single dispatch loop over
 //! its own [`Memory`], without allocating or hashing per step and without
 //! growing the Rust stack. [`run_program`] is the two in a row.
+//!
+//! A world spawns no thread: `mpirical-sim`'s `World::run_stepped` resumes
+//! the lowest-numbered rank that can run, so an `MPI_ANY_SOURCE` receive
+//! always matches the same sender and a world's outcome is a function of
+//! its program. Once a rank fails, ranks above it are not resumed again.
 //!
 //! ```
 //! use mpirical_interp::run_source;
@@ -59,8 +65,8 @@ pub use interp::{Limits, MAX_CALL_DEPTH, MAX_LEVELS};
 pub use machine::{Binding, CType, Cell, Memory, Value};
 
 use mpirical_cparse::{parse_strict, Program};
-use mpirical_sim::World;
-use std::time::Duration;
+use mpirical_sim::{SimError, World};
+use std::time::{Duration, Instant};
 
 /// Execution configuration.
 #[derive(Debug, Clone)]
@@ -90,6 +96,8 @@ pub struct RunOutput {
     pub rank_outputs: Vec<String>,
     /// `main`'s return value per rank.
     pub exit_codes: Vec<i64>,
+    /// Interpreter steps spent, summed over the ranks.
+    pub steps: u64,
 }
 
 impl RunOutput {
@@ -106,43 +114,41 @@ pub fn run_program(prog: &Program, cfg: &RunConfig) -> Result<RunOutput, InterpE
     run_compiled(&compile(prog), cfg)
 }
 
-/// Run a compiled program on `cfg.nranks` simulated ranks. The program is
-/// only read, so one [`Compiled`] serves every world a caller runs it on.
+/// Run a compiled program on `cfg.nranks` simulated ranks, stepped on the
+/// calling thread (`World::run_stepped`): the lowest-numbered rank that
+/// can run, runs until it finishes, fails or waits in an MPI call, so the
+/// outcome depends only on the program. The program is only read, so one
+/// [`Compiled`] serves every world a caller runs it on.
 pub fn run_compiled(code: &Compiled, cfg: &RunConfig) -> Result<RunOutput, InterpError> {
-    let limits = cfg.limits;
-    let results: Vec<Result<(i64, String), InterpError>> = World::run(cfg.nranks, |comm| {
-        let r = interp::Interp::new(code, comm, limits)
-            .run()
-            .map_err(|e| *e);
-        if r.is_err() {
-            // Fail the world while this rank still counts as live: peers
-            // asleep on us then report our failure, never a deadlock.
-            let _ = comm.abort(1);
-        }
-        Ok(r)
-    })
-    .map_err(InterpError::Mpi)?;
+    let start = Instant::now();
+    let mut ranks: Vec<interp::Interp> = (0..cfg.nranks)
+        .map(|rank| interp::Interp::new(code, rank, cfg.nranks, cfg.limits, start))
+        .collect();
+    let ends = World::run_stepped(cfg.nranks, |rank, world| ranks[rank].resume(world));
 
-    let mut outputs = Vec::with_capacity(results.len());
-    let mut codes = Vec::with_capacity(results.len());
+    let mut codes = Vec::with_capacity(ends.len());
     let mut errors = Vec::new();
-    for (rank, r) in results.into_iter().enumerate() {
-        match r {
-            Ok((code, out)) => {
-                codes.push(code);
-                outputs.push(out);
-            }
-            Err(e) => errors.push((rank, e)),
+    for (rank, end) in ends.into_iter().enumerate() {
+        match end {
+            Some(Ok(code)) => codes.push(code),
+            Some(Err(e)) => errors.push((rank, *e)),
+            // Never resumed after a lower rank stopped the world.
+            None => {}
         }
     }
-    // Root cause: the lowest-rank error that is not the echo of a peer's
-    // failure (`min_by_key` keeps the first of equals).
-    let is_echo =
-        |(rank, e): &(usize, InterpError)| matches!(e, InterpError::Mpi(s) if s.is_echo(*rank));
-    match errors.into_iter().min_by_key(is_echo) {
+    // Root cause: a rank that panicked (the simulator's fault, not the
+    // program's), else the lowest-rank error that is not the echo of a
+    // peer's failure (`min_by_key` keeps the first of equals).
+    let key = |(rank, e): &(usize, InterpError)| match e {
+        InterpError::Mpi(SimError::RankPanicked { .. }) => (false, false),
+        InterpError::Mpi(s) => (true, s.is_echo(*rank)),
+        _ => (true, false),
+    };
+    match errors.into_iter().min_by_key(key) {
         Some((_, e)) => Err(e),
         None => Ok(RunOutput {
-            rank_outputs: outputs,
+            steps: ranks.iter().map(interp::Interp::steps).sum(),
+            rank_outputs: ranks.into_iter().map(interp::Interp::into_output).collect(),
             exit_codes: codes,
         }),
     }

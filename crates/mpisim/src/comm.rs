@@ -1,31 +1,40 @@
-//! The communicator: point-to-point messaging and collectives.
+//! Point-to-point matching and the collectives over it, as one state
+//! machine with no thread, lock or clock.
 //!
-//! One world-level `parking_lot::Mutex` owns every rank's mailbox, every
-//! rank's waiting mark and the `live`/`blocked` counts; each rank sleeps on
-//! its own condvar. `send` is buffered (never blocks) and delivers under
-//! that lock, `recv` takes the *first* envelope matching `(source, tag)` —
-//! wildcards included — which preserves MPI's non-overtaking guarantee:
-//! messages from the same sender with the same tag are received in send
-//! order.
+//! A [`Matcher`] holds every rank's mailbox and waiting mark, the `live` and
+//! `blocked` counts and the halt. An operation that cannot complete yet
+//! marks its rank as waiting and returns [`Poll::Pending`]; its caller runs
+//! the *same* operation again once the rank is no longer waiting, or once
+//! the world has halted. `world.rs` runs worlds that way: on the calling
+//! thread, or on one thread per rank behind one lock.
 //!
-//! Delivery is synchronous, so nothing is ever in flight outside the lock
-//! and "every live rank is blocked" is exactly a deadlock: only a running
-//! rank can release a blocked one. The rule is checked at the two events
-//! that can make it true — a rank registering as blocked and a rank leaving
-//! the world — and needs no clock (docs/ARCHITECTURE.md has the argument).
+//! `send` is buffered (never waits) and delivers at once; a receive takes
+//! the *first* envelope matching `(source, tag)` — wildcards included —
+//! which preserves MPI's non-overtaking guarantee: messages from the same
+//! sender with the same tag are received in send order. A send that matches
+//! what its destination waits for clears the mark, so a rank with a
+//! matching message is never counted as blocked, and "every live rank is
+//! blocked" is exactly a deadlock: only a rank that is not waiting can
+//! release one that is. The rule is checked at the two events that can make
+//! it true — a rank registering as blocked and a rank leaving the world —
+//! and needs no clock (docs/ARCHITECTURE.md has the argument).
 //!
-//! Collectives are built on p2p with reserved negative tags. MPI requires
-//! every rank to execute collectives in the same order, so a per-rank
-//! collective sequence number embedded in the tag keeps consecutive
-//! collectives from cross-talking.
+//! Collectives run over the same mailboxes on reserved negative tags. MPI
+//! requires every rank to execute collectives in the same order, so a
+//! per-rank collective sequence number embedded in the tag keeps
+//! consecutive collectives from cross-talking. A collective is a
+//! multi-phase operation that may be run again after `Pending` without
+//! repeating an effect: a root that receives from every other rank takes
+//! their messages together once all have arrived (until then it waits on
+//! the first missing one, in rank order), and a two-phase collective
+//! (`barrier`, `allreduce`, `allgather`) records that its first phase is
+//! done before it waits in the second.
 
 use crate::datatype::{Datatype, ReduceOp, Reducible};
 use crate::error::{BlockedOp, SimError};
 use bytes::Bytes;
-use parking_lot::{Condvar, Mutex};
 use std::collections::VecDeque;
-use std::sync::Arc;
-use std::time::Instant;
+use std::task::Poll;
 
 /// Receive source selector.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -60,14 +69,22 @@ struct Envelope {
     payload: Bytes,
 }
 
-/// What a blocking receive waits for.
-#[derive(Clone, Copy)]
+/// What a blocked receive waits for.
+#[derive(Debug, Clone, Copy)]
 struct Pattern {
     source: Source,
     tag: Tag,
 }
 
 impl Pattern {
+    /// A collective's receive from `source`.
+    fn collective(source: usize, tag: i32) -> Pattern {
+        Pattern {
+            source: Source::Rank(source),
+            tag: Tag::Value(tag),
+        }
+    }
+
     fn matches(&self, e: &Envelope) -> bool {
         let src_ok = match self.source {
             Source::Any => true,
@@ -91,149 +108,156 @@ impl Pattern {
     }
 }
 
-/// Everything the ranks share, behind [`Shared::state`].
-struct State {
-    mailboxes: Vec<VecDeque<Envelope>>,
-    /// Per rank: the pattern it sleeps on. Set only while nothing in its
-    /// mailbox matches; `send` clears it when it delivers a match.
-    waiting: Vec<Option<Pattern>>,
+/// One rank's share of the state.
+struct Slot {
+    mailbox: VecDeque<Envelope>,
+    /// The pattern the rank waits on. Set only while nothing in its mailbox
+    /// matches; `send` clears it when it delivers a match.
+    waiting: Option<Pattern>,
+    /// Collectives this rank completed; names the tag of its next one.
+    collectives: u32,
+    /// The first phase of the two-phase collective in progress is done.
+    first_phase_done: bool,
+}
+
+/// Base of the reserved (negative) tag space for collectives.
+const COLL_TAG_BASE: i32 = -2;
+
+/// Unwrap a ready value, or return `Pending` from the enclosing operation.
+macro_rules! ready {
+    ($e:expr) => {
+        match $e {
+            Poll::Ready(v) => v,
+            Poll::Pending => return Ok(Poll::Pending),
+        }
+    };
+}
+
+/// The matching state of one world: mailboxes, waiting marks and the halt.
+/// Every operation names the rank that performs it.
+pub struct Matcher {
+    slots: Vec<Slot>,
     /// Ranks that have not left the world yet.
     live: usize,
     /// Ranks with a waiting mark.
     blocked: usize,
     /// Why the world stopped — the first `Aborted` or the one `Deadlock`
-    /// report. Every receive that would otherwise sleep returns it; marks
+    /// report. Every receive that would otherwise wait returns it; marks
     /// and counts are not maintained past this point.
     halt: Option<SimError>,
+    /// Ranks whose mark a send cleared since [`Matcher::woken`] last
+    /// drained them.
+    woken: Vec<usize>,
 }
 
-pub(crate) struct Shared {
-    state: Mutex<State>,
-    arrivals: Vec<Condvar>,
-    start: Instant,
-}
-
-impl Shared {
-    pub(crate) fn new(nranks: usize) -> Arc<Shared> {
-        Arc::new(Shared {
-            state: Mutex::new(State {
-                mailboxes: (0..nranks).map(|_| VecDeque::new()).collect(),
-                waiting: vec![None; nranks],
-                live: nranks,
-                blocked: 0,
-                halt: None,
-            }),
-            arrivals: (0..nranks).map(|_| Condvar::new()).collect(),
-            start: Instant::now(),
-        })
+impl Matcher {
+    /// A world of `nranks` live ranks, none waiting.
+    pub fn new(nranks: usize) -> Matcher {
+        Matcher {
+            slots: (0..nranks)
+                .map(|_| Slot {
+                    mailbox: VecDeque::new(),
+                    waiting: None,
+                    collectives: 0,
+                    first_phase_done: false,
+                })
+                .collect(),
+            live: nranks,
+            blocked: 0,
+            halt: None,
+            woken: Vec::new(),
+        }
     }
 
-    /// Stop the world with `reason` unless it already stopped, and wake
-    /// every sleeper. The lock is held, so no rank can be between its halt
-    /// check and its wait.
-    fn halt(&self, st: &mut State, reason: SimError) {
-        if st.halt.is_none() {
-            st.halt = Some(reason);
-            for cv in &self.arrivals {
-                cv.notify_all();
-            }
+    /// World size.
+    pub fn size(&self) -> usize {
+        self.slots.len()
+    }
+
+    /// Why the world stopped, once it has.
+    pub fn halted(&self) -> Option<&SimError> {
+        self.halt.as_ref()
+    }
+
+    /// True while `rank` waits for a message nothing delivered yet.
+    pub fn is_waiting(&self, rank: usize) -> bool {
+        self.slots[rank].waiting.is_some()
+    }
+
+    /// The ranks whose waiting mark a send cleared since the last call.
+    pub fn woken(&mut self) -> std::vec::Drain<'_, usize> {
+        self.woken.drain(..)
+    }
+
+    /// Stop the world with `reason` unless it already stopped.
+    fn stop(&mut self, reason: SimError) {
+        if self.halt.is_none() {
+            self.halt = Some(reason);
         }
     }
 
     /// The quiescence rule: every live rank is blocked, so none can ever be
     /// released. One snapshot, taken here, is what every blocked rank
     /// reports.
-    fn check_quiescence(&self, st: &mut State) {
-        if st.halt.is_some() || st.live == 0 || st.blocked != st.live {
+    fn check_quiescence(&mut self) {
+        if self.halt.is_some() || self.live == 0 || self.blocked != self.live {
             return;
         }
-        let blocked: Vec<BlockedOp> = st
-            .waiting
+        let blocked: Vec<BlockedOp> = self
+            .slots
             .iter()
             .enumerate()
-            .filter_map(|(rank, w)| {
-                w.map(|p| BlockedOp {
+            .filter_map(|(rank, s)| {
+                s.waiting.map(|p| BlockedOp {
                     rank,
                     op: p.describe(),
                 })
             })
             .collect();
-        let (live, size) = (st.live, st.waiting.len());
+        let (live, size) = (self.live, self.size());
         let reason = SimError::Deadlock {
             rank: blocked[0].rank,
             detail: format!("every live rank is blocked ({live} of {size} still in the world)"),
             blocked,
         };
-        self.halt(st, reason);
+        self.stop(reason);
     }
 
-    /// A rank's closure finished. A failed rank aborts the world *before* it
-    /// stops counting as live, so its peers report its failure and never a
-    /// cycle.
-    pub(crate) fn leave(&self, rank: usize, failed: bool) {
-        let mut st = self.state.lock();
+    /// `rank` finished. A failed rank aborts the world *before* it stops
+    /// counting as live, so its peers report its failure and never a cycle.
+    pub fn leave(&mut self, rank: usize, failed: bool) {
         if failed {
-            self.halt(&mut st, SimError::Aborted { rank, code: 1 });
+            self.stop(SimError::Aborted { rank, code: 1 });
         }
-        st.live -= 1;
-        self.check_quiescence(&mut st);
-    }
-}
-
-/// A rank's handle on the simulated world — the `MPI_COMM_WORLD` analogue.
-pub struct Comm {
-    rank: usize,
-    size: usize,
-    shared: Arc<Shared>,
-    /// Per-rank collective sequence number (all ranks advance in lockstep
-    /// because MPI mandates identical collective order).
-    coll_seq: std::cell::Cell<u32>,
-}
-
-/// Base of the reserved (negative) tag space for collectives.
-const COLL_TAG_BASE: i32 = -2;
-
-impl Comm {
-    pub(crate) fn new(rank: usize, size: usize, shared: Arc<Shared>) -> Comm {
-        Comm {
-            rank,
-            size,
-            shared,
-            coll_seq: std::cell::Cell::new(0),
-        }
-    }
-
-    /// This rank's id (`MPI_Comm_rank`).
-    pub fn rank(&self) -> usize {
-        self.rank
-    }
-
-    /// World size (`MPI_Comm_size`).
-    pub fn size(&self) -> usize {
-        self.size
-    }
-
-    /// Seconds since the world started (`MPI_Wtime`).
-    pub fn wtime(&self) -> f64 {
-        self.shared.start.elapsed().as_secs_f64()
+        self.live -= 1;
+        self.check_quiescence();
     }
 
     /// `MPI_Abort`: stop the world and return the error. The first abort
-    /// wins; every receive that would otherwise sleep returns it.
-    pub fn abort(&self, code: i32) -> SimError {
-        let reason = SimError::Aborted {
-            rank: self.rank,
-            code,
-        };
-        self.shared
-            .halt(&mut self.shared.state.lock(), reason.clone());
+    /// wins; every receive that would otherwise wait returns it.
+    pub fn abort(&mut self, rank: usize, code: i32) -> SimError {
+        let reason = SimError::Aborted { rank, code };
+        self.stop(reason.clone());
         reason
     }
 
-    fn check_rank(&self, r: usize) -> Result<(), SimError> {
-        if r >= self.size {
+    /// `me` has no message matching `pat`: the halt if the world stopped,
+    /// else `Pending` with `me` marked as waiting on `pat`.
+    fn wait<R>(&mut self, me: usize, pat: Pattern) -> Result<Poll<R>, SimError> {
+        if let Some(reason) = &self.halt {
+            return Err(reason.clone());
+        }
+        if self.slots[me].waiting.replace(pat).is_none() {
+            self.blocked += 1;
+            self.check_quiescence();
+        }
+        Ok(Poll::Pending)
+    }
+
+    fn check_rank(&self, me: usize, r: usize) -> Result<(), SimError> {
+        if r >= self.size() {
             Err(SimError::RankOutOfBounds {
-                rank: self.rank,
+                rank: me,
                 requested: r as isize,
             })
         } else {
@@ -241,59 +265,39 @@ impl Comm {
         }
     }
 
-    /// Buffered standard send (`MPI_Send`): never blocks. The envelope is
-    /// delivered before this returns; if it is what `dest` sleeps on, the
-    /// waiting mark is cleared under the same lock — a rank with a matching
-    /// message is never counted as blocked — and `dest` is woken.
-    pub fn send<T: Datatype>(&self, buf: &[T], dest: usize, tag: i32) -> Result<(), SimError> {
-        self.check_rank(dest)?;
+    /// Buffered standard send (`MPI_Send`) from `me`: never waits. If the
+    /// envelope is what `dest` waits on, its mark is cleared — a rank with a
+    /// matching message is never counted as blocked — and `dest` is woken.
+    pub fn send<T: Datatype>(
+        &mut self,
+        me: usize,
+        buf: &[T],
+        dest: usize,
+        tag: i32,
+    ) -> Result<(), SimError> {
+        self.check_rank(me, dest)?;
         let env = Envelope {
-            src: self.rank,
+            src: me,
             tag,
             dtype: T::NAME,
             payload: T::serialize(buf),
         };
-        let mut st = self.shared.state.lock();
-        let wake = st.waiting[dest].is_some_and(|p| p.matches(&env));
-        if wake {
-            st.waiting[dest] = None;
-            st.blocked -= 1;
+        let slot = &mut self.slots[dest];
+        if slot.waiting.is_some_and(|p| p.matches(&env)) {
+            slot.waiting = None;
+            self.blocked -= 1;
+            self.woken.push(dest);
         }
-        st.mailboxes[dest].push_back(env);
-        drop(st);
-        if wake {
-            self.shared.arrivals[dest].notify_all();
-        }
+        slot.mailbox.push_back(env);
         Ok(())
     }
 
-    /// The one receive loop: take the first envelope matching the pattern,
-    /// else return why the world stopped, else sleep as a blocked rank.
-    fn wait_match<T: Datatype>(
-        &self,
-        buf: &mut [T],
-        source: Source,
-        tag: Tag,
-    ) -> Result<Status, SimError> {
-        let me = self.rank;
-        let pat = Pattern { source, tag };
-        let mut st = self.shared.state.lock();
-        let env = loop {
-            if let Some(idx) = st.mailboxes[me].iter().position(|e| pat.matches(e)) {
-                break st.mailboxes[me].remove(idx).expect("index valid");
-            }
-            if let Some(reason) = &st.halt {
-                return Err(reason.clone());
-            }
-            if st.waiting[me].is_none() {
-                st.waiting[me] = Some(pat);
-                st.blocked += 1;
-                self.shared.check_quiescence(&mut st);
-            } else {
-                self.shared.arrivals[me].wait(&mut st);
-            }
-        };
-        drop(st);
+    fn find(&self, me: usize, pat: &Pattern) -> Option<usize> {
+        self.slots[me].mailbox.iter().position(|e| pat.matches(e))
+    }
+
+    /// A receive into a buffer of `capacity` elements may take `env`.
+    fn check<T: Datatype>(me: usize, env: &Envelope, capacity: usize) -> Result<(), SimError> {
         if env.dtype != T::NAME {
             return Err(SimError::TypeMismatch {
                 rank: me,
@@ -301,241 +305,347 @@ impl Comm {
                 actual: env.dtype,
             });
         }
-        let values = T::deserialize(&env.payload);
-        if values.len() > buf.len() {
+        let incoming = env.payload.len() / T::SIZE;
+        if incoming > capacity {
             return Err(SimError::Truncation {
                 rank: me,
-                buffer: buf.len(),
-                incoming: values.len(),
+                buffer: capacity,
+                incoming,
             });
         }
+        Ok(())
+    }
+
+    /// The one receive: take the first envelope matching the pattern into
+    /// `buf`, else return why the world stopped, else wait.
+    fn take<T: Datatype>(
+        &mut self,
+        me: usize,
+        pat: Pattern,
+        buf: &mut [T],
+    ) -> Result<Poll<Status>, SimError> {
+        let Some(idx) = self.find(me, &pat) else {
+            return self.wait(me, pat);
+        };
+        let env = self.slots[me].mailbox.remove(idx).expect("index valid");
+        Self::check::<T>(me, &env, buf.len())?;
+        let values = T::deserialize(&env.payload);
         buf[..values.len()].copy_from_slice(&values);
-        Ok(Status {
+        Ok(Poll::Ready(Status {
             source: env.src,
             tag: env.tag,
             count: values.len(),
-        })
+        }))
     }
 
-    /// Blocking receive (`MPI_Recv`). Fills `buf` with up to `buf.len()`
+    /// Ready once a message on collective `tag` from each of `sources` has
+    /// arrived and each fits a buffer of `capacity` elements; nothing is
+    /// taken. The sources are checked in order, as one receive after the
+    /// other would check them, so the first missing one is what `me` waits
+    /// on and a bad message before it fails at once.
+    fn arrived<T: Datatype>(
+        &mut self,
+        me: usize,
+        sources: impl IntoIterator<Item = usize>,
+        tag: i32,
+        capacity: usize,
+    ) -> Result<Poll<()>, SimError> {
+        for source in sources {
+            let pat = Pattern::collective(source, tag);
+            match self.find(me, &pat) {
+                Some(idx) => Self::check::<T>(me, &self.slots[me].mailbox[idx], capacity)?,
+                None => return self.wait(me, pat),
+            }
+        }
+        Ok(Poll::Ready(()))
+    }
+
+    /// Take the message [`Matcher::arrived`] found from `source`.
+    fn take_arrived<T: Datatype>(&mut self, me: usize, source: usize, tag: i32, buf: &mut [T]) {
+        let taken = self.take(me, Pattern::collective(source, tag), buf);
+        assert!(
+            matches!(taken, Ok(Poll::Ready(_))),
+            "an arrived message is taken"
+        );
+    }
+
+    /// Blocking receive (`MPI_Recv`) into `buf`: up to `buf.len()`
     /// elements; errors on datatype mismatch or if the message is larger
     /// than the buffer.
     pub fn recv<T: Datatype>(
-        &self,
+        &mut self,
+        me: usize,
         buf: &mut [T],
         source: Source,
         tag: Tag,
-    ) -> Result<Status, SimError> {
+    ) -> Result<Poll<Status>, SimError> {
         if let Source::Rank(r) = source {
-            self.check_rank(r)?;
+            self.check_rank(me, r)?;
         }
-        self.wait_match(buf, source, tag)
-    }
-
-    /// `MPI_Sendrecv`: post the send, then receive. Safe against pairwise
-    /// exchanges because sends are buffered.
-    #[allow(clippy::too_many_arguments)]
-    pub fn sendrecv<T: Datatype>(
-        &self,
-        send_buf: &[T],
-        dest: usize,
-        send_tag: i32,
-        recv_buf: &mut [T],
-        source: Source,
-        recv_tag: Tag,
-    ) -> Result<Status, SimError> {
-        self.send(send_buf, dest, send_tag)?;
-        self.recv(recv_buf, source, recv_tag)
+        self.take(me, Pattern { source, tag }, buf)
     }
 
     // -- collectives ---------------------------------------------------------
 
-    fn next_coll_tag(&self) -> i32 {
-        let seq = self.coll_seq.get();
-        self.coll_seq.set(seq.wrapping_add(1));
+    /// The tag of `me`'s collective `offset` after the one in progress.
+    fn coll_tag(&self, me: usize, offset: u32) -> i32 {
+        let seq = self.slots[me].collectives.wrapping_add(offset);
         COLL_TAG_BASE - (seq % 1_000_000) as i32
     }
 
-    /// Internal receive on a collective (negative) tag.
-    fn coll_recv<T: Datatype>(
-        &self,
-        buf: &mut [T],
-        source: usize,
-        tag: i32,
-    ) -> Result<Status, SimError> {
-        self.wait_match(buf, Source::Rank(source), Tag::Value(tag))
+    /// `me` completed a collective that used `tags` tags.
+    fn finish(&mut self, me: usize, tags: u32) -> Result<Poll<()>, SimError> {
+        let slot = &mut self.slots[me];
+        slot.collectives = slot.collectives.wrapping_add(tags);
+        slot.first_phase_done = false;
+        Ok(Poll::Ready(()))
     }
 
-    /// `MPI_Barrier`: dissemination via gather-to-0 + broadcast.
-    pub fn barrier(&self) -> Result<(), SimError> {
-        let tag = self.next_coll_tag();
+    /// Run `first` until it completes once; the caller's second phase
+    /// follows.
+    fn first_phase(
+        &mut self,
+        me: usize,
+        first: impl FnOnce(&mut Matcher) -> Result<Poll<()>, SimError>,
+    ) -> Result<Poll<()>, SimError> {
+        if !self.slots[me].first_phase_done {
+            ready!(first(self)?);
+            self.slots[me].first_phase_done = true;
+        }
+        Ok(Poll::Ready(()))
+    }
+
+    /// `MPI_Barrier`: every rank's token gathered at 0, then released.
+    pub fn barrier(&mut self, me: usize) -> Result<Poll<()>, SimError> {
+        let tag = self.coll_tag(me, 0);
         let token = [0u8];
-        if self.rank == 0 {
-            let mut buf = [0u8];
-            for r in 1..self.size {
-                self.coll_recv(&mut buf, r, tag)?;
+        let size = self.size();
+        ready!(self.first_phase(me, |m| {
+            if me == 0 {
+                ready!(m.arrived::<u8>(me, 1..size, tag, 1)?);
+                for r in 1..size {
+                    m.take_arrived(me, r, tag, &mut [0u8]);
+                }
+                Ok(Poll::Ready(()))
+            } else {
+                m.send(me, &token, 0, tag).map(Poll::Ready)
             }
-            for r in 1..self.size {
-                self.send(&token, r, tag)?;
+        })?);
+        if me == 0 {
+            for r in 1..size {
+                self.send(me, &token, r, tag)?;
             }
         } else {
-            self.send(&token, 0, tag)?;
-            let mut buf = [0u8];
-            self.coll_recv(&mut buf, 0, tag)?;
+            ready!(self.take(me, Pattern::collective(0, tag), &mut [0u8])?);
         }
-        Ok(())
+        self.finish(me, 1)
     }
 
     /// `MPI_Bcast`: root's buffer is copied into every rank's buffer.
-    pub fn bcast<T: Datatype>(&self, buf: &mut [T], root: usize) -> Result<(), SimError> {
-        self.check_rank(root)?;
-        let tag = self.next_coll_tag();
-        if self.rank == root {
-            for r in 0..self.size {
-                if r != root {
-                    self.send(buf, r, tag)?;
-                }
+    pub fn bcast<T: Datatype>(
+        &mut self,
+        me: usize,
+        buf: &mut [T],
+        root: usize,
+    ) -> Result<Poll<()>, SimError> {
+        self.check_rank(me, root)?;
+        let tag = self.coll_tag(me, 0);
+        ready!(self.bcast_on(me, buf, root, tag)?);
+        self.finish(me, 1)
+    }
+
+    fn bcast_on<T: Datatype>(
+        &mut self,
+        me: usize,
+        buf: &mut [T],
+        root: usize,
+        tag: i32,
+    ) -> Result<Poll<()>, SimError> {
+        if me == root {
+            for r in (0..self.size()).filter(|&r| r != root) {
+                self.send(me, buf, r, tag)?;
             }
         } else {
-            self.coll_recv(buf, root, tag)?;
+            ready!(self.take(me, Pattern::collective(root, tag), buf)?);
         }
-        Ok(())
+        Ok(Poll::Ready(()))
     }
 
     /// `MPI_Reduce` with deterministic (rank-ordered) combination at root.
     pub fn reduce<T: Reducible>(
-        &self,
+        &mut self,
+        me: usize,
         send: &[T],
         recv: Option<&mut [T]>,
         op: ReduceOp,
         root: usize,
-    ) -> Result<(), SimError> {
-        self.check_rank(root)?;
-        let tag = self.next_coll_tag();
-        if self.rank == root {
-            let recv = recv.ok_or(SimError::RankOutOfBounds {
-                rank: self.rank,
-                requested: -1,
-            })?;
-            assert!(recv.len() >= send.len(), "reduce recv buffer too small");
-            let n = send.len();
-            // Accumulate in rank order 0,1,2,… for bit-reproducibility.
-            let mut acc: Vec<T> = Vec::with_capacity(n);
-            let mut tmp = vec![send[0]; n];
-            for r in 0..self.size {
-                let contrib: &[T] = if r == self.rank {
-                    send
-                } else {
-                    self.coll_recv(&mut tmp, r, tag)?;
-                    &tmp
-                };
-                if acc.is_empty() {
-                    acc.extend_from_slice(contrib);
-                } else {
-                    for (a, &c) in acc.iter_mut().zip(contrib) {
-                        *a = op.combine(*a, c);
-                    }
+    ) -> Result<Poll<()>, SimError> {
+        self.check_rank(me, root)?;
+        let tag = self.coll_tag(me, 0);
+        ready!(self.reduce_on(me, send, recv, op, root, tag)?);
+        self.finish(me, 1)
+    }
+
+    fn reduce_on<T: Reducible>(
+        &mut self,
+        me: usize,
+        send: &[T],
+        recv: Option<&mut [T]>,
+        op: ReduceOp,
+        root: usize,
+        tag: i32,
+    ) -> Result<Poll<()>, SimError> {
+        if me != root {
+            self.send(me, send, root, tag)?;
+            return Ok(Poll::Ready(()));
+        }
+        let recv = recv.ok_or(SimError::RankOutOfBounds {
+            rank: me,
+            requested: -1,
+        })?;
+        assert!(recv.len() >= send.len(), "reduce recv buffer too small");
+        let n = send.len();
+        let mut tmp = vec![send[0]; n];
+        let size = self.size();
+        ready!(self.arrived::<T>(me, (0..size).filter(|&r| r != me), tag, n)?);
+        // Accumulate in rank order 0,1,2,… for bit-reproducibility.
+        let mut acc: Vec<T> = Vec::with_capacity(n);
+        for r in 0..size {
+            let contrib: &[T] = if r == me {
+                send
+            } else {
+                self.take_arrived(me, r, tag, &mut tmp);
+                &tmp
+            };
+            if acc.is_empty() {
+                acc.extend_from_slice(contrib);
+            } else {
+                for (a, &c) in acc.iter_mut().zip(contrib) {
+                    *a = op.combine(*a, c);
                 }
             }
-            recv[..n].copy_from_slice(&acc);
-        } else {
-            self.send(send, root, tag)?;
         }
-        Ok(())
+        recv[..n].copy_from_slice(&acc);
+        Ok(Poll::Ready(()))
     }
 
     /// `MPI_Allreduce` = reduce to 0 + broadcast.
     pub fn allreduce<T: Reducible>(
-        &self,
+        &mut self,
+        me: usize,
         send: &[T],
         recv: &mut [T],
         op: ReduceOp,
-    ) -> Result<(), SimError> {
-        if self.rank == 0 {
-            self.reduce(send, Some(recv), op, 0)?;
-        } else {
-            self.reduce(send, None, op, 0)?;
-        }
-        self.bcast(&mut recv[..send.len()], 0)
+    ) -> Result<Poll<()>, SimError> {
+        let (reduced, spread) = (self.coll_tag(me, 0), self.coll_tag(me, 1));
+        ready!(self.first_phase(me, |m| {
+            let out = (me == 0).then_some(&mut *recv);
+            m.reduce_on(me, send, out, op, 0, reduced)
+        })?);
+        ready!(self.bcast_on(me, &mut recv[..send.len()], 0, spread)?);
+        self.finish(me, 2)
     }
 
     /// `MPI_Gather`: every rank contributes `send`; root receives them
     /// concatenated in rank order.
     pub fn gather<T: Datatype>(
-        &self,
+        &mut self,
+        me: usize,
         send: &[T],
         recv: Option<&mut [T]>,
         root: usize,
-    ) -> Result<(), SimError> {
-        self.check_rank(root)?;
-        let tag = self.next_coll_tag();
-        if self.rank == root {
-            let recv = recv.ok_or(SimError::RankOutOfBounds {
-                rank: self.rank,
-                requested: -1,
-            })?;
-            let n = send.len();
-            assert!(
-                recv.len() >= n * self.size,
-                "gather recv buffer too small: {} < {}",
-                recv.len(),
-                n * self.size
-            );
-            for r in 0..self.size {
-                if r == self.rank {
-                    recv[r * n..(r + 1) * n].copy_from_slice(send);
-                } else {
-                    self.coll_recv(&mut recv[r * n..(r + 1) * n], r, tag)?;
-                }
-            }
-        } else {
-            self.send(send, root, tag)?;
+    ) -> Result<Poll<()>, SimError> {
+        self.check_rank(me, root)?;
+        let tag = self.coll_tag(me, 0);
+        ready!(self.gather_on(me, send, recv, root, tag)?);
+        self.finish(me, 1)
+    }
+
+    fn gather_on<T: Datatype>(
+        &mut self,
+        me: usize,
+        send: &[T],
+        recv: Option<&mut [T]>,
+        root: usize,
+        tag: i32,
+    ) -> Result<Poll<()>, SimError> {
+        if me != root {
+            self.send(me, send, root, tag)?;
+            return Ok(Poll::Ready(()));
         }
-        Ok(())
+        let recv = recv.ok_or(SimError::RankOutOfBounds {
+            rank: me,
+            requested: -1,
+        })?;
+        let (n, size) = (send.len(), self.size());
+        assert!(
+            recv.len() >= n * size,
+            "gather recv buffer too small: {} < {}",
+            recv.len(),
+            n * size
+        );
+        ready!(self.arrived::<T>(me, (0..size).filter(|&r| r != me), tag, n)?);
+        for r in 0..size {
+            let chunk = &mut recv[r * n..(r + 1) * n];
+            if r == me {
+                chunk.copy_from_slice(send);
+            } else {
+                self.take_arrived(me, r, tag, chunk);
+            }
+        }
+        Ok(Poll::Ready(()))
     }
 
     /// `MPI_Scatter`: root's buffer is split into equal chunks delivered in
     /// rank order.
     pub fn scatter<T: Datatype>(
-        &self,
+        &mut self,
+        me: usize,
         send: Option<&[T]>,
         recv: &mut [T],
         root: usize,
-    ) -> Result<(), SimError> {
-        self.check_rank(root)?;
-        let tag = self.next_coll_tag();
-        let n = recv.len();
-        if self.rank == root {
+    ) -> Result<Poll<()>, SimError> {
+        self.check_rank(me, root)?;
+        let tag = self.coll_tag(me, 0);
+        let (n, size) = (recv.len(), self.size());
+        if me == root {
             let send = send.ok_or(SimError::RankOutOfBounds {
-                rank: self.rank,
+                rank: me,
                 requested: -1,
             })?;
             assert!(
-                send.len() >= n * self.size,
+                send.len() >= n * size,
                 "scatter send buffer too small: {} < {}",
                 send.len(),
-                n * self.size
+                n * size
             );
-            for r in 0..self.size {
-                if r == self.rank {
-                    recv.copy_from_slice(&send[r * n..(r + 1) * n]);
+            for r in 0..size {
+                let chunk = &send[r * n..(r + 1) * n];
+                if r == me {
+                    recv.copy_from_slice(chunk);
                 } else {
-                    self.send(&send[r * n..(r + 1) * n], r, tag)?;
+                    self.send(me, chunk, r, tag)?;
                 }
             }
         } else {
-            self.coll_recv(recv, root, tag)?;
+            ready!(self.take(me, Pattern::collective(root, tag), recv)?);
         }
-        Ok(())
+        self.finish(me, 1)
     }
 
     /// `MPI_Allgather` = gather to 0 + broadcast of the concatenation.
-    pub fn allgather<T: Datatype>(&self, send: &[T], recv: &mut [T]) -> Result<(), SimError> {
-        if self.rank == 0 {
-            self.gather(send, Some(recv), 0)?;
-        } else {
-            self.gather(send, None, 0)?;
-        }
-        self.bcast(recv, 0)
+    pub fn allgather<T: Datatype>(
+        &mut self,
+        me: usize,
+        send: &[T],
+        recv: &mut [T],
+    ) -> Result<Poll<()>, SimError> {
+        let (gathered, spread) = (self.coll_tag(me, 0), self.coll_tag(me, 1));
+        ready!(self.first_phase(me, |m| {
+            let out = (me == 0).then_some(&mut *recv);
+            m.gather_on(me, send, out, 0, gathered)
+        })?);
+        ready!(self.bcast_on(me, recv, 0, spread)?);
+        self.finish(me, 2)
     }
 }

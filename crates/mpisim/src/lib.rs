@@ -1,12 +1,17 @@
 //! # mpirical-sim
 //!
-//! A simulated MPI runtime: ranks are threads inside one process (rank 0
-//! runs on the caller's), point-to-point messages travel through per-rank
+//! A simulated MPI runtime: point-to-point messages travel through per-rank
 //! mailboxes with MPI's `(source, tag)` matching semantics (wildcards
 //! included) and non-overtaking order, and the collectives the paper's
 //! benchmark programs use (Barrier, Bcast, Reduce, Allreduce, Gather,
 //! Scatter, Allgather) are built on top with deterministic rank-ordered
-//! reductions.
+//! reductions. All of it is one state machine, [`Matcher`], with no thread,
+//! lock or clock: an operation that cannot complete yet returns `Pending`
+//! and runs again when its rank is resumed. [`World::run_stepped`] steps
+//! resumable ranks on the calling thread, lowest-numbered runnable rank
+//! first, so a world's outcome depends only on its ranks;
+//! [`World::run`] runs blocking Rust closures, one thread per rank (rank 0
+//! on the caller's), over the same machine.
 //!
 //! In the paper, generated benchmark programs are validated by *compiling
 //! and running* them with a real MPI installation (§VI-C). Offline, this
@@ -40,14 +45,15 @@ pub mod datatype;
 pub mod error;
 pub mod world;
 
-pub use comm::{Comm, Source, Status, Tag};
+pub use comm::{Matcher, Source, Status, Tag};
 pub use datatype::{Datatype, ReduceOp, Reducible};
 pub use error::{BlockedOp, SimError};
-pub use world::{World, WorldConfig};
+pub use world::{Comm, World, WorldConfig};
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::task::Poll;
 
     #[test]
     fn rank_and_size() {
@@ -390,6 +396,81 @@ mod tests {
             .unwrap_err();
             assert_eq!(err.rank(), failing, "run {i}: {err}");
             assert!(!matches!(err, SimError::Deadlock { .. }), "run {i}: {err}");
+        }
+    }
+
+    /// A rank of a stepped world that receives one `i32` from `peer`.
+    fn stepped_recv(m: &mut Matcher, me: usize, peer: usize) -> Result<Poll<()>, SimError> {
+        Ok(m.recv(me, &mut [0i32], Source::Rank(peer), Tag::Value(0))?
+            .map(drop))
+    }
+
+    #[test]
+    fn stepped_world_stops_above_the_rank_that_failed() {
+        // Rank 0 waits for rank 2; rank 1 fails at once, so rank 0 gets the
+        // halt and rank 2, above the failure, never runs.
+        let mut resumes = [0usize; 3];
+        let ends = World::run_stepped(3, |rank, m| {
+            resumes[rank] += 1;
+            match rank {
+                0 => stepped_recv(m, 0, 2),
+                1 => Err(SimError::RankOutOfBounds {
+                    rank: 1,
+                    requested: 9,
+                }),
+                _ => Ok(Poll::Ready(())),
+            }
+        });
+        assert_eq!(resumes, [2, 1, 0]);
+        assert_eq!(ends[0], Some(Err(SimError::Aborted { rank: 1, code: 1 })));
+        assert_eq!(ends[2], None);
+        assert_eq!(
+            World::outcome(ends),
+            Err(SimError::RankOutOfBounds {
+                rank: 1,
+                requested: 9
+            })
+        );
+    }
+
+    #[test]
+    fn stepped_world_resumes_a_rank_once_its_message_arrives() {
+        let mut resumes = [0usize; 2];
+        let ends = World::run_stepped(2, |rank, m| {
+            resumes[rank] += 1;
+            match rank {
+                0 => stepped_recv(m, 0, 1),
+                _ => m.send(1, &[5i32], 0, 0).map(Poll::Ready),
+            }
+        });
+        assert_eq!(resumes, [2, 1]);
+        assert_eq!(World::outcome(ends), Ok(vec![(), ()]));
+    }
+
+    #[test]
+    fn stepped_deadlock_reaches_every_blocked_rank() {
+        let ends = World::run_stepped(2, |rank, m| stepped_recv(m, rank, 1 - rank));
+        let Some(Err(first)) = &ends[0] else {
+            panic!("rank 0 gets the halt: {ends:?}");
+        };
+        assert!(matches!(first, SimError::Deadlock { .. }), "{first}");
+        assert_eq!(ends[1].as_ref(), Some(&Err(first.clone())));
+    }
+
+    #[test]
+    fn stepped_world_catches_a_panicking_rank() {
+        let ends = World::run_stepped(2, |rank, m| {
+            if rank == 1 {
+                panic!("boom at rank 1");
+            }
+            stepped_recv(m, 0, 1)
+        });
+        match World::outcome(ends) {
+            Err(SimError::RankPanicked { rank, message }) => {
+                assert_eq!(rank, 1);
+                assert!(message.contains("boom"));
+            }
+            other => panic!("unexpected {other:?}"),
         }
     }
 

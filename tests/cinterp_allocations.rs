@@ -1,12 +1,14 @@
 //! The interpreter's hot path does not allocate.
 //!
 //! A counting global allocator wraps the system one; three programs of
-//! 10⁵–10⁶ steps — a bare loop run into its step budget, a loop around a
-//! user-function call, an array sweep — are compiled, and then *run* under
-//! the counter. What a run allocates must not depend on how many steps it
-//! executes: the rank thread, its memory and its output are a few dozen
-//! allocations, against roughly two per step when every identifier built a
-//! `String` and every variable read cloned its metadata.
+//! 10⁵–10⁶ steps — a bare loop run into its step budget, on 1 rank and on
+//! 4, a loop around a user-function call, an array sweep — are compiled,
+//! and then *run* under the counter. What a run allocates must not depend
+//! on how many steps it executes: a world is its ranks' interpreters and
+//! mailboxes on the calling thread, and each rank's memory, stacks and
+//! output are a few dozen allocations, against roughly two per step when
+//! every identifier built a `String` and every variable read cloned its
+//! metadata.
 //!
 //! One `#[test]` only: the counter is process-wide, and a second test
 //! running beside this one would be counted too.
@@ -63,6 +65,20 @@ fn a_run_allocates_a_constant_not_per_step() {
     );
     assert_eq!(result, Err(InterpError::StepLimit { limit: 1_000_000 }));
     assert!(spent < 1_000, "1 000 000-step loop: {spent} allocations");
+
+    // Rank 0 runs out first and halts the world: four interpreters, no
+    // thread.
+    let mut budget = RunConfig::new(4);
+    budget.limits.step_limit = 1_000_000;
+    let (spent, result) = allocations_of(
+        "int main() { int x = 0; while (1) { x = x + 1; } return 0; }",
+        &budget,
+    );
+    assert_eq!(result, Err(InterpError::StepLimit { limit: 1_000_000 }));
+    assert!(
+        spent < 1_000,
+        "1 000 000-step loop on 4 ranks: {spent} allocations"
+    );
 
     let (spent, result) = allocations_of(
         r#"int twice(int v) { int w = v + v; return w; }

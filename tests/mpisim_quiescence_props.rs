@@ -8,13 +8,16 @@
 //! simulated world must agree — it completes iff the reference completes
 //! (so no completing script is ever called a deadlock), and on a stuck
 //! script its `blocked` snapshot is the reference's stuck set exactly.
-//! Every case runs 8 times beside one busy-looping thread per core, and all
-//! 8 outcomes must be identical: the verdict does not depend on who got the
-//! CPU.
+//! Every case runs 8 times through the threaded `World::run` beside one
+//! busy-looping thread per core, and all 8 outcomes must be identical: the
+//! verdict does not depend on who got the CPU. The same scripts, stepped on
+//! one thread over the `Matcher` by `World::run_stepped` (each rank resuming
+//! at the operation it waited in), must reach that same outcome.
 
-use mpirical_sim::{Comm, ReduceOp, SimError, Source, Tag, World};
+use mpirical_sim::{Comm, Matcher, ReduceOp, SimError, Source, Tag, World};
 use proptest::prelude::*;
 use std::sync::atomic::{AtomicBool, Ordering};
+use std::task::Poll;
 
 #[derive(Debug, Clone, Copy)]
 enum Op {
@@ -78,6 +81,44 @@ fn run_script(c: &Comm, script: &[Op]) -> Result<(), SimError> {
         }
     }
     Ok(())
+}
+
+/// Resume `script` at `pc` on the state machine until it ends or waits; an
+/// operation that waits runs again on the next resume.
+fn step_script(
+    m: &mut Matcher,
+    me: usize,
+    script: &[Op],
+    pc: &mut usize,
+) -> Result<Poll<()>, SimError> {
+    let mut buf = [0i32];
+    while let Some(&op) = script.get(*pc) {
+        let polled = match op {
+            Op::Send { dest, tag } => Poll::Ready(m.send(me, &[7i32], dest, tag)?),
+            Op::Recv { src, tag } => m
+                .recv(me, &mut buf, Source::Rank(src), Tag::Value(tag))?
+                .map(drop),
+            Op::Barrier => m.barrier(me)?,
+            Op::Bcast { root } => m.bcast(me, &mut buf, root)?,
+            Op::Reduce { root } => {
+                let out = (me == root).then_some(&mut buf[..]);
+                m.reduce(me, &[1i32], out, ReduceOp::Sum, root)?
+            }
+        };
+        if polled.is_pending() {
+            return Ok(Poll::Pending);
+        }
+        *pc += 1;
+    }
+    Ok(Poll::Ready(()))
+}
+
+/// The scripts' outcome with every rank stepped on the calling thread.
+fn run_stepped(scripts: &[Vec<Op>]) -> Result<Vec<()>, SimError> {
+    let mut pcs = vec![0; scripts.len()];
+    World::outcome(World::run_stepped(scripts.len(), |rank, m| {
+        step_script(m, rank, &scripts[rank], &mut pcs[rank])
+    }))
 }
 
 /// The reference: lower each script to the envelopes `comm.rs` documents
@@ -199,6 +240,7 @@ proptest! {
         for outcome in &outcomes {
             prop_assert_eq!(outcome, &outcomes[0], "outcome depends on the schedule: {:?}", scripts);
         }
+        prop_assert_eq!(&run_stepped(&scripts), &outcomes[0], "stepped on one thread: {:?}", scripts);
         match &outcomes[0] {
             Ok(_) => prop_assert!(stuck.is_empty(), "completed, reference stuck {:?}: {:?}", stuck, scripts),
             Err(SimError::Deadlock { blocked, .. }) => {

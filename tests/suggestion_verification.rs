@@ -20,7 +20,7 @@ use mpirical::cparse::{parse_strict, parse_tolerant, standardize, MAX_NESTING};
 use mpirical::interp::{
     compile, run_compiled, run_program, InterpError, RunConfig, MAX_CALL_DEPTH,
 };
-use mpirical::sim::SimError;
+use mpirical::sim::{BlockedOp, SimError};
 use mpirical::verify::{rerank, verify_prediction, verify_program};
 use mpirical::{
     benchmark_programs, MpiRical, MpiRicalConfig, SubmitOptions, SuggestPoll, SuggestService,
@@ -195,6 +195,56 @@ fn confusion_matrix_is_identical_across_200_contended_repeats() {
             assert_eq!(classify_corpus(&fault_opts()), want, "repeat {repeat}");
         }
     });
+}
+
+/// Rank 0 posts two `MPI_ANY_SOURCE` receives, then a receive from rank 1;
+/// ranks 1–3 send once each. On 4 ranks the outcome hangs on what the
+/// wildcards match: if rank 1's message is among it, the last receive waits
+/// for a second one that never comes. 2 ranks post no wildcard receive, and
+/// 1 rank receives nothing.
+const ANY_SOURCE_RACE: &str = "int main(int argc, char **argv) {\n\
+     int rank, size, i, v = 0;\n\
+     MPI_Init(&argc, &argv);\n\
+     MPI_Comm_rank(MPI_COMM_WORLD, &rank);\n\
+     MPI_Comm_size(MPI_COMM_WORLD, &size);\n\
+     if (rank == 0) {\n\
+     for (i = 0; i < size - 2; i++) {\n\
+     MPI_Recv(&v, 1, MPI_INT, MPI_ANY_SOURCE, 0, MPI_COMM_WORLD, MPI_STATUS_IGNORE);\n\
+     }\n\
+     if (size > 1) {\n\
+     MPI_Recv(&v, 1, MPI_INT, 1, 0, MPI_COMM_WORLD, MPI_STATUS_IGNORE);\n\
+     }\n\
+     printf(\"done\\n\");\n\
+     } else {\n\
+     MPI_Send(&rank, 1, MPI_INT, 0, 0, MPI_COMM_WORLD);\n\
+     }\n\
+     MPI_Finalize();\n\
+     return 0;\n\
+     }";
+
+#[test]
+fn any_source_race_has_one_verdict_and_one_snapshot() {
+    // A world runs on one thread, lowest runnable rank first: rank 0's
+    // wildcards always match ranks 1 and 2, so its receive from rank 1
+    // always waits alone once rank 3 has left.
+    let prog = parse_strict(ANY_SOURCE_RACE).expect("well-formed");
+    for run in 0..100 {
+        let got = verify_program(&prog, &VerifyOptions::default());
+        assert_eq!(got, (Verdict::Deadlock, 2), "run {run}");
+    }
+    let snapshot = SimError::Deadlock {
+        rank: 0,
+        detail: "every live rank is blocked (1 of 4 still in the world)".to_string(),
+        blocked: vec![BlockedOp {
+            rank: 0,
+            op: "recv(source=Rank(1), tag=Value(0))".to_string(),
+        }],
+    };
+    let code = compile(&prog);
+    for run in 0..100 {
+        let got = run_compiled(&code, &RunConfig::new(4));
+        assert_eq!(got, Err(InterpError::Mpi(snapshot.clone())), "run {run}");
+    }
 }
 
 #[test]
