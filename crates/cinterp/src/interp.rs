@@ -221,11 +221,6 @@ impl<'a> Interp<'a> {
         Ok(self.exec(world)?.map(|v| v.as_i64(0).unwrap_or(0)))
     }
 
-    /// Steps spent so far.
-    pub fn steps(&self) -> u64 {
-        self.steps
-    }
-
     /// The captured stdout.
     pub fn into_output(self) -> String {
         self.output

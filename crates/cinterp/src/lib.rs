@@ -65,7 +65,7 @@ pub use interp::{Limits, MAX_CALL_DEPTH, MAX_LEVELS};
 pub use machine::{Binding, CType, Cell, Memory, Value};
 
 use mpirical_cparse::{parse_strict, Program};
-use mpirical_sim::{SimError, World};
+use mpirical_sim::World;
 use std::time::{Duration, Instant};
 
 /// Execution configuration.
@@ -96,8 +96,6 @@ pub struct RunOutput {
     pub rank_outputs: Vec<String>,
     /// `main`'s return value per rank.
     pub exit_codes: Vec<i64>,
-    /// Interpreter steps spent, summed over the ranks.
-    pub steps: u64,
 }
 
 impl RunOutput {
@@ -125,33 +123,15 @@ pub fn run_compiled(code: &Compiled, cfg: &RunConfig) -> Result<RunOutput, Inter
         .map(|rank| interp::Interp::new(code, rank, cfg.nranks, cfg.limits, start))
         .collect();
     let ends = World::run_stepped(cfg.nranks, |rank, world| ranks[rank].resume(world));
-
-    let mut codes = Vec::with_capacity(ends.len());
-    let mut errors = Vec::new();
-    for (rank, end) in ends.into_iter().enumerate() {
-        match end {
-            Some(Ok(code)) => codes.push(code),
-            Some(Err(e)) => errors.push((rank, *e)),
-            // Never resumed after a lower rank stopped the world.
-            None => {}
-        }
-    }
-    // Root cause: a rank that panicked (the simulator's fault, not the
-    // program's), else the lowest-rank error that is not the echo of a
-    // peer's failure (`min_by_key` keeps the first of equals).
-    let key = |(rank, e): &(usize, InterpError)| match e {
-        InterpError::Mpi(SimError::RankPanicked { .. }) => (false, false),
-        InterpError::Mpi(s) => (true, s.is_echo(*rank)),
-        _ => (true, false),
-    };
-    match errors.into_iter().min_by_key(key) {
-        Some((_, e)) => Err(e),
-        None => Ok(RunOutput {
-            steps: ranks.iter().map(interp::Interp::steps).sum(),
-            rank_outputs: ranks.into_iter().map(interp::Interp::into_output).collect(),
-            exit_codes: codes,
-        }),
-    }
+    let codes = World::outcome_by(ends, |e| match &**e {
+        InterpError::Mpi(s) => Some(s),
+        _ => None,
+    })
+    .map_err(|e| *e)?;
+    Ok(RunOutput {
+        rank_outputs: ranks.into_iter().map(interp::Interp::into_output).collect(),
+        exit_codes: codes,
+    })
 }
 
 /// Parse and run C source on `nranks` simulated ranks.

@@ -31,9 +31,8 @@ use mpirical_cparse::{
     is_mpi_name, parse_strict, parse_tolerant, print_program, splice_stmt, Block, Expr, Item,
     Program, Stmt,
 };
-use mpirical_interp::{compile, run_compiled, InterpError, Limits, RunConfig, RunOutput};
+use mpirical_interp::{compile, run_compiled, InterpError, Limits, RunConfig};
 use mpirical_sim::SimError;
-use mpirical_tensor::par;
 use serde::{Deserialize, Serialize};
 use std::fmt;
 
@@ -348,79 +347,45 @@ pub fn splice_prediction(base: &Program, predicted_source: &str) -> Program {
     patched
 }
 
-/// Total steps of the first world past which the other worlds of a
-/// verification run on two threads: below it, a thread costs more than the
-/// interpretation it overlaps.
-const OVERLAP_STEPS: u64 = 10_000;
-
-/// How one world of a verification ended.
-type WorldEnd = Result<RunOutput, InterpError>;
-
 /// Execute a patched program and classify the outcome. Returns the verdict
 /// and the number of simulator runs spent.
 ///
 /// The program is printed and strictly reparsed first — the verifier only
 /// trusts the exact text an IDE would insert ([`Verdict::NotExecutable`]
 /// if that fails) — and compiled once; every world below runs that one
-/// compiled program, each on one thread. The configured multi-rank worlds
-/// run in order, then the serial 1-rank baseline; the first failure wins,
-/// and finally the root rank's multi-rank output is compared against the
-/// serial baseline with numeric tolerance. The first world runs alone on
-/// the caller; when it took more than `OVERLAP_STEPS` (10⁴) steps the others
-/// run as the two parts of one [`par::for_each`], else one after the
-/// other. Either way the verdict and the run count are those of running
-/// them in order.
+/// compiled program, each on the calling thread. Each configured
+/// multi-rank world runs next (first failure wins), then the serial 1-rank
+/// baseline, and finally the root rank's multi-rank output is compared
+/// against the serial baseline with numeric tolerance.
 pub fn verify_program(patched: &Program, opts: &VerifyOptions) -> (Verdict, usize) {
     let text = print_program(patched);
     let Ok(prog) = parse_strict(&text) else {
         return (Verdict::NotExecutable, 0);
     };
     let code = compile(&prog);
-    let worlds: Vec<usize> = opts
-        .rank_counts
-        .iter()
-        .copied()
-        .filter(|&n| n > 1)
-        .chain([1])
-        .collect();
-    let run = |n: usize| run_compiled(&code, &opts.run_config(n));
-    let first = match run(worlds[0]) {
-        Ok(out) => out,
-        Err(e) => return (classify_error(&e), 1),
-    };
-    // Each part runs its worlds in order and stops at its first failure.
-    let rest = &worlds[1..];
-    let mut ends: Vec<Option<WorldEnd>> = rest.iter().map(|_| None).collect();
-    let run_part = |(counts, ends): (&[usize], &mut [Option<WorldEnd>])| {
-        for (&n, end) in counts.iter().zip(ends) {
-            let failed = end.insert(run(n)).is_err();
-            if failed {
-                break;
-            }
+    let mut runs = 0usize;
+    let mut multi = Vec::new();
+    for &n in &opts.rank_counts {
+        if n <= 1 {
+            continue;
         }
-    };
-    if first.steps > OVERLAP_STEPS && rest.len() > 1 {
-        let half = rest.len() / 2;
-        let (counts_a, counts_b) = rest.split_at(half);
-        let (ends_a, ends_b) = ends.split_at_mut(half);
-        par::for_each([(counts_a, ends_a), (counts_b, ends_b)], run_part);
-    } else {
-        run_part((rest, &mut ends));
-    }
-    let mut outputs = vec![first];
-    for (runs, end) in (2..).zip(ends) {
-        match end.expect("a world before the first failure ran") {
-            Ok(out) => outputs.push(out),
+        runs += 1;
+        match run_compiled(&code, &opts.run_config(n)) {
+            Ok(out) => multi.push(out),
             Err(e) => return (classify_error(&e), runs),
         }
     }
-    let (serial, multi) = outputs.split_last().expect("the serial baseline");
-    for out in multi {
+    runs += 1;
+    let serial = match run_compiled(&code, &opts.run_config(1)) {
+        Ok(out) => out,
+        Err(e) => return (classify_error(&e), runs),
+    };
+    for out in &multi {
         if !outputs_match(&serial.rank_outputs[0], &out.rank_outputs[0], opts.rel_tol) {
-            return (Verdict::DivergedFromSerial, worlds.len());
+            return (Verdict::DivergedFromSerial, runs);
         }
     }
-    (Verdict::Verified, worlds.len())
+    (Verdict::Verified, runs)
 }
 
 /// Splice a predicted program into a serial base and execute the result:

@@ -146,8 +146,9 @@ pub struct Matcher {
     /// and counts are not maintained past this point.
     halt: Option<SimError>,
     /// Ranks whose mark a send cleared since [`Matcher::woken`] last
-    /// drained them.
-    woken: Vec<usize>,
+    /// drained them; kept only for a driver that asked for it
+    /// ([`Matcher::waking`]).
+    woken: Option<Vec<usize>>,
 }
 
 impl Matcher {
@@ -165,7 +166,16 @@ impl Matcher {
             live: nranks,
             blocked: 0,
             halt: None,
-            woken: Vec::new(),
+            woken: None,
+        }
+    }
+
+    /// A world like [`Matcher::new`]'s that records whom each send wakes,
+    /// for a driver whose waiting ranks sleep until woken.
+    pub(crate) fn waking(nranks: usize) -> Matcher {
+        Matcher {
+            woken: Some(Vec::new()),
+            ..Matcher::new(nranks)
         }
     }
 
@@ -180,13 +190,14 @@ impl Matcher {
     }
 
     /// True while `rank` waits for a message nothing delivered yet.
-    pub fn is_waiting(&self, rank: usize) -> bool {
+    pub(crate) fn is_waiting(&self, rank: usize) -> bool {
         self.slots[rank].waiting.is_some()
     }
 
-    /// The ranks whose waiting mark a send cleared since the last call.
-    pub fn woken(&mut self) -> std::vec::Drain<'_, usize> {
-        self.woken.drain(..)
+    /// The ranks whose waiting mark a send cleared since the last call, in
+    /// a world made by [`Matcher::waking`]; none in any other.
+    pub(crate) fn woken(&mut self) -> impl Iterator<Item = usize> + '_ {
+        self.woken.iter_mut().flat_map(|w| w.drain(..))
     }
 
     /// Stop the world with `reason` unless it already stopped.
@@ -225,7 +236,7 @@ impl Matcher {
 
     /// `rank` finished. A failed rank aborts the world *before* it stops
     /// counting as live, so its peers report its failure and never a cycle.
-    pub fn leave(&mut self, rank: usize, failed: bool) {
+    pub(crate) fn leave(&mut self, rank: usize, failed: bool) {
         if failed {
             self.stop(SimError::Aborted { rank, code: 1 });
         }
@@ -267,7 +278,8 @@ impl Matcher {
 
     /// Buffered standard send (`MPI_Send`) from `me`: never waits. If the
     /// envelope is what `dest` waits on, its mark is cleared — a rank with a
-    /// matching message is never counted as blocked — and `dest` is woken.
+    /// matching message is never counted as blocked — and, in a world that
+    /// records wake-ups, `dest` is recorded as woken.
     pub fn send<T: Datatype>(
         &mut self,
         me: usize,
@@ -286,7 +298,9 @@ impl Matcher {
         if slot.waiting.is_some_and(|p| p.matches(&env)) {
             slot.waiting = None;
             self.blocked -= 1;
-            self.woken.push(dest);
+            if let Some(woken) = &mut self.woken {
+                woken.push(dest);
+            }
         }
         slot.mailbox.push_back(env);
         Ok(())

@@ -399,6 +399,34 @@ mod tests {
         }
     }
 
+    #[test]
+    fn a_panic_is_the_root_cause_before_a_lower_ranks_error() {
+        let own = SimError::RankOutOfBounds {
+            rank: 0,
+            requested: 5,
+        };
+        let panicked = SimError::RankPanicked {
+            rank: 2,
+            message: "boom".into(),
+        };
+        let echo = SimError::Aborted { rank: 0, code: 1 };
+        let ends = vec![
+            Some(Err(own.clone())),
+            Some(Err(echo.clone())),
+            Some(Err(panicked.clone())),
+        ];
+        assert_eq!(World::outcome::<()>(ends), Err(panicked));
+        // Without a panic: the lowest-rank error that is not an echo, and
+        // an error that carries no `SimError` is the rank's own.
+        let ends = vec![None, Some(Err(Some(echo))), Some(Err(None))];
+        assert_eq!(World::outcome_by::<(), _>(ends, Option::as_ref), Err(None));
+        let ends = vec![
+            Some(Err(SimError::Aborted { rank: 1, code: 1 })),
+            Some(Err(own.clone())),
+        ];
+        assert_eq!(World::outcome::<()>(ends), Err(own));
+    }
+
     /// A rank of a stepped world that receives one `i32` from `peer`.
     fn stepped_recv(m: &mut Matcher, me: usize, peer: usize) -> Result<Poll<()>, SimError> {
         Ok(m.recv(me, &mut [0i32], Source::Rank(peer), Tag::Value(0))?

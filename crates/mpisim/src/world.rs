@@ -71,7 +71,7 @@ impl World {
     {
         assert!(cfg.nranks > 0, "world needs at least one rank");
         let shared = Arc::new(Shared {
-            state: Mutex::new(Matcher::new(cfg.nranks)),
+            state: Mutex::new(Matcher::waking(cfg.nranks)),
             arrivals: (0..cfg.nranks).map(|_| Condvar::new()).collect(),
             start: Instant::now(),
         });
@@ -109,10 +109,21 @@ impl World {
     }
 
     /// A world's outcome from its ranks' ends in rank order (`None`: never
-    /// finished): every rank's value, or the root-cause error — the
-    /// lowest-rank error that is not an echo of a peer's failure
-    /// ([`SimError::is_echo`]).
+    /// finished): every rank's value, or the root-cause error
+    /// ([`World::outcome_by`]).
     pub fn outcome<T>(ends: Vec<Option<Result<T, SimError>>>) -> Result<Vec<T>, SimError> {
+        Self::outcome_by(ends, |e| Some(e))
+    }
+
+    /// [`World::outcome`] for ranks whose error type `E` may carry a
+    /// [`SimError`], which `sim` returns; an error that carries none is the
+    /// rank's own. The root cause is a rank that panicked (the simulator's
+    /// fault, not the ranks'), else the lowest-rank error that is not an
+    /// echo of a peer's failure ([`SimError::is_echo`]).
+    pub fn outcome_by<T, E>(
+        ends: Vec<Option<Result<T, E>>>,
+        sim: impl Fn(&E) -> Option<&SimError>,
+    ) -> Result<Vec<T>, E> {
         let mut out = Vec::with_capacity(ends.len());
         let mut errors = Vec::new();
         for (rank, end) in ends.into_iter().enumerate() {
@@ -122,8 +133,13 @@ impl World {
                 None => {}
             }
         }
-        // `min_by_key` keeps the first of equals: lowest rank, echoes last.
-        match errors.into_iter().min_by_key(|(rank, e)| e.is_echo(*rank)) {
+        // `min_by_key` keeps the first of equals: the lowest rank.
+        let key = |(rank, e): &(usize, E)| match sim(e) {
+            Some(SimError::RankPanicked { .. }) => 0,
+            Some(s) if s.is_echo(*rank) => 2,
+            _ => 1,
+        };
+        match errors.into_iter().min_by_key(key) {
             Some((_, e)) => Err(e),
             None => Ok(out),
         }
@@ -163,7 +179,6 @@ impl World {
                 return ends;
             };
             let outcome = catch_unwind(AssertUnwindSafe(|| step(rank, &mut world)));
-            world.woken().for_each(drop);
             let end = match outcome {
                 Ok(Ok(Poll::Pending)) => {
                     debug_assert!(world.is_waiting(rank), "a pending rank waits");
