@@ -454,11 +454,12 @@ fn hostile_buffers_get_a_typed_verdict_and_the_process_lives() {
     }
 }
 
-/// Recursion as deep as the frame budget admits runs to completion on a
-/// rank thread, in a debug and a release build: for a self-call under 110
-/// blocks, at the end of a 120-operator expression and inside 12 nested MPI
-/// calls, a runaway recursion stops at `k < MAX_CALL_DEPTH` calls, and the
-/// same function recursing exactly `k` calls deep returns.
+/// Recursion as deep as the frame budget admits runs to completion on the
+/// thread that runs the world, in a debug and a release build: for a
+/// self-call under 110 blocks, at the end of a 120-operator expression and
+/// inside 12 nested MPI calls, a runaway recursion stops at
+/// `k < MAX_CALL_DEPTH` calls, and the same function recursing exactly `k`
+/// calls deep returns.
 #[test]
 fn nesting_times_recursion_at_the_frame_budget_fits_a_rank_stack() {
     let shapes = [
