@@ -1,7 +1,7 @@
 //! # mpirical-bench
 //!
-//! Reproduction harness for every table and figure in the MPI-RICAL paper,
-//! plus Criterion micro-benchmarks of the substrates.
+//! Reproduction harness for every table and figure in the MPI-RICAL paper.
+//! Performance is measured by the perf ledger in `benchmark/`, not here.
 //!
 //! The `repro` binary regenerates, per experiment id:
 //!
@@ -18,8 +18,8 @@
 //! | `repro ablation-tolerance` | (ours) 0/1/2-line tolerance sweep |
 //! | `repro all` | everything above |
 //!
-//! This library crate hosts the pieces shared between the binary and the
-//! Criterion benches: scale presets and the train-once-cache-on-disk helper.
+//! This library crate holds what the binary runs on: scale presets and the
+//! train-once-cache-on-disk helper.
 
 use mpirical::{InputFormat, MpiRical, MpiRicalConfig};
 use mpirical_corpus::{generate_dataset, Corpus, CorpusConfig, Dataset, Splits};

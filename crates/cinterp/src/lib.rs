@@ -329,6 +329,38 @@ mod tests {
         cfg.limits.step_limit = 10_000;
         let err = run_program(&prog, &cfg).unwrap_err();
         assert!(matches!(err, InterpError::StepLimit { .. }), "{err}");
+
+        // On 2 ranks the world ends with rank 0's budget.
+        let runaway = mpirical_cparse::parse_strict(
+            "int main() { int x = 0; while (1) { x = x + 1; } return 0; }",
+        )
+        .unwrap();
+        let mut cfg = RunConfig::new(2);
+        cfg.limits.step_limit = 2_000_000;
+        assert_eq!(
+            run_program(&runaway, &cfg),
+            Err(InterpError::StepLimit { limit: 2_000_000 })
+        );
+    }
+
+    #[test]
+    fn a_hundred_thousand_calls_sum_to_pi() {
+        let out = run1(
+            r#"double f(double x) { return 4.0 / (1.0 + x * x); }
+int main() {
+    int i;
+    int n = 100000;
+    double sum = 0.0, x, step;
+    step = 1.0 / (double)n;
+    for (i = 0; i < n; i++) {
+        x = (i + 0.5) * step;
+        sum += f(x);
+    }
+    printf("%.6f\n", sum * step);
+    return 0;
+}"#,
+        );
+        assert_eq!(out.combined(), "3.141593\n");
     }
 
     #[test]

@@ -241,7 +241,7 @@ impl MpiRical {
     }
 
     /// Assemble an assistant directly from its parts — the escape hatch
-    /// for tests, benches, and callers reconstructing an artifact by hand
+    /// for tests and callers reconstructing an artifact by hand
     /// ([`train`](Self::train)/[`load`](Self::load) are the ordinary
     /// paths). The engine-model cache starts empty and fills on first use.
     pub fn from_parts(

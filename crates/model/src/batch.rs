@@ -1500,6 +1500,81 @@ mod tests {
         assert_eq!(resumed_preemptions, 1);
     }
 
+    /// [`setup`] with room for 64-token outputs.
+    fn long_setup() -> (ModelConfig, ParamStore, TransformerParams) {
+        let (mut cfg, _, _) = setup();
+        cfg.max_dec_len = 80;
+        let mut store = ParamStore::new();
+        let params = build_params(&cfg, &mut store, 13);
+        (cfg, store, params)
+    }
+
+    /// `min_len` one below the length cap forces the whole output, f32 and
+    /// int8: 64 tokens from a model whose every step prefers `<eos>`.
+    #[test]
+    fn min_len_at_the_cap_forces_the_full_output() {
+        let (cfg, mut store, params) = long_setup();
+        let mut bias = store.tensor(params.out_b);
+        bias.data[EOS] = 100.0;
+        store.set(params.out_b, bias);
+        let e = enc(&store, &params, &cfg, 0);
+        for precision in [Precision::F32, Precision::Int8] {
+            let opts = |min_len| DecodeOptions {
+                beam: 1,
+                min_len,
+                precision,
+            };
+            let free = reference_ids(&store, &params, &cfg, &e, &[SOS], 65, opts(0));
+            assert!(
+                free.is_empty(),
+                "{precision:?}: <eos> comes first: {free:?}"
+            );
+            let ids = reference_ids(&store, &params, &cfg, &e, &[SOS], 65, opts(64));
+            assert_eq!(
+                ids.len(),
+                64,
+                "{precision:?}: min_len forces the full 64-token output"
+            );
+        }
+    }
+
+    /// The baseline preemption is measured against: the same late
+    /// 8-token request submitted `Bulk` behind 8 lanes of 64-token bulk
+    /// jobs waits in the queue for a lane to free.
+    #[test]
+    fn fifo_baseline_waits_behind_saturating_bulk_lanes() {
+        let (cfg, store, params) = long_setup();
+        let request = |seed: usize, min_len: usize, submit: SubmitOptions| BatchRequest {
+            enc_out: enc(&store, &params, &cfg, seed).into(),
+            prompt: vec![SOS],
+            max_len: 65,
+            opts: DecodeOptions {
+                beam: 1,
+                min_len,
+                ..Default::default()
+            },
+            submit,
+        };
+
+        let mut fifo = BatchDecoder::new(&store, &params, &cfg, 8);
+        for seed in 0..8 {
+            fifo.submit(request(seed, 64, SubmitOptions::bulk()));
+        }
+        for _ in 0..2 {
+            fifo.step();
+        }
+        let slow = fifo.submit(request(8, 8, SubmitOptions::bulk().with_max_new_tokens(8)));
+        let mut waited = 0u64;
+        while matches!(fifo.poll(slow), PollResult::Queued { .. }) {
+            fifo.step();
+            waited += 1;
+        }
+        assert!(
+            waited > 10,
+            "FIFO baseline must wait many steps for a lane (waited {waited})"
+        );
+    }
+
     /// Priority admission: queued interactive work is admitted before
     /// queued bulk work regardless of submission order, FIFO within each
     /// class, and `Queued { position }` reports that order.

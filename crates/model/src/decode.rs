@@ -18,8 +18,7 @@
 //!   training forward ([`crate::transformer`]) and shares no step code with
 //!   the scheduler, so it is the independent oracle: the tests below pin
 //!   the batch step's logits to it step by step and the scheduler's greedy
-//!   and beam output to its output, and the `decode` criterion group
-//!   measures the cache's speedup against it.
+//!   and beam output to its output.
 //!
 //! # Example
 //!
@@ -300,9 +299,8 @@ pub(crate) fn ranked_hypothesis_ids(beams: Vec<Hypothesis>, prompt_len: usize) -
 
 /// Generation by full prefix replay (no KV cache — O(T²·L)): encodes
 /// `src_ids`, then re-runs the whole decoder prefix on a fresh tape every
-/// step. Returns the winning ids without `<sos>`/`<eos>`. Reference
-/// implementation and benchmark baseline for the cached step (benchmarks
-/// force fixed lengths through `min_len` on both for a fair comparison).
+/// step. Returns the winning ids without `<sos>`/`<eos>`: the reference
+/// implementation the cached step is tested against.
 pub fn replay_decode_with(
     store: &ParamStore,
     params: &TransformerParams,

@@ -18,7 +18,7 @@
 //!   lockstep step with no autograd tape;
 //! * [`decode`] — [`DecodeOptions`], the greedy/beam token-selection rules,
 //!   and the tape replay ([`replay_decode_with`]) kept as the independent
-//!   oracle for equivalence tests and benches;
+//!   oracle for equivalence tests;
 //! * [`batch`] — the [`BatchDecoder`] lockstep scheduler, the one decode
 //!   loop every prediction runs through: N concurrent requests (or one)
 //!   decoded with continuous batching, their per-step projections fused

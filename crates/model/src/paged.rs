@@ -31,10 +31,10 @@
 //! entries to walk and more allocations; large pages amortize bookkeeping
 //! but re-introduce over-reservation and make each COW copy bigger. The
 //! default [`PAGE_ROWS`] = 16 keeps the partial-page waste under 7% at the
-//! serving shapes in `benches/model.rs` while a 64-token generation still
-//! fits in 4 pages per head. [`PagePool::with_page_rows`] exists so tests
-//! can stress odd sizes (including 1-row pages, the worst case for
-//! bookkeeping and the best for sharing granularity).
+//! serving shapes while a 64-token generation still fits in 4 pages per
+//! head. [`PagePool::with_page_rows`] exists so tests can stress odd sizes
+//! (including 1-row pages, the worst case for bookkeeping and the best for
+//! sharing granularity).
 //!
 //! # Numerics
 //!

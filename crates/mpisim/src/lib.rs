@@ -48,7 +48,7 @@ pub mod world;
 pub use comm::{Matcher, Source, Status, Tag};
 pub use datatype::{Datatype, ReduceOp, Reducible};
 pub use error::{BlockedOp, SimError};
-pub use world::{Comm, World, WorldConfig};
+pub use world::{Comm, World};
 
 #[cfg(test)]
 mod tests {
@@ -273,6 +273,24 @@ mod tests {
                 (1, "collective recv(source=0, tag=-2)".to_string()),
                 (2, "collective recv(source=0, tag=-2)".to_string()),
             ]
+        );
+    }
+
+    /// Deadlock is declared at quiescence, not by a timer: launching the two
+    /// worlds above and getting their verdicts takes under 50 ms a world
+    /// (a wall-clock detector would take its whole timeout).
+    #[test]
+    fn deadlock_is_declared_in_under_50_ms() {
+        let t = std::time::Instant::now();
+        blocked_of(2, |c| recv_from(c, 1 - c.rank(), 0));
+        blocked_of(4, |c| match c.rank() {
+            3 => Ok(()),
+            _ => c.barrier(),
+        });
+        let per_cycle = t.elapsed() / 2;
+        assert!(
+            per_cycle < std::time::Duration::from_millis(50),
+            "deadlock detection took {per_cycle:?} per cycle"
         );
     }
 

@@ -27,19 +27,6 @@ use std::sync::Arc;
 use std::task::Poll;
 use std::time::Instant;
 
-/// Configuration for a simulated world.
-#[derive(Debug, Clone)]
-pub struct WorldConfig {
-    /// Number of ranks.
-    pub nranks: usize,
-}
-
-impl WorldConfig {
-    pub fn new(nranks: usize) -> WorldConfig {
-        WorldConfig { nranks }
-    }
-}
-
 /// Entry point of the simulated runtime.
 pub struct World;
 
@@ -60,19 +47,10 @@ impl World {
         T: Send,
         F: Fn(&Comm) -> Result<T, SimError> + Send + Sync,
     {
-        Self::run_with(WorldConfig::new(nranks), f)
-    }
-
-    /// Run with explicit configuration.
-    pub fn run_with<T, F>(cfg: WorldConfig, f: F) -> Result<Vec<T>, SimError>
-    where
-        T: Send,
-        F: Fn(&Comm) -> Result<T, SimError> + Send + Sync,
-    {
-        assert!(cfg.nranks > 0, "world needs at least one rank");
+        assert!(nranks > 0, "world needs at least one rank");
         let shared = Arc::new(Shared {
-            state: Mutex::new(Matcher::waking(cfg.nranks)),
-            arrivals: (0..cfg.nranks).map(|_| Condvar::new()).collect(),
+            state: Mutex::new(Matcher::waking(nranks)),
+            arrivals: (0..nranks).map(|_| Condvar::new()).collect(),
             start: Instant::now(),
         });
         let run_rank = |rank: usize| {
@@ -89,7 +67,7 @@ impl World {
             shared.with(|m| m.leave(rank, result.is_err()));
             result
         };
-        let mut results: Vec<Option<Result<T, SimError>>> = (0..cfg.nranks).map(|_| None).collect();
+        let mut results: Vec<Option<Result<T, SimError>>> = (0..nranks).map(|_| None).collect();
         let (first, others) = results.split_first_mut().expect("at least one rank");
 
         crossbeam::scope(|scope| {

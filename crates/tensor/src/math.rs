@@ -199,6 +199,30 @@ mod tests {
         }
     }
 
+    /// One 256×1024 feed-forward block — an encoder layer at the serving
+    /// shape — through [`gelu`] as the forward loops it, against the same
+    /// expression on the host's `f32::tanh`, bit for bit.
+    #[test]
+    fn serving_block_gelu_matches_the_libm_expression() {
+        const C: f32 = 0.797_884_6; // sqrt(2/pi)
+        let libm_gelu = |v: f32| 0.5 * v * (1.0 + (C * (v + 0.044715 * v * v * v)).tanh());
+        // Pre-activations spread uniformly over [-4, 4) by a multiplicative hash.
+        let block: Vec<f32> = (0..256 * 1024u32)
+            .map(|i| (i.wrapping_mul(2_654_435_761) >> 8) as f32 / (1 << 24) as f32 * 8.0 - 4.0)
+            .collect();
+        let mut out = vec![0.0f32; block.len()];
+        for (o, &v) in out.iter_mut().zip(&block) {
+            *o = gelu(v);
+        }
+        for (&v, &got) in block.iter().zip(&out) {
+            assert_eq!(
+                got.to_bits(),
+                libm_gelu(v).to_bits(),
+                "gelu({v}) differs from the libm expression"
+            );
+        }
+    }
+
     #[test]
     #[ignore = "all 2^32 inputs: run with --release -- --ignored"]
     fn exhaustive_matches_libm() {

@@ -9,8 +9,8 @@
 //!    the decoder actually streams (`d×d`, `d×d_ff`, `d×vocab`),
 //!    `|vecmat_q − vecmat| ≤ channel_error_bound` per output channel.
 //! 2. **Golden logits per step** — randomized serving-shape artifacts
-//!    (d = 256 / d_ff = 1024, the `decode_quant` bench's shape family;
-//!    vocab 2048 here, the bench caps at the assistant's 4096) are walked
+//!    (d = 256 / d_ff = 1024; vocab 2048 here, the assistant caps it at
+//!    4096) are walked
 //!    token by token along the f32 greedy trajectory; at every step the
 //!    quantized logits must stay within a max-abs envelope of the f32
 //!    golden logits, **top-1 agreement across all steps must be ≥ 99%**,
