@@ -19,12 +19,13 @@
 //! pending encoder work, then one decode step — so a test or an in-process
 //! editor integration sees a schedule that depends only on its own calls.
 //! [`sharded`](SuggestService::sharded) builds autonomous workers that
-//! encode and decode on their own cores (the daemon's service); `step`
-//! then waits briefly for progress. Both run the same routing, Interactive
+//! encode and decode on their own cores (what the daemon serves); `step`
+//! then waits until they are idle. Both run the same routing, Interactive
 //! hold, work stealing and harvest code, and produce bitwise identical
 //! suggestions. Either way the service holds its own clone of the artifact
 //! — an `Arc` bump on the shared weights plus the vocabulary — so it is
-//! `'static` and `Send`, and a daemon can move it into a service thread.
+//! `'static` and `Send`, and a daemon can share it between connection
+//! threads behind a lock.
 //!
 //! # Serving API v2: priorities, streaming polls, cancellation
 //!
@@ -282,9 +283,9 @@ impl SuggestService {
     /// numerics.
     ///
     /// The workers decode autonomously, so [`step`](Self::step) does not
-    /// advance the decode; it waits briefly and reports how many requests
-    /// are still in flight, so `while service.step() > 0 {}` driver loops
-    /// work unchanged.
+    /// advance the decode; it waits until every request in flight has
+    /// resolved and returns 0, so `while service.step() > 0 {}` driver
+    /// loops work unchanged.
     pub fn sharded(assistant: &MpiRical, workers: usize) -> SuggestService {
         SuggestService::sharded_with(assistant, EngineConfig::with_workers(workers))
     }
@@ -348,9 +349,9 @@ impl SuggestService {
     /// preempt bulk lanes — then one decode step) and returns the number
     /// of hypotheses it advanced plus the encoder layers it ran and table
     /// hits it took; `0` means the service is idle.
-    /// Autonomous workers need no driving: `step` waits briefly for
-    /// progress and returns the number of requests still in flight, so
-    /// `while service.step() > 0 {}` loops drive either kind.
+    /// Autonomous workers need no driving: `step` waits until nothing is
+    /// in flight and returns 0, so `while service.step() > 0 {}` loops
+    /// drive either kind.
     ///
     /// On a verifying artifact, finished tickets move into the
     /// verification queue here, and — bulk semantics, mirroring
@@ -624,7 +625,7 @@ mod tests {
             SuggestPoll::Queued { position: 0 },
             "nothing decoded yet — and the state says why"
         );
-        // Drive manually, as a daemon event loop would: poll every step,
+        // Drive manually, as an editor integration would: poll every step,
         // taking the result the moment it appears (a `Done` poll redeems
         // the ticket, so the client must capture it then).
         let mut saw_decoding = false;
@@ -1027,13 +1028,21 @@ mod tests {
             step_limit: 100_000,
             ..Default::default()
         });
-        for mut service in [
-            SuggestService::new(&assistant),
-            SuggestService::sharded(&assistant, 1),
+        for (mut service, stepped) in [
+            (SuggestService::new(&assistant), true),
+            (SuggestService::sharded(&assistant, 1), false),
         ] {
             let doomed = service.submit("int main() { int rank; return 0; }");
+            // The caller-stepped ticket moves only on the steps granted
+            // here; an autonomous step would drain, so that ticket is
+            // watched until its worker starts decoding it.
             while !matches!(service.poll(doomed), SuggestPoll::Decoding { .. }) {
-                assert!(service.step() > 0, "the ticket must start decoding");
+                if stepped {
+                    assert!(service.step() > 0, "the ticket must start decoding");
+                } else {
+                    assert!(service.pending() > 0, "the ticket must start decoding");
+                    std::thread::yield_now();
+                }
             }
             assert!(service.cancel(doomed));
             while service.step() > 0 {}
@@ -1127,9 +1136,10 @@ mod tests {
         }
     }
 
-    /// A sharded service drives the daemon event loop exactly like the
-    /// caller-stepped one: `step() > 0` while work is in flight, lifecycle
-    /// states via `poll`, cancellation included.
+    /// A sharded service needs no driving: one `step()` waits until the
+    /// workers have resolved everything in flight and returns 0, so a
+    /// `while step() > 0` loop ends after it; lifecycle states come via
+    /// `poll`, cancellation included.
     #[test]
     fn sharded_service_step_loop_and_cancel() {
         let assistant = tiny_assistant();
@@ -1137,11 +1147,8 @@ mod tests {
         let keep = service.submit("int main() { int rank; return 0; }");
         let drop_it = service.submit("int main() { double local = 0.0; return 0; }");
         let was_pending = service.cancel(drop_it);
-        let mut steps = 0;
-        while service.step() > 0 {
-            steps += 1;
-            assert!(steps < 100_000, "sharded step loop failed to drain");
-        }
+        assert_eq!(service.step(), 0, "an autonomous step drains");
+        assert_eq!(service.pending(), 0, "nothing is left in flight");
         match service.poll(drop_it) {
             SuggestPoll::Cancelled => assert!(was_pending),
             SuggestPoll::Done { .. } => {} // finished before the cancel landed
@@ -1152,9 +1159,10 @@ mod tests {
         assert_eq!(service.shutdown().pages_live, 0, "worker leaked KV pages");
     }
 
-    /// The sharded service is what a daemon thread carries: `'static`,
-    /// `Send`, movable across threads, sharing the caller's weights, and
-    /// suggestion-for-suggestion identical to the caller-stepped reference.
+    /// The sharded service is what the daemon shares between its
+    /// connection threads: `'static`, `Send`, movable across threads,
+    /// sharing the caller's weights, and suggestion-for-suggestion
+    /// identical to the caller-stepped reference.
     #[test]
     fn sharded_service_is_send_and_matches_inline() {
         fn assert_send<T: Send + 'static>(t: T) -> T {
@@ -1180,7 +1188,7 @@ mod tests {
             &assistant.model.store
         ));
         drop(assistant);
-        // Drive it from another thread, as the daemon's service thread does.
+        // Drive it from another thread, as a daemon's connection threads do.
         let handle = std::thread::spawn(move || {
             let mut service = sharded;
             let tickets: Vec<_> = buffers.iter().map(|b| service.submit(b)).collect();
@@ -1194,7 +1202,7 @@ mod tests {
             );
             got
         });
-        let got = handle.join().expect("service thread");
+        let got = handle.join().expect("driver thread");
         assert_eq!(got, reference, "sharded == caller-stepped");
     }
 

@@ -633,54 +633,32 @@ impl Engine {
     /// nothing is pending or a turn advances nothing — where
     /// [`BatchDecoder::run`] stops too.
     pub fn drain(&self) {
-        self.drain_until(None);
-    }
-
-    /// [`drain`](Engine::drain) with a timeout; `true` if fully drained.
-    pub fn drain_for(&self, timeout: Duration) -> bool {
-        self.drain_until(Some(Instant::now() + timeout))
-    }
-
-    fn drain_until(&self, deadline: Option<Instant>) -> bool {
         let mut st = self.shared.state.lock();
         if st.turn.is_some() {
             drop(st);
-            let open = || deadline.is_none_or(|d| Instant::now() < d);
-            while self.pending() > 0 && open() && self.step() > 0 {}
-            return self.pending() == 0;
+            while self.pending() > 0 && self.step() > 0 {}
+            return;
         }
         while !st.pending.is_empty() {
-            let Some(deadline) = deadline else {
-                self.shared.progress.wait(&mut st);
-                continue;
-            };
-            if self
-                .shared
-                .progress
-                .wait_until(&mut st, deadline)
-                .timed_out()
-            {
-                return st.pending.is_empty();
-            }
+            self.shared.progress.wait(&mut st);
         }
-        true
     }
 
     /// Advance by one step. A caller-stepped engine grants its worker
     /// exactly one pull → step → harvest turn, waits for it, and returns
     /// the hypotheses that turn's decode step advanced (0: idle, as for
     /// [`BatchDecoder::step`]). Autonomous workers need no grant: the call
-    /// waits up to 1 ms for progress and returns the requests still
-    /// pending, so `while engine.step() > 0 {}` drives either kind.
-    /// Callers on several threads take turns one after another.
+    /// [`drain`](Engine::drain)s and returns 0, so
+    /// `while engine.step() > 0 {}` drives either kind to idle. Callers on
+    /// several threads take turns one after another.
     ///
     /// # Panics
     ///
     /// If the worker exited (it panicked) before taking the turn.
     pub fn step(&self) -> usize {
         if self.shared.state.lock().turn.is_none() {
-            self.drain_for(Duration::from_millis(1));
-            return self.pending();
+            self.drain();
+            return 0;
         }
         let _serial = self.stepper.lock();
         let mut st = self.shared.state.lock();

@@ -1,45 +1,45 @@
-//! The daemon: accept loop, per-connection handlers, and the service
-//! thread that owns the engine.
+//! The daemon: accept loop and per-connection handlers over one locked
+//! service state that owns the engine.
 //!
 //! # Threading model
 //!
 //! ```text
-//!                    ┌────────────────┐   bounded sync_channel    ┌─────────────────┐
-//!  TCP clients ──▶   │ handler thread │ ──── Command{reply} ────▶ │ service thread  │
-//!   (N conns)        │ (one per conn) │ ◀──── Response ─────────  │ owns            │
-//!                    └────────────────┘      (per-command         │ SuggestService  │
-//!                    ┌────────────────┐       reply channel)      │ ::sharded       │
-//!                    │ accept thread  │                           │ (sharded Engine:│
-//!                    └────────────────┘                           │  W workers)     │
-//!                                                                 └─────────────────┘
+//!                    ┌────────────────┐   lock, run command,   ┌──────────────────────┐
+//!  TCP clients ──▶   │ handler thread │ ─────── unlock ──────▶ │ Mutex<ServiceState>  │
+//!   (N conns)        │ (one per conn) │ ◀──── Response ─────── │ owns SuggestService  │
+//!                    └────────────────┘                        │ ::sharded (sharded   │
+//!                    ┌────────────────┐                        │ Engine: W workers)   │
+//!                    │ accept thread  │                        └──────────────────────┘
+//!                    └────────────────┘
 //! ```
 //!
-//! Handler threads never touch the service: they decode frames, forward
-//! typed commands through one **bounded** channel, and relay the typed
-//! reply. All scheduling state lives on the single service thread, so the
-//! daemon adds zero locking to the engine's own. The bounded channel is
-//! transport backpressure; *admission* control is the service thread's
-//! budget check (below), which is what produces typed
-//! [`Response::Busy`] sheds instead of unbounded queueing.
+//! There is no service thread. A handler thread decodes a frame, locks
+//! the one service state, runs the typed command on it, unlocks, and
+//! writes the reply, so commands from all connections run one at a time
+//! and the daemon adds one lock to the engine's own. *Admission* control
+//! is the budget check (below), which produces typed
+//! [`Response::Busy`] sheds instead of unbounded queueing. The engine's
+//! workers decode on their own; nothing ticks while work is pending.
 //!
-//! The service thread runs no model work. A `Submit` costs the buffer's
-//! front-end — tolerant parse, X-SBT, tokenize, ≈ 0.2 ms — and hands its
-//! encoder ids to the engine; the encoder forward and the decode run on
-//! the engine's workers (see [`SuggestService::submit_with`]). A command
-//! queued behind a `Submit` therefore waits for a front-end, not for an
+//! A command runs no model work. A `Submit` costs the buffer's front-end —
+//! tolerant parse, X-SBT, tokenize, ≈ 0.2 ms — and hands its encoder ids
+//! to the engine; the encoder forward and the decode run on the engine's
+//! workers (see [`SuggestService::submit_with`]). A command waiting for the
+//! lock behind a `Submit` therefore waits for a front-end, not for an
 //! encoder forward. Polls assemble suggestions from decoded ids, and a
-//! verifying artifact's closed loop still runs here.
+//! verifying artifact's closed loop runs at the poll that redeems its
+//! ticket.
 //!
 //! # Pending polls
 //!
 //! A `Poll` of a ticket that is still queued or decoding is answered after
 //! the engine's next resolution (any ticket's) or [`POLL_PACE`], whichever
-//! comes first: the connection's handler thread waits on the engine's
-//! [`Resolutions`] and then asks the service thread again. A client that
-//! polls in a loop without sleeping thus costs the daemon one round trip
-//! per resolution or per millisecond instead of spinning the handler and
-//! service threads against the engine workers, and a ticket that resolves
-//! during the wait is reported at once. The service thread never waits.
+//! comes first: the connection's handler thread unlocks, waits on the
+//! engine's [`Resolutions`], and then polls again. A client that polls in
+//! a loop without sleeping thus costs the daemon one round trip per
+//! resolution or per millisecond instead of spinning its handler thread
+//! against the engine workers, and a ticket that resolves during the wait
+//! is reported at once. Nobody waits while holding the lock.
 //!
 //! # Admission budget
 //!
@@ -66,15 +66,18 @@
 //! Unredeemed results are parked in a plain map before the engine dies, so
 //! a client that reconnects after the drain can still redeem its ticket —
 //! the same parked map serves late polls and the reconnect-and-repoll
-//! contract.
+//! contract. Without a drain, the engine shuts down when the daemon and
+//! its last connection are gone.
 //!
 //! # Fault isolation
 //!
 //! A malformed frame (oversize prefix, truncation, non-JSON payload,
 //! unknown request shape) bumps the `malformed` counter and terminates
 //! **that connection's** handler thread. Nothing it could send reaches the
-//! service thread untyped, so concurrent well-formed sessions are
-//! untouched — fuzz-tested in `tests/server_frames.rs`.
+//! service state untyped, so concurrent well-formed sessions are
+//! untouched — fuzz-tested in `tests/server_frames.rs`. A command that
+//! panics poisons the lock; every connection that then finds it poisoned
+//! ends.
 
 use crate::framing::{read_frame, write_frame, FrameError};
 use crate::protocol::{Request, Response, ServerCounters, ServerStats, TelemetryAggregate};
@@ -85,15 +88,10 @@ use mpirical::{
 use std::collections::{HashMap, HashSet};
 use std::io;
 use std::net::{SocketAddr, TcpListener, TcpStream};
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::mpsc::{channel, sync_channel, Receiver, RecvTimeoutError, Sender, SyncSender};
-use std::sync::{Arc, Condvar, Mutex};
+use std::sync::atomic::{AtomicBool, Ordering};
+use std::sync::{Arc, Condvar, Mutex, MutexGuard};
 use std::thread::JoinHandle;
 use std::time::Duration;
-
-/// Depth of the handler → service command channel. Transport backpressure
-/// only — admission control is the budget check on the service thread.
-const COMMAND_DEPTH: usize = 64;
 
 /// Longest a `Poll` of a pending ticket waits for a resolution before it is
 /// answered (see module docs).
@@ -125,49 +123,21 @@ impl Default for ServerConfig {
     }
 }
 
-/// Lock-free counters shared by handler threads (frame/fault accounting)
-/// and the accept thread (connections); the service thread bumps `sheds`.
-#[derive(Default)]
-struct Counters {
-    connections: AtomicU64,
-    frames: AtomicU64,
-    sheds: AtomicU64,
-    malformed: AtomicU64,
+/// What the daemon and every handler thread share: the locked service
+/// state, the condvar [`Server::wait_drained`] parks on, and the engine's
+/// resolution signal for pacing polls.
+struct Shared {
+    state: Mutex<ServiceState>,
+    drained: Condvar,
+    resolutions: Resolutions,
 }
 
-impl Counters {
-    fn snapshot(&self) -> ServerCounters {
-        ServerCounters {
-            connections: self.connections.load(Ordering::Relaxed),
-            frames: self.frames.load(Ordering::Relaxed),
-            sheds: self.sheds.load(Ordering::Relaxed),
-            malformed: self.malformed.load(Ordering::Relaxed),
-        }
+impl Shared {
+    /// The service state, or `None` once a command panicked while holding
+    /// it.
+    fn lock(&self) -> Option<MutexGuard<'_, ServiceState>> {
+        self.state.lock().ok()
     }
-}
-
-/// A typed request plus its reply channel, crossing from a handler thread
-/// to the service thread.
-enum Command {
-    Submit {
-        source: String,
-        options: SubmitOptions,
-        reply: Sender<Response>,
-    },
-    Poll {
-        id: u64,
-        reply: Sender<Response>,
-    },
-    Cancel {
-        id: u64,
-        reply: Sender<Response>,
-    },
-    Stats {
-        reply: Sender<Response>,
-    },
-    Drain {
-        reply: Sender<Response>,
-    },
 }
 
 /// A running daemon. Dropping (or [`shutdown`](Server::shutdown)) stops
@@ -176,45 +146,48 @@ enum Command {
 pub struct Server {
     addr: SocketAddr,
     stop: Arc<AtomicBool>,
-    cmd: Option<SyncSender<Command>>,
+    shared: Arc<Shared>,
     accept_handle: Option<JoinHandle<()>>,
-    drained: Arc<(Mutex<bool>, Condvar)>,
 }
 
 impl Server {
-    /// Bind, spawn the service and accept threads, and start serving.
-    /// The service thread holds its own clone of the artifact, sharing
-    /// the weights of `assistant`.
+    /// Bind, build the engine, spawn the accept thread, and start serving.
+    /// The service holds its own clone of the artifact, sharing the
+    /// weights of `assistant`.
     pub fn start(assistant: Arc<MpiRical>, cfg: ServerConfig) -> io::Result<Server> {
         let listener = TcpListener::bind(&cfg.addr)?;
         let addr = listener.local_addr()?;
         let stop = Arc::new(AtomicBool::new(false));
-        let counters = Arc::new(Counters::default());
-        let drained = Arc::new((Mutex::new(false), Condvar::new()));
-        let (cmd_tx, cmd_rx) = sync_channel::<Command>(COMMAND_DEPTH);
-
         let service = SuggestService::sharded(&assistant, cfg.workers.max(1));
-        let resolutions = service.resolutions();
-        {
-            let counters = Arc::clone(&counters);
-            let drained = Arc::clone(&drained);
-            let cfg = cfg.clone();
-            std::thread::spawn(move || service_loop(service, cmd_rx, cfg, counters, drained));
-        }
+        let shared = Arc::new(Shared {
+            resolutions: service.resolutions(),
+            drained: Condvar::new(),
+            state: Mutex::new(ServiceState {
+                workers: service.workers(),
+                service: Some(service),
+                cfg,
+                counters: ServerCounters::default(),
+                outstanding: HashSet::new(),
+                parked: HashMap::new(),
+                agg: TelemetryAggregate::default(),
+                draining: false,
+                final_pool: None,
+                final_prefix: PrefixStats::default(),
+                final_preemptions: 0,
+            }),
+        });
 
         let accept_handle = {
             let stop = Arc::clone(&stop);
-            let counters = Arc::clone(&counters);
-            let cmd_tx = cmd_tx.clone();
-            std::thread::spawn(move || accept_loop(listener, cmd_tx, resolutions, stop, counters))
+            let shared = Arc::clone(&shared);
+            std::thread::spawn(move || accept_loop(listener, shared, stop))
         };
 
         Ok(Server {
             addr,
             stop,
-            cmd: Some(cmd_tx),
+            shared,
             accept_handle: Some(accept_handle),
-            drained,
         })
     }
 
@@ -224,23 +197,25 @@ impl Server {
     }
 
     /// Block until a [`Request::Drain`] has completed — the `serve`
-    /// binary's main thread parks here.
+    /// binary's main thread parks here. Returns at once if a command has
+    /// panicked and poisoned the lock.
     pub fn wait_drained(&self) {
-        let (lock, cvar) = &*self.drained;
-        let mut done = lock
-            .lock()
-            .unwrap_or_else(std::sync::PoisonError::into_inner);
-        while !*done {
-            done = cvar
-                .wait(done)
-                .unwrap_or_else(std::sync::PoisonError::into_inner);
+        let Some(mut state) = self.shared.lock() else {
+            return;
+        };
+        // The service is taken only by a drain, which holds the lock until
+        // it has finished.
+        while state.service.is_some() {
+            match self.shared.drained.wait(state) {
+                Ok(s) => state = s,
+                Err(_) => return,
+            }
         }
     }
 
-    /// Stop accepting connections and release the daemon's own command
-    /// handle. Handler threads exit as their clients disconnect; the
-    /// service thread exits (shutting the engine down) once the last
-    /// handler is gone. For a *graceful* exit send [`Request::Drain`]
+    /// Stop accepting connections. Handler threads exit as their clients
+    /// disconnect; the engine shuts down once the daemon and the last
+    /// handler are gone. For a *graceful* exit send [`Request::Drain`]
     /// first.
     pub fn shutdown(mut self) {
         self.stop();
@@ -255,7 +230,6 @@ impl Server {
         if let Some(h) = self.accept_handle.take() {
             let _ = h.join();
         }
-        self.cmd.take();
     }
 }
 
@@ -265,28 +239,19 @@ impl Drop for Server {
     }
 }
 
-fn accept_loop(
-    listener: TcpListener,
-    cmd: SyncSender<Command>,
-    resolutions: Resolutions,
-    stop: Arc<AtomicBool>,
-    counters: Arc<Counters>,
-) {
+fn accept_loop(listener: TcpListener, shared: Arc<Shared>, stop: Arc<AtomicBool>) {
     loop {
         match listener.accept() {
             Ok((stream, _peer)) => {
                 if stop.load(Ordering::SeqCst) {
                     return; // the wake-up connection from `stop`
                 }
-                counters.connections.fetch_add(1, Ordering::Relaxed);
                 // Replies are single small frames: send each at once instead
                 // of letting Nagle hold it for the client's delayed ACK. A
                 // socket that refuses the option still works, only slower.
                 let _ = stream.set_nodelay(true);
-                let cmd = cmd.clone();
-                let resolutions = resolutions.clone();
-                let counters = Arc::clone(&counters);
-                std::thread::spawn(move || handle_connection(stream, cmd, resolutions, counters));
+                let shared = Arc::clone(&shared);
+                std::thread::spawn(move || handle_connection(stream, &shared));
             }
             Err(_) => {
                 if stop.load(Ordering::SeqCst) {
@@ -297,73 +262,24 @@ fn accept_loop(
     }
 }
 
-/// Send one command to the service thread and wait for its reply; `None`
-/// once the service thread is gone.
-fn ask(
-    cmd: &SyncSender<Command>,
-    command: impl FnOnce(Sender<Response>) -> Command,
-) -> Option<Response> {
-    let (reply_tx, reply_rx) = channel();
-    cmd.send(command(reply_tx)).ok()?;
-    reply_rx.recv().ok()
-}
-
 /// One connection's request/response loop. Every exit path returns —
 /// terminating exactly this connection, never the daemon.
-fn handle_connection(
-    mut stream: TcpStream,
-    cmd: SyncSender<Command>,
-    resolutions: Resolutions,
-    counters: Arc<Counters>,
-) {
+fn handle_connection(mut stream: TcpStream, shared: &Shared) {
+    let Some(mut state) = shared.lock() else {
+        return;
+    };
+    state.counters.connections += 1;
+    drop(state);
     loop {
-        let payload = match read_frame(&mut stream) {
-            Ok(p) => p,
+        let request = match read_frame(&mut stream) {
+            Ok(payload) => std::str::from_utf8(&payload)
+                .ok()
+                .and_then(|s| serde_json::from_str(s).ok()),
             Err(FrameError::Closed) => return, // clean disconnect
-            Err(_) => {
-                // Oversize, truncated, or transport fault: count it and
-                // kill only this connection.
-                counters.malformed.fetch_add(1, Ordering::Relaxed);
-                return;
-            }
+            // Oversize, truncated, or transport fault.
+            Err(_) => None,
         };
-        let request: Request = match std::str::from_utf8(&payload)
-            .ok()
-            .and_then(|s| serde_json::from_str(s).ok())
-        {
-            Some(r) => r,
-            None => {
-                counters.malformed.fetch_add(1, Ordering::Relaxed);
-                return;
-            }
-        };
-        counters.frames.fetch_add(1, Ordering::Relaxed);
-        let seen = resolutions.count();
-        let response = match request {
-            Request::Submit { source, options } => ask(&cmd, |reply| Command::Submit {
-                source,
-                options,
-                reply,
-            }),
-            Request::Poll { id } => ask(&cmd, |reply| Command::Poll { id, reply }).and_then(|r| {
-                let Response::Poll { state } = &r else {
-                    return Some(r);
-                };
-                if !matches!(
-                    state,
-                    SuggestPoll::Queued { .. } | SuggestPoll::Decoding { .. }
-                ) {
-                    return Some(r);
-                }
-                resolutions.wait_past(seen, POLL_PACE);
-                ask(&cmd, |reply| Command::Poll { id, reply })
-            }),
-            Request::Cancel { id } => ask(&cmd, |reply| Command::Cancel { id, reply }),
-            Request::Stats => ask(&cmd, |reply| Command::Stats { reply }),
-            Request::Drain => ask(&cmd, |reply| Command::Drain { reply }),
-        };
-        // `None`: the service thread is gone; nothing left to serve.
-        let Some(response) = response else {
+        let Some(response) = respond(shared, request) else {
             return;
         };
         let json = serde_json::to_string(&response)
@@ -374,11 +290,46 @@ fn handle_connection(
     }
 }
 
-/// Everything the service thread owns. `service` is `None` once drained.
+/// Run one frame's command under the lock, which is released before the
+/// reply is written. `None` ends the connection: the frame was malformed
+/// (counted here), or the lock is poisoned.
+fn respond(shared: &Shared, request: Option<Request>) -> Option<Response> {
+    let mut state = shared.lock()?;
+    let Some(request) = request else {
+        state.counters.malformed += 1;
+        return None;
+    };
+    state.counters.frames += 1;
+    Some(match request {
+        Request::Submit { source, options } => state.submit(&source, options),
+        Request::Poll { id } => {
+            let seen = shared.resolutions.count();
+            let response = state.poll(id);
+            let Response::Poll {
+                state: SuggestPoll::Queued { .. } | SuggestPoll::Decoding { .. },
+            } = response
+            else {
+                return Some(response);
+            };
+            drop(state);
+            shared.resolutions.wait_past(seen, POLL_PACE);
+            shared.lock()?.poll(id)
+        }
+        Request::Cancel { id } => state.cancel(id),
+        Request::Stats => state.stats(),
+        Request::Drain => {
+            let response = state.drain();
+            shared.drained.notify_all();
+            response
+        }
+    })
+}
+
+/// Everything the commands share. `service` is `None` once drained.
 struct ServiceState {
     service: Option<SuggestService>,
     cfg: ServerConfig,
-    counters: Arc<Counters>,
+    counters: ServerCounters,
     /// Unredeemed tickets — the admission-budget currency (see module
     /// docs).
     outstanding: HashSet<u64>,
@@ -412,7 +363,7 @@ impl ServiceState {
             };
         }
         if self.outstanding.len() >= self.cfg.pending_budget {
-            self.counters.sheds.fetch_add(1, Ordering::Relaxed);
+            self.counters.sheds += 1;
             return Response::Busy {
                 retry_after_steps: self.cfg.retry_after_steps,
             };
@@ -468,7 +419,7 @@ impl ServiceState {
                 prefix: service.prefix_stats(),
                 preemptions: service.preemptions(),
                 telemetry: self.agg,
-                counters: self.counters.snapshot(),
+                counters: self.counters,
             },
             None => ServerStats {
                 workers: self.workers,
@@ -479,7 +430,7 @@ impl ServiceState {
                 prefix: self.final_prefix,
                 preemptions: self.final_preemptions,
                 telemetry: self.agg,
-                counters: self.counters.snapshot(),
+                counters: self.counters,
             },
         };
         Response::Stats { stats }
@@ -525,79 +476,5 @@ impl ServiceState {
         );
         self.final_pool = Some(pool);
         Response::Drained { pool }
-    }
-}
-
-fn service_loop(
-    service: SuggestService,
-    rx: Receiver<Command>,
-    cfg: ServerConfig,
-    counters: Arc<Counters>,
-    drained: Arc<(Mutex<bool>, Condvar)>,
-) {
-    let workers = service.workers();
-    let mut state = ServiceState {
-        service: Some(service),
-        cfg,
-        counters,
-        outstanding: HashSet::new(),
-        parked: HashMap::new(),
-        agg: TelemetryAggregate::default(),
-        draining: false,
-        final_pool: None,
-        final_prefix: PrefixStats::default(),
-        final_preemptions: 0,
-        workers,
-    };
-    loop {
-        // The 1 ms tick only ever drives in-flight work (the timeout arm
-        // below): with nothing pending, sleep until a command arrives.
-        let busy = state.service.as_ref().is_some_and(|s| s.pending() > 0);
-        let received = if busy {
-            rx.recv_timeout(Duration::from_millis(1))
-        } else {
-            rx.recv().map_err(|_| RecvTimeoutError::Disconnected)
-        };
-        match received {
-            Ok(command) => {
-                let (response, reply) = match command {
-                    Command::Submit {
-                        source,
-                        options,
-                        reply,
-                    } => (state.submit(&source, options), reply),
-                    Command::Poll { id, reply } => (state.poll(id), reply),
-                    Command::Cancel { id, reply } => (state.cancel(id), reply),
-                    Command::Stats { reply } => (state.stats(), reply),
-                    Command::Drain { reply } => {
-                        let response = state.drain();
-                        let (lock, cvar) = &*drained;
-                        *lock
-                            .lock()
-                            .unwrap_or_else(std::sync::PoisonError::into_inner) = true;
-                        cvar.notify_all();
-                        (response, reply)
-                    }
-                };
-                // A handler that died mid-request just drops its receiver.
-                let _ = reply.send(response);
-            }
-            Err(RecvTimeoutError::Timeout) => {
-                // Idle tick: sharded workers decode autonomously, but
-                // `step` drives the verification sweep and keeps the
-                // service's bookkeeping fresh.
-                if let Some(service) = state.service.as_mut() {
-                    if service.pending() > 0 {
-                        service.step();
-                    }
-                }
-            }
-            Err(RecvTimeoutError::Disconnected) => break,
-        }
-    }
-    // Last sender gone (daemon dropped and every handler exited). If no
-    // drain happened, shut the engine down so worker threads are joined.
-    if let Some(service) = state.service.take() {
-        service.shutdown();
     }
 }

@@ -6,9 +6,9 @@
 //! The acceptance pins (ISSUE 10):
 //!
 //! * (a) responses over the wire are **bitwise identical** (serialized
-//!   suggestion + parse-health payloads compared as JSON strings) to the
-//!   caller-stepped in-process reference, for f32 **and** int8 artifacts, under
-//!   concurrent clients;
+//!   suggestion, parse-health and verification-stats payloads compared as
+//!   JSON strings) to the caller-stepped in-process reference, for f32
+//!   **and** int8 artifacts and a verifying one, under concurrent clients;
 //! * (b) submissions past the admission budget receive a typed `Busy`
 //!   and are *not* queued;
 //! * (c) `Drain` completes all in-flight work, parks unredeemed results
@@ -21,9 +21,10 @@
 //! in release mode as the serving smoke.
 
 use mpirical::corpus::{generate_dataset, CorpusConfig};
-use mpirical::cparse::ParseHealth;
 use mpirical::model::{DecodeOptions, ModelConfig, Precision};
-use mpirical::{MpiRical, MpiRicalConfig, SubmitOptions, SuggestPoll, SuggestService, Suggestion};
+use mpirical::{
+    MpiRical, MpiRicalConfig, SubmitOptions, SuggestPoll, SuggestService, VerifyOptions,
+};
 use mpirical_server::daemon::POLL_PACE;
 use mpirical_server::{write_frame, Client, Server, ServerConfig, Submitted};
 use std::net::TcpStream;
@@ -99,23 +100,18 @@ fn reference_payloads(assistant: &MpiRical, buffers: &[&str]) -> Vec<String> {
     service.run();
     tickets
         .into_iter()
-        .map(|t| match service.poll(t) {
-            SuggestPoll::Done {
-                suggestions,
-                health,
-                ..
-            } => done_payload(&suggestions, &health),
-            other => panic!("reference not finished: {other:?}"),
+        .map(|t| {
+            let state = service.poll(t);
+            if let SuggestPoll::Done { verify, .. } = &state {
+                assert_eq!(
+                    verify.is_some(),
+                    assistant.verify.is_some(),
+                    "exactly a verifying artifact reports its stats"
+                );
+            }
+            expect_done(state)
         })
         .collect()
-}
-
-/// The bitwise-comparison payload: suggestions + parse health, serialized.
-/// Scheduling telemetry is deliberately excluded — queue waits depend on
-/// the concurrent interleaving, which is the scheduler's business, not
-/// the transport's.
-fn done_payload(suggestions: &[Suggestion], health: &ParseHealth) -> String {
-    serde_json::to_string(&(suggestions.to_vec(), health.clone())).expect("payload serializes")
 }
 
 fn expect_ticket(outcome: Submitted) -> u64 {
@@ -125,13 +121,19 @@ fn expect_ticket(outcome: Submitted) -> u64 {
     }
 }
 
+/// The bitwise-comparison payload of a `Done` ticket: suggestions, parse
+/// health and the closed-loop `VerifyStats` (`None` unless the artifact
+/// verifies), serialized. Scheduling telemetry is deliberately excluded —
+/// queue waits depend on the concurrent interleaving, which is the
+/// scheduler's business, not the transport's.
 fn expect_done(state: SuggestPoll) -> String {
     match state {
         SuggestPoll::Done {
             suggestions,
             health,
+            verify,
             ..
-        } => done_payload(&suggestions, &health),
+        } => serde_json::to_string(&(suggestions, health, verify)).expect("payload serializes"),
         other => panic!("ticket not Done: {other:?}"),
     }
 }
@@ -185,6 +187,22 @@ fn wire_matches_in_process_reference_f32() {
 #[test]
 fn wire_matches_in_process_reference_int8() {
     concurrent_clients_match_reference(int8_assistant(), 3);
+}
+
+/// A verifying artifact over the wire: concurrent wire sessions get, per
+/// buffer, the in-process reference's suggestions, parse health **and**
+/// closed-loop `VerifyStats`. The daemon verifies a ticket at the poll that
+/// redeems it. The stats keep the check non-vacuous where this tiny
+/// artifact suggests nothing.
+#[test]
+fn wire_matches_in_process_reference_verifying() {
+    let mut assistant = tiny_assistant();
+    assistant.verify = Some(VerifyOptions {
+        rank_counts: vec![2],
+        step_limit: 100_000,
+        ..Default::default()
+    });
+    concurrent_clients_match_reference(assistant, 2);
 }
 
 /// Acceptance (b): the admission budget sheds with a typed `Busy` and
@@ -375,13 +393,9 @@ fn submit_cancel_poll_races_resolve_each_ticket_once() {
                     // Every other round, race a cancel against the decode.
                     let tried_cancel = round % 2 == 0 && client.cancel(id).expect("cancel");
                     match client.wait(id).expect("wait") {
-                        SuggestPoll::Done {
-                            suggestions,
-                            health,
-                            ..
-                        } => {
+                        state @ SuggestPoll::Done { .. } => {
                             assert_eq!(
-                                done_payload(&suggestions, &health),
+                                expect_done(state),
                                 want[pick],
                                 "a survivor's payload stays pinned to the reference"
                             );

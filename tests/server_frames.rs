@@ -236,9 +236,9 @@ fn wrong_shape_json_is_malformed_not_fatal() {
 }
 
 /// A submitted buffer nested far past the C parser's depth bound once
-/// overflowed the service thread's stack during encoding and aborted the
-/// daemon. Its over-deep region is now a parse error: the request decodes
-/// and reports a degraded parse.
+/// overflowed the stack of the thread encoding it and aborted the daemon.
+/// Its over-deep region is now a parse error: the request decodes and
+/// reports a degraded parse.
 #[test]
 fn deeply_nested_buffer_is_served_with_a_dirty_parse() {
     let addr = daemon_addr();
@@ -322,7 +322,7 @@ fn write_frame_issues_exactly_one_write_per_frame() {
 }
 
 /// The daemon answers `Stats` at loopback speed (the other tests of this
-/// binary only ever give its service thread sub-millisecond work). The stall
+/// binary only ever hold its lock for sub-millisecond work). The stall
 /// this guards against is a kernel constant of ≥ 40 ms per reply and a
 /// healthy round trip is ~0.05 ms, so a 20 ms bound on the median of 21 has
 /// hundreds of times of headroom on either side — no wall-clock luck

@@ -572,7 +572,7 @@ fn nesting_shapes(n: usize) -> [(&'static str, String); 4] {
 /// At the deepest nesting the parser accepts, the whole front end and the
 /// verifier's work on the calling thread — parse, print, reparse, X-SBT,
 /// compile — fit Rust's default 2 MiB thread stack, the stack the daemon's
-/// service thread parses submitted buffers on.
+/// connection threads parse submitted buffers on.
 #[test]
 fn nesting_at_the_parse_bound_fits_a_default_thread_stack() {
     let assistant = tiny_assistant();
